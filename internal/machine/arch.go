@@ -49,22 +49,26 @@ func (a *Arch) CheckInteger(v int64) error {
 	return &RangeError{Value: float64(v), Format: a.Name + " integer->uts integer"}
 }
 
-// NativeFloat pushes a float64 through the architecture's native
-// single- or double-precision representation, returning the value as
-// the architecture would actually hold it. This is how heterogeneity
-// enters the simulation: a procedure hosted on a Cray computes IEEE
-// doubles (it is Go underneath) but its parameters and results pass
-// through the Cray word, acquiring that format's precision and range.
-func (a *Arch) NativeFloat(f float64, double bool) (float64, error) {
-	codec := a.Single
-	if double {
-		codec = a.Double
+// NativeFloat and NativeDouble push a float64 through the
+// architecture's native single- or double-precision representation,
+// returning the value as the architecture would actually hold it. This
+// is how heterogeneity enters the simulation: a procedure hosted on a
+// Cray computes IEEE doubles (it is Go underneath) but its parameters
+// and results pass through the Cray word, acquiring that format's
+// precision and range. With CheckInteger and CheckLong they make *Arch
+// a uts.Native, the per-scalar kernel every conversion runs.
+func (a *Arch) NativeFloat(f float64) (float64, error) { return a.Single.RoundTrip(f) }
+
+func (a *Arch) NativeDouble(f float64) (float64, error) { return a.Double.RoundTrip(f) }
+
+// CheckLong verifies that a UTS long fits this architecture's native
+// word. A 4-byte-word machine truncates longs; that is an error rather
+// than silent corruption.
+func (a *Arch) CheckLong(v int64) error {
+	if a.WordBytes < 8 && (v < math.MinInt32 || v > math.MaxInt32) {
+		return &RangeError{Value: float64(v), Format: a.Name + " long"}
 	}
-	b, err := codec.Encode(f)
-	if err != nil {
-		return 0, err
-	}
-	return codec.Decode(b)
+	return nil
 }
 
 // NativeRoundTrip pushes a UTS value through the architecture's native
@@ -73,47 +77,66 @@ func (a *Arch) NativeFloat(f float64, double bool) (float64, error) {
 // word. Strings, bytes, and booleans are unaffected. The returned
 // value shares no storage with the input.
 func (a *Arch) NativeRoundTrip(v uts.Value) (uts.Value, error) {
-	switch v.Type.Kind() {
+	var out uts.Value
+	if err := a.convert(&out, &v); err != nil {
+		return uts.Value{}, err
+	}
+	return out, nil
+}
+
+// NativeInPlace is NativeRoundTrip overwriting the numbers in *v and in
+// every element under it, for a value the caller owns outright, such as
+// one just decoded. It allocates nothing. On error *v is left partly
+// converted.
+func (a *Arch) NativeInPlace(v *uts.Value) error { return a.convert(v, v) }
+
+// convert stores the native round trip of *src in *dst, which is either
+// src itself or a zero Value; in the latter case every aggregate under
+// *dst gets its own Elems, allocated once. It assigns the fields that
+// change and no others: storing a whole Value, pointers and all, costs
+// a write barrier per element while the collector runs.
+func (a *Arch) convert(dst, src *uts.Value) error {
+	fresh := dst != src
+	if fresh {
+		dst.Type = src.Type
+	}
+	switch src.Type.Kind() {
 	case uts.Float:
-		f, err := a.NativeFloat(v.F, false)
+		f, err := a.NativeFloat(src.F)
 		if err != nil {
-			return uts.Value{}, err
+			return err
 		}
 		// Keep the UTS-side single-precision invariant.
-		return uts.FloatVal(f), nil
+		dst.F = uts.FloatVal(f).F
 	case uts.Double:
-		f, err := a.NativeFloat(v.F, true)
+		f, err := a.NativeDouble(src.F)
 		if err != nil {
-			return uts.Value{}, err
+			return err
 		}
-		return uts.DoubleVal(f), nil
-	case uts.Integer:
-		if err := a.CheckInteger(v.I); err != nil {
-			return uts.Value{}, err
-		}
-		return v, nil
-	case uts.Long:
-		if a.WordBytes < 8 {
-			// A 4-byte-word machine truncates longs; treat as error
-			// rather than corrupt silently.
-			if v.I < math.MinInt32 || v.I > math.MaxInt32 {
-				return uts.Value{}, &RangeError{Value: float64(v.I), Format: a.Name + " long"}
-			}
-		}
-		return v, nil
+		dst.F = f
 	case uts.Array, uts.Record:
-		elems := make([]uts.Value, len(v.Elems))
-		for i, e := range v.Elems {
-			ne, err := a.NativeRoundTrip(e)
-			if err != nil {
-				return uts.Value{}, err
-			}
-			elems[i] = ne
+		if fresh {
+			dst.Elems = make([]uts.Value, len(src.Elems))
 		}
-		return uts.Value{Type: v.Type, Elems: elems}, nil
+		for i := range src.Elems {
+			if err := a.convert(&dst.Elems[i], &src.Elems[i]); err != nil {
+				return err
+			}
+		}
+	case uts.Integer:
+		if err := a.CheckInteger(src.I); err != nil {
+			return err
+		}
+		dst.I = src.I
+	case uts.Long:
+		if err := a.CheckLong(src.I); err != nil {
+			return err
+		}
+		dst.I = src.I
 	default:
-		return v, nil
+		dst.I, dst.S = src.I, src.S
 	}
+	return nil
 }
 
 // IsIEEE reports whether the architecture's native floating point is

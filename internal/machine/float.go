@@ -17,6 +17,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // RangeError reports a value that cannot be represented in the target
@@ -52,361 +53,261 @@ type FloatCodec interface {
 	// a *RangeError when the native value exceeds the IEEE-754 double
 	// range (possible for Cray-format values).
 	Decode(b []byte) (float64, error)
+	// ToWord and FromWord are Encode and Decode without the bytes: the
+	// native representation as one machine word (a 4-byte format
+	// occupies the low half), with the same range errors and no
+	// allocation. Byte order belongs to the byte form only.
+	ToWord(f float64) (uint64, error)
+	FromWord(w uint64) (float64, error)
+	// RoundTrip is FromWord(ToWord(f)): f as the format holds it.
+	RoundTrip(f float64) (float64, error)
 }
 
-// ieee32 is IEEE-754 single precision, big-endian.
-type ieee32 struct{}
+// format is the one FloatCodec implementation: a pair of word kernels
+// holding the format's arithmetic, and the byte layout around them.
+type format struct {
+	name         string
+	size         int
+	littleEndian bool
+	exact        bool // every double survives: the round trip is the identity
+	toWord       func(f float64) (uint64, error)
+	fromWord     func(w uint64) (float64, error)
+}
 
-func (ieee32) Name() string { return "ieee32be" }
-func (ieee32) Size() int    { return 4 }
+func (c *format) Name() string { return c.name }
+func (c *format) Size() int    { return c.size }
 
-func (ieee32) Encode(f float64) ([]byte, error) {
+func (c *format) ToWord(f float64) (uint64, error)   { return c.toWord(f) }
+func (c *format) FromWord(w uint64) (float64, error) { return c.fromWord(w) }
+
+func (c *format) RoundTrip(f float64) (float64, error) {
+	if c.exact {
+		return f, nil
+	}
+	w, err := c.toWord(f)
+	if err != nil {
+		return 0, err
+	}
+	return c.fromWord(w)
+}
+
+// shift is how far right of byte i the native word's low byte sits.
+func (c *format) shift(i int) int {
+	if c.littleEndian {
+		return 8 * i
+	}
+	return 8 * (c.size - 1 - i)
+}
+
+func (c *format) Encode(f float64) ([]byte, error) {
+	w, err := c.toWord(f)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, c.size)
+	for i := range b {
+		b[i] = byte(w >> c.shift(i))
+	}
+	return b, nil
+}
+
+func (c *format) Decode(b []byte) (float64, error) {
+	if len(b) != c.size {
+		return 0, fmt.Errorf("machine: %s needs %d bytes, got %d", c.name, c.size, len(b))
+	}
+	var w uint64
+	for i := range b {
+		w |= uint64(b[i]) << c.shift(i)
+	}
+	return c.fromWord(w)
+}
+
+// split takes a finite nonzero double apart as sign, mant and exp with
+// |f| = mant × 2^(exp-53) and mant in [2^52, 2^53): the integer form of
+// math.Frexp, subnormals normalized.
+func split(f float64) (sign, mant uint64, exp int) {
+	b := math.Float64bits(f)
+	sign, mant, exp = b>>63, b&(1<<52-1), int(b>>52&0x7ff)
+	if exp == 0 {
+		shift := bits.LeadingZeros64(mant) - 11
+		return sign, mant << shift, -1021 - shift
+	}
+	return sign, mant | 1<<52, exp - 1022
+}
+
+// pow2 is 2^k for k in [-1022, 1023], where it is a normal double.
+func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }
+
+// scale returns x × 2^k correctly rounded, as math.Ldexp does, by one
+// multiplication when 2^k is a normal double.
+func scale(x float64, k int) float64 {
+	if k < -1022 || k > 1023 {
+		return math.Ldexp(x, k)
+	}
+	return x * pow2(k)
+}
+
+// IEEE-754 single precision. Both byte orders share the kernel, so a
+// little-endian range error names the format "ieee32be" too.
+func ieee32ToWord(f float64) (uint64, error) {
 	s := float32(f)
 	if math.IsInf(float64(s), 0) && !math.IsInf(f, 0) {
-		return nil, &RangeError{Value: f, Format: "ieee32be"}
+		return 0, &RangeError{Value: f, Format: "ieee32be"}
 	}
-	bits := math.Float32bits(s)
-	return []byte{byte(bits >> 24), byte(bits >> 16), byte(bits >> 8), byte(bits)}, nil
+	return uint64(math.Float32bits(s)), nil
 }
 
-func (ieee32) Decode(b []byte) (float64, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("machine: ieee32be needs 4 bytes, got %d", len(b))
-	}
-	bits := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	return float64(math.Float32frombits(bits)), nil
+func ieee32FromWord(w uint64) (float64, error) {
+	return float64(math.Float32frombits(uint32(w))), nil
 }
 
-// ieee64 is IEEE-754 double precision, big-endian.
-type ieee64 struct{}
+// IEEE-754 double precision: the word is the double.
+func ieee64ToWord(f float64) (uint64, error)   { return math.Float64bits(f), nil }
+func ieee64FromWord(w uint64) (float64, error) { return math.Float64frombits(w), nil }
 
-func (ieee64) Name() string { return "ieee64be" }
-func (ieee64) Size() int    { return 8 }
-
-func (ieee64) Encode(f float64) ([]byte, error) {
-	bits := math.Float64bits(f)
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(bits >> (56 - 8*i))
-	}
-	return b, nil
-}
-
-func (ieee64) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("machine: ieee64be needs 8 bytes, got %d", len(b))
-	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits = bits<<8 | uint64(b[i])
-	}
-	return math.Float64frombits(bits), nil
-}
-
-// ieee32le / ieee64le are the little-endian layouts (e.g. a PC
-// workstation); format semantics are identical, only byte order
-// differs, which is exactly the classic cross-machine bug UTS exists
-// to prevent.
-type ieee32le struct{}
-
-func (ieee32le) Name() string { return "ieee32le" }
-func (ieee32le) Size() int    { return 4 }
-
-func (ieee32le) Encode(f float64) ([]byte, error) {
-	b, err := ieee32{}.Encode(f)
-	if err != nil {
-		return nil, err
-	}
-	reverse(b)
-	return b, nil
-}
-
-func (ieee32le) Decode(b []byte) (float64, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("machine: ieee32le needs 4 bytes, got %d", len(b))
-	}
-	r := []byte{b[3], b[2], b[1], b[0]}
-	return ieee32{}.Decode(r)
-}
-
-type ieee64le struct{}
-
-func (ieee64le) Name() string { return "ieee64le" }
-func (ieee64le) Size() int    { return 8 }
-
-func (ieee64le) Encode(f float64) ([]byte, error) {
-	b, err := ieee64{}.Encode(f)
-	if err != nil {
-		return nil, err
-	}
-	reverse(b)
-	return b, nil
-}
-
-func (ieee64le) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("machine: ieee64le needs 8 bytes, got %d", len(b))
-	}
-	r := make([]byte, 8)
-	for i := range r {
-		r[i] = b[7-i]
-	}
-	return ieee64{}.Decode(r)
-}
-
-func reverse(b []byte) {
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-}
-
-// cray64 is the Cray-1 single-word floating point format used by the
-// Cray Y-MP: a 64-bit word holding a sign bit, a 15-bit biased binary
-// exponent (bias 040000 octal = 16384), and a 48-bit mantissa with no
-// hidden bit, normalized into [0.5, 1). The representable magnitude
-// range (~1e-2466 .. ~1e2466) vastly exceeds IEEE-754 double, which is
-// why Cray-to-IEEE conversion can fail; the mantissa is 4 bits
-// narrower than IEEE double's 52+1, so IEEE-to-Cray conversion loses
-// precision. Note the Y-MP had no 32-bit float: Fortran REAL on a Cray
-// is this 64-bit word, so a Cray architecture uses cray64 for both
-// single and double precision.
-type cray64 struct{}
-
+// Cray-1 single-word floating point, used by the Cray Y-MP: a 64-bit
+// word holding a sign bit, a 15-bit biased binary exponent (bias 040000
+// octal = 16384), and a 48-bit mantissa with no hidden bit, normalized
+// into [0.5, 1). The representable magnitude range (~1e-2466 ..
+// ~1e2466) vastly exceeds IEEE-754 double, which is why Cray-to-IEEE
+// conversion can fail — and why no finite double over- or underflows
+// the Cray exponent; the mantissa is 4 bits narrower than IEEE double's
+// 52+1, so IEEE-to-Cray conversion loses precision. Note the Y-MP had
+// no 32-bit float: Fortran REAL on a Cray is this 64-bit word, so a
+// Cray architecture uses cray64 for both single and double precision.
 const (
 	crayBias    = 0o40000 // 16384
-	crayExpMin  = 0o20000 // hardware valid exponent range lower bound
-	crayExpMax  = 0o57777 // upper bound
 	crayManBits = 48
 )
 
-func (cray64) Name() string { return "cray64" }
-func (cray64) Size() int    { return 8 }
-
-func (cray64) Encode(f float64) ([]byte, error) {
+func crayToWord(f float64) (uint64, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		// Cray hardware had no NaN or infinity; arriving at one here
 		// means the computation already failed.
-		return nil, &RangeError{Value: f, Format: "cray64", Detail: "no NaN/Inf representation"}
+		return 0, &RangeError{Value: f, Format: "cray64", Detail: "no NaN/Inf representation"}
 	}
 	if f == 0 {
-		return make([]byte, 8), nil
+		return 0, nil
 	}
-	sign := uint64(0)
-	if math.Signbit(f) {
-		sign = 1
-		f = -f
-	}
-	frac, exp := math.Frexp(f) // f = frac * 2^exp, frac in [0.5, 1)
-	e := exp + crayBias
-	if e > crayExpMax {
-		return nil, &RangeError{Value: f, Format: "cray64", Detail: "exponent overflow"}
-	}
-	if e < crayExpMin {
-		// Underflow flushes to zero, as the hardware did.
-		return make([]byte, 8), nil
-	}
-	// Round the 53-bit fraction to 48 bits.
-	man := uint64(math.Round(frac * (1 << crayManBits)))
+	sign, mant, exp := split(f)
+	// Round the 53-bit mantissa to 48 bits, halves away from zero.
+	man := (mant + 1<<4) >> 5
 	if man == 1<<crayManBits {
 		// Rounding carried out of the mantissa; renormalize.
 		man >>= 1
-		e++
-		if e > crayExpMax {
-			return nil, &RangeError{Value: f, Format: "cray64", Detail: "exponent overflow after rounding"}
-		}
+		exp++
 	}
-	word := sign<<63 | uint64(e)<<48 | man&(1<<crayManBits-1)
-	// The mantissa's leading bit is implicit in the word layout used
-	// here: normalized values have man in [2^47, 2^48), so bit 47 is
-	// always set and stored.
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(word >> (56 - 8*i))
-	}
-	return b, nil
+	// Normalized values have man in [2^47, 2^48): the leading bit is
+	// stored, not hidden.
+	return sign<<63 | uint64(exp+crayBias)<<crayManBits | man, nil
 }
 
-func (cray64) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("machine: cray64 needs 8 bytes, got %d", len(b))
-	}
-	var word uint64
-	for i := 0; i < 8; i++ {
-		word = word<<8 | uint64(b[i])
-	}
-	if word == 0 {
-		return 0, nil
-	}
-	sign := word >> 63
-	e := int((word >> 48) & 0x7fff)
-	man := word & (1<<crayManBits - 1)
+func crayFromWord(w uint64) (float64, error) {
+	man := w & (1<<crayManBits - 1)
 	if man == 0 {
 		return 0, nil
 	}
-	frac := float64(man) / (1 << crayManBits)
-	f := math.Ldexp(frac, e-crayBias)
+	exp := int(w>>crayManBits&0x7fff) - crayBias
+	f := scale(float64(man), exp-crayManBits)
 	if math.IsInf(f, 0) {
 		// A genuine Cray value too large for IEEE double: the exact
 		// situation section 4.1 of the paper discusses. Error, do not
 		// saturate.
-		return 0, &RangeError{Format: "ieee64", Detail: fmt.Sprintf("cray64 exponent %d exceeds IEEE double range", e-crayBias)}
+		return 0, &RangeError{Format: "ieee64", Detail: fmt.Sprintf("cray64 exponent %d exceeds IEEE double range", exp)}
 	}
-	if sign == 1 {
+	if w>>63 == 1 {
 		f = -f
 	}
 	return f, nil
 }
 
-// ibmHex64 is the IBM System/360-heritage long hexadecimal float: sign
-// bit, 7-bit excess-64 base-16 exponent, 56-bit fraction in [1/16, 1).
-// Its maximum magnitude (~7.2e75) is far below IEEE double's, so an
-// IEEE value produced on a workstation can fail to convert when sent
-// toward such a machine — the opposite failure direction from Cray.
-type ibmHex64 struct{}
-
-func (ibmHex64) Name() string { return "ibmhex64" }
-func (ibmHex64) Size() int    { return 8 }
-
-func (ibmHex64) Encode(f float64) ([]byte, error) {
+// IBM System/360-heritage long hexadecimal float: sign bit, 7-bit
+// excess-64 base-16 exponent, 56-bit fraction in [1/16, 1). Its maximum
+// magnitude (~7.2e75) is far below IEEE double's, so an IEEE value
+// produced on a workstation can fail to convert when sent toward such a
+// machine — the opposite failure direction from Cray. The fraction is
+// at least as wide as a double's mantissa, so nothing is rounded.
+func ibmHexToWord(f float64) (uint64, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, &RangeError{Value: f, Format: "ibmhex64", Detail: "no NaN/Inf representation"}
+		return 0, &RangeError{Value: f, Format: "ibmhex64", Detail: "no NaN/Inf representation"}
 	}
 	if f == 0 {
-		return make([]byte, 8), nil
-	}
-	sign := uint64(0)
-	if math.Signbit(f) {
-		sign = 1
-		f = -f
-	}
-	frac, exp2 := math.Frexp(f)
-	// Convert binary exponent to base-16: find e4 with f = g * 16^e4,
-	// g in [1/16, 1).
-	e4 := (exp2 + 3) >> 2 // ceil division toward +inf for normalization
-	shift := e4*4 - exp2  // 0..3 leading zero bits in the fraction
-	g := frac / float64(uint64(1)<<shift)
-	e := e4 + 64
-	if e > 127 {
-		return nil, &RangeError{Value: f, Format: "ibmhex64", Detail: "exponent overflow"}
-	}
-	if e < 0 {
-		return make([]byte, 8), nil // underflow to zero
-	}
-	man := uint64(math.Round(g * (1 << 56)))
-	if man >= 1<<56 {
-		man >>= 4
-		e++
-		if e > 127 {
-			return nil, &RangeError{Value: f, Format: "ibmhex64", Detail: "exponent overflow after rounding"}
-		}
-	}
-	word := sign<<63 | uint64(e)<<56 | man
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(word >> (56 - 8*i))
-	}
-	return b, nil
-}
-
-func (ibmHex64) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("machine: ibmhex64 needs 8 bytes, got %d", len(b))
-	}
-	var word uint64
-	for i := 0; i < 8; i++ {
-		word = word<<8 | uint64(b[i])
-	}
-	if word&^(1<<63) == 0 {
 		return 0, nil
 	}
-	sign := word >> 63
-	e := int((word>>56)&0x7f) - 64
-	man := word & (1<<56 - 1)
-	f := float64(man) / (1 << 56) * math.Pow(16, float64(e))
-	if sign == 1 {
+	sign, mant, exp := split(f)
+	// Binary exponent to base 16: |f| = g × 16^e4 with g in [1/16, 1),
+	// which leaves 0..3 leading zero bits in the fraction.
+	e4 := (exp + 3) >> 2
+	e := e4 + 64
+	if e > 127 {
+		return 0, &RangeError{Value: math.Abs(f), Format: "ibmhex64", Detail: "exponent overflow"}
+	}
+	if e < 0 {
+		return 0, nil // underflow to zero
+	}
+	return sign<<63 | uint64(e)<<56 | mant<<(3-(e4*4-exp)), nil
+}
+
+func ibmHexFromWord(w uint64) (float64, error) {
+	e := int(w>>56&0x7f) - 64
+	f := float64(w&(1<<56-1)) * pow2(4*e-56)
+	if w>>63 == 1 && w<<1 != 0 {
 		f = -f
 	}
 	return f, nil
 }
 
-// vaxD64 is the DEC VAX D_floating format (Convex's native mode was
-// VAX-compatible): sign, 8-bit excess-128 binary exponent, 55-bit
-// stored fraction with a hidden leading bit, value = 0.1f * 2^(e-128).
-// Its range tops out near 1.7e38 — IEEE-double values beyond that fail
-// to convert. The historical VAX PDP-11 middle-endian byte shuffle is
-// not reproduced; byte order is carried by the Arch, and the format
-// semantics (range, precision, no infinities) are what matter to UTS.
-type vaxD64 struct{}
-
-func (vaxD64) Name() string { return "vaxd64" }
-func (vaxD64) Size() int    { return 8 }
-
-func (vaxD64) Encode(f float64) ([]byte, error) {
+// DEC VAX D_floating (Convex's native mode was VAX-compatible): sign,
+// 8-bit excess-128 binary exponent, 55-bit stored fraction with a
+// hidden leading bit, value = 0.1f * 2^(e-128). Its range tops out near
+// 1.7e38 — IEEE-double values beyond that fail to convert — and its
+// fraction holds every double exactly. The historical VAX PDP-11
+// middle-endian byte shuffle is not reproduced; byte order is carried
+// by the Arch, and the format semantics (range, precision, no
+// infinities) are what matter to UTS.
+func vaxDToWord(f float64) (uint64, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, &RangeError{Value: f, Format: "vaxd64", Detail: "no NaN/Inf representation"}
+		return 0, &RangeError{Value: f, Format: "vaxd64", Detail: "no NaN/Inf representation"}
 	}
 	if f == 0 {
-		return make([]byte, 8), nil
+		return 0, nil
 	}
-	sign := uint64(0)
-	if math.Signbit(f) {
-		sign = 1
-		f = -f
-	}
-	frac, exp := math.Frexp(f) // frac in [0.5,1) = 0.1xxx binary
+	sign, mant, exp := split(f)
 	e := exp + 128
 	if e > 255 {
-		return nil, &RangeError{Value: f, Format: "vaxd64", Detail: "exponent overflow"}
+		return 0, &RangeError{Value: math.Abs(f), Format: "vaxd64", Detail: "exponent overflow"}
 	}
 	if e < 1 {
-		return make([]byte, 8), nil
+		return 0, nil
 	}
-	// frac in [0.5,1): hidden bit is the 0.5; store the next 55 bits.
-	man := uint64(math.Round((frac*2 - 1) * (1 << 55)))
-	if man >= 1<<55 {
-		man = 0
-		e++
-		if e > 255 {
-			return nil, &RangeError{Value: f, Format: "vaxd64", Detail: "exponent overflow after rounding"}
-		}
-	}
-	word := sign<<63 | uint64(e)<<55 | man
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(word >> (56 - 8*i))
-	}
-	return b, nil
+	// The leading mantissa bit is the hidden 0.5; store the 52 below it
+	// at the top of the 55.
+	return sign<<63 | uint64(e)<<55 | mant&^(1<<52)<<3, nil
 }
 
-func (vaxD64) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("machine: vaxd64 needs 8 bytes, got %d", len(b))
-	}
-	var word uint64
-	for i := 0; i < 8; i++ {
-		word = word<<8 | uint64(b[i])
-	}
-	e := int((word >> 55) & 0xff)
+func vaxDFromWord(w uint64) (float64, error) {
+	e := int(w >> 55 & 0xff)
 	if e == 0 {
 		return 0, nil
 	}
-	sign := word >> 63
-	man := word & (1<<55 - 1)
-	frac := 0.5 + float64(man)/(1<<56)
-	f := math.Ldexp(frac, e-128)
-	if sign == 1 {
+	// A word that did not come from a double can hold more fraction
+	// bits than a double keeps; the sum rounds them away.
+	f := (0.5 + float64(w&(1<<55-1))/(1<<56)) * pow2(e-128)
+	if w>>63 == 1 {
 		f = -f
 	}
 	return f, nil
 }
 
-// Exported codec singletons.
+// Exported codec singletons. The little-endian layouts (e.g. a PC
+// workstation) differ from the big-endian ones in byte order only,
+// which is exactly the classic cross-machine bug UTS exists to prevent.
 var (
-	IEEE32BE FloatCodec = ieee32{}
-	IEEE64BE FloatCodec = ieee64{}
-	IEEE32LE FloatCodec = ieee32le{}
-	IEEE64LE FloatCodec = ieee64le{}
-	Cray64   FloatCodec = cray64{}
-	IBMHex64 FloatCodec = ibmHex64{}
-	VAXD64   FloatCodec = vaxD64{}
+	IEEE32BE FloatCodec = &format{name: "ieee32be", size: 4, toWord: ieee32ToWord, fromWord: ieee32FromWord}
+	IEEE64BE FloatCodec = &format{name: "ieee64be", size: 8, exact: true, toWord: ieee64ToWord, fromWord: ieee64FromWord}
+	IEEE32LE FloatCodec = &format{name: "ieee32le", size: 4, littleEndian: true, toWord: ieee32ToWord, fromWord: ieee32FromWord}
+	IEEE64LE FloatCodec = &format{name: "ieee64le", size: 8, littleEndian: true, exact: true, toWord: ieee64ToWord, fromWord: ieee64FromWord}
+	Cray64   FloatCodec = &format{name: "cray64", size: 8, toWord: crayToWord, fromWord: crayFromWord}
+	IBMHex64 FloatCodec = &format{name: "ibmhex64", size: 8, toWord: ibmHexToWord, fromWord: ibmHexFromWord}
+	VAXD64   FloatCodec = &format{name: "vaxd64", size: 8, toWord: vaxDToWord, fromWord: vaxDFromWord}
 )

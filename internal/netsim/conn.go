@@ -111,13 +111,17 @@ func (c *simConn) Send(m *wire.Message) error {
 	if c.net.pathDown(c.local, c.remote) {
 		return fmt.Errorf("netsim: link %s-%s down", c.local, c.remote)
 	}
-	body, err := m.Encode(nil)
+	// Encode into a pooled frame and decode a copy out of it, so the
+	// receiver cannot share mutable state with the sender — the same
+	// isolation a real network provides. Only the frame's length
+	// outlives the copy.
+	frame, err := m.Encode(wire.GetBuf())
 	if err != nil {
 		return err
 	}
-	// Copy via decode so the receiver cannot share mutable state with
-	// the sender — the same isolation a real network provides.
-	copyMsg, err := wire.DecodeMessage(body)
+	copyMsg, err := wire.DecodeMessage(frame)
+	size := len(frame)
+	wire.PutBuf(frame)
 	if err != nil {
 		return err
 	}
@@ -125,11 +129,11 @@ func (c *simConn) Send(m *wire.Message) error {
 	// arrives — the sender cannot tell, exactly as on a real network.
 	drop, jitter := c.net.faultFor(c.local, c.remote)
 	if drop {
-		c.net.accountDrop(c.link, len(body))
+		c.net.accountDrop(c.link, size)
 		return nil
 	}
-	delay := c.link.Delay(len(body)) + jitter
-	c.net.account(c.link, len(body), delay)
+	delay := c.link.Delay(size) + jitter
+	c.net.account(c.link, size, delay)
 	scale := c.net.scale()
 	serial := time.Duration(float64(delay-c.link.Latency-jitter) * scale) // transmission time
 	prop := time.Duration(float64(c.link.Latency+jitter) * scale)

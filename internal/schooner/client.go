@@ -973,16 +973,11 @@ func (l *Line) prepare(name string, args []uts.Value) (*uts.ProcSpec, CallPolicy
 	if len(args) != len(ins) {
 		return nil, pol, nil, fmt.Errorf("schooner: %s takes %d in-parameters, got %d", name, len(ins), len(args))
 	}
-	// Outbound conversion: native -> UTS.
-	conv := make([]uts.Value, len(args))
-	for i, a := range args {
-		v, err := arch.NativeRoundTrip(a)
-		if err != nil {
-			return nil, pol, nil, fmt.Errorf("schooner: parameter %q: %w", ins[i].Name, err)
-		}
-		conv[i] = v
+	// Outbound conversion: native -> UTS, fused with the encoding.
+	data, bad, err := marshalNative(arch, ins, args, nil, uts.ParamsSize(ins))
+	if bad >= 0 {
+		return nil, pol, nil, fmt.Errorf("schooner: parameter %q: %w", ins[bad].Name, err)
 	}
-	data, err := uts.EncodeParams(nil, ins, conv)
 	if err != nil {
 		return nil, pol, nil, err
 	}
@@ -1001,12 +996,12 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 	if err != nil {
 		return nil, err
 	}
+	// The values are fresh from the decoder and nobody else's yet, so
+	// the inbound conversion overwrites them.
 	for i := range results {
-		v, err := arch.NativeRoundTrip(results[i])
-		if err != nil {
+		if err := arch.NativeInPlace(&results[i]); err != nil {
 			return nil, fmt.Errorf("schooner: result %q: %w", outs[i].Name, err)
 		}
-		results[i] = v
 	}
 	return results, nil
 }

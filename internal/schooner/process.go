@@ -33,9 +33,11 @@ type process struct {
 	listener Listener
 
 	mu sync.Mutex // serializes calls within this instance
-	// sigCache caches parsed import signatures per procedure so the
-	// per-call signature text is parsed once.
-	sigCache map[string]*uts.ProcSpec
+
+	// plans caches what a call's name and signature text determine, so
+	// it is worked out once per distinct caller rather than per call.
+	planMu sync.RWMutex
+	plans  map[planKey]*callPlan
 
 	stopOnce sync.Once
 	done     chan struct{}
@@ -61,7 +63,7 @@ func startProcess(t Transport, host string, prog *Program) (*process, error) {
 		program:  prog,
 		instance: inst,
 		listener: l,
-		sigCache: make(map[string]*uts.ProcSpec),
+		plans:    make(map[planKey]*callPlan),
 		done:     make(chan struct{}),
 	}
 	go p.acceptLoop()
@@ -191,27 +193,85 @@ func (p *process) dispatchBatch(env *wire.Message) *wire.Message {
 	return &wire.Message{Kind: wire.KBatchOK, Data: data}
 }
 
-// importSpec resolves the caller's import signature for a procedure:
-// either the cached parse or the signature text carried on the call.
-func (p *process) importSpec(name, sig string) (*uts.ProcSpec, error) {
-	key := name + "\x00" + sig
-	p.mu.Lock()
-	cached, ok := p.sigCache[key]
-	p.mu.Unlock()
-	if ok {
+type planKey struct{ name, sig string }
+
+// callPlan is the part of handling a call that depends only on the
+// procedure and the caller's import signature: the parsed import,
+// verified against the export, and how its parameter lists map onto
+// the export's. The export specification never changes, so verifying
+// once per signature is the check a call used to repeat.
+type callPlan struct {
+	imp *uts.ProcSpec
+	// inFrom[i] says which of the import's in-parameters supplies the
+	// export's i-th, or is -1 for one the import omits, which takes
+	// zero[i]. Nil when the import sends them all.
+	inFrom []int
+	zero   []uts.Value
+	// keepOut[i] is whether the import asks for the export's i-th
+	// out-parameter. Nil when it asks for them all.
+	keepOut []bool
+}
+
+// subset maps the export's parameters onto the import's, which
+// CheckImport has shown to be a subsequence of them by name: at[i] is
+// the import index of the export's i-th parameter, or -1.
+func subset(exp, imp []uts.Param) (at []int) {
+	if len(imp) == len(exp) {
+		return nil
+	}
+	at = make([]int, len(exp))
+	j := 0
+	for i, e := range exp {
+		at[i] = -1
+		if j < len(imp) && imp[j].Name == e.Name {
+			at[i] = j
+			j++
+		}
+	}
+	return at
+}
+
+// plan resolves the caller's import signature for a procedure: either
+// the cached plan or one built from the signature text on the call.
+func (p *process) plan(bp *BoundProc, name, sig string) (*callPlan, error) {
+	key := planKey{name, sig}
+	p.planMu.RLock()
+	cached := p.plans[key]
+	p.planMu.RUnlock()
+	if cached != nil {
 		return cached, nil
 	}
 	if sig == "" {
 		return nil, fmt.Errorf("schooner: call to %q carries no signature", name)
 	}
-	spec, err := uts.ParseProc("import " + name + " " + sig)
+	imp, err := uts.ParseProc("import " + name + " " + sig)
 	if err != nil {
 		return nil, fmt.Errorf("schooner: bad signature on call to %q: %w", name, err)
 	}
-	p.mu.Lock()
-	p.sigCache[key] = spec
-	p.mu.Unlock()
-	return spec, nil
+	// The import may be a subset of the export; re-verify here (the
+	// Manager checked at bind time, but a direct caller could lie).
+	if err := uts.CheckImport(imp, bp.Spec); err != nil {
+		return nil, err
+	}
+	pl := &callPlan{imp: imp, inFrom: subset(bp.Spec.InParams(), imp.InParams())}
+	if pl.inFrom != nil {
+		pl.zero = make([]uts.Value, len(pl.inFrom))
+		for i, from := range pl.inFrom {
+			if from < 0 {
+				pl.zero[i] = uts.Zero(bp.Spec.InParams()[i].Type)
+			}
+		}
+	}
+	if at := subset(bp.Spec.OutParams(), imp.OutParams()); at != nil {
+		pl.keepOut = make([]bool, len(at))
+		for i, from := range at {
+			pl.keepOut[i] = from >= 0
+		}
+	}
+	p.planMu.Lock()
+	p.plans[key] = pl
+	p.planMu.Unlock()
+	return pl, nil
 }
 
 func (p *process) handleCall(m *wire.Message) *wire.Message {
@@ -235,42 +295,35 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 	if dispatch != nil {
 		decode = dispatch.Child("decode", p.host)
 	}
-	imp, err := p.importSpec(m.Name, m.Str)
+	pl, err := p.plan(bp, m.Name, m.Str)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	// The import may be a subset of the export; re-verify here (the
-	// Manager checked at bind time, but a direct caller could lie).
-	if err := uts.CheckImport(imp, bp.Spec); err != nil {
-		return &wire.Message{Kind: wire.KError, Err: err.Error()}
-	}
-	sent, err := uts.DecodeParams(m.Data, imp.InParams())
+	in, err := uts.DecodeParams(m.Data, pl.imp.InParams())
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	// Assemble the full in-parameter list of the export: parameters
-	// omitted by a subset import take their zero values.
-	byName := make(map[string]uts.Value, len(sent))
-	for i, prm := range imp.InParams() {
-		byName[prm.Name] = sent[i]
-	}
-	var in []uts.Value
-	for _, prm := range bp.Spec.InParams() {
-		if v, ok := byName[prm.Name]; ok {
-			in = append(in, v)
-		} else {
-			in = append(in, uts.Zero(prm.Type))
+	if pl.inFrom != nil {
+		// Assemble the full in-parameter list of the export: parameters
+		// omitted by a subset import take their zero values.
+		sent := in
+		in = make([]uts.Value, len(pl.inFrom))
+		for i, from := range pl.inFrom {
+			if from >= 0 {
+				in[i] = sent[from]
+			} else {
+				in[i] = pl.zero[i].Clone()
+			}
 		}
 	}
 	// Convert incoming values into this machine's native formats: the
-	// UTS-to-native half of the conversion, with its range errors.
+	// UTS-to-native half of the conversion, with its range errors. The
+	// values are this call's own, so they are converted where they lie.
 	for i := range in {
-		nv, err := p.arch.NativeRoundTrip(in[i])
-		if err != nil {
+		if err := p.arch.NativeInPlace(&in[i]); err != nil {
 			return &wire.Message{Kind: wire.KError,
 				Err: fmt.Sprintf("schooner: converting parameter to %s native format: %v", p.arch.Name, err)}
 		}
-		in[i] = nv
 	}
 	decode.End()
 
@@ -312,27 +365,18 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError,
 			Err: fmt.Sprintf("schooner: %s returned %d results, export declares %d", m.Name, len(out), len(exportOut))}
 	}
-	// Native-to-UTS conversion of results, then keep only the
-	// out-parameters the import asked for, in import order.
+	// Native-to-UTS conversion of results, straight into the reply and
+	// without touching the procedure's own values; only the
+	// out-parameters the import asked for are sent.
 	var encode *trace.Span
 	if dispatch != nil {
 		encode = dispatch.Child("encode", p.host)
 	}
-	outByName := make(map[string]uts.Value, len(out))
-	for i, prm := range exportOut {
-		nv, err := p.arch.NativeRoundTrip(out[i])
-		if err != nil {
-			return &wire.Message{Kind: wire.KError,
-				Err: fmt.Sprintf("schooner: converting result %q from %s native format: %v", prm.Name, p.arch.Name, err)}
-		}
-		outByName[prm.Name] = nv
+	data, bad, err := marshalNative(p.arch, exportOut, out, pl.keepOut, uts.ParamsSize(pl.imp.OutParams()))
+	if bad >= 0 {
+		return &wire.Message{Kind: wire.KError,
+			Err: fmt.Sprintf("schooner: converting result %q from %s native format: %v", exportOut[bad].Name, p.arch.Name, err)}
 	}
-	impOut := imp.OutParams()
-	results := make([]uts.Value, len(impOut))
-	for i, prm := range impOut {
-		results[i] = outByName[prm.Name]
-	}
-	data, err := uts.EncodeParams(nil, impOut, results)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 )
 
 // The UTS intermediate representation is a canonical big-endian
@@ -15,36 +15,37 @@ import (
 // converts between its native format and this interchange format; the
 // native side of the conversion lives in package machine.
 
+// Native is one machine's native data representation as the encoder
+// needs it: what a float or double becomes when the machine holds it,
+// and whether an integer or long fits its word. *machine.Arch is the
+// implementation; the interface exists because machine imports uts.
+type Native interface {
+	NativeFloat(f float64) (float64, error)
+	NativeDouble(f float64) (float64, error)
+	CheckInteger(i int64) error
+	CheckLong(i int64) error
+}
+
+// NativeError wraps an error a Native returned, so a caller of
+// EncodeParam can tell a value the machine cannot hold from a value
+// that does not match its declared type. Err is the Native's error,
+// untouched.
+type NativeError struct{ Err error }
+
+func (e *NativeError) Error() string { return e.Err.Error() }
+func (e *NativeError) Unwrap() error { return e.Err }
+
 // Encode appends the intermediate representation of v to buf and
 // returns the extended buffer.
-func Encode(buf []byte, v Value) ([]byte, error) {
+func Encode(buf []byte, v Value) ([]byte, error) { return encode(buf, v, nil) }
+
+// encode is Encode with every scalar passed through n on its way into
+// the buffer, when n is not nil: the native-to-interchange conversion
+// in one traversal, with no converted copy of v in between.
+func encode(buf []byte, v Value, n Native) ([]byte, error) {
 	switch v.Type.Kind() {
-	case Integer:
-		if v.I < math.MinInt32 || v.I > math.MaxInt32 {
-			return nil, fmt.Errorf("uts: integer value %d out of range", v.I)
-		}
-		return binary.BigEndian.AppendUint32(buf, uint32(int32(v.I))), nil
-	case Long:
-		return binary.BigEndian.AppendUint64(buf, uint64(v.I)), nil
-	case Byte:
-		if v.I < 0 || v.I > 255 {
-			return nil, fmt.Errorf("uts: byte value %d out of range", v.I)
-		}
-		return append(buf, byte(v.I)), nil
-	case Boolean:
-		b := byte(0)
-		if v.I != 0 {
-			b = 1
-		}
-		return append(buf, b), nil
-	case Float:
-		f := v.F
-		if !fitsFloat32(f) {
-			return nil, fmt.Errorf("uts: value %g out of range for single-precision float", f)
-		}
-		return binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(f))), nil
-	case Double:
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(v.F)), nil
+	case Integer, Long, Byte, Boolean, Float, Double:
+		return appendScalar(buf, &v, n)
 	case String:
 		if len(v.S) > math.MaxInt32 {
 			return nil, fmt.Errorf("uts: string of %d bytes too long", len(v.S))
@@ -55,12 +56,25 @@ func Encode(buf []byte, v Value) ([]byte, error) {
 		if len(v.Elems) != v.Type.Len() {
 			return nil, fmt.Errorf("uts: array value has %d elements, type wants %d", len(v.Elems), v.Type.Len())
 		}
+		et := v.Type.Elem()
+		// An array of fixed-size scalars grows the buffer once and runs
+		// the scalar kernel over its elements without recursing.
+		size, bulk := et.scalarSize()
+		if bulk {
+			buf = slices.Grow(buf, size*len(v.Elems))
+		}
 		var err error
-		for _, e := range v.Elems {
-			if !e.Type.Equal(v.Type.Elem()) {
-				return nil, fmt.Errorf("uts: array element type %v does not match %v", e.Type, v.Type.Elem())
+		for i := range v.Elems {
+			e := &v.Elems[i]
+			if e.Type != et && !e.Type.Equal(et) {
+				return nil, fmt.Errorf("uts: array element type %v does not match %v", e.Type, et)
 			}
-			if buf, err = Encode(buf, e); err != nil {
+			if bulk {
+				buf, err = appendScalar(buf, e, n)
+			} else {
+				buf, err = encode(buf, *e, n)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -75,13 +89,70 @@ func Encode(buf []byte, v Value) ([]byte, error) {
 			if !e.Type.Equal(fields[i].Type) {
 				return nil, fmt.Errorf("uts: record field %q type %v does not match %v", fields[i].Name, e.Type, fields[i].Type)
 			}
-			if buf, err = Encode(buf, e); err != nil {
+			if buf, err = encode(buf, e, n); err != nil {
 				return nil, err
 			}
 		}
 		return buf, nil
 	}
 	return nil, fmt.Errorf("uts: cannot encode value of type %v", v.Type)
+}
+
+// appendScalar is the per-element kernel of encode: one value of a
+// fixed-size scalar kind, which it does not modify.
+func appendScalar(buf []byte, v *Value, n Native) ([]byte, error) {
+	switch v.Type.Kind() {
+	case Integer:
+		if n != nil {
+			if err := n.CheckInteger(v.I); err != nil {
+				return nil, &NativeError{err}
+			}
+		}
+		if v.I < math.MinInt32 || v.I > math.MaxInt32 {
+			return nil, fmt.Errorf("uts: integer value %d out of range", v.I)
+		}
+		return binary.BigEndian.AppendUint32(buf, uint32(int32(v.I))), nil
+	case Long:
+		if n != nil {
+			if err := n.CheckLong(v.I); err != nil {
+				return nil, &NativeError{err}
+			}
+		}
+		return binary.BigEndian.AppendUint64(buf, uint64(v.I)), nil
+	case Byte:
+		if v.I < 0 || v.I > 255 {
+			return nil, fmt.Errorf("uts: byte value %d out of range", v.I)
+		}
+		return append(buf, byte(v.I)), nil
+	case Boolean:
+		b := byte(0)
+		if v.I != 0 {
+			b = 1
+		}
+		return append(buf, b), nil
+	case Float:
+		f := v.F
+		if n != nil {
+			var err error
+			if f, err = n.NativeFloat(f); err != nil {
+				return nil, &NativeError{err}
+			}
+			f = FloatVal(f).F
+		}
+		if !fitsFloat32(f) {
+			return nil, fmt.Errorf("uts: value %g out of range for single-precision float", f)
+		}
+		return binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(f))), nil
+	default: // Double
+		f := v.F
+		if n != nil {
+			var err error
+			if f, err = n.NativeDouble(f); err != nil {
+				return nil, &NativeError{err}
+			}
+		}
+		return binary.BigEndian.AppendUint64(buf, math.Float64bits(f)), nil
+	}
 }
 
 // fitsFloat32 reports whether f survives conversion to single
@@ -94,56 +165,27 @@ func fitsFloat32(f float64) bool {
 	return !math.IsInf(float64(float32(f)), 0)
 }
 
+func truncated(t *Type, need, have int) error {
+	return fmt.Errorf("uts: truncated data decoding %v: need %d bytes, have %d", t, need, have)
+}
+
 // Decode reads one value of type t from buf, returning the value and
 // the remaining bytes.
 func Decode(buf []byte, t *Type) (Value, []byte, error) {
-	need := func(n int) error {
-		if len(buf) < n {
-			return fmt.Errorf("uts: truncated data decoding %v: need %d bytes, have %d", t, n, len(buf))
-		}
-		return nil
-	}
 	switch t.Kind() {
-	case Integer:
-		if err := need(4); err != nil {
+	case Integer, Long, Byte, Boolean, Float, Double:
+		size, _ := t.scalarSize()
+		if len(buf) < size {
+			return Value{}, nil, truncated(t, size, len(buf))
+		}
+		var v Value
+		if err := decodeScalar(&v, t.kind, buf); err != nil {
 			return Value{}, nil, err
 		}
-		v := int32(binary.BigEndian.Uint32(buf))
-		return Value{Type: TInteger, I: int64(v)}, buf[4:], nil
-	case Long:
-		if err := need(8); err != nil {
-			return Value{}, nil, err
-		}
-		v := int64(binary.BigEndian.Uint64(buf))
-		return Value{Type: TLong, I: v}, buf[8:], nil
-	case Byte:
-		if err := need(1); err != nil {
-			return Value{}, nil, err
-		}
-		return Value{Type: TByte, I: int64(buf[0])}, buf[1:], nil
-	case Boolean:
-		if err := need(1); err != nil {
-			return Value{}, nil, err
-		}
-		if buf[0] > 1 {
-			return Value{}, nil, fmt.Errorf("uts: invalid boolean byte %#x", buf[0])
-		}
-		return Value{Type: TBoolean, I: int64(buf[0])}, buf[1:], nil
-	case Float:
-		if err := need(4); err != nil {
-			return Value{}, nil, err
-		}
-		f := math.Float32frombits(binary.BigEndian.Uint32(buf))
-		return Value{Type: TFloat, F: float64(f)}, buf[4:], nil
-	case Double:
-		if err := need(8); err != nil {
-			return Value{}, nil, err
-		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(buf))
-		return Value{Type: TDouble, F: f}, buf[8:], nil
+		return v, buf[size:], nil
 	case String:
-		if err := need(4); err != nil {
-			return Value{}, nil, err
+		if len(buf) < 4 {
+			return Value{}, nil, truncated(t, 4, len(buf))
 		}
 		n := binary.BigEndian.Uint32(buf)
 		if n > math.MaxInt32 {
@@ -162,9 +204,27 @@ func Decode(buf []byte, t *Type) (Value, []byte, error) {
 			return Value{}, nil, fmt.Errorf("uts: truncated array: %d elements declared, %d bytes remain", t.Len(), len(buf))
 		}
 		elems := make([]Value, t.Len())
+		et := t.Elem()
+		if size, scalar := et.scalarSize(); scalar {
+			// Fixed-size scalars: the length is checked once, here, and
+			// the scalar kernel fills the elements in place. A short
+			// buffer still decodes the elements it holds first, so an
+			// invalid one among them is reported before the truncation.
+			whole := min(len(elems), len(buf)/size)
+			for i := 0; i < whole; i++ {
+				if err := decodeScalar(&elems[i], et.kind, buf[i*size:]); err != nil {
+					return Value{}, nil, err
+				}
+			}
+			buf = buf[whole*size:]
+			if whole < len(elems) {
+				return Value{}, nil, truncated(et, size, len(buf))
+			}
+			return Value{Type: t, Elems: elems}, buf, nil
+		}
 		var err error
 		for i := range elems {
-			if elems[i], buf, err = Decode(buf, t.Elem()); err != nil {
+			if elems[i], buf, err = Decode(buf, et); err != nil {
 				return Value{}, nil, err
 			}
 		}
@@ -183,30 +243,42 @@ func Decode(buf []byte, t *Type) (Value, []byte, error) {
 	return Value{}, nil, fmt.Errorf("uts: cannot decode type %v", t)
 }
 
-// encBufPool recycles parameter-marshaling buffers for the call hot
-// path; see GetBuf/PutBuf. Oversized buffers are dropped rather than
-// pooled so one huge array transfer does not pin memory in every slot.
-var encBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 256); return &b },
-}
-
-const poolBufCap = 1 << 16
-
-// GetBuf returns an empty scratch buffer for EncodeParams. Return it
-// with PutBuf once the marshaled bytes have been fully consumed (sent
-// or copied).
-func GetBuf() []byte {
-	return (*(encBufPool.Get().(*[]byte)))[:0]
-}
-
-// PutBuf returns a scratch buffer to the pool. The caller must not
-// retain any slice aliasing buf afterward.
-func PutBuf(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > poolBufCap {
-		return
+// decodeScalar is the per-element kernel of Decode: it stores in *v,
+// which must be a zero Value, the scalar of kind k at the front of b,
+// which the caller has checked is long enough. Only the fields the kind
+// uses are written: storing a whole Value costs a bulk write barrier
+// per element while the collector runs.
+func decodeScalar(v *Value, k Kind, b []byte) error {
+	switch k {
+	case Integer:
+		v.Type, v.I = TInteger, int64(int32(binary.BigEndian.Uint32(b)))
+	case Long:
+		v.Type, v.I = TLong, int64(binary.BigEndian.Uint64(b))
+	case Byte:
+		v.Type, v.I = TByte, int64(b[0])
+	case Boolean:
+		if b[0] > 1 {
+			return fmt.Errorf("uts: invalid boolean byte %#x", b[0])
+		}
+		v.Type, v.I = TBoolean, int64(b[0])
+	case Float:
+		v.Type, v.F = TFloat, float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
+	default: // Double
+		v.Type, v.F = TDouble, math.Float64frombits(binary.BigEndian.Uint64(b))
 	}
-	buf = buf[:0]
-	encBufPool.Put(&buf)
+	return nil
+}
+
+// ParamsSize reports how many bytes the fixed-size parameters among
+// params marshal to: the whole of an EncodeParams, unless a string is
+// among them.
+func ParamsSize(params []Param) int {
+	total := 0
+	for _, p := range params {
+		n, _ := p.Type.FixedSize()
+		total += n
+	}
+	return total
 }
 
 // EncodeParams marshals the values bound to the given parameters in
@@ -215,16 +287,33 @@ func EncodeParams(buf []byte, params []Param, values []Value) ([]byte, error) {
 	if len(params) != len(values) {
 		return nil, fmt.Errorf("uts: %d parameters but %d values", len(params), len(values))
 	}
+	if cap(buf) == 0 {
+		// From nothing, allocate the result once. A caller that brings
+		// a buffer has sized it, or append will.
+		buf = make([]byte, 0, ParamsSize(params))
+	}
 	var err error
 	for i, p := range params {
-		if !values[i].Type.Equal(p.Type) {
-			return nil, fmt.Errorf("uts: parameter %q: value type %v does not match declared type %v", p.Name, values[i].Type, p.Type)
-		}
-		if buf, err = Encode(buf, values[i]); err != nil {
-			return nil, fmt.Errorf("uts: parameter %q: %w", p.Name, err)
+		if buf, err = EncodeParam(buf, p, values[i], nil); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
+}
+
+// EncodeParam marshals the value bound to one parameter. With a non-nil
+// n it marshals the value as that machine holds it: each float, double,
+// integer and long passes through n on its way into the buffer, and an
+// error from n comes back as a *NativeError. v is never modified.
+func EncodeParam(buf []byte, p Param, v Value, n Native) ([]byte, error) {
+	if !v.Type.Equal(p.Type) {
+		return nil, fmt.Errorf("uts: parameter %q: value type %v does not match declared type %v", p.Name, v.Type, p.Type)
+	}
+	buf, err := encode(buf, v, n)
+	if _, native := err.(*NativeError); err != nil && !native {
+		err = fmt.Errorf("uts: parameter %q: %w", p.Name, err)
+	}
+	return buf, err
 }
 
 // DecodeParams unmarshals values for the given parameters from buf.

@@ -89,6 +89,10 @@ type Type struct {
 	length int     // array length
 	elem   *Type   // array element type
 	fields []Field // record fields
+	// size caches FixedSize, which sits on the per-element marshal
+	// path: positive when fixed, negative when variable, zero when not
+	// computed (a Type the constructors below did not build).
+	size int
 }
 
 // Field is a single named component of a record type.
@@ -99,14 +103,24 @@ type Field struct {
 
 // Predefined singleton types for the simple kinds.
 var (
-	TInteger = &Type{kind: Integer}
-	TLong    = &Type{kind: Long}
-	TByte    = &Type{kind: Byte}
-	TBoolean = &Type{kind: Boolean}
-	TFloat   = &Type{kind: Float}
-	TDouble  = &Type{kind: Double}
-	TString  = &Type{kind: String}
+	TInteger = sized(&Type{kind: Integer})
+	TLong    = sized(&Type{kind: Long})
+	TByte    = sized(&Type{kind: Byte})
+	TBoolean = sized(&Type{kind: Boolean})
+	TFloat   = sized(&Type{kind: Float})
+	TDouble  = sized(&Type{kind: Double})
+	TString  = sized(&Type{kind: String})
 )
+
+// sized fills in a new type's cached size.
+func sized(t *Type) *Type {
+	n, ok := t.fixedSize()
+	if !ok {
+		n = -1
+	}
+	t.size = n
+	return t
+}
 
 // ArrayOf returns the type "array[n] of elem". It panics if n is not
 // positive or elem is nil, since those are programming errors in the
@@ -118,7 +132,7 @@ func ArrayOf(n int, elem *Type) *Type {
 	if elem == nil {
 		panic("uts: array element type must not be nil")
 	}
-	return &Type{kind: Array, length: n, elem: elem}
+	return sized(&Type{kind: Array, length: n, elem: elem})
 }
 
 // RecordOf returns a record type with the given fields, in order.
@@ -140,7 +154,7 @@ func RecordOf(fields ...Field) (*Type, error) {
 		}
 		seen[f.Name] = true
 	}
-	return &Type{kind: Record, fields: append([]Field(nil), fields...)}, nil
+	return sized(&Type{kind: Record, fields: append([]Field(nil), fields...)}), nil
 }
 
 // MustRecordOf is RecordOf but panics on error; for package-level
@@ -228,6 +242,26 @@ func (t *Type) Equal(u *Type) bool {
 // of a value of this type occupies, and whether that size is fixed.
 // Strings (and any aggregate containing one) are variable-sized.
 func (t *Type) FixedSize() (int, bool) {
+	if t.size > 0 {
+		return t.size, true
+	}
+	if t.size < 0 {
+		return 0, false
+	}
+	return t.fixedSize()
+}
+
+// scalarSize is FixedSize for the scalar kinds that have one, and false
+// for strings and aggregates: the types the codec's per-element kernels
+// handle.
+func (t *Type) scalarSize() (int, bool) {
+	if t.kind >= String {
+		return 0, false
+	}
+	return t.FixedSize()
+}
+
+func (t *Type) fixedSize() (int, bool) {
 	switch t.kind {
 	case Integer, Float:
 		return 4, true

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -230,10 +231,9 @@ func (m *Message) Encode(buf []byte) ([]byte, error) {
 	if len(m.Data) > maxData {
 		return nil, fmt.Errorf("wire: payload of %d bytes too long", len(m.Data))
 	}
-	if buf == nil {
-		// One exact-size allocation instead of append growth steps.
-		buf = make([]byte, 0, 1+4+4+8+8+2+len(m.Name)+2+len(m.Str)+2+len(m.Err)+4+len(m.Data))
-	}
+	// At most one allocation, not append's growth steps, whether buf is
+	// nil or a pooled buffer too small for this message.
+	buf = slices.Grow(buf, 1+4+4+8+8+2+len(m.Name)+2+len(m.Str)+2+len(m.Err)+4+len(m.Data))
 	buf = append(buf, byte(m.Kind))
 	buf = binary.BigEndian.AppendUint32(buf, m.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, m.Line)
