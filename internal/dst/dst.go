@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"npss/internal/critpath"
 	"npss/internal/flight"
+	"npss/internal/logx"
 	"npss/internal/machine"
 	"npss/internal/netsim"
 	"npss/internal/schooner"
@@ -40,9 +41,8 @@ type Config struct {
 	Standby bool
 	// SeriesInterval, when positive, runs a windowed time-series
 	// sampler on the scenario's virtual clock, closing a window every
-	// interval of simulated time. The sanitized series lands in
-	// Result.Series and must be bit-identical across same-schedule
-	// replays.
+	// interval of simulated time. The series lands in Result.Series
+	// and must be bit-identical across same-schedule replays.
 	SeriesInterval time.Duration
 	// Fleet names the worker machines and their simulated
 	// architectures explicitly, overriding Hosts (which generates
@@ -55,11 +55,9 @@ type Config struct {
 	// per-sweep pinging of every machine would dominate the run.
 	Health *schooner.HealthPolicy
 	// Profile records spans on the run's virtual clock and captures
-	// the critical-path attribution at the convergence check — the
-	// run's deterministic end point, before the teardown tail whose
-	// length real time shapes. Every span timestamp is then a pure
-	// function of the op schedule, so Result.Profile encodes
-	// byte-identically across same-seed replays.
+	// the critical-path attribution when the run finishes. Every span
+	// timestamp is a pure function of the op schedule, so
+	// Result.Profile encodes byte-identically across same-seed replays.
 	Profile bool
 }
 
@@ -95,11 +93,9 @@ type Result struct {
 	// RealElapsed is the wall-clock cost of simulating it.
 	VirtualElapsed time.Duration
 	RealElapsed    time.Duration
-	// Series is the sanitized windowed metric series when
-	// Config.SeriesInterval was set: virtual-time windows with the
-	// teardown-racy heartbeat families removed and trailing empty
-	// windows trimmed, so same-schedule replays encode byte-identical
-	// series.
+	// Series is the windowed metric series when Config.SeriesInterval
+	// was set: virtual-time windows up to the instant Finish was called,
+	// byte-identical across same-schedule replays.
 	Series tseries.Series
 	// Events is the run's cluster-shape transitions (crashes, health
 	// verdicts, failovers, takeovers, violations) from the run-scoped
@@ -110,17 +106,15 @@ type Result struct {
 	// when the run ended in a violation — the post-mortem's starting
 	// point.
 	FlightDump string
-	// Profile is the critical-path attribution captured at the
-	// convergence check when Config.Profile was set. No link costs ride
-	// along: the netsim byte counters are excluded for the same
-	// teardown-tail reason as the heartbeat families above.
+	// Profile is the critical-path attribution of the whole run, when
+	// Config.Profile was set.
 	Profile *critpath.Profile
 }
 
-// signatureKeys are the counters included in Result.Signature: every
-// one is a pure function of the op schedule under the virtual clock.
-// Deliberately absent: schooner.manager.heartbeats (depends on how
-// long teardown takes in probe periods) and netsim byte counters.
+// signatureKeys are the counters included in Result.Signature. Every
+// counter of the run is a pure function of the op schedule under the
+// virtual clock — Finish reads them at one virtual instant — so the
+// list is a choice of what is worth comparing, not of what is safe to.
 var signatureKeys = []string{
 	"dst.calls.ok",
 	"dst.calls.fail",
@@ -144,57 +138,15 @@ var signatureKeys = []string{
 	"schooner.manager.readopted",
 	"schooner.manager.recoveries",
 	"schooner.manager.standby_takeovers",
+	"schooner.manager.heartbeats",
+	"schooner.standby.heartbeats",
+	"schooner.client.rpcs",
+	"netsim.drops",
 }
 
 // verifyIDBase is the call-ID space for the driver's own invariant
 // verification calls, disjoint from generated bump and work IDs.
 const verifyIDBase = 1 << 30
-
-// seriesPhase offsets sampler window boundaries from every round
-// virtual instant where a periodic cluster timer could fire at the
-// same moment (25ms standby heartbeats, probe periods), so the
-// advancer always delivers the sampler tick alone.
-const seriesPhase = 311*time.Microsecond + 7*time.Nanosecond
-
-// racySeriesCounters are the counter families whose post-converge
-// tail makes the final windows schedule-dependent: heartbeats keep
-// ticking for however many probe periods teardown takes (the same
-// reason signatureKeys excludes them). sanitizeSeries strips them so
-// replayed series compare byte-identical.
-var racySeriesCounters = map[string]bool{
-	"schooner.manager.heartbeats": true,
-	"schooner.standby.heartbeats": true,
-}
-
-// sanitizeSeries removes the teardown-racy counter families from
-// every window, then trims trailing windows left with no samples at
-// all — the nondeterministic tail between convergence and sampler
-// stop. What remains is a pure function of the op schedule.
-func sanitizeSeries(s tseries.Series) tseries.Series {
-	for i := range s.Windows {
-		for key := range s.Windows[i].Counters {
-			if racySeriesCounters[baseKey(key)] {
-				delete(s.Windows[i].Counters, key)
-			}
-		}
-	}
-	for len(s.Windows) > 0 {
-		last := s.Windows[len(s.Windows)-1]
-		if len(last.Counters) > 0 || len(last.Hists) > 0 {
-			break
-		}
-		s.Windows = s.Windows[:len(s.Windows)-1]
-	}
-	return s
-}
-
-// baseKey strips a metric key's label set.
-func baseKey(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
-	}
-	return key
-}
 
 // ledger records every commit a procedure process performs, keyed by
 // (call ID, attempt number). The bump procedure is called with no
@@ -303,11 +255,9 @@ type Cluster struct {
 	finished  bool
 
 	// Profiling state (Config.Profile): a span recorder reading the
-	// virtual clock, the recorder it displaced, and the attribution
-	// captured at the convergence check.
+	// virtual clock, and the recorder it displaced.
 	spanRec     *trace.Recorder
 	prevSpanRec *trace.Recorder
-	profile     *critpath.Profile
 }
 
 // clean reports whether no fault is currently injected — the state in
@@ -469,8 +419,27 @@ var healthPolicy = schooner.HealthPolicy{
 }
 
 // runMu serializes scenario runs: each swaps the process-global clock
-// and metric set.
-var runMu sync.Mutex
+// and metric set. active is the clock of the run in progress, for
+// StuckReport.
+var (
+	runMu  sync.Mutex
+	active atomic.Pointer[vclock.Virtual]
+)
+
+// StuckReport describes the run in progress when it appears hung: the
+// virtual clock's ledger — which participants hold time still, who is
+// parked — followed by the flight recorder's dump, through which it is
+// also recorded. Tests call it from a watchdog; "" when no run is
+// active.
+func StuckReport() string {
+	v := active.Load()
+	if v == nil {
+		return ""
+	}
+	ledger := v.Ledger()
+	flight.Record(flight.Event{Kind: flight.KindNote, Component: "dst", Name: "stuck", Detail: ledger})
+	return "virtual clock " + ledger + "\n" + flight.DumpString()
+}
 
 // Run generates a schedule from cfg.Seed and executes it.
 func Run(cfg Config) (*Result, error) {
@@ -534,6 +503,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		restoredTotal: make(map[string]int),
 		realStart:     time.Now(),
 	}
+	active.Store(c.v)
 
 	// Scope metrics to this run and install the virtual clock into the
 	// network and the Schooner runtime. SwapClock also pins the retry
@@ -547,9 +517,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.rec = flight.NewRecorder(1 << 16)
 	c.prevRec = flight.Swap(c.rec)
 	if cfg.Profile {
-		// Span timestamps read the virtual clock, so the profile
-		// captured at convergence is a pure function of the schedule.
-		// The aux section puts the top critical-path edges into any
+		// Span timestamps read the virtual clock, so the profile is a
+		// pure function of the schedule. The aux section puts the top critical-path edges into any
 		// flight dump a violation triggers.
 		c.spanRec = trace.NewRecorderClock(c.v.Now)
 		c.prevSpanRec = trace.ActiveRecorder()
@@ -557,13 +526,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		flight.SetAuxDump("critical path", critpath.FlightSection)
 	}
 	if cfg.SeriesInterval > 0 {
-		// The phase offset keeps window boundaries off the round
-		// virtual instants where periodic timers (heartbeats, probes)
-		// fire, so under the advancer's quiescence ordering a sampler
-		// tick never races a same-instant workload timer.
 		c.sampler = tseries.Start(tseries.Config{
 			Interval: cfg.SeriesInterval,
-			Phase:    seriesPhase,
 			Clock:    c.v,
 			Source:   c.set.Export,
 		})
@@ -737,28 +701,22 @@ func (c *Cluster) Converge() {
 		c.converge(c.step)
 		c.checkLedger(c.step)
 	}
-	c.captureProfile()
 }
 
-// captureProfile analyzes the scoped span recorder. It runs at the
-// convergence check — the run's deterministic end point — because the
-// tail after it is schedule-dependent: the virtual clock keeps
-// advancing for however long teardown takes in real time (the reason
-// signatureKeys excludes heartbeat counters). Probe pings carry no
-// span context, so no spans accrue during that tail and the snapshot
-// here is a pure function of the op schedule. The top edges are also
-// recorded as attribution events, so a violation's flight dump leads
-// from "what broke" to "where the time went".
-func (c *Cluster) captureProfile() {
-	if c.spanRec == nil || c.profile != nil {
-		return
+// captureProfile analyzes the scoped span recorder. The top edges are
+// also recorded as attribution events, so a violation's flight dump
+// leads from "what broke" to "where the time went".
+func (c *Cluster) captureProfile() *critpath.Profile {
+	if c.spanRec == nil {
+		return nil
 	}
-	c.profile = critpath.Analyze(c.spanRec.Spans(), nil, c.spanRec.Dropped())
-	for _, e := range critpath.TopEdges(c.profile, 3) {
+	profile := critpath.Analyze(c.spanRec.Spans(), nil, c.spanRec.Dropped())
+	for _, e := range critpath.TopEdges(profile, 3) {
 		flight.Record(flight.Event{Kind: flight.KindAttribution, Component: "critpath",
 			Host: e.Host, Name: e.Name,
 			Detail: fmt.Sprintf("%s %s at +%s", e.Bucket, e.Dur, e.Start)})
 	}
+	return profile
 }
 
 // Finish collects the run's Result and dismantles the cluster,
@@ -766,9 +724,6 @@ func (c *Cluster) captureProfile() {
 // recorder. It must be called exactly once; the Cluster is dead
 // afterwards.
 func (c *Cluster) Finish() *Result {
-	// Normally captured by Converge; a caller that tears down early
-	// (scenario error paths) still gets whatever spans accrued.
-	c.captureProfile()
 	res := &Result{
 		Seed:           c.cfg.Seed,
 		Ops:            c.ops,
@@ -776,20 +731,17 @@ func (c *Cluster) Finish() *Result {
 		Violation:      c.violation,
 		Signature:      make(map[string]int64, len(signatureKeys)),
 		VirtualElapsed: c.v.Elapsed(),
+		Profile:        c.captureProfile(),
 	}
 	for _, k := range signatureKeys {
 		res.Signature[k] = c.set.Get(k)
 	}
 	if c.sampler != nil {
-		// Stop the sampler while the virtual clock still runs so the
-		// final partial window flushes at a virtual instant, then
-		// sanitize: the heartbeat counter families tick during the
-		// nondeterministic post-converge tail (the same reason
-		// signatureKeys excludes them), so they are dropped and the
-		// then-empty trailing windows trimmed.
+		// Stop the sampler while the virtual clock still runs, so the
+		// final partial window flushes at this virtual instant.
 		tseries.SetActive(nil)
 		c.sampler.Stop()
-		res.Series = sanitizeSeries(c.sampler.Snapshot())
+		res.Series = c.sampler.Snapshot()
 	}
 	// The scoped recorder's transition events overlay the series in a
 	// report; on a violation the full dump is the post-mortem.
@@ -801,7 +753,6 @@ func (c *Cluster) Finish() *Result {
 			res.Events = append(res.Events, e)
 		}
 	}
-	res.Profile = c.profile
 	c.teardown()
 	res.RealElapsed = time.Since(c.realStart)
 	return res
@@ -810,9 +761,10 @@ func (c *Cluster) Finish() *Result {
 // teardown dismantles the cluster in dependency order: the health
 // prober first (it sleeps on the virtual clock, which must still be
 // running), then the Manager and Servers, then the clock itself —
-// stopping it releases any straggling virtual sleepers — and finally
-// the global clock, metric set, and flight recorder are restored and
-// the run lock released. Idempotent via c.finished.
+// stopping it releases whoever is still parked and waits until every
+// goroutine of the cluster has returned — and finally the global
+// clock, metric set, and flight recorder are restored and the run lock
+// released. Idempotent via c.finished.
 func (c *Cluster) teardown() {
 	if c.finished {
 		return
@@ -839,10 +791,14 @@ func (c *Cluster) teardown() {
 	for _, s := range c.servers {
 		s.Stop()
 	}
-	c.v.Stop()
-	// Give released sleepers a moment to observe closed connections and
-	// exit before the real clock comes back.
-	time.Sleep(2 * time.Millisecond)
+	if err := c.v.Stop(); err != nil {
+		// A goroutine of the cluster is blocked where the clock cannot
+		// reach it. It will wake on the wall clock, if ever; say so.
+		flight.Record(flight.Event{Kind: flight.KindNote, Component: "dst",
+			Name: "teardown", Detail: err.Error()})
+		logx.For("dst", "").Error("cluster goroutines outlived teardown", "err", err)
+	}
+	active.Store(nil)
 	if c.spanRec != nil {
 		flight.SetAuxDump("critical path", nil)
 		trace.SetRecorder(c.prevSpanRec)

@@ -30,6 +30,7 @@ func TestSmoke(t *testing.T) {
 // violations. Every tenth seed is run twice to confirm the schedule
 // and the metric signature replay identically.
 func TestSweep(t *testing.T) {
+	defer Watchdog(5 * time.Minute)()
 	seeds := 200
 	if testing.Short() {
 		seeds = 25
@@ -210,20 +211,16 @@ func TestSeriesReplayIdentical(t *testing.T) {
 	if len(first.Series.Windows) == 0 {
 		t.Fatal("sampler produced no windows")
 	}
-	var sampled int64
+	// Nothing is held back from the comparison: the heartbeat families,
+	// which tick on through convergence and into the final window, are
+	// in the series like every other counter.
+	var sampled, beats int64
 	for _, w := range first.Series.Windows {
-		for key := range w.Counters {
-			if racySeriesCounters[baseKey(key)] {
-				t.Fatalf("sanitized series still carries racy counter %q", key)
-			}
-		}
 		sampled += w.Counters["schooner.client.calls"]
+		beats += w.Counters["schooner.manager.heartbeats"]
 	}
-	if sampled == 0 {
-		t.Fatalf("windows carry no client calls:\n%s", first.Series.Format())
-	}
-	if last := first.Series.Windows[len(first.Series.Windows)-1]; len(last.Counters) == 0 && len(last.Hists) == 0 {
-		t.Fatal("trailing empty window not trimmed")
+	if sampled == 0 || beats == 0 {
+		t.Fatalf("windows carry %d client calls and %d heartbeats:\n%s", sampled, beats, first.Series.Format())
 	}
 	firstJSON, err := first.Series.EncodeJSON()
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // scenario's virtual clock (returned for the HTML report; the series
 // is a pure function of the seed). With profile set the run records
 // spans on its virtual clock and returns the critical-path
-// attribution captured at the convergence check — byte-identical
-// across same-seed runs. The boolean is false when an invariant was
+// attribution of the whole run — byte-identical across same-seed
+// runs. The boolean is false when an invariant was
 // violated; the report then carries the seed and the shrunk trace
 // needed to reproduce the failure.
 func DSTReport(seed int64, ops int, seriesInterval time.Duration, profile bool) (string, tseries.Series, *critpath.Profile, bool) {

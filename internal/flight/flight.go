@@ -8,9 +8,9 @@
 // and the structured log.
 //
 // The recording hot path is one short critical section copying a
-// fixed-size Event struct into a preallocated ring slot: no
-// allocation, no formatting, no I/O. Formatting happens only at dump
-// time.
+// fixed-size Event struct into a ring slot: no formatting, no I/O, and
+// no allocation beyond one chunk of slots per 1024 events until the
+// ring has reached its limit. Formatting happens only at dump time.
 package flight
 
 import (
@@ -137,13 +137,20 @@ type Event struct {
 // growing, small enough that a dump stays readable.
 const DefaultLimit = 4096
 
+// chunkEvents is how many slots the ring grows by. A recorder sized for
+// the worst case (a DST cluster asks for 65536 slots, 8 MB) costs only
+// what its run actually records: most runs never touch most of it, and
+// zeroing it up front was a measurable share of standing a cluster up.
+const chunkEvents = 1024
+
 // Recorder is a bounded ring of Events. Once full it overwrites the
 // oldest entry; Dropped reports how many were overwritten.
 type Recorder struct {
 	mu      sync.Mutex
-	buf     []Event
-	next    int    // ring index of the next write
-	seq     uint64 // total events ever recorded
+	limit   int
+	chunks  [][]Event // slot i is chunks[i/chunkEvents][i%chunkEvents]
+	next    int       // ring index of the next write
+	seq     uint64    // total events ever recorded
 	wrapped bool
 }
 
@@ -153,24 +160,40 @@ func NewRecorder(limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Recorder{buf: make([]Event, limit)}
+	return &Recorder{limit: limit}
 }
 
 // Record appends e to the ring, stamping its sequence number and
-// time. The critical section is one struct copy.
+// time. The critical section is one struct copy, plus a chunk
+// allocation the first time the ring reaches into a new chunk.
 func (r *Recorder) Record(e Event) {
 	now := clock()
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
 	e.Time = now
-	r.buf[r.next] = e
+	c := r.next / chunkEvents
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(chunkEvents, r.limit-r.next)))
+	}
+	r.chunks[c][r.next%chunkEvents] = e
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.limit {
 		r.next = 0
 		r.wrapped = true
 	}
 	r.mu.Unlock()
+}
+
+// appendSlots appends ring slots [from, to) to out, oldest first.
+func (r *Recorder) appendSlots(out []Event, from, to int) []Event {
+	for from < to {
+		c, off := from/chunkEvents, from%chunkEvents
+		n := min(to-from, chunkEvents-off)
+		out = append(out, r.chunks[c][off:off+n]...)
+		from += n
+	}
+	return out
 }
 
 // Events returns the recorded events oldest-first. The slice is a
@@ -179,14 +202,10 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
+		return r.appendSlots(make([]Event, 0, r.next), 0, r.next)
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	out := r.appendSlots(make([]Event, 0, r.limit), r.next, r.limit)
+	return r.appendSlots(out, 0, r.next)
 }
 
 // Len reports how many events the ring currently holds.
@@ -194,7 +213,7 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wrapped {
-		return len(r.buf)
+		return r.limit
 	}
 	return r.next
 }
@@ -207,7 +226,7 @@ func (r *Recorder) Dropped() uint64 {
 	if !r.wrapped {
 		return 0
 	}
-	return r.seq - uint64(len(r.buf))
+	return r.seq - uint64(r.limit)
 }
 
 // Reset clears the ring and its counters.

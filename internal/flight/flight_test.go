@@ -30,6 +30,49 @@ func TestRingOrderAndDropped(t *testing.T) {
 	}
 }
 
+// TestRingWrapsAcrossChunks sizes the ring so its last chunk is a
+// partial one and checks the ring at three points: inside the first
+// chunk, after growing into the second, and after wrapping, when the
+// oldest-first view starts mid-chunk and crosses both the chunk
+// boundary and the wrap point.
+func TestRingWrapsAcrossChunks(t *testing.T) {
+	const limit = chunkEvents + 300
+	r := NewRecorder(limit)
+	check := func(recorded int) {
+		t.Helper()
+		held := min(recorded, limit)
+		ev := r.Events()
+		if len(ev) != held || r.Len() != held {
+			t.Fatalf("after %d records: %d events, Len %d, want %d", recorded, len(ev), r.Len(), held)
+		}
+		if got, want := r.Dropped(), uint64(recorded-held); got != want {
+			t.Fatalf("after %d records: Dropped %d, want %d", recorded, got, want)
+		}
+		for i, e := range ev {
+			if want := uint64(recorded - held + i + 1); e.Seq != want {
+				t.Fatalf("after %d records: event %d has seq %d, want %d", recorded, i, e.Seq, want)
+			}
+		}
+	}
+	record := func(upTo int) {
+		for r.seq < uint64(upTo) {
+			r.Record(Event{Kind: KindNote})
+		}
+	}
+	record(10)
+	if len(r.chunks) != 1 {
+		t.Fatalf("%d chunks after 10 events: the ring is not growing on demand", len(r.chunks))
+	}
+	check(10)
+	record(chunkEvents + 5)
+	check(chunkEvents + 5)
+	record(2*limit + 17)
+	if n := len(r.chunks[1]); len(r.chunks) != 2 || n != 300 {
+		t.Fatalf("%d chunks, last of %d slots; want 2 and 300", len(r.chunks), n)
+	}
+	check(2*limit + 17)
+}
+
 func TestNoDropBeforeWrap(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {

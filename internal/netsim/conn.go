@@ -15,12 +15,12 @@ type delivery struct {
 	arrival time.Time // arrival on the network's clock under the current TimeScale
 }
 
-// queue is one direction of a connection.
+// queue is one direction of a connection: the link's shaping state in
+// front of a clock-parked FIFO, so on a virtual clock a message nobody
+// has received yet keeps its receiver runnable.
 type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []delivery
-	closed bool
+	mu sync.Mutex // orders shaping and enqueueing as one step
+	q  vclock.Queue[delivery]
 	// lastArrival keeps deliveries in order: a message cannot arrive
 	// before its predecessor on the same direction.
 	lastArrival time.Time
@@ -30,58 +30,44 @@ type queue struct {
 	busyUntil time.Time
 }
 
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
+func newQueue(c vclock.Clock) *queue {
+	q := new(queue)
+	q.q.Init(c)
 	return q
 }
 
 // pushShaped enqueues a message whose transmission takes serial time
 // on the link (serialized behind earlier messages) followed by prop
 // propagation delay, both already scaled by the network's TimeScale.
-// now is the send time on the network's clock. The computed arrival
-// time is returned so the sender can anchor a virtual clock on it.
-func (q *queue) pushShaped(msg *wire.Message, now time.Time, serial, prop time.Duration) (time.Time, error) {
+// now is the send time on the network's clock.
+func (q *queue) pushShaped(msg *wire.Message, now time.Time, serial, prop time.Duration) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return time.Time{}, fmt.Errorf("netsim: send on closed connection")
-	}
 	start := now
 	if q.busyUntil.After(start) {
 		start = q.busyUntil
 	}
-	q.busyUntil = start.Add(serial)
-	arrival := q.busyUntil.Add(prop)
+	busyUntil := start.Add(serial)
+	arrival := busyUntil.Add(prop)
 	if arrival.Before(q.lastArrival) {
 		arrival = q.lastArrival
 	}
-	q.lastArrival = arrival
-	q.items = append(q.items, delivery{msg: msg, arrival: arrival})
-	q.cond.Signal()
-	return arrival, nil
+	if !q.q.Push(delivery{msg: msg, arrival: arrival}) {
+		return fmt.Errorf("netsim: send on closed connection")
+	}
+	q.busyUntil, q.lastArrival = busyUntil, arrival
+	return nil
 }
 
 func (q *queue) pop() (delivery, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
+	d, ok := q.q.Pop()
+	if !ok {
 		return delivery{}, fmt.Errorf("netsim: connection closed")
 	}
-	d := q.items[0]
-	q.items = q.items[1:]
 	return d, nil
 }
 
-func (q *queue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
+func (q *queue) close() { q.q.Close() }
 
 // simConn is one endpoint of a shaped in-memory connection.
 type simConn struct {
@@ -96,8 +82,9 @@ type simConn struct {
 // newConnPair builds the two endpoints of a connection traversing the
 // given link.
 func newConnPair(n *Network, link LinkSpec, clientHost, serverHost string) (client, server *simConn) {
-	a2b := newQueue()
-	b2a := newQueue()
+	clock := n.Clock()
+	a2b := newQueue(clock)
+	b2a := newQueue(clock)
 	client = &simConn{net: n, link: link, local: clientHost, remote: serverHost, in: b2a, out: a2b}
 	server = &simConn{net: n, link: link, local: serverHost, remote: clientHost, in: a2b, out: b2a}
 	n.openConns.Add(2)
@@ -137,17 +124,7 @@ func (c *simConn) Send(m *wire.Message) error {
 	scale := c.net.scale()
 	serial := time.Duration(float64(delay-c.link.Latency-jitter) * scale) // transmission time
 	prop := time.Duration(float64(c.link.Latency+jitter) * scale)
-	clock := c.net.Clock()
-	arrival, err := c.out.pushShaped(copyMsg, clock.Now(), serial, prop)
-	if err != nil {
-		return err
-	}
-	// Pin a virtual clock's timeline at the arrival so it cannot jump
-	// a pending delivery past a receiver's deadline, and hint that a
-	// message was handed to the receiving goroutine.
-	vclock.AnchorAt(clock, arrival)
-	vclock.Note(clock)
-	return nil
+	return c.out.pushShaped(copyMsg, c.net.Clock().Now(), serial, prop)
 }
 
 // Recv blocks for the next message, honoring its shaped arrival time.
@@ -156,9 +133,7 @@ func (c *simConn) Recv() (*wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := c.net.Clock()
-	vclock.Note(clock)
-	clock.SleepUntil(d.arrival)
+	c.net.Clock().SleepUntil(d.arrival)
 	if c.net.pathDown(c.local, c.remote) {
 		return nil, fmt.Errorf("netsim: link %s-%s down", c.local, c.remote)
 	}

@@ -496,8 +496,7 @@ func (h *Host) Listen(port string) (*Listener, error) {
 	l := &Listener{
 		host:    h,
 		port:    port,
-		backlog: make(chan *simConn, 16),
-		done:    make(chan struct{}),
+		backlog: vclock.NewQueue[*simConn](h.net.Clock()),
 	}
 	h.listeners[port] = l
 	return l, nil
@@ -531,14 +530,12 @@ func (h *Host) Dial(addr string) (wire.Conn, error) {
 	}
 	link := h.net.linkFor(h.name, target)
 	client, server := newConnPair(h.net, link, h.name, target)
-	select {
-	case l.backlog <- server:
-		return client, nil
-	case <-l.done:
+	if !l.backlog.Push(server) {
 		client.Close()
 		server.Close()
 		return nil, fmt.Errorf("netsim: connection refused: listener on %s closed", addr)
 	}
+	return client, nil
 }
 
 // SplitAddr splits "host:port" into its components.
@@ -561,8 +558,7 @@ func JoinAddr(host, port string) string { return host + ":" + port }
 type Listener struct {
 	host    *Host
 	port    string
-	backlog chan *simConn
-	done    chan struct{}
+	backlog *vclock.Queue[*simConn]
 	once    sync.Once
 }
 
@@ -571,12 +567,10 @@ func (l *Listener) Addr() string { return JoinAddr(l.host.name, l.port) }
 
 // Accept blocks for the next inbound connection.
 func (l *Listener) Accept() (wire.Conn, error) {
-	select {
-	case c := <-l.backlog:
+	if c, ok := l.backlog.Pop(); ok {
 		return c, nil
-	case <-l.done:
-		return nil, io.EOF
 	}
+	return nil, io.EOF
 }
 
 // Close shuts the listener; blocked Accepts return io.EOF. Inbound
@@ -584,15 +578,10 @@ func (l *Listener) Accept() (wire.Conn, error) {
 // — are closed so they do not count as leaked endpoints.
 func (l *Listener) Close() error {
 	l.once.Do(func() {
-		close(l.done)
+		l.backlog.Close()
 		l.host.removeListener(l.port)
-		for {
-			select {
-			case c := <-l.backlog:
-				c.Close()
-			default:
-				return
-			}
+		for c, ok := l.backlog.Pop(); ok; c, ok = l.backlog.Pop() {
+			c.Close()
 		}
 	})
 	return nil

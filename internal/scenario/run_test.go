@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"npss/internal/dst"
 )
 
 // corpusDir is the shipped scenario corpus at the repo root.
@@ -42,6 +44,7 @@ func TestCorpusCompiles(t *testing.T) {
 // outcomes, and metric signatures — the replay-identity contract at a
 // size cheap enough for -short and -race runs.
 func TestSmallScenarioReplayIdentical(t *testing.T) {
+	defer dst.Watchdog(time.Minute)()
 	spec, err := Load(filepath.Join("testdata", "replay-small.yaml"))
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +81,7 @@ func TestStressThousandHosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1000-host scenario twice")
 	}
+	defer dst.Watchdog(3 * time.Minute)()
 	spec, err := Load(filepath.Join(corpusDir, "stress-1000.yaml"))
 	if err != nil {
 		t.Fatal(err)

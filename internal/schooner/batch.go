@@ -58,17 +58,14 @@ func (pc *preparedCall) finish(res []uts.Value, err error) {
 	} else {
 		trace.Count("schooner.client.calls")
 	}
-	pc.pend.res, pc.pend.err = res, err
-	close(pc.pend.done)
+	pc.pend.complete(res, err)
 }
 
 // fallback re-runs the call through the ordinary per-call path — full
 // retry, rebind, and failover machinery — and completes the pending
 // with its outcome. Call does its own counting.
 func (pc *preparedCall) fallback() {
-	res, err := pc.line.Call(pc.name, pc.rawArgs...)
-	pc.pend.res, pc.pend.err = res, err
-	close(pc.pend.done)
+	pc.pend.complete(pc.line.Call(pc.name, pc.rawArgs...))
 }
 
 // GoBatch begins the given calls together and returns one Pending per
@@ -84,13 +81,14 @@ func (l *Line) GoBatch(calls []BatchCall) []*Pending {
 	// inline: batches sit on the hot path, where per-element
 	// allocations add up.
 	mback := make([]preparedCall, len(calls))
+	c := clk()
 	for i, call := range calls {
 		mback[i] = preparedCall{line: l, name: call.Name, rawArgs: call.Args,
-			pend: Pending{done: make(chan struct{})}}
+			pend: Pending{done: c.NewSlot()}}
 		members[i] = &mback[i]
 		pends[i] = &mback[i].pend
 	}
-	go dispatchBatch(members)
+	c.Go("schooner.dispatchBatch", func() { dispatchBatch(members) })
 	return pends
 }
 
@@ -104,13 +102,14 @@ func (c *Client) GoBatchHosts(calls []CrossCall) []*Pending {
 	pends := make([]*Pending, len(calls))
 	members := make([]*preparedCall, len(calls))
 	mback := make([]preparedCall, len(calls))
+	ck := clk()
 	for i, call := range calls {
 		mback[i] = preparedCall{line: call.Line, name: call.Name, rawArgs: call.Args,
-			pend: Pending{done: make(chan struct{})}}
+			pend: Pending{done: ck.NewSlot()}}
 		members[i] = &mback[i]
 		pends[i] = &mback[i].pend
 	}
-	go dispatchBatchHosts(c, members)
+	ck.Go("schooner.dispatchBatchHosts", func() { dispatchBatchHosts(c, members) })
 	return pends
 }
 
@@ -133,7 +132,7 @@ func bindMembers(members []*preparedCall) []*preparedCall {
 		if b == nil {
 			b, err = m.line.lookup(m.name, imp, nil)
 			if err != nil {
-				go m.fallback()
+				goFallback(m)
 				continue
 			}
 		}
@@ -171,10 +170,10 @@ func dispatchBatch(members []*preparedCall) {
 	for _, addr := range order {
 		group := groups[addr]
 		if len(group) == 1 {
-			go group[0].fallback()
+			goFallback(group[0])
 			continue
 		}
-		go sendProcessBatch(group)
+		clk().Go("schooner.sendProcessBatch", func() { sendProcessBatch(group) })
 	}
 }
 
@@ -280,10 +279,10 @@ func dispatchBatchHosts(c *Client, members []*preparedCall) {
 	for _, host := range order {
 		group := groups[host]
 		if len(group) == 1 {
-			go group[0].fallback()
+			goFallback(group[0])
 			continue
 		}
-		go sendHostBatch(c, host, group)
+		clk().Go("schooner.sendHostBatch", func() { sendHostBatch(c, host, group) })
 	}
 }
 
@@ -377,7 +376,7 @@ func completeBatch(group []*preparedCall, resp *wire.Message) {
 			if isStale(err) {
 				m.line.invalidate(m.name, m.b)
 				trace.Count("schooner.client.stale")
-				go m.fallback()
+				goFallback(m)
 				continue
 			}
 			m.finish(nil, err)
@@ -388,9 +387,12 @@ func completeBatch(group []*preparedCall, resp *wire.Message) {
 	}
 }
 
+// goFallback runs one member's fallback on its own goroutine.
+func goFallback(m *preparedCall) { clk().Go("schooner.batch.fallback", m.fallback) }
+
 func fallbackAll(group []*preparedCall) {
 	for _, m := range group {
-		go m.fallback()
+		goFallback(m)
 	}
 }
 

@@ -23,42 +23,23 @@ func (m *Manager) StartCheckpoints(interval time.Duration) {
 		return
 	}
 	m.mu.Lock()
-	if m.stopped || m.ckStop != nil {
+	if m.stopped || m.ck != nil {
 		m.mu.Unlock()
 		return
 	}
-	m.ckStop = make(chan struct{})
-	m.ckDone = make(chan struct{})
-	stop, done := m.ckStop, m.ckDone
+	m.ck = every("schooner.Manager.checkpointLoop", interval, func() { m.CheckpointNow() })
 	m.mu.Unlock()
-	go m.checkpointLoop(interval, stop, done)
 }
 
 // StopCheckpoints halts the checkpoint loop, waiting for an in-flight
 // sweep to finish.
 func (m *Manager) StopCheckpoints() {
 	m.mu.Lock()
-	stop, done := m.ckStop, m.ckDone
-	m.ckStop, m.ckDone = nil, nil
+	ck := m.ck
+	m.ck = nil
 	m.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-func (m *Manager) checkpointLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := clk().NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			m.CheckpointNow()
-		}
+	if ck != nil {
+		ck.halt()
 	}
 }
 

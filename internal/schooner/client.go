@@ -3,6 +3,7 @@ package schooner
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"npss/internal/trace"
 	"npss/internal/tseries"
 	"npss/internal/uts"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -243,13 +245,13 @@ type demuxConn struct {
 	sendMu sync.Mutex
 
 	mu      sync.Mutex
-	pending map[uint32]chan *wire.Message
-	err     error // terminal receive failure: the connection is dead
+	pending map[uint32]*vclock.Slot // filled with the reply, or nil when the connection dies
+	err     error                   // terminal receive failure: the connection is dead
 }
 
 func newDemuxConn(conn wire.Conn) *demuxConn {
-	g := &demuxConn{conn: conn, pending: make(map[uint32]chan *wire.Message)}
-	go g.readLoop()
+	g := &demuxConn{conn: conn, pending: make(map[uint32]*vclock.Slot)}
+	clk().Go("schooner.demuxConn.readLoop", g.readLoop)
 	return g
 }
 
@@ -262,21 +264,29 @@ func (g *demuxConn) readLoop() {
 		if err != nil {
 			g.mu.Lock()
 			g.err = err
-			for seq, ch := range g.pending {
-				close(ch)
-				delete(g.pending, seq)
-			}
+			lost := g.pending
+			g.pending = nil
 			g.mu.Unlock()
+			// Waiters fail in request order, so what they do next does
+			// not depend on map iteration.
+			seqs := make([]uint32, 0, len(lost))
+			for seq := range lost {
+				seqs = append(seqs, seq)
+			}
+			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+			for _, seq := range seqs {
+				lost[seq].Fill(nil)
+			}
 			return
 		}
 		g.mu.Lock()
-		ch, ok := g.pending[m.Seq]
+		slot, ok := g.pending[m.Seq]
 		if ok {
 			delete(g.pending, m.Seq)
 		}
 		g.mu.Unlock()
 		if ok {
-			ch <- m
+			slot.Fill(m)
 		}
 	}
 }
@@ -293,14 +303,14 @@ func (g *demuxConn) forget(seq uint32) {
 // because Manager and procedure callers attach different meanings to
 // an error reply.
 func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	ch := make(chan *wire.Message, 1)
 	g.mu.Lock()
 	if g.err != nil {
 		err := g.err
 		g.mu.Unlock()
 		return nil, &staleError{fmt.Errorf("schooner: shared connection lost: %w", err)}
 	}
-	g.pending[req.Seq] = ch
+	slot := clk().NewSlot()
+	g.pending[req.Seq] = slot
 	g.mu.Unlock()
 
 	g.sendMu.Lock()
@@ -312,22 +322,15 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 	}
 	trace.Count("schooner.client.rpcs")
 
-	var timerC <-chan time.Time
-	if timeout > 0 {
-		timer := clk().NewTimer(timeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, &staleError{errors.New("schooner: shared connection lost")}
-		}
-		return resp, nil
-	case <-timerC:
+	resp, ok := slot.Wait(timeout)
+	if !ok {
 		g.forget(req.Seq)
 		return nil, &staleError{&timeoutError{peer: g.conn.RemoteLabel(), d: timeout}}
 	}
+	if resp == nil {
+		return nil, &staleError{errors.New("schooner: shared connection lost")}
+	}
+	return resp.(*wire.Message), nil
 }
 
 // call is exchange with the Manager's error convention applied: a
@@ -766,32 +769,34 @@ func (l *Line) Call(name string, args ...uts.Value) ([]uts.Value, error) {
 
 // Pending is an in-flight asynchronous call started with Go.
 type Pending struct {
-	done chan struct{}
+	done *vclock.Slot // signalled once res and err are set
 	res  []uts.Value
 	err  error
 }
 
-// Wait blocks until the call completes and returns its results, with
-// the same semantics as a synchronous Call.
-func (p *Pending) Wait() ([]uts.Value, error) {
-	<-p.done
-	return p.res, p.err
+// complete publishes the call's outcome to Wait.
+func (p *Pending) complete(res []uts.Value, err error) {
+	p.res, p.err = res, err
+	p.done.Fill(nil)
 }
 
-// Done returns a channel that is closed when the call has completed,
-// for select-based composition.
-func (p *Pending) Done() <-chan struct{} { return p.done }
+// Wait blocks until the call completes and returns its results, with
+// the same semantics as a synchronous Call. It may be called more than
+// once, from any goroutine.
+func (p *Pending) Wait() ([]uts.Value, error) {
+	if !await(p.done) {
+		return nil, errors.New("schooner: clock stopped under a pending call")
+	}
+	return p.res, p.err
+}
 
 // Go begins an asynchronous call on the line and returns immediately.
 // The call runs with the full Call machinery — deadlines, retries,
 // stale-cache rebind, failover discovery — and overlaps with any other
 // calls in flight on the line.
 func (l *Line) Go(name string, args ...uts.Value) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.res, p.err = l.Call(name, args...)
-	}()
+	p := &Pending{done: clk().NewSlot()}
+	clk().Go("schooner.Line.Go", func() { p.complete(l.Call(name, args...)) })
 	return p
 }
 

@@ -55,31 +55,26 @@ type hostHealth struct {
 func (m *Manager) StartHealth(p HealthPolicy) {
 	p = p.withDefaults()
 	m.mu.Lock()
-	if m.stopped || m.hbStop != nil {
+	if m.stopped || m.hb != nil {
 		m.mu.Unlock()
 		return
 	}
 	m.hbPol = p
 	m.health = make(map[string]*hostHealth)
-	m.hbStop = make(chan struct{})
-	m.hbDone = make(chan struct{})
-	stop, done := m.hbStop, m.hbDone
+	m.hb = every("schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p) })
 	m.mu.Unlock()
-	go m.healthLoop(p, stop, done)
 }
 
 // StopHealth halts the health monitor, waiting for an in-flight sweep
 // to finish.
 func (m *Manager) StopHealth() {
 	m.mu.Lock()
-	stop, done := m.hbStop, m.hbDone
-	m.hbStop, m.hbDone = nil, nil
+	hb := m.hb
+	m.hb = nil
 	m.mu.Unlock()
-	if stop == nil {
-		return
+	if hb != nil {
+		hb.halt()
 	}
-	close(stop)
-	<-done
 }
 
 // HostHealth reports the monitor's current view: machine -> alive.
@@ -96,22 +91,6 @@ func (m *Manager) HostHealth() map[string]bool {
 		out[h] = !st.dead
 	}
 	return out
-}
-
-func (m *Manager) healthLoop(p HealthPolicy, stop, done chan struct{}) {
-	defer close(done)
-	// The sweep ticker runs on the package clock, so with a virtual
-	// clock installed the prober advances purely in virtual time.
-	ticker := clk().NewTicker(p.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			m.healthSweep(p)
-		}
-	}
 }
 
 // healthSweep probes every candidate machine once and reacts to

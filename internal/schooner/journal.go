@@ -19,6 +19,7 @@ import (
 
 	"npss/internal/trace"
 	"npss/internal/uts"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -53,11 +54,15 @@ type journalEntry struct {
 }
 
 // journalSub is one live KJournalTail subscription. A subscriber that
-// cannot keep up is dropped (its channel closed); it reconnects and
+// cannot keep up is dropped (its queue closed); it reconnects and
 // re-replays, deduplicating by sequence number.
 type journalSub struct {
-	ch chan journalEntry
+	q *vclock.Queue[journalEntry]
 }
+
+// maxTailBacklog is how many undelivered records a subscription may
+// hold before it counts as not keeping up.
+const maxTailBacklog = 256
 
 // journalAppend writes one record to the journal and fans it out to
 // tail subscribers. Callers hold m.mu, which is what makes the journal
@@ -78,12 +83,12 @@ func (m *Manager) journalAppend(rec *journalRecord) error {
 	}
 	trace.Count("schooner.manager.journal_records")
 	for sub := range m.subs {
-		select {
-		case sub.ch <- journalEntry{seq: seq, data: data}:
-		default:
+		if sub.q.Len() >= maxTailBacklog {
 			delete(m.subs, sub)
-			close(sub.ch)
+			sub.q.Close()
+			continue
 		}
+		sub.q.Push(journalEntry{seq: seq, data: data})
 	}
 	return nil
 }
@@ -183,7 +188,7 @@ func (m *Manager) dropSub(sub *journalSub) {
 	m.mu.Lock()
 	if _, ok := m.subs[sub]; ok {
 		delete(m.subs, sub)
-		close(sub.ch)
+		sub.q.Close()
 	}
 	m.mu.Unlock()
 }
@@ -203,7 +208,7 @@ func (m *Manager) serveJournalTail(conn wire.Conn, req *wire.Message) {
 		_ = conn.Send(resp)
 		return
 	}
-	sub := &journalSub{ch: make(chan journalEntry, 256)}
+	sub := &journalSub{q: vclock.NewQueue[journalEntry](clk())}
 	m.subs[sub] = struct{}{}
 	journal := m.journal
 	m.mu.Unlock()
@@ -211,14 +216,14 @@ func (m *Manager) serveJournalTail(conn wire.Conn, req *wire.Message) {
 	// A reader watches the connection: when the subscriber hangs up,
 	// the subscription is dropped so the streaming loop below unblocks
 	// rather than waiting forever for a next append.
-	go func() {
+	clk().Go("schooner.Manager.tailWatch", func() {
 		for {
 			if _, err := conn.Recv(); err != nil {
 				m.dropSub(sub)
 				return
 			}
 		}
-	}()
+	})
 	trace.Count("schooner.manager.journal_tails")
 	var snapMax uint64
 	err := journal.Replay(func(seq uint64, payload []byte) error {
@@ -228,7 +233,7 @@ func (m *Manager) serveJournalTail(conn wire.Conn, req *wire.Message) {
 	if err != nil {
 		return
 	}
-	for ent := range sub.ch {
+	for ent, ok := sub.q.Pop(); ok; ent, ok = sub.q.Pop() {
 		if ent.seq <= snapMax {
 			continue
 		}

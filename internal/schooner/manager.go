@@ -48,15 +48,13 @@ type Manager struct {
 	restored    map[string]int
 	subs        map[*journalSub]struct{}
 	conns       map[wire.Conn]struct{}
-	ckStop      chan struct{}
-	ckDone      chan struct{}
+	ck          *loop // the checkpoint sweep; nil when not running
 
 	// Health monitoring (see health.go); nil maps/channels when the
 	// monitor is not running.
 	hbPol  HealthPolicy
 	health map[string]*hostHealth
-	hbStop chan struct{}
-	hbDone chan struct{}
+	hb     *loop
 }
 
 // rpcTimeout bounds the Manager's own request/response round trips
@@ -147,7 +145,7 @@ func StartManagerConfig(t Transport, host string, cfg ManagerConfig) (*Manager, 
 		return nil, err
 	}
 	m.listener = l
-	go m.acceptLoop()
+	clk().Go("schooner.Manager.acceptLoop", m.acceptLoop)
 	if cfg.CheckpointInterval > 0 {
 		m.StartCheckpoints(cfg.CheckpointInterval)
 	}
@@ -279,7 +277,7 @@ func (m *Manager) Stop() {
 	m.lines = make(map[uint32]*line)
 	m.shared = newLine(0, "<shared>")
 	for sub := range m.subs {
-		close(sub.ch)
+		sub.q.Close()
 	}
 	m.subs = make(map[*journalSub]struct{})
 	journal := m.journal
@@ -311,7 +309,7 @@ func (m *Manager) Crash() {
 	conns := m.conns
 	m.conns = make(map[wire.Conn]struct{})
 	for sub := range m.subs {
-		close(sub.ch)
+		sub.q.Close()
 	}
 	m.subs = make(map[*journalSub]struct{})
 	journal := m.journal
@@ -389,12 +387,12 @@ func (m *Manager) acceptLoop() {
 		}
 		m.conns[conn] = struct{}{}
 		m.mu.Unlock()
-		go func() {
+		clk().Go("schooner.Manager.serve", func() {
 			m.serve(conn)
 			m.mu.Lock()
 			delete(m.conns, conn)
 			m.mu.Unlock()
-		}()
+		})
 	}
 }
 

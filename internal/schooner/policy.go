@@ -116,22 +116,23 @@ func recvTimeout(conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 	if timeout <= 0 {
 		return conn.Recv()
 	}
-	type result struct {
-		m   *wire.Message
-		err error
+	// The receive runs on its own goroutine; its outcome — the message
+	// or the error — is what fills the slot.
+	c := clk()
+	got := c.NewSlot()
+	c.Go("schooner.recvTimeout", func() {
+		if m, err := conn.Recv(); err != nil {
+			got.Fill(err)
+		} else {
+			got.Fill(m)
+		}
+	})
+	switch r, _ := got.Wait(timeout); r := r.(type) {
+	case *wire.Message:
+		return r, nil
+	case error:
+		return nil, r
 	}
-	ch := make(chan result, 1)
-	go func() {
-		m, err := conn.Recv()
-		ch <- result{m, err}
-	}()
-	timer := clk().NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.m, r.err
-	case <-timer.C:
-		conn.Close()
-		return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
-	}
+	conn.Close()
+	return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
 }

@@ -10,6 +10,7 @@ import (
 	"npss/internal/trace"
 	"npss/internal/tseries"
 	"npss/internal/uts"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -32,7 +33,11 @@ type process struct {
 	instance *Instance
 	listener Listener
 
-	mu sync.Mutex // serializes calls within this instance
+	// turn serializes calls within this instance. It is a Slot, not a
+	// mutex, because a procedure body may sleep on the clock: whoever
+	// waits for the turn meanwhile must be parked where the clock can
+	// see it. Full means free.
+	turn *vclock.Slot
 
 	// plans caches what a call's name and signature text determine, so
 	// it is worked out once per distinct caller rather than per call.
@@ -65,10 +70,21 @@ func startProcess(t Transport, host string, prog *Program) (*process, error) {
 		listener: l,
 		plans:    make(map[planKey]*callPlan),
 		done:     make(chan struct{}),
+		turn:     clk().NewSlot(),
 	}
-	go p.acceptLoop()
+	p.unlock()
+	clk().Go("schooner.process.acceptLoop", p.acceptLoop)
 	return p, nil
 }
+
+// lock takes the instance's turn. It fails only when the virtual clock
+// under the process has stopped, which ends the simulation it was in.
+func (p *process) lock() bool {
+	_, ok := p.turn.Wait(0)
+	return ok
+}
+
+func (p *process) unlock() { p.turn.Fill(nil) }
 
 // addr returns the process's dialable address.
 func (p *process) addr() string { return p.listener.Addr() }
@@ -96,7 +112,7 @@ func (p *process) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go p.serve(conn)
+		clk().Go("schooner.process.serve", func() { p.serve(conn) })
 	}
 }
 
@@ -131,7 +147,7 @@ func (p *process) serve(conn wire.Conn) {
 			p.stop()
 			return
 		}
-		go func(m *wire.Message) { reply(m, p.dispatch(m)) }(m)
+		clk().Go("schooner.process.dispatch", func() { reply(m, p.dispatch(m)) })
 	}
 }
 
@@ -336,13 +352,15 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 		if dispatch != nil {
 			body = dispatch.Child("proc "+m.Name, p.host)
 		}
-		bodyStart = time.Now()
+		bodyStart = clk().Now()
 	}
-	p.mu.Lock()
+	if !p.lock() {
+		return &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
+	}
 	out, err := bp.Fn(in)
-	p.mu.Unlock()
+	p.unlock()
 	if enabled {
-		d := time.Since(bodyStart)
+		d := clk().Since(bodyStart)
 		body.End()
 		trace.Observe(trace.LKey("schooner.proc.call", trace.Label{Key: "proc", Value: m.Name}), d)
 		trace.Observe(trace.LKey("schooner.proc.call", trace.Label{Key: "host", Value: p.host}), d)
@@ -402,9 +420,11 @@ func (p *process) handleStateGet(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	p.mu.Lock()
+	if !p.lock() {
+		return &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
+	}
 	vals, err := bp.GetState()
-	p.mu.Unlock()
+	p.unlock()
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
@@ -426,9 +446,11 @@ func (p *process) handleStatePut(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	p.mu.Lock()
+	if !p.lock() {
+		return &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
+	}
 	err = bp.SetState(vals)
-	p.mu.Unlock()
+	p.unlock()
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}

@@ -39,7 +39,7 @@ func StartServer(t Transport, host string, reg *Registry) (*Server, error) {
 		listener:  l,
 		processes: make(map[string]*process),
 	}
-	go s.acceptLoop()
+	clk().Go("schooner.Server.acceptLoop", s.acceptLoop)
 	return s, nil
 }
 
@@ -88,7 +88,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go s.serve(conn)
+		clk().Go("schooner.Server.serve", func() { s.serve(conn) })
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 	"npss/internal/wal"
 	"npss/internal/wire"
 )
@@ -64,9 +65,9 @@ type Standby struct {
 	log       *wal.Log
 	pol       StandbyPolicy
 
-	stop     chan struct{}
-	hbDone   chan struct{}
-	tailDone chan struct{}
+	stop     *vclock.Slot // filled by Stop: ends the heartbeat loop
+	hbDone   *vclock.Slot // signalled when the heartbeat loop has returned
+	tailDone *vclock.Slot // signalled when the tail loop has returned
 
 	mu       sync.Mutex
 	tailConn wire.Conn
@@ -85,12 +86,12 @@ func StartStandby(t Transport, host, leaderHost string, log *wal.Log, pol Standb
 		leader:    leaderHost,
 		log:       log,
 		pol:       pol.withDefaults(),
-		stop:      make(chan struct{}),
-		hbDone:    make(chan struct{}),
-		tailDone:  make(chan struct{}),
+		stop:      clk().NewSlot(),
+		hbDone:    clk().NewSlot(),
+		tailDone:  clk().NewSlot(),
 	}
-	go s.tailLoop()
-	go s.heartbeatLoop()
+	clk().Go("schooner.Standby.tailLoop", s.tailLoop)
+	clk().Go("schooner.Standby.heartbeatLoop", s.heartbeatLoop)
 	return s
 }
 
@@ -119,12 +120,12 @@ func (s *Standby) Stop() {
 	s.stopped = true
 	tc := s.tailConn
 	s.mu.Unlock()
-	close(s.stop)
+	s.stop.Fill(nil)
 	if tc != nil {
 		tc.Close()
 	}
-	<-s.hbDone
-	<-s.tailDone
+	await(s.hbDone)
+	await(s.tailDone)
 }
 
 func (s *Standby) halted() bool {
@@ -143,7 +144,7 @@ func (s *Standby) setTailConn(conn wire.Conn) {
 // leader, reconnecting (and re-deduplicating the snapshot by sequence
 // number) whenever the connection drops.
 func (s *Standby) tailLoop() {
-	defer close(s.tailDone)
+	defer s.tailDone.Fill(nil)
 	for {
 		if s.halted() {
 			return
@@ -160,10 +161,8 @@ func (s *Standby) tailLoop() {
 		if conn != nil {
 			conn.Close()
 		}
-		select {
-		case <-s.stop:
+		if s.halted() {
 			return
-		default:
 		}
 		clk().Sleep(s.pol.HeartbeatInterval)
 	}
@@ -196,27 +195,21 @@ func (s *Standby) drainTail(conn wire.Conn) {
 // heartbeatLoop probes the leader Manager and promotes the standby
 // after Threshold consecutive misses.
 func (s *Standby) heartbeatLoop() {
-	defer close(s.hbDone)
-	ticker := clk().NewTicker(s.pol.HeartbeatInterval)
-	defer ticker.Stop()
+	defer s.hbDone.Fill(nil)
 	fails := 0
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			trace.Count("schooner.standby.heartbeats")
-			if s.pingLeader() {
-				fails = 0
-				continue
-			}
-			fails++
-			if fails >= s.pol.Threshold {
-				s.takeover()
-				return
-			}
+	vclock.Every(clk(), s.pol.HeartbeatInterval, s.stop, func() bool {
+		trace.Count("schooner.standby.heartbeats")
+		if s.pingLeader() {
+			fails = 0
+			return true
 		}
-	}
+		fails++
+		if fails >= s.pol.Threshold {
+			s.takeover()
+			return false
+		}
+		return true
+	})
 }
 
 // pingLeader probes the leader's Manager port with a bounded KPing.
@@ -250,7 +243,7 @@ func (s *Standby) takeover() {
 	}
 	// Wait for the tailer so the promoted Manager is the log's only
 	// writer.
-	<-s.tailDone
+	await(s.tailDone)
 	trace.Count("schooner.manager.standby_takeovers")
 	flight.Record(flight.Event{Kind: flight.KindTakeover, Component: "standby",
 		Host: s.host, Name: s.leader})

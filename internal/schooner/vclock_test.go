@@ -47,13 +47,16 @@ func newVirtualDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 	t.Cleanup(func() {
 		// Dependency order: runtime first (the prober and any pending
 		// sleeps are on the virtual clock, which must still be running),
-		// then the clock, then the wall clock comes back.
+		// then the clock — Stop returns once every goroutine of the
+		// deployment has, or names the one that has not — then the wall
+		// clock comes back.
 		d.mgr.Stop()
 		for _, s := range d.servers {
 			s.Stop()
 		}
-		v.Stop()
-		time.Sleep(2 * time.Millisecond)
+		if err := v.Stop(); err != nil {
+			t.Error(err)
+		}
 		SwapClock(prev)
 	})
 	return d, v

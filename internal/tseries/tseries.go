@@ -331,13 +331,6 @@ const DefaultExemplarK = 3
 type Config struct {
 	// Interval is the window length (default 250ms).
 	Interval time.Duration
-	// Phase offsets every window boundary from the clock's round
-	// interval grid. A deterministic simulation sets a sub-millisecond
-	// phase so sampler wakeups never share a virtual instant with the
-	// cluster's own periodic timers (heartbeats, probers) — when a
-	// wakeup fires alone, the sample reads a quiescent system and the
-	// series is a pure function of the schedule.
-	Phase time.Duration
 	// Capacity bounds the window ring (default 512).
 	Capacity int
 	// Clock drives sampling (default the wall clock). A dst run passes
@@ -367,9 +360,9 @@ type Sampler struct {
 	winStart time.Time
 	pending  map[string][]Exemplar
 
-	stop    chan struct{}
+	stop    *vclock.Slot // filled by Stop
 	stopped sync.Once
-	done    chan struct{}
+	done    *vclock.Slot // filled when run returns
 }
 
 // Start creates a sampler and begins sampling on its clock.
@@ -394,33 +387,31 @@ func Start(cfg Config) *Sampler {
 		epoch:   cfg.Clock.Now(),
 		ring:    make([]Window, cfg.Capacity),
 		pending: make(map[string][]Exemplar),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stop:    cfg.Clock.NewSlot(),
+		done:    cfg.Clock.NewSlot(),
 	}
 	s.prev = cfg.Source()
 	s.winStart = s.epoch
-	go s.run()
+	cfg.Clock.Go("tseries.run", s.run)
 	return s
 }
 
-// run sleeps to each window boundary and samples. Explicit absolute
-// boundaries (rather than a ticker) mean no window is ever silently
-// dropped; under a clock that outpaces the sampler the boundaries
-// realign forward instead of piling up.
+// run parks until each window boundary and samples. Explicit absolute
+// boundaries (rather than a fixed-grid ticker) mean no window is ever
+// silently dropped; under a clock that outpaces the sampler the
+// boundaries realign forward instead of piling up. A wait that comes
+// back before its boundary means the clock itself has stopped.
 func (s *Sampler) run() {
-	defer close(s.done)
-	next := s.epoch.Add(s.cfg.Interval + s.cfg.Phase)
+	defer s.done.Fill(nil)
+	clock := s.cfg.Clock
+	next := s.epoch.Add(s.cfg.Interval)
 	for {
-		t := s.cfg.Clock.NewTimer(s.cfg.Clock.Until(next))
-		select {
-		case <-s.stop:
-			t.Stop()
+		if _, stopped := s.stop.WaitUntil(next); stopped || clock.Now().Before(next) {
 			return
-		case <-t.C:
 		}
 		s.sample(next)
 		next = next.Add(s.cfg.Interval)
-		if now := s.cfg.Clock.Now(); now.After(next.Add(s.cfg.Interval)) {
+		if now := clock.Now(); now.After(next.Add(s.cfg.Interval)) {
 			next = now.Add(s.cfg.Interval)
 		}
 	}
@@ -430,8 +421,8 @@ func (s *Sampler) run() {
 // run still yields its tail). Safe to call more than once.
 func (s *Sampler) Stop() {
 	s.stopped.Do(func() {
-		close(s.stop)
-		<-s.done
+		s.stop.Fill(nil)
+		s.done.Wait(0)
 		s.sample(s.cfg.Clock.Now())
 	})
 }

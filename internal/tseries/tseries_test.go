@@ -218,7 +218,6 @@ func TestVirtualClockSeriesDeterministic(t *testing.T) {
 		set := trace.NewSet()
 		s := Start(Config{
 			Interval: 20 * time.Millisecond,
-			Phase:    311*time.Microsecond + 7,
 			Clock:    v,
 			Source:   set.Export,
 		})

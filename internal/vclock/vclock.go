@@ -1,30 +1,42 @@
 // Package vclock abstracts the passage of time behind a Clock
 // interface with two implementations: the real wall clock, and a
 // virtual clock whose time advances deterministically, driven only by
-// the timers and sleeps registered against it.
+// the sleeps and waits registered against it.
 //
 // The virtual clock is the foundation of deterministic simulation
-// testing (package dst): when it is installed into the network
-// simulator and the Schooner runtime, no component ever sleeps on the
-// wall clock — a retry backoff of 250ms or a 3s call deadline costs
-// only the microseconds it takes the advancer to notice the system is
-// quiescent and jump virtual time forward. Because virtual time moves
-// only when every simulation goroutine is blocked waiting on it, the
-// order in which timers fire is a pure function of their deadlines,
-// not of goroutine scheduling.
+// testing (package dst). It does not guess when the simulation has
+// gone quiet: it keeps a ledger of its participants — the goroutine
+// that created it and every goroutine started with Go — and of which
+// of them are runnable. A participant stops being runnable only by
+// parking on the clock (Sleep, SleepUntil, Slot.Wait) or by returning,
+// and becomes runnable again only when the clock or another
+// participant wakes it, the wake-up carrying its place in the ledger
+// with it. Time advances iff nobody is runnable, at once, from
+// whichever participant parks last.
+//
+// Runnable participants take turns, in the order they were woken, so a
+// run is a pure function of its inputs at any GOMAXPROCS. The price is
+// a rule: inside a simulation every goroutine is started with Go and
+// every wait that can outlast the current instant goes through the
+// clock. A participant blocked on something the clock cannot see
+// freezes time; Ledger names it.
+//
+// On the real clock Go is a go statement and a Slot is a one-place
+// channel with a time.Timer beside it.
 package vclock
 
 import (
-	"runtime"
+	"container/heap"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Clock tells time and schedules wakeups. The package-level Real
-// clock simply delegates to package time; a Virtual clock runs the
-// same API against simulated time.
+// Clock tells time, starts goroutines and parks them. The
+// package-level Real clock delegates to package time and the Go
+// scheduler; a Virtual clock runs the same API against simulated time.
 type Clock interface {
 	// Now reports the current time on this clock.
 	Now() time.Time
@@ -33,66 +45,107 @@ type Clock interface {
 	// Until is t.Sub(Now()).
 	Until(t time.Time) time.Duration
 	// Sleep pauses the calling goroutine for at least d of this
-	// clock's time. Non-positive d yields without sleeping.
+	// clock's time. Non-positive d returns at once.
 	Sleep(d time.Duration)
-	// SleepUntil pauses until the clock reaches t. Registering the
-	// absolute deadline (rather than Sleep(Until(t))) is atomic on a
-	// virtual clock: the wakeup lands exactly at t even if virtual
-	// time advances between the caller's read of Now and the call.
+	// SleepUntil pauses until the clock reaches t.
 	SleepUntil(t time.Time)
-	// NewTimer returns a timer that fires once after d.
-	NewTimer(d time.Duration) *Timer
-	// NewTicker returns a ticker that fires every d; d must be > 0.
-	NewTicker(d time.Duration) *Ticker
+	// Go runs fn on a new goroutine that takes part in this clock's
+	// time: a virtual clock counts it runnable from here until fn
+	// returns, except while it is parked on the clock. site is a static
+	// name for diagnostics.
+	Go(site string, fn func())
+	// NewSlot returns an empty Slot whose waits run on this clock.
+	NewSlot() *Slot
 }
 
-// Timer is a one-shot timer. C carries the fire time.
-type Timer struct {
-	C    <-chan time.Time
-	stop func() bool
+// Slot is the clock's wait primitive: a one-place mailbox that is
+// filled or times out. Fill never blocks; Wait takes the value,
+// parking the caller until there is one. A Slot may be reused, and any
+// number of goroutines may wait on it: each Fill releases one of them,
+// oldest first.
+type Slot struct {
+	ch chan any // real clock
+
+	v       *Virtual // virtual clock; the rest is guarded by v.mu
+	full    bool
+	val     any
+	waiters []*waiter
 }
 
-// Stop cancels the timer, reporting whether it was still pending.
-// Like time.Timer.Stop it does not drain C.
-func (t *Timer) Stop() bool { return t.stop() }
-
-// Ticker fires repeatedly on C until stopped. Ticks are dropped, not
-// queued, when the receiver falls behind — the time.Ticker contract.
-type Ticker struct {
-	C    <-chan time.Time
-	stop func()
-}
-
-// Stop cancels the ticker.
-func (t *Ticker) Stop() { t.stop() }
-
-// Noter is optionally implemented by clocks that want activity hints:
-// components of the simulation (the network queues, the RPC layer)
-// call Note when they hand work to another goroutine, telling a
-// virtual clock's advancer that the system is not yet quiescent.
-type Noter interface{ Note() }
-
-// Note delivers an activity hint to c if it accepts them.
-func Note(c Clock) {
-	if n, ok := c.(Noter); ok {
-		n.Note()
+// Fill puts x in the slot, handing it straight to the oldest waiter if
+// there is one. It reports false, leaving the slot alone, when the
+// slot already holds a value nobody has taken.
+func (s *Slot) Fill(x any) bool {
+	if s.v != nil {
+		return s.v.fill(s, x)
+	}
+	select {
+	case s.ch <- x:
+		return true
+	default:
+		return false
 	}
 }
 
-// Anchorer is optionally implemented by clocks that can pin their
-// timeline: an anchor at t guarantees virtual time stops at t even
-// though no goroutine is waiting for t yet. The network simulator
-// anchors every in-flight message's arrival time at send, so a
-// virtual clock can never jump a pending delivery straight past a
-// caller's timeout just because the receiving goroutine had not been
-// scheduled yet — the delivery-versus-deadline order is decided by
-// the timestamps alone.
-type Anchorer interface{ Anchor(t time.Time) }
+// Wait takes the slot's value, parking until it is filled or timeout
+// of the clock's time has passed; ok is false on timeout. A
+// non-positive timeout waits without a deadline. On a stopped virtual
+// clock Wait never parks: an empty slot reports ok false at once.
+func (s *Slot) Wait(timeout time.Duration) (x any, ok bool) {
+	if s.v != nil {
+		return s.v.wait(s, timeout, time.Time{})
+	}
+	if timeout <= 0 {
+		return <-s.ch, true
+	}
+	select {
+	case x = <-s.ch:
+		return x, true
+	default:
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case x = <-s.ch:
+		return x, true
+	case <-t.C:
+		return nil, false
+	}
+}
 
-// AnchorAt pins c's timeline at t if c supports anchoring.
-func AnchorAt(c Clock, t time.Time) {
-	if a, ok := c.(Anchorer); ok {
-		a.Anchor(t)
+// WaitUntil is Wait with an absolute deadline; a deadline already
+// reached takes the value only if it is there.
+func (s *Slot) WaitUntil(t time.Time) (x any, ok bool) {
+	if s.v != nil {
+		return s.v.wait(s, 0, t)
+	}
+	if d := time.Until(t); d > 0 {
+		return s.Wait(d)
+	}
+	select {
+	case x = <-s.ch:
+		return x, true
+	default:
+		return nil, false
+	}
+}
+
+// Every calls fn once per interval of c's time, on a fixed grid from
+// now (a tick that falls due while fn runs is skipped, not queued),
+// until stop is filled or fn returns false. It also returns when a
+// wait comes back early, which only a stopped virtual clock does.
+func Every(c Clock, interval time.Duration, stop *Slot, fn func() bool) {
+	next := c.Now().Add(interval)
+	for {
+		if _, stopped := stop.WaitUntil(next); stopped || c.Now().Before(next) {
+			return
+		}
+		if !fn() {
+			return
+		}
+		for now := c.Now(); !next.After(now); {
+			next = next.Add(interval)
+		}
 	}
 }
 
@@ -111,92 +164,192 @@ func (realClock) SleepUntil(t time.Time) {
 		time.Sleep(d)
 	}
 }
-
-func (realClock) NewTimer(d time.Duration) *Timer {
-	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop}
-}
-
-func (realClock) NewTicker(d time.Duration) *Ticker {
-	t := time.NewTicker(d)
-	return &Ticker{C: t.C, stop: t.Stop}
-}
+func (realClock) Go(_ string, fn func()) { go fn() }
+func (realClock) NewSlot() *Slot         { return &Slot{ch: make(chan any, 1)} }
 
 // Epoch1993 is the default origin of virtual time: the month the
 // paper's HPDC-2 proceedings went to press. Any fixed origin works;
 // a recognizable one makes timeline dumps self-describing.
 var Epoch1993 = time.Date(1993, time.July, 1, 0, 0, 0, 0, time.UTC)
 
-// waiter is one registered wakeup on a virtual clock.
+// driver is the ledger name of the goroutine that created the clock.
+const driver = "driver"
+
+// waiter is one parked participant.
 type waiter struct {
-	id     uint64
-	when   time.Time
-	period time.Duration // > 0: ticker, re-armed on every fire
-	ch     chan time.Time
+	site  string
+	ch    chan struct{} // capacity 1: the wake-up
+	slot  *Slot         // what it waits on; nil for a plain sleep
+	timed bool
+	when  time.Time
+	seq   uint64 // registration order among equal deadlines
+	idx   int    // position in the timer heap
+	val   any
+	ok    bool
 }
 
-// Virtual is a deterministic clock. Time never flows on its own: a
-// background advancer waits until the process looks quiescent — no
-// clock operation and no Note hint for several scheduler passes —
-// and then jumps time to the earliest registered wakeup. Waiters due
-// at the same instant fire in registration order, so a given set of
-// deadlines always produces the same firing sequence.
-//
-// The advancer's quiescence probe does burn a few microseconds of
-// real time per jump, but no simulated duration is ever slept on the
-// wall clock: simulating an hour of backoff costs the same real time
-// as simulating a millisecond.
-type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	origin  time.Time
-	nextID  uint64
-	waiters map[uint64]*waiter
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
-	activity atomic.Uint64
-	halted   bool // set by Stop, under mu: new waiters fire immediately
-	stop     chan struct{}
-	stopped  sync.Once
-	done     chan struct{}
-}
+// timerHeap orders timed waiters by (deadline, registration).
+type timerHeap []*waiter
 
-// NewVirtual creates a virtual clock starting at Epoch1993 and starts
-// its advancer. Call Stop when the simulation is over.
-func NewVirtual() *Virtual {
-	v := &Virtual{
-		now:     Epoch1993,
-		origin:  Epoch1993,
-		waiters: make(map[uint64]*waiter),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	if !h[i].when.Equal(h[j].when) {
+		return h[i].when.Before(h[j].when)
 	}
-	go v.run()
-	return v
+	return h[i].seq < h[j].seq
+}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
+func (h *timerHeap) Push(x any)   { w := x.(*waiter); w.idx = len(*h); *h = append(*h, w) }
+func (h *timerHeap) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return w
 }
 
-// Stop halts the advancer and releases every current and future
-// waiter immediately (their timers fire at the frozen time), so no
-// goroutine stays blocked on a stopped clock.
-func (v *Virtual) Stop() {
-	v.stopped.Do(func() {
-		close(v.stop)
-		<-v.done
-		v.mu.Lock()
+// Virtual is a deterministic clock. The invariant: time advances iff
+// no participant is runnable, and a wake-up moves the woken participant
+// into the runnable ledger under the same lock that took it off the
+// parked one, so there is no instant at which everyone looks parked
+// while a wake-up is in flight. Runnable participants run one at a
+// time in wake order; waiters due at one instant wake in registration
+// order.
+//
+// The goroutine that calls NewVirtual is the first participant. Only
+// participants may park; anyone may Fill a Slot.
+type Virtual struct {
+	mu     sync.Mutex
+	now    time.Time
+	origin time.Time
+	seq    uint64
+
+	cur    string               // site of the participant whose turn it is; "" when all are parked
+	ready  []*waiter            // woken, waiting for their turn, in wake order
+	busy   map[string]int       // runnable participants by site: cur plus ready
+	timers timerHeap            // parked with a deadline
+	parked map[*waiter]struct{} // every parked participant, for Stop and Ledger
+
+	halted bool
+	live   map[string]int // goroutines started with Go and not yet returned, by site
+	nlive  int
+	idle   chan struct{} // closed once halted and nlive is zero
+}
+
+// NewVirtual creates a virtual clock starting at Epoch1993. The caller
+// becomes its first participant and must call Stop when the
+// simulation is over.
+func NewVirtual() *Virtual {
+	return &Virtual{
+		now:    Epoch1993,
+		origin: Epoch1993,
+		cur:    driver,
+		busy:   map[string]int{driver: 1},
+		parked: make(map[*waiter]struct{}),
+		live:   make(map[string]int),
+		idle:   make(chan struct{}),
+	}
+}
+
+// stopGrace bounds how long Stop waits, in real time, for released
+// goroutines to return.
+var stopGrace = 5 * time.Second
+
+// Stop freezes time and releases every parked participant: sleeps
+// return, waits report a timeout, and from here on nothing parks and
+// goroutines run freely. It then waits for every goroutine started
+// with Go to return. One that does not within a few real seconds is
+// blocked on something the clock cannot release; Stop gives up on it
+// and returns the ledger naming it.
+func (v *Virtual) Stop() error {
+	v.mu.Lock()
+	if !v.halted {
 		v.halted = true
-		for id, w := range v.waiters {
-			delete(v.waiters, id)
-			select {
-			case w.ch <- v.now:
-			default:
-			}
+		for w := range v.parked {
+			w.ch <- struct{}{}
 		}
-		v.mu.Unlock()
-	})
+		for _, w := range v.ready {
+			w.ch <- struct{}{}
+		}
+		v.parked, v.ready, v.timers = nil, nil, nil
+		v.settle()
+	}
+	v.mu.Unlock()
+	t := time.NewTimer(stopGrace)
+	defer t.Stop()
+	select {
+	case <-v.idle:
+		return nil
+	case <-t.C:
+		return fmt.Errorf("vclock: %v after Stop, %s", stopGrace, v.Ledger())
+	}
 }
 
-// Note records an activity hint: the advancer holds off jumping time
-// while hints keep arriving.
-func (v *Virtual) Note() { v.activity.Add(1) }
+// settle tells a waiting Stop that the last goroutine has returned.
+func (v *Virtual) settle() {
+	if v.nlive == 0 {
+		select {
+		case <-v.idle:
+		default:
+			close(v.idle)
+		}
+	}
+}
+
+// Ledger describes who holds time still — the runnable participants by
+// site — and who is parked on what. It is the first thing to read when
+// a simulation hangs: a site listed as busy that should be waiting is
+// blocked somewhere the clock cannot see.
+func (v *Virtual) Ledger() string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	parked := make(map[string]int)
+	var next time.Duration
+	timed := 0
+	for w := range v.parked {
+		parked[w.site]++
+		if w.timed {
+			if d := w.when.Sub(v.now); timed == 0 || d < next {
+				next = d
+			}
+			timed++
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "at +%v", v.now.Sub(v.origin))
+	if v.halted {
+		b.WriteString(" stopped; still running:")
+		writeCounts(&b, v.live)
+		return b.String()
+	}
+	b.WriteString("; busy holders:")
+	writeCounts(&b, v.busy)
+	b.WriteString("; parked:")
+	writeCounts(&b, parked)
+	if timed > 0 {
+		fmt.Fprintf(&b, " (%d with deadlines, next in %v)", timed, next)
+	}
+	return b.String()
+}
+
+func writeCounts(b *strings.Builder, m map[string]int) {
+	sites := make([]string, 0, len(m))
+	for s, n := range m {
+		if n != 0 {
+			sites = append(sites, s)
+		}
+	}
+	if len(sites) == 0 {
+		b.WriteString(" none")
+		return
+	}
+	sort.Strings(sites)
+	for _, s := range sites {
+		fmt.Fprintf(b, " %s × %d", s, m[s])
+	}
+}
 
 // Now reports the current virtual time.
 func (v *Virtual) Now() time.Time {
@@ -207,11 +360,7 @@ func (v *Virtual) Now() time.Time {
 
 // Elapsed reports how much virtual time has passed since the clock
 // was created.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now.Sub(v.origin)
-}
+func (v *Virtual) Elapsed() time.Duration { return v.Now().Sub(v.origin) }
 
 // Since is Now().Sub(t).
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -219,183 +368,176 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // Until is t.Sub(Now()).
 func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 
-// addWaiter registers a wakeup at absolute time when. On a stopped
-// clock the waiter fires immediately instead of registering: with the
-// advancer gone it could never fire otherwise, and stragglers from a
-// finished simulation must not block forever.
-func (v *Virtual) addWaiter(when time.Time, period time.Duration) *waiter {
+// NewSlot returns an empty slot on this clock.
+func (v *Virtual) NewSlot() *Slot { return &Slot{v: v} }
+
+// Go starts a participant. It is runnable from birth, queued behind
+// whoever was woken before it.
+func (v *Virtual) Go(site string, fn func()) {
 	v.mu.Lock()
-	v.nextID++
-	w := &waiter{id: v.nextID, when: when, period: period, ch: make(chan time.Time, 1)}
-	if v.halted {
-		now := v.now
-		v.mu.Unlock()
-		w.ch <- now
-		return w
+	v.live[site]++
+	v.nlive++
+	var w *waiter // its first turn; none on a stopped clock
+	if !v.halted {
+		w = waiterPool.Get().(*waiter)
+		w.site = site
+		v.wake(w)
 	}
-	v.waiters[w.id] = w
 	v.mu.Unlock()
-	v.activity.Add(1)
-	return w
-}
-
-// removeWaiter cancels a wakeup, reporting whether it was still
-// registered (i.e. had not fired).
-func (v *Virtual) removeWaiter(id uint64) bool {
-	v.mu.Lock()
-	_, ok := v.waiters[id]
-	delete(v.waiters, id)
-	v.mu.Unlock()
-	v.activity.Add(1)
-	return ok
-}
-
-// Sleep blocks for d of virtual time.
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		v.activity.Add(1)
-		runtime.Gosched()
-		return
-	}
-	v.SleepUntil(v.Now().Add(d))
-}
-
-// SleepUntil blocks until virtual time reaches t. Returns immediately
-// on a stopped clock.
-func (v *Virtual) SleepUntil(t time.Time) {
-	v.mu.Lock()
-	if v.halted || !v.now.Before(t) {
-		v.mu.Unlock()
-		v.activity.Add(1)
-		runtime.Gosched()
-		return
-	}
-	v.nextID++
-	w := &waiter{id: v.nextID, when: t, ch: make(chan time.Time, 1)}
-	v.waiters[w.id] = w
-	v.mu.Unlock()
-	v.activity.Add(1)
-	<-w.ch
-}
-
-// Anchor pins the timeline at t: the advancer will stop there on its
-// way forward, firing the anchor as a no-op event. Anchors in the
-// past are ignored.
-func (v *Virtual) Anchor(t time.Time) {
-	v.mu.Lock()
-	if v.halted || !v.now.Before(t) {
-		v.mu.Unlock()
-		return
-	}
-	v.nextID++
-	// An anchor is a waiter nobody receives from; the buffered channel
-	// absorbs the fire.
-	v.waiters[v.nextID] = &waiter{id: v.nextID, when: t, ch: make(chan time.Time, 1)}
-	v.mu.Unlock()
-	v.activity.Add(1)
-}
-
-// NewTimer returns a one-shot timer firing after d of virtual time.
-// A non-positive d fires at the current time on the next quiescence.
-func (v *Virtual) NewTimer(d time.Duration) *Timer {
-	w := v.addWaiter(v.Now().Add(d), 0)
-	return &Timer{C: w.ch, stop: func() bool { return v.removeWaiter(w.id) }}
-}
-
-// NewTicker returns a ticker firing every d of virtual time.
-func (v *Virtual) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	w := v.addWaiter(v.Now().Add(d), d)
-	return &Ticker{C: w.ch, stop: func() { v.removeWaiter(w.id) }}
-}
-
-// quiescenceRounds is how many consecutive scheduler passes must see
-// no clock activity before the advancer jumps time. Early passes only
-// yield the processor — cheap — so runnable goroutines get to run;
-// the final pass also naps briefly so goroutines parked in the OS
-// (syscalls, channel handoffs) can surface their activity before the
-// jump.
-const quiescenceRounds = 4
-
-// run is the advancer: it jumps virtual time to the earliest pending
-// wakeup whenever the process has gone quiet.
-func (v *Virtual) run() {
-	defer close(v.done)
-	last := v.activity.Load()
-	idle := 0
-	for {
-		select {
-		case <-v.stop:
-			return
-		default:
+	go func() {
+		defer v.exit(site)
+		if w != nil {
+			<-w.ch
+			waiterPool.Put(w)
 		}
-		runtime.Gosched()
-		if idle == quiescenceRounds-1 {
-			time.Sleep(20 * time.Microsecond)
-		}
-		cur := v.activity.Load()
-		if cur != last {
-			last, idle = cur, 0
-			continue
-		}
-		idle++
-		if idle < quiescenceRounds {
-			continue
-		}
-		idle = 0
-		v.fire()
-		last = v.activity.Load()
-	}
+		fn()
+	}()
 }
 
-// fire advances time to the earliest pending wakeup and delivers every
-// wakeup now due, in (deadline, registration) order.
-func (v *Virtual) fire() {
+// exit retires a participant started with Go and passes the turn on.
+func (v *Virtual) exit(site string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if len(v.waiters) == 0 {
+	v.live[site]--
+	v.nlive--
+	if v.halted {
+		v.settle()
 		return
 	}
-	var earliest time.Time
-	first := true
-	for _, w := range v.waiters {
-		if first || w.when.Before(earliest) {
-			earliest, first = w.when, false
-		}
+	v.busy[site]--
+	v.next()
+}
+
+// Sleep parks the caller for d of virtual time.
+func (v *Virtual) Sleep(d time.Duration) {
+	if d > 0 {
+		v.wait(nil, d, time.Time{})
 	}
-	if earliest.After(v.now) {
-		v.now = earliest
+}
+
+// SleepUntil parks the caller until virtual time reaches t.
+func (v *Virtual) SleepUntil(t time.Time) { v.wait(nil, 0, t) }
+
+// enqueue moves a waiter into the runnable ledger, behind everyone
+// woken before it. Callers hold v.mu.
+func (v *Virtual) enqueue(w *waiter) {
+	v.busy[w.site]++
+	v.ready = append(v.ready, w)
+}
+
+// wake enqueues a waiter and, if everyone else is parked, gives it the
+// turn. Callers hold v.mu.
+func (v *Virtual) wake(w *waiter) {
+	v.enqueue(w)
+	if v.cur == "" {
+		v.next()
 	}
-	var due []*waiter
-	for _, w := range v.waiters {
-		if !w.when.After(v.now) {
-			due = append(due, w)
+}
+
+// next passes the turn to the participant woken longest ago. With
+// nobody runnable it advances time to the earliest deadline and wakes
+// everything due then, in (deadline, registration) order. Callers hold
+// v.mu and have already given up their own turn.
+func (v *Virtual) next() {
+	for len(v.ready) == 0 {
+		if len(v.timers) == 0 {
+			v.cur = ""
+			return
 		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if !due[i].when.Equal(due[j].when) {
-			return due[i].when.Before(due[j].when)
+		if t := v.timers[0].when; t.After(v.now) {
+			v.now = t
 		}
-		return due[i].id < due[j].id
-	})
-	for _, w := range due {
-		if w.period > 0 {
-			// Ticker: drop the tick if the receiver is behind, then
-			// re-arm strictly in the future so a slow consumer cannot
-			// pin time in place.
-			select {
-			case w.ch <- v.now:
-			default:
+		for len(v.timers) > 0 && !v.timers[0].when.After(v.now) {
+			w := heap.Pop(&v.timers).(*waiter)
+			if s := w.slot; s != nil {
+				for i, o := range s.waiters {
+					if o == w {
+						s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+						break
+					}
+				}
 			}
-			for !w.when.After(v.now) {
-				w.when = w.when.Add(w.period)
-			}
-			continue
+			delete(v.parked, w)
+			v.enqueue(w)
 		}
-		delete(v.waiters, w.id)
-		w.ch <- v.now
 	}
-	v.activity.Add(1)
+	w := v.ready[0]
+	v.ready[0] = nil
+	if v.ready = v.ready[1:]; len(v.ready) == 0 {
+		v.ready = nil
+	}
+	v.cur = w.site
+	w.ch <- struct{}{}
+}
+
+// wait parks the caller on s (nil for a plain sleep) until it is
+// filled or the deadline — timeout from now, or the absolute time
+// until when timeout is zero — passes. Neither given means no
+// deadline.
+func (v *Virtual) wait(s *Slot, timeout time.Duration, until time.Time) (x any, ok bool) {
+	v.mu.Lock()
+	if s != nil && s.full {
+		x, s.val, s.full = s.val, nil, false
+		v.mu.Unlock()
+		return x, true
+	}
+	timed := timeout > 0 || !until.IsZero()
+	if timeout > 0 {
+		until = v.now.Add(timeout)
+	}
+	if v.halted || (timed && !until.After(v.now)) {
+		v.mu.Unlock()
+		return nil, false
+	}
+	if v.cur == "" {
+		v.mu.Unlock()
+		panic("vclock: a goroutine that is not a participant parked on a virtual clock (start it with Clock.Go)")
+	}
+	w := waiterPool.Get().(*waiter)
+	w.site, w.slot, w.timed, w.val, w.ok = v.cur, s, timed, nil, false
+	if s != nil {
+		s.waiters = append(s.waiters, w)
+	}
+	if timed {
+		v.seq++
+		w.when, w.seq = until, v.seq
+		heap.Push(&v.timers, w)
+	}
+	v.parked[w] = struct{}{}
+	v.busy[w.site]--
+	v.next()
+	v.mu.Unlock()
+	<-w.ch
+	x, ok = w.val, w.ok
+	w.slot, w.val = nil, nil
+	waiterPool.Put(w)
+	return x, ok
+}
+
+// fill hands x to the oldest waiter on s, or leaves it in the slot.
+func (v *Virtual) fill(s *Slot, x any) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.halted {
+		s.waiters = nil // Stop released them
+	}
+	if len(s.waiters) == 0 {
+		if s.full {
+			return false
+		}
+		s.full, s.val = true, x
+		return true
+	}
+	w := s.waiters[0]
+	s.waiters[0] = nil
+	if s.waiters = s.waiters[1:]; len(s.waiters) == 0 {
+		s.waiters = nil
+	}
+	if w.timed {
+		heap.Remove(&v.timers, w.idx)
+	}
+	delete(v.parked, w)
+	w.val, w.ok = x, true
+	v.wake(w)
+	return true
 }

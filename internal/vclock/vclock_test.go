@@ -1,10 +1,23 @@
 package vclock
 
 import (
-	"sync"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// atProcs runs f at several GOMAXPROCS settings: nothing the virtual
+// clock promises may depend on how many threads run its participants.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, n := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(n)
+		f(t)
+		runtime.GOMAXPROCS(prev)
+	}
+}
 
 // TestVirtualSleepNoWallTime checks that sleeping hours of virtual
 // time costs essentially no real time.
@@ -16,91 +29,266 @@ func TestVirtualSleepNoWallTime(t *testing.T) {
 	if real := time.Since(start); real > 5*time.Second {
 		t.Fatalf("3h virtual sleep took %v of real time", real)
 	}
-	if got := v.Elapsed(); got < 3*time.Hour {
-		t.Fatalf("virtual clock advanced only %v", got)
+	if got := v.Elapsed(); got != 3*time.Hour {
+		t.Fatalf("virtual clock advanced %v, want exactly 3h", got)
 	}
 }
 
-// TestVirtualFiringOrder checks that concurrent sleepers wake in
-// deadline order regardless of the order they went to sleep.
+// TestVirtualFiringOrder checks that sleepers wake in deadline order
+// regardless of the order they went to sleep, and that sleepers due at
+// one instant wake in the order they registered — at any GOMAXPROCS.
 func TestVirtualFiringOrder(t *testing.T) {
-	v := NewVirtual()
-	defer v.Stop()
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	durations := []time.Duration{50 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond}
-	ready := make(chan struct{})
-	for i, d := range durations {
-		wg.Add(1)
-		go func(i int, d time.Duration) {
-			defer wg.Done()
-			<-ready
-			v.Sleep(d)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}(i, d)
-	}
-	close(ready)
-	wg.Wait()
-	want := []int{1, 2, 0} // 10ms, 30ms, 50ms
-	for i := range want {
-		if order[i] != want[i] {
+	atProcs(t, func(t *testing.T) {
+		v := NewVirtual()
+		defer v.Stop()
+		var order []int // participants take turns, so no lock
+		durations := []time.Duration{50, 10, 30, 10, 30, 10}
+		for i, d := range durations {
+			v.Go("sleeper", func() {
+				v.Sleep(d * time.Millisecond)
+				order = append(order, i)
+			})
+		}
+		v.Sleep(time.Second)
+		if want := []int{1, 3, 5, 2, 4, 0}; !reflect.DeepEqual(order, want) {
 			t.Fatalf("wake order %v, want %v", order, want)
 		}
+	})
+}
+
+// TestVirtualNoFireWhileRunnable pins the invariant from the runnable
+// side: a participant that computes for 50ms of real time without
+// parking sees no time pass and no other participant's deadline fire.
+func TestVirtualNoFireWhileRunnable(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	var fired atomic.Int32
+	for i := 0; i < 4; i++ {
+		v.Go("sleeper", func() {
+			v.Sleep(time.Microsecond)
+			fired.Add(1)
+		})
+	}
+	t0 := v.Now()
+	for start := time.Now(); time.Since(start) < 50*time.Millisecond; {
+		if n := fired.Load(); n != 0 || !v.Now().Equal(t0) {
+			t.Fatalf("%d deadlines fired and the clock moved %v while the driver was runnable", n, v.Since(t0))
+		}
+	}
+	v.Sleep(time.Millisecond)
+	if n := fired.Load(); n != 4 {
+		t.Fatalf("%d of 4 sleepers woke once the driver parked", n)
 	}
 }
 
-// TestVirtualTimerStop checks that a stopped timer never fires.
+// TestVirtualTimerStop checks that a wait satisfied before its
+// deadline leaves no timer behind: time later passes the deadline and
+// the next wait on the same slot sees only its own.
 func TestVirtualTimerStop(t *testing.T) {
 	v := NewVirtual()
 	defer v.Stop()
-	tm := v.NewTimer(time.Hour)
-	if !tm.Stop() {
-		t.Fatal("Stop on a pending timer reported false")
+	s := v.NewSlot()
+	v.Go("filler", func() {
+		v.Sleep(time.Minute)
+		s.Fill("reply")
+	})
+	if x, ok := s.Wait(time.Hour); !ok || x != "reply" {
+		t.Fatalf("Wait = %v, %v; want the reply", x, ok)
 	}
-	// Another sleeper forces time past the stopped timer's deadline.
-	v.Sleep(2 * time.Hour)
-	select {
-	case <-tm.C:
-		t.Fatal("stopped timer fired")
-	default:
+	if got := v.Elapsed(); got != time.Minute {
+		t.Fatalf("reply took %v of virtual time, want 1m", got)
+	}
+	v.Sleep(2 * time.Hour) // past the abandoned deadline
+	if x, ok := s.Wait(time.Second); ok {
+		t.Fatalf("empty slot yielded %v", x)
+	}
+	if got := v.Elapsed(); got != time.Minute+2*time.Hour+time.Second {
+		t.Fatalf("clock at %v: a stale deadline fired", got)
 	}
 }
 
-// TestVirtualTicker checks periodic firing in virtual time.
+// TestVirtualTicker checks periodic firing in virtual time: Every
+// ticks on a fixed grid however long each tick's work takes, and skips
+// the ticks that work overran.
 func TestVirtualTicker(t *testing.T) {
 	v := NewVirtual()
 	defer v.Stop()
-	tk := v.NewTicker(time.Second)
-	defer tk.Stop()
-	for i := 0; i < 3; i++ {
-		at := <-tk.C
-		if got := at.Sub(Epoch1993); got < time.Duration(i+1)*time.Second {
-			t.Fatalf("tick %d at %v into the run", i, got)
-		}
+	stop := v.NewSlot()
+	var ticks []time.Duration
+	v.Go("ticker", func() {
+		Every(v, time.Second, stop, func() bool {
+			ticks = append(ticks, v.Elapsed())
+			if len(ticks) == 2 {
+				v.Sleep(2500 * time.Millisecond) // overruns ticks 3 and 4
+			} else {
+				v.Sleep(100 * time.Millisecond)
+			}
+			return true
+		})
+	})
+	v.Sleep(6500 * time.Millisecond)
+	stop.Fill(nil)
+	v.Sleep(time.Hour)
+	want := []time.Duration{1 * time.Second, 2 * time.Second, 5 * time.Second, 6 * time.Second}
+	if !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("ticks at %v, want %v", ticks, want)
 	}
 }
 
-// TestVirtualStopReleasesWaiters checks that Stop unblocks a sleeping
-// goroutine rather than leaking it.
+// TestVirtualStopReleasesWaiters checks that Stop releases sleepers,
+// tickers and slot waiters of every kind and waits for them: when it
+// returns the goroutine count is back where it started.
 func TestVirtualStopReleasesWaiters(t *testing.T) {
+	before := runtime.NumGoroutine()
 	v := NewVirtual()
-	released := make(chan struct{})
-	go func() {
-		tm := v.NewTimer(1000 * time.Hour)
-		<-tm.C
-		close(released)
+	never, stop := v.NewSlot(), v.NewSlot()
+	q := NewQueue[int](v)
+	v.Go("sleeper", func() { v.Sleep(1000 * time.Hour) })
+	v.Go("ticker", func() { Every(v, time.Hour, stop, func() bool { return true }) })
+	v.Go("waiter", func() { never.Wait(0) })
+	v.Go("deadline waiter", func() { never.Wait(1000 * time.Hour) })
+	v.Go("consumer", func() {
+		for _, ok := q.Pop(); ok; _, ok = q.Pop() {
+		}
+	})
+	v.Go("anchor", func() { v.SleepUntil(v.Now().Add(24 * time.Hour)) })
+	v.Sleep(90 * time.Minute) // everyone parked, the ticker once around
+	if err := v.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	// Stop returns once the last participant has signed off, which is
+	// the last thing it does before its goroutine ends.
+	for spins := 0; runtime.NumGoroutine() > before; spins++ {
+		if spins > 1e6 {
+			t.Fatalf("%d goroutines before, %d after Stop", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+	// A stopped clock never parks anyone.
+	v.Sleep(time.Hour)
+	if _, ok := never.Wait(0); ok {
+		t.Fatal("empty slot yielded a value on a stopped clock")
+	}
+	done := make(chan struct{})
+	v.Go("late", func() { close(done) })
+	<-done
+}
+
+// TestVirtualLedgerNamesTheStuck checks the failure mode of exact
+// accounting: a participant blocked where the clock cannot see it
+// holds time still, and the ledger — read from outside — names it. The
+// same goes for teardown: Stop reports a goroutine it could not
+// release by site instead of waiting it out.
+func TestVirtualLedgerNamesTheStuck(t *testing.T) {
+	defer func(d time.Duration) { stopGrace = d }(stopGrace)
+	stopGrace = 50 * time.Millisecond
+	v := NewVirtual()
+	release := make(chan struct{})
+	v.Go("blocked on a bare channel", func() {
+		<-release
+		v.Sleep(time.Hour)
+		<-release
+	})
+	watchdog := make(chan string)
+	go func() { // not a participant
+		const stuck = "busy holders: blocked on a bare channel × 1; parked: driver × 1 (1 with deadlines, next in 1s)"
+		for !strings.HasSuffix(v.Ledger(), stuck) {
+			runtime.Gosched()
+		}
+		l := v.Ledger()
+		release <- struct{}{}
+		watchdog <- l
 	}()
-	// Give the goroutine a moment to register its timer, then stop:
-	// Stop must fire it.
-	time.Sleep(10 * time.Millisecond)
-	v.Stop()
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop left a timer waiter blocked")
+	v.Sleep(time.Second) // the turn passes to the goroutine that blocks
+	if l := <-watchdog; !strings.HasPrefix(l, "at +0s;") {
+		t.Fatalf("time moved while a participant was busy: %s", l)
+	}
+	err := v.Stop() // releases the hour's sleep, not the channel receive
+	if err == nil || !strings.Contains(err.Error(), "still running: blocked on a bare channel × 1") {
+		t.Fatalf("Stop = %v, want the straggler named", err)
+	}
+	close(release)
+}
+
+// TestSlotReplyRacesDeadline fills slots from outside the simulation
+// while their waiters' deadlines expire, 10⁵ times: whichever wins,
+// exactly one of them wakes the waiter, and the ledger ends balanced —
+// one runnable participant, nobody parked, no timer left.
+func TestSlotReplyRacesDeadline(t *testing.T) {
+	rounds := 100000
+	if testing.Short() {
+		rounds = 10000
+	}
+	v := NewVirtual()
+	slots := make(chan *Slot, 1)
+	fillerDone := make(chan struct{})
+	go func() { // not a participant: Fill is open to anyone
+		defer close(fillerDone)
+		for s := range slots {
+			s.Fill(1)
+		}
+	}()
+	replies := 0
+	for i := 0; i < rounds; i++ {
+		s := v.NewSlot()
+		slots <- s
+		if _, ok := s.Wait(time.Millisecond); ok {
+			replies++
+		}
+	}
+	close(slots)
+	<-fillerDone
+	if got := v.Elapsed(); got != time.Duration(rounds-replies)*time.Millisecond {
+		t.Fatalf("%d timeouts but %v of virtual time", rounds-replies, got)
+	}
+	if l := v.Ledger(); !strings.HasSuffix(l, "busy holders: driver × 1; parked: none") {
+		t.Fatalf("ledger unbalanced after %d rounds (%d replies): %s", rounds, replies, l)
+	}
+	if len(v.timers) != 0 || len(v.ready) != 0 {
+		t.Fatalf("%d timers and %d ready waiters left behind", len(v.timers), len(v.ready))
+	}
+	if err := v.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d replies beat their deadline", replies, rounds)
+}
+
+// TestQueueOrderAndClose checks the FIFO on both clocks.
+func TestQueueOrderAndClose(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	for _, c := range []Clock{Real(), v} {
+		q := NewQueue[int](c)
+		got := make(chan []int, 1)
+		c.Go("consumer", func() {
+			var seen []int
+			for x, ok := q.Pop(); ok; x, ok = q.Pop() {
+				seen = append(seen, x)
+			}
+			got <- seen
+		})
+		for i := 0; i < 5; i++ {
+			if !q.Push(i) {
+				t.Fatal("push on an open queue failed")
+			}
+		}
+		if c == v {
+			v.Sleep(time.Millisecond) // let the consumer drain, then park
+			if q.Len() != 0 {
+				t.Fatalf("%d items left after the consumer's turn", q.Len())
+			}
+		}
+		q.Push(5)
+		q.Close()
+		if q.Push(6) {
+			t.Fatal("push on a closed queue succeeded")
+		}
+		if c == v {
+			v.Sleep(time.Millisecond)
+		}
+		if seen := <-got; !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4, 5}) {
+			t.Fatalf("popped %v", seen)
+		}
 	}
 }
 
@@ -112,9 +300,23 @@ func TestRealClock(t *testing.T) {
 	if c.Since(t0) <= 0 {
 		t.Fatal("real clock did not advance")
 	}
-	tm := c.NewTimer(time.Millisecond)
-	<-tm.C
-	tk := c.NewTicker(time.Millisecond)
-	<-tk.C
-	tk.Stop()
+	s := c.NewSlot()
+	if _, ok := s.Wait(time.Millisecond); ok {
+		t.Fatal("empty slot yielded a value")
+	}
+	c.Go("filler", func() { s.Fill(7) })
+	if x, ok := s.Wait(0); !ok || x != 7 {
+		t.Fatalf("Wait = %v, %v", x, ok)
+	}
+	if !s.Fill(1) || s.Fill(2) {
+		t.Fatal("a slot holds exactly one value")
+	}
+	if x, ok := s.WaitUntil(c.Now()); !ok || x != 1 {
+		t.Fatalf("WaitUntil(now) on a full slot = %v, %v", x, ok)
+	}
+	ticks := 0
+	Every(c, time.Millisecond, c.NewSlot(), func() bool { ticks++; return ticks < 3 })
+	if ticks != 3 {
+		t.Fatalf("Every ran %d ticks", ticks)
+	}
 }
