@@ -452,7 +452,7 @@ func writeCriticalLane(b *strings.Builder, p *critpath.Profile) {
 		total = 1
 	}
 	const (
-		labelW = 170
+		labelW  = 170
 		laneH   = 16
 		laneGap = 10
 	)

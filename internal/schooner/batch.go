@@ -2,6 +2,7 @@ package schooner
 
 import (
 	"fmt"
+	"slices"
 
 	"npss/internal/trace"
 	"npss/internal/uts"
@@ -53,11 +54,7 @@ type preparedCall struct {
 
 // finish completes a pending with the counter semantics of Call.
 func (pc *preparedCall) finish(res []uts.Value, err error) {
-	if err != nil {
-		trace.Count("schooner.client.call_failures")
-	} else {
-		trace.Count("schooner.client.calls")
-	}
+	tally(err)
 	pc.pend.complete(res, err)
 }
 
@@ -68,6 +65,24 @@ func (pc *preparedCall) fallback() {
 	pc.pend.complete(pc.line.Call(pc.name, pc.rawArgs...))
 }
 
+// route is where a batch's envelopes go. The process route (the zero
+// value) sends one to each procedure process several members are bound
+// to, on that binding's pipelined connection. The host route sends one
+// to each machine's Server on the client's shared connection to it,
+// every sub-frame tagged with the process it is for. Grouping, the
+// envelope and its round trip, and every fallback are the same on both.
+type route struct {
+	hosts *Client // nil on the process route
+}
+
+// key is what members of one envelope have in common.
+func (r route) key(m *preparedCall) string {
+	if r.hosts != nil {
+		return addrHost(m.b.addr)
+	}
+	return m.b.addr
+}
+
 // GoBatch begins the given calls together and returns one Pending per
 // call, in order. Calls that bind to the same procedure process are
 // coalesced into a single KBatch wire message — one round trip for the
@@ -75,21 +90,9 @@ func (pc *preparedCall) fallback() {
 // individually. Any batch-level failure falls back to per-call
 // dispatch, so GoBatch never fails in a way Go would not.
 func (l *Line) GoBatch(calls []BatchCall) []*Pending {
-	pends := make([]*Pending, len(calls))
-	members := make([]*preparedCall, len(calls))
-	// One backing array for the members, with each call's Pending
-	// inline: batches sit on the hot path, where per-element
-	// allocations add up.
-	mback := make([]preparedCall, len(calls))
-	c := clk()
-	for i, call := range calls {
-		mback[i] = preparedCall{line: l, name: call.Name, rawArgs: call.Args,
-			pend: Pending{done: c.NewSlot()}}
-		members[i] = &mback[i]
-		pends[i] = &mback[i].pend
-	}
-	c.Go("schooner.dispatchBatch", func() { dispatchBatch(members) })
-	return pends
+	return route{}.start(len(calls), func(i int) CrossCall {
+		return CrossCall{Line: l, Name: calls[i].Name, Args: calls[i].Args}
+	})
 }
 
 // GoBatchHosts begins the given calls — possibly from different lines
@@ -99,17 +102,27 @@ func (l *Line) GoBatch(calls []BatchCall) []*Pending {
 // procedures in different processes on one host still cost a single
 // round trip. Returns one Pending per call, in order.
 func (c *Client) GoBatchHosts(calls []CrossCall) []*Pending {
-	pends := make([]*Pending, len(calls))
-	members := make([]*preparedCall, len(calls))
-	mback := make([]preparedCall, len(calls))
-	ck := clk()
-	for i, call := range calls {
-		mback[i] = preparedCall{line: call.Line, name: call.Name, rawArgs: call.Args,
-			pend: Pending{done: ck.NewSlot()}}
+	return route{hosts: c}.start(len(calls), func(i int) CrossCall { return calls[i] })
+}
+
+// start builds the n members call(i) names and dispatches them on
+// their own goroutine.
+func (r route) start(n int, call func(int) CrossCall) []*Pending {
+	pends := make([]*Pending, n)
+	members := make([]*preparedCall, n)
+	// One backing array for the members, with each call's Pending
+	// inline: batches sit on the hot path, where per-element
+	// allocations add up.
+	mback := make([]preparedCall, n)
+	c := clk()
+	for i := range mback {
+		cc := call(i)
+		mback[i] = preparedCall{line: cc.Line, name: cc.Name, rawArgs: cc.Args,
+			pend: Pending{done: c.NewSlot()}}
 		members[i] = &mback[i]
 		pends[i] = &mback[i].pend
 	}
-	ck.Go("schooner.dispatchBatchHosts", func() { dispatchBatchHosts(c, members) })
+	c.Go("schooner.dispatchBatch", func() { r.dispatch(members) })
 	return pends
 }
 
@@ -142,62 +155,72 @@ func bindMembers(members []*preparedCall) []*preparedCall {
 	return ready
 }
 
-// dispatchBatch groups one line's members by process address and sends
-// one KBatch per multi-member process; singletons go per-call.
-func dispatchBatch(members []*preparedCall) {
+// dispatch groups the members by the route's key and sends one KBatch
+// per group of several; singletons go per-call.
+func (r route) dispatch(members []*preparedCall) {
 	ready := bindMembers(members)
 	if len(ready) == 0 {
 		return
 	}
-	// Fast path: every member bound to one process — the common shape —
+	// Fast path: every member under one key — the common shape —
 	// dispatches without grouping maps or a second goroutine.
-	if sameKey(ready, func(m *preparedCall) string { return m.b.addr }) {
+	first := r.key(ready[0])
+	if !slices.ContainsFunc(ready[1:], func(m *preparedCall) bool { return r.key(m) != first }) {
 		if len(ready) == 1 {
 			ready[0].fallback()
 			return
 		}
-		sendProcessBatch(ready)
+		r.send(first, ready)
 		return
 	}
 	groups := make(map[string][]*preparedCall)
 	var order []string
 	for _, m := range ready {
-		if len(groups[m.b.addr]) == 0 {
-			order = append(order, m.b.addr)
+		k := r.key(m)
+		if len(groups[k]) == 0 {
+			order = append(order, k)
 		}
-		groups[m.b.addr] = append(groups[m.b.addr], m)
+		groups[k] = append(groups[k], m)
 	}
-	for _, addr := range order {
-		group := groups[addr]
+	for _, k := range order {
+		group := groups[k]
 		if len(group) == 1 {
 			goFallback(group[0])
 			continue
 		}
-		clk().Go("schooner.sendProcessBatch", func() { sendProcessBatch(group) })
+		clk().Go("schooner.sendBatch", func() { r.send(k, group) })
 	}
 }
 
-// sameKey reports whether every member maps to the same key.
-func sameKey(members []*preparedCall, key func(*preparedCall) string) bool {
-	first := key(members[0])
-	for _, m := range members[1:] {
-		if key(m) != first {
-			return false
+// send delivers one group as a KBatch envelope to the destination its
+// key names and completes the members from the reply.
+func (r route) send(key string, group []*preparedCall) {
+	owner := group[0]
+	// lost is what an envelope that cannot be delivered comes to: each
+	// call retries alone through the ordinary machinery. The process may
+	// be gone or moving, so its binding is invalidated — once, the group
+	// shares it; a Server that does not answer says nothing about the
+	// bindings behind it.
+	lost := func() {
+		if r.hosts == nil {
+			owner.line.invalidate(owner.name, owner.b)
+			trace.Count("schooner.client.stale")
 		}
-	}
-	return true
-}
-
-// sendProcessBatch delivers one group of same-process calls as a
-// KBatch on the binding's pipelined connection.
-func sendProcessBatch(group []*preparedCall) {
-	l := group[0].line
-	owner := group[0].b
-	pc, err := owner.pipeline(l.client.Transport, l.client.Host, group[0].name)
-	if err != nil {
-		l.invalidate(group[0].name, owner)
-		trace.Count("schooner.client.stale")
 		fallbackAll(group)
+	}
+	var g *demuxConn
+	var err error
+	env := wire.Message{Kind: wire.KBatch}
+	counter := "schooner.client.host_batches"
+	if r.hosts != nil {
+		g, err = r.hosts.serverConn(key)
+	} else {
+		g, err = owner.b.get(owner.line.client.Transport, owner.line.client.Host)
+		env.Line = owner.line.id
+		counter = "schooner.client.batches"
+	}
+	if err != nil {
+		lost()
 		return
 	}
 	// One attempt span covers the whole envelope's round trip; each
@@ -206,132 +229,44 @@ func sendProcessBatch(group []*preparedCall) {
 	// self-time, exactly as on the per-call path.
 	var att *trace.Span
 	if trace.Enabled() {
-		att = trace.StartSpan(fmt.Sprintf("attempt batch ×%d %s", len(group), addrHost(owner.addr)), l.client.Host)
+		att = trace.StartSpan(fmt.Sprintf("attempt batch ×%d %s", len(group), addrHost(owner.b.addr)), owner.line.client.Host)
 	}
-	var attCtx trace.SpanContext
-	if att != nil {
-		attCtx = att.Context()
-	}
+	attCtx := att.Context()
 	// The envelope payload is dead once exchange returns (the reply is
 	// a fresh message), so a pooled scratch buffer carries it; one
 	// request message is reused across the sub-frames (AppendSub
-	// encodes it immediately and keeps nothing).
+	// encodes it immediately and keeps nothing). Sub-frames carry no
+	// Seq: they are matched to their replies by position.
 	subs := wire.GetBuf()
 	defer func() { wire.PutBuf(subs) }()
 	var req wire.Message
 	for _, m := range group {
 		req = wire.Message{
-			Kind: wire.KCall, Seq: l.nextSeq(), Line: l.id,
+			Kind: wire.KCall, Line: m.line.id,
 			Name: m.b.exportName, Str: m.imp.Signature(), Data: m.data,
 			Trace: attCtx.Trace, Span: attCtx.Span,
 		}
-		subs, err = wire.AppendSub(subs, "", &req)
-		if err != nil {
+		tag := ""
+		if r.hosts != nil {
+			tag = m.b.addr
+		}
+		if subs, err = wire.AppendSub(subs, tag, &req); err != nil {
 			att.End()
 			fallbackAll(group)
 			return
 		}
 	}
-	env := &wire.Message{Kind: wire.KBatch, Seq: l.nextSeq(), Line: l.id, Data: subs}
-	resp, err := pc.exchange(env, group[0].pol.Timeout)
+	env.Data = subs
+	resp, err := g.exchange(&env, owner.pol.Timeout)
 	if att != nil && err != nil {
 		att.Annotate("error", err.Error())
 	}
 	att.End()
 	if err != nil {
-		// The envelope never made it (or timed out): the process may be
-		// gone or moving. Invalidate once and let each call retry
-		// through the ordinary machinery.
-		l.invalidate(group[0].name, owner)
-		trace.Count("schooner.client.stale")
-		fallbackAll(group)
+		lost()
 		return
 	}
-	trace.Count("schooner.client.batches")
-	completeBatch(group, resp)
-}
-
-// dispatchBatchHosts groups members by destination machine and sends
-// one addressed KBatch per multi-member host to its Server; singleton
-// hosts go per-call.
-func dispatchBatchHosts(c *Client, members []*preparedCall) {
-	ready := bindMembers(members)
-	if len(ready) == 0 {
-		return
-	}
-	if sameKey(ready, func(m *preparedCall) string { return addrHost(m.b.addr) }) {
-		if len(ready) == 1 {
-			ready[0].fallback()
-			return
-		}
-		sendHostBatch(c, addrHost(ready[0].b.addr), ready)
-		return
-	}
-	groups := make(map[string][]*preparedCall)
-	var order []string
-	for _, m := range ready {
-		host := addrHost(m.b.addr)
-		if len(groups[host]) == 0 {
-			order = append(order, host)
-		}
-		groups[host] = append(groups[host], m)
-	}
-	for _, host := range order {
-		group := groups[host]
-		if len(group) == 1 {
-			goFallback(group[0])
-			continue
-		}
-		clk().Go("schooner.sendHostBatch", func() { sendHostBatch(c, host, group) })
-	}
-}
-
-// sendHostBatch delivers one group of same-host calls as an addressed
-// KBatch to the host's Server on the client's shared connection.
-func sendHostBatch(c *Client, host string, group []*preparedCall) {
-	g, err := c.serverConn(host)
-	if err != nil {
-		fallbackAll(group)
-		return
-	}
-	// As on the process-batch path: one attempt span for the envelope's
-	// round trip, its context carried on every sub-call so the remote
-	// dispatch spans parent under it.
-	var att *trace.Span
-	if trace.Enabled() {
-		att = trace.StartSpan(fmt.Sprintf("attempt batch ×%d %s", len(group), host), c.Host)
-	}
-	var attCtx trace.SpanContext
-	if att != nil {
-		attCtx = att.Context()
-	}
-	subs := wire.GetBuf()
-	defer func() { wire.PutBuf(subs) }()
-	var req wire.Message
-	for _, m := range group {
-		req = wire.Message{
-			Kind: wire.KCall, Seq: c.nextBatchSeq(), Line: m.line.id,
-			Name: m.b.exportName, Str: m.imp.Signature(), Data: m.data,
-			Trace: attCtx.Trace, Span: attCtx.Span,
-		}
-		subs, err = wire.AppendSub(subs, m.b.addr, &req)
-		if err != nil {
-			att.End()
-			fallbackAll(group)
-			return
-		}
-	}
-	env := &wire.Message{Kind: wire.KBatch, Seq: c.nextBatchSeq(), Data: subs}
-	resp, err := g.exchange(env, group[0].pol.Timeout)
-	if att != nil && err != nil {
-		att.Annotate("error", err.Error())
-	}
-	att.End()
-	if err != nil {
-		fallbackAll(group)
-		return
-	}
-	trace.Count("schooner.client.host_batches")
+	trace.Count(counter)
 	completeBatch(group, resp)
 }
 
@@ -400,4 +335,30 @@ func failAll(group []*preparedCall, err error) {
 	for _, m := range group {
 		m.finish(nil, err)
 	}
+}
+
+// runBatch is the serving side of a KBatch: it walks the envelope's
+// sub-frames in place, hands each to dispatch, and returns one KBatchOK
+// with a reply sub-frame per sub-request. Sub-requests run in envelope
+// order — a batch may carry calls to stateful procedures, so envelope
+// order is execution order. A batch answered in full is counted under
+// counter.
+func runBatch(env *wire.Message, counter string, dispatch func(wire.Sub) *wire.Message) *wire.Message {
+	// Replies are roughly request-sized; start at the envelope's size
+	// to avoid growth reallocations.
+	data := make([]byte, 0, len(env.Data))
+	for rest := env.Data; len(rest) > 0; {
+		sub, r, err := wire.SplitSub(rest)
+		if err != nil {
+			return &wire.Message{Kind: wire.KError, Err: err.Error()}
+		}
+		rest = r
+		resp := dispatch(sub)
+		resp.Seq = sub.Msg.Seq
+		if data, err = wire.AppendSub(data, "", resp); err != nil {
+			return &wire.Message{Kind: wire.KError, Err: err.Error()}
+		}
+	}
+	trace.Count(counter)
+	return &wire.Message{Kind: wire.KBatchOK, Data: data}
 }

@@ -43,54 +43,26 @@ type Client struct {
 	// value applies the package defaults (see CallPolicy).
 	Policy CallPolicy
 
-	// mu guards the cross-line batching state: the cached per-host
-	// Server connections GoBatchHosts coalesces onto, and their
-	// sequence counter.
+	// mu guards the per-host Server connections GoBatchHosts coalesces
+	// onto, shared by all of the client's lines.
 	mu       sync.Mutex
-	srvConns map[string]*demuxConn
-	batchSeq uint32
+	srvConns map[string]*sharedConn
 }
 
 // serverConn returns the client's shared demultiplexed connection to a
-// machine's Server, dialing on first use or after the previous one
-// died.
+// machine's Server.
 func (c *Client) serverConn(host string) (*demuxConn, error) {
 	c.mu.Lock()
-	if g := c.srvConns[host]; g != nil && !g.dead() {
-		c.mu.Unlock()
-		return g, nil
+	sc := c.srvConns[host]
+	if sc == nil {
+		if c.srvConns == nil {
+			c.srvConns = make(map[string]*sharedConn)
+		}
+		sc = &sharedConn{addr: host + ":" + ServerPort}
+		c.srvConns[host] = sc
 	}
 	c.mu.Unlock()
-	conn, err := c.Transport.Dial(c.Host, host+":"+ServerPort)
-	if err != nil {
-		return nil, &staleError{fmt.Errorf("schooner: cannot reach server on %s: %w", host, err)}
-	}
-	fresh := newDemuxConn(conn)
-	c.mu.Lock()
-	if g := c.srvConns[host]; g != nil && !g.dead() {
-		c.mu.Unlock()
-		fresh.Close()
-		return g, nil
-	}
-	if c.srvConns == nil {
-		c.srvConns = make(map[string]*demuxConn)
-	}
-	old := c.srvConns[host]
-	c.srvConns[host] = fresh
-	c.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return fresh, nil
-}
-
-// nextBatchSeq allocates a sequence number for the client's Server
-// connections, on which sub-requests from many lines interleave.
-func (c *Client) nextBatchSeq() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.batchSeq++
-	return c.batchSeq
+	return sc.get(c.Transport, c.Host)
 }
 
 // Close releases the client's cached Server connections (the cross-
@@ -101,8 +73,8 @@ func (c *Client) Close() {
 	conns := c.srvConns
 	c.srvConns = nil
 	c.mu.Unlock()
-	for _, g := range conns {
-		g.Close()
+	for _, sc := range conns {
+		sc.close()
 	}
 }
 
@@ -120,11 +92,14 @@ func (c *Client) arch() (*machine.Arch, error) {
 // ContactSchx registers the module with the Manager and opens a new
 // line — the call a module makes from its compute function the first
 // time it is scheduled. The returned Line is the module's handle for
-// starting, calling, moving, and shutting down remote procedures.
+// starting, calling, moving, and shutting down remote procedures. A
+// Manager that does not answer within the client's call deadline is
+// given up on, and the next configured one tried.
 func (c *Client) ContactSchx(module string) (*Line, error) {
 	var lastErr error
 	for _, mh := range c.managerHosts() {
-		conn, id, err := c.registerAt(mh, module)
+		mgr, id, err := c.openLine(mh, &wire.Message{Kind: wire.KRegisterLine, Name: module},
+			c.Policy.withDefaults().Timeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -133,7 +108,7 @@ func (c *Client) ContactSchx(module string) (*Line, error) {
 			client:   c,
 			id:       id,
 			module:   module,
-			mgr:      newDemuxConn(conn),
+			mgr:      mgr,
 			policy:   c.Policy,
 			imports:  make(map[string]*uts.ProcSpec),
 			bindings: make(map[string]*binding),
@@ -142,26 +117,24 @@ func (c *Client) ContactSchx(module string) (*Line, error) {
 	return nil, lastErr
 }
 
-// registerAt opens a new line with the Manager on one host.
-func (c *Client) registerAt(managerHost, module string) (wire.Conn, uint32, error) {
+// openLine dials the Manager on one host and asks it for a line — a
+// new one (KRegisterLine) or one it already knows (KAttachLine). The
+// connection that carried the answer becomes the line's Manager
+// connection.
+func (c *Client) openLine(managerHost string, req *wire.Message, timeout time.Duration) (*demuxConn, uint32, error) {
 	conn, err := c.Transport.Dial(c.Host, managerHost+":"+ManagerPort)
 	if err != nil {
 		return nil, 0, fmt.Errorf("schooner: cannot reach manager on %s: %w", managerHost, err)
 	}
-	if err := conn.Send(&wire.Message{Kind: wire.KRegisterLine, Name: module}); err != nil {
-		conn.Close()
-		return nil, 0, err
+	resp, err := ask(conn, req, timeout)
+	if err == nil && resp.Kind != wire.KLineOK {
+		err = fmt.Errorf("schooner: manager on %s refused %v: %s", managerHost, req.Kind, resp.Err)
 	}
-	resp, err := conn.Recv()
 	if err != nil {
 		conn.Close()
 		return nil, 0, err
 	}
-	if resp.Kind != wire.KLineOK {
-		conn.Close()
-		return nil, 0, fmt.Errorf("schooner: register failed: %s", resp.Err)
-	}
-	return conn, resp.Line, nil
+	return newDemuxConn(conn), resp.Line, nil
 }
 
 // Line is one thread of control in a Schooner program: a sequential
@@ -172,10 +145,11 @@ func (c *Client) registerAt(managerHost, module string) (wire.Conn, uint32, erro
 //
 // A Line is safe for concurrent use: any number of goroutines may
 // issue Call and Go through it, and the in-flight calls overlap on the
-// wire (each leases its own connection to the procedure process). The
-// mutex guards only the binding cache, the import table, and the
-// sequence-number bookkeeping — it is never held across a network
-// round trip or a backoff sleep.
+// wire: calls to one procedure process share its binding's pipelined
+// connection, matched to their replies by sequence number. The mutex
+// guards only the binding cache, the import table and the Manager
+// connection — it is never held across a network round trip or a
+// backoff sleep.
 type Line struct {
 	client *Client
 	id     uint32
@@ -184,7 +158,6 @@ type Line struct {
 	mu       sync.Mutex
 	mgr      *demuxConn
 	mgrGen   int // bumped on every reattach; guards the swap race
-	seq      uint32
 	policy   CallPolicy
 	imports  map[string]*uts.ProcSpec
 	bindings map[string]*binding
@@ -197,14 +170,6 @@ func (l *Line) SetCallPolicy(p CallPolicy) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.policy = p
-}
-
-// nextSeq allocates a request sequence number.
-func (l *Line) nextSeq() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seq++
-	return l.seq
 }
 
 // currentPolicy reads the line's policy with defaults applied.
@@ -229,15 +194,14 @@ func (l *Line) mgrc() (*demuxConn, int) {
 }
 
 // demuxConn multiplexes one shared connection across concurrently
-// calling goroutines: requests carry a sequence number, the peer echoes
-// it in every reply, and a reader goroutine routes each reply to the
-// goroutine whose request carried that number. It is both the line's
-// Manager connection and — since servers and procedure processes
-// learned to reply out of order — the pipelined procedure-call path:
-// any number of requests may be in flight on the same connection at
-// once. On a deadline, the waiter abandons its pending entry but the
-// connection stays open — a late reply to an abandoned seq is simply
-// discarded.
+// calling goroutines: it numbers each request, the peer echoes the
+// number in its reply, and a reader goroutine routes each reply to the
+// goroutine whose request carried that number. It is the line's Manager
+// connection, the client's Server connection and the pipelined
+// procedure-call path: any number of requests may be in flight on the
+// same connection at once. On a deadline, the waiter abandons its
+// pending entry but the connection stays open — a late reply to an
+// abandoned seq is simply discarded.
 type demuxConn struct {
 	conn wire.Conn
 
@@ -245,6 +209,7 @@ type demuxConn struct {
 	sendMu sync.Mutex
 
 	mu      sync.Mutex
+	seq     uint32                  // the last request number handed out
 	pending map[uint32]*vclock.Slot // filled with the reply, or nil when the connection dies
 	err     error                   // terminal receive failure: the connection is dead
 }
@@ -298,10 +263,11 @@ func (g *demuxConn) forget(seq uint32) {
 }
 
 // exchange performs one request/response round trip, bounded by
-// timeout. Transport failures and timeouts are transient (wrapped
-// stale); the reply — including KError — is returned uninterpreted,
-// because Manager and procedure callers attach different meanings to
-// an error reply.
+// timeout. It owns req.Seq: the number is the connection's, assigned
+// here and nowhere else. Transport failures and timeouts are transient
+// (wrapped stale); the reply — including KError — is returned
+// uninterpreted, because Manager and procedure callers attach different
+// meanings to an error reply.
 func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	g.mu.Lock()
 	if g.err != nil {
@@ -309,6 +275,8 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 		g.mu.Unlock()
 		return nil, &staleError{fmt.Errorf("schooner: shared connection lost: %w", err)}
 	}
+	g.seq++
+	req.Seq = g.seq
 	slot := clk().NewSlot()
 	g.pending[req.Seq] = slot
 	g.mu.Unlock()
@@ -360,131 +328,80 @@ func (g *demuxConn) dead() bool {
 	return g.err != nil
 }
 
-// binding caches the location of one remote procedure: the paper's
-// per-procedure name cache, refreshed lazily when a call to a stale
-// address fails after a move.
-//
-// The default data path is one shared pipelined connection per binding
-// (pipe): concurrent calls ride it together, matched to their replies
-// by sequence number, because procedure processes dispatch requests
-// out of order. For peers that serve a connection strictly
-// sequentially (CallPolicy.NoPipeline), connections are instead leased
-// per in-flight call and pooled for reuse between calls; the pool is
-// capped at maxIdleConns so a burst of N concurrent calls cannot pin N
-// connections forever.
-type binding struct {
-	addr       string
-	exportName string
+// sharedConn is a demultiplexed connection to one address that its
+// users dial on first use and again after it died. Dialing happens
+// outside the lock; when several goroutines race to establish it, the
+// first to install wins and the others' dials are closed.
+type sharedConn struct {
+	addr string
 
-	mu    sync.Mutex
-	idle  []wire.Conn
-	pipe  *demuxConn
-	stale bool
+	mu     sync.Mutex
+	conn   *demuxConn
+	closed bool
 }
 
-// maxIdleConns caps each binding's leased-connection pool. Beyond it,
-// released connections are closed: a 64-way burst briefly dials 64
-// conns, but the pool settles back to this bound.
-const maxIdleConns = 4
-
-// pipeline returns the binding's shared demuxed connection, dialing it
-// on first use or after the previous one died. Dialing happens outside
-// the binding lock; when several goroutines race to establish it, the
-// first to install wins and the others' dials are closed.
-func (b *binding) pipeline(t Transport, from, name string) (*demuxConn, error) {
-	b.mu.Lock()
-	if b.stale {
-		b.mu.Unlock()
-		return nil, &staleError{fmt.Errorf("schooner: binding for %q invalidated", name)}
+func (s *sharedConn) get(t Transport, from string) (*demuxConn, error) {
+	s.mu.Lock()
+	g, err := s.live()
+	s.mu.Unlock()
+	if g != nil || err != nil {
+		return g, err
 	}
-	if b.pipe != nil && !b.pipe.dead() {
-		p := b.pipe
-		b.mu.Unlock()
-		return p, nil
-	}
-	b.mu.Unlock()
-	conn, err := t.Dial(from, b.addr)
+	conn, err := t.Dial(from, s.addr)
 	if err != nil {
-		// Transient: the mapped host may be mid-crash, with the
-		// Manager's failover about to repoint the name; retry.
-		return nil, &staleError{fmt.Errorf("schooner: procedure %q mapped to unreachable %s: %w", name, b.addr, err)}
+		// Transient: the host may be mid-crash, with the Manager's
+		// failover about to repoint the names mapped to it; retry.
+		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", s.addr, err)}
 	}
 	fresh := newDemuxConn(conn)
-	b.mu.Lock()
-	if b.stale {
-		b.mu.Unlock()
+	s.mu.Lock()
+	if g, err := s.live(); g != nil || err != nil {
+		s.mu.Unlock()
 		fresh.Close()
-		return nil, &staleError{fmt.Errorf("schooner: binding for %q invalidated", name)}
+		return g, err
 	}
-	if b.pipe != nil && !b.pipe.dead() {
-		p := b.pipe
-		b.mu.Unlock()
-		fresh.Close()
-		return p, nil
-	}
-	old := b.pipe
-	b.pipe = fresh
-	b.mu.Unlock()
+	old := s.conn
+	s.conn = fresh
+	s.mu.Unlock()
 	if old != nil {
 		old.Close()
 	}
 	return fresh, nil
 }
 
-// lease hands out a pooled idle connection or dials a fresh one.
-func (b *binding) lease(t Transport, from, name string) (wire.Conn, error) {
-	b.mu.Lock()
-	if n := len(b.idle); n > 0 {
-		conn := b.idle[n-1]
-		b.idle = b.idle[:n-1]
-		b.mu.Unlock()
-		return conn, nil
+// live returns the connection if there is a usable one, an error once
+// closed, and neither when it has to be dialed. The caller holds s.mu.
+func (s *sharedConn) live() (*demuxConn, error) {
+	if s.closed {
+		return nil, &staleError{fmt.Errorf("schooner: connection to %s invalidated", s.addr)}
 	}
-	b.mu.Unlock()
-	conn, err := t.Dial(from, b.addr)
-	if err != nil {
-		// Transient: the mapped host may be mid-crash, with the
-		// Manager's failover about to repoint the name; retry.
-		return nil, &staleError{fmt.Errorf("schooner: procedure %q mapped to unreachable %s: %w", name, b.addr, err)}
+	if s.conn != nil && !s.conn.dead() {
+		return s.conn, nil
 	}
-	return conn, nil
+	return nil, nil
 }
 
-// release returns a healthy connection to the pool, unless the binding
-// was invalidated while the call was in flight or the pool is already
-// at its cap (the overflow of a call burst is closed, not pooled).
-func (b *binding) release(conn wire.Conn) {
-	b.mu.Lock()
-	if b.stale || len(b.idle) >= maxIdleConns {
-		evict := !b.stale
-		b.mu.Unlock()
-		conn.Close()
-		if evict {
-			trace.Count("schooner.client.pool_evictions")
-		}
-		return
+// close ends the connection for good; requests in flight on it fail
+// stale.
+func (s *sharedConn) close() {
+	s.mu.Lock()
+	s.closed = true
+	g := s.conn
+	s.conn = nil
+	s.mu.Unlock()
+	if g != nil {
+		g.Close()
 	}
-	b.idle = append(b.idle, conn)
-	b.mu.Unlock()
 }
 
-// markStale invalidates the binding and closes its pooled and
-// pipelined connections; calls in flight on them fail stale and retry
-// against the rebound address.
-func (b *binding) markStale() {
-	b.mu.Lock()
-	b.stale = true
-	idle := b.idle
-	b.idle = nil
-	pipe := b.pipe
-	b.pipe = nil
-	b.mu.Unlock()
-	for _, c := range idle {
-		c.Close()
-	}
-	if pipe != nil {
-		pipe.Close()
-	}
+// binding caches the location of one remote procedure: the paper's
+// per-procedure name cache, refreshed lazily when a call to a stale
+// address fails after a move. Every call to the procedure rides the
+// binding's one pipelined connection; invalidating the binding closes
+// it, and the calls in flight on it retry against the rebound address.
+type binding struct {
+	exportName string
+	sharedConn // to addr, the procedure process
 }
 
 // ID returns the Manager-assigned line id.
@@ -494,9 +411,8 @@ func (l *Line) ID() uint32 { return l.id }
 func (l *Line) Module() string { return l.module }
 
 // managerCall performs one request/response with the Manager, bounded
-// by the line's call deadline. The sequence number is allocated under
-// the line lock; the round trip itself runs on the demultiplexed
-// Manager connection with no lock held. A terminally dead connection
+// by the line's call deadline, on the demultiplexed Manager connection
+// with no lock held. A terminally dead connection
 // — the Manager crashed, or a standby took over on another host — is
 // cured by re-attaching the line and retrying the request once.
 func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
@@ -505,7 +421,6 @@ func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
 	}
 	g, gen := l.mgrc()
 	timeout := l.currentPolicy().Timeout
-	req.Seq = l.nextSeq()
 	resp, err := g.call(req, timeout)
 	if err == nil || !g.dead() {
 		return resp, err
@@ -514,7 +429,6 @@ func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
 	if aerr != nil {
 		return resp, err // surface the original (stale) failure
 	}
-	req.Seq = l.nextSeq()
 	return fresh.call(req, timeout)
 }
 
@@ -537,28 +451,12 @@ func (l *Line) reattach(gen int, forQuit bool) (*demuxConn, int, error) {
 	l.mu.Unlock()
 	var lastErr error
 	for _, mh := range l.client.managerHosts() {
-		conn, err := l.client.Transport.Dial(l.client.Host, mh+":"+ManagerPort)
+		fresh, _, err := l.client.openLine(mh,
+			&wire.Message{Kind: wire.KAttachLine, Line: l.id, Name: l.module}, l.currentPolicy().Timeout)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if err := conn.Send(&wire.Message{Kind: wire.KAttachLine, Line: l.id, Name: l.module}); err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		resp, err := recvTimeout(conn, l.currentPolicy().Timeout)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		if resp.Kind != wire.KLineOK {
-			conn.Close()
-			lastErr = fmt.Errorf("schooner: attach to %s failed: %s", mh, resp.Err)
-			continue
-		}
-		fresh := newDemuxConn(conn)
 		l.mu.Lock()
 		if l.mgrGen != gen {
 			// Lost the race: another goroutine reattached first.
@@ -675,7 +573,7 @@ func (l *Line) lookup(name string, imp *uts.ProcSpec, sp *trace.Span) (*binding,
 	flight.Record(flight.Event{Kind: flight.KindBind, Component: "client",
 		Host: l.client.Host, Line: l.id, Trace: ctx.Trace, Span: ctx.Span,
 		Name: name, Detail: resp.Str})
-	nb := &binding{addr: resp.Str, exportName: resp.Name}
+	nb := &binding{exportName: resp.Name, sharedConn: sharedConn{addr: resp.Str}}
 	l.mu.Lock()
 	if cur, ok := l.bindings[name]; ok {
 		l.mu.Unlock()
@@ -687,14 +585,14 @@ func (l *Line) lookup(name string, imp *uts.ProcSpec, sp *trace.Span) (*binding,
 }
 
 // invalidate drops a stale binding from the cache (unless a concurrent
-// rebind already replaced it) and closes its pooled connections.
+// rebind already replaced it) and closes its connection.
 func (l *Line) invalidate(name string, b *binding) {
 	l.mu.Lock()
 	if l.bindings[name] == b {
 		delete(l.bindings, name)
 	}
 	l.mu.Unlock()
-	b.markStale()
+	b.close()
 	flight.Record(flight.Event{Kind: flight.KindRebind, Component: "client",
 		Host: l.client.Host, Line: l.id, Name: name, Detail: b.addr})
 }
@@ -754,8 +652,8 @@ func (l *Line) Call(name string, args ...uts.Value) ([]uts.Value, error) {
 		}
 		sp.End()
 	}
+	tally(err)
 	if err != nil {
-		trace.Count("schooner.client.call_failures")
 		ctx := sp.Context()
 		flight.Record(flight.Event{Kind: flight.KindCallFail, Component: "client",
 			Host: l.client.Host, Line: l.id, Trace: ctx.Trace, Span: ctx.Span,
@@ -765,6 +663,16 @@ func (l *Line) Call(name string, args ...uts.Value) ([]uts.Value, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// tally counts one finished call, however it was dispatched: alone or
+// as a member of a batch.
+func tally(err error) {
+	if err != nil {
+		trace.Count("schooner.client.call_failures")
+	} else {
+		trace.Count("schooner.client.calls")
+	}
 }
 
 // Pending is an in-flight asynchronous call started with Go.
@@ -813,7 +721,7 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 	var lastErr error
 	rebinding := false
 	prevAddr := "" // address of the binding the last failure used
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
 		if attempt > 0 {
 			trace.Count("schooner.client.retries")
 			ctx := sp.Context()
@@ -842,14 +750,6 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 				trace.Count("schooner.client.rebinds")
 			}
 			b, err = l.lookup(name, imp, sp)
-			if err == nil && sp != nil && rebinding {
-				sp.Annotate("rebind", "rebound to "+b.addr)
-				if prevAddr != "" && b.addr != prevAddr {
-					// The name came back mapped somewhere else: a Move
-					// or a Manager failover placed it on a new machine.
-					sp.Annotate("failover", prevAddr+" -> "+b.addr)
-				}
-			}
 			if err != nil {
 				if !isStale(err) {
 					return nil, err
@@ -859,97 +759,30 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 				// mid-crash — is retried exactly like a stale call.
 				// This is the first-bind retry path; it counts toward
 				// rebinds on the next attempt via the flag above.
-				lastErr = err
-				rebinding = true
-				if attempt >= pol.MaxRetries {
-					break
-				}
+				lastErr, rebinding = err, true
 				continue
 			}
-		}
-		// Default path: the binding's shared pipelined connection, on
-		// which this attempt overlaps every other in-flight call.
-		// NoPipeline leases a private connection per attempt instead.
-		var conn wire.Conn
-		var pc *demuxConn
-		if pol.NoPipeline {
-			conn, err = b.lease(l.client.Transport, l.client.Host, name)
-		} else {
-			pc, err = b.pipeline(l.client.Transport, l.client.Host, name)
-		}
-		if err != nil {
-			lastErr = err
-			prevAddr = b.addr
-			l.invalidate(name, b)
-			trace.Count("schooner.client.stale")
-			rebinding = true
-			if attempt >= pol.MaxRetries {
-				break
-			}
-			continue
-		}
-		var att *trace.Span
-		var attStart time.Time
-		if sp != nil {
-			att = sp.Child("attempt "+name, l.client.Host)
-			att.Annotate("addr", b.addr)
-			attStart = clk().Now()
-		}
-		// The flight recorder sees every attempt even when tracing is
-		// off: one ring append, no allocation (all fields are strings
-		// the call already holds).
-		ctx := sp.Context()
-		flight.Record(flight.Event{Kind: flight.KindCallAttempt, Component: "client",
-			Host: l.client.Host, Line: l.id, Trace: ctx.Trace, Span: ctx.Span,
-			Name: name, Detail: b.addr})
-		var reply []byte
-		if pc != nil {
-			reply, err = l.callPipelined(pc, b, imp, data, pol.Timeout, att)
-		} else {
-			reply, err = l.callOnce(conn, b, imp, data, pol.Timeout, att)
-		}
-		if att != nil {
-			if err != nil {
-				att.Annotate("error", err.Error())
-			} else {
-				host := addrHost(b.addr)
-				d := clk().Since(attStart)
-				trace.Observe(trace.LKey("schooner.client.call", trace.Label{Key: "host", Value: host}), d)
-				trace.Count(trace.LKey("schooner.client.calls", trace.Label{Key: "host", Value: host}))
-				if tseries.Enabled() {
-					actx := att.Context()
-					tseries.Observe(trace.LKey("schooner.client.call", trace.Label{Key: "host", Value: host}), d, actx.Trace, actx.Span)
+			if sp != nil && rebinding {
+				sp.Annotate("rebind", "rebound to "+b.addr)
+				if prevAddr != "" && b.addr != prevAddr {
+					// The name came back mapped somewhere else: a Move
+					// or a Manager failover placed it on a new machine.
+					sp.Annotate("failover", prevAddr+" -> "+b.addr)
 				}
 			}
-			att.End()
 		}
+		reply, err := l.callPipelined(name, b, imp, data, pol.Timeout, sp)
 		if err == nil {
-			if conn != nil {
-				b.release(conn)
-			}
-			results, err := l.decodeResults(imp, reply)
-			if err != nil {
-				return nil, err
-			}
-			trace.Count("schooner.client.calls")
-			return results, nil
-		}
-		if conn != nil {
-			conn.Close()
+			return l.decodeResults(imp, reply)
 		}
 		if !isStale(err) {
 			return nil, err
 		}
 		// Stale cache: the procedure moved, died, or the wire failed.
 		// Drop the binding; the next attempt re-asks the Manager.
-		lastErr = err
-		prevAddr = b.addr
+		lastErr, prevAddr, rebinding = err, b.addr, true
 		l.invalidate(name, b)
 		trace.Count("schooner.client.stale")
-		rebinding = true
-		if attempt >= pol.MaxRetries {
-			break
-		}
 	}
 	return nil, fmt.Errorf("schooner: call to %q failed after %d attempts: %w", name, pol.MaxRetries+1, lastErr)
 }
@@ -1011,53 +844,62 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 	return results, nil
 }
 
-// callOnce performs one call attempt over a leased connection, bounded
-// by the per-attempt deadline. The procedure process serves requests
-// one at a time per connection, so the next message on the connection
-// is the reply to this request. sp is the attempt span whose context
-// rides in the request envelope (nil when tracing is disabled).
-func (l *Line) callOnce(conn wire.Conn, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	req := &wire.Message{
-		Kind: wire.KCall, Seq: l.nextSeq(), Line: l.id,
-		Name: b.exportName, Str: imp.Signature(), Data: data,
-	}
-	inject(req, sp)
-	if err := conn.Send(req); err != nil {
-		return nil, &staleError{err}
-	}
-	trace.Count("schooner.client.rpcs")
-	resp, err := recvTimeout(conn, timeout)
+// callPipelined is one attempt at a call: a round trip on the binding's
+// shared demultiplexed connection, where the request overlaps every
+// other call in flight to the process. A timeout abandons the reply but
+// leaves the connection open for those (the caller invalidates the
+// binding, which closes it for everyone — the retry machinery
+// re-binds). An attempt that gets as far as the wire is a child span of
+// sp, whose context rides in the request envelope.
+func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
+	pc, err := b.get(l.client.Transport, l.client.Host)
 	if err != nil {
-		if errors.As(err, new(*timeoutError)) {
-			trace.Count("schooner.client.timeouts")
-			sp.Annotate("timeout", timeout.String())
-		}
-		return nil, &staleError{err}
-	}
-	return callReplyData(resp)
-}
-
-// callPipelined performs one call attempt on the binding's shared
-// demultiplexed connection: the request's sequence number matches it to
-// its reply among every other call in flight on the connection. A
-// timeout abandons the reply but leaves the connection open for the
-// other in-flight calls (the caller invalidates the binding, which
-// closes it for everyone — the retry machinery re-binds).
-func (l *Line) callPipelined(pc *demuxConn, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	req := &wire.Message{
-		Kind: wire.KCall, Seq: l.nextSeq(), Line: l.id,
-		Name: b.exportName, Str: imp.Signature(), Data: data,
-	}
-	inject(req, sp)
-	resp, err := pc.exchange(req, timeout)
-	if err != nil {
-		if errors.As(err, new(*timeoutError)) {
-			trace.Count("schooner.client.timeouts")
-			sp.Annotate("timeout", timeout.String())
-		}
 		return nil, err
 	}
-	return callReplyData(resp)
+	var att *trace.Span
+	var attStart time.Time
+	if sp != nil {
+		att = sp.Child("attempt "+name, l.client.Host)
+		att.Annotate("addr", b.addr)
+		attStart = clk().Now()
+	}
+	// The flight recorder sees every attempt even when tracing is
+	// off: one ring append, no allocation (all fields are strings
+	// the call already holds).
+	ctx := sp.Context()
+	flight.Record(flight.Event{Kind: flight.KindCallAttempt, Component: "client",
+		Host: l.client.Host, Line: l.id, Trace: ctx.Trace, Span: ctx.Span,
+		Name: name, Detail: b.addr})
+	req := &wire.Message{
+		Kind: wire.KCall, Line: l.id,
+		Name: b.exportName, Str: imp.Signature(), Data: data,
+	}
+	inject(req, att)
+	resp, err := pc.exchange(req, timeout)
+	if err != nil && errors.As(err, new(*timeoutError)) {
+		trace.Count("schooner.client.timeouts")
+		att.Annotate("timeout", timeout.String())
+	}
+	var reply []byte
+	if err == nil {
+		reply, err = callReplyData(resp)
+	}
+	if att != nil {
+		if err != nil {
+			att.Annotate("error", err.Error())
+		} else {
+			host := addrHost(b.addr)
+			d := clk().Since(attStart)
+			trace.Observe(trace.LKey("schooner.client.call", trace.Label{Key: "host", Value: host}), d)
+			trace.Count(trace.LKey("schooner.client.calls", trace.Label{Key: "host", Value: host}))
+			if tseries.Enabled() {
+				actx := att.Context()
+				tseries.Observe(trace.LKey("schooner.client.call", trace.Label{Key: "host", Value: host}), d, actx.Trace, actx.Span)
+			}
+		}
+		att.End()
+	}
+	return reply, err
 }
 
 // callReplyData interprets a procedure call's reply message: a KError
@@ -1100,7 +942,7 @@ func (l *Line) FlushCache() {
 	l.bindings = make(map[string]*binding)
 	l.mu.Unlock()
 	for _, b := range old {
-		b.markStale()
+		b.close()
 	}
 }
 
@@ -1149,27 +991,22 @@ func (l *Line) IQuit() error {
 		return nil
 	}
 	l.quit = true
-	l.seq++
-	seq := l.seq
 	timeout := l.policy.withDefaults().Timeout
 	old := l.bindings
 	l.bindings = make(map[string]*binding)
 	g, gen := l.mgr, l.mgrGen
 	l.mu.Unlock()
 	for _, b := range old {
-		b.markStale()
+		b.close()
 	}
-	_, err := g.call(&wire.Message{Kind: wire.KQuitLine, Line: l.id, Seq: seq}, timeout)
+	req := &wire.Message{Kind: wire.KQuitLine, Line: l.id}
+	_, err := g.call(req, timeout)
 	if err != nil && g.dead() {
 		// The connection died under the quit (Manager crash or standby
 		// takeover); reattach and quit the line at whichever Manager
 		// now owns it.
 		if fresh, _, aerr := l.reattach(gen, true); aerr == nil {
-			l.mu.Lock()
-			l.seq++
-			seq = l.seq
-			l.mu.Unlock()
-			_, err = fresh.call(&wire.Message{Kind: wire.KQuitLine, Line: l.id, Seq: seq}, timeout)
+			_, err = fresh.call(req, timeout)
 		}
 	}
 	cur, _ := l.mgrc()

@@ -7,7 +7,6 @@ import (
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/trace"
-	"npss/internal/wire"
 )
 
 // HealthPolicy configures the Manager's health monitor: how often
@@ -97,7 +96,7 @@ func (m *Manager) HostHealth() map[string]bool {
 // liveness transitions.
 func (m *Manager) healthSweep(p HealthPolicy) {
 	for _, host := range m.candidateHosts() {
-		ok := m.pingServer(host, p.PingTimeout)
+		ok := ping(m.transport, m.host, host+":"+ServerPort, p.PingTimeout)
 		trace.Count("schooner.manager.heartbeats")
 		m.mu.Lock()
 		if m.health == nil {
@@ -160,21 +159,6 @@ func (m *Manager) candidateHosts() []string {
 	}
 	sort.Strings(hosts)
 	return hosts
-}
-
-// pingServer probes one machine's Server with a bounded KPing round
-// trip.
-func (m *Manager) pingServer(host string, timeout time.Duration) bool {
-	conn, err := m.transport.Dial(m.host, host+":"+ServerPort)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KPing}); err != nil {
-		return false
-	}
-	resp, err := recvTimeout(conn, timeout)
-	return err == nil && resp.Kind == wire.KPong
 }
 
 // aliveHosts lists machines currently believed up, excluding one,

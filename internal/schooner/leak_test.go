@@ -25,11 +25,11 @@ func settleConns(t *testing.T, d *deployment, want int, timeout time.Duration) i
 }
 
 // TestNoConnLeakAfterQuit churns a line with 64-way concurrent call
-// traffic — pipelined calls, leased calls, and batches all at once —
-// then quits the line and closes the client, and proves via the
-// netsim endpoint accounting that every connection the churn opened is
-// closed again: the pipelined conn, the leased pool, the batch server
-// conns, and the manager conn.
+// traffic — pipelined calls and both kinds of batch all at once — then
+// quits the line and closes the client, and proves via the netsim
+// endpoint accounting that every connection the churn opened is closed
+// again: the pipelined conn, the batch server conns, and the manager
+// conn.
 func TestNoConnLeakAfterQuit(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
@@ -96,59 +96,6 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 	}
 	c.Close()
 
-	if got := settleConns(t, d, base, 2*time.Second); got != base {
-		t.Errorf("%d connection endpoints still open after quit (baseline %d)", got, base)
-	}
-}
-
-// TestLeasedPoolDrainedOnQuit runs the same leak check with
-// pipelining disabled, so the leased idle pool — capped but nonempty
-// after a burst — is what must be drained by the quit.
-func TestLeasedPoolDrainedOnQuit(t *testing.T) {
-	d := newDeployment(t, "avs-sparc", ieeeHosts())
-	d.reg.MustRegister(adderProgram("/npss/adder"))
-	base := settleConns(t, d, 0, 500*time.Millisecond)
-
-	c := &Client{Transport: d.tr, Host: "avs-sparc", ManagerHost: d.mgrHost}
-	ln, err := c.ContactSchx("churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
-		t.Fatal(err)
-	}
-	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	ln.SetCallPolicy(CallPolicy{NoPipeline: true})
-
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if _, err := ln.Call("add", uts.DoubleVal(float64(g)), uts.DoubleVal(1)); err != nil {
-				t.Errorf("leased call %d: %v", g, err)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// The burst must have left at most the cap in the pool.
-	ln.mu.Lock()
-	b := ln.bindings["add"]
-	ln.mu.Unlock()
-	if b != nil {
-		b.mu.Lock()
-		idle := len(b.idle)
-		b.mu.Unlock()
-		if idle > maxIdleConns {
-			t.Errorf("idle pool %d exceeds cap %d", idle, maxIdleConns)
-		}
-	}
-
-	if err := ln.IQuit(); err != nil {
-		t.Fatalf("IQuit: %v", err)
-	}
-	c.Close()
 	if got := settleConns(t, d, base, 2*time.Second); got != base {
 		t.Errorf("%d connection endpoints still open after quit (baseline %d)", got, base)
 	}

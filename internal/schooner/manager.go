@@ -186,7 +186,7 @@ func (m *Manager) readoptProcesses() {
 	}
 	m.mu.Unlock()
 	for _, v := range victims {
-		if m.pingProc(v.proc.addr) {
+		if ping(m.transport, m.host, v.proc.addr, rpcTimeout) {
 			trace.Count("schooner.manager.readopted")
 			flight.Record(flight.Event{Kind: flight.KindReadopt, Component: "manager",
 				Host: m.host, Line: v.ln.id, Name: v.proc.path, Detail: v.proc.addr})
@@ -199,20 +199,6 @@ func (m *Manager) readoptProcesses() {
 		// failover placement.
 		m.failoverVictim(v, "", nil)
 	}
-}
-
-// pingProc probes one procedure process with a bounded KPing.
-func (m *Manager) pingProc(addr string) bool {
-	conn, err := m.transport.Dial(m.host, addr)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KPing}); err != nil {
-		return false
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
-	return err == nil && resp.Kind == wire.KPong
 }
 
 // sortedLineIDs returns the line ids in ascending order.
@@ -626,15 +612,8 @@ func (m *Manager) spawn(host, path string, ctx trace.SpanContext) (*remoteProc, 
 // spawnOnce performs one spawn round trip; final reports whether the
 // error (if any) is not worth retrying.
 func (m *Manager) spawnOnce(host, path string, ctx trace.SpanContext) (_ *remoteProc, _ []*uts.ProcSpec, err error, final bool) {
-	conn, err := m.transport.Dial(m.host, host+":"+ServerPort)
-	if err != nil {
-		return nil, nil, fmt.Errorf("no Schooner server on %s: %w", host, err), false
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KSpawn, Name: path, Trace: ctx.Trace, Span: ctx.Span}); err != nil {
-		return nil, nil, err, false
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
+	resp, err := roundTrip(m.transport, m.host, host+":"+ServerPort,
+		&wire.Message{Kind: wire.KSpawn, Name: path, Trace: ctx.Trace, Span: ctx.Span}, rpcTimeout)
 	if err != nil {
 		return nil, nil, err, false
 	}
@@ -897,10 +876,7 @@ func (m *Manager) captureState(proc *remoteProc) (map[string][]byte, error) {
 		if len(spec.State) == 0 {
 			continue
 		}
-		if err := conn.Send(&wire.Message{Kind: wire.KStateGet, Name: spec.Name}); err != nil {
-			return nil, err
-		}
-		resp, err := recvTimeout(conn, rpcTimeout)
+		resp, err := ask(conn, &wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -922,11 +898,15 @@ func (m *Manager) installState(proc *remoteProc, state map[string][]byte) error 
 		return err
 	}
 	defer conn.Close()
-	for name, data := range state {
-		if err := conn.Send(&wire.Message{Kind: wire.KStatePut, Name: name, Data: data}); err != nil {
-			return err
-		}
-		resp, err := recvTimeout(conn, rpcTimeout)
+	// Sorted, so the same move puts the same frames on the wire every
+	// run: map order would leak into the byte stream.
+	names := make([]string, 0, len(state))
+	for name := range state {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		resp, err := ask(conn, &wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
 		if err != nil {
 			return err
 		}
@@ -1009,13 +989,6 @@ func (m *Manager) JournalSeq() uint64 {
 
 // shutdownProcess sends a best-effort shutdown to a procedure process.
 func (m *Manager) shutdownProcess(p *remoteProc) {
-	conn, err := m.transport.Dial(m.host, p.addr)
-	if err != nil {
-		return // host or process already gone
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KShutdown}); err != nil {
-		return
-	}
-	_, _ = recvTimeout(conn, rpcTimeout)
+	// An error means the host or process is already gone.
+	_, _ = roundTrip(m.transport, m.host, p.addr, &wire.Message{Kind: wire.KShutdown}, rpcTimeout)
 }

@@ -31,11 +31,6 @@ type CallPolicy struct {
 	// MaxBackoff caps the doubled delay. Zero selects
 	// DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// NoPipeline routes every call attempt over a private leased
-	// connection instead of the binding's shared pipelined connection —
-	// the fallback for procedure servers that serve a connection
-	// strictly sequentially and cannot demultiplex concurrent requests.
-	NoPipeline bool
 }
 
 // Defaults for zero CallPolicy fields: bounded, so every call
@@ -135,4 +130,37 @@ func recvTimeout(conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 	}
 	conn.Close()
 	return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
+}
+
+// ask is the request/response step on a connection nobody else is
+// using: send req, then wait up to timeout for the next message.
+// Transport failures and timeouts are stale, as on a shared connection;
+// after a timeout the connection is closed. The reply is returned
+// uninterpreted.
+func ask(conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+	if err := conn.Send(req); err != nil {
+		return nil, &staleError{err}
+	}
+	resp, err := recvTimeout(conn, timeout)
+	if err != nil {
+		return nil, &staleError{err}
+	}
+	return resp, nil
+}
+
+// roundTrip is the one-shot exchange every administrative query is
+// made of: dial addr from one host, ask, close.
+func roundTrip(t Transport, from, addr string, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+	conn, err := t.Dial(from, addr)
+	if err != nil {
+		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", addr, err)}
+	}
+	defer conn.Close()
+	return ask(conn, req, timeout)
+}
+
+// ping probes whatever listens at addr with one bounded KPing.
+func ping(t Transport, from, addr string, timeout time.Duration) bool {
+	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KPing}, timeout)
+	return err == nil && resp.Kind == wire.KPong
 }

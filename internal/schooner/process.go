@@ -166,7 +166,9 @@ func (p *process) dispatch(m *wire.Message) *wire.Message {
 	case wire.KStatePut:
 		return p.handleStatePut(m)
 	case wire.KBatch:
-		return p.dispatchBatch(m)
+		// Address tags are ignored: a batch sent directly to a process
+		// is already at its destination.
+		return runBatch(m, "schooner.proc.batches", func(sub wire.Sub) *wire.Message { return p.dispatch(sub.Msg) })
 	case wire.KPing:
 		return &wire.Message{Kind: wire.KPong}
 	case wire.KMetrics:
@@ -181,32 +183,6 @@ func (p *process) dispatch(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError,
 			Err: fmt.Sprintf("schooner: procedure process cannot handle %v", m.Kind)}
 	}
-}
-
-// dispatchBatch runs a batch envelope's sub-requests in order — batches
-// may carry calls to stateful procedures, so sub-request order is
-// execution order — and returns one KBatchOK with a reply sub-frame per
-// sub-request. Address tags are ignored: a batch sent directly to a
-// process is already at its destination.
-func (p *process) dispatchBatch(env *wire.Message) *wire.Message {
-	// Replies are roughly request-sized; start at the envelope's size
-	// to avoid growth reallocations. Sub-frames are walked in place
-	// rather than split into a slice first.
-	data := make([]byte, 0, len(env.Data))
-	for rest := env.Data; len(rest) > 0; {
-		sub, r, err := wire.SplitSub(rest)
-		if err != nil {
-			return &wire.Message{Kind: wire.KError, Err: err.Error()}
-		}
-		rest = r
-		resp := p.dispatch(sub.Msg)
-		resp.Seq = sub.Msg.Seq
-		if data, err = wire.AppendSub(data, "", resp); err != nil {
-			return &wire.Message{Kind: wire.KError, Err: err.Error()}
-		}
-	}
-	trace.Count("schooner.proc.batches")
-	return &wire.Message{Kind: wire.KBatchOK, Data: data}
 }
 
 type planKey struct{ name, sig string }

@@ -138,37 +138,18 @@ func (s *Server) serve(conn wire.Conn) {
 // handleBatch fans a host-level batch out to this machine's processes:
 // each sub-request is tagged with the address of a process the server
 // spawned, and is dispatched to it in-memory — one wire round trip
-// covers calls to any number of processes on the host. Sub-requests are
-// run in envelope order (batches may touch stateful procedures), and
-// the reply carries one sub-frame per sub-request in the same order.
+// covers calls to any number of processes on the host.
 func (s *Server) handleBatch(m *wire.Message) *wire.Message {
-	// Replies are roughly request-sized; start at the envelope's size
-	// to avoid growth reallocations. Sub-frames are walked in place
-	// rather than split into a slice first.
-	data := make([]byte, 0, len(m.Data))
-	for rest := m.Data; len(rest) > 0; {
-		sub, r, err := wire.SplitSub(rest)
-		if err != nil {
-			return &wire.Message{Kind: wire.KError, Err: err.Error()}
-		}
-		rest = r
+	return runBatch(m, "schooner.server.batches", func(sub wire.Sub) *wire.Message {
 		s.mu.Lock()
 		p := s.processes[sub.Addr]
 		s.mu.Unlock()
-		var resp *wire.Message
 		if p == nil {
-			resp = &wire.Message{Kind: wire.KError,
+			return &wire.Message{Kind: wire.KError,
 				Err: fmt.Sprintf("schooner: no process at %q on %s", sub.Addr, s.host)}
-		} else {
-			resp = p.dispatch(sub.Msg)
 		}
-		resp.Seq = sub.Msg.Seq
-		if data, err = wire.AppendSub(data, "", resp); err != nil {
-			return &wire.Message{Kind: wire.KError, Err: err.Error()}
-		}
-	}
-	trace.Count("schooner.server.batches")
-	return &wire.Message{Kind: wire.KBatchOK, Data: data}
+		return p.dispatch(sub.Msg)
+	})
 }
 
 func (s *Server) handleSpawn(m *wire.Message) *wire.Message {

@@ -199,7 +199,7 @@ func (s *Standby) heartbeatLoop() {
 	fails := 0
 	vclock.Every(clk(), s.pol.HeartbeatInterval, s.stop, func() bool {
 		trace.Count("schooner.standby.heartbeats")
-		if s.pingLeader() {
+		if ping(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
 			fails = 0
 			return true
 		}
@@ -210,20 +210,6 @@ func (s *Standby) heartbeatLoop() {
 		}
 		return true
 	})
-}
-
-// pingLeader probes the leader's Manager port with a bounded KPing.
-func (s *Standby) pingLeader() bool {
-	conn, err := s.transport.Dial(s.host, s.leader+":"+ManagerPort)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KPing}); err != nil {
-		return false
-	}
-	resp, err := recvTimeout(conn, s.pol.PingTimeout)
-	return err == nil && resp.Kind == wire.KPong
 }
 
 // takeover promotes the standby: the tail is severed, the mirrored

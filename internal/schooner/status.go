@@ -59,28 +59,6 @@ func (m *Manager) StatusReport() string {
 	return b.String()
 }
 
-// QueryStatus asks the Manager on managerHost for its status report
-// over the given transport — the in-process equivalent of the
-// schooner-manager -status query.
-func QueryStatus(t Transport, fromHost, managerHost string) (string, error) {
-	conn, err := t.Dial(fromHost, managerHost+":"+ManagerPort)
-	if err != nil {
-		return "", fmt.Errorf("schooner: cannot reach manager on %s: %w", managerHost, err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KStatus}); err != nil {
-		return "", err
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
-	if err != nil {
-		return "", err
-	}
-	if resp.Kind != wire.KStatusOK {
-		return "", fmt.Errorf("schooner: status query failed: %s", resp.Err)
-	}
-	return string(resp.Data), nil
-}
-
 // metricsReply builds the KMetricsOK answer: the process's current
 // global metric set, JSON-encoded for mergeable transport.
 func metricsReply() *wire.Message {
@@ -109,29 +87,40 @@ func profileReply() *wire.Message {
 	return &wire.Message{Kind: wire.KProfileOK, Data: critpath.ActiveSnapshot().EncodeJSON()}
 }
 
+// query asks the component listening on addr (a "host:port", or a bare
+// host for its Manager) one introspection question and returns the
+// payload of the answer; ok is the reply kind that carries it.
+func query(t Transport, fromHost, addr string, kind, ok wire.Kind, what string) ([]byte, error) {
+	if !strings.Contains(addr, ":") {
+		addr += ":" + ManagerPort
+	}
+	resp, err := roundTrip(t, fromHost, addr, &wire.Message{Kind: kind}, rpcTimeout)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Kind != ok {
+		return nil, fmt.Errorf("schooner: %s query failed: %s", what, resp.Err)
+	}
+	return resp.Data, nil
+}
+
+// QueryStatus asks the Manager on managerHost for its status report
+// over the given transport — the in-process equivalent of the
+// schooner-manager -status query.
+func QueryStatus(t Transport, fromHost, managerHost string) (string, error) {
+	data, err := query(t, fromHost, managerHost, wire.KStatus, wire.KStatusOK, "status")
+	return string(data), err
+}
+
 // QueryProfile asks the component listening on addr (a Manager's
 // "host:port" or bare Manager host) for its critical-path attribution
 // profile.
 func QueryProfile(t Transport, fromHost, addr string) (*critpath.Profile, error) {
-	if !strings.Contains(addr, ":") {
-		addr += ":" + ManagerPort
-	}
-	conn, err := t.Dial(fromHost, addr)
-	if err != nil {
-		return nil, fmt.Errorf("schooner: cannot reach %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KProfile}); err != nil {
-		return nil, err
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
+	data, err := query(t, fromHost, addr, wire.KProfile, wire.KProfileOK, "profile")
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != wire.KProfileOK {
-		return nil, fmt.Errorf("schooner: profile query failed: %s", resp.Err)
-	}
-	return critpath.DecodeProfile(resp.Data)
+	return critpath.DecodeProfile(data)
 }
 
 // QuerySeries asks the component listening on addr (a Manager's
@@ -139,25 +128,11 @@ func QueryProfile(t Transport, fromHost, addr string) (*critpath.Profile, error)
 // snapshot. Series are mergeable: callers roll several components'
 // series into the cluster-wide view with Series.Merge.
 func QuerySeries(t Transport, fromHost, addr string) (tseries.Series, error) {
-	if !strings.Contains(addr, ":") {
-		addr += ":" + ManagerPort
-	}
-	conn, err := t.Dial(fromHost, addr)
-	if err != nil {
-		return tseries.Series{}, fmt.Errorf("schooner: cannot reach %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KSeries}); err != nil {
-		return tseries.Series{}, err
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
+	data, err := query(t, fromHost, addr, wire.KSeries, wire.KSeriesOK, "series")
 	if err != nil {
 		return tseries.Series{}, err
 	}
-	if resp.Kind != wire.KSeriesOK {
-		return tseries.Series{}, fmt.Errorf("schooner: series query failed: %s", resp.Err)
-	}
-	return tseries.DecodeSeries(resp.Data)
+	return tseries.DecodeSeries(data)
 }
 
 // QueryMetrics asks the component listening on addr (a Manager's
@@ -165,47 +140,16 @@ func QuerySeries(t Transport, fromHost, addr string) (tseries.Series, error) {
 // The snapshot is mergeable: callers roll several components'
 // snapshots into a cluster-wide view with MetricsSnapshot.Merge.
 func QueryMetrics(t Transport, fromHost, addr string) (trace.MetricsSnapshot, error) {
-	if !strings.Contains(addr, ":") {
-		addr += ":" + ManagerPort
-	}
-	conn, err := t.Dial(fromHost, addr)
-	if err != nil {
-		return trace.MetricsSnapshot{}, fmt.Errorf("schooner: cannot reach %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KMetrics}); err != nil {
-		return trace.MetricsSnapshot{}, err
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
+	data, err := query(t, fromHost, addr, wire.KMetrics, wire.KMetricsOK, "metrics")
 	if err != nil {
 		return trace.MetricsSnapshot{}, err
 	}
-	if resp.Kind != wire.KMetricsOK {
-		return trace.MetricsSnapshot{}, fmt.Errorf("schooner: metrics query failed: %s", resp.Err)
-	}
-	return trace.DecodeMetrics(resp.Data)
+	return trace.DecodeMetrics(data)
 }
 
 // QueryFlight asks the component listening on addr (a Manager's
 // "host:port" or bare Manager host) for its flight-recorder dump.
 func QueryFlight(t Transport, fromHost, addr string) (string, error) {
-	if !strings.Contains(addr, ":") {
-		addr += ":" + ManagerPort
-	}
-	conn, err := t.Dial(fromHost, addr)
-	if err != nil {
-		return "", fmt.Errorf("schooner: cannot reach %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: wire.KFlightDump}); err != nil {
-		return "", err
-	}
-	resp, err := recvTimeout(conn, rpcTimeout)
-	if err != nil {
-		return "", err
-	}
-	if resp.Kind != wire.KFlightDumpOK {
-		return "", fmt.Errorf("schooner: flight query failed: %s", resp.Err)
-	}
-	return string(resp.Data), nil
+	data, err := query(t, fromHost, addr, wire.KFlightDump, wire.KFlightDumpOK, "flight")
+	return string(data), err
 }

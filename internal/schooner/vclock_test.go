@@ -1,6 +1,7 @@
 package schooner
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"npss/internal/trace"
 	"npss/internal/uts"
 	"npss/internal/vclock"
+	"npss/internal/wire"
 )
 
 // newVirtualDeployment builds a deployment whose network and Schooner
@@ -273,5 +275,63 @@ func TestSwapClockSeedsRetryJitter(t *testing.T) {
 	s4 := jitterSample(8)
 	if !reflect.DeepEqual(s3, s4) {
 		t.Errorf("SetRetrySeed(71) drew different jitter:\n%v\n%v", s3, s4)
+	}
+}
+
+// muteTransport delivers what its connections send and loses every
+// reply: the peer is there, takes the request, and is never heard from.
+type muteTransport struct{ Transport }
+
+type muteConn struct{ wire.Conn }
+
+func (t muteTransport) Dial(from, addr string) (wire.Conn, error) {
+	conn, err := t.Transport.Dial(from, addr)
+	if err != nil {
+		return nil, err
+	}
+	return muteConn{conn}, nil
+}
+
+func (c muteConn) Recv() (*wire.Message, error) {
+	for {
+		if _, err := c.Conn.Recv(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// TestContactSchxDeadline: registration is bounded like every other
+// round trip. Against Managers that accept the request and never answer,
+// ContactSchx gives each the client's call deadline, walks on to the
+// next, and returns a timeout — on the virtual clock, so the ten
+// seconds cost none — leaving no connection open behind it.
+func TestContactSchxDeadline(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	standby, err := StartManager(d.tr, "sgi-lerc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Stop()
+	base := d.net.OpenConns()
+	registered := trace.Get("schooner.manager.lines")
+
+	c := &Client{Transport: muteTransport{d.tr}, Host: "rs6000",
+		ManagerHost: "avs-sparc", Managers: []string{"sgi-lerc"},
+		Policy: CallPolicy{Timeout: 5 * time.Second}}
+	before := v.Elapsed()
+	_, err = c.ContactSchx("lost")
+	if !errors.As(err, new(*timeoutError)) {
+		t.Fatalf("ContactSchx against mute managers returned %v, want a timeout", err)
+	}
+	if got := v.Elapsed() - before; got != 10*time.Second {
+		t.Errorf("gave up after %v of virtual time, want two 5s deadlines", got)
+	}
+	if got := trace.Get("schooner.manager.lines") - registered; got != 2 {
+		t.Errorf("%d managers saw the registration, want both", got)
+	}
+	// The Managers notice the hang-up on their next receive.
+	v.Sleep(time.Second)
+	if got := d.net.OpenConns(); got != base {
+		t.Errorf("%d connection endpoints open after the failed registration, baseline %d", got, base)
 	}
 }
