@@ -1,15 +1,15 @@
 GO ?= go
 
-# The committed benchmark trajectory: BENCH_<n>.json snapshots, one
-# per change to the RPC hot path. `make bench` regenerates the current
-# snapshot and compares it (warn-only) against the newest previous
-# one; `make bench-check` fails on a >15% regression of ns/op,
-# allocs/op, or rpcs/op.
-# The baseline is discovered numerically (`bench-snapshot latest`):
-# make's $(sort) is lexicographic and would rank BENCH_9 above
-# BENCH_10 once the trajectory reaches two digits.
-BENCH_NEW  ?= BENCH_8.json
-BENCH_BASE ?= $(shell $(GO) run ./cmd/bench-snapshot latest -exclude $(BENCH_NEW))
+# The committed benchmark trajectory: BENCH_<n>.jsonl, one file per PR
+# that records a point, each line one run of the benchmark that
+# BENCHMARK.json declares (bench/). `make bench` records the current
+# point: every workload at seeds 1-5 with tracing absent, then one
+# traced pass at seed 1 so the per-layer rungs are on the record
+# (`bench -compare` skips traced lines). `make bench-compare
+# BENCH_BASE=BENCH_<m>.jsonl` applies BENCHMARK.json's bounds and the
+# measured run-to-run spread to two points; it exits 1 when a metric
+# is worse.
+BENCH_NEW ?= BENCH_24.jsonl
 
 # The committed golden attribution profile: PROFILE_<n>.json, captured
 # from the batched Table 2 run below. `make profile` recaptures
@@ -22,7 +22,7 @@ BENCH_BASE ?= $(shell $(GO) run ./cmd/bench-snapshot latest -exclude $(BENCH_NEW
 PROFILE_GOLD ?= $(shell $(GO) run ./cmd/profile-check latest)
 PROFILE_ARGS ?= -exp table2 -batch -transient 0.02 -timescale 0.05
 
-.PHONY: all test race bench bench-check profile profile-check
+.PHONY: all test race bench bench-compare profile profile-check
 
 all: test
 
@@ -32,28 +32,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the RPC-path trajectory benchmarks — the Table 2
-# end-to-end runs (sequential, parallel, batched) plus the Schooner
-# call microbenchmarks — and snapshots their metrics. The Table 2
-# benches actually sleep a fraction of their simulated network delays,
-# so they run few iterations; the microbenchmarks run enough for
-# stable ns/op.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2_' -benchmem -benchtime 2x -count 1 . | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRPC_' -benchmem -benchtime 2000x -count 1 . | tee -a bench.out
-	$(GO) run ./cmd/bench-snapshot snap -in bench.out -out $(BENCH_NEW)
-	@if [ -n "$(BENCH_BASE)" ]; then \
-		$(GO) run ./cmd/bench-snapshot compare -warn $(BENCH_BASE) $(BENCH_NEW); \
-	else \
-		echo "no previous BENCH_*.json; $(BENCH_NEW) is the first trajectory point"; \
-	fi
+	: > $(BENCH_NEW)
+	for seed in 1 2 3 4 5; do \
+		$(GO) run ./bench -workload all -seed $$seed -record $(BENCH_NEW) || exit 1; \
+	done
+	$(GO) run ./bench -workload all -seed 1 -trace 1 -record $(BENCH_NEW)
 
-bench-check:
-	@if [ -n "$(BENCH_BASE)" ]; then \
-		$(GO) run ./cmd/bench-snapshot compare $(BENCH_BASE) $(BENCH_NEW); \
-	else \
-		echo "no previous BENCH_*.json; nothing to check"; \
-	fi
+bench-compare:
+	$(GO) run ./bench -compare $(BENCH_BASE) $(BENCH_NEW)
 
 # profile captures the batched Table 2 attribution profile and
 # compares it (warn-only) against the committed golden.

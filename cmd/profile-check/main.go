@@ -1,8 +1,7 @@
-// Command profile-check gates the critical-path attribution profile
-// the way bench-snapshot gates the RPC-path benchmarks: a committed
-// PROFILE_<n>.json is the golden profile, and a freshly captured run
-// must keep its critical-path length and every attribution bucket
-// within the drift threshold.
+// Command profile-check gates the critical-path attribution profile:
+// a committed PROFILE_<n>.json is the golden profile, and a freshly
+// captured run must keep its critical-path length and every
+// attribution bucket within the drift threshold.
 //
 //	npss-exp -exp table2 -batch -timescale 0.05 -profile profile.out.json
 //	profile-check compare PROFILE_10.json profile.out.json   # exit 1 on >15% drift

@@ -30,7 +30,7 @@ func DecodeProfile(data []byte) (*Profile, error) {
 }
 
 // DefaultThreshold is the relative drift the regression gate
-// tolerates, mirroring the bench-snapshot gate.
+// tolerates.
 const DefaultThreshold = 0.15
 
 // Compare diffs two profiles for the regression gate. It returns one

@@ -14,8 +14,13 @@ import (
 type AblationResult struct {
 	Name    string
 	Variant string
-	PerOp   time.Duration
-	Detail  string
+	// PerOp is wall clock per operation: for the printed table, too
+	// noisy on a shared machine to assert on.
+	PerOp  time.Duration
+	Detail string
+	// msgs is the network messages the variant's loop sent, for the
+	// variants whose design choice is a message count.
+	msgs int64
 }
 
 // FormatAblations renders ablation results.
@@ -136,8 +141,8 @@ func RPCvsMsgPass(calls int) ([]AblationResult, error) {
 	msgPer := time.Since(start) / time.Duration(calls)
 
 	return []AblationResult{
-		{"rpc-vs-msgpass", "Schooner RPC", rpcPer, "typed stubs, Manager binding, runtime type check"},
-		{"rpc-vs-msgpass", "PVM-style message passing", msgPer, "hand-written pack/unpack on both ends"},
+		{Name: "rpc-vs-msgpass", Variant: "Schooner RPC", PerOp: rpcPer, Detail: "typed stubs, Manager binding, runtime type check"},
+		{Name: "rpc-vs-msgpass", Variant: "PVM-style message passing", PerOp: msgPer, Detail: "hand-written pack/unpack on both ends"},
 	}, nil
 }
 
@@ -167,26 +172,42 @@ func NameCache(calls int) ([]AblationResult, error) {
 		return nil, err
 	}
 
-	start := time.Now()
-	for i := 0; i < calls; i++ {
-		if _, err := ln.Call("shaft", args...); err != nil {
-			return nil, err
+	// What the cache changes is traffic, so each variant is counted in
+	// messages on the simulated network as well as timed.
+	loop := func(flush bool) (time.Duration, int64, error) {
+		tb.Net.ResetStats()
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			if flush {
+				ln.FlushCache()
+			}
+			if _, err := ln.Call("shaft", args...); err != nil {
+				return 0, 0, err
+			}
 		}
-	}
-	cached := time.Since(start) / time.Duration(calls)
-
-	start = time.Now()
-	for i := 0; i < calls; i++ {
-		ln.FlushCache()
-		if _, err := ln.Call("shaft", args...); err != nil {
-			return nil, err
+		per := time.Since(start) / time.Duration(calls)
+		var msgs int64
+		for _, st := range tb.Net.Stats() {
+			msgs += st.Messages
 		}
+		return per, msgs, nil
 	}
-	uncached := time.Since(start) / time.Duration(calls)
-
+	cached, cachedMsgs, err := loop(false)
+	if err != nil {
+		return nil, err
+	}
+	uncached, uncachedMsgs, err := loop(true)
+	if err != nil {
+		return nil, err
+	}
+	perCall := func(msgs int64) string {
+		return fmt.Sprintf("%.3g messages per call", float64(msgs)/float64(calls))
+	}
 	return []AblationResult{
-		{"name-cache", "cached binding", cached, "one message pair per call"},
-		{"name-cache", "ask Manager every call", uncached, "adds a Manager lookup and a fresh connection"},
+		{Name: "name-cache", Variant: "cached binding", PerOp: cached, msgs: cachedMsgs,
+			Detail: perCall(cachedMsgs) + ": the call and its reply"},
+		{Name: "name-cache", Variant: "ask Manager every call", PerOp: uncached, msgs: uncachedMsgs,
+			Detail: perCall(uncachedMsgs) + ": adds a Manager lookup and a fresh connection"},
 	}, nil
 }
 
@@ -226,7 +247,7 @@ func UTSvsNative(ops int) ([]AblationResult, error) {
 	nativePer := time.Since(start) / time.Duration(ops)
 
 	return []AblationResult{
-		{"uts-vs-native", "UTS intermediate form", utsPer, fmt.Sprintf("%d payload bytes, full type interpretation", len(encoded))},
-		{"uts-vs-native", "native pass-through", nativePer, "homogeneous-pair best case (memcpy)"},
+		{Name: "uts-vs-native", Variant: "UTS intermediate form", PerOp: utsPer, Detail: fmt.Sprintf("%d payload bytes, full type interpretation", len(encoded))},
+		{Name: "uts-vs-native", Variant: "native pass-through", PerOp: nativePer, Detail: "homogeneous-pair best case (memcpy)"},
 	}, nil
 }

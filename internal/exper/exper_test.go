@@ -1,10 +1,12 @@
 package exper
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"npss/internal/core"
 	"npss/internal/critpath"
 	"npss/internal/trace"
 )
@@ -48,8 +50,8 @@ func TestTopology(t *testing.T) {
 var quickSpec = RunSpec{Transient: 0.1, Step: 5e-4, Throttle: true}
 
 func TestTable1Row(t *testing.T) {
-	// One representative row end-to-end (the full table runs in the
-	// benchmarks and cmd/npss-exp).
+	// One representative row end-to-end (the full table runs in
+	// cmd/npss-exp).
 	combo := Table1Combos()[0]
 	row := runConfigured(combo.AVS, map[string]string{combo.Module: combo.Remote}, quickSpec)
 	if row.Err != nil {
@@ -118,6 +120,84 @@ func TestTable2Parallel(t *testing.T) {
 	}
 	if row.RPCs == 0 {
 		t.Error("no RPCs counted")
+	}
+}
+
+// table2Counts is what a Table 2 run costs in exact terms: procedure
+// calls, wire round trips, and simulated network time.
+type table2Counts struct {
+	calls, rpcs int64
+	simNet      time.Duration
+}
+
+func (c table2Counts) String() string {
+	return fmt.Sprintf("%d calls / %d rpcs / %s", c.calls, c.rpcs, c.simNet)
+}
+
+// warmTable2 stands up the Table 2 placement on a fresh testbed, runs
+// it once to start the lines and fill the name caches, and counts a
+// second run. Network delays are recorded, not slept. The cold row of
+// Table2 reads differently (1422 / 1204 / 89.017 s batched), which is
+// why this does not go through runConfigured.
+func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
+	t.Helper()
+	tb, err := NewTestbed(SparcUA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Stop()
+	exec, err := tb.NewExecutive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Destroy()
+	if err := configure(exec, RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true}); err != nil {
+		t.Fatal(err)
+	}
+	for inst, m := range Table2Placements() {
+		if err := exec.SetRemote(inst, m, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := exec.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	tb.Net.ResetStats()
+	calls0 := trace.Get("schooner.client.calls")
+	rpcs0 := trace.Get("schooner.client.rpcs")
+	if _, err := exec.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	return table2Counts{
+		calls:  trace.Get("schooner.client.calls") - calls0,
+		rpcs:   trace.Get("schooner.client.rpcs") - rpcs0,
+		simNet: tb.Net.TotalSimDelay(),
+	}
+}
+
+// TestTable2ExactCounts pins the three numbers every change to the
+// call path is held to. They are counts, not timings: a warm batched
+// Table 2 run makes 1416 procedure calls in 1180 wire round trips and
+// spends 88.086967904 simulated seconds on the network, on any
+// machine at any GOMAXPROCS. The unbatched parallel run beside it is
+// the control: the same calls, one round trip each, so the test fails
+// if batching stops coalescing, and shows what batching buys — 236
+// round trips and 21.02 simulated seconds.
+func TestTable2ExactCounts(t *testing.T) {
+	batched := warmTable2(t, core.RunOptions{Parallel: true, Batch: true})
+	if want := (table2Counts{1416, 1180, 88086967904}); batched != want {
+		t.Errorf("batched: %s, want %s", batched, want)
+	}
+	unbatched := warmTable2(t, core.RunOptions{Parallel: true})
+	if want := (table2Counts{1416, 1416, 109106701080}); unbatched != want {
+		t.Errorf("unbatched: %s, want %s", unbatched, want)
+	}
+	if unbatched.rpcs != unbatched.calls || unbatched.calls != batched.calls {
+		t.Errorf("unbatched run: %d round trips for %d calls (batched made %d calls), want one round trip per call and equal calls",
+			unbatched.rpcs, unbatched.calls, batched.calls)
+	}
+	if unbatched.simNet <= batched.simNet {
+		t.Errorf("unbatched simulated delay %s not above batched %s: batching bought nothing", unbatched.simNet, batched.simNet)
 	}
 }
 
@@ -192,9 +272,11 @@ func TestAblations(t *testing.T) {
 	if len(cache) != 2 {
 		t.Fatalf("cache ablation = %+v", cache)
 	}
-	// The cache must win (the uncached variant adds Manager traffic).
-	if cache[0].PerOp >= cache[1].PerOp {
-		t.Errorf("cached %v not faster than uncached %v", cache[0].PerOp, cache[1].PerOp)
+	// The cache must win, in what it saves: the uncached variant adds
+	// a Manager lookup to every call. Messages are counted, so this
+	// holds on a loaded machine where the per-op times may not.
+	if cache[0].msgs == 0 || cache[0].msgs >= cache[1].msgs {
+		t.Errorf("cached variant sent %d messages, uncached %d: want fewer with the cache", cache[0].msgs, cache[1].msgs)
 	}
 	utsn, err := UTSvsNative(1000)
 	if err != nil {

@@ -563,10 +563,3 @@ func traffic(rng *rand.Rand, ids *idAlloc) dst.Op {
 	}
 	return dst.Op{Kind: dst.OpSettle, N: 1 + rng.Intn(5)}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

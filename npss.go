@@ -10,8 +10,9 @@
 // The public surface lives in the commands and examples; the library
 // packages are under internal/ (see README.md for the map) because the
 // paper's system is an application, not a general-purpose RPC stack.
-// The benchmarks in this directory regenerate the paper's evaluation
-// artifacts; see EXPERIMENTS.md for the paper-vs-measured record.
+// cmd/npss-exp regenerates the paper's evaluation artifacts and bench/
+// is the benchmark; see EXPERIMENTS.md for the paper-vs-measured
+// record.
 package npss
 
 // Version identifies the reproduction, not the original software.
