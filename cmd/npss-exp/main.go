@@ -36,6 +36,9 @@
 //	                                       # heatmaps, and tail-latency
 //	                                       # exemplars whose span IDs
 //	                                       # resolve in out.json
+//	npss-exp -exp chaos -telemetry :9100   # serve /metrics, /statusz,
+//	                                       # /flightz, /seriesz, /profilez
+//	                                       # and pprof while it runs
 package main
 
 import (
@@ -67,7 +70,7 @@ func main() {
 	profileOut := flag.String("profile", "", "write the run's critical-path attribution profile as JSON to this file (implies span recording)")
 	netScale := flag.Float64("netscale", 0, "multiply every simulated link's latency by this factor (0 or 1 = the paper's topology)")
 	metricsOut := flag.String("metrics", "", "write the run's aggregated metric snapshot as JSON to this file")
-	telemetryAddr := flag.String("telemetry", "", "serve live /metrics, /statusz, /flightz and pprof on this address while the experiments run")
+	telemetryAddr := flag.String("telemetry", "", "serve live /metrics, /statusz, /flightz, /seriesz, /profilez and pprof on this address while the experiments run")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	seed := flag.Int64("seed", 1, "scenario seed for the dst experiment")
 	ops := flag.Int("ops", 40, "operation count for the dst experiment")

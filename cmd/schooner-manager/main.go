@@ -28,29 +28,27 @@
 // prints its live lines, the health monitor's view of the machines,
 // and the trace counters, then exits. With -hosts the status query
 // also rolls the Servers' metric snapshots — and, when the daemons
-// run with -series-interval, their windowed time series — into a
-// cluster-wide aggregate. -telemetry :9100 serves the same data live
-// over HTTP (/metrics, /statusz, /flightz, /seriesz, /debug/pprof).
+// run with -series-interval or tracing, their windowed time series and
+// critical-path profiles — into a cluster-wide aggregate. Every plane
+// is one observe request (schooner.Observe); a Server that does not
+// answer is reported once. -telemetry :9100 serves the same data live
+// over HTTP (/metrics, /statusz, /flightz, /seriesz, /profilez,
+// /debug/pprof).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"time"
 
-	"npss/internal/critpath"
 	"npss/internal/daemon"
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/schooner"
 	"npss/internal/telemetry"
-	"npss/internal/trace"
 	"npss/internal/tseries"
 	"npss/internal/wal"
-	"npss/internal/wire"
 )
 
 func main() {
@@ -58,12 +56,12 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7500", "socket address to listen on")
 	hostTable := flag.String("hosts", "", "server table: name=arch@ip:port[,...]")
 	status := flag.Bool("status", false, "query the Manager at -listen for its status report and exit")
-	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz, /flightz and pprof on this address")
+	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz, /flightz, /seriesz, /profilez and pprof on this address")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	walDir := flag.String("wal", "", "directory for the control-plane write-ahead journal (empty = no durability)")
 	doRecover := flag.Bool("recover", false, "rebuild the name database from the -wal journal and re-adopt surviving processes before serving")
 	ckInterval := flag.Duration("checkpoint-interval", 0, "cadence for pulling stateful-procedure checkpoints into the journal (0 = off)")
-	seriesInterval := flag.Duration("series-interval", 0, "sample windowed metric series on this cadence, served at /seriesz, over the Series RPC, and in -status (0 = off)")
+	seriesInterval := flag.Duration("series-interval", 0, "sample windowed metric series on this cadence, served at /seriesz, on the observe RPC's series plane, and in -status (0 = off)")
 	flag.Parse()
 	if err := logx.SetLevelName(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -72,7 +70,7 @@ func main() {
 	lg := logx.For("schooner-manager", *host)
 
 	if *status {
-		report, err := clusterStatus(*listen, *hostTable)
+		report, err := clusterStatus(*host, *listen, *hostTable)
 		if err != nil {
 			lg.Error("status query failed", "err", err)
 			os.Exit(1)
@@ -148,109 +146,20 @@ func main() {
 	mgr.Stop()
 }
 
-// clusterStatus queries a running Manager daemon for its status report
-// and, when a host table is given, rolls the Servers' metric snapshots
-// into a cluster-wide aggregate appended to the report.
-func clusterStatus(managerAddr, hostTable string) (string, error) {
-	resp, err := queryKind(managerAddr, wire.KStatus, wire.KStatusOK)
-	if err != nil {
-		return "", err
-	}
-	report := string(resp)
-
-	// Cluster roll-up: the Manager's own snapshot merged with every
-	// reachable Server's. Servers that are down are reported, not fatal
-	// — a degraded cluster is exactly when you want the roll-up.
-	agg := trace.MetricsSnapshot{}
-	sources := []struct{ name, addr string }{{"manager", managerAddr}}
+// clusterStatus asks the Manager daemon at listen, and every Server of
+// the host table, for the cluster roll-up.
+func clusterStatus(host, listen, hostTable string) (string, error) {
+	var hosts []daemon.HostSpec
 	if hostTable != "" {
-		hosts, err := daemon.ParseHosts(hostTable)
-		if err != nil {
+		var err error
+		if hosts, err = daemon.ParseHosts(hostTable); err != nil {
 			return "", err
 		}
-		for _, h := range hosts {
-			sources = append(sources, struct{ name, addr string }{h.Name, h.ServerAddr})
-		}
 	}
-	report += "-- cluster metrics --\n"
-	for _, src := range sources {
-		data, err := queryKind(src.addr, wire.KMetrics, wire.KMetricsOK)
-		if err != nil {
-			report += fmt.Sprintf("(%s at %s unreachable: %v)\n", src.name, src.addr, err)
-			continue
-		}
-		snap, err := trace.DecodeMetrics(data)
-		if err != nil {
-			return "", fmt.Errorf("schooner-manager: %s metrics: %w", src.name, err)
-		}
-		agg.Merge(snap)
+	// Logical addresses: the transport's table maps them to sockets.
+	sources := []schooner.Source{{Name: "manager", Addr: host}}
+	for _, h := range hosts {
+		sources = append(sources, schooner.Source{Name: h.Name, Addr: h.Name + ":" + schooner.ServerPort})
 	}
-	report += agg.Format()
-
-	// Series roll-up: same sources, aligned window-by-window. Daemons
-	// running without -series-interval answer with empty series; the
-	// section only appears when someone actually sampled.
-	var aggSeries tseries.Series
-	for _, src := range sources {
-		data, err := queryKind(src.addr, wire.KSeries, wire.KSeriesOK)
-		if err != nil {
-			report += fmt.Sprintf("(%s at %s series unreachable: %v)\n", src.name, src.addr, err)
-			continue
-		}
-		s, err := tseries.DecodeSeries(data)
-		if err != nil {
-			return "", fmt.Errorf("schooner-manager: %s series: %w", src.name, err)
-		}
-		aggSeries.Merge(s)
-	}
-	if len(aggSeries.Windows) > 0 {
-		report += "-- cluster series --\n"
-		report += aggSeries.Format()
-	}
-
-	// Profile roll-up: each component's critical-path attribution of
-	// its live span recorder. Profiles describe one process's span
-	// forest, so they are reported per source rather than merged.
-	var profileSection string
-	for _, src := range sources {
-		data, err := queryKind(src.addr, wire.KProfile, wire.KProfileOK)
-		if err != nil {
-			continue // daemons predating KProfile or unreachable: skip
-		}
-		p, err := critpath.DecodeProfile(data)
-		if err != nil {
-			return "", fmt.Errorf("schooner-manager: %s profile: %w", src.name, err)
-		}
-		if p.Spans == 0 {
-			continue // tracing off: nothing to attribute
-		}
-		profileSection += fmt.Sprintf("[%s]\n%s\n", src.name, p.Format())
-	}
-	if profileSection != "" {
-		report += "-- cluster profile --\n" + profileSection
-	}
-	return report, nil
-}
-
-// queryKind dials a daemon directly, sends a bodyless request of the
-// given kind, and returns the reply payload.
-func queryKind(addr string, req, ok wire.Kind) ([]byte, error) {
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("schooner-manager: cannot reach %s: %w", addr, err)
-	}
-	conn := wire.NewStreamConn(c, addr)
-	defer conn.Close()
-	if err := conn.Send(&wire.Message{Kind: req}); err != nil {
-		return nil, err
-	}
-	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Kind != ok {
-		return nil, fmt.Errorf("schooner-manager: query failed: %s", resp.Err)
-	}
-	return resp.Data, nil
+	return schooner.ClusterStatus(daemon.BuildTransport(hosts, host, listen, nil), host, sources)
 }

@@ -5,7 +5,8 @@
 // The server's registry holds the four adapted TESS procedure files
 // (npss-shaft, npss-duct, npss-comb, npss-nozl); -programs selects
 // additional demo sets. -telemetry :9101 serves live /metrics,
-// /statusz, /flightz and pprof endpoints.
+// /statusz, /flightz, /seriesz, /profilez and pprof endpoints; the same
+// planes answer the observe RPC that `schooner-manager -status` rolls up.
 package main
 
 import (
@@ -28,8 +29,8 @@ func main() {
 	host := flag.String("host", "", "logical machine name this Server serves (must appear in -hosts)")
 	listen := flag.String("listen", "", "socket address to listen on (must match this host's -hosts entry)")
 	hostTable := flag.String("hosts", "", "server table: name=arch@ip:port[,...]")
-	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz, /flightz and pprof on this address")
-	seriesInterval := flag.Duration("series-interval", 0, "sample windowed metric series on this cadence, served at /seriesz and over the Series RPC (0 = off)")
+	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz, /flightz, /seriesz, /profilez and pprof on this address")
+	seriesInterval := flag.Duration("series-interval", 0, "sample windowed metric series on this cadence, served at /seriesz and on the observe RPC's series plane (0 = off)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	flag.Parse()
 	if err := logx.SetLevelName(*logLevel); err != nil {
@@ -92,11 +93,7 @@ func main() {
 	}
 
 	if *telemetryAddr != "" {
-		ts, err := telemetry.Start(*telemetryAddr, telemetry.Config{
-			Status: func() string {
-				return fmt.Sprintf("schooner server on %s (programs: %v)\n", *host, reg.Paths())
-			},
-		})
+		ts, err := telemetry.Start(*telemetryAddr, telemetry.Config{Status: srv.StatusReport})
 		if err != nil {
 			lg.Error("telemetry listener failed", "err", err)
 			os.Exit(1)

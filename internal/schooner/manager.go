@@ -455,16 +455,8 @@ func (m *Manager) serve(conn wire.Conn) {
 			resp = m.handleLookup(registered, req)
 		case wire.KMove:
 			resp = m.handleMove(registered, req, sp)
-		case wire.KStatus:
-			resp = &wire.Message{Kind: wire.KStatusOK, Data: []byte(m.StatusReport())}
-		case wire.KMetrics:
-			resp = metricsReply()
-		case wire.KSeries:
-			resp = seriesReply()
-		case wire.KProfile:
-			resp = profileReply()
-		case wire.KFlightDump:
-			resp = &wire.Message{Kind: wire.KFlightDumpOK, Data: []byte(flight.DumpString())}
+		case wire.KObserve:
+			resp = observe(req.Name, m.StatusReport)
 		case wire.KQuitLine:
 			if registered == 0 {
 				resp = errMsg("schooner: no line registered on this connection")

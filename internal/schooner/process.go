@@ -171,14 +171,8 @@ func (p *process) dispatch(m *wire.Message) *wire.Message {
 		return runBatch(m, "schooner.proc.batches", func(sub wire.Sub) *wire.Message { return p.dispatch(sub.Msg) })
 	case wire.KPing:
 		return &wire.Message{Kind: wire.KPong}
-	case wire.KMetrics:
-		return metricsReply()
-	case wire.KSeries:
-		return seriesReply()
-	case wire.KProfile:
-		return profileReply()
-	case wire.KFlightDump:
-		return &wire.Message{Kind: wire.KFlightDumpOK, Data: []byte(flight.DumpString())}
+	case wire.KObserve:
+		return observe(m.Name, nil)
 	default:
 		return &wire.Message{Kind: wire.KError,
 			Err: fmt.Sprintf("schooner: procedure process cannot handle %v", m.Kind)}

@@ -105,17 +105,8 @@ func (s *Server) serve(conn wire.Conn) {
 			resp = s.handleSpawn(m)
 		case wire.KBatch:
 			resp = s.handleBatch(m)
-		case wire.KStatus:
-			resp = &wire.Message{Kind: wire.KStatusOK,
-				Data: []byte(fmt.Sprintf("schooner server on %s: %d processes\n", s.host, s.ProcessCount()))}
-		case wire.KMetrics:
-			resp = metricsReply()
-		case wire.KSeries:
-			resp = seriesReply()
-		case wire.KProfile:
-			resp = profileReply()
-		case wire.KFlightDump:
-			resp = &wire.Message{Kind: wire.KFlightDumpOK, Data: []byte(flight.DumpString())}
+		case wire.KObserve:
+			resp = observe(m.Name, s.StatusReport)
 		case wire.KShutdown:
 			resp = &wire.Message{Kind: wire.KShutdownOK}
 			resp.Seq = m.Seq

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"npss/internal/critpath"
+	"npss/internal/flight"
 	"npss/internal/trace"
 	"npss/internal/tseries"
 	"npss/internal/wire"
@@ -13,9 +14,9 @@ import (
 
 // StatusReport renders the Manager's plain-text introspection dump:
 // live lines, the health monitor's view of the machines, and the
-// global trace counters and latency histograms. It is what a KStatus
-// request answers with (`schooner-manager -status` on a deployment,
-// or QueryStatus in-process).
+// global trace counters and latency histograms. It is the Manager's
+// answer on the status plane (`schooner-manager -status` on a
+// deployment, Observe in-process) and what its /statusz serves.
 func (m *Manager) StatusReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schooner manager on %s\n", m.host)
@@ -59,97 +60,119 @@ func (m *Manager) StatusReport() string {
 	return b.String()
 }
 
-// metricsReply builds the KMetricsOK answer: the process's current
-// global metric set, JSON-encoded for mergeable transport.
-func metricsReply() *wire.Message {
-	data, err := trace.Export().EncodeJSON()
-	if err != nil {
-		return errMsg("schooner: encoding metrics: %v", err)
+// StatusReport renders the Server's status: its answer on the status
+// plane and what its /statusz serves.
+func (s *Server) StatusReport() string {
+	return fmt.Sprintf("schooner server on %s: %d processes\n", s.host, s.ProcessCount())
+}
+
+// observe answers a KObserve request for the named plane. Every plane
+// but status reads the process globals all components share; status is
+// the component's own report, and a component without one passes nil.
+func observe(plane string, status func() string) *wire.Message {
+	var data []byte
+	var err error
+	switch plane {
+	case "status":
+		if status == nil {
+			return errMsg("schooner: no status plane here")
+		}
+		data = []byte(status())
+	case "metrics":
+		data, err = trace.Export().EncodeJSON()
+	case "series":
+		// An empty Series when no sampler is installed: still mergeable.
+		data, err = tseries.ActiveSnapshot().EncodeJSON()
+	case "profile":
+		// An empty profile when tracing is off.
+		data = critpath.ActiveSnapshot().EncodeJSON()
+	case "flight":
+		data = []byte(flight.DumpString())
+	default:
+		return errMsg("schooner: unknown observe plane %q", plane)
 	}
-	return &wire.Message{Kind: wire.KMetricsOK, Data: data}
-}
-
-// seriesReply builds the KSeriesOK answer: the process's active
-// sampler's windowed series (an empty Series when no sampler is
-// installed — still a valid, mergeable reply).
-func seriesReply() *wire.Message {
-	data, err := tseries.ActiveSnapshot().EncodeJSON()
 	if err != nil {
-		return errMsg("schooner: encoding series: %v", err)
+		return errMsg("schooner: encoding %s: %v", plane, err)
 	}
-	return &wire.Message{Kind: wire.KSeriesOK, Data: data}
+	return &wire.Message{Kind: wire.KObserveOK, Data: data}
 }
 
-// profileReply builds the KProfileOK answer: the critical-path
-// attribution of the process's live span recorder (an empty profile
-// when tracing is off — still a valid reply).
-func profileReply() *wire.Message {
-	return &wire.Message{Kind: wire.KProfileOK, Data: critpath.ActiveSnapshot().EncodeJSON()}
-}
-
-// query asks the component listening on addr (a "host:port", or a bare
-// host for its Manager) one introspection question and returns the
-// payload of the answer; ok is the reply kind that carries it.
-func query(t Transport, fromHost, addr string, kind, ok wire.Kind, what string) ([]byte, error) {
+// Observe asks the component listening on addr (a "host:port", or a
+// bare host for its Manager) for one introspection plane and returns
+// the payload: text for "status" and "flight", JSON for "metrics",
+// "series" and "profile" (trace.DecodeMetrics, tseries.DecodeSeries and
+// critpath.DecodeProfile read it back).
+func Observe(t Transport, from, addr, plane string) ([]byte, error) {
 	if !strings.Contains(addr, ":") {
 		addr += ":" + ManagerPort
 	}
-	resp, err := roundTrip(t, fromHost, addr, &wire.Message{Kind: kind}, rpcTimeout)
+	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KObserve, Name: plane}, rpcTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != ok {
-		return nil, fmt.Errorf("schooner: %s query failed: %s", what, resp.Err)
+	if resp.Kind != wire.KObserveOK {
+		return nil, fmt.Errorf("schooner: %s query failed: %s", plane, resp.Err)
 	}
 	return resp.Data, nil
 }
 
-// QueryStatus asks the Manager on managerHost for its status report
-// over the given transport — the in-process equivalent of the
-// schooner-manager -status query.
-func QueryStatus(t Transport, fromHost, managerHost string) (string, error) {
-	data, err := query(t, fromHost, managerHost, wire.KStatus, wire.KStatusOK, "status")
-	return string(data), err
-}
+// Source is one component a cluster roll-up asks: the name it is
+// reported under and the address Observe dials.
+type Source struct{ Name, Addr string }
 
-// QueryProfile asks the component listening on addr (a Manager's
-// "host:port" or bare Manager host) for its critical-path attribution
-// profile.
-func QueryProfile(t Transport, fromHost, addr string) (*critpath.Profile, error) {
-	data, err := query(t, fromHost, addr, wire.KProfile, wire.KProfileOK, "profile")
+// ClusterStatus renders the cluster roll-up `schooner-manager -status`
+// prints: the status report of the Manager at sources[0], then every
+// source's metrics merged, its series merged window by window when any
+// were sampled, and its critical-path profile when it recorded spans.
+// A source that does not answer is reported once and left out, not
+// fatal: a degraded cluster is exactly when the roll-up is wanted.
+func ClusterStatus(t Transport, from string, sources []Source) (string, error) {
+	status, err := Observe(t, from, sources[0].Addr, "status")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return critpath.DecodeProfile(data)
-}
-
-// QuerySeries asks the component listening on addr (a Manager's
-// "host:port" or bare Manager host) for its windowed time-series
-// snapshot. Series are mergeable: callers roll several components'
-// series into the cluster-wide view with Series.Merge.
-func QuerySeries(t Transport, fromHost, addr string) (tseries.Series, error) {
-	data, err := query(t, fromHost, addr, wire.KSeries, wire.KSeriesOK, "series")
-	if err != nil {
-		return tseries.Series{}, err
+	var (
+		metrics               trace.MetricsSnapshot
+		series                tseries.Series
+		unreachable, profiles strings.Builder
+	)
+	for _, src := range sources {
+		var data [3][]byte
+		for i, plane := range []string{"metrics", "series", "profile"} {
+			if data[i], err = Observe(t, from, src.Addr, plane); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(&unreachable, "(%s at %s unreachable: %v)\n", src.Name, src.Addr, err)
+			continue
+		}
+		m, err := trace.DecodeMetrics(data[0])
+		if err != nil {
+			return "", fmt.Errorf("schooner: %s metrics: %w", src.Name, err)
+		}
+		metrics.Merge(m)
+		s, err := tseries.DecodeSeries(data[1])
+		if err != nil {
+			return "", fmt.Errorf("schooner: %s series: %w", src.Name, err)
+		}
+		series.Merge(s)
+		p, err := critpath.DecodeProfile(data[2])
+		if err != nil {
+			return "", fmt.Errorf("schooner: %s profile: %w", src.Name, err)
+		}
+		// Profiles describe one process's span forest, so they are
+		// reported per source rather than merged.
+		if p.Spans > 0 {
+			fmt.Fprintf(&profiles, "[%s]\n%s\n", src.Name, p.Format())
+		}
 	}
-	return tseries.DecodeSeries(data)
-}
-
-// QueryMetrics asks the component listening on addr (a Manager's
-// "host:port" or bare Manager host) for its live metric snapshot.
-// The snapshot is mergeable: callers roll several components'
-// snapshots into a cluster-wide view with MetricsSnapshot.Merge.
-func QueryMetrics(t Transport, fromHost, addr string) (trace.MetricsSnapshot, error) {
-	data, err := query(t, fromHost, addr, wire.KMetrics, wire.KMetricsOK, "metrics")
-	if err != nil {
-		return trace.MetricsSnapshot{}, err
+	report := string(status) + "-- cluster metrics --\n" + unreachable.String() + metrics.Format()
+	if len(series.Windows) > 0 {
+		report += "-- cluster series --\n" + series.Format()
 	}
-	return trace.DecodeMetrics(data)
-}
-
-// QueryFlight asks the component listening on addr (a Manager's
-// "host:port" or bare Manager host) for its flight-recorder dump.
-func QueryFlight(t Transport, fromHost, addr string) (string, error) {
-	data, err := query(t, fromHost, addr, wire.KFlightDump, wire.KFlightDumpOK, "flight")
-	return string(data), err
+	if profiles.Len() > 0 {
+		report += "-- cluster profile --\n" + profiles.String()
+	}
+	return report, nil
 }

@@ -15,7 +15,7 @@ import (
 
 // TestStatusUnderConcurrentChurn hammers the introspection endpoints
 // while lines spawn, call, migrate, and quit concurrently: StatusReport
-// and QueryStatus must stay consistent (and data-race free under
+// and the status plane must stay consistent (and data-race free under
 // -race) no matter when they sample the Manager's tables.
 func TestStatusUnderConcurrentChurn(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
@@ -66,9 +66,9 @@ func TestStatusUnderConcurrentChurn(t *testing.T) {
 		if !strings.Contains(report, "schooner manager on avs-sparc") {
 			t.Fatalf("in-process report header missing:\n%s", report)
 		}
-		report, err := QueryStatus(d.tr, "rs6000", "avs-sparc")
+		report, err := observeText(d.tr, "rs6000", "avs-sparc", "status")
 		if err != nil {
-			t.Fatalf("QueryStatus during churn: %v", err)
+			t.Fatalf("status during churn: %v", err)
 		}
 		if !strings.Contains(report, "-- lines --") {
 			t.Fatalf("remote report sections missing:\n%s", report)
@@ -86,18 +86,14 @@ func TestStatusQueriesAgainstDeadManager(t *testing.T) {
 	d.net.SetHostDown("avs-sparc", true)
 	defer d.net.SetHostDown("avs-sparc", false)
 
-	if _, err := QueryStatus(d.tr, "sgi-lerc", "avs-sparc"); err == nil {
-		t.Error("QueryStatus against dead manager succeeded")
-	}
-	if _, err := QueryMetrics(d.tr, "sgi-lerc", "avs-sparc"); err == nil {
-		t.Error("QueryMetrics against dead manager succeeded")
-	}
-	if _, err := QueryFlight(d.tr, "sgi-lerc", "avs-sparc"); err == nil {
-		t.Error("QueryFlight against dead manager succeeded")
+	for _, plane := range []string{"status", "metrics", "flight"} {
+		if _, err := Observe(d.tr, "sgi-lerc", "avs-sparc", plane); err == nil {
+			t.Errorf("%s against dead manager succeeded", plane)
+		}
 	}
 	// Unknown hosts fail too (no route at all).
-	if _, err := QueryStatus(d.tr, "sgi-lerc", "no-such-host"); err == nil {
-		t.Error("QueryStatus against unknown host succeeded")
+	if _, err := Observe(d.tr, "sgi-lerc", "no-such-host", "status"); err == nil {
+		t.Error("status against unknown host succeeded")
 	}
 }
 
@@ -126,7 +122,7 @@ func TestQueryMetricsRoundTrip(t *testing.T) {
 		}
 	}
 
-	mgrSnap, err := QueryMetrics(d.tr, "sgi-lerc", "avs-sparc")
+	mgrSnap, err := observeMetrics(d.tr, "sgi-lerc", "avs-sparc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +134,10 @@ func TestQueryMetricsRoundTrip(t *testing.T) {
 		t.Errorf("manager snapshot latency histogram = %+v, want count %d", h, calls)
 	}
 
-	// The Server answers KMetrics on its own port; in-process it shares
-	// the global set, so merging models the cluster-wide roll-up.
-	srvSnap, err := QueryMetrics(d.tr, "sgi-lerc", "rs6000:"+ServerPort)
+	// The Server answers the metrics plane on its own port; in-process
+	// it shares the global set, so merging models the cluster-wide
+	// roll-up.
+	srvSnap, err := observeMetrics(d.tr, "sgi-lerc", "rs6000:"+ServerPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestQueryFlightRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dump, err := QueryFlight(d.tr, "sgi-lerc", "avs-sparc")
+	dump, err := observeText(d.tr, "sgi-lerc", "avs-sparc", "flight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +187,9 @@ func TestQueryFlightRoundTrip(t *testing.T) {
 
 // TestQueryProfileRoundTrip drives traced calls through a deployment
 // and fetches the critical-path attribution over the wire: the
-// KProfile reply must decode into a profile whose span DAG covers the
-// calls just made, with a nonzero network share (the calls crossed
-// the simulated wire).
+// profile-plane answer must decode into a profile whose span DAG
+// covers the calls just made, with a nonzero network share (the calls
+// crossed the simulated wire).
 func TestQueryProfileRoundTrip(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
@@ -215,7 +212,7 @@ func TestQueryProfileRoundTrip(t *testing.T) {
 		}
 	}
 
-	p, err := QueryProfile(d.tr, "sgi-lerc", "avs-sparc")
+	p, err := observeProfile(d.tr, "sgi-lerc", "avs-sparc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +232,32 @@ func TestQueryProfileRoundTrip(t *testing.T) {
 
 	// With tracing off the reply is still well-formed, just empty.
 	trace.SetRecorder(nil)
-	p, err = QueryProfile(d.tr, "sgi-lerc", "avs-sparc")
+	p, err = observeProfile(d.tr, "sgi-lerc", "avs-sparc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Spans != 0 {
 		t.Errorf("profile with tracing off has %d spans", p.Spans)
 	}
+}
+
+func observeText(tr Transport, from, addr, plane string) (string, error) {
+	data, err := Observe(tr, from, addr, plane)
+	return string(data), err
+}
+
+func observeMetrics(tr Transport, from, addr string) (trace.MetricsSnapshot, error) {
+	data, err := Observe(tr, from, addr, "metrics")
+	if err != nil {
+		return trace.MetricsSnapshot{}, err
+	}
+	return trace.DecodeMetrics(data)
+}
+
+func observeProfile(tr Transport, from, addr string) (*critpath.Profile, error) {
+	data, err := Observe(tr, from, addr, "profile")
+	if err != nil {
+		return nil, err
+	}
+	return critpath.DecodeProfile(data)
 }

@@ -296,8 +296,8 @@ func TestConcurrentTracedGo(t *testing.T) {
 	}
 }
 
-// TestManagerStatusReport pins the introspection endpoint: the KStatus
-// round trip answers with the Manager's lines, health view, and the
+// TestManagerStatusReport pins the introspection endpoint: the status
+// plane round trip answers with the Manager's lines, health view, and the
 // same counters trace.Get reads.
 func TestManagerStatusReport(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
@@ -320,7 +320,7 @@ func TestManagerStatusReport(t *testing.T) {
 		}
 	}
 
-	report, err := QueryStatus(d.tr, "sgi-lerc", "avs-sparc")
+	report, err := observeText(d.tr, "sgi-lerc", "avs-sparc", "status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestManagerStatusReport(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	report, err = QueryStatus(d.tr, "sgi-lerc", "avs-sparc")
+	report, err = observeText(d.tr, "sgi-lerc", "avs-sparc", "status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // -telemetry, serving
 //
 //	/metrics  the live trace.Set in Prometheus text exposition format
-//	/statusz  the Manager's plain-text status report
+//	/statusz  the component's plain-text status report (Config.Status)
 //	/flightz  the flight recorder's recent events
 //	/seriesz  the time-series sampler's latest window (Prometheus
 //	          gauges; ?format=json serves the full windowed series)
@@ -32,22 +32,12 @@ import (
 	"npss/internal/tseries"
 )
 
-// Config selects what the endpoints serve. Every field is optional:
-// nil Status serves a one-line placeholder, nil Metrics serves the
-// process's global trace set, nil FlightDump serves the package-level
-// flight recorder.
+// Config selects what /statusz serves: the component's status report,
+// or a one-line placeholder when Status is nil. Every other endpoint
+// serves the process globals (the trace set, the flight recorder, the
+// active sampler and span recorder), which tests swap to inject state.
 type Config struct {
-	Status     func() string
-	Metrics    func() trace.MetricsSnapshot
-	FlightDump func() string
-	// Series provides the windowed time-series snapshot for /seriesz;
-	// nil serves the process's active tseries sampler (empty series
-	// when none is installed).
-	Series func() tseries.Series
-	// Profile provides the attribution profile for /profilez; nil
-	// serves the critpath analysis of the process's active span
-	// recorder (an empty profile when tracing is off).
-	Profile func() *critpath.Profile
+	Status func() string
 }
 
 // Server is a running telemetry listener.
@@ -62,23 +52,11 @@ func Start(addr string, cfg Config) (*Server, error) {
 	if cfg.Status == nil {
 		cfg.Status = func() string { return "telemetry: no status source configured\n" }
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = trace.Export
-	}
-	if cfg.FlightDump == nil {
-		cfg.FlightDump = flight.DumpString
-	}
-	if cfg.Series == nil {
-		cfg.Series = tseries.ActiveSnapshot
-	}
-	if cfg.Profile == nil {
-		cfg.Profile = critpath.ActiveSnapshot
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteProm(w, cfg.Metrics())
+		WriteProm(w, trace.Export())
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -86,10 +64,10 @@ func Start(addr string, cfg Config) (*Server, error) {
 	})
 	mux.HandleFunc("/flightz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, cfg.FlightDump())
+		io.WriteString(w, flight.DumpString())
 	})
 	mux.HandleFunc("/seriesz", func(w http.ResponseWriter, r *http.Request) {
-		s := cfg.Series()
+		s := tseries.ActiveSnapshot()
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			data, err := s.EncodeJSON()
@@ -104,7 +82,7 @@ func Start(addr string, cfg Config) (*Server, error) {
 		WriteSeriesProm(w, s)
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, r *http.Request) {
-		p := cfg.Profile()
+		p := critpath.ActiveSnapshot()
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(p.EncodeJSON())
@@ -141,56 +119,34 @@ type promSample struct {
 	value  string
 }
 
-// WriteProm renders a metric snapshot in the Prometheus text
-// exposition format, version 0.0.4. Counters become counter families;
-// histograms become summaries (quantile series plus _sum and _count).
-// Metric keys in the runtime's schooner.client.call{proc=add} style
-// split into a sanitized family name and labels. Output is sorted and
-// deterministic.
-func WriteProm(w io.Writer, m trace.MetricsSnapshot) error {
-	type family struct {
-		kind    string
-		samples []promSample
-	}
-	families := make(map[string]*family)
-	add := func(famName string, s promSample, kind string) {
-		f, ok := families[famName]
-		if !ok {
-			f = &family{kind: kind}
-			families[famName] = f
-		}
-		f.samples = append(f.samples, s)
-	}
+// family is one metric family: its TYPE and its samples.
+type family struct {
+	kind    string
+	samples []promSample
+}
 
-	for key, v := range m.Counters {
-		name, labels := splitKey(key)
-		add(name, promSample{name: name, labels: labels,
-			value: fmt.Sprintf("%d", v)}, "counter")
-	}
-	quantiles := []struct {
-		q float64
-		s string
-	}{{0.5, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-	for key, h := range m.Hists {
-		name, labels := splitKey(key)
-		for _, q := range quantiles {
-			ql := mergeLabels(labels, `quantile="`+q.s+`"`)
-			add(name, promSample{name: name, labels: ql,
-				value: formatSeconds(h.Quantile(q.q))}, "summary")
-		}
-		add(name, promSample{name: name + "_sum", labels: labels,
-			value: formatSeconds(time.Duration(h.Sum))}, "summary")
-		add(name, promSample{name: name + "_count", labels: labels,
-			value: fmt.Sprintf("%d", h.Count)}, "summary")
-	}
+// families groups exposition samples by family name.
+type families map[string]*family
 
-	names := make([]string, 0, len(families))
-	for n := range families {
+func (fs families) add(famName, kind string, s promSample) {
+	f, ok := fs[famName]
+	if !ok {
+		f = &family{kind: kind}
+		fs[famName] = f
+	}
+	f.samples = append(f.samples, s)
+}
+
+// write renders every family in name order, its TYPE line first, then
+// its samples sorted by name and labels: deterministic output.
+func (fs families) write(w io.Writer) error {
+	names := make([]string, 0, len(fs))
+	for n := range fs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		f := families[n]
+		f := fs[n]
 		sort.Slice(f.samples, func(i, j int) bool {
 			a, b := f.samples[i], f.samples[j]
 			if a.name != b.name {
@@ -208,6 +164,34 @@ func WriteProm(w io.Writer, m trace.MetricsSnapshot) error {
 		}
 	}
 	return nil
+}
+
+// WriteProm renders a metric snapshot in the Prometheus text
+// exposition format, version 0.0.4. Counters become counter families;
+// histograms become summaries (quantile series plus _sum and _count).
+// Metric keys in the runtime's schooner.client.call{proc=add} style
+// split into a sanitized family name and labels. Output is sorted and
+// deterministic.
+func WriteProm(w io.Writer, m trace.MetricsSnapshot) error {
+	fs := families{}
+	for key, v := range m.Counters {
+		name, labels := splitKey(key)
+		fs.add(name, "counter", promSample{name, labels, fmt.Sprintf("%d", v)})
+	}
+	quantiles := []struct {
+		q float64
+		s string
+	}{{0.5, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
+	for key, h := range m.Hists {
+		name, labels := splitKey(key)
+		for _, q := range quantiles {
+			ql := mergeLabels(labels, `quantile="`+q.s+`"`)
+			fs.add(name, "summary", promSample{name, ql, formatSeconds(h.Quantile(q.q))})
+		}
+		fs.add(name, "summary", promSample{name + "_sum", labels, formatSeconds(time.Duration(h.Sum))})
+		fs.add(name, "summary", promSample{name + "_count", labels, fmt.Sprintf("%d", h.Count)})
+	}
+	return fs.write(w)
 }
 
 // WriteSeriesProm renders the latest window of a time series in the
@@ -231,25 +215,11 @@ func WriteSeriesProm(w io.Writer, s tseries.Series) error {
 	}
 	win := s.Windows[len(s.Windows)-1]
 
-	type family struct {
-		kind    string
-		samples []promSample
-	}
-	families := make(map[string]*family)
-	add := func(famName string, smp promSample, kind string) {
-		f, ok := families[famName]
-		if !ok {
-			f = &family{kind: kind}
-			families[famName] = f
-		}
-		f.samples = append(f.samples, smp)
-	}
-
+	fs := families{}
 	for key := range win.Counters {
 		name, labels := splitKey(key)
 		name += "_rate"
-		add(name, promSample{name: name, labels: labels,
-			value: fmt.Sprintf("%g", win.Rate(key))}, "gauge")
+		fs.add(name, "gauge", promSample{name, labels, fmt.Sprintf("%g", win.Rate(key))})
 	}
 	quantiles := []struct {
 		v func(tseries.WindowHist) int64
@@ -264,34 +234,12 @@ func WriteSeriesProm(w io.Writer, s tseries.Series) error {
 		wname := name + "_window"
 		for _, q := range quantiles {
 			ql := mergeLabels(labels, `quantile="`+q.s+`"`)
-			add(wname, promSample{name: wname, labels: ql,
-				value: formatSeconds(time.Duration(q.v(h)))}, "gauge")
+			fs.add(wname, "gauge", promSample{wname, ql, formatSeconds(time.Duration(q.v(h)))})
 		}
 		cname := wname + "_count"
-		add(cname, promSample{name: cname, labels: labels,
-			value: fmt.Sprintf("%d", h.Count)}, "gauge")
+		fs.add(cname, "gauge", promSample{cname, labels, fmt.Sprintf("%d", h.Count)})
 	}
-
-	names := make([]string, 0, len(families))
-	for n := range families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := families[n]
-		sort.Slice(f.samples, func(i, j int) bool {
-			return f.samples[i].labels < f.samples[j].labels
-		})
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", n, f.kind); err != nil {
-			return err
-		}
-		for _, smp := range f.samples {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", smp.name, smp.labels, smp.value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return fs.write(w)
 }
 
 // WriteProfileProm renders an attribution profile in the Prometheus

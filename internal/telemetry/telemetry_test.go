@@ -14,7 +14,7 @@ import (
 	"npss/internal/vclock"
 )
 
-func sampleSnapshot() trace.MetricsSnapshot {
+func sampleSet() *trace.Set {
 	s := trace.NewSet()
 	s.Add("schooner.client.calls", 42)
 	s.Add("schooner.client.calls{proc=add}", 7)
@@ -22,7 +22,24 @@ func sampleSnapshot() trace.MetricsSnapshot {
 	s.Observe("schooner.client.call", 150*time.Microsecond)
 	s.Observe("schooner.client.call", 300*time.Microsecond)
 	s.Observe("schooner.client.call{proc=add}", 200*time.Microsecond)
-	return s.Export()
+	return s
+}
+
+func sampleSnapshot() trace.MetricsSnapshot { return sampleSet().Export() }
+
+// fetch gets one endpoint of a running telemetry server.
+func fetch(t *testing.T, srv *Server, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + srv.Addr() + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	return string(body)
 }
 
 func TestWritePromAndLint(t *testing.T) {
@@ -86,28 +103,16 @@ func TestServerEndpoints(t *testing.T) {
 	oldFlight := flight.Swap(flight.NewRecorder(16))
 	defer flight.Swap(oldFlight)
 	flight.Record(flight.Event{Kind: flight.KindNote, Component: "test", Name: "hello-flight"})
+	defer trace.Swap(trace.Swap(sampleSet()))
 
 	srv, err := Start("127.0.0.1:0", Config{
-		Status:  func() string { return "status-body-here" },
-		Metrics: sampleSnapshot,
+		Status: func() string { return "status-body-here" },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
+	get := func(path string) string { return fetch(t, srv, path) }
 
 	if got := get("/metrics"); !strings.Contains(got, "schooner_client_calls 42") {
 		t.Errorf("/metrics missing counter:\n%s", got)
@@ -178,22 +183,37 @@ func TestWriteSeriesPromEmptyStillLints(t *testing.T) {
 	}
 }
 
+// activateSampleSampler runs a sampler on a virtual clock through two
+// windows shaped like sampleSeries's and installs it as the active one.
+func activateSampleSampler(t *testing.T) {
+	v := vclock.NewVirtual()
+	set := trace.NewSet()
+	s := tseries.Start(tseries.Config{Interval: 250 * time.Millisecond, Clock: v, Source: set.Export})
+	prev := tseries.SetActive(s)
+	t.Cleanup(func() {
+		tseries.SetActive(prev)
+		s.Stop()
+		if err := v.Stop(); err != nil {
+			t.Error(err)
+		}
+	})
+	set.Add("schooner.client.calls{host=cray}", 25)
+	v.Sleep(300 * time.Millisecond)
+	set.Add("schooner.client.calls{host=cray}", 50)
+	set.Add("netsim.drops", 2)
+	set.Observe("schooner.client.call{proc=add}", 2*time.Millisecond)
+	tseries.Observe("schooner.client.call{proc=add}", 2*time.Millisecond, 0xa1, 0xb2)
+	v.Sleep(250 * time.Millisecond)
+}
+
 func TestSerieszEndpoint(t *testing.T) {
-	srv, err := Start("127.0.0.1:0", Config{Series: sampleSeries})
+	activateSampleSampler(t)
+	srv, err := Start("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
+	get := func(path string) string { return fetch(t, srv, path) }
 
 	prom := get("/seriesz")
 	if !strings.Contains(prom, "schooner_client_calls_rate") {
@@ -277,22 +297,43 @@ func TestWriteProfilePromEmptyStillLints(t *testing.T) {
 	}
 }
 
+// installSampleRecorder records sampleProfile's span DAG into a span
+// recorder on a hand-stepped clock and installs it as the active one.
+func installSampleRecorder(t *testing.T) {
+	base := time.Unix(2000, 0).UTC()
+	now := base
+	at := func(m int) { now = base.Add(time.Duration(m) * time.Millisecond) }
+	trace.SetRecorder(trace.NewRecorderClock(func() time.Time { return now }))
+	t.Cleanup(func() { trace.SetRecorder(nil) })
+
+	run := trace.StartSpan("remote run", "avs")
+	at(5)
+	call := trace.StartSpan("call add", "avs")
+	attempt := call.Child("attempt add", "avs")
+	at(10)
+	dispatch := attempt.Child("dispatch add", "cray")
+	at(11)
+	proc := dispatch.Child("proc add", "cray")
+	at(26)
+	proc.End()
+	at(28)
+	dispatch.End()
+	at(33)
+	attempt.End()
+	at(35)
+	call.End()
+	at(50)
+	run.End()
+}
+
 func TestProfilezEndpoint(t *testing.T) {
-	srv, err := Start("127.0.0.1:0", Config{Profile: sampleProfile})
+	installSampleRecorder(t)
+	srv, err := Start("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
+	get := func(path string) string { return fetch(t, srv, path) }
 
 	prom := get("/profilez")
 	if !strings.Contains(prom, "npss_profile_critical_path_seconds") {

@@ -10,9 +10,9 @@ import (
 
 // Machine-readable metrics export. MetricsSnapshot is the wire/JSON
 // form of a Set: plain maps and integers, mergeable across processes,
-// so a Manager can serve its live counters over wire.KMetrics and an
-// operator tool can roll several Managers' snapshots into one
-// cluster-wide view.
+// so every component can serve its live counters on the metrics plane
+// of a wire.KObserve request and an operator tool can roll several
+// components' snapshots into one cluster-wide view.
 
 // HistSnapshot is the exportable state of one Histogram. Durations
 // are nanoseconds so the JSON is unit-unambiguous. Buckets carries
@@ -160,7 +160,7 @@ func (m *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	}
 }
 
-// EncodeJSON renders the snapshot as JSON (the wire.KMetrics payload
+// EncodeJSON renders the snapshot as JSON (the metrics-plane payload
 // and the npss-exp -metrics file format).
 func (m MetricsSnapshot) EncodeJSON() ([]byte, error) {
 	return json.Marshal(m)

@@ -93,7 +93,7 @@ func (w *Window) Rate(key string) float64 {
 }
 
 // Series is the exportable, mergeable form of a sampler's retained
-// windows — the wire.KSeries payload and the report generator's input.
+// windows — the series-plane payload and the report generator's input.
 type Series struct {
 	Interval int64    `json:"interval"` // nanoseconds
 	Windows  []Window `json:"windows,omitempty"`
@@ -642,7 +642,7 @@ func Observe(key string, d time.Duration, traceID, spanID uint64) {
 }
 
 // ActiveSnapshot returns the active sampler's series, or an empty
-// Series — the wire.KSeries reply body.
+// Series — the series-plane answer.
 func ActiveSnapshot() Series {
 	if s := active.Load(); s != nil {
 		return s.Snapshot()

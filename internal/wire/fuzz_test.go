@@ -18,9 +18,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			Data: []byte{0, 0, 0, 1, 0, 0, 0, 2}},
 		{Kind: KError, Err: "no such procedure"},
 		{Kind: KSpawnOK, Str: "cray/61234", Data: []byte("#language fortran\nexport SHAFT prog()")},
-		{Kind: KStatusOK, Data: bytes.Repeat([]byte{0xff}, 300)},
-		{Kind: KMetricsOK, Data: []byte(`{"counters":{"schooner.client.calls":7}}`)},
-		{Kind: KFlightDumpOK, Data: []byte("flight recorder: 1 events\n#1 x call-attempt client@sparc1 add")},
+		{Kind: KObserve, Seq: 4, Name: "metrics"},
+		{Kind: KObserveOK, Seq: 4, Data: []byte(`{"counters":{"schooner.client.calls":7}}`)},
+		{Kind: KObserveOK, Data: bytes.Repeat([]byte{0xff}, 300)},
 	}
 	for _, m := range seeds {
 		b, err := m.Encode(nil)

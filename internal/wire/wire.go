@@ -90,21 +90,15 @@ const (
 	// KPing/KPong are liveness probes.
 	KPing
 	KPong
-	// KStatus asks the Manager for its plain-text introspection dump
-	// (counters, histograms, health table, live lines); KStatusOK
-	// answers with the report in Data.
-	KStatus
-	KStatusOK
-	// KMetrics asks a component (Manager or Server) for its live
-	// metric set; KMetricsOK answers with a JSON-encoded
-	// trace.MetricsSnapshot in Data, mergeable into a cluster-wide
-	// roll-up.
-	KMetrics
-	KMetricsOK
-	// KFlightDump asks a component for its flight-recorder contents;
-	// KFlightDumpOK answers with the plain-text dump in Data.
-	KFlightDump
-	KFlightDumpOK
+	// KObserve asks any component (Manager, Server or procedure
+	// process) for its view of the introspection plane named in Name;
+	// KObserveOK answers with the plane's payload in Data. The planes
+	// are "status" (plain-text report), "metrics" (trace.MetricsSnapshot
+	// JSON), "series" (tseries.Series JSON), "profile" (critpath.Profile
+	// JSON) and "flight" (plain-text flight-recorder dump). An unknown
+	// plane is answered with KError.
+	KObserve
+	KObserveOK
 	// KAttachLine re-binds an existing line to a new Manager
 	// connection after the original connection (or the Manager itself)
 	// died: Line carries the line id, Name the module it registered
@@ -133,23 +127,6 @@ const (
 	// (KReply or KError).
 	KBatchOK
 
-	// KSeries asks a component for its windowed time-series snapshot
-	// (the tseries sampler's ring); KSeriesOK answers with the
-	// tseries.Series JSON, an empty Series when no sampler is
-	// installed. The manager rolls per-component series into the
-	// cluster view the same way KMetrics rolls counters.
-	KSeries
-	KSeriesOK
-
-	// KProfile asks a component for its critical-path attribution
-	// profile (the critpath analysis of its live span recorder);
-	// KProfileOK answers with the critpath.Profile JSON, an empty
-	// profile when no span recorder is installed. The manager rolls
-	// per-component profiles into the cluster view the same way
-	// KSeries rolls windowed series.
-	KProfile
-	KProfileOK
-
 	// kindMax is the decode bound sentinel; every valid Kind is below
 	// it. Keep it last.
 	kindMax
@@ -167,14 +144,10 @@ var kindNames = map[Kind]string{
 	KStateGet: "StateGet", KStateOK: "StateOK",
 	KStatePut: "StatePut", KStatePutOK: "StatePutOK",
 	KError: "Error", KPing: "Ping", KPong: "Pong",
-	KStatus: "Status", KStatusOK: "StatusOK",
-	KMetrics: "Metrics", KMetricsOK: "MetricsOK",
-	KFlightDump: "FlightDump", KFlightDumpOK: "FlightDumpOK",
+	KObserve: "Observe", KObserveOK: "ObserveOK",
 	KAttachLine: "AttachLine", KJournalTail: "JournalTail",
 	KJournalEntry: "JournalEntry",
 	KBatch:        "Batch", KBatchOK: "BatchOK",
-	KSeries: "Series", KSeriesOK: "SeriesOK",
-	KProfile: "Profile", KProfileOK: "ProfileOK",
 }
 
 // String names the message kind for diagnostics.

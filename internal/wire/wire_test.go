@@ -20,6 +20,26 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestEveryKindNamed checks that every kind a decoder accepts has a
+// name of its own, so no kind prints as Kind(n) or as another kind.
+func TestEveryKindNamed(t *testing.T) {
+	if len(kindNames) != int(kindMax)-1 {
+		t.Errorf("%d kind names for %d kinds", len(kindNames), int(kindMax)-1)
+	}
+	seen := map[string]Kind{}
+	for k := Kind(1); k < kindMax; k++ {
+		name, ok := kindNames[k]
+		if !ok {
+			t.Errorf("kind %d has no name", uint8(k))
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", uint8(prev), uint8(k), name)
+		}
+		seen[name] = k
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := &Message{
 		Kind: KCall, Seq: 42, Line: 7,
@@ -96,7 +116,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := &Message{
-			Kind:  Kind(1 + r.Intn(int(KStatusOK))),
+			Kind:  Kind(1 + r.Intn(int(kindMax)-1)),
 			Seq:   r.Uint32(),
 			Line:  r.Uint32(),
 			Trace: r.Uint64(),
