@@ -242,13 +242,12 @@ type Cluster struct {
 	// Driver-stepping state: ops and step mirror what Replay's loop
 	// tracked, so explicit Apply calls produce the same outcome log and
 	// violation indices; the prev* fields restore the process globals
-	// (clock, metric set, flight recorder) the run scoped, exactly
-	// once, at Finish.
+	// (metric set, flight recorder) the run scoped, exactly once, at
+	// Finish.
 	ops       []Op
 	step      int
 	set       *trace.Set
 	rec       *flight.Recorder
-	prevClock vclock.Clock
 	prevSet   *trace.Set
 	prevRec   *flight.Recorder
 	realStart time.Time
@@ -418,9 +417,9 @@ var healthPolicy = schooner.HealthPolicy{
 	PingTimeout: 40 * time.Millisecond,
 }
 
-// runMu serializes scenario runs: each swaps the process-global clock
-// and metric set. active is the clock of the run in progress, for
-// StuckReport.
+// runMu serializes scenario runs: each swaps the process-global metric
+// set and flight recorder. active is the clock of the run in progress,
+// for StuckReport.
 var (
 	runMu  sync.Mutex
 	active atomic.Pointer[vclock.Virtual]
@@ -484,10 +483,11 @@ func (cfg *Config) fleet() []HostSpec {
 	return fleet
 }
 
-// NewCluster stands a cluster up and scopes the process globals —
-// clock, metric set, flight recorder — to it. The caller must Finish
-// the cluster (even after a violation) to restore them; until then no
-// other DST run can start.
+// NewCluster stands a cluster up on its own virtual clock, which every
+// component reads from the simulated network it is built on, and
+// scopes the observability globals — metric set, flight recorder — to
+// it. The caller must Finish the cluster (even after a violation) to
+// restore them; until then no other DST run can start.
 func NewCluster(cfg Config) (*Cluster, error) {
 	runMu.Lock()
 	fleet := cfg.fleet()
@@ -505,15 +505,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	active.Store(c.v)
 
-	// Scope metrics to this run and install the virtual clock into the
-	// network and the Schooner runtime. SwapClock also pins the retry
-	// jitter to a fixed seed, making backoff durations reproducible.
-	// The flight recorder is scoped too, sized so tens of thousands of
-	// per-call events cannot evict the transition events a report
-	// overlays.
+	// Scope metrics to this run. The flight recorder is scoped too,
+	// sized so tens of thousands of per-call events cannot evict the
+	// transition events a report overlays.
 	c.set = trace.NewSet()
 	c.prevSet = trace.Swap(c.set)
-	c.prevClock = schooner.SwapClock(c.v)
 	c.rec = flight.NewRecorder(1 << 16)
 	c.prevRec = flight.Swap(c.rec)
 	if cfg.Profile {
@@ -534,6 +530,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		tseries.SetActive(c.sampler)
 	}
 
+	// The network carries the virtual clock to every component built on
+	// it, and its jitter source, seeded alike for every cluster, makes
+	// backoff durations reproducible.
 	c.net = netsim.New()
 	c.net.SetClock(c.v)
 	c.net.SetTimeScale(1.0)
@@ -720,9 +719,8 @@ func (c *Cluster) captureProfile() *critpath.Profile {
 }
 
 // Finish collects the run's Result and dismantles the cluster,
-// restoring the process-global clock, metric set, and flight
-// recorder. It must be called exactly once; the Cluster is dead
-// afterwards.
+// restoring the process-global metric set and flight recorder. It must
+// be called exactly once; the Cluster is dead afterwards.
 func (c *Cluster) Finish() *Result {
 	res := &Result{
 		Seed:           c.cfg.Seed,
@@ -763,7 +761,7 @@ func (c *Cluster) Finish() *Result {
 // running), then the Manager and Servers, then the clock itself —
 // stopping it releases whoever is still parked and waits until every
 // goroutine of the cluster has returned — and finally the global
-// clock, metric set, and flight recorder are restored and the run lock
+// metric set and flight recorder are restored and the run lock
 // released. Idempotent via c.finished.
 func (c *Cluster) teardown() {
 	if c.finished {
@@ -803,7 +801,6 @@ func (c *Cluster) teardown() {
 		flight.SetAuxDump("critical path", nil)
 		trace.SetRecorder(c.prevSpanRec)
 	}
-	schooner.SwapClock(c.prevClock)
 	trace.Swap(c.prevSet)
 	flight.Swap(c.prevRec)
 	runMu.Unlock()

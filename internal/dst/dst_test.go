@@ -138,8 +138,8 @@ func TestInjectedViolationShrinks(t *testing.T) {
 // deterministic retry jitter: two chaos runs of the identical schedule
 // — the work procedure's home machine crashed under live traffic, so
 // calls must time out and retry — produce identical retry, timeout,
-// and rebind counters. This holds only because installing the virtual
-// clock pins the retry-jitter seed (schooner.DefaultVirtualRetrySeed).
+// and rebind counters. This holds only because every cluster's
+// simulated network starts its retry-jitter source at the same seed.
 func TestRetryCountersIdenticalAcrossRuns(t *testing.T) {
 	cfg := Config{Seed: 11, Hosts: 3}
 	ops := []Op{

@@ -205,9 +205,9 @@ func Chaos(spec ChaosSpec) *ChaosResult {
 	// Arm the faults: every link from the AVS machine to a placement
 	// machine drops, jitters, and flaps. The Manager shares the AVS
 	// machine, so its heartbeats and respawns cross the same degraded
-	// links.
+	// links. The one seed fixes both the fault draws and the retry
+	// jitter.
 	tb.Net.SetFaultSeed(spec.Seed)
-	schooner.SetRetrySeed(spec.Seed)
 	flaky := netsim.FaultSpec{
 		LossProb:  spec.Loss,
 		MaxJitter: spec.Jitter,

@@ -123,6 +123,7 @@ type Network struct {
 	downLinks   map[[2]string]bool
 	faultSeed   int64
 	faults      map[[2]string]*linkFaults
+	jitter      *rand.Rand
 	clock       vclock.Clock
 	// openConns counts connection endpoints created and not yet closed
 	// (each direction of a dial counts one). Leak checks compare it to
@@ -150,8 +151,24 @@ func New() *Network {
 		downHosts:   make(map[string]bool),
 		downLinks:   make(map[[2]string]bool),
 		faults:      make(map[[2]string]*linkFaults),
+		jitter:      rand.New(rand.NewSource(jitterSeed)),
 		clock:       vclock.Real(),
 	}
+}
+
+// jitterSeed seeds a new network's jitter source, so runs on
+// identically built networks draw identical retry delays without
+// naming a seed.
+const jitterSeed = 1993
+
+// Jitter draws the next number in [0, 1) from the network's jitter
+// source: the randomness the components built on the network spread
+// their retries with. It starts at seed 1993, and SetFaultSeed
+// re-seeds it, so one seed fixes both the faults and the retry timing.
+func (n *Network) Jitter() float64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.jitter.Float64()
 }
 
 // SetClock installs the clock that times message deliveries. The
@@ -307,13 +324,15 @@ func (n *Network) SetLinkDown(a, b string, down bool) {
 	n.downLinks[linkKey(a, b)] = down
 }
 
-// SetFaultSeed seeds the fault-injection generators. Links made flaky
-// before the call are re-seeded, so seed then traffic order fully
-// determines every drop and jitter decision.
+// SetFaultSeed seeds the fault-injection generators and the network's
+// jitter source. Links made flaky before the call are re-seeded, so
+// seed then traffic order fully determines every drop and jitter
+// decision and every retry delay.
 func (n *Network) SetFaultSeed(seed int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.faultSeed = seed
+	n.jitter = rand.New(rand.NewSource(seed))
 	for key, lf := range n.faults {
 		lf.rng = rand.New(rand.NewSource(faultSeedFor(seed, key)))
 		lf.carried, lf.flapLeft = 0, 0

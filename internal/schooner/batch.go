@@ -106,23 +106,25 @@ func (c *Client) GoBatchHosts(calls []CrossCall) []*Pending {
 }
 
 // start builds the n members call(i) names and dispatches them on
-// their own goroutine.
+// their own goroutine, on the first member's line clock.
 func (r route) start(n int, call func(int) CrossCall) []*Pending {
 	pends := make([]*Pending, n)
+	if n == 0 {
+		return pends
+	}
 	members := make([]*preparedCall, n)
 	// One backing array for the members, with each call's Pending
 	// inline: batches sit on the hot path, where per-element
 	// allocations add up.
 	mback := make([]preparedCall, n)
-	c := clk()
 	for i := range mback {
 		cc := call(i)
 		mback[i] = preparedCall{line: cc.Line, name: cc.Name, rawArgs: cc.Args,
-			pend: Pending{done: c.NewSlot()}}
+			pend: Pending{done: cc.Line.clock.NewSlot()}}
 		members[i] = &mback[i]
 		pends[i] = &mback[i].pend
 	}
-	c.Go("schooner.dispatchBatch", func() { r.dispatch(members) })
+	members[0].line.clock.Go("schooner.dispatchBatch", func() { r.dispatch(members) })
 	return pends
 }
 
@@ -188,7 +190,7 @@ func (r route) dispatch(members []*preparedCall) {
 			goFallback(group[0])
 			continue
 		}
-		clk().Go("schooner.sendBatch", func() { r.send(k, group) })
+		group[0].line.clock.Go("schooner.sendBatch", func() { r.send(k, group) })
 	}
 }
 
@@ -213,9 +215,9 @@ func (r route) send(key string, group []*preparedCall) {
 	env := wire.Message{Kind: wire.KBatch}
 	counter := "schooner.client.host_batches"
 	if r.hosts != nil {
-		g, err = r.hosts.serverConn(key)
+		g, err = r.hosts.serverConn(key, owner.line.clock)
 	} else {
-		g, err = owner.b.get(owner.line.client.Transport, owner.line.client.Host)
+		g, err = owner.b.get(owner.line.client.Transport, owner.line.clock, owner.line.client.Host)
 		env.Line = owner.line.id
 		counter = "schooner.client.batches"
 	}
@@ -323,7 +325,7 @@ func completeBatch(group []*preparedCall, resp *wire.Message) {
 }
 
 // goFallback runs one member's fallback on its own goroutine.
-func goFallback(m *preparedCall) { clk().Go("schooner.batch.fallback", m.fallback) }
+func goFallback(m *preparedCall) { m.line.clock.Go("schooner.batch.fallback", m.fallback) }
 
 func fallbackAll(group []*preparedCall) {
 	for _, m := range group {

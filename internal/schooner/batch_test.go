@@ -307,7 +307,7 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newDemuxConn(raw)
+	g := newDemuxConn(raw, d.tr.Clock())
 	defer g.Close()
 
 	var wg sync.WaitGroup

@@ -16,7 +16,7 @@ import (
 )
 
 // StartCheckpoints begins the periodic checkpoint sweep. The ticker
-// runs on the package clock, so DST drives it in virtual time. No-op
+// runs on the Manager's clock, so DST drives it in virtual time. No-op
 // if already running or the Manager is stopped.
 func (m *Manager) StartCheckpoints(interval time.Duration) {
 	if interval <= 0 {
@@ -27,7 +27,7 @@ func (m *Manager) StartCheckpoints(interval time.Duration) {
 		m.mu.Unlock()
 		return
 	}
-	m.ck = every("schooner.Manager.checkpointLoop", interval, func() { m.CheckpointNow() })
+	m.ck = every(m.clock, "schooner.Manager.checkpointLoop", interval, func() { m.CheckpointNow() })
 	m.mu.Unlock()
 }
 

@@ -50,8 +50,8 @@ type Client struct {
 }
 
 // serverConn returns the client's shared demultiplexed connection to a
-// machine's Server.
-func (c *Client) serverConn(host string) (*demuxConn, error) {
+// machine's Server, keeping time on clock once it is dialed.
+func (c *Client) serverConn(host string, clock vclock.Clock) (*demuxConn, error) {
 	c.mu.Lock()
 	sc := c.srvConns[host]
 	if sc == nil {
@@ -62,7 +62,7 @@ func (c *Client) serverConn(host string) (*demuxConn, error) {
 		c.srvConns[host] = sc
 	}
 	c.mu.Unlock()
-	return sc.get(c.Transport, c.Host)
+	return sc.get(c.Transport, clock, c.Host)
 }
 
 // Close releases the client's cached Server connections (the cross-
@@ -96,9 +96,10 @@ func (c *Client) arch() (*machine.Arch, error) {
 // Manager that does not answer within the client's call deadline is
 // given up on, and the next configured one tried.
 func (c *Client) ContactSchx(module string) (*Line, error) {
+	clock := c.Transport.Clock()
 	var lastErr error
 	for _, mh := range c.managerHosts() {
-		mgr, id, err := c.openLine(mh, &wire.Message{Kind: wire.KRegisterLine, Name: module},
+		mgr, id, err := c.openLine(clock, mh, &wire.Message{Kind: wire.KRegisterLine, Name: module},
 			c.Policy.withDefaults().Timeout)
 		if err != nil {
 			lastErr = err
@@ -106,6 +107,7 @@ func (c *Client) ContactSchx(module string) (*Line, error) {
 		}
 		return &Line{
 			client:   c,
+			clock:    clock,
 			id:       id,
 			module:   module,
 			mgr:      mgr,
@@ -118,15 +120,15 @@ func (c *Client) ContactSchx(module string) (*Line, error) {
 }
 
 // openLine dials the Manager on one host and asks it for a line — a
-// new one (KRegisterLine) or one it already knows (KAttachLine). The
-// connection that carried the answer becomes the line's Manager
-// connection.
-func (c *Client) openLine(managerHost string, req *wire.Message, timeout time.Duration) (*demuxConn, uint32, error) {
+// new one (KRegisterLine) or one it already knows (KAttachLine), on
+// the line's clock. The connection that carried the answer becomes the
+// line's Manager connection.
+func (c *Client) openLine(clock vclock.Clock, managerHost string, req *wire.Message, timeout time.Duration) (*demuxConn, uint32, error) {
 	conn, err := c.Transport.Dial(c.Host, managerHost+":"+ManagerPort)
 	if err != nil {
 		return nil, 0, fmt.Errorf("schooner: cannot reach manager on %s: %w", managerHost, err)
 	}
-	resp, err := ask(conn, req, timeout)
+	resp, err := ask(clock, conn, req, timeout)
 	if err == nil && resp.Kind != wire.KLineOK {
 		err = fmt.Errorf("schooner: manager on %s refused %v: %s", managerHost, req.Kind, resp.Err)
 	}
@@ -134,7 +136,7 @@ func (c *Client) openLine(managerHost string, req *wire.Message, timeout time.Du
 		conn.Close()
 		return nil, 0, err
 	}
-	return newDemuxConn(conn), resp.Line, nil
+	return newDemuxConn(conn, clock), resp.Line, nil
 }
 
 // Line is one thread of control in a Schooner program: a sequential
@@ -152,6 +154,7 @@ func (c *Client) openLine(managerHost string, req *wire.Message, timeout time.Du
 // backoff sleep.
 type Line struct {
 	client *Client
+	clock  vclock.Clock // the client transport's, read at ContactSchx
 	id     uint32
 	module string
 
@@ -203,7 +206,8 @@ func (l *Line) mgrc() (*demuxConn, int) {
 // pending entry but the connection stays open — a late reply to an
 // abandoned seq is simply discarded.
 type demuxConn struct {
-	conn wire.Conn
+	conn  wire.Conn
+	clock vclock.Clock
 
 	// sendMu serializes frames onto the shared connection.
 	sendMu sync.Mutex
@@ -214,9 +218,9 @@ type demuxConn struct {
 	err     error                   // terminal receive failure: the connection is dead
 }
 
-func newDemuxConn(conn wire.Conn) *demuxConn {
-	g := &demuxConn{conn: conn, pending: make(map[uint32]*vclock.Slot)}
-	clk().Go("schooner.demuxConn.readLoop", g.readLoop)
+func newDemuxConn(conn wire.Conn, clock vclock.Clock) *demuxConn {
+	g := &demuxConn{conn: conn, clock: clock, pending: make(map[uint32]*vclock.Slot)}
+	clock.Go("schooner.demuxConn.readLoop", g.readLoop)
 	return g
 }
 
@@ -277,7 +281,7 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 	}
 	g.seq++
 	req.Seq = g.seq
-	slot := clk().NewSlot()
+	slot := g.clock.NewSlot()
 	g.pending[req.Seq] = slot
 	g.mu.Unlock()
 
@@ -340,7 +344,7 @@ type sharedConn struct {
 	closed bool
 }
 
-func (s *sharedConn) get(t Transport, from string) (*demuxConn, error) {
+func (s *sharedConn) get(t Transport, clock vclock.Clock, from string) (*demuxConn, error) {
 	s.mu.Lock()
 	g, err := s.live()
 	s.mu.Unlock()
@@ -353,7 +357,7 @@ func (s *sharedConn) get(t Transport, from string) (*demuxConn, error) {
 		// failover about to repoint the names mapped to it; retry.
 		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", s.addr, err)}
 	}
-	fresh := newDemuxConn(conn)
+	fresh := newDemuxConn(conn, clock)
 	s.mu.Lock()
 	if g, err := s.live(); g != nil || err != nil {
 		s.mu.Unlock()
@@ -451,7 +455,7 @@ func (l *Line) reattach(gen int, forQuit bool) (*demuxConn, int, error) {
 	l.mu.Unlock()
 	var lastErr error
 	for _, mh := range l.client.managerHosts() {
-		fresh, _, err := l.client.openLine(mh,
+		fresh, _, err := l.client.openLine(l.clock, mh,
 			&wire.Message{Kind: wire.KAttachLine, Line: l.id, Name: l.module}, l.currentPolicy().Timeout)
 		if err != nil {
 			lastErr = err
@@ -626,13 +630,13 @@ func (l *Line) invalidate(name string, b *binding) {
 // for retries, rebinds, timeouts, and failover rebinds. Disabled
 // tracing costs one atomic load and no allocations.
 func (l *Line) Call(name string, args ...uts.Value) ([]uts.Value, error) {
-	start := clk().Now()
+	start := l.clock.Now()
 	var sp *trace.Span
 	if trace.Enabled() {
 		sp = trace.StartSpan("call "+name, l.client.Host)
 	}
 	res, err := l.call(name, args, sp)
-	d := clk().Since(start)
+	d := l.clock.Since(start)
 	trace.Observe("schooner.client.call", d)
 	if tseries.Enabled() {
 		// Tail-latency exemplar capture: the active sampler keeps the
@@ -703,8 +707,8 @@ func (p *Pending) Wait() ([]uts.Value, error) {
 // stale-cache rebind, failover discovery — and overlaps with any other
 // calls in flight on the line.
 func (l *Line) Go(name string, args ...uts.Value) *Pending {
-	p := &Pending{done: clk().NewSlot()}
-	clk().Go("schooner.Line.Go", func() { p.complete(l.Call(name, args...)) })
+	p := &Pending{done: l.clock.NewSlot()}
+	l.clock.Go("schooner.Line.Go", func() { p.complete(l.Call(name, args...)) })
 	return p
 }
 
@@ -736,7 +740,7 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 			}
 			// The backoff sleep runs with no locks held: other
 			// goroutines' calls on this line proceed during it.
-			clk().Sleep(pol.backoffFor(attempt - 1))
+			l.clock.Sleep(pol.backoffFor(attempt-1, l.client.Transport.Jitter()))
 		}
 		l.mu.Lock()
 		if l.quit {
@@ -852,7 +856,7 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 // re-binds). An attempt that gets as far as the wire is a child span of
 // sp, whose context rides in the request envelope.
 func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	pc, err := b.get(l.client.Transport, l.client.Host)
+	pc, err := b.get(l.client.Transport, l.clock, l.client.Host)
 	if err != nil {
 		return nil, err
 	}
@@ -861,7 +865,7 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 	if sp != nil {
 		att = sp.Child("attempt "+name, l.client.Host)
 		att.Annotate("addr", b.addr)
-		attStart = clk().Now()
+		attStart = l.clock.Now()
 	}
 	// The flight recorder sees every attempt even when tracing is
 	// off: one ring append, no allocation (all fields are strings
@@ -889,7 +893,7 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 			att.Annotate("error", err.Error())
 		} else {
 			host := addrHost(b.addr)
-			d := clk().Since(attStart)
+			d := l.clock.Since(attStart)
 			trace.Observe(trace.LKey("schooner.client.call", trace.Label{Key: "host", Value: host}), d)
 			trace.Count(trace.LKey("schooner.client.calls", trace.Label{Key: "host", Value: host}))
 			if tseries.Enabled() {

@@ -198,7 +198,6 @@ func TestRecoveryFailsOverDeadProcesses(t *testing.T) {
 // checkpoint, and the value stays monotonic.
 func TestCheckpointRestoreFailover(t *testing.T) {
 	dd := newDurableDeployment(t, "avs-sparc", ieeeHosts())
-	SetRetrySeed(1993)
 	dd.reg.MustRegister(counterProgram("/npss/counter"))
 	ln, err := dd.client("avs-sparc").ContactSchx("m")
 	if err != nil {
@@ -356,7 +355,6 @@ func TestJournalTailStreams(t *testing.T) {
 // reattaching to the standby host.
 func TestStandbyTakeover(t *testing.T) {
 	dd := newDurableDeployment(t, "avs-sparc", ieeeHosts())
-	SetRetrySeed(1993)
 	dd.reg.MustRegister(counterProgram("/npss/counter"))
 
 	standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})

@@ -60,7 +60,7 @@ func trapProgram(path string, fn func()) *Program {
 // policy it must return an error within the retry budget.
 func TestCallDeadlineHostDownAfterSend(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
-	SetRetrySeed(61)
+	d.net.SetFaultSeed(61)
 	d.reg.MustRegister(trapProgram("/npss/trap", func() {
 		d.net.SetHostDown("sgi-lerc", true)
 	}))
@@ -117,7 +117,6 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.net.SetFaultSeed(17)
-	SetRetrySeed(17)
 	d.net.SetLinkFlaky("avs-sparc", "sgi-lerc", netsim.FaultSpec{LossProb: 0.3})
 	ln.SetCallPolicy(CallPolicy{
 		Timeout:    50 * time.Millisecond,
@@ -151,7 +150,6 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 // rebind — while a stateful process on the same machine is left alone.
 func TestHealthFailoverStateless(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
-	SetRetrySeed(1993)
 	d.reg.MustRegister(adderProgram("/npss/adder"))
 	d.reg.MustRegister(counterProgram("/npss/counter"))
 

@@ -60,7 +60,7 @@ func (m *Manager) StartHealth(p HealthPolicy) {
 	}
 	m.hbPol = p
 	m.health = make(map[string]*hostHealth)
-	m.hb = every("schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p) })
+	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p) })
 	m.mu.Unlock()
 }
 

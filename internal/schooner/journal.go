@@ -208,7 +208,7 @@ func (m *Manager) serveJournalTail(conn wire.Conn, req *wire.Message) {
 		_ = conn.Send(resp)
 		return
 	}
-	sub := &journalSub{q: vclock.NewQueue[journalEntry](clk())}
+	sub := &journalSub{q: vclock.NewQueue[journalEntry](m.clock)}
 	m.subs[sub] = struct{}{}
 	journal := m.journal
 	m.mu.Unlock()
@@ -216,7 +216,7 @@ func (m *Manager) serveJournalTail(conn wire.Conn, req *wire.Message) {
 	// A reader watches the connection: when the subscriber hangs up,
 	// the subscription is dropped so the streaming loop below unblocks
 	// rather than waiting forever for a next append.
-	clk().Go("schooner.Manager.tailWatch", func() {
+	m.clock.Go("schooner.Manager.tailWatch", func() {
 		for {
 			if _, err := conn.Recv(); err != nil {
 				m.dropSub(sub)

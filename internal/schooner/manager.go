@@ -11,6 +11,7 @@ import (
 	"npss/internal/logx"
 	"npss/internal/trace"
 	"npss/internal/uts"
+	"npss/internal/vclock"
 	"npss/internal/wal"
 	"npss/internal/wire"
 )
@@ -27,6 +28,7 @@ import (
 // available to every line.
 type Manager struct {
 	transport Transport
+	clock     vclock.Clock // the transport's, read once at start
 	host      string
 	listener  Listener
 
@@ -126,6 +128,7 @@ func StartManager(t Transport, host string) (*Manager, error) {
 func StartManagerConfig(t Transport, host string, cfg ManagerConfig) (*Manager, error) {
 	m := &Manager{
 		transport:   t,
+		clock:       t.Clock(),
 		host:        host,
 		lines:       make(map[uint32]*line),
 		shared:      newLine(0, "<shared>"),
@@ -145,7 +148,7 @@ func StartManagerConfig(t Transport, host string, cfg ManagerConfig) (*Manager, 
 		return nil, err
 	}
 	m.listener = l
-	clk().Go("schooner.Manager.acceptLoop", m.acceptLoop)
+	m.clock.Go("schooner.Manager.acceptLoop", m.acceptLoop)
 	if cfg.CheckpointInterval > 0 {
 		m.StartCheckpoints(cfg.CheckpointInterval)
 	}
@@ -373,7 +376,7 @@ func (m *Manager) acceptLoop() {
 		}
 		m.conns[conn] = struct{}{}
 		m.mu.Unlock()
-		clk().Go("schooner.Manager.serve", func() {
+		m.clock.Go("schooner.Manager.serve", func() {
 			m.serve(conn)
 			m.mu.Lock()
 			delete(m.conns, conn)
@@ -868,7 +871,7 @@ func (m *Manager) captureState(proc *remoteProc) (map[string][]byte, error) {
 		if len(spec.State) == 0 {
 			continue
 		}
-		resp, err := ask(conn, &wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
+		resp, err := ask(m.clock, conn, &wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -898,7 +901,7 @@ func (m *Manager) installState(proc *remoteProc, state map[string][]byte) error 
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		resp, err := ask(conn, &wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
+		resp, err := ask(m.clock, conn, &wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
 		if err != nil {
 			return err
 		}

@@ -47,9 +47,13 @@ var flightTime = regexp.MustCompile(`(?m)^(#\d+) \d\d:\d\d:\d\d\.\d{6} `)
 // makes a few calls into one procedure process on sgi-lerc, takes down
 // the hosts named, and renders every component's answer on every plane
 // plus the cluster roll-up.
+//
+// Unlike the other virtual-clock sessions it cannot run in parallel:
+// the answers are the process globals it swaps in — the metric set
+// (trace.Swap), the flight recorder (flight.Swap), the span recorder
+// (trace.SetRecorder) and the series sampler (tseries.SetActive).
 func observeSession(t *testing.T, down ...string) string {
 	v := vclock.NewVirtual()
-	prevClock := SwapClock(v)
 	prevSet := trace.Swap(trace.NewSet())
 	prevFlight := flight.Swap(flight.NewRecorder(1024))
 	trace.SetRecorder(trace.NewRecorderClock(v.Now))
@@ -88,7 +92,6 @@ func observeSession(t *testing.T, down ...string) string {
 		}
 		flight.Swap(prevFlight)
 		trace.Swap(prevSet)
-		SwapClock(prevClock)
 	}()
 
 	c := &Client{Transport: tr, Host: "avs-sparc", ManagerHost: "avs-sparc"}
@@ -196,8 +199,9 @@ func TestObserveGolden(t *testing.T) {
 }
 
 // TestObservePlaneErrors: an unknown plane is answered with an error
-// that names it, and a component without a status report refuses the
-// status plane.
+// that names it, a component without a status report refuses the
+// status plane, and a roll-up with no source to ask is an error, not a
+// panic.
 func TestObservePlaneErrors(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	for _, addr := range []string{"avs-sparc", "rs6000:" + ServerPort} {
@@ -208,5 +212,8 @@ func TestObservePlaneErrors(t *testing.T) {
 	}
 	if resp := observe("status", nil); resp.Kind != wire.KError {
 		t.Errorf("status without a report answered %v", resp.Kind)
+	}
+	if report, err := ClusterStatus(d.tr, "sgi-lerc", nil); err == nil {
+		t.Errorf("a roll-up of no sources answered %q", report)
 	}
 }

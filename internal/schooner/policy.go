@@ -2,10 +2,9 @@ package schooner
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -62,33 +61,15 @@ func (p CallPolicy) withDefaults() CallPolicy {
 	return p
 }
 
-// backoffJitter is the client's own randomness source: retry delays
-// are jittered so colliding clients do not retry in lockstep.
-var backoffJitter = struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}{rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
-
-// SetRetrySeed re-seeds the retry jitter source. Experiments that
-// promise reproducibility (the chaos harness, the fault tests) call
-// this next to netsim.SetFaultSeed, so a seed pair fully determines
-// both the fault draws and the retry timing.
-func SetRetrySeed(seed int64) {
-	backoffJitter.mu.Lock()
-	backoffJitter.rng = rand.New(rand.NewSource(seed))
-	backoffJitter.mu.Unlock()
-}
-
 // backoffFor computes the jittered delay before retry number n
-// (0-based): half the exponential step plus a random half.
-func (p CallPolicy) backoffFor(n int) time.Duration {
+// (0-based): half the exponential step plus the fraction f of the
+// other half. f is a draw from the transport's jitter source, so
+// colliding clients do not retry in lockstep.
+func (p CallPolicy) backoffFor(n int, f float64) time.Duration {
 	d := p.Backoff << uint(n)
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
 	}
-	backoffJitter.mu.Lock()
-	f := backoffJitter.rng.Float64()
-	backoffJitter.mu.Unlock()
 	return d/2 + time.Duration(f*float64(d/2))
 }
 
@@ -103,17 +84,16 @@ func (e *timeoutError) Error() string {
 	return fmt.Sprintf("schooner: receive from %s timed out after %v", e.peer, e.d)
 }
 
-// recvTimeout receives one message with a deadline on the package
-// clock. On timeout the connection is closed (unblocking the pending
-// receive) and a *timeoutError is returned; the caller must treat the
+// recvTimeout receives one message with a deadline on clock c. On
+// timeout the connection is closed (unblocking the pending receive)
+// and a *timeoutError is returned; the caller must treat the
 // connection as dead. A non-positive timeout blocks indefinitely.
-func recvTimeout(conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
+func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 	if timeout <= 0 {
 		return conn.Recv()
 	}
 	// The receive runs on its own goroutine; its outcome — the message
 	// or the error — is what fills the slot.
-	c := clk()
 	got := c.NewSlot()
 	c.Go("schooner.recvTimeout", func() {
 		if m, err := conn.Recv(); err != nil {
@@ -133,15 +113,15 @@ func recvTimeout(conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 }
 
 // ask is the request/response step on a connection nobody else is
-// using: send req, then wait up to timeout for the next message.
-// Transport failures and timeouts are stale, as on a shared connection;
-// after a timeout the connection is closed. The reply is returned
-// uninterpreted.
-func ask(conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+// using: send req, then wait up to timeout on clock c for the next
+// message. Transport failures and timeouts are stale, as on a shared
+// connection; after a timeout the connection is closed. The reply is
+// returned uninterpreted.
+func ask(c vclock.Clock, conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	if err := conn.Send(req); err != nil {
 		return nil, &staleError{err}
 	}
-	resp, err := recvTimeout(conn, timeout)
+	resp, err := recvTimeout(c, conn, timeout)
 	if err != nil {
 		return nil, &staleError{err}
 	}
@@ -149,14 +129,15 @@ func ask(conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Messag
 }
 
 // roundTrip is the one-shot exchange every administrative query is
-// made of: dial addr from one host, ask, close.
+// made of: dial addr from one host, ask on the transport's clock,
+// close.
 func roundTrip(t Transport, from, addr string, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	conn, err := t.Dial(from, addr)
 	if err != nil {
 		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", addr, err)}
 	}
 	defer conn.Close()
-	return ask(conn, req, timeout)
+	return ask(t.Clock(), conn, req, timeout)
 }
 
 // ping probes whatever listens at addr with one bounded KPing.

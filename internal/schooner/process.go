@@ -27,6 +27,7 @@ const ErrProcessTerminated = "schooner: procedure process terminated"
 // the host architecture's native representation so that heterogeneity
 // (precision, range, byte order) is exercised on every call.
 type process struct {
+	clock    vclock.Clock // its Server's
 	host     string
 	arch     *machine.Arch
 	program  *Program
@@ -48,8 +49,9 @@ type process struct {
 	done     chan struct{}
 }
 
-// startProcess instantiates a program on a host and begins serving.
-func startProcess(t Transport, host string, prog *Program) (*process, error) {
+// startProcess instantiates a program on a host and begins serving on
+// clock c.
+func startProcess(t Transport, c vclock.Clock, host string, prog *Program) (*process, error) {
 	arch, err := t.HostArch(host)
 	if err != nil {
 		return nil, err
@@ -63,6 +65,7 @@ func startProcess(t Transport, host string, prog *Program) (*process, error) {
 		return nil, err
 	}
 	p := &process{
+		clock:    c,
 		host:     host,
 		arch:     arch,
 		program:  prog,
@@ -70,10 +73,10 @@ func startProcess(t Transport, host string, prog *Program) (*process, error) {
 		listener: l,
 		plans:    make(map[planKey]*callPlan),
 		done:     make(chan struct{}),
-		turn:     clk().NewSlot(),
+		turn:     c.NewSlot(),
 	}
 	p.unlock()
-	clk().Go("schooner.process.acceptLoop", p.acceptLoop)
+	c.Go("schooner.process.acceptLoop", p.acceptLoop)
 	return p, nil
 }
 
@@ -112,7 +115,7 @@ func (p *process) acceptLoop() {
 		if err != nil {
 			return
 		}
-		clk().Go("schooner.process.serve", func() { p.serve(conn) })
+		p.clock.Go("schooner.process.serve", func() { p.serve(conn) })
 	}
 }
 
@@ -147,7 +150,7 @@ func (p *process) serve(conn wire.Conn) {
 			p.stop()
 			return
 		}
-		clk().Go("schooner.process.dispatch", func() { reply(m, p.dispatch(m)) })
+		p.clock.Go("schooner.process.dispatch", func() { reply(m, p.dispatch(m)) })
 	}
 }
 
@@ -322,7 +325,7 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 		if dispatch != nil {
 			body = dispatch.Child("proc "+m.Name, p.host)
 		}
-		bodyStart = clk().Now()
+		bodyStart = p.clock.Now()
 	}
 	if !p.lock() {
 		return &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
@@ -330,7 +333,7 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 	out, err := bp.Fn(in)
 	p.unlock()
 	if enabled {
-		d := clk().Since(bodyStart)
+		d := p.clock.Since(bodyStart)
 		body.End()
 		trace.Observe(trace.LKey("schooner.proc.call", trace.Label{Key: "proc", Value: m.Name}), d)
 		trace.Observe(trace.LKey("schooner.proc.call", trace.Label{Key: "host", Value: p.host}), d)

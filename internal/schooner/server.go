@@ -7,6 +7,7 @@ import (
 	"npss/internal/flight"
 	"npss/internal/trace"
 	"npss/internal/uts"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -16,6 +17,7 @@ import (
 // processes on that machine.
 type Server struct {
 	transport Transport
+	clock     vclock.Clock // the transport's, read once at start
 	host      string
 	registry  *Registry
 	listener  Listener
@@ -34,12 +36,13 @@ func StartServer(t Transport, host string, reg *Registry) (*Server, error) {
 	}
 	s := &Server{
 		transport: t,
+		clock:     t.Clock(),
 		host:      host,
 		registry:  reg,
 		listener:  l,
 		processes: make(map[string]*process),
 	}
-	clk().Go("schooner.Server.acceptLoop", s.acceptLoop)
+	s.clock.Go("schooner.Server.acceptLoop", s.acceptLoop)
 	return s, nil
 }
 
@@ -88,7 +91,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		clk().Go("schooner.Server.serve", func() { s.serve(conn) })
+		s.clock.Go("schooner.Server.serve", func() { s.serve(conn) })
 	}
 }
 
@@ -162,7 +165,7 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	p, err := startProcess(s.transport, s.host, prog)
+	p, err := startProcess(s.transport, s.clock, s.host, prog)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}

@@ -60,6 +60,7 @@ func (p StandbyPolicy) withDefaults() StandbyPolicy {
 // owned by the caller; Stop halts the standby's own goroutines only.
 type Standby struct {
 	transport Transport
+	clock     vclock.Clock // the transport's, read once at start
 	host      string
 	leader    string
 	log       *wal.Log
@@ -77,21 +78,23 @@ type Standby struct {
 }
 
 // StartStandby launches a warm standby on host, mirroring the journal
-// of the Manager on leaderHost into log. Both loops run on the package
-// clock, so DST drives the standby in virtual time.
+// of the Manager on leaderHost into log. Both loops run on the
+// transport's clock, so DST drives the standby in virtual time.
 func StartStandby(t Transport, host, leaderHost string, log *wal.Log, pol StandbyPolicy) *Standby {
+	c := t.Clock()
 	s := &Standby{
 		transport: t,
+		clock:     c,
 		host:      host,
 		leader:    leaderHost,
 		log:       log,
 		pol:       pol.withDefaults(),
-		stop:      clk().NewSlot(),
-		hbDone:    clk().NewSlot(),
-		tailDone:  clk().NewSlot(),
+		stop:      c.NewSlot(),
+		hbDone:    c.NewSlot(),
+		tailDone:  c.NewSlot(),
 	}
-	clk().Go("schooner.Standby.tailLoop", s.tailLoop)
-	clk().Go("schooner.Standby.heartbeatLoop", s.heartbeatLoop)
+	c.Go("schooner.Standby.tailLoop", s.tailLoop)
+	c.Go("schooner.Standby.heartbeatLoop", s.heartbeatLoop)
 	return s
 }
 
@@ -164,7 +167,7 @@ func (s *Standby) tailLoop() {
 		if s.halted() {
 			return
 		}
-		clk().Sleep(s.pol.HeartbeatInterval)
+		s.clock.Sleep(s.pol.HeartbeatInterval)
 	}
 }
 
@@ -197,7 +200,7 @@ func (s *Standby) drainTail(conn wire.Conn) {
 func (s *Standby) heartbeatLoop() {
 	defer s.hbDone.Fill(nil)
 	fails := 0
-	vclock.Every(clk(), s.pol.HeartbeatInterval, s.stop, func() bool {
+	vclock.Every(s.clock, s.pol.HeartbeatInterval, s.stop, func() bool {
 		trace.Count("schooner.standby.heartbeats")
 		if ping(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
 			fails = 0

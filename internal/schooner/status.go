@@ -125,8 +125,12 @@ type Source struct{ Name, Addr string }
 // source's metrics merged, its series merged window by window when any
 // were sampled, and its critical-path profile when it recorded spans.
 // A source that does not answer is reported once and left out, not
-// fatal: a degraded cluster is exactly when the roll-up is wanted.
+// fatal: a degraded cluster is exactly when the roll-up is wanted. With
+// no sources there is no Manager to ask, and that is an error.
 func ClusterStatus(t Transport, from string, sources []Source) (string, error) {
+	if len(sources) == 0 {
+		return "", fmt.Errorf("schooner: cluster status needs a Manager to ask")
+	}
 	status, err := Observe(t, from, sources[0].Addr, "status")
 	if err != nil {
 		return "", err

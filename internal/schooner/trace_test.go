@@ -169,7 +169,6 @@ func TestRetryKeepsOneTraceID(t *testing.T) {
 // failover target — all stay parented to the original call span.
 func TestFailoverSpanLinkage(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
-	SetRetrySeed(1993)
 	d.reg.MustRegister(adderProgram("/npss/adder"))
 	ln, err := d.client("avs-sparc").ContactSchx("m")
 	if err != nil {

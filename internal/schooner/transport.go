@@ -30,6 +30,7 @@ package schooner
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -37,6 +38,7 @@ import (
 	"npss/internal/machine"
 	"npss/internal/netsim"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -66,7 +68,9 @@ const ServerPort = "schx-server"
 
 // Transport abstracts how Schooner components reach each other, so the
 // same runtime runs over the in-process network simulator and over
-// real TCP sockets.
+// real TCP sockets. It is also the components' whole environment: each
+// reads its clock from the transport it is built on, once, when it is
+// constructed, and draws its retry jitter from it.
 type Transport interface {
 	// Listen opens a listener on the named host. Port may be empty for
 	// an ephemeral port; the listener's Addr is dialable.
@@ -76,6 +80,13 @@ type Transport interface {
 	Dial(fromHost, addr string) (wire.Conn, error)
 	// HostArch reports the simulated architecture of a host.
 	HostArch(host string) (*machine.Arch, error)
+	// Clock is the clock every component on the transport keeps time
+	// by: deadlines, backoff, periodic loops and the goroutines they
+	// start.
+	Clock() vclock.Clock
+	// Jitter draws the next number in [0, 1) from the transport's
+	// jitter source, which spreads retry delays.
+	Jitter() float64
 }
 
 // Listener accepts inbound connections.
@@ -126,6 +137,12 @@ func (t *SimTransport) Dial(fromHost, addr string) (wire.Conn, error) {
 // machine universe.
 func (t *SimTransport) Hosts() []string { return t.Net.Hosts() }
 
+// Clock is the simulated network's clock.
+func (t *SimTransport) Clock() vclock.Clock { return t.Net.Clock() }
+
+// Jitter draws from the simulated network's seeded jitter source.
+func (t *SimTransport) Jitter() float64 { return t.Net.Jitter() }
+
 // HostArch reports a simulated host's architecture.
 func (t *SimTransport) HostArch(host string) (*machine.Arch, error) {
 	h, err := t.Net.Host(host)
@@ -146,6 +163,22 @@ type TCPTransport struct {
 	// names maps logical "host:port" to "127.0.0.1:nnnn".
 	names map[string]string
 }
+
+// The two transports over real sockets, TCPTransport and
+// StaticTCPTransport, keep wall-clock time and spread retries with the
+// runtime's randomly seeded global source.
+
+// Clock is the wall clock.
+func (*TCPTransport) Clock() vclock.Clock { return vclock.Real() }
+
+// Jitter draws from the runtime's randomly seeded global source.
+func (*TCPTransport) Jitter() float64 { return rand.Float64() }
+
+// Clock is the wall clock.
+func (*StaticTCPTransport) Clock() vclock.Clock { return vclock.Real() }
+
+// Jitter draws from the runtime's randomly seeded global source.
+func (*StaticTCPTransport) Jitter() float64 { return rand.Float64() }
 
 // NewTCPTransport creates a TCP transport with the given host
 // architecture table.

@@ -2,6 +2,7 @@ package schooner
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -14,13 +15,13 @@ import (
 	"npss/internal/wire"
 )
 
-// newVirtualDeployment builds a deployment whose network and Schooner
-// runtime keep time on a virtual clock. The clock is installed before
-// anything starts, so no component ever arms a wall-clock timer.
+// newVirtualDeployment builds a deployment whose network keeps time on
+// a virtual clock. Every component reads its clock from the network it
+// is built on, so none ever arms a wall-clock timer, and the deployment
+// shares no clock with any other in the process.
 func newVirtualDeployment(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) (*deployment, *vclock.Virtual) {
 	t.Helper()
 	v := vclock.NewVirtual()
-	prev := SwapClock(v)
 	n := netsim.New()
 	n.SetClock(v)
 	n.SetTimeScale(1.0)
@@ -32,7 +33,6 @@ func newVirtualDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 	mgr, err := StartManager(tr, mgrHost)
 	if err != nil {
 		v.Stop()
-		SwapClock(prev)
 		t.Fatal(err)
 	}
 	d := &deployment{
@@ -50,8 +50,7 @@ func newVirtualDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 		// Dependency order: runtime first (the prober and any pending
 		// sleeps are on the virtual clock, which must still be running),
 		// then the clock — Stop returns once every goroutine of the
-		// deployment has, or names the one that has not — then the wall
-		// clock comes back.
+		// deployment has, or names the one that has not.
 		d.mgr.Stop()
 		for _, s := range d.servers {
 			s.Stop()
@@ -59,14 +58,13 @@ func newVirtualDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 		if err := v.Stop(); err != nil {
 			t.Error(err)
 		}
-		SwapClock(prev)
 	})
 	return d, v
 }
 
-// napProgram exports nap, which sleeps on the package clock before
-// answering — virtual seconds when a virtual clock is installed.
-func napProgram(path string, d time.Duration) *Program {
+// napProgram exports nap, which sleeps d on clock c before answering —
+// virtual seconds when c is the deployment's virtual clock.
+func napProgram(c vclock.Clock, path string, d time.Duration) *Program {
 	return &Program{
 		Path:     path,
 		Language: LangC,
@@ -74,7 +72,7 @@ func napProgram(path string, d time.Duration) *Program {
 			p := &BoundProc{
 				Spec: uts.MustParseProc(`export nap prog("x" val double, "y" res double)`),
 				Fn: func(in []uts.Value) ([]uts.Value, error) {
-					clk().Sleep(d)
+					c.Sleep(d)
 					return []uts.Value{uts.DoubleVal(in[0].F * 2)}, nil
 				},
 			}
@@ -83,14 +81,13 @@ func napProgram(path string, d time.Duration) *Program {
 	}
 }
 
-// TestVirtualCallDeadlineExpiry: a 30-second call deadline expires in
-// virtual time with no real wait. The procedure stalls two virtual
-// minutes against a 30-second timeout; the failure must arrive in far
-// less real time than the deadline itself, which is only possible if
-// the deadline timer runs on the virtual clock.
-func TestVirtualCallDeadlineExpiry(t *testing.T) {
+// deadlineScript stands up a virtual deployment and makes one call
+// with a 30-second deadline to a procedure that stalls two virtual
+// minutes. It returns the virtual and the real time the call took, and
+// its error.
+func deadlineScript(t *testing.T) (virtualElapsed, realElapsed time.Duration, err error) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
-	d.reg.MustRegister(napProgram("/npss/nap", 2*time.Minute))
+	d.reg.MustRegister(napProgram(v, "/npss/nap", 2*time.Minute))
 	ln, err := d.client("avs-sparc").ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +103,21 @@ func TestVirtualCallDeadlineExpiry(t *testing.T) {
 		Backoff:    time.Millisecond,
 		MaxBackoff: time.Millisecond,
 	})
-
-	timeoutsBefore := trace.Get("schooner.client.timeouts")
 	virtualBefore := v.Elapsed()
 	realStart := time.Now()
 	_, err = ln.Call("nap", uts.DoubleVal(1))
-	realElapsed := time.Since(realStart)
-	virtualElapsed := v.Elapsed() - virtualBefore
+	return v.Elapsed() - virtualBefore, time.Since(realStart), err
+}
 
+// TestVirtualCallDeadlineExpiry: a 30-second call deadline expires in
+// virtual time with no real wait. The procedure stalls two virtual
+// minutes against a 30-second timeout; the failure must arrive in far
+// less real time than the deadline itself, which is only possible if
+// the deadline timer runs on the virtual clock.
+func TestVirtualCallDeadlineExpiry(t *testing.T) {
+	t.Parallel()
+	timeoutsBefore := trace.Get("schooner.client.timeouts")
+	virtualElapsed, realElapsed, err := deadlineScript(t)
 	if err == nil {
 		t.Fatal("call survived a procedure stalled past its deadline")
 	}
@@ -128,12 +132,77 @@ func TestVirtualCallDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestTwoClustersOneProcess: a wall-clock deployment and a
+// virtual-clock deployment run calls at the same time in one process.
+// Each component keeps the clock of the network it was built on, so
+// the virtual side's deadline script takes exactly the virtual time,
+// and fails with exactly the error, that it does alone — the wall-clock
+// side neither joins its ledger nor waits on its timers — while every
+// wall-clock call answers.
+func TestTwoClustersOneProcess(t *testing.T) {
+	t.Parallel()
+	soloElapsed, _, soloErr := deadlineScript(t)
+	if soloErr == nil {
+		t.Fatal("solo run: call survived a procedure stalled past its deadline")
+	}
+
+	wall := newDeployment(t, "avs-sparc", ieeeHosts())
+	wall.reg.MustRegister(adderProgram("/npss/adder"))
+	ln, err := wall.client("avs-sparc").ContactSchx("wall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.IQuit()
+	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	first, stop := make(chan struct{}), make(chan struct{})
+	wallDone := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			out, err := ln.Call("add", uts.DoubleVal(float64(i)), uts.DoubleVal(1))
+			if err != nil || out[0].F != float64(i+1) {
+				wallDone <- fmt.Errorf("wall-clock call %d = %v, %v", i, out, err)
+				return
+			}
+			if i == 0 {
+				close(first)
+			}
+			select {
+			case <-stop:
+				wallDone <- nil
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-first:
+	case err := <-wallDone:
+		t.Fatal(err)
+	}
+
+	elapsed, _, err := deadlineScript(t)
+	close(stop)
+	if werr := <-wallDone; werr != nil {
+		t.Error(werr)
+	}
+	if elapsed != soloElapsed {
+		t.Errorf("beside a wall-clock cluster the script took %v of virtual time, alone %v", elapsed, soloElapsed)
+	}
+	if err == nil || err.Error() != soloErr.Error() {
+		t.Errorf("beside a wall-clock cluster the call failed with %v, alone with %v", err, soloErr)
+	}
+}
+
 // TestVirtualHealthFailover drives the Manager's health prober purely
 // by virtual-clock advancement: sweep intervals are whole virtual
 // seconds, so the machine could only be declared dead (and its
 // stateless process failed over) if the prober's ticker runs on the
 // virtual clock.
 func TestVirtualHealthFailover(t *testing.T) {
+	t.Parallel()
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
 	ln, err := d.client("avs-sparc").ContactSchx("m")
@@ -202,8 +271,9 @@ func TestVirtualHealthFailover(t *testing.T) {
 // five virtual seconds completes under Pending.Wait without the caller
 // spending five real seconds.
 func TestVirtualPendingWait(t *testing.T) {
+	t.Parallel()
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
-	d.reg.MustRegister(napProgram("/npss/nap", 5*time.Second))
+	d.reg.MustRegister(napProgram(v, "/npss/nap", 5*time.Second))
 	ln, err := d.client("avs-sparc").ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
@@ -241,40 +311,56 @@ func TestVirtualPendingWait(t *testing.T) {
 	}
 }
 
-// jitterSample draws n backoff delays from the shared jitter source.
-func jitterSample(n int) []time.Duration {
+// jitterSample draws n backoff delays through a transport's jitter
+// source, as a retrying call does.
+func jitterSample(tr Transport, n int) []time.Duration {
 	p := CallPolicy{Backoff: 8 * time.Millisecond, MaxBackoff: 64 * time.Millisecond}.withDefaults()
 	out := make([]time.Duration, n)
 	for i := range out {
-		out[i] = p.backoffFor(i % 4)
+		out[i] = p.backoffFor(i%4, tr.Jitter())
 	}
 	return out
 }
 
-// TestSwapClockSeedsRetryJitter is the regression for deterministic
-// retry timing: installing a virtual clock must re-seed the retry
-// jitter RNG (DefaultVirtualRetrySeed), so two identical-seed
-// simulation runs draw identical backoff sequences without any
-// explicit SetRetrySeed call.
-func TestSwapClockSeedsRetryJitter(t *testing.T) {
-	sample := func() []time.Duration {
-		v := vclock.NewVirtual()
-		defer v.Stop()
-		prev := SwapClock(v)
-		defer SwapClock(prev)
-		return jitterSample(8)
-	}
-	s1, s2 := sample(), sample()
+// TestNetworkSeedsRetryJitter is the regression for deterministic
+// retry timing: each network carries its own seeded jitter source, so
+// two identically built simulations draw identical backoff sequences
+// without naming a seed, one SetFaultSeed pins the sequence, and a
+// cluster's draws do not depend on another cluster drawing beside it.
+func TestNetworkSeedsRetryJitter(t *testing.T) {
+	t.Parallel()
+	fresh := func() *SimTransport { return NewSimTransport(netsim.New()) }
+	s1, s2 := jitterSample(fresh(), 8), jitterSample(fresh(), 8)
 	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("virtual-clock installs drew different jitter:\n%v\n%v", s1, s2)
+		t.Errorf("two fresh networks drew different jitter:\n%v\n%v", s1, s2)
 	}
-	// An explicit seed must also pin the sequence.
-	SetRetrySeed(71)
-	s3 := jitterSample(8)
-	SetRetrySeed(71)
-	s4 := jitterSample(8)
+
+	seeded := func() *SimTransport {
+		tr := fresh()
+		tr.Net.SetFaultSeed(71)
+		return tr
+	}
+	s3, s4 := jitterSample(seeded(), 8), jitterSample(seeded(), 8)
 	if !reflect.DeepEqual(s3, s4) {
-		t.Errorf("SetRetrySeed(71) drew different jitter:\n%v\n%v", s3, s4)
+		t.Errorf("SetFaultSeed(71) drew different jitter:\n%v\n%v", s3, s4)
+	}
+	if reflect.DeepEqual(s1, s3) {
+		t.Errorf("SetFaultSeed(71) drew the default sequence %v", s3)
+	}
+
+	// Each network's stream, drawn alone, then the two drawn in turn.
+	var soloA, soloB [8]float64
+	for i, a := 0, fresh(); i < len(soloA); i++ {
+		soloA[i] = a.Jitter()
+	}
+	for i, b := 0, seeded(); i < len(soloB); i++ {
+		soloB[i] = b.Jitter()
+	}
+	a, b := fresh(), seeded()
+	for i := range soloA {
+		if ga, gb := a.Jitter(), b.Jitter(); ga != soloA[i] || gb != soloB[i] {
+			t.Fatalf("draw %d in turn on two networks gave %v and %v, alone %v and %v", i, ga, gb, soloA[i], soloB[i])
+		}
 	}
 }
 
@@ -305,6 +391,9 @@ func (c muteConn) Recv() (*wire.Message, error) {
 // ContactSchx gives each the client's call deadline, walks on to the
 // next, and returns a timeout — on the virtual clock, so the ten
 // seconds cost none — leaving no connection open behind it.
+//
+// Not parallel: it counts registrations in the process-wide metric set
+// exactly, and every other deployment's lines register there too.
 func TestContactSchxDeadline(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	standby, err := StartManager(d.tr, "sgi-lerc")

@@ -118,7 +118,6 @@ func (t *shapeTransport) dump() string {
 func newShapeCluster(t *testing.T, programs ...*Program) *shapeTransport {
 	t.Helper()
 	v := vclock.NewVirtual()
-	prev := SwapClock(v)
 	n := netsim.New()
 	n.SetClock(v)
 	n.SetTimeScale(1.0)
@@ -140,7 +139,6 @@ func newShapeCluster(t *testing.T, programs ...*Program) *shapeTransport {
 		if err := v.Stop(); err != nil {
 			t.Error(err)
 		}
-		SwapClock(prev)
 	})
 	mgr, err := StartManager(tr, "avs-sparc")
 	if err != nil {
@@ -166,6 +164,7 @@ func newShapeCluster(t *testing.T, programs ...*Program) *shapeTransport {
 // into one. What goes on the wire for an operation is the contract;
 // how the client is organised behind it is not.
 func TestWireShape(t *testing.T) {
+	t.Parallel()
 	tr := newShapeCluster(t, adderProgram("/npss/adder"), shaftProgram("/npss/shaft"), counterProgram("/npss/counter"))
 
 	must := func(what string, err error) {
@@ -287,6 +286,7 @@ func triStateProgram(path string) *Program {
 // state in the same order: the same operation must put the same frames
 // on the wire, whatever order a map happens to iterate in.
 func TestInstallStateOrder(t *testing.T) {
+	t.Parallel()
 	tr := newShapeCluster(t, triStateProgram("/npss/tri"))
 	c := &Client{Transport: tr, Host: "avs-sparc", ManagerHost: "avs-sparc"}
 	ln, err := c.ContactSchx("tri")
