@@ -4,8 +4,8 @@
 // attribution bucket within the drift threshold.
 //
 //	npss-exp -exp table2 -batch -timescale 0.05 -profile profile.out.json
-//	profile-check compare PROFILE_10.json profile.out.json   # exit 1 on >15% drift
-//	profile-check compare -warn PROFILE_10.json profile.out.json
+//	profile-check compare PROFILE_33.json profile.out.json   # exit 1 on >15% drift
+//	profile-check compare -warn PROFILE_33.json profile.out.json
 //	profile-check latest -exclude profile.out.json           # highest-numbered golden
 //
 // Bucket drift is judged against the baseline critical-path length

@@ -181,9 +181,11 @@ type RunOptions struct {
 	// Observe, when non-nil, receives every transient step.
 	Observe func(t float64, out engine.Outputs)
 	// Parallel overlaps the independent remote module computations:
-	// the dataflow network executes as a wavefront and the engine's
+	// the dataflow network executes as a wavefront, the engine's
 	// adapted hook calls run concurrently where the airflow graph
-	// allows. Results are bit-identical to a sequential run.
+	// allows, and the steady-state balance evaluates its Newton
+	// Jacobian columns concurrently. Results are bit-identical to a
+	// sequential run.
 	Parallel bool
 	// Batch additionally coalesces simultaneous remote calls that
 	// target the same machine into single wire messages: the two shaft

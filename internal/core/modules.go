@@ -137,6 +137,38 @@ func (r *remoteModule) destroy() {
 	}
 }
 
+// setupConst is an adapted module's once-per-placement setup constant:
+// the result of its remote set* call at the start of a steady-state
+// computation. The lock covers only reading and filling it, never the
+// module's per-pass remote calls, so concurrent callers of one module
+// overlap on the wire.
+type setupConst struct {
+	mu   sync.Mutex
+	v    float64
+	have bool
+}
+
+// get returns the constant, calling fetch to fill it on first use.
+func (c *setupConst) get(fetch func() (float64, error)) (float64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.have {
+		v, err := fetch()
+		if err != nil {
+			return 0, err
+		}
+		c.v, c.have = v, true
+	}
+	return c.v, nil
+}
+
+// reset invalidates the constant: re-placement may change it.
+func (c *setupConst) reset() {
+	c.mu.Lock()
+	c.have = false
+	c.mu.Unlock()
+}
+
 // InletModule models the engine inlet.
 type InletModule struct{}
 
@@ -252,9 +284,7 @@ type ShaftModule struct {
 	remoteModule
 	Spool string // "low" or "high"
 
-	mu    sync.Mutex
-	ecorr float64
-	haveE bool
+	ecorr setupConst
 }
 
 // NewShaftModule builds a shaft module bound to an executive.
@@ -283,9 +313,7 @@ func (m *ShaftModule) Compute(c *dataflow.Context) error {
 	if err := m.ensureStarted(c); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.haveE = false // re-placement invalidates the setup constant
-	m.mu.Unlock()
+	m.ecorr.reset()
 	return c.Out("out", c.In("in"))
 }
 
@@ -295,16 +323,9 @@ func (m *ShaftModule) Destroy() { m.destroy() }
 // setup performs the once-per-placement setshaft call (the start of a
 // steady-state computation) and returns the setup constant.
 func (m *ShaftModule) setup(ln *schooner.Line) (float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.haveE {
-		e, err := npssproc.Setshaft(ln, []float64{0, 0, 0, 0}, 1, []float64{0, 0, 0, 0}, 1)
-		if err != nil {
-			return 0, err
-		}
-		m.ecorr, m.haveE = e, true
-	}
-	return m.ecorr, nil
+	return m.ecorr.get(func() (float64, error) {
+		return npssproc.Setshaft(ln, []float64{0, 0, 0, 0}, 1, []float64{0, 0, 0, 0}, 1)
+	})
 }
 
 // Hook returns the engine shaft hook routed through this module: the
@@ -389,9 +410,7 @@ type DuctModule struct {
 	remoteModule
 	Station string // engine duct id: "bypass", "mixer-core", ...
 
-	mu    sync.Mutex
-	xkd   float64
-	haveK bool
+	xkd setupConst
 }
 
 // NewDuctModule builds a duct module bound to an executive.
@@ -420,9 +439,7 @@ func (m *DuctModule) Compute(c *dataflow.Context) error {
 	if err := m.ensureStarted(c); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.haveK = false
-	m.mu.Unlock()
+	m.xkd.reset()
 	return c.Out("out", c.In("in"))
 }
 
@@ -438,16 +455,13 @@ func (m *DuctModule) Hook(des engine.DuctDesign) func(k, pUp, tUp, far, pDown fl
 		if ln == nil {
 			return engine.DuctFlow(k, pUp, tUp, far, pDown)
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if !m.haveK {
-			xkd, err := npssproc.Setduct(ln, des.W, des.P, des.T, des.FAR, des.DP)
-			if err != nil {
-				return 0, err
-			}
-			m.xkd, m.haveK = xkd, true
+		xkd, err := m.xkd.get(func() (float64, error) {
+			return npssproc.Setduct(ln, des.W, des.P, des.T, des.FAR, des.DP)
+		})
+		if err != nil {
+			return 0, err
 		}
-		return npssproc.Duct(ln, m.xkd, pUp, tUp, far, pDown)
+		return npssproc.Duct(ln, xkd, pUp, tUp, far, pDown)
 	}
 }
 
@@ -457,9 +471,7 @@ func (m *DuctModule) Hook(des engine.DuctDesign) func(k, pUp, tUp, far, pDown fl
 type CombustorModule struct {
 	remoteModule
 
-	mu    sync.Mutex
-	xkc   float64
-	haveK bool
+	xkc setupConst
 }
 
 // NewCombustorModule builds the combustor module.
@@ -487,9 +499,7 @@ func (m *CombustorModule) Compute(c *dataflow.Context) error {
 	if err := m.ensureStarted(c); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.haveK = false
-	m.mu.Unlock()
+	m.xkc.reset()
 	return c.Out("out", c.In("in"))
 }
 
@@ -503,16 +513,13 @@ func (m *CombustorModule) Hook(des engine.CombDesign) func(k, pUp, tUp, farUp, p
 		if ln == nil {
 			return engine.CombustorCompute(k, pUp, tUp, farUp, pDown, wf, eta, stator)
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if !m.haveK {
-			xkc, err := npssproc.Setcomb(ln, des.W, des.P, des.T, des.DP)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			m.xkc, m.haveK = xkc, true
+		xkc, err := m.xkc.get(func() (float64, error) {
+			return npssproc.Setcomb(ln, des.W, des.P, des.T, des.DP)
+		})
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		return npssproc.Comb(ln, m.xkc, pUp, tUp, farUp, pDown, wf, eta, stator)
+		return npssproc.Comb(ln, xkc, pUp, tUp, farUp, pDown, wf, eta, stator)
 	}
 }
 
@@ -522,9 +529,7 @@ func (m *CombustorModule) Hook(des engine.CombDesign) func(k, pUp, tUp, farUp, p
 type NozzleModule struct {
 	remoteModule
 
-	mu    sync.Mutex
-	a8    float64
-	haveA bool
+	a8 setupConst
 }
 
 // NewNozzleModule builds the nozzle module.
@@ -547,9 +552,7 @@ func (m *NozzleModule) Compute(c *dataflow.Context) error {
 	if err := m.ensureStarted(c); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.haveA = false
-	m.mu.Unlock()
+	m.a8.reset()
 	return nil
 }
 
@@ -566,16 +569,13 @@ func (m *NozzleModule) Hook(des engine.NozzleDesign) func(a8, pt, tt, far, pamb,
 		if ln == nil {
 			return engine.NozzleCompute(a8, pt, tt, far, pamb, stator)
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if !m.haveA {
-			a, err := npssproc.Setnozl(ln, des.W, des.P, des.T, des.FAR, des.Pamb)
-			if err != nil {
-				return 0, 0, err
-			}
-			m.a8, m.haveA = a, true
+		a, err := m.a8.get(func() (float64, error) {
+			return npssproc.Setnozl(ln, des.W, des.P, des.T, des.FAR, des.Pamb)
+		})
+		if err != nil {
+			return 0, 0, err
 		}
-		return npssproc.Nozl(ln, m.a8, pt, tt, far, pamb, stator)
+		return npssproc.Nozl(ln, a, pt, tt, far, pamb, stator)
 	}
 }
 

@@ -131,8 +131,10 @@ type Engine struct {
 	// Parallel selects the overlapped evaluation pass: the adapted
 	// hook computations (ducts, combustor, nozzle, shafts) are invoked
 	// concurrently where the dataflow allows, so remote calls overlap
-	// on the wire. Results are bit-identical to the sequential pass;
-	// see Eval.
+	// on the wire. Balance then also evaluates each Newton iteration's
+	// Jacobian columns concurrently, one forked pass per column.
+	// Results are bit-identical to the sequential passes; see Eval and
+	// fork.
 	Parallel bool
 
 	// DesignState is the state vector at the design point, the
@@ -411,7 +413,7 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 
 // launch runs fn on its own goroutine and returns an idempotent wait
 // function delivering its error. The parallel evaluation pass uses it
-// to overlap hook invocations.
+// to overlap hook invocations, and Balance to overlap Jacobian columns.
 func launch(fn func() error) func() error {
 	ch := make(chan error, 1)
 	go func() { ch <- fn() }()
@@ -712,6 +714,10 @@ type SteadyOptions struct {
 	Tol float64
 }
 
+// balanceNewton is the damped Newton-Raphson a balance runs; Balance
+// sets the tolerance.
+var balanceNewton = solver.NewtonOptions{MaxIter: 200, Relax: 0.9, MaxStep: 0.15}
+
 // Balance finds the steady operating point for the current controls
 // (fuel at t=0, schedules at t=0), updating x in place. x is typically
 // seeded with DesignState. It returns the outputs at the balanced
@@ -728,35 +734,22 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 	scales := e.scales()
 	switch normalizeMethod(opt.Method) {
 	case "newtonraphson", "newton":
-		res := func(xs, r []float64) error {
-			xx := make([]float64, NumStates)
-			for i := range xx {
-				xx[i] = xs[i] * scales[i]
-			}
-			dx := make([]float64, NumStates)
-			if _, err := e.Eval(0, xx, dx); err != nil {
-				return err
-			}
-			// Scale residuals to per-second fractional rates.
-			for i := range r {
-				r[i] = dx[i] / scales[i]
-			}
-			// Shaft residuals use the power balance (accel times
-			// speed) rather than the bare acceleration: torque is
-			// P/omega, so d(omega)/dt vanishes as omega grows without
-			// bound, which creates a spurious root at infinite speed
-			// that Newton can fall into from far-off-design guesses.
-			r[0] *= xs[0]
-			r[1] *= xs[1]
-			return nil
+		res := e.residual(scales)
+		cols := solver.Sequential(res)
+		if e.Parallel {
+			// Each Jacobian column runs a whole pass on its own fork, so
+			// the columns' remote calls overlap as a pass's hooks do.
+			cols = solver.Concurrent(launch, func() solver.Residual {
+				return e.fork().residual(scales)
+			})
 		}
 		xs := make([]float64, NumStates)
 		for i := range xs {
 			xs[i] = x[i] / scales[i]
 		}
-		iters, err := solver.Newton(res, xs, solver.NewtonOptions{
-			Tol: opt.Tol, MaxIter: 200, Relax: 0.9, MaxStep: 0.15,
-		})
+		nopt := balanceNewton
+		nopt.Tol = opt.Tol
+		iters, err := solver.Newton(res, cols, xs, nopt)
 		if err != nil {
 			return Outputs{}, iters, err
 		}
@@ -774,6 +767,50 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 		return out, steps, err
 	}
 	return Outputs{}, 0, fmt.Errorf("engine: unknown steady-state method %q", opt.Method)
+}
+
+// residual is the balance's residual on e: the derivatives of the
+// state xs (scaled by scales) as per-second fractional rates.
+func (e *Engine) residual(scales []float64) solver.Residual {
+	return func(xs, r []float64) error {
+		xx := make([]float64, NumStates)
+		for i := range xx {
+			xx[i] = xs[i] * scales[i]
+		}
+		dx := make([]float64, NumStates)
+		if _, err := e.Eval(0, xx, dx); err != nil {
+			return err
+		}
+		// Scale residuals to per-second fractional rates.
+		for i := range r {
+			r[i] = dx[i] / scales[i]
+		}
+		// Shaft residuals use the power balance (accel times speed)
+		// rather than the bare acceleration: torque is P/omega, so
+		// d(omega)/dt vanishes as omega grows without bound, which
+		// creates a spurious root at infinite speed that Newton can
+		// fall into from far-off-design guesses.
+		r[0] *= xs[0]
+		r[1] *= xs[1]
+		return nil
+	}
+}
+
+// fork returns a copy of e for one concurrent evaluation pass. The
+// pass mutates only the volumes, so the copy gets fresh ones holding
+// the same values; components, schedules, design maps and hooks are
+// pure or read-only during a pass and are shared. FAR is the one
+// volume value that outlives BeginPass, and a pass with air flowing
+// into every volume (each balance pass does) rewrites it in UpdateFAR
+// before reading it, so a fork's pass is bit-identical to the same
+// pass on e whatever pass e ran last.
+func (e *Engine) fork() *Engine {
+	f := *e
+	for i, v := range e.Volumes {
+		nv := *v
+		f.Volumes[i] = &nv
+	}
+	return &f
 }
 
 func normalizeMethod(s string) string {

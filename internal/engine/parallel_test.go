@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"npss/internal/solver"
 )
 
 // TestEvalParallelBitIdentical is the guarantee the parallel pass
@@ -88,6 +90,48 @@ func TestBalanceParallelBitIdentical(t *testing.T) {
 	}
 	if trSeq != trPar {
 		t.Errorf("transient outputs differ:\n seq %+v\n par %+v", trSeq, trPar)
+	}
+}
+
+// TestBalanceIgnoresStaleFAR pins what fork relies on: FAR is the one
+// volume value that outlives BeginPass, and no balance pass reads it
+// before rewriting it. Poisoning every volume's FAR with NaN before
+// every pass of an off-design balance must leave it bit-identical.
+func TestBalanceIgnoresStaleFAR(t *testing.T) {
+	clean := newTestEngine(t)
+	clean.Fuel = Constant(0.90 * clean.DesignFuel)
+	want := append([]float64(nil), clean.DesignState...)
+	if _, _, err := clean.Balance(want, SteadyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	e := newTestEngine(t)
+	e.Fuel = clean.Fuel
+	scales := e.scales()
+	res := e.residual(scales)
+	poisoned := func(xs, r []float64) error {
+		for _, v := range e.Volumes {
+			v.FAR = math.NaN()
+		}
+		return res(xs, r)
+	}
+	xs := make([]float64, NumStates)
+	for i := range xs {
+		xs[i] = e.DesignState[i] / scales[i]
+	}
+	opt := balanceNewton
+	opt.Tol = 1e-9
+	iters, err := solver.Newton(poisoned, solver.Sequential(poisoned), xs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters < 2 {
+		t.Fatalf("balance took %d iterations; the test needs an off-design solve", iters)
+	}
+	for i := range want {
+		if got := xs[i] * scales[i]; got != want[i] {
+			t.Errorf("x[%d]: %v with stale FAR poisoned, %v clean", i, got, want[i])
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func TestQuickSolveLinearResidual(t *testing.T) {
 func TestNewtonScalar(t *testing.T) {
 	// x^2 = 4 from x0 = 1.
 	x := []float64{1}
-	iters, err := Newton(func(x, r []float64) error {
+	iters, err := newton(func(x, r []float64) error {
 		r[0] = x[0]*x[0] - 4
 		return nil
 	}, x, NewtonOptions{})
@@ -108,7 +108,7 @@ func TestNewtonScalar(t *testing.T) {
 func TestNewtonCoupledSystem(t *testing.T) {
 	// x^2 + y^2 = 25, x - y = 1 -> x = 4, y = 3 (from a nearby guess).
 	x := []float64{5, 2}
-	_, err := Newton(func(x, r []float64) error {
+	_, err := newton(func(x, r []float64) error {
 		r[0] = x[0]*x[0] + x[1]*x[1] - 25
 		r[1] = x[0] - x[1] - 1
 		return nil
@@ -123,7 +123,7 @@ func TestNewtonCoupledSystem(t *testing.T) {
 
 func TestNewtonAlreadyConverged(t *testing.T) {
 	x := []float64{2}
-	iters, err := Newton(func(x, r []float64) error {
+	iters, err := newton(func(x, r []float64) error {
 		r[0] = x[0] - 2
 		return nil
 	}, x, NewtonOptions{})
@@ -135,7 +135,7 @@ func TestNewtonAlreadyConverged(t *testing.T) {
 func TestNewtonMaxStepLimitsUpdate(t *testing.T) {
 	// With a tiny MaxStep the first iteration cannot jump far.
 	x := []float64{1}
-	Newton(func(x, r []float64) error {
+	newton(func(x, r []float64) error {
 		r[0] = x[0] - 100
 		return nil
 	}, x, NewtonOptions{MaxIter: 1, MaxStep: 0.1})
@@ -147,14 +147,14 @@ func TestNewtonMaxStepLimitsUpdate(t *testing.T) {
 func TestNewtonNonConvergence(t *testing.T) {
 	// x^2 + 1 = 0 has no real root.
 	x := []float64{1}
-	_, err := Newton(func(x, r []float64) error {
+	_, err := newton(func(x, r []float64) error {
 		r[0] = x[0]*x[0] + 1
 		return nil
 	}, x, NewtonOptions{MaxIter: 20})
 	if err == nil {
 		t.Error("impossible system converged")
 	}
-	if _, err := Newton(func(x, r []float64) error { return nil }, nil, NewtonOptions{}); err == nil {
+	if _, err := newton(func(x, r []float64) error { return nil }, nil, NewtonOptions{}); err == nil {
 		t.Error("empty system accepted")
 	}
 }
