@@ -29,25 +29,6 @@ type Module interface {
 	Destroy()
 }
 
-// BatchModule is an optional extension of Module for instances whose
-// Compute is dominated by a remote round trip: when several dirty
-// same-level instances report the same nonempty BatchKey, the
-// scheduler hands them to one ComputeBatch call instead of separate
-// Computes, so the module can coalesce their remote calls into a
-// single wire message (the executive keys on destination host). The
-// contexts arrive in deterministic network insertion order, and
-// ComputeBatch must fill every context's outputs exactly as the
-// corresponding Compute would have — batching is a transport
-// optimization, never a numerical change.
-type BatchModule interface {
-	Module
-	// BatchKey groups instances; empty opts out of batching.
-	BatchKey() string
-	// ComputeBatch computes the grouped instances together. An error
-	// fails every instance in the group.
-	ComputeBatch(ctxs []*Context) error
-}
-
 // WidgetKind enumerates the AVS control-panel widget types.
 type WidgetKind int
 

@@ -389,55 +389,9 @@ func (n *Network) ExecuteParallel(workers int) (int, error) {
 			sp.End()
 			return err
 		}
-		// Group batch-capable nodes of this level by key: each unit is
-		// either one node computed via Compute or several computed
-		// together via ComputeBatch. A singleton group uses the plain
-		// path — batching only pays when there is something to coalesce.
-		units := make([][]int, 0, len(batch))
-		byKey := make(map[string]int)
-		for i, node := range batch {
-			if bm, ok := node.module.(BatchModule); ok {
-				if key := bm.BatchKey(); key != "" {
-					if u, seen := byKey[key]; seen {
-						units[u] = append(units[u], i)
-						continue
-					}
-					byKey[key] = len(units)
-				}
-			}
-			units = append(units, []int{i})
-		}
-		computeUnit := func(u []int) {
-			if len(u) == 1 {
-				errs[u[0]] = compute(u[0], batch[u[0]])
-				return
-			}
-			bm := batch[u[0]].module.(BatchModule)
-			group := make([]*Context, len(u))
-			for k, i := range u {
-				group[k] = ctxs[i]
-			}
-			var err error
-			if trace.Enabled() {
-				sp := trace.StartSpan(fmt.Sprintf("batch %s ×%d", bm.BatchKey(), len(u)), "dataflow")
-				sp.SetTrack(int64(u[0]) + 1)
-				sp.Annotate("level", strconv.Itoa(lv))
-				err = bm.ComputeBatch(group)
-				if err != nil {
-					sp.Annotate("error", err.Error())
-				}
-				sp.End()
-			} else {
-				err = bm.ComputeBatch(group)
-			}
-			for _, i := range u {
-				errs[i] = err
-			}
-		}
-		if workers == 1 || len(units) == 1 {
-			for _, u := range units {
-				computeUnit(u)
-				if errs[u[0]] != nil {
+		if workers == 1 || len(batch) == 1 {
+			for i, node := range batch {
+				if errs[i] = compute(i, node); errs[i] != nil {
 					// Stop computing; the rest of the level stays dirty.
 					break
 				}
@@ -445,14 +399,14 @@ func (n *Network) ExecuteParallel(workers int) (int, error) {
 		} else {
 			sem := make(chan struct{}, workers)
 			var wg sync.WaitGroup
-			for _, u := range units {
+			for i, node := range batch {
 				wg.Add(1)
-				go func(u []int) {
+				go func(i int, node *Node) {
 					defer wg.Done()
 					sem <- struct{}{}
-					computeUnit(u)
+					errs[i] = compute(i, node)
 					<-sem
-				}(u)
+				}(i, node)
 			}
 			wg.Wait()
 		}

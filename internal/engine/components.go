@@ -236,15 +236,3 @@ func ShaftAccel(qTur, qCom, inertia, omega float64) (float64, error) {
 	}
 	return (qTur - qCom) / inertia, nil
 }
-
-// BleedFlow models a bleed extraction line (turbine cooling return):
-// an orifice from the compressor exit volume to the turbine exit
-// volume. It is a duct with its own sizing; kept separate because the
-// F100 network instantiates bleed as its own module type.
-func BleedFlow(k, pUp, tUp, far, pDown float64) (float64, error) {
-	w, err := DuctFlow(k, pUp, tUp, far, pDown)
-	if err != nil {
-		return 0, fmt.Errorf("engine: bleed: %w", err)
-	}
-	return w, nil
-}

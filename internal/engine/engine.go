@@ -27,13 +27,14 @@ type Hooks struct {
 	Combustor func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error)
 	Nozzle    func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error)
 	// ShaftPair, when non-nil, computes both spools' shaft dynamics in
-	// one operation. The parallel evaluation pass prefers it over two
-	// separate Shaft calls: both torque balances become known at the
-	// same instant (right after the LPT), so a transport that can batch
-	// — the executive coalesces the two remote shaft calls into one
-	// wire message when they share a host — halves the shaft round
-	// trips without changing any argument or result. Each sub-result
-	// must be exactly what the corresponding Shaft call would return.
+	// one operation. Every evaluation pass uses it in place of the two
+	// Shaft calls when it is installed: both torque balances become
+	// known at the same instant (right after the LPT), so a transport
+	// that can batch — the executive coalesces the two remote shaft
+	// calls into one wire message when they share a host — halves the
+	// shaft round trips without changing any argument or result. Each
+	// sub-result must be exactly what the corresponding Shaft call
+	// would return.
 	ShaftPair func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (dOmegaL, dOmegaH float64, err error)
 }
 
@@ -50,14 +51,6 @@ func LocalHooks() Hooks {
 		Nozzle:    NozzleCompute,
 	}
 }
-
-// DuctIDs lists the engine's duct sites in airflow order.
-func DuctIDs() []string {
-	return []string{"bypass", "bleed", "mixer-core", "mixer-bypass"}
-}
-
-// SpoolIDs lists the engine's spools.
-func SpoolIDs() []string { return []string{"low", "high"} }
 
 // Volume indices in the engine state vector.
 const (
@@ -133,8 +126,8 @@ type Engine struct {
 	// concurrently where the dataflow allows, so remote calls overlap
 	// on the wire. Balance then also evaluates each Newton iteration's
 	// Jacobian columns concurrently, one forked pass per column.
-	// Results are bit-identical to the sequential passes; see Eval and
-	// fork.
+	// Results are bit-identical to a non-parallel engine's; see Eval
+	// and fork.
 	Parallel bool
 
 	// DesignState is the state vector at the design point, the
@@ -221,227 +214,25 @@ func (e *Engine) PackState(x []float64, omegaL, omegaH float64) {
 // single place the component computations are invoked; the hook
 // indirection decides where each computation physically executes, and
 // the Parallel flag decides whether independent hook invocations
-// overlap in time. Both passes apply the same per-volume operation
-// sequence, so their results are bit-identical (the only reordering,
-// V1's two outflows, commutes exactly in IEEE arithmetic because the
-// outflow accumulator is a two-term sum).
-func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
-	if e.Parallel {
-		return e.evalParallel(t, x, dx)
-	}
-	return e.evalSequential(t, x, dx)
-}
-
-// evalSequential invokes every component in strict airflow order, one
-// at a time — the reference pass.
-func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, error) {
-	var out Outputs
-	omegaL, omegaH, err := e.UnpackState(x)
-	if err != nil {
-		return out, err
-	}
-	if omegaL <= 0 || omegaH <= 0 {
-		return out, fmt.Errorf("engine: non-positive spool speed (NL=%g NH=%g)", omegaL, omegaH)
-	}
-	for _, v := range e.Volumes {
-		v.BeginPass()
-	}
-	v1 := e.Volumes[VFanExit]
-	v2 := e.Volumes[VHPCExit]
-	v3 := e.Volumes[VCombExit]
-	v4 := e.Volumes[VHPTExit]
-	v5 := e.Volumes[VLPTExit]
-	v6 := e.Volumes[VBypExit]
-	v7 := e.Volumes[VMixExit]
-
-	// Ambient and inlet, following the flight profile when one is set.
-	alt, mach := e.Alt, e.Mach
-	if e.AltSched != nil {
-		alt = e.AltSched.At(t)
-	}
-	if e.MachSched != nil {
-		mach = e.MachSched.At(t)
-	}
-	pamb, _ := gasdyn.StandardAtmosphere(alt)
-	p2, t2 := e.Inlet.Compute(alt, mach)
-
-	// Fan.
-	fan, err := e.Fan.Compute(p2, t2, 0, v1.P, omegaL, e.FanStator.At(t))
-	if err != nil {
-		return out, err
-	}
-	v1.AddIn(Stream{W: fan.W, Tt: fan.Tt, FAR: 0})
-	v1.UpdateFAR()
-
-	// Bypass duct V1 -> V6.
-	wByp, err := e.Hooks.Duct("bypass", e.KByp, v1.P, v1.T, v1.FAR, v6.P)
-	if err != nil {
-		return out, err
-	}
-	v1.AddOut(wByp)
-	v6.AddIn(Stream{W: wByp, Tt: v1.T, FAR: v1.FAR})
-
-	// High-pressure compressor V1 -> V2.
-	hpc, err := e.HPC.Compute(v1.P, v1.T, v1.FAR, v2.P, omegaH, e.HPCStator.At(t))
-	if err != nil {
-		return out, err
-	}
-	v1.AddOut(hpc.W)
-	v2.AddIn(Stream{W: hpc.W, Tt: hpc.Tt, FAR: v1.FAR})
-	v2.UpdateFAR()
-
-	// Cooling bleed V2 -> V4.
-	wBleed, err := e.Hooks.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
-	if err != nil {
-		return out, err
-	}
-	v2.AddOut(wBleed)
-	v4.AddIn(Stream{W: wBleed, Tt: v2.T, FAR: v2.FAR})
-
-	// Combustor V2 -> V3.
-	wf := e.Fuel.At(t)
-	w3, t3, far3, err := e.Hooks.Combustor(e.KComb, v2.P, v2.T, v2.FAR, v3.P, wf, e.BurnEff, e.CombStator.At(t))
-	if err != nil {
-		return out, err
-	}
-	wAir := w3 - wf
-	if wAir < 0 {
-		wAir = 0
-	}
-	v2.AddOut(wAir)
-	v3.AddInEnthalpy(w3, gasdyn.H(t3, far3), far3)
-	v3.UpdateFAR()
-
-	// High-pressure turbine V3 -> V4.
-	hpt, err := e.HPT.Compute(v3.P, v3.T, v3.FAR, v4.P, omegaH)
-	if err != nil {
-		return out, err
-	}
-	v3.AddOut(hpt.W)
-	v4.AddIn(Stream{W: hpt.W, Tt: hpt.Tt, FAR: v3.FAR})
-	v4.UpdateFAR()
-
-	// Low-pressure turbine V4 -> V5.
-	lpt, err := e.LPT.Compute(v4.P, v4.T, v4.FAR, v5.P, omegaL)
-	if err != nil {
-		return out, err
-	}
-	v4.AddOut(lpt.W)
-	v5.AddIn(Stream{W: lpt.W, Tt: lpt.Tt, FAR: v4.FAR})
-	v5.UpdateFAR()
-	v6.UpdateFAR()
-
-	// Mixer: core side V5 -> V7 and bypass side V6 -> V7.
-	wMixCore, err := e.Hooks.Duct("mixer-core", e.KMixCore, v5.P, v5.T, v5.FAR, v7.P)
-	if err != nil {
-		return out, err
-	}
-	v5.AddOut(wMixCore)
-	v7.AddIn(Stream{W: wMixCore, Tt: v5.T, FAR: v5.FAR})
-	wMixByp, err := e.Hooks.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
-	if err != nil {
-		return out, err
-	}
-	v6.AddOut(wMixByp)
-	v7.AddIn(Stream{W: wMixByp, Tt: v6.T, FAR: v6.FAR})
-
-	// Augmentor: afterburner fuel burns in the mixer volume.
-	wfa := 0.0
-	if e.AugFuel != nil {
-		wfa = e.AugFuel.At(t)
-	}
-	if wfa < 0 {
-		return out, fmt.Errorf("engine: negative augmentor fuel %g", wfa)
-	}
-	if wfa > 0 {
-		v7.AddFuel(wfa, e.AugEff*gasdyn.FuelLHV)
-	}
-	v7.UpdateFAR()
-	if v7.FAR > gasdyn.FARStoich {
-		return out, fmt.Errorf("engine: augmentor drives FAR to %.4f beyond stoichiometric", v7.FAR)
-	}
-
-	// Nozzle V7 -> ambient.
-	w8, thrust, err := e.Hooks.Nozzle(e.A8, v7.P, v7.T, v7.FAR, pamb, e.NozzleArea.At(t))
-	if err != nil {
-		return out, err
-	}
-	v7.AddOut(w8)
-
-	// Shaft dynamics.
-	dOmegaL, err := e.Hooks.Shaft("low", lpt.Torque, fan.Torque, e.InertiaL, omegaL)
-	if err != nil {
-		return out, err
-	}
-	dOmegaH, err := e.Hooks.Shaft("high", hpt.Torque, hpc.Torque, e.InertiaH, omegaH)
-	if err != nil {
-		return out, err
-	}
-
-	if dx != nil {
-		if len(dx) != NumStates {
-			return out, fmt.Errorf("engine: derivative vector has %d entries, want %d", len(dx), NumStates)
-		}
-		dx[0], dx[1] = dOmegaL, dOmegaH
-		for i, v := range e.Volumes {
-			dP, dT, err := v.Derivatives()
-			if err != nil {
-				return out, err
-			}
-			dx[2+2*i] = dP
-			dx[2+2*i+1] = dT
-		}
-	}
-
-	out = Outputs{
-		Thrust:     thrust,
-		Fuel:       wf + wfa,
-		AugFuel:    wfa,
-		W2:         fan.W,
-		NL:         omegaL / e.NLDes,
-		NH:         omegaH / e.NHDes,
-		T4:         v3.T,
-		FanBeta:    fan.Beta,
-		HPCBeta:    hpc.Beta,
-		NozzleFlow: w8,
-	}
-	if hpc.W > 0 {
-		out.BPR = wByp / hpc.W
-	}
-	return out, nil
-}
-
-// launch runs fn on its own goroutine and returns an idempotent wait
-// function delivering its error. The parallel evaluation pass uses it
-// to overlap hook invocations, and Balance to overlap Jacobian columns.
-func launch(fn func() error) func() error {
-	ch := make(chan error, 1)
-	go func() { ch <- fn() }()
-	var once sync.Once
-	var res error
-	return func() error {
-		once.Do(func() { res = <-ch })
-		return res
-	}
-}
-
-// evalParallel is the overlapped evaluation pass: each adapted hook
-// invocation is launched on its own goroutine the moment its inputs
-// are final, while every volume mutation stays on the calling
-// goroutine. The dataflow dependencies force only three hook calls
-// onto the critical path (combustor -> mixer-core -> nozzle); the
-// bypass duct overlaps the compressor/turbine arithmetic and the two
-// shaft calls overlap the mixer and nozzle. Hook arguments are
-// captured as scalars at launch, so goroutines never read volume
-// state.
+// overlap in time.
 //
-// Bit-exactness: per volume, the sequence of AddIn/AddOut/AddFuel/
-// UpdateFAR operations (and their argument values) is identical to
-// evalSequential, with one exception — V1's outflow accumulates
-// hpc.W before wByp instead of after. The outflow accumulator is a
-// two-term sum and IEEE addition of two terms is commutative, so the
-// accumulated value is bit-identical.
-func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, error) {
+// Each adapted hook invocation is started through start the moment its
+// inputs are final, while every volume mutation stays on the calling
+// goroutine. On a parallel engine start is launch, so the call runs on
+// its own goroutine; otherwise it is inline, which runs the call at
+// once. The dataflow dependencies force only three hook calls onto the
+// critical path (combustor -> mixer-core -> nozzle); the bypass duct
+// overlaps the compressor/turbine arithmetic and the two shaft calls
+// overlap the mixer and nozzle. Hook arguments are captured as scalars
+// at start, so goroutines never read volume state. A non-parallel pass
+// calls its hooks in start order: bypass, combustor, bleed, shafts,
+// mixer-core, mixer-bypass, nozzle. In either mode a failing hook is
+// reported at its wait.
+//
+// Both modes run the same volume operations on the same values in the
+// same order on the calling goroutine, so their results are
+// bit-identical.
+func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	var out Outputs
 	omegaL, omegaH, err := e.UnpackState(x)
 	if err != nil {
@@ -461,11 +252,17 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	v6 := e.Volumes[VBypExit]
 	v7 := e.Volumes[VMixExit]
 
-	// fail drains every launched goroutine before an error return, so
-	// no hook call outlives the pass.
-	var waits []func() error
-	launchHook := func(fn func() error) func() error {
-		w := launch(fn)
+	// start begins a hook call: on its own goroutine on a parallel
+	// engine, at once otherwise. fail drains every started call before
+	// an error return, so no hook call outlives the pass.
+	begin := inline
+	if e.Parallel {
+		begin = launch
+	}
+	var waitBuf [6]func() error
+	waits := waitBuf[:0]
+	start := func(fn func() error) func() error {
+		w := begin(fn)
 		waits = append(waits, w)
 		return w
 	}
@@ -495,11 +292,11 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	v1.AddIn(Stream{W: fan.W, Tt: fan.Tt, FAR: 0})
 	v1.UpdateFAR()
 
-	// Bypass duct V1 -> V6, launched: its inputs are final and its
+	// Bypass duct V1 -> V6, started: its inputs are final and its
 	// result is not needed until the bypass mixer bookkeeping.
 	var wByp float64
 	bypP, bypT, bypFAR, bypDown := v1.P, v1.T, v1.FAR, v6.P
-	waitByp := launchHook(func() (err error) {
+	waitByp := start(func() (err error) {
 		wByp, err = e.Hooks.Duct("bypass", e.KByp, bypP, bypT, bypFAR, bypDown)
 		return err
 	})
@@ -513,12 +310,12 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	v2.AddIn(Stream{W: hpc.W, Tt: hpc.Tt, FAR: v1.FAR})
 	v2.UpdateFAR()
 
-	// Combustor V2 -> V3, launched: the turbines need its result, but
+	// Combustor V2 -> V3, started: the turbines need its result, but
 	// it overlaps the bleed and the in-flight bypass duct.
 	wf := e.Fuel.At(t)
 	var w3, t3, far3 float64
 	combP, combT, combFAR, combDown, combStator := v2.P, v2.T, v2.FAR, v3.P, e.CombStator.At(t)
-	waitComb := launchHook(func() (err error) {
+	waitComb := start(func() (err error) {
 		w3, t3, far3, err = e.Hooks.Combustor(e.KComb, combP, combT, combFAR, combDown, wf, e.BurnEff, combStator)
 		return err
 	})
@@ -560,36 +357,36 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	v5.AddIn(Stream{W: lpt.W, Tt: lpt.Tt, FAR: v4.FAR})
 	v5.UpdateFAR()
 
-	// Both spools' torques are known; launch the shaft dynamics to
+	// Both spools' torques are known; start the shaft dynamics to
 	// overlap the mixer and nozzle. With a ShaftPair hook installed the
-	// two calls ride one launched goroutine (and, in the executive, one
-	// wire message); the wait functions are idempotent, so both waiters
+	// two calls ride one start (and, in the executive, one wire
+	// message); the wait functions are idempotent, so both waiters
 	// below can share it.
 	var dOmegaL, dOmegaH float64
 	lptQ, fanQ := lpt.Torque, fan.Torque
 	hptQ, hpcQ := hpt.Torque, hpc.Torque
 	var waitShaftL, waitShaftH func() error
 	if e.Hooks.ShaftPair != nil {
-		w := launchHook(func() (err error) {
+		w := start(func() (err error) {
 			dOmegaL, dOmegaH, err = e.Hooks.ShaftPair(lptQ, fanQ, e.InertiaL, omegaL, hptQ, hpcQ, e.InertiaH, omegaH)
 			return err
 		})
 		waitShaftL, waitShaftH = w, w
 	} else {
-		waitShaftL = launchHook(func() (err error) {
+		waitShaftL = start(func() (err error) {
 			dOmegaL, err = e.Hooks.Shaft("low", lptQ, fanQ, e.InertiaL, omegaL)
 			return err
 		})
-		waitShaftH = launchHook(func() (err error) {
+		waitShaftH = start(func() (err error) {
 			dOmegaH, err = e.Hooks.Shaft("high", hptQ, hpcQ, e.InertiaH, omegaH)
 			return err
 		})
 	}
 
-	// Mixer core side V5 -> V7, launched.
+	// Mixer core side V5 -> V7, started.
 	var wMixCore float64
 	mcP, mcT, mcFAR, mcDown := v5.P, v5.T, v5.FAR, v7.P
-	waitMixCore := launchHook(func() (err error) {
+	waitMixCore := start(func() (err error) {
 		wMixCore, err = e.Hooks.Duct("mixer-core", e.KMixCore, mcP, mcT, mcFAR, mcDown)
 		return err
 	})
@@ -636,7 +433,7 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	// flight — everything else on the flow path is upstream of it.
 	var w8, thrust float64
 	nzP, nzT, nzFAR, nzArea := v7.P, v7.T, v7.FAR, e.NozzleArea.At(t)
-	waitNozzle := launchHook(func() (err error) {
+	waitNozzle := start(func() (err error) {
 		w8, thrust, err = e.Hooks.Nozzle(e.A8, nzP, nzT, nzFAR, pamb, nzArea)
 		return err
 	})
@@ -685,6 +482,32 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	return out, nil
 }
 
+// launch runs fn on its own goroutine and returns an idempotent wait
+// function delivering its error. A parallel engine's pass starts its
+// hook calls with it, and Balance overlaps Jacobian columns with it.
+func launch(fn func() error) func() error {
+	ch := make(chan error, 1)
+	go func() { ch <- fn() }()
+	var once sync.Once
+	var res error
+	return func() error {
+		once.Do(func() { res = <-ch })
+		return res
+	}
+}
+
+// inline runs fn at once and returns a wait function delivering its
+// error: launch's counterpart for a pass that does not overlap.
+func inline(fn func() error) func() error {
+	if err := fn(); err != nil {
+		return func() error { return err }
+	}
+	return waitNil
+}
+
+// waitNil is the wait of every inline call that succeeded.
+func waitNil() error { return nil }
+
 // System adapts the engine to the solver.System signature.
 func (e *Engine) System() solver.System {
 	return func(t float64, x, dx []float64) error {
@@ -693,9 +516,10 @@ func (e *Engine) System() solver.System {
 	}
 }
 
-// scaledSystem wraps the system with per-state scaling so pressures
+// scales returns the per-state scale factors a balance divides the
+// state by (xs = x / scale), the design state, so pressures
 // (1e5..2.5e6 Pa), temperatures (1e2..2e3 K) and speeds (1e3 rad/s)
-// are comparable for the solvers. xs = x / scale.
+// are comparable for the solver.
 func (e *Engine) scales() []float64 {
 	s := make([]float64, NumStates)
 	for i, v := range e.DesignState {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"npss/internal/gasdyn"
@@ -401,39 +403,50 @@ func TestTransientMethodsAgree(t *testing.T) {
 func TestHooksAreUsed(t *testing.T) {
 	// Replacing a hook changes where the computation happens; the
 	// engine must route every duct/combustor/nozzle/shaft call through
-	// them (this is what the executive relies on).
-	e := newTestEngine(t)
-	counts := map[string]int{}
-	local := LocalHooks()
-	e.Hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-		counts["duct:"+id]++
-		return local.Duct(id, k, pUp, tUp, far, pDown)
-	}
-	e.Hooks.Shaft = func(spool string, qT, qC, i, o float64) (float64, error) {
-		counts["shaft:"+spool]++
-		return local.Shaft(spool, qT, qC, i, o)
-	}
-	e.Hooks.Combustor = func(k, p, tt, f, pd, wf, eta, st float64) (float64, float64, float64, error) {
-		counts["combustor"]++
-		return local.Combustor(k, p, tt, f, pd, wf, eta, st)
-	}
-	e.Hooks.Nozzle = func(a, p, tt, f, pa, st float64) (float64, float64, error) {
-		counts["nozzle"]++
-		return local.Nozzle(a, p, tt, f, pa, st)
-	}
-	x := append([]float64(nil), e.DesignState...)
-	if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{
-		"duct:bypass": 1, "duct:bleed": 1, "duct:mixer-core": 1,
-		"duct:mixer-bypass": 1, "combustor": 1, "nozzle": 1,
-		"shaft:low": 1, "shaft:high": 1,
-	}
-	for k, n := range want {
-		if counts[k] != n {
-			t.Errorf("%s called %d times, want %d", k, counts[k], n)
-		}
+	// them (this is what the executive relies on), in either start mode.
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			e := newTestEngine(t)
+			e.Parallel = parallel
+			var mu sync.Mutex
+			counts := map[string]int{}
+			count := func(site string) {
+				mu.Lock()
+				counts[site]++
+				mu.Unlock()
+			}
+			local := LocalHooks()
+			e.Hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
+				count("duct:" + id)
+				return local.Duct(id, k, pUp, tUp, far, pDown)
+			}
+			e.Hooks.Shaft = func(spool string, qT, qC, i, o float64) (float64, error) {
+				count("shaft:" + spool)
+				return local.Shaft(spool, qT, qC, i, o)
+			}
+			e.Hooks.Combustor = func(k, p, tt, f, pd, wf, eta, st float64) (float64, float64, float64, error) {
+				count("combustor")
+				return local.Combustor(k, p, tt, f, pd, wf, eta, st)
+			}
+			e.Hooks.Nozzle = func(a, p, tt, f, pa, st float64) (float64, float64, error) {
+				count("nozzle")
+				return local.Nozzle(a, p, tt, f, pa, st)
+			}
+			x := append([]float64(nil), e.DesignState...)
+			if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]int{
+				"duct:bypass": 1, "duct:bleed": 1, "duct:mixer-core": 1,
+				"duct:mixer-bypass": 1, "combustor": 1, "nozzle": 1,
+				"shaft:low": 1, "shaft:high": 1,
+			}
+			for k, n := range want {
+				if counts[k] != n {
+					t.Errorf("%s called %d times, want %d", k, counts[k], n)
+				}
+			}
+		})
 	}
 }
 

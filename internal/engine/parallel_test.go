@@ -1,18 +1,21 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"npss/internal/solver"
 )
 
-// TestEvalParallelBitIdentical is the guarantee the parallel pass
-// rests on: with identical hooks, evalParallel and evalSequential
-// produce bit-for-bit equal derivatives and outputs — every per-volume
-// operation sequence is preserved, and the single reorder (V1's two
-// outflows) commutes exactly.
+// TestEvalParallelBitIdentical is the guarantee Parallel rests on:
+// with identical hooks, the pass's two start modes — launch on a
+// parallel engine, inline otherwise — produce bit-for-bit equal
+// derivatives and outputs, because every volume mutation runs on the
+// calling goroutine in the same order either way.
 func TestEvalParallelBitIdentical(t *testing.T) {
 	seq := newTestEngine(t)
 	par := newTestEngine(t)
@@ -176,5 +179,113 @@ func TestEvalParallelOverlapsHooks(t *testing.T) {
 	}
 	if math.IsNaN(x[0]) {
 		t.Error("state corrupted")
+	}
+}
+
+// TestEvalHookErrors fails each adapted hook in turn: Eval must return
+// the hook's error in both start modes, and a parallel pass must drain
+// every hook call it started before returning, so none outlives it —
+// none is running when Eval returns, and none starts afterwards.
+func TestEvalHookErrors(t *testing.T) {
+	sentinel := errors.New("hook failed")
+	for _, failing := range []string{
+		"duct:bypass", "combustor", "duct:mixer-core", "nozzle",
+		"shaft:low", "shaft:high", "shaftpair",
+	} {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", failing, parallel), func(t *testing.T) {
+				e := newTestEngine(t)
+				e.Parallel = parallel
+				var inflight, late atomic.Int32
+				var returned atomic.Bool
+				// call runs a hook body as the named site: it fails
+				// at once if that site is the failing one, else it
+				// lingers so an undrained call would still be running
+				// when Eval returns.
+				call := func(site string, body func() error) error {
+					if returned.Load() {
+						late.Add(1)
+					}
+					inflight.Add(1)
+					defer inflight.Add(-1)
+					if site == failing {
+						return sentinel
+					}
+					time.Sleep(time.Millisecond)
+					return body()
+				}
+				base := LocalHooks()
+				e.Hooks = Hooks{
+					Shaft: func(spool string, qTur, qCom, inertia, omega float64) (w float64, err error) {
+						err = call("shaft:"+spool, func() (err error) {
+							w, err = base.Shaft(spool, qTur, qCom, inertia, omega)
+							return err
+						})
+						return w, err
+					},
+					Duct: func(id string, k, pUp, tUp, far, pDown float64) (w float64, err error) {
+						err = call("duct:"+id, func() (err error) {
+							w, err = base.Duct(id, k, pUp, tUp, far, pDown)
+							return err
+						})
+						return w, err
+					},
+					Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error) {
+						err = call("combustor", func() (err error) {
+							w, tOut, farOut, err = base.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
+							return err
+						})
+						return w, tOut, farOut, err
+					},
+					Nozzle: func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error) {
+						err = call("nozzle", func() (err error) {
+							w, thrust, err = base.Nozzle(a8, pt, tt, far, pamb, stator)
+							return err
+						})
+						return w, thrust, err
+					},
+				}
+				if failing == "shaftpair" {
+					e.Hooks.ShaftPair = func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (dL, dH float64, err error) {
+						err = call("shaftpair", func() error { return nil })
+						return dL, dH, err
+					}
+				}
+				x := append([]float64(nil), e.DesignState...)
+				_, err := e.Eval(0, x, make([]float64, NumStates))
+				returned.Store(true)
+				if !errors.Is(err, sentinel) {
+					t.Fatalf("Eval returned %v, want the hook's error", err)
+				}
+				if n := inflight.Load(); n != 0 {
+					t.Errorf("%d hook calls still running after Eval returned", n)
+				}
+				// An undrained goroutine may not have reached its hook
+				// yet; give it the time to show.
+				time.Sleep(5 * time.Millisecond)
+				if n := late.Load(); n != 0 {
+					t.Errorf("%d hook calls started after Eval returned", n)
+				}
+			})
+		}
+	}
+}
+
+// TestEvalAllocations pins a non-parallel pass's heap allocations with
+// local hooks. Each started hook call's closure and the results it
+// writes back live on the heap, because start hands the closure to a
+// function value; the count keeps anything more from creeping in.
+func TestEvalAllocations(t *testing.T) {
+	e := newTestEngine(t)
+	x := append([]float64(nil), e.DesignState...)
+	dx := make([]float64, NumStates)
+	var err error
+	allocs := testing.AllocsPerRun(50, func() { _, err = e.Eval(0, x, dx) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("non-parallel pass: %v allocations", allocs)
+	if allocs > 15 {
+		t.Errorf("non-parallel pass allocates %v times, want at most 15", allocs)
 	}
 }

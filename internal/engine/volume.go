@@ -84,11 +84,6 @@ func (v *Volume) UpdateFAR() {
 	}
 }
 
-// Mass returns the gas mass currently in the volume, kg.
-func (v *Volume) Mass() float64 {
-	return v.P * v.Vol / (gasdyn.R(v.FAR) * v.T)
-}
-
 // Derivatives computes dP/dt and dT/dt from the pass accumulators:
 //
 //	dT/dt = [ sum Win (h_in - h(T)) + R T (Win - Wout) ] / (m cv)
