@@ -11,18 +11,7 @@ GO ?= go
 # is worse.
 BENCH_NEW ?= BENCH_24.jsonl
 
-# The committed golden attribution profile: PROFILE_<n>.json, captured
-# from the batched Table 2 run below. `make profile` recaptures
-# profile.out.json and compares it warn-only against the newest
-# golden; `make profile-check` fails when the critical-path length or
-# any attribution bucket drifts >15% of the golden critical path.
-# -timescale makes simulated network delay manifest as wall time, so
-# the network bucket carries signal; committing a new golden is
-# `cp profile.out.json PROFILE_<n+1>.json`.
-PROFILE_GOLD ?= $(shell $(GO) run ./cmd/profile-check latest)
-PROFILE_ARGS ?= -exp table2 -batch -transient 0.02 -timescale 0.05
-
-.PHONY: all test race bench bench-compare profile profile-check
+.PHONY: all test race bench bench-compare
 
 all: test
 
@@ -41,21 +30,3 @@ bench:
 
 bench-compare:
 	$(GO) run ./bench -compare $(BENCH_BASE) $(BENCH_NEW)
-
-# profile captures the batched Table 2 attribution profile and
-# compares it (warn-only) against the committed golden.
-profile:
-	$(GO) run ./cmd/npss-exp $(PROFILE_ARGS) -profile profile.out.json
-	@if [ -n "$(PROFILE_GOLD)" ]; then \
-		$(GO) run ./cmd/profile-check compare -warn $(PROFILE_GOLD) profile.out.json; \
-	else \
-		echo "no PROFILE_*.json golden; profile.out.json is the first"; \
-	fi
-
-profile-check:
-	$(GO) run ./cmd/npss-exp $(PROFILE_ARGS) -profile profile.out.json
-	@if [ -n "$(PROFILE_GOLD)" ]; then \
-		$(GO) run ./cmd/profile-check compare $(PROFILE_GOLD) profile.out.json; \
-	else \
-		echo "no PROFILE_*.json golden; nothing to check"; \
-	fi

@@ -11,8 +11,6 @@
 //	npss-exp -exp table2 -parallel          # overlap the six remote modules
 //	npss-exp -exp table2 -batch             # ...and batch same-host calls
 //	npss-exp -exp all
-//	npss-exp -exp table1 -timescale 0.01   # actually sleep 1% of the
-//	                                       # simulated network delays
 //	npss-exp -exp table2 -parallel -trace out.json
 //	                                       # capture a Chrome trace-event
 //	                                       # timeline (open in a trace
@@ -62,7 +60,6 @@ func main() {
 	which := flag.String("exp", "all", "experiment: table1, table2, fig1, fig2, incremental, lines, zooming, ablations, chaos, dst, scenario, all")
 	transient := flag.Float64("transient", 0.5, "transient length, s")
 	step := flag.Float64("step", 5e-4, "integration step, s")
-	timescale := flag.Float64("timescale", 0, "fraction of simulated network delay to actually sleep")
 	calls := flag.Int("calls", 200, "operation count for the ablation timings")
 	parallel := flag.Bool("parallel", false, "overlap remote module calls (wavefront execution + concurrent hooks)")
 	batch := flag.Bool("batch", false, "coalesce simultaneous same-host remote calls into batch envelopes (implies -parallel)")
@@ -80,7 +77,7 @@ func main() {
 	expectUpdate := flag.Bool("expect-update", false, "with -expect: rewrite the golden instead of failing on a mismatch")
 	reportOut := flag.String("report", "", "write a self-contained HTML report of the chaos or dst run to this file")
 	reportJSON := flag.String("report-json", "", "write the machine-readable report bundle (series, events) as JSON to this file")
-	seriesInterval := flag.Duration("series-interval", 0, "time-series sampling window (0 picks a default when -report/-report-json is set: 25ms wall for chaos, 50ms virtual for dst)")
+	seriesInterval := flag.Duration("series-interval", 0, "time-series sampling window, in the run's virtual time (0 picks 1s when -report/-report-json is set)")
 	flag.Parse()
 	reporting := *reportOut != "" || *reportJSON != ""
 	if err := logx.SetLevelName(*logLevel); err != nil {
@@ -118,17 +115,15 @@ func main() {
 	// run-scoped recorder on the virtual clock — the process recorder
 	// the end-of-main analyzer reads never sees them.
 	profileWritten := false
-	// chaosInterval and dstInterval are the sampling windows a report
-	// uses when -series-interval is left at its zero default: chaos
-	// samples wall time, dst samples virtual time (which a scenario
-	// covers much faster than real time).
-	chaosInterval, dstInterval := *seriesInterval, *seriesInterval
-	if reporting && *seriesInterval == 0 {
-		chaosInterval = 25 * time.Millisecond
-		dstInterval = 50 * time.Millisecond
+	// interval is the sampling window a report uses when
+	// -series-interval is left at its zero default. Chaos, dst and
+	// scenario runs all sample their own virtual clock.
+	interval := *seriesInterval
+	if reporting && interval == 0 {
+		interval = time.Second
 	}
 
-	spec := exper.RunSpec{Transient: *transient, Step: *step, Throttle: true, TimeScale: *timescale, Parallel: *parallel, Batch: *batch, NetScale: *netScale}
+	spec := exper.RunSpec{Transient: *transient, Step: *step, Throttle: true, Parallel: *parallel, Batch: *batch, NetScale: *netScale}
 
 	// profileLinks accumulates the runs' per-link traffic so the
 	// -profile attribution carries link cost profiles alongside the
@@ -202,7 +197,7 @@ func main() {
 		},
 		"chaos": func() {
 			fmt.Println("== Chaos: Table 2 workload under loss, flaps, and a machine crash ==")
-			r := exper.Chaos(exper.ChaosSpec{Run: spec, SeriesInterval: chaosInterval})
+			r := exper.Chaos(exper.ChaosSpec{Run: spec, SeriesInterval: interval})
 			// The chaos run records into its own scoped trace set; fold
 			// its snapshot into the -metrics aggregate explicitly.
 			agg.Merge(r.Metrics)
@@ -223,7 +218,7 @@ func main() {
 		},
 		"dst": func() {
 			fmt.Println("== DST: deterministic cluster simulation in virtual time ==")
-			out, series, prof, ok := exper.DSTReport(*seed, *ops, dstInterval, *profileOut != "" || reporting)
+			out, series, prof, ok := exper.DSTReport(*seed, *ops, interval, *profileOut != "" || reporting)
 			fmt.Print(out)
 			if prof != nil && *profileOut != "" {
 				if err := os.WriteFile(*profileOut, prof.EncodeJSON(), 0o644); err != nil {
@@ -272,7 +267,7 @@ func main() {
 				return
 			}
 			if reporting && spec.SeriesInterval == 0 {
-				spec.SeriesInterval = dstInterval
+				spec.SeriesInterval = interval
 			}
 			fmt.Printf("== Scenario: %s ==\n", *scenarioFile)
 			res, err := scenario.Run(spec)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -91,12 +92,16 @@ func TestNpssExpChaosReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`"span":"([0-9a-f]+)"`).FindAllSubmatch(timeline, -1) {
+		spans[string(m[1])] = true
+	}
 	exemplars, resolved := 0, 0
 	for _, w := range d.Series.Windows {
 		for _, h := range w.Hists {
 			for _, ex := range h.Exemplars {
 				exemplars++
-				if ex.Span != 0 && strings.Contains(string(timeline), fmt.Sprintf(`"span":"%x"`, ex.Span)) {
+				if ex.Span != 0 && spans[fmt.Sprintf("%x", ex.Span)] {
 					resolved++
 				}
 			}

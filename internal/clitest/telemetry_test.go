@@ -69,7 +69,10 @@ func TestNpssExpTelemetryChaos(t *testing.T) {
 	bin := build(t, "npss/cmd/npss-exp")
 	traceFile := filepath.Join(t.TempDir(), "chaos-timeline.json")
 
-	cmd := exec.Command(bin, "-exp", "chaos", "-transient", "0.1",
+	// The paper's one-second transient: on the virtual clock the run
+	// costs only its computation, a few seconds of wall time, which is
+	// the window the scrape below has.
+	cmd := exec.Command(bin, "-exp", "chaos", "-transient", "1",
 		"-trace", traceFile, "-telemetry", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -103,8 +106,8 @@ func TestNpssExpTelemetryChaos(t *testing.T) {
 		t.Fatal("telemetry listener address never logged")
 	}
 
-	// Scrape while the chaos run is live. The run lasts seconds; poll
-	// until the exposition lints and the flight ring has traced events.
+	// Scrape while the chaos run is live: poll until the exposition
+	// lints and the flight ring has traced events.
 	var scrape, flightDump string
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) && (scrape == "" || flightDump == "") {

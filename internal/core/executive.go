@@ -10,6 +10,7 @@ import (
 	"npss/internal/engine"
 	"npss/internal/schooner"
 	"npss/internal/solver"
+	"npss/internal/vclock"
 )
 
 // Executive is the prototype NPSS simulation executive: an AVS-style
@@ -224,6 +225,14 @@ func (x *Executive) Run(opts RunOptions) (*RunResult, error) {
 	if x.Network == nil {
 		return nil, fmt.Errorf("core: no network loaded; call BuildF100 or load one")
 	}
+	// The wavefront's workers and the engine's overlapped calls run on
+	// the clock of the cluster the modules call into, so a virtual
+	// clock sees every one of them.
+	clock := vclock.Real()
+	if x.Client != nil {
+		clock = x.Client.Transport.Clock()
+	}
+	x.Network.SetClock(clock)
 	workers := 1
 	if opts.Parallel {
 		workers = parallelWorkers
@@ -238,7 +247,9 @@ func (x *Executive) Run(opts RunOptions) (*RunResult, error) {
 	if err := x.installHooks(eng, opts.Batch); err != nil {
 		return nil, err
 	}
-	eng.Parallel = opts.Parallel
+	if opts.Parallel {
+		eng.Parallel = clock
+	}
 
 	steadyMethod := "Newton-Raphson"
 	if _, err := x.Network.Node(InstSystem); err == nil {

@@ -139,9 +139,13 @@ func (r *remoteModule) destroy() {
 
 // setupConst is an adapted module's once-per-placement setup constant:
 // the result of its remote set* call at the start of a steady-state
-// computation. The lock covers only reading and filling it, never the
-// module's per-pass remote calls, so concurrent callers of one module
-// overlap on the wire.
+// computation. The lock covers only reading and filling it, never a
+// remote call, so it cannot hold a participant of a virtual clock
+// where the clock cannot see it. Two callers never race to fill one
+// constant: each module's constant is read by one hook call per pass,
+// Compute resets it only before a run's passes, and the first pass,
+// which fills it, runs alone — Newton evaluates its initial residual
+// before any concurrent Jacobian column.
 type setupConst struct {
 	mu   sync.Mutex
 	v    float64
@@ -151,15 +155,19 @@ type setupConst struct {
 // get returns the constant, calling fetch to fill it on first use.
 func (c *setupConst) get(fetch func() (float64, error)) (float64, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.have {
-		v, err := fetch()
-		if err != nil {
-			return 0, err
-		}
-		c.v, c.have = v, true
+	v, have := c.v, c.have
+	c.mu.Unlock()
+	if have {
+		return v, nil
 	}
-	return c.v, nil
+	v, err := fetch()
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	c.v, c.have = v, true
+	c.mu.Unlock()
+	return v, nil
 }
 
 // reset invalidates the constant: re-placement may change it.

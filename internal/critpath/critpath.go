@@ -49,7 +49,7 @@ type Profile struct {
 	// Links are the per-link cost profiles, sorted by link name;
 	// empty when the caller had no link counters to contribute.
 	Links []LinkProfile `json:"links,omitempty"`
-	// Total rolls the phases up: the regression gate compares this.
+	// Total rolls the phases up: what the attribution test pins.
 	Total Totals `json:"total"`
 	// Spans counts the records analyzed; Dropped what the recorder
 	// discarded at its cap (a nonzero value taints the attribution).
@@ -115,7 +115,7 @@ type LinkProfile struct {
 	ByteDelay float64 `json:"byte_delay"`
 }
 
-// Totals is the roll-up the regression gate compares.
+// Totals is the roll-up of a profile's phases.
 type Totals struct {
 	// CriticalPath is the summed phase durations — the attributed
 	// wall clock of the run.

@@ -175,30 +175,6 @@ func TestLinkProfiles(t *testing.T) {
 	}
 }
 
-func TestCompareGate(t *testing.T) {
-	base := Analyze(table2ish(), nil, 0)
-	if v := Compare(base, base, DefaultThreshold); len(v) != 0 {
-		t.Fatalf("self-compare violated: %v", v)
-	}
-	// Synthetic 2× network injection: double the network bucket.
-	cur := Analyze(table2ish(), nil, 0)
-	cur.Total.Buckets[Network] *= 2
-	cur.Total.CriticalPath += cur.Total.Buckets[Network] / 2
-	v := Compare(base, cur, DefaultThreshold)
-	if len(v) == 0 {
-		t.Fatal("2× network drift not caught")
-	}
-	found := false
-	for _, line := range v {
-		if strings.Contains(line, "network") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violations name no network bucket: %v", v)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := Analyze(table2ish(), map[string]LinkIO{"a->b": {Messages: 1, Bytes: 2, Delay: time.Millisecond}}, 3)
 	q, err := DecodeProfile(p.EncodeJSON())

@@ -3,7 +3,6 @@ package critpath
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -27,60 +26,6 @@ func DecodeProfile(data []byte) (*Profile, error) {
 		return nil, fmt.Errorf("critpath: decode profile: %w", err)
 	}
 	return &p, nil
-}
-
-// DefaultThreshold is the relative drift the regression gate
-// tolerates.
-const DefaultThreshold = 0.15
-
-// Compare diffs two profiles for the regression gate. It returns one
-// line per drift of the critical-path length or an attribution bucket
-// beyond the threshold, and an empty slice when cur is within bounds.
-//
-// Bucket drift is measured against the baseline critical-path length,
-// not the bucket's own value: both a 2%-share bucket halving (pure
-// scheduler noise) and a 60%-share bucket growing 20% (a real
-// regression) are judged by the same yardstick — how much of the
-// end-to-end latency moved.
-func Compare(base, cur *Profile, threshold float64) []string {
-	var out []string
-	bTot, cTot := base.Total.CriticalPath, cur.Total.CriticalPath
-	if d, bad := drift(float64(bTot), float64(cTot), threshold); bad {
-		out = append(out, fmt.Sprintf("critical path: %s -> %s (%+.1f%%, limit ±%.0f%%)",
-			bTot, cTot, d*100, threshold*100))
-	}
-	if bTot <= 0 {
-		return out
-	}
-	keys := map[string]bool{}
-	for k := range base.Total.Buckets {
-		keys[k] = true
-	}
-	for k := range cur.Total.Buckets {
-		keys[k] = true
-	}
-	names := make([]string, 0, len(keys))
-	for k := range keys {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		b, c := base.Total.Buckets[k], cur.Total.Buckets[k]
-		d := float64(c-b) / float64(bTot)
-		if d > threshold || d < -threshold {
-			out = append(out, fmt.Sprintf("bucket %s: %s -> %s (%+.1f%% of baseline critical path, limit ±%.0f%%)",
-				k, b, c, d*100, threshold*100))
-		}
-	}
-	return out
-}
-
-func drift(base, cur, threshold float64) (float64, bool) {
-	if base == 0 {
-		return 0, cur != 0
-	}
-	d := (cur - base) / base
-	return d, d > threshold || d < -threshold
 }
 
 // Format renders the profile for a terminal: per-phase decomposition

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"npss/internal/trace"
+	"npss/internal/vclock"
 )
 
 // Node is one module instance placed in a network.
@@ -51,11 +52,23 @@ type Network struct {
 	nodes map[string]*Node
 	order []string // insertion order, for stable listings
 	conns []connection
+	clock vclock.Clock // the wavefront's workers are its participants
 }
 
-// NewNetwork creates an empty network.
+// NewNetwork creates an empty network on the wall clock.
 func NewNetwork(name string) *Network {
-	return &Network{Name: name, nodes: make(map[string]*Node)}
+	return &Network{Name: name, nodes: make(map[string]*Node), clock: vclock.Real()}
+}
+
+// SetClock installs the clock the wavefront scheduler starts and joins
+// its workers on; nil means the wall clock. An executive whose modules
+// call a simulated cluster hands it the cluster's clock, so a virtual
+// clock sees every worker.
+func (n *Network) SetClock(c vclock.Clock) {
+	if c == nil {
+		c = vclock.Real()
+	}
+	n.clock = c
 }
 
 // Add instantiates a module into the network under an instance name
@@ -310,7 +323,8 @@ func (n *Network) Execute() (int, error) {
 // of its upstream nodes, so every input of a level-k node was produced
 // at level < k. Within a level the dirty nodes' inputs are gathered
 // first, then their Compute functions run concurrently on up to
-// `workers` goroutines, then outputs are applied and dirty flags
+// `workers` participants of the network's clock, each taking the
+// level's next node in order, then outputs are applied and dirty flags
 // propagated in deterministic insertion order before the next level
 // starts. Because same-level nodes never feed each other, each module
 // sees exactly the inputs the sequential scheduler would have handed
@@ -397,18 +411,24 @@ func (n *Network) ExecuteParallel(workers int) (int, error) {
 				}
 			}
 		} else {
-			sem := make(chan struct{}, workers)
-			var wg sync.WaitGroup
-			for i, node := range batch {
-				wg.Add(1)
-				go func(i int, node *Node) {
-					defer wg.Done()
-					sem <- struct{}{}
-					errs[i] = compute(i, node)
-					<-sem
-				}(i, node)
+			var next atomic.Int32
+			done := make([]*vclock.Slot, min(workers, len(batch)))
+			for w := range done {
+				done[w] = n.clock.NewSlot()
+				n.clock.Go("dataflow.Network.ExecuteParallel", func() {
+					for {
+						i := int(next.Add(1)) - 1
+						if i >= len(batch) {
+							break
+						}
+						errs[i] = compute(i, batch[i])
+					}
+					done[w].Fill(nil)
+				})
 			}
-			wg.Wait()
+			for _, d := range done {
+				d.Wait(0)
+			}
 		}
 		for i, node := range batch {
 			if errs[i] != nil {

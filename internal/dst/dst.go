@@ -510,7 +510,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// transition events a report overlays.
 	c.set = trace.NewSet()
 	c.prevSet = trace.Swap(c.set)
-	c.rec = flight.NewRecorder(1 << 16)
+	c.rec = flight.NewRecorderClock(1<<16, c.v.Now)
 	c.prevRec = flight.Swap(c.rec)
 	if cfg.Profile {
 		// Span timestamps read the virtual clock, so the profile is a

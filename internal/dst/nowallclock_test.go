@@ -51,21 +51,18 @@ type exemption struct {
 // clock, an unseeded source or a process global. The list may only
 // shrink: a name in an entry that matches nothing fails the test.
 var exemptions = []exemption{
-	// The paper's experiments still run on wall time, on real
+	// Some of the paper's experiments still run on wall time, on real
 	// goroutines. Moving them onto the virtual clock empties this block.
-	{"dataflow", "network.go", "Network.ExecuteParallel", "go", "the parallel wavefront runs module calls on real goroutines"},
-	{"engine", "engine.go", "launch", "go", "the parallel evaluation pass overlaps hook calls on real goroutines"},
 	{"exper", "ablation.go", "RPCvsMsgPass", "go time.Now time.Since", "the message-passing worker runs on a real goroutine; both sides are wall-timed"},
 	{"exper", "ablation.go", "NameCache", "time.Now time.Since", "the name-cache ablation is wall-timed"},
 	{"exper", "ablation.go", "UTSvsNative", "time.Now time.Since", "the codec ablation is wall-timed"},
-	{"exper", "chaos.go", "Chaos", "time.Now time.Since", "the chaos row reports its wall time"},
 	{"exper", "fig.go", "Fig1", "go", "the zoomed module's parallel algorithm sums on real goroutines"},
 	{"exper", "scenarios.go", "Lines", "go time.Now time.Since", "concurrent lines run on real goroutines; the migration scenario reports its wall time"},
-	{"exper", "table.go", "runConfigured", "time.Now time.Since", "each Table 1/2 row reports its wall time"},
 
 	// Wall time by design.
 	{"dst", "dst.go", "NewCluster", "time.Now", "Result.RealElapsed is what simulating the run cost"},
 	{"dst", "dst.go", "Cluster.Finish", "time.Since", "Result.RealElapsed is what simulating the run cost"},
+	{"exper", "chaos.go", "Chaos", "time.Now time.Since", "ChaosResult.RealElapsed is what simulating the run cost"},
 	{"dst", "watchdog.go", "Watchdog", "time.AfterFunc", "the watchdog must fire when the virtual clock is stuck"},
 	{"flight", "flight.go", "var clock", "time.Now", "flight events carry wall-clock stamps for operators"},
 	{"schooner", "transport.go", "TCPTransport.Jitter", "rand.Float64", "a transport over real sockets spreads retries with unseeded jitter"},

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"npss/internal/gasdyn"
 	"npss/internal/solver"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 )
 
 // Hooks are the component computations the engine calls through
@@ -121,14 +123,15 @@ type Engine struct {
 	// Hooks route the four adapted computations.
 	Hooks Hooks
 
-	// Parallel selects the overlapped evaluation pass: the adapted
-	// hook computations (ducts, combustor, nozzle, shafts) are invoked
+	// Parallel, when non-nil, is the clock of the overlapped
+	// evaluation pass: the adapted hook computations (ducts,
+	// combustor, nozzle, shafts) start as participants of it,
 	// concurrently where the dataflow allows, so remote calls overlap
 	// on the wire. Balance then also evaluates each Newton iteration's
-	// Jacobian columns concurrently, one forked pass per column.
-	// Results are bit-identical to a non-parallel engine's; see Eval
-	// and fork.
-	Parallel bool
+	// Jacobian columns concurrently, one forked pass per column. Nil
+	// runs every hook call inline. Results are bit-identical either
+	// way; see Eval and fork.
+	Parallel vclock.Clock
 
 	// DesignState is the state vector at the design point, the
 	// natural initial guess for balancing.
@@ -213,18 +216,19 @@ func (e *Engine) PackState(x []float64, omegaL, omegaH float64) {
 // returning the state derivatives and the engine outputs. It is the
 // single place the component computations are invoked; the hook
 // indirection decides where each computation physically executes, and
-// the Parallel flag decides whether independent hook invocations
+// the Parallel clock decides whether independent hook invocations
 // overlap in time.
 //
 // Each adapted hook invocation is started through start the moment its
 // inputs are final, while every volume mutation stays on the calling
-// goroutine. On a parallel engine start is launch, so the call runs on
-// its own goroutine; otherwise it is inline, which runs the call at
-// once. The dataflow dependencies force only three hook calls onto the
-// critical path (combustor -> mixer-core -> nozzle); the bypass duct
-// overlaps the compressor/turbine arithmetic and the two shaft calls
-// overlap the mixer and nozzle. Hook arguments are captured as scalars
-// at start, so goroutines never read volume state. A non-parallel pass
+// goroutine. On a parallel engine start is launch, so the call runs as
+// a participant of its own on the Parallel clock; otherwise it is
+// inline, which runs the call at once. The dataflow dependencies force
+// only three hook calls onto the critical path (combustor -> mixer-core
+// -> nozzle); the bypass duct overlaps the compressor/turbine
+// arithmetic and the two shaft calls overlap the mixer and nozzle. Hook
+// arguments are captured as scalars at start, so goroutines never read
+// volume state. A non-parallel pass
 // calls its hooks in start order: bypass, combustor, bleed, shafts,
 // mixer-core, mixer-bypass, nozzle. In either mode a failing hook is
 // reported at its wait.
@@ -252,17 +256,13 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	v6 := e.Volumes[VBypExit]
 	v7 := e.Volumes[VMixExit]
 
-	// start begins a hook call: on its own goroutine on a parallel
-	// engine, at once otherwise. fail drains every started call before
+	// start begins a hook call: as a participant of the Parallel clock
+	// on a parallel engine, at once otherwise. fail drains every started call before
 	// an error return, so no hook call outlives the pass.
-	begin := inline
-	if e.Parallel {
-		begin = launch
-	}
 	var waitBuf [6]func() error
 	waits := waitBuf[:0]
 	start := func(fn func() error) func() error {
-		w := begin(fn)
+		w := e.begin(fn)
 		waits = append(waits, w)
 		return w
 	}
@@ -482,19 +482,39 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	return out, nil
 }
 
-// launch runs fn on its own goroutine and returns an idempotent wait
-// function delivering its error. A parallel engine's pass starts its
-// hook calls with it, and Balance overlaps Jacobian columns with it.
-func launch(fn func() error) func() error {
-	ch := make(chan error, 1)
-	go func() { ch <- fn() }()
+// begin starts fn the way a pass starts a hook call: launched on the
+// Parallel clock when there is one, inline otherwise.
+func (e *Engine) begin(fn func() error) func() error {
+	if e.Parallel == nil {
+		return inline(fn)
+	}
+	return launch(e.Parallel, fn)
+}
+
+// launch runs fn as a new participant of c and returns an idempotent
+// wait function delivering its error, parked on a Slot so a virtual
+// clock sees the waiter. A parallel engine's pass starts its hook
+// calls with it, and Balance overlaps Jacobian columns with it.
+func launch(c vclock.Clock, fn func() error) func() error {
+	done := c.NewSlot()
+	c.Go("engine.launch", func() { done.Fill(fn()) })
 	var once sync.Once
 	var res error
 	return func() error {
-		once.Do(func() { res = <-ch })
+		once.Do(func() {
+			v, ok := done.Wait(0)
+			if !ok {
+				res = errStopped
+				return
+			}
+			res, _ = v.(error)
+		})
 		return res
 	}
 }
+
+// errStopped is the wait of a call whose clock stopped under it.
+var errStopped = errors.New("engine: clock stopped under a hook call")
 
 // inline runs fn at once and returns a wait function delivering its
 // error: launch's counterpart for a pass that does not overlap.
@@ -560,10 +580,10 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 	case "newtonraphson", "newton":
 		res := e.residual(scales)
 		cols := solver.Sequential(res)
-		if e.Parallel {
+		if e.Parallel != nil {
 			// Each Jacobian column runs a whole pass on its own fork, so
 			// the columns' remote calls overlap as a pass's hooks do.
-			cols = solver.Concurrent(launch, func() solver.Residual {
+			cols = solver.Concurrent(e.begin, func() solver.Residual {
 				return e.fork().residual(scales)
 			})
 		}

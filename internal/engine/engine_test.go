@@ -407,7 +407,7 @@ func TestHooksAreUsed(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			e := newTestEngine(t)
-			e.Parallel = parallel
+			e.Parallel = parallelClock(parallel)
 			var mu sync.Mutex
 			counts := map[string]int{}
 			count := func(site string) {

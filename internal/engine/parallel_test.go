@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"npss/internal/solver"
+	"npss/internal/vclock"
 )
 
 // TestEvalParallelBitIdentical is the guarantee Parallel rests on:
@@ -19,7 +20,7 @@ import (
 func TestEvalParallelBitIdentical(t *testing.T) {
 	seq := newTestEngine(t)
 	par := newTestEngine(t)
-	par.Parallel = true
+	par.Parallel = vclock.Real()
 
 	// A spread of states: the design point and perturbations of every
 	// state entry in both directions.
@@ -60,7 +61,7 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 func TestBalanceParallelBitIdentical(t *testing.T) {
 	seq := newTestEngine(t)
 	par := newTestEngine(t)
-	par.Parallel = true
+	par.Parallel = vclock.Real()
 
 	xSeq := append([]float64(nil), seq.DesignState...)
 	xPar := append([]float64(nil), par.DesignState...)
@@ -144,7 +145,7 @@ func TestBalanceIgnoresStaleFAR(t *testing.T) {
 // under the race detector).
 func TestEvalParallelOverlapsHooks(t *testing.T) {
 	e := newTestEngine(t)
-	e.Parallel = true
+	e.Parallel = vclock.Real()
 	const delay = 10 * time.Millisecond
 	base := LocalHooks()
 	e.Hooks = Hooks{
@@ -182,6 +183,46 @@ func TestEvalParallelOverlapsHooks(t *testing.T) {
 	}
 }
 
+// TestEvalParallelOnVirtualClock runs a parallel pass on a virtual
+// clock with every hook taking 10ms of it. The started calls are
+// participants of the clock, so the pass takes exactly its dependency
+// chain: bleed, then mixer-bypass (both inline, each waiting on calls
+// started with it), then the nozzle — 30ms, where eight hooks in turn
+// would take 80ms.
+func TestEvalParallelOnVirtualClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	defer v.Stop()
+	e := newTestEngine(t)
+	e.Parallel = v
+	const delay = 10 * time.Millisecond
+	base := LocalHooks()
+	e.Hooks = Hooks{
+		Shaft: func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
+			v.Sleep(delay)
+			return base.Shaft(spool, qTur, qCom, inertia, omega)
+		},
+		Duct: func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
+			v.Sleep(delay)
+			return base.Duct(id, k, pUp, tUp, far, pDown)
+		},
+		Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
+			v.Sleep(delay)
+			return base.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
+		},
+		Nozzle: func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
+			v.Sleep(delay)
+			return base.Nozzle(a8, pt, tt, far, pamb, stator)
+		},
+	}
+	x := append([]float64(nil), e.DesignState...)
+	if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Elapsed(); got != 3*delay {
+		t.Errorf("parallel pass took %v of virtual time, want exactly %v", got, 3*delay)
+	}
+}
+
 // TestEvalHookErrors fails each adapted hook in turn: Eval must return
 // the hook's error in both start modes, and a parallel pass must drain
 // every hook call it started before returning, so none outlives it —
@@ -195,7 +236,7 @@ func TestEvalHookErrors(t *testing.T) {
 		for _, parallel := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/parallel=%v", failing, parallel), func(t *testing.T) {
 				e := newTestEngine(t)
-				e.Parallel = parallel
+				e.Parallel = parallelClock(parallel)
 				var inflight, late atomic.Int32
 				var returned atomic.Bool
 				// call runs a hook body as the named site: it fails
@@ -288,4 +329,13 @@ func TestEvalAllocations(t *testing.T) {
 	if allocs > 15 {
 		t.Errorf("non-parallel pass allocates %v times, want at most 15", allocs)
 	}
+}
+
+// parallelClock is the Parallel setting of a subtest's start mode: the
+// wall clock for an overlapped pass, nil for an inline one.
+func parallelClock(parallel bool) vclock.Clock {
+	if parallel {
+		return vclock.Real()
+	}
+	return nil
 }

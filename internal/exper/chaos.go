@@ -12,6 +12,7 @@ import (
 	"npss/internal/schooner"
 	"npss/internal/trace"
 	"npss/internal/tseries"
+	"npss/internal/vclock"
 )
 
 // ChaosSpec configures the chaos experiment: the Table 2 combined
@@ -41,12 +42,12 @@ type ChaosSpec struct {
 	// CrashStep is the transient step at which the crash is injected
 	// (default: halfway through the transient).
 	CrashStep int
-	// Policy is the client call policy (default: a tight-deadline,
-	// generous-retry policy whose budget outlasts crash detection and
-	// failover).
+	// Policy is the client call policy (default: a deadline well above
+	// the slowest round trip, and a retry budget that outlasts crash
+	// detection and failover).
 	Policy schooner.CallPolicy
-	// Health is the Manager's monitoring policy (default: 5ms sweeps,
-	// 3 missed probes declare a machine dead).
+	// Health is the Manager's monitoring policy (default: 100ms
+	// sweeps, 3 missed probes declare a machine dead).
 	Health schooner.HealthPolicy
 	// SeriesInterval, when positive, samples windowed metric series
 	// (with tail-latency exemplars) over the faulty run, landing in
@@ -78,23 +79,25 @@ func (s *ChaosSpec) defaults() {
 	if s.CrashStep == 0 {
 		s.CrashStep = int(s.Run.Transient/s.Run.Step) / 2
 	}
+	// Every delay is waited in full on the run's virtual clock, so the
+	// deadlines clear the slowest round trip, the Internet path between
+	// the sites (2 x 45ms latency plus transmission), with room to
+	// spare. A sweep pings the six Lewis machines one after another,
+	// about 0.6s; the retry budget (about 4.7s of backoff) outlasts
+	// three sweeps of detection plus the failover respawn.
 	if s.Policy == (schooner.CallPolicy{}) {
-		// A deadline well above the (unscaled) simulated round trip but
-		// small enough that dropped replies cost little wall-clock, and
-		// a retry/backoff budget that outlasts detection (3 sweeps of
-		// 5ms) plus failover respawn.
 		s.Policy = schooner.CallPolicy{
-			Timeout:    75 * time.Millisecond,
+			Timeout:    250 * time.Millisecond,
 			MaxRetries: 12,
-			Backoff:    2 * time.Millisecond,
-			MaxBackoff: 50 * time.Millisecond,
+			Backoff:    10 * time.Millisecond,
+			MaxBackoff: time.Second,
 		}
 	}
 	if s.Health == (schooner.HealthPolicy{}) {
 		s.Health = schooner.HealthPolicy{
-			Interval:    5 * time.Millisecond,
+			Interval:    100 * time.Millisecond,
 			Threshold:   3,
-			PingTimeout: 50 * time.Millisecond,
+			PingTimeout: 250 * time.Millisecond,
 		}
 	}
 }
@@ -137,12 +140,16 @@ type ChaosResult struct {
 	Series tseries.Series
 	// Events is the flight recorder's view of the faulty run — the
 	// crash, the health-down verdict, and the failovers, timestamped
-	// on the same clock as Series so a report can overlay them.
+	// on the run's virtual clock like Series, so a report can overlay
+	// them.
 	Events []flight.Event
 	// FlightDump is the recorder dump captured at the moment of a
 	// failed run, while the sampler was still active — so it includes
 	// the series-tail section. Empty on success.
 	FlightDump string
+	// RealElapsed is what simulating the whole experiment cost, on the
+	// wall clock.
+	RealElapsed time.Duration
 }
 
 // Chaos runs the paper's Table 2 combined test — the TESS F100
@@ -153,8 +160,10 @@ type ChaosResult struct {
 // local-only answer: lost messages are retried, the crashed machine's
 // stateless processes are restarted elsewhere by the Manager's health
 // monitor, and clients follow via the same lazy stale-cache recovery
-// that serves Move.
+// that serves Move. The experiment runs on a virtual clock of its own,
+// so one seed replays one run.
 func Chaos(spec ChaosSpec) *ChaosResult {
+	realStart := time.Now()
 	spec.defaults()
 	// Scope the experiment to its own trace sets: the clean baseline
 	// records into one, and the faulty run into a fresh one installed
@@ -169,19 +178,22 @@ func Chaos(spec ChaosSpec) *ChaosResult {
 	placements := Table2Placements()
 	row := &ModuleRun{AVSMachine: SparcUA, Placements: placements}
 	res := &ChaosResult{Row: row, CrashHost: spec.CrashHost, CrashStep: spec.CrashStep}
+	defer func() { res.RealElapsed = time.Since(realStart) }()
 	nets := make([]string, 0, len(placements))
 	for _, m := range placements {
 		nets = append(nets, LinkName(SparcUA, m))
 	}
 	row.Network = strings.Join(dedupe(nets), " + ")
 
-	tb, err := NewTestbed(SparcUA)
+	v := vclock.NewVirtual()
+	defer recordSpansOn(v)()
+	defer stopClock(v, &row.Err)
+	tb, err := newTestbed(SparcUA, v)
 	if err != nil {
 		row.Err = err
 		return res
 	}
 	defer tb.Stop()
-	tb.Net.SetTimeScale(spec.Run.TimeScale)
 	tb.Net.ScaleLatency(spec.Run.NetScale)
 	exec, err := tb.NewExecutive()
 	if err != nil {
@@ -231,17 +243,18 @@ func Chaos(spec ChaosSpec) *ChaosResult {
 	// Scope the flight recorder to the faulty run, big enough that
 	// tens of thousands of per-call events cannot evict the handful of
 	// transition events (crash, failovers) the report overlays.
-	chaosRec := flight.NewRecorder(1 << 16)
+	chaosRec := flight.NewRecorderClock(1<<16, v.Now)
 	prevRec := flight.Swap(chaosRec)
 	defer flight.Swap(prevRec)
 	var sampler *tseries.Sampler
 	if spec.SeriesInterval > 0 {
 		// Sample the faulty run only: the sampler reads the scoped
-		// chaos set on the real clock, and installing it as the active
+		// chaos set on the run's clock, and installing it as the active
 		// sampler routes the runtime's per-call exemplars (trace/span
 		// IDs of the slowest calls) into the windows.
 		sampler = tseries.Start(tseries.Config{
 			Interval: spec.SeriesInterval,
+			Clock:    v,
 			Source:   chaosSet.Export,
 		})
 		tseries.SetActive(sampler)
@@ -258,9 +271,9 @@ func Chaos(spec ChaosSpec) *ChaosResult {
 			tb.Net.SetHostDown(spec.CrashHost, true)
 		}
 	}
-	start := time.Now()
+	start := v.Now()
 	remote, err := exec.Run(core.RunOptions{Observe: observe})
-	row.Wall = time.Since(start)
+	row.Wall = v.Since(start)
 	row.Links = linkIO(tb.Net.Stats())
 	if err != nil {
 		// Capture the dump before deactivating the sampler so it ships

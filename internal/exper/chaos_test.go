@@ -13,9 +13,6 @@ import (
 // the failover path at least once, and converge to the local-only
 // answer within the usual combined-test tolerance.
 func TestChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos run is slow")
-	}
 	res := Chaos(ChaosSpec{Run: RunSpec{Transient: 0.05, Step: 5e-4, Throttle: true}})
 	if res.Row.Err != nil {
 		t.Fatalf("chaos run failed: %v", res.Row.Err)

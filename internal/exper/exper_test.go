@@ -9,6 +9,7 @@ import (
 	"npss/internal/core"
 	"npss/internal/critpath"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 )
 
 func TestTopology(t *testing.T) {
@@ -79,9 +80,6 @@ func TestTable1Row(t *testing.T) {
 }
 
 func TestTable2Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("combined run is slow")
-	}
 	row := Table2(quickSpec)
 	if row.Err != nil {
 		t.Fatal(row.Err)
@@ -124,24 +122,33 @@ func TestTable2Parallel(t *testing.T) {
 }
 
 // table2Counts is what a Table 2 run costs in exact terms: procedure
-// calls, wire round trips, and simulated network time.
+// calls, wire round trips, simulated network time, and the run's
+// elapsed time on its virtual clock.
 type table2Counts struct {
 	calls, rpcs int64
 	simNet      time.Duration
+	elapsed     time.Duration
 }
 
 func (c table2Counts) String() string {
-	return fmt.Sprintf("%d calls / %d rpcs / %s", c.calls, c.rpcs, c.simNet)
+	return fmt.Sprintf("%d calls / %d rpcs / %s on the network / %s elapsed", c.calls, c.rpcs, c.simNet, c.elapsed)
 }
 
-// warmTable2 stands up the Table 2 placement on a fresh testbed, runs
-// it once to start the lines and fill the name caches, and counts a
-// second run. Network delays are recorded, not slept. The cold row of
-// Table2 reads differently (1422 / 1204 / 89.017 s batched), which is
-// why this does not go through runConfigured.
+// warmTable2 stands up the Table 2 placement on a fresh testbed on a
+// virtual clock, runs it once to start the lines and fill the name
+// caches, and counts a second run. Every network delay is waited in
+// virtual time. The cold row of Table2 reads differently (1422 / 1204
+// / 89.017 s batched), which is why this does not go through
+// runConfigured.
 func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
 	t.Helper()
-	tb, err := NewTestbed(SparcUA)
+	v := vclock.NewVirtual()
+	defer func() {
+		if err := v.Stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	tb, err := newTestbed(SparcUA, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,32 +172,42 @@ func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
 	tb.Net.ResetStats()
 	calls0 := trace.Get("schooner.client.calls")
 	rpcs0 := trace.Get("schooner.client.rpcs")
+	start := v.Now()
 	if _, err := exec.Run(opts); err != nil {
 		t.Fatal(err)
 	}
 	return table2Counts{
-		calls:  trace.Get("schooner.client.calls") - calls0,
-		rpcs:   trace.Get("schooner.client.rpcs") - rpcs0,
-		simNet: tb.Net.TotalSimDelay(),
+		calls:   trace.Get("schooner.client.calls") - calls0,
+		rpcs:    trace.Get("schooner.client.rpcs") - rpcs0,
+		simNet:  tb.Net.TotalSimDelay(),
+		elapsed: v.Since(start),
 	}
 }
 
-// TestTable2ExactCounts pins the three numbers every change to the
-// call path is held to. They are counts, not timings: a warm batched
-// Table 2 run makes 1416 procedure calls in 1180 wire round trips and
-// spends 88.086967904 simulated seconds on the network, on any
-// machine at any GOMAXPROCS. The unbatched parallel run beside it is
-// the control: the same calls, one round trip each, so the test fails
-// if batching stops coalescing, and shows what batching buys — 236
-// round trips and 21.02 simulated seconds.
+// TestTable2ExactCounts pins the numbers every change to the call path
+// is held to. They are counts and virtual times, not timings: a warm
+// batched Table 2 run makes 1416 procedure calls in 1180 wire round
+// trips and spends 88.086967904 simulated seconds on the network, on
+// any machine at any GOMAXPROCS. The unbatched parallel run beside it
+// is the control: the same calls, one round trip each, so the test
+// fails if batching stops coalescing, and shows what batching buys —
+// 236 round trips and 21.02 simulated seconds. Both overlapped runs
+// take 18.986389642 virtual seconds: the shaft pair's two calls
+// travel at once either way, on connections that do not queue behind
+// each other. The sequential run makes the same calls one at a time,
+// so its elapsed time is exactly the sum of its message delays.
 func TestTable2ExactCounts(t *testing.T) {
 	batched := warmTable2(t, core.RunOptions{Parallel: true, Batch: true})
-	if want := (table2Counts{1416, 1180, 88086967904}); batched != want {
+	if want := (table2Counts{1416, 1180, 88086967904, 18986389642}); batched != want {
 		t.Errorf("batched: %s, want %s", batched, want)
 	}
 	unbatched := warmTable2(t, core.RunOptions{Parallel: true})
-	if want := (table2Counts{1416, 1416, 109106701080}); unbatched != want {
+	if want := (table2Counts{1416, 1416, 109106701080, 18986389642}); unbatched != want {
 		t.Errorf("unbatched: %s, want %s", unbatched, want)
+	}
+	sequential := warmTable2(t, core.RunOptions{})
+	if want := (table2Counts{1416, 1416, 109106701080, 109106701080}); sequential != want {
+		t.Errorf("sequential: %s, want %s", sequential, want)
 	}
 	if unbatched.rpcs != unbatched.calls || unbatched.calls != batched.calls {
 		t.Errorf("unbatched run: %d round trips for %d calls (batched made %d calls), want one round trip per call and equal calls",
@@ -313,29 +330,32 @@ func TestZooming(t *testing.T) {
 	}
 }
 
-// TestTable2BatchedAttribution runs the batched combined test with
-// span recording on and feeds the spans plus the run's link
-// accounting to the critical-path analyzer: the attribution must
-// partition the measured wall clock — bucket sums equal the summed
-// phase durations exactly, and the remote phase agrees with the
-// row's own wall-clock measurement within 1% — and the link cost
-// profile must carry the topology's traffic.
-func TestTable2BatchedAttribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("combined run is slow")
-	}
+// batchedAttribution runs the batched combined test over a 0.02s
+// transient with span recording on and analyzes its spans with the
+// run's link accounting.
+func batchedAttribution(t *testing.T, netScale float64) (*ModuleRun, *critpath.Profile) {
+	t.Helper()
 	rec := trace.NewRecorder()
 	trace.SetRecorder(rec)
 	defer trace.SetRecorder(nil)
-	spec := RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Batch: true}
-	row := Table2(spec)
+	row := Table2(RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Batch: true, NetScale: netScale})
 	if row.Err != nil {
 		t.Fatal(row.Err)
 	}
-	p := critpath.Analyze(rec.Spans(), row.Links, rec.Dropped())
-	if len(p.Phases) < 2 {
-		t.Fatalf("phases = %d, want local + remote run", len(p.Phases))
-	}
+	return row, critpath.Analyze(rec.Spans(), row.Links, rec.Dropped())
+}
+
+// TestTable2BatchedAttribution holds the critical-path attribution of
+// the batched combined test to equality. The run's spans are stamped
+// on its virtual clock, so the analysis is exact: the bucket sums
+// partition the summed phase durations, the remote phase is the row's
+// elapsed time to the nanosecond, and the network, queueing and retry
+// buckets are pinned. Computation takes no virtual time: the compute
+// bucket holds only the dataflow nodes' message hops their child spans
+// do not cover, and the ladder of bench/ measures real compute
+// instead. Doubling every link's latency must move the pins.
+func TestTable2BatchedAttribution(t *testing.T) {
+	row, p := batchedAttribution(t, 0)
 	var sum time.Duration
 	for _, v := range p.Total.Buckets {
 		sum += v
@@ -352,13 +372,27 @@ func TestTable2BatchedAttribution(t *testing.T) {
 	if remote == nil {
 		t.Fatalf("no remote run phase among %+v", p.Phases)
 	}
-	// The phase span brackets the timed run; the two clocks must agree
-	// to within 1% of the measured wall time.
-	if diff := remote.Dur - row.Wall; diff < 0 || float64(diff) > 0.01*float64(row.Wall) {
-		t.Errorf("remote phase %s vs measured wall %s: off by %s (>1%%)", remote.Dur, row.Wall, diff)
+	if remote.Dur != row.Wall {
+		t.Errorf("remote phase %s, want the run's elapsed time %s exactly", remote.Dur, row.Wall)
 	}
-	if remote.Buckets[critpath.Network] == 0 {
-		t.Error("no network time attributed to the remote run")
+	// The local baseline takes no virtual time, so its zero-length
+	// phase sits inside the remote one and the critical path is the
+	// remote run's.
+	if p.Total.CriticalPath != row.Wall {
+		t.Errorf("critical path %s, want the remote run's %s", p.Total.CriticalPath, row.Wall)
+	}
+	if want := 19547591235 * time.Nanosecond; row.Wall != want {
+		t.Errorf("elapsed %s, want %s", row.Wall, want)
+	}
+	want := map[string]time.Duration{
+		critpath.Network:  19171713953,
+		critpath.Queueing: 375373223,
+		critpath.Retry:    0,
+	}
+	for k, v := range want {
+		if got := p.Total.Buckets[k]; got != v {
+			t.Errorf("bucket %s = %s, want %s", k, got, v)
+		}
 	}
 	if len(p.Links) == 0 {
 		t.Fatal("no link cost profiles")
@@ -373,15 +407,19 @@ func TestTable2BatchedAttribution(t *testing.T) {
 	if !seen["via Internet"] {
 		t.Errorf("links = %v, want the Internet path of the two-site topology", seen)
 	}
+
+	// The negative control: a doubled network must break the pins.
+	_, scaled := batchedAttribution(t, 2)
+	if got := scaled.Total.Buckets[critpath.Network]; got == want[critpath.Network] {
+		t.Errorf("netscale=2 left the network bucket at its pin %s", got)
+	}
 }
 
 // TestNetScaleDoublesSimNet pins the -netscale fault injection the
-// profile regression gate relies on: doubling every link latency must
-// grow the run's simulated network time by roughly the latency share.
+// attribution test's negative control relies on: doubling every link
+// latency must grow the run's simulated network time by roughly the
+// latency share.
 func TestNetScaleDoublesSimNet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("combined run is slow")
-	}
 	spec := RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Batch: true}
 	base := Table2(spec)
 	if base.Err != nil {
@@ -393,7 +431,7 @@ func TestNetScaleDoublesSimNet(t *testing.T) {
 		t.Fatal(scaled.Err)
 	}
 	// Latency dominates these links' delay, so 2× latency means close
-	// to 2× simulated network time; well above the 15% gate threshold.
+	// to 2× simulated network time.
 	if float64(scaled.SimNet) < 1.5*float64(base.SimNet) {
 		t.Errorf("SimNet %s with netscale=2, want >= 1.5× the baseline %s", scaled.SimNet, base.SimNet)
 	}

@@ -100,12 +100,13 @@ func RunTable2Scenario(spec *scenario.Spec, run RunSpec) (*scenario.Result, erro
 	res := &scenario.Result{Name: spec.Name, Seed: spec.Seed, Hosts: len(archOf)}
 	probe := chaosProbe{r}
 	d := &dst.Result{
-		Seed:        spec.Seed,
-		Signature:   r.Counters,
-		Series:      r.Series,
-		Events:      r.Events,
-		FlightDump:  r.FlightDump,
-		RealElapsed: r.Row.Wall,
+		Seed:           spec.Seed,
+		Signature:      r.Counters,
+		Series:         r.Series,
+		Events:         r.Events,
+		FlightDump:     r.FlightDump,
+		VirtualElapsed: r.Row.Wall,
+		RealElapsed:    r.RealElapsed,
 	}
 	if v := probe.ViolationText(); v != "" {
 		d.Violation = &dst.Violation{Name: "no-convergence", Detail: v}

@@ -1,10 +1,15 @@
 package exper
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"npss/internal/flight"
 	"npss/internal/scenario"
 )
 
@@ -48,15 +53,11 @@ func TestTable2ScenarioSpecParity(t *testing.T) {
 }
 
 // TestTable2ScenarioRunParity runs the YAML port and the hand-coded
-// chaos experiment over the same shortened transient and demands they
-// agree on the outcomes the schedule determines: both converge within
-// tolerance, and both see the crash (hostdown) and the health
-// monitor's response (failovers). Raw retry/drop counts depend on
-// real-clock timing, so parity holds them to presence, not equality.
+// chaos experiment over the same shortened transient. Both run on a
+// virtual clock from the same seed, so they must be the same run: equal
+// signatures, counter for counter, converging within tolerance after
+// the crash (hostdown) and the health monitor's response (failovers).
 func TestTable2ScenarioRunParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the combined test twice under fault injection")
-	}
 	run := RunSpec{Transient: 0.05, Step: 5e-4, Throttle: true}
 
 	spec := loadTable2Scenario(t)
@@ -78,16 +79,51 @@ func TestTable2ScenarioRunParity(t *testing.T) {
 	if hand.Row.MaxRelErr > relErrTolerance {
 		t.Errorf("hand-coded maxRelErr = %g", hand.Row.MaxRelErr)
 	}
+	if y, h := fmt.Sprint(res.DST.Signature), fmt.Sprint(hand.Counters); y != h {
+		t.Errorf("signatures differ:\n yaml %s\n hand %s", y, h)
+	}
 	for _, key := range []string{"schooner.manager.hostdown", "schooner.manager.failovers"} {
-		y, h := res.DST.Signature[key], hand.Counters[key]
-		if y < 1 || h < 1 {
-			t.Errorf("%s: yaml=%d hand=%d, want both >= 1", key, y, h)
+		if n := hand.Counters[key]; n < 1 {
+			t.Errorf("%s = %d, want >= 1", key, n)
 		}
 	}
 	// Every assertion in the shipped file must have held.
 	for _, a := range res.Asserts {
 		if !a.OK {
 			t.Errorf("assert failed: %s (%s)", a.Desc, a.Detail)
+		}
+	}
+}
+
+// TestTable2ScenarioSameBytesAtAnyGOMAXPROCS is the chaos-table2 case
+// of dst's determinism contract: the same scenario file yields the same
+// fingerprint, series and flight events whether the Go scheduler has
+// one thread or eight.
+func TestTable2ScenarioSameBytesAtAnyGOMAXPROCS(t *testing.T) {
+	spec := loadTable2Scenario(t)
+	spec.SeriesInterval = 50 * time.Millisecond
+	var want []byte
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := RunTable2Scenario(spec, RunSpec{Transient: 0.05, Step: 5e-4, Throttle: true})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		b.WriteString(scenario.Expectation(spec, res))
+		series, err := res.DST.Series.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(series)
+		for _, e := range res.DST.Events {
+			fmt.Fprintf(&b, "\n%s %s", e.Time.Format(time.RFC3339Nano), flight.FormatEvent(&e))
+		}
+		if want == nil {
+			want = b.Bytes()
+		} else if !bytes.Equal(want, b.Bytes()) {
+			t.Fatalf("GOMAXPROCS=1 and GOMAXPROCS=%d disagree:\n--- 1\n%s\n--- %d\n%s", procs, want, procs, b.Bytes())
 		}
 	}
 }

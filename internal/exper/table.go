@@ -11,6 +11,7 @@ import (
 	"npss/internal/engine"
 	"npss/internal/netsim"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 )
 
 // RunSpec sets the simulation length of an experiment run. The paper
@@ -24,10 +25,6 @@ type RunSpec struct {
 	// Throttle applies a fuel deceleration schedule so the transient
 	// exercises real dynamics (default true).
 	Throttle bool
-	// TimeScale, when nonzero, makes the simulated network actually
-	// sleep that fraction of its simulated delays, so wall-clock
-	// measurements reflect network shape (0 = record only).
-	TimeScale float64
 	// Parallel runs the placed (remote) simulation with overlapped
 	// module calls — wavefront network execution plus concurrent
 	// adapted-hook RPCs. The local baseline stays sequential, so the
@@ -38,9 +35,8 @@ type RunSpec struct {
 	// pass share one envelope to the RS/6000). Implies Parallel.
 	Batch bool
 	// NetScale multiplies every link's propagation latency (0 and 1
-	// leave the paper's topology untouched). The profile regression
-	// gate injects NetScale=2 to prove the comparator catches a
-	// doubled network.
+	// leave the paper's topology untouched). The attribution test
+	// injects NetScale=2 to prove its pins catch a doubled network.
 	NetScale float64
 }
 
@@ -77,7 +73,10 @@ type ModuleRun struct {
 	// not batching is on.
 	Calls  int64
 	SimNet time.Duration // simulated network time spent
-	Wall   time.Duration // wall-clock of the remote run
+	// Wall is the remote run's elapsed time on the run's virtual
+	// clock: every simulated delay waited in full, overlapped where
+	// the calls overlap, with computation taking no time.
+	Wall time.Duration
 	// Links is the per-link traffic accounting of the remote run, in
 	// the shape the critical-path analyzer consumes for its link cost
 	// profiles.
@@ -124,7 +123,8 @@ func MergeLinks(into map[string]critpath.LinkIO, from map[string]critpath.LinkIO
 }
 
 // runConfigured executes the local baseline and the placed run on a
-// fresh testbed and fills in the comparison.
+// fresh testbed on a virtual clock of its own, and fills in the
+// comparison.
 func runConfigured(avs string, placements map[string]string, spec RunSpec) *ModuleRun {
 	spec.defaults()
 	row := &ModuleRun{AVSMachine: avs, Placements: placements}
@@ -134,13 +134,15 @@ func runConfigured(avs string, placements map[string]string, spec RunSpec) *Modu
 	}
 	row.Network = strings.Join(dedupe(nets), " + ")
 
-	tb, err := NewTestbed(avs)
+	v := vclock.NewVirtual()
+	defer recordSpansOn(v)()
+	defer stopClock(v, &row.Err)
+	tb, err := newTestbed(avs, v)
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	defer tb.Stop()
-	tb.Net.SetTimeScale(spec.TimeScale)
 	tb.Net.ScaleLatency(spec.NetScale)
 	exec, err := tb.NewExecutive()
 	if err != nil {
@@ -179,9 +181,9 @@ func runConfigured(avs string, placements map[string]string, spec RunSpec) *Modu
 		}
 		remoteSp.Annotate("mode", mode)
 	}
-	start := time.Now()
+	start := v.Now()
 	remote, err := exec.Run(core.RunOptions{Parallel: spec.Parallel || spec.Batch, Batch: spec.Batch})
-	row.Wall = time.Since(start)
+	row.Wall = v.Since(start)
 	remoteSp.End()
 	row.Links = linkIO(tb.Net.Stats())
 	if err != nil {
@@ -195,6 +197,32 @@ func runConfigured(avs string, placements map[string]string, spec RunSpec) *Modu
 	row.SimNet = tb.Net.TotalSimDelay()
 	row.MaxRelErr = maxRelErr(local, remote)
 	return row
+}
+
+// stopClock stops a run's virtual clock once its testbed is down,
+// reporting into *errp, unless it already holds an error, a goroutine
+// of the run that outlived it.
+func stopClock(v *vclock.Virtual, errp *error) {
+	if err := v.Stop(); err != nil && *errp == nil {
+		*errp = err
+	}
+}
+
+// recordSpansOn stamps the spans of a run on v when span recording is
+// on: it installs a fork of the process recorder reading v, and
+// returns the func that puts the process recorder back and joins the
+// run's spans into it, after whatever it already holds.
+func recordSpansOn(v *vclock.Virtual) (restore func()) {
+	prev := trace.ActiveRecorder()
+	if prev == nil {
+		return func() {}
+	}
+	fork := prev.Fork(v.Now)
+	trace.SetRecorder(fork)
+	return func() {
+		trace.SetRecorder(prev)
+		prev.Join(fork)
+	}
 }
 
 // configure sets the system-module widgets for a run.

@@ -8,13 +8,12 @@
 package exper
 
 import (
-	"fmt"
-
 	"npss/internal/core"
 	"npss/internal/machine"
 	"npss/internal/netsim"
 	"npss/internal/npssproc"
 	"npss/internal/schooner"
+	"npss/internal/vclock"
 )
 
 // Machine names of the simulated testbed, following the paper: the
@@ -66,9 +65,21 @@ type Testbed struct {
 //   - inside Arizona, the Sparc and SGI share a local Ethernet;
 //   - between the sites runs the 1993 Internet.
 //
-// The Manager and the executive live on avsHost.
+// The Manager and the executive live on avsHost. The network runs on
+// the wall clock and records its delays without sleeping them.
 func NewTestbed(avsHost string) (*Testbed, error) {
+	return newTestbed(avsHost, nil)
+}
+
+// newTestbed builds the topology on clock: the wall clock when nil,
+// otherwise a virtual clock on which every link delay is waited in
+// full, so a run's elapsed time on it is the network-shaped time.
+func newTestbed(avsHost string, clock *vclock.Virtual) (*Testbed, error) {
 	n := netsim.New()
+	if clock != nil {
+		n.SetClock(clock)
+		n.SetTimeScale(1)
+	}
 	for _, h := range append(append([]string{}, lercHosts...), uaHosts...) {
 		if _, err := n.AddHost(h, archOf[h]); err != nil {
 			return nil, err
@@ -181,5 +192,3 @@ func describeArch(h string) string {
 	}
 	return "unknown"
 }
-
-var _ = fmt.Sprintf

@@ -152,6 +152,7 @@ type Recorder struct {
 	next    int       // ring index of the next write
 	seq     uint64    // total events ever recorded
 	wrapped bool
+	now     func() time.Time // stamps events; nil reads the wall clock
 }
 
 // NewRecorder returns a recorder holding at most limit events.
@@ -163,11 +164,24 @@ func NewRecorder(limit int) *Recorder {
 	return &Recorder{limit: limit}
 }
 
+// NewRecorderClock is NewRecorder stamping events with now instead of
+// the wall clock. A run on a virtual clock records on that clock, so
+// its events line up with its series windows and replay identically.
+func NewRecorderClock(limit int, now func() time.Time) *Recorder {
+	r := NewRecorder(limit)
+	r.now = now
+	return r
+}
+
 // Record appends e to the ring, stamping its sequence number and
 // time. The critical section is one struct copy, plus a chunk
 // allocation the first time the ring reaches into a new chunk.
 func (r *Recorder) Record(e Event) {
-	now := clock()
+	stamp := clock
+	if r.now != nil {
+		stamp = r.now
+	}
+	now := stamp()
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq

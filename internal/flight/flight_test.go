@@ -247,3 +247,14 @@ func TestKindAttribution(t *testing.T) {
 		t.Error("attribution events must not be treated as cluster transitions")
 	}
 }
+
+// TestRecorderClockStamps: a recorder built on a run's clock stamps
+// its events with that clock, not the wall clock.
+func TestRecorderClockStamps(t *testing.T) {
+	at := time.Date(1993, 7, 1, 0, 0, 8, 0, time.UTC)
+	r := NewRecorderClock(8, func() time.Time { return at })
+	r.Record(Event{Kind: KindFailover})
+	if ev := r.Events(); len(ev) != 1 || !ev[0].Time.Equal(at) {
+		t.Fatalf("events = %+v, want one stamped %v", ev, at)
+	}
+}

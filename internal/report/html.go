@@ -228,10 +228,9 @@ func writeLoadTimeline(b *strings.Builder, d Data) {
 	}
 
 	// Event overlays: dashed vertical markers where the cluster
-	// changed shape, drawn under the series lines. Only events whose
-	// timestamps fall inside the series span are drawable — a DST
-	// run's flight events are wall-clock stamped while its series is
-	// virtual-time, so they land in the table below instead.
+	// changed shape, drawn under the series lines. Events and windows
+	// share the run's clock; only events inside the series span are
+	// drawable, and the table below lists them all.
 	overlays := 0
 	for _, e := range OverlayEvents(d.Events) {
 		if e.Time.Before(t0) || e.Time.After(t1) || overlays >= 40 {

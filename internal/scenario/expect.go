@@ -13,16 +13,13 @@ import (
 // lost failover, a changed op schedule) is caught even when every
 // invariant still holds.
 //
-// For the deterministic "dst" workload the fingerprint is strict:
-// op count, signature counters, and assertion verdicts with the
-// values the probes saw are all pure functions of the scenario file.
-// Wall-clock workloads (table2 chaos) keep only the
-// schedule-independent facts: the violation verdict and the assertion
-// verdicts without their measured values. Virtual elapsed time is
-// deliberately absent even for dst: the clock keeps advancing during
-// the teardown tail, so it is not replay-stable.
+// Every workload runs on a virtual clock from the scenario's seed, so
+// the fingerprint is strict: op count, signature counters, and
+// assertion verdicts with the values the probes saw are all pure
+// functions of the scenario file. Virtual elapsed time is deliberately
+// absent: the clock keeps advancing during the teardown tail, so it is
+// not replay-stable.
 func Expectation(spec *Spec, res *Result) string {
-	deterministic := spec.Workload == "" || spec.Workload == "dst"
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario: %s\n", res.Name)
 	fmt.Fprintf(&b, "seed: %d\n", res.Seed)
@@ -37,17 +34,15 @@ func Expectation(spec *Spec, res *Result) string {
 	} else {
 		fmt.Fprintf(&b, "violation: %s\n", v.Name)
 	}
-	if deterministic {
-		fmt.Fprintf(&b, "ops: %d\n", len(res.DST.Ops))
-		b.WriteString("signature:\n")
-		keys := make([]string, 0, len(res.DST.Signature))
-		for k := range res.DST.Signature {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s: %d\n", k, res.DST.Signature[k])
-		}
+	fmt.Fprintf(&b, "ops: %d\n", len(res.DST.Ops))
+	b.WriteString("signature:\n")
+	keys := make([]string, 0, len(res.DST.Signature))
+	for k := range res.DST.Signature {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "  %s: %d\n", k, res.DST.Signature[k])
 	}
 	if len(res.Asserts) > 0 {
 		b.WriteString("asserts:\n")
@@ -60,11 +55,7 @@ func Expectation(spec *Spec, res *Result) string {
 			if a.At >= 0 {
 				when = "at " + a.At.String()
 			}
-			if deterministic {
-				fmt.Fprintf(&b, "  - %s %s: %s (%s)\n", verdict, when, a.Desc, a.Detail)
-			} else {
-				fmt.Fprintf(&b, "  - %s %s: %s\n", verdict, when, a.Desc)
-			}
+			fmt.Fprintf(&b, "  - %s %s: %s (%s)\n", verdict, when, a.Desc, a.Detail)
 		}
 	}
 	return b.String()

@@ -45,19 +45,19 @@ func TestExpectationDeterministicWorkload(t *testing.T) {
 	}
 }
 
-// TestExpectationWallClockWorkload: table2 runs on the wall clock, so
-// the fingerprint must omit everything timing-dependent — the
-// signature counters and the values assertions saw.
-func TestExpectationWallClockWorkload(t *testing.T) {
+// TestExpectationTable2Workload: table2 runs on a virtual clock like
+// dst, so its fingerprint is just as strict — the signature counters
+// and the values assertions saw are part of it.
+func TestExpectationTable2Workload(t *testing.T) {
 	spec, res := expectFixture("table2")
 	got := Expectation(spec, res)
-	for _, banned := range []string{"ops:", "signature:", "dst.commits = 7", "(no violation)"} {
-		if strings.Contains(got, banned) {
-			t.Errorf("wall-clock expectation leaks %q:\n%s", banned, got)
+	for _, want := range []string{
+		"workload: table2\n", "ops: 12\n", "signature:\n", "  dst.commits: 7\n",
+		"  - ok final: converged (no violation)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("expectation missing %q:\n%s", want, got)
 		}
-	}
-	if !strings.Contains(got, "  - ok final: converged\n") {
-		t.Errorf("assert verdict missing:\n%s", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"npss/internal/dst"
+	"npss/internal/report"
 )
 
 // corpusDir is the shipped scenario corpus at the repo root.
@@ -176,5 +177,36 @@ func TestLoadMissingFile(t *testing.T) {
 	_, err := Load(bad)
 	if err == nil || !strings.Contains(err.Error(), "bad.yaml") || !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("err = %v, want file and line context", err)
+	}
+}
+
+// TestReportOverlaysCrashFailover: a scenario's flight events are
+// stamped on its virtual clock, like its series windows, so the crash
+// and the failovers of crash-failover.yaml fall inside the series span,
+// where a report can draw them over the load timeline.
+func TestReportOverlaysCrashFailover(t *testing.T) {
+	spec, err := Load(filepath.Join(corpusDir, "crash-failover.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.SeriesInterval = 50 * time.Millisecond
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Report(res)
+	w := d.Series.Windows
+	if len(w) == 0 {
+		t.Fatal("no series windows")
+	}
+	t0, t1 := w[0].Start, w[len(w)-1].Start.Add(time.Duration(w[len(w)-1].Dur))
+	inside := 0
+	for _, e := range report.OverlayEvents(d.Events) {
+		if !e.Time.Before(t0) && !e.Time.After(t1) {
+			inside++
+		}
+	}
+	if inside == 0 {
+		t.Fatalf("none of %d events falls inside the series span %v..%v", len(d.Events), t0, t1)
 	}
 }

@@ -216,20 +216,21 @@ func (m *Manager) failoverHost(deadHost string) {
 		sp = trace.StartSpan("failover "+deadHost, m.host)
 		defer sp.End()
 	}
+	// Victims go in line and address order, so a run on a virtual
+	// clock re-homes them in the same order every time.
 	var victims []victim
 	m.mu.Lock()
-	for _, ln := range m.lines {
-		for _, pr := range ln.processes {
+	collect := func(ln *line) {
+		for _, pr := range sortedProcs(ln) {
 			if pr.host == deadHost {
 				victims = append(victims, victim{ln, pr})
 			}
 		}
 	}
-	for _, pr := range m.shared.processes {
-		if pr.host == deadHost {
-			victims = append(victims, victim{m.shared, pr})
-		}
+	for _, id := range sortedLineIDs(m.lines) {
+		collect(m.lines[id])
 	}
+	collect(m.shared)
 	m.mu.Unlock()
 
 	for _, v := range victims {

@@ -170,10 +170,10 @@ func (s *Span) End() {
 // Recorder collects finished spans, bounded by a cap so a runaway
 // traced run degrades to dropped spans rather than unbounded memory.
 type Recorder struct {
-	epoch  time.Time
-	limit  int
-	now    func() time.Time
-	nextID atomic.Uint64
+	epoch time.Time
+	limit int
+	now   func() time.Time
+	ids   *atomic.Uint64 // the last span id handed out; shared with forks
 
 	mu      sync.Mutex
 	spans   []SpanRecord
@@ -193,14 +193,49 @@ func NewRecorder() *Recorder {
 // every span timestamp deterministic, so a replay's profile is
 // byte-identical to the original run's.
 func NewRecorderClock(now func() time.Time) *Recorder {
-	return &Recorder{epoch: now(), now: now, limit: DefaultSpanLimit}
+	return &Recorder{epoch: now(), now: now, limit: DefaultSpanLimit, ids: new(atomic.Uint64)}
+}
+
+// Fork returns an empty recorder that stamps spans with now and draws
+// span ids from r's sequence. A run on a clock of its own records into
+// a fork and hands it back with Join; the ids its flight events and
+// series exemplars carry stay valid in r.
+func (r *Recorder) Fork(now func() time.Time) *Recorder {
+	return &Recorder{epoch: now(), now: now, limit: r.limit, ids: r.ids}
+}
+
+// Join appends the spans of f, a fork of r, shifted so f's epoch lands
+// at the end of the latest span r holds (at r's epoch when it holds
+// none): runs joined one after another follow each other on r's
+// timeline without overlapping. Spans over r's cap, and those f
+// dropped, count as dropped.
+func (r *Recorder) Join(f *Recorder) {
+	spans, dropped := f.Spans(), f.Dropped()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	at := r.epoch
+	for _, s := range r.spans {
+		if end := s.Start.Add(s.Dur); end.After(at) {
+			at = end
+		}
+	}
+	shift := at.Sub(f.epoch)
+	for _, s := range spans {
+		if len(r.spans) >= r.limit {
+			r.dropped++
+			continue
+		}
+		s.Start = s.Start.Add(shift)
+		r.spans = append(r.spans, s)
+	}
+	r.dropped += dropped
 }
 
 // start allocates a span. Roots take their own id as the trace id, so
 // ids never collide across the spans of one recorder.
 func (r *Recorder) start(name, host string, parent SpanContext) *Span {
 	s := &Span{rec: r, name: name, host: host, start: r.now(), track: -1}
-	s.id = r.nextID.Add(1)
+	s.id = r.ids.Add(1)
 	if parent.Valid() {
 		s.trace = parent.Trace
 		s.parent = parent.Span

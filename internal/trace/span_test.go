@@ -107,7 +107,8 @@ func TestStartChildInvalidContextRoots(t *testing.T) {
 }
 
 func TestRecorderLimit(t *testing.T) {
-	rec := &Recorder{epoch: time.Now(), now: time.Now, limit: 2}
+	rec := NewRecorder()
+	rec.limit = 2
 	SetRecorder(rec)
 	t.Cleanup(func() { SetRecorder(nil) })
 	for i := 0; i < 5; i++ {
@@ -244,5 +245,36 @@ func TestLabeledMetricsGated(t *testing.T) {
 	}
 	if h := GlobalHistogram("h{k=v}"); h == nil || h.Count() != 1 {
 		t.Error("labeled histogram missing")
+	}
+}
+
+// TestForkJoin checks the hand-back of a run recorded on a clock of
+// its own: the fork's ids continue the parent's sequence, and each
+// joined run starts where the parent's latest span ends, so two runs
+// never overlap on the parent's timeline.
+func TestForkJoin(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	rec := NewRecorderClock(func() time.Time { return epoch })
+	run := func() {
+		t0 := time.Date(1993, 7, 1, 0, 0, 0, 0, time.UTC)
+		now := t0
+		f := rec.Fork(func() time.Time { return now })
+		sp := f.start("run", "h", SpanContext{})
+		now = t0.Add(3 * time.Second)
+		sp.End()
+		rec.Join(f)
+	}
+	run()
+	run()
+	spans := rec.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %+v, want two", spans)
+	}
+	if spans[0].ID != 1 || spans[1].ID != 2 {
+		t.Errorf("ids %d, %d: want the parent's sequence 1, 2", spans[0].ID, spans[1].ID)
+	}
+	if !spans[0].Start.Equal(epoch) || !spans[1].Start.Equal(epoch.Add(3*time.Second)) {
+		t.Errorf("joined runs start at %v and %v, want the parent's epoch and 3s later",
+			spans[0].Start, spans[1].Start)
 	}
 }
