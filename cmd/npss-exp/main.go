@@ -27,14 +27,19 @@
 //	                                       # one DST cluster simulation
 //	npss-exp -exp scenario -f file.yaml -validate
 //	                                       # parse + semantic-check only
-//	npss-exp -exp chaos -report out.html -trace out.json
-//	                                       # a self-contained HTML report
-//	                                       # of the faulty run: per-host
-//	                                       # load timelines, latency
-//	                                       # heatmaps, and tail-latency
-//	                                       # exemplars whose span IDs
-//	                                       # resolve in out.json
-//	npss-exp -exp chaos -telemetry :9100   # serve /metrics, /statusz,
+//	npss-exp -exp scenario -f scenarios/chaos-table2.yaml \
+//	    -report out.html -trace out.json
+//	                                       # the chaos experiment: Table 2
+//	                                       # under the file's faults and
+//	                                       # crash, with a self-contained
+//	                                       # HTML report of the faulty run:
+//	                                       # per-host load timelines,
+//	                                       # latency heatmaps, the
+//	                                       # critical-path attribution, and
+//	                                       # tail-latency exemplars whose
+//	                                       # span IDs resolve in out.json
+//	npss-exp -exp scenario -f scenarios/chaos-table2.yaml -telemetry :9100
+//	                                       # serve /metrics, /statusz,
 //	                                       # /flightz, /seriesz, /profilez
 //	                                       # and pprof while it runs
 package main
@@ -57,7 +62,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table1, table2, fig1, fig2, incremental, lines, zooming, ablations, chaos, dst, scenario, all")
+	which := flag.String("exp", "all", "experiment: table1, table2, fig1, fig2, incremental, lines, zooming, ablations, dst, scenario, all")
 	transient := flag.Float64("transient", 0.5, "transient length, s")
 	step := flag.Float64("step", 5e-4, "integration step, s")
 	calls := flag.Int("calls", 200, "operation count for the ablation timings")
@@ -75,7 +80,7 @@ func main() {
 	validate := flag.Bool("validate", false, "with -exp scenario: parse, compile, and semantic-check the scenario without running it")
 	expectFile := flag.String("expect", "", "with -exp scenario: golden expectation file to check the run's fingerprint against")
 	expectUpdate := flag.Bool("expect-update", false, "with -expect: rewrite the golden instead of failing on a mismatch")
-	reportOut := flag.String("report", "", "write a self-contained HTML report of the chaos or dst run to this file")
+	reportOut := flag.String("report", "", "write a self-contained HTML report of the dst or scenario run to this file")
 	reportJSON := flag.String("report-json", "", "write the machine-readable report bundle (series, events) as JSON to this file")
 	seriesInterval := flag.Duration("series-interval", 0, "time-series sampling window, in the run's virtual time (0 picks 1s when -report/-report-json is set)")
 	flag.Parse()
@@ -105,19 +110,17 @@ func main() {
 	// per-experiment exports yields the cluster-wide roll-up.
 	var agg trace.MetricsSnapshot
 
-	// reportData is filled by the chaos or dst experiment when -report
-	// or -report-json is set, and rendered after the runs finish; dst
-	// writes eagerly instead and records that via reportWritten.
-	var reportData *report.Data
+	// The dst and scenario experiments write their reports as they
+	// finish, because a violation exits nonzero and the report must
+	// survive that; reportWritten records it.
 	reportWritten := false
-	// profileWritten mirrors reportWritten: the dst experiment writes
-	// its attribution profile eagerly, because its spans live in a
-	// run-scoped recorder on the virtual clock — the process recorder
-	// the end-of-main analyzer reads never sees them.
+	// profileWritten likewise records a profile a run analyzed itself:
+	// a dst run's spans live in a run-scoped recorder, and a scenario
+	// result carries its run's profile with the run's link traffic.
 	profileWritten := false
 	// interval is the sampling window a report uses when
-	// -series-interval is left at its zero default. Chaos, dst and
-	// scenario runs all sample their own virtual clock.
+	// -series-interval is left at its zero default. Dst and scenario
+	// runs sample their own virtual clock.
 	interval := *seriesInterval
 	if reporting && interval == 0 {
 		interval = time.Second
@@ -195,41 +198,16 @@ func main() {
 			all = append(all, utsn...)
 			fmt.Print(exper.FormatAblations(all))
 		},
-		"chaos": func() {
-			fmt.Println("== Chaos: Table 2 workload under loss, flaps, and a machine crash ==")
-			r := exper.Chaos(exper.ChaosSpec{Run: spec, SeriesInterval: interval})
-			// The chaos run records into its own scoped trace set; fold
-			// its snapshot into the -metrics aggregate explicitly.
-			agg.Merge(r.Metrics)
-			profileLinks = exper.MergeLinks(profileLinks, r.Row.Links)
-			fmt.Print(exper.FormatChaos(r))
-			if reporting {
-				reportData = &report.Data{
-					Title:        fmt.Sprintf("chaos seed=%d: Table 2 workload, crash of %s at step %d", *seed, r.CrashHost, r.CrashStep),
-					Series:       r.Series,
-					Events:       r.Events,
-					TimelineFile: timelineName(*traceOut),
-					Notes: []string{
-						fmt.Sprintf("faults: loss + jitter + link flaps on every client link; %s down mid-transient", r.CrashHost),
-						fmt.Sprintf("converged=%v maxRelErr=%.2e rpcs=%d wall=%s", r.Row.Converged, r.Row.MaxRelErr, r.Row.RPCs, r.Row.Wall.Round(time.Millisecond)),
-					},
-				}
-			}
-		},
 		"dst": func() {
 			fmt.Println("== DST: deterministic cluster simulation in virtual time ==")
 			out, series, prof, ok := exper.DSTReport(*seed, *ops, interval, *profileOut != "" || reporting)
 			fmt.Print(out)
 			if prof != nil && *profileOut != "" {
-				if err := os.WriteFile(*profileOut, prof.EncodeJSON(), 0o644); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("npss-exp: wrote attribution profile (%d phases, %d spans, critical path %s) to %s\n",
-					len(prof.Phases), prof.Spans, prof.Total.CriticalPath, *profileOut)
+				writeProfile(prof, *profileOut)
 				profileWritten = true
 			}
 			if reporting {
-				reportData = &report.Data{
+				writeReports(&report.Data{
 					Title:   fmt.Sprintf("dst seed=%d ops=%d", *seed, *ops),
 					Series:  series,
 					Profile: prof,
@@ -237,11 +215,7 @@ func main() {
 						"virtual-time series: windows advance with the scenario's simulated clock",
 						fmt.Sprintf("invariants held: %v", ok),
 					},
-				}
-				// Written here, not at exit: a violation exits nonzero
-				// below and the report must survive that.
-				writeReports(reportData, *reportOut, *reportJSON)
-				reportData = nil
+				}, *reportOut, *reportJSON)
 				reportWritten = true
 			}
 			if !ok {
@@ -276,10 +250,17 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Print(scenario.Format(res))
+			// The run scoped its metric set; fold its snapshot into the
+			// -metrics aggregate explicitly.
+			agg.Merge(res.DST.Metrics)
+			if prof := res.DST.Profile; prof != nil && *profileOut != "" {
+				writeProfile(prof, *profileOut)
+				profileWritten = true
+			}
 			if reporting {
-				// Written here, not at exit: a violation exits nonzero
-				// below and the report must survive that.
-				writeReports(scenario.Report(res), *reportOut, *reportJSON)
+				d := scenario.Report(res)
+				d.TimelineFile = timelineName(*traceOut)
+				writeReports(d, *reportOut, *reportJSON)
 				reportWritten = true
 			}
 			if *expectFile != "" {
@@ -323,7 +304,7 @@ func main() {
 	}
 
 	if *which == "all" {
-		for _, name := range []string{"fig1", "fig2", "table1", "table2", "incremental", "lines", "zooming", "ablations", "chaos"} {
+		for _, name := range []string{"fig1", "fig2", "table1", "table2", "incremental", "lines", "zooming", "ablations"} {
 			run[name]()
 			printCounters()
 			fmt.Println()
@@ -343,20 +324,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var prof *critpath.Profile
 	if *profileOut != "" && !profileWritten {
-		prof = critpath.Analyze(rec.Spans(), profileLinks, rec.Dropped())
-		if err := os.WriteFile(*profileOut, prof.EncodeJSON(), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("npss-exp: wrote attribution profile (%d phases, %d spans, critical path %s) to %s\n",
-			len(prof.Phases), prof.Spans, prof.Total.CriticalPath, *profileOut)
+		writeProfile(critpath.Analyze(rec.Spans(), profileLinks, rec.Dropped()), *profileOut)
 	}
-	if reportData != nil {
-		reportData.Profile = prof
-		writeReports(reportData, *reportOut, *reportJSON)
-	} else if reporting && !reportWritten {
-		fmt.Fprintln(os.Stderr, "npss-exp: -report/-report-json need the chaos or dst experiment; no report written")
+	if reporting && !reportWritten {
+		fmt.Fprintln(os.Stderr, "npss-exp: -report/-report-json need the dst or scenario experiment; no report written")
 	}
 	if *metricsOut != "" {
 		data, err := agg.EncodeJSON()
@@ -380,8 +352,17 @@ func timelineName(traceOut string) string {
 	return filepath.Base(traceOut)
 }
 
-// writeReports renders the HTML and/or JSON report of a chaos or dst
-// run.
+// writeProfile writes a critical-path attribution profile as JSON.
+func writeProfile(prof *critpath.Profile, path string) {
+	if err := os.WriteFile(path, prof.EncodeJSON(), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("npss-exp: wrote attribution profile (%d phases, %d spans, critical path %s) to %s\n",
+		len(prof.Phases), prof.Spans, prof.Total.CriticalPath, path)
+}
+
+// writeReports renders the HTML and/or JSON report of a dst or
+// scenario run.
 func writeReports(d *report.Data, htmlOut, jsonOut string) {
 	if htmlOut != "" {
 		if err := os.WriteFile(htmlOut, report.HTML(*d), 0o644); err != nil {

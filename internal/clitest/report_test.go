@@ -13,11 +13,12 @@ import (
 )
 
 // TestNpssExpChaosReport is the report plane's end-to-end proof: one
-// chaos run with -report/-report-json/-trace must yield a
-// self-contained HTML report whose per-host timeline shows the
+// run of the chaos scenario with -report/-report-json/-trace must
+// yield a self-contained HTML report whose per-host timeline shows the
 // crashed machine's calls stopping mid-run, and whose tail-latency
 // exemplars carry span IDs that resolve in the same run's Chrome
-// timeline.
+// timeline. The run is the shipped file with its transient cut to
+// 100 ms and the crash kept at the middle.
 func TestNpssExpChaosReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs a multi-second experiment")
@@ -27,8 +28,23 @@ func TestNpssExpChaosReport(t *testing.T) {
 	htmlFile := filepath.Join(dir, "chaos-report.html")
 	jsonFile := filepath.Join(dir, "chaos-report.json")
 	traceFile := filepath.Join(dir, "chaos-timeline.json")
+	shipped, err := os.ReadFile(filepath.Join(repoRoot(t), "scenarios", "chaos-table2.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := string(shipped)
+	for old, new := range map[string]string{"\nduration: 1s\n": "\nduration: 100ms\n", "- at: 500ms\n": "- at: 50ms\n"} {
+		if !strings.Contains(short, old) {
+			t.Fatalf("shipped chaos-table2.yaml lacks %q", old)
+		}
+		short = strings.Replace(short, old, new, 1)
+	}
+	scenarioFile := filepath.Join(dir, "chaos-table2.yaml")
+	if err := os.WriteFile(scenarioFile, []byte(short), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	out := run(t, bin, "-exp", "chaos", "-transient", "0.1",
+	out := run(t, bin, "-exp", "scenario", "-f", scenarioFile,
 		"-trace", traceFile, "-report", htmlFile, "-report-json", jsonFile)
 	if !strings.Contains(out, "converged=true") {
 		t.Fatalf("chaos run did not converge:\n%s", out)
@@ -44,7 +60,7 @@ func TestNpssExpChaosReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(html)
-	for _, want := range []string{"<!DOCTYPE html>", "<svg", "rs6000-lerc", "Tail-latency exemplars", "chaos-timeline.json"} {
+	for _, want := range []string{"<!DOCTYPE html>", "<svg", "rs6000-lerc", "Tail-latency exemplars", "chaos-timeline.json", "seed=1993"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("report missing %q", want)
 		}

@@ -57,23 +57,26 @@ func TestNpssExpMetricsExport(t *testing.T) {
 	}
 }
 
-// TestNpssExpTelemetryChaos is the live-cluster proof: one chaos run
-// with -telemetry must yield three correlated artifacts — a parseable
-// Prometheus scrape taken while the faults were live, a flight
-// recorder dump whose events carry trace IDs, and a span timeline
-// sharing those IDs.
+// TestNpssExpTelemetryChaos is the live-cluster proof: one run of the
+// shipped chaos scenario with -telemetry must yield three correlated
+// artifacts — a parseable Prometheus scrape taken while the faults
+// were live, a flight recorder dump whose events carry trace IDs, and
+// a span timeline sharing those IDs — and a report titled with the
+// file's seed.
 func TestNpssExpTelemetryChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs a multi-second experiment")
 	}
 	bin := build(t, "npss/cmd/npss-exp")
-	traceFile := filepath.Join(t.TempDir(), "chaos-timeline.json")
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "chaos-timeline.json")
+	htmlFile := filepath.Join(dir, "chaos-report.html")
 
 	// The paper's one-second transient: on the virtual clock the run
 	// costs only its computation, a few seconds of wall time, which is
 	// the window the scrape below has.
-	cmd := exec.Command(bin, "-exp", "chaos", "-transient", "1",
-		"-trace", traceFile, "-telemetry", "127.0.0.1:0")
+	cmd := exec.Command(bin, "-exp", "scenario", "-f", filepath.Join(repoRoot(t), "scenarios", "chaos-table2.yaml"),
+		"-trace", traceFile, "-report", htmlFile, "-telemetry", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +141,9 @@ func TestNpssExpTelemetryChaos(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "converged=true") {
 		t.Fatalf("chaos run did not converge:\n%s", stdout.String())
+	}
+	if page, err := os.ReadFile(htmlFile); err != nil || !strings.Contains(string(page), "seed=1993") {
+		t.Errorf("report missing or not titled with the file's seed 1993 (err %v)", err)
 	}
 
 	// The timeline written at exit must share trace IDs with the

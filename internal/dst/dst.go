@@ -109,6 +109,9 @@ type Result struct {
 	// Profile is the critical-path attribution of the whole run, when
 	// Config.Profile was set.
 	Profile *critpath.Profile
+	// Metrics is the run's whole metric snapshot. The run scopes its
+	// metric set, so this is how its counters reach a roll-up.
+	Metrics trace.MetricsSnapshot
 }
 
 // signatureKeys are the counters included in Result.Signature. Every
@@ -734,6 +737,7 @@ func (c *Cluster) Finish() *Result {
 	for _, k := range signatureKeys {
 		res.Signature[k] = c.set.Get(k)
 	}
+	res.Metrics = c.set.Export()
 	if c.sampler != nil {
 		// Stop the sampler while the virtual clock still runs, so the
 		// final partial window flushes at this virtual instant.

@@ -8,7 +8,6 @@ import (
 
 	"npss/internal/dst"
 	"npss/internal/machine"
-	"npss/internal/schooner"
 )
 
 // stepKind orders same-instant steps: a host must join before an op
@@ -40,10 +39,9 @@ type step struct {
 // schedules are pure functions of the spec — so two compiles of the
 // same file agree step for step.
 type Plan struct {
-	Spec   *Spec
-	Boot   []dst.HostSpec
-	Health *schooner.HealthPolicy
-	steps  []step
+	Spec  *Spec
+	Boot  []dst.HostSpec
+	steps []step
 	// HostCount is the eventual fleet size (boot + ramped joins).
 	HostCount int
 	// OpCount is how many dst ops the timeline will apply.
@@ -66,6 +64,14 @@ type joinAt struct {
 // runs.
 func Compile(spec *Spec) (*Plan, error) {
 	p := &Plan{Spec: spec}
+	if spec.Workload == "" || spec.Workload == "dst" {
+		if len(spec.Faults) > 0 {
+			return nil, errAt(spec.Faults[0].Line, "faults: only the table2 workload degrades links; the dst workload scripts its faults as events")
+		}
+		if spec.PolicyLine > 0 {
+			return nil, errAt(spec.PolicyLine, "policy: only the table2 workload reads a call policy")
+		}
+	}
 	joins, err := compileFleet(spec, p)
 	if err != nil {
 		return nil, err
@@ -130,15 +136,6 @@ func Compile(spec *Spec) (*Plan, error) {
 	for _, st := range p.steps {
 		if st.kind == stepOp {
 			p.OpCount++
-		}
-	}
-	if spec.HealthInterval < 0 {
-		p.Health = &schooner.HealthPolicy{Interval: -1}
-	} else if spec.HealthInterval > 0 {
-		p.Health = &schooner.HealthPolicy{
-			Interval:    spec.HealthInterval,
-			Threshold:   2,
-			PingTimeout: 40 * time.Millisecond,
 		}
 	}
 	return p, nil

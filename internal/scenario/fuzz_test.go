@@ -16,6 +16,10 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(minimal + "events:\n  - at: 1s\n    action: crash_host\n    host: a\n"))
 	f.Add([]byte(minimal + "stress:\n  - at: 0s\n    duration: 2s\n    ops: 10\n    failure_rate: 0.5\n"))
 	f.Add([]byte(minimal + "assertions:\n  - converged\n  - check: counter\n    key: dst.calls.ok\n    min: 1\n"))
+	f.Add([]byte(strings.Replace(minimal, "duration: 2s", "duration: 2s\nworkload: table2", 1) +
+		"faults:\n  - from: a\n    to: b\n    loss: 0.01\n    jitter: 200us\n    flap_every: 400\n    flap_len: 3\n" +
+		"policy:\n  timeout: 250ms\n  retries: 12\n  backoff: 10ms\n  max_backoff: 1s\n" +
+		"health:\n  interval: 100ms\n  threshold: 3\n  ping_timeout: 250ms\n"))
 	// Malformed seeds steer the fuzzer at the error paths.
 	f.Add([]byte("name: t\nduration: 2s\nfleet:\n\thosts: x\n"))
 	f.Add([]byte("name: t\nname: u\n"))

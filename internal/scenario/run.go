@@ -22,6 +22,10 @@ type Result struct {
 	// Asserts holds every evaluated assertion in evaluation order:
 	// timed probes first (At >= 0), then the final list (At = -1).
 	Asserts []AssertResult
+	// Notes are workload-specific summary lines (the table2 workload's
+	// convergence and error against the local run) that Format prints
+	// and Report carries.
+	Notes []string
 }
 
 // AssertResult is one evaluated assertion.
@@ -83,7 +87,7 @@ func runPlan(plan *Plan) (*Result, error) {
 		Fleet:          plan.Boot,
 		SeriesInterval: spec.SeriesInterval,
 		Standby:        spec.Standby,
-		Health:         plan.Health,
+		Health:         spec.Health,
 	}
 	c, err := dst.NewCluster(cfg)
 	if err != nil {
@@ -215,6 +219,9 @@ func Format(res *Result) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "  %-40s %d\n", k, d.Signature[k])
 	}
+	for _, n := range res.Notes {
+		fmt.Fprintf(&b, "  %s\n", n)
+	}
 	for _, a := range res.Asserts {
 		verdict := "ok  "
 		if !a.OK {
@@ -230,6 +237,7 @@ func Format(res *Result) string {
 		fmt.Fprintf(&b, "scenario %q passed: all invariants and assertions held\n", res.Name)
 	} else {
 		fmt.Fprintf(&b, "scenario %q FAILED: %s\n", res.Name, d.Violation)
+		b.WriteString(d.FlightDump)
 		fmt.Fprintf(&b, "reproduce with: npss-exp -exp scenario -f <file> (seed %d in the file)\n", res.Seed)
 	}
 	return b.String()
@@ -240,12 +248,14 @@ func Format(res *Result) string {
 // transitions overlaid, and the assertion outcomes as notes.
 func Report(res *Result) *report.Data {
 	d := &report.Data{
-		Title:  fmt.Sprintf("scenario %q seed=%d hosts=%d", res.Name, res.Seed, res.Hosts),
-		Series: res.DST.Series,
-		Events: res.DST.Events,
+		Title:   fmt.Sprintf("scenario %q seed=%d hosts=%d", res.Name, res.Seed, res.Hosts),
+		Series:  res.DST.Series,
+		Events:  res.DST.Events,
+		Profile: res.DST.Profile,
 	}
 	d.Notes = append(d.Notes, fmt.Sprintf("%d ops over %v virtual time (%v real)",
 		len(res.DST.Ops), res.DST.VirtualElapsed.Round(time.Millisecond), res.DST.RealElapsed.Round(time.Millisecond)))
+	d.Notes = append(d.Notes, res.Notes...)
 	for _, a := range res.Asserts {
 		verdict := "ok"
 		if !a.OK {

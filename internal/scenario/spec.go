@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"npss/internal/netsim"
+	"npss/internal/schooner"
 )
 
 // Decode-time ceilings: a scenario that asks for more than this is
@@ -26,12 +29,12 @@ type Spec struct {
 	Seed           int64
 	Duration       time.Duration
 	SeriesInterval time.Duration
-	// HealthInterval overrides the Manager health-probe interval:
-	// 0 keeps the DST default, negative disables monitoring (the
-	// thousand-host setting — per-sweep pinging of the whole fleet
-	// would dominate the run).
-	HealthInterval time.Duration
-	Standby        bool
+	// Health is the Manager's monitoring policy: nil keeps the
+	// workload's default, a negative Interval ("health: off") disables
+	// monitoring (the thousand-host setting — per-sweep pinging of the
+	// whole fleet would dominate the run).
+	Health  *schooner.HealthPolicy
+	Standby bool
 	// Workload selects what the cluster runs: "dst" (default, the
 	// counter/work/accumulator workload of internal/dst) or a
 	// registered alternative such as "table2" (the paper's combined
@@ -39,9 +42,15 @@ type Spec struct {
 	Workload     string
 	WorkloadLine int
 	Fleet        FleetSpec
-	Events       []EventSpec
-	Stress       []StressSpec
-	Asserts      []AssertSpec // final assertions, evaluated post-convergence
+	// Faults and Policy are read by the table2 workload only: the
+	// degraded links, and the client call policy (PolicyLine is 0 when
+	// the file has no policy block).
+	Faults     []FaultSpec
+	Policy     schooner.CallPolicy
+	PolicyLine int
+	Events     []EventSpec
+	Stress     []StressSpec
+	Asserts    []AssertSpec // final assertions, evaluated post-convergence
 }
 
 // FleetSpec declares the worker machines: weighted templates expanded
@@ -71,6 +80,14 @@ type TemplateSpec struct {
 type HostDecl struct {
 	Name string
 	Arch string
+	Line int
+}
+
+// FaultSpec degrades the link between two machines for the whole run:
+// seeded loss, latency jitter, and flaps.
+type FaultSpec struct {
+	From, To string
+	netsim.FaultSpec
 	Line int
 }
 
@@ -174,7 +191,7 @@ func decodeSpec(root *node) (*Spec, error) {
 		case "series_interval":
 			s.SeriesInterval, err = p.val.asDur("series_interval")
 		case "health":
-			err = decodeHealth(p.val, s)
+			s.Health, err = decodeHealth(p.val)
 		case "standby":
 			s.Standby, err = p.val.asBool("standby")
 		case "workload":
@@ -182,6 +199,11 @@ func decodeSpec(root *node) (*Spec, error) {
 			s.WorkloadLine = p.line
 		case "fleet":
 			err = decodeFleet(p.val, &s.Fleet)
+		case "faults":
+			s.Faults, err = decodeFaults(p.val)
+		case "policy":
+			s.Policy, err = decodePolicy(p.val)
+			s.PolicyLine = p.line
 		case "events":
 			s.Events, err = decodeEvents(p.val)
 		case "stress":
@@ -207,25 +229,112 @@ func decodeSpec(root *node) (*Spec, error) {
 	return s, nil
 }
 
-// decodeHealth accepts "off" or a probe interval duration.
-func decodeHealth(n *node, s *Spec) error {
-	v, err := n.asString("health")
-	if err != nil {
-		return err
+// decodeHealth accepts "off" or a mapping of every health-policy field.
+func decodeHealth(n *node) (*schooner.HealthPolicy, error) {
+	if n.kind == nScalar && n.val == "off" {
+		return &schooner.HealthPolicy{Interval: -1}, nil
 	}
-	if v == "off" {
-		s.HealthInterval = -1
-		return nil
+	if n.kind != nMap {
+		return nil, errAt(n.line, "health: want \"off\" or a mapping of interval, threshold and ping_timeout")
 	}
-	d, err := n.asDur("health")
-	if err != nil {
-		return errAt(n.line, "health: want \"off\" or a probe interval, got %q", v)
+	h := &schooner.HealthPolicy{}
+	for _, p := range n.pairs {
+		var err error
+		switch p.key {
+		case "interval":
+			h.Interval, err = p.val.asDur("health.interval")
+		case "threshold":
+			h.Threshold, err = p.val.asInt("health.threshold")
+		case "ping_timeout":
+			h.PingTimeout, err = p.val.asDur("health.ping_timeout")
+		default:
+			err = errAt(p.line, "unknown health key %q", p.key)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if d <= 0 {
-		return errAt(n.line, "health: interval must be positive (use \"off\" to disable)")
+	if h.Interval <= 0 || h.Threshold <= 0 || h.PingTimeout <= 0 {
+		return nil, errAt(n.line, "health: interval, threshold and ping_timeout must all be given and positive")
 	}
-	s.HealthInterval = d
-	return nil
+	return h, nil
+}
+
+// decodePolicy reads the client call policy; every field is required.
+func decodePolicy(n *node) (schooner.CallPolicy, error) {
+	var c schooner.CallPolicy
+	if n.kind != nMap {
+		return c, errAt(n.line, "policy: expected a mapping")
+	}
+	for _, p := range n.pairs {
+		var err error
+		switch p.key {
+		case "timeout":
+			c.Timeout, err = p.val.asDur("policy.timeout")
+		case "retries":
+			c.MaxRetries, err = p.val.asInt("policy.retries")
+		case "backoff":
+			c.Backoff, err = p.val.asDur("policy.backoff")
+		case "max_backoff":
+			c.MaxBackoff, err = p.val.asDur("policy.max_backoff")
+		default:
+			err = errAt(p.line, "unknown policy key %q", p.key)
+		}
+		if err != nil {
+			return c, err
+		}
+	}
+	if c.Timeout <= 0 || c.MaxRetries <= 0 || c.Backoff <= 0 || c.MaxBackoff <= 0 {
+		return c, errAt(n.line, "policy: timeout, retries, backoff and max_backoff must all be given and positive")
+	}
+	return c, nil
+}
+
+// decodeFaults reads the per-link fault list.
+func decodeFaults(n *node) ([]FaultSpec, error) {
+	if n.kind != nSeq {
+		return nil, errAt(n.line, "faults: expected a sequence")
+	}
+	var out []FaultSpec
+	for _, item := range n.items {
+		if item.kind != nMap {
+			return nil, errAt(item.line, "faults: each fault is a mapping")
+		}
+		f := FaultSpec{Line: item.line}
+		for _, p := range item.pairs {
+			var err error
+			switch p.key {
+			case "from":
+				f.From, err = p.val.asString("fault.from")
+			case "to":
+				f.To, err = p.val.asString("fault.to")
+			case "loss":
+				f.LossProb, err = p.val.asFloat("fault.loss")
+			case "jitter":
+				f.MaxJitter, err = p.val.asDur("fault.jitter")
+			case "flap_every":
+				f.FlapEvery, err = p.val.asInt("fault.flap_every")
+			case "flap_len":
+				f.FlapLen, err = p.val.asInt("fault.flap_len")
+			default:
+				err = errAt(p.line, "unknown fault key %q", p.key)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if f.From == "" || f.To == "" || f.From == f.To {
+			return nil, errAt(item.line, "fault needs two different machines \"from\" and \"to\"")
+		}
+		if f.LossProb < 0 || f.LossProb > 1 {
+			return nil, errAt(item.line, "fault.loss must be in [0, 1]")
+		}
+		if f.MaxJitter < 0 || f.FlapEvery < 0 || f.FlapLen < 0 {
+			return nil, errAt(item.line, "fault jitter and flap parameters must be non-negative")
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }
 
 func decodeFleet(n *node, f *FleetSpec) error {

@@ -86,8 +86,8 @@ assertions:
 	if spec.Name != "quoted name" {
 		t.Errorf("name = %q", spec.Name)
 	}
-	if spec.HealthInterval >= 0 {
-		t.Errorf("health: off should map to a negative interval, got %v", spec.HealthInterval)
+	if spec.Health == nil || spec.Health.Interval >= 0 {
+		t.Errorf("health: off should map to a negative interval, got %+v", spec.Health)
 	}
 	if !spec.Standby {
 		t.Error("standby not decoded")
@@ -189,7 +189,7 @@ func TestDecodeErrors(t *testing.T) {
 		{
 			"bad health",
 			minimal + "health: sometimes\n",
-			`line 9: health: want "off" or a probe interval`,
+			`line 9: health: want "off" or a mapping of interval, threshold and ping_timeout`,
 		},
 		{
 			"unknown action",

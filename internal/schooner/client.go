@@ -416,7 +416,9 @@ func (l *Line) Module() string { return l.module }
 
 // managerCall performs one request/response with the Manager, bounded
 // by the line's call deadline, on the demultiplexed Manager connection
-// with no lock held. A terminally dead connection
+// with no lock held. A KStartProc is bounded by the deadline plus the
+// Manager's whole spawn budget, so the Manager's own retry of a lost
+// spawn message can still answer it. A terminally dead connection
 // — the Manager crashed, or a standby took over on another host — is
 // cured by re-attaching the line and retrying the request once.
 func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
@@ -425,6 +427,9 @@ func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
 	}
 	g, gen := l.mgrc()
 	timeout := l.currentPolicy().Timeout
+	if req.Kind == wire.KStartProc && timeout > 0 {
+		timeout += spawnAttempts * rpcTimeout
+	}
 	resp, err := g.call(req, timeout)
 	if err == nil || !g.dead() {
 		return resp, err

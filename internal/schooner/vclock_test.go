@@ -424,3 +424,44 @@ func TestContactSchxDeadline(t *testing.T) {
 		t.Errorf("%d connection endpoints open after the failed registration, baseline %d", got, base)
 	}
 }
+
+// TestStartRemoteSurvivesLostSpawn: one lost spawn message must cost
+// the Manager one spawn retry, not fail the client's StartRemote. The
+// client waits on the Manager with a 250 ms deadline, far shorter than
+// the Manager's 3 s spawn round trip, so StartRemote's wait has to
+// cover the Manager's whole spawn budget. Fault seed 1 drops exactly
+// one message on the Manager-to-server link.
+func TestStartRemoteSurvivesLostSpawn(t *testing.T) {
+	d, _ := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	ln, err := d.client("avs-sparc").ContactSchx("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.IQuit()
+	ln.SetCallPolicy(CallPolicy{
+		Timeout:    250 * time.Millisecond,
+		MaxRetries: 2,
+		Backoff:    10 * time.Millisecond,
+		MaxBackoff: time.Second,
+	})
+	d.net.SetFaultSeed(1)
+	d.net.SetLinkFlaky("avs-sparc", "sgi-lerc", netsim.FaultSpec{LossProb: 0.5})
+	retriesBefore := trace.Get("schooner.manager.spawn_retries")
+	err = ln.StartRemote("/npss/adder", "sgi-lerc")
+	if n := d.net.TotalDropped(); n != 1 {
+		t.Fatalf("fault seed 1 dropped %d messages, want exactly one", n)
+	}
+	if err != nil {
+		t.Fatalf("StartRemote failed on one lost spawn message: %v", err)
+	}
+	if n := trace.Get("schooner.manager.spawn_retries") - retriesBefore; n != 1 {
+		t.Errorf("spawn retries = %d, want 1", n)
+	}
+	d.net.SetLinkFlaky("avs-sparc", "sgi-lerc", netsim.FaultSpec{})
+	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	out, err := ln.Call("add", uts.DoubleVal(2), uts.DoubleVal(3))
+	if err != nil || out[0].F != 5 {
+		t.Fatalf("add after the respawn = %v, %v", out, err)
+	}
+}
