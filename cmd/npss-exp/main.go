@@ -354,7 +354,11 @@ func timelineName(traceOut string) string {
 
 // writeProfile writes a critical-path attribution profile as JSON.
 func writeProfile(prof *critpath.Profile, path string) {
-	if err := os.WriteFile(path, prof.EncodeJSON(), 0o644); err != nil {
+	data, err := prof.EncodeJSON()
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("npss-exp: wrote attribution profile (%d phases, %d spans, critical path %s) to %s\n",

@@ -95,7 +95,13 @@ func TestNpssExpChaosReport(t *testing.T) {
 		}
 	}
 	if before == 0 {
-		t.Errorf("no calls to the crashed host before the crash; series keys: %v", d.Series.Keys(false))
+		keys := map[string]bool{}
+		for _, w := range d.Series.Windows {
+			for k := range w.Counters {
+				keys[k] = true
+			}
+		}
+		t.Errorf("no calls to the crashed host before the crash; series counter keys: %v", keys)
 	}
 	if tail != 0 {
 		t.Errorf("crashed host still serving %d calls in the final windows", tail)

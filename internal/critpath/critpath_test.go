@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,8 +110,8 @@ func TestDeterministicAcrossInputOrder(t *testing.T) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
 	p2 := Analyze(shuffled, nil, 0)
-	if !bytes.Equal(p1.EncodeJSON(), p2.EncodeJSON()) {
-		t.Fatalf("profile depends on span input order:\n%s\nvs\n%s", p1.EncodeJSON(), p2.EncodeJSON())
+	if j1, j2 := encode(t, p1), encode(t, p2); !bytes.Equal(j1, j2) {
+		t.Fatalf("profile depends on span input order:\n%s\nvs\n%s", j1, j2)
 	}
 }
 
@@ -177,13 +178,23 @@ func TestLinkProfiles(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := Analyze(table2ish(), map[string]LinkIO{"a->b": {Messages: 1, Bytes: 2, Delay: time.Millisecond}}, 3)
-	q, err := DecodeProfile(p.EncodeJSON())
+	var q Profile
+	if err := json.Unmarshal(encode(t, p), &q); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, p), encode(t, &q)) {
+		t.Fatal("round trip not stable")
+	}
+}
+
+// encode is EncodeJSON for a test: the profile's JSON, or a fatal error.
+func encode(t *testing.T, p *Profile) []byte {
+	t.Helper()
+	data, err := p.EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p.EncodeJSON(), q.EncodeJSON()) {
-		t.Fatal("round trip not stable")
-	}
+	return data
 }
 
 func TestFormatSmoke(t *testing.T) {

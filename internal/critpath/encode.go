@@ -3,29 +3,71 @@ package critpath
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
+
+	"npss/internal/trace"
 )
 
 // EncodeJSON renders the profile deterministically: struct fields in
-// declaration order, map keys sorted by the encoder, trailing newline.
-// Two same-seed DST replays must produce byte-identical output.
-func (p *Profile) EncodeJSON() []byte {
+// declaration order, map keys sorted by the encoder, indented, with a
+// trailing newline. Two same-seed DST replays must produce
+// byte-identical output.
+func (p *Profile) EncodeJSON() ([]byte, error) {
 	b, err := json.MarshalIndent(p, "", " ")
-	if err != nil {
-		// Profile contains only marshalable fields; this is a bug.
-		panic("critpath: encode: " + err.Error())
-	}
-	return append(b, '\n')
+	return append(b, '\n'), err
 }
 
-// DecodeProfile parses what EncodeJSON wrote.
-func DecodeProfile(data []byte) (*Profile, error) {
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("critpath: decode profile: %w", err)
+// WriteProm renders the profile in the Prometheus text exposition
+// format: the critical-path length and per-phase bucket decomposition,
+// per-host busy time and queue depth, and per-link traffic costs, all
+// as gauges (a profile is a snapshot of one run, not a monotone
+// series). The leading `npss_profile_spans` gauge keeps a scrape of an
+// untraced process a conforming exposition.
+func (p *Profile) WriteProm(w io.Writer) error {
+	e := trace.Exposition{}
+	e.Gauge("npss_profile_spans", fmt.Sprintf("%d", p.Spans))
+	if p.Spans == 0 && len(p.Links) == 0 {
+		return e.Write(w)
 	}
-	return &p, nil
+	gauge := func(name, labels, value string) { e.Add(name, "gauge", name, labels, value) }
+	gauge("npss_profile_critical_path_seconds", "", trace.PromSeconds(p.Total.CriticalPath))
+	// seq disambiguates phases sharing a name (two windows of the
+	// same experiment would otherwise collide as series).
+	for i, ph := range p.Phases {
+		l := fmt.Sprintf(`{seq="%d",phase="%s"}`, i, trace.PromEscape(ph.Name))
+		gauge("npss_profile_phase_seconds", l, trace.PromSeconds(ph.Dur))
+		for _, bk := range Buckets {
+			gauge("npss_profile_phase_bucket_seconds", trace.PromLabel(l, `bucket="`+bk+`"`), trace.PromSeconds(ph.Buckets[bk]))
+		}
+	}
+	for _, h := range p.Hosts {
+		host := h.Host
+		if host == "" {
+			host = "local"
+		}
+		l := `{host="` + trace.PromEscape(host) + `"}`
+		gauge("npss_profile_host_busy_seconds", l, trace.PromSeconds(h.Busy))
+		gauge("npss_profile_host_depth_max", l, fmt.Sprintf("%d", h.MaxDepth))
+		gauge("npss_profile_host_depth_avg", l, fmt.Sprintf("%g", h.AvgDepth))
+		for _, bk := range Buckets {
+			gauge("npss_profile_host_bucket_seconds", trace.PromLabel(l, `bucket="`+bk+`"`), trace.PromSeconds(h.Buckets[bk]))
+		}
+	}
+	for _, lk := range p.Links {
+		l := `{link="` + trace.PromEscape(lk.Link) + `"}`
+		gauge("npss_profile_link_messages", l, fmt.Sprintf("%d", lk.Messages))
+		gauge("npss_profile_link_bytes", l, fmt.Sprintf("%d", lk.Bytes))
+		gauge("npss_profile_link_delay_seconds", l, trace.PromSeconds(lk.Delay))
+		gauge("npss_profile_link_byte_seconds", l, fmt.Sprintf("%g", lk.ByteDelay))
+	}
+	return e.Write(w, "npss_profile_spans", "npss_profile_critical_path_seconds",
+		"npss_profile_phase_seconds", "npss_profile_phase_bucket_seconds",
+		"npss_profile_host_busy_seconds", "npss_profile_host_depth_max",
+		"npss_profile_host_depth_avg", "npss_profile_host_bucket_seconds",
+		"npss_profile_link_messages", "npss_profile_link_bytes",
+		"npss_profile_link_delay_seconds", "npss_profile_link_byte_seconds")
 }
 
 // Format renders the profile for a terminal: per-phase decomposition

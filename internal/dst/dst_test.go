@@ -274,7 +274,10 @@ func TestProfileReplayIdentical(t *testing.T) {
 	if first.Profile.Total.CriticalPath <= 0 {
 		t.Fatalf("empty critical path:\n%s", first.Profile.Format())
 	}
-	firstJSON := first.Profile.EncodeJSON()
+	firstJSON, err := first.Profile.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		res, err := Run(cfg)
 		if err != nil {
@@ -283,7 +286,7 @@ func TestProfileReplayIdentical(t *testing.T) {
 		if res.Profile == nil {
 			t.Fatalf("run %d: no profile", i)
 		}
-		if !bytes.Equal(firstJSON, res.Profile.EncodeJSON()) {
+		if resJSON, err := res.Profile.EncodeJSON(); err != nil || !bytes.Equal(firstJSON, resJSON) {
 			t.Fatalf("run %d: profile diverged:\nfirst:\n%s\nnow:\n%s",
 				i, first.Profile.Format(), res.Profile.Format())
 		}

@@ -34,7 +34,11 @@ func fingerprint(t *testing.T, res *Result) []byte {
 		t.Fatal(err)
 	}
 	b.Write(series)
-	b.Write(res.Profile.EncodeJSON())
+	profile, err := res.Profile.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(profile)
 	return b.Bytes()
 }
 

@@ -94,12 +94,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// IsAttribution reports whether k carries latency-attribution context
-// — a critical-path edge recorded alongside a captured profile — so a
-// post-mortem reader can filter the "why was this slow" events from
-// the what-happened stream.
-func (k Kind) IsAttribution() bool { return k == KindAttribution }
-
 // IsTransition reports whether k marks a cluster-shape change — a
 // crash, failover, takeover, migration, recovery, or violation —
 // rather than per-call traffic. Transition events are the ones a

@@ -240,9 +240,6 @@ func TestKindAttribution(t *testing.T) {
 	if KindAttribution.String() != "attribution" {
 		t.Errorf("String = %q", KindAttribution.String())
 	}
-	if !KindAttribution.IsAttribution() || KindViolation.IsAttribution() {
-		t.Error("IsAttribution misclassifies")
-	}
 	if KindAttribution.IsTransition() {
 		t.Error("attribution events must not be treated as cluster transitions")
 	}

@@ -5,8 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"npss/internal/critpath"
-	"npss/internal/flight"
+	"npss/internal/plane"
 	"npss/internal/trace"
 	"npss/internal/tseries"
 	"npss/internal/wire"
@@ -69,49 +68,32 @@ func (s *Server) StatusReport() string {
 // observe answers a KObserve request for the named plane. Every plane
 // but status reads the process globals all components share; status is
 // the component's own report, and a component without one passes nil.
-func observe(plane string, status func() string) *wire.Message {
-	var data []byte
-	var err error
-	switch plane {
-	case "status":
-		if status == nil {
-			return errMsg("schooner: no status plane here")
-		}
-		data = []byte(status())
-	case "metrics":
-		data, err = trace.Export().EncodeJSON()
-	case "series":
-		// An empty Series when no sampler is installed: still mergeable.
-		data, err = tseries.ActiveSnapshot().EncodeJSON()
-	case "profile":
-		// An empty profile when tracing is off.
-		data = critpath.ActiveSnapshot().EncodeJSON()
-	case "flight":
-		data = []byte(flight.DumpString())
-	default:
-		return errMsg("schooner: unknown observe plane %q", plane)
+func observe(name string, status func() string) *wire.Message {
+	p, ok := plane.Lookup(name)
+	if !ok {
+		return errMsg("schooner: unknown observe plane %q", name)
 	}
+	data, err := p.Answer(status)
 	if err != nil {
-		return errMsg("schooner: encoding %s: %v", plane, err)
+		return errMsg("schooner: %v", err)
 	}
 	return &wire.Message{Kind: wire.KObserveOK, Data: data}
 }
 
 // Observe asks the component listening on addr (a "host:port", or a
 // bare host for its Manager) for one introspection plane and returns
-// the payload: text for "status" and "flight", JSON for "metrics",
-// "series" and "profile" (trace.DecodeMetrics, tseries.DecodeSeries and
-// critpath.DecodeProfile read it back).
-func Observe(t Transport, from, addr, plane string) ([]byte, error) {
+// the payload: a text plane's text, a structured plane's JSON (its
+// table row's Decode reads it back).
+func Observe(t Transport, from, addr, name string) ([]byte, error) {
 	if !strings.Contains(addr, ":") {
 		addr += ":" + ManagerPort
 	}
-	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KObserve, Name: plane}, rpcTimeout)
+	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KObserve, Name: name}, rpcTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Kind != wire.KObserveOK {
-		return nil, fmt.Errorf("schooner: %s query failed: %s", plane, resp.Err)
+		return nil, fmt.Errorf("schooner: %s query failed: %s", name, resp.Err)
 	}
 	return resp.Data, nil
 }
@@ -122,11 +104,12 @@ type Source struct{ Name, Addr string }
 
 // ClusterStatus renders the cluster roll-up `schooner-manager -status`
 // prints: the status report of the Manager at sources[0], then every
-// source's metrics merged, its series merged window by window when any
-// were sampled, and its critical-path profile when it recorded spans.
-// A source that does not answer is reported once and left out, not
-// fatal: a degraded cluster is exactly when the roll-up is wanted. With
-// no sources there is no Manager to ask, and that is an error.
+// structured plane of every source in table order — merged into one
+// section when the plane merges, listed source by source when it does
+// not, and left out where it has nothing to show. A source that does
+// not answer is reported once, in the first section, and left out, not
+// fatal: a degraded cluster is exactly when the roll-up is wanted.
+// With no sources there is no Manager to ask, and that is an error.
 func ClusterStatus(t Transport, from string, sources []Source) (string, error) {
 	if len(sources) == 0 {
 		return "", fmt.Errorf("schooner: cluster status needs a Manager to ask")
@@ -135,15 +118,24 @@ func ClusterStatus(t Transport, from string, sources []Source) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var (
-		metrics               trace.MetricsSnapshot
-		series                tseries.Series
-		unreachable, profiles strings.Builder
-	)
+	var planes []plane.Plane
+	for _, p := range plane.Planes {
+		if p.Text == nil {
+			planes = append(planes, p)
+		}
+	}
+	merged := make([]plane.Snapshot, len(planes))
+	sections := make([]strings.Builder, len(planes))
+	for i, p := range planes {
+		if p.Merge != nil {
+			merged[i] = p.New()
+		}
+	}
+	var unreachable strings.Builder
 	for _, src := range sources {
-		var data [3][]byte
-		for i, plane := range []string{"metrics", "series", "profile"} {
-			if data[i], err = Observe(t, from, src.Addr, plane); err != nil {
+		data := make([][]byte, len(planes))
+		for i, p := range planes {
+			if data[i], err = Observe(t, from, src.Addr, p.Name); err != nil {
 				break
 			}
 		}
@@ -151,32 +143,32 @@ func ClusterStatus(t Transport, from string, sources []Source) (string, error) {
 			fmt.Fprintf(&unreachable, "(%s at %s unreachable: %v)\n", src.Name, src.Addr, err)
 			continue
 		}
-		m, err := trace.DecodeMetrics(data[0])
-		if err != nil {
-			return "", fmt.Errorf("schooner: %s metrics: %w", src.Name, err)
-		}
-		metrics.Merge(m)
-		s, err := tseries.DecodeSeries(data[1])
-		if err != nil {
-			return "", fmt.Errorf("schooner: %s series: %w", src.Name, err)
-		}
-		series.Merge(s)
-		p, err := critpath.DecodeProfile(data[2])
-		if err != nil {
-			return "", fmt.Errorf("schooner: %s profile: %w", src.Name, err)
-		}
-		// Profiles describe one process's span forest, so they are
-		// reported per source rather than merged.
-		if p.Spans > 0 {
-			fmt.Fprintf(&profiles, "[%s]\n%s\n", src.Name, p.Format())
+		for i, p := range planes {
+			s, err := p.Decode(data[i])
+			if err != nil {
+				return "", fmt.Errorf("schooner: %s %s: %w", src.Name, p.Name, err)
+			}
+			if p.Merge != nil {
+				p.Merge(merged[i], s)
+			} else if !p.Quiet(s) {
+				fmt.Fprintf(&sections[i], "[%s]\n%s\n", src.Name, s.Format())
+			}
 		}
 	}
-	report := string(status) + "-- cluster metrics --\n" + unreachable.String() + metrics.Format()
-	if len(series.Windows) > 0 {
-		report += "-- cluster series --\n" + series.Format()
-	}
-	if profiles.Len() > 0 {
-		report += "-- cluster profile --\n" + profiles.String()
+	report := string(status)
+	for i, p := range planes {
+		if merged[i] != nil && !p.Quiet(merged[i]) {
+			sections[i].WriteString(merged[i].Format())
+		}
+		// The first section always shows: it names the sources that did
+		// not answer.
+		if i == 0 || sections[i].Len() > 0 {
+			report += "-- cluster " + p.Name + " --\n"
+			if i == 0 {
+				report += unreachable.String()
+			}
+			report += sections[i].String()
+		}
 	}
 	return report, nil
 }

@@ -1,6 +1,7 @@
 package schooner
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -247,11 +248,12 @@ func observeText(tr Transport, from, addr, plane string) (string, error) {
 }
 
 func observeMetrics(tr Transport, from, addr string) (trace.MetricsSnapshot, error) {
+	var m trace.MetricsSnapshot
 	data, err := Observe(tr, from, addr, "metrics")
-	if err != nil {
-		return trace.MetricsSnapshot{}, err
+	if err == nil {
+		err = json.Unmarshal(data, &m)
 	}
-	return trace.DecodeMetrics(data)
+	return m, err
 }
 
 func observeProfile(tr Transport, from, addr string) (*critpath.Profile, error) {
@@ -259,5 +261,6 @@ func observeProfile(tr Transport, from, addr string) (*critpath.Profile, error) 
 	if err != nil {
 		return nil, err
 	}
-	return critpath.DecodeProfile(data)
+	var p critpath.Profile
+	return &p, json.Unmarshal(data, &p)
 }

@@ -89,10 +89,10 @@ func TestSpanPropagationAcrossHosts(t *testing.T) {
 		}
 	}
 	// Labeled latency histograms accompany the spans.
-	if h := trace.GlobalHistogram("schooner.client.call{proc=add}"); h == nil || h.Count() != 1 {
+	if h, ok := trace.Export().Hists["schooner.client.call{proc=add}"]; !ok || h.Count != 1 {
 		t.Error("per-procedure client latency histogram missing")
 	}
-	if h := trace.GlobalHistogram("schooner.proc.call{host=sgi-lerc}"); h == nil || h.Count() != 1 {
+	if h, ok := trace.Export().Hists["schooner.proc.call{host=sgi-lerc}"]; !ok || h.Count != 1 {
 		t.Error("per-host procedure latency histogram missing")
 	}
 }
@@ -290,7 +290,7 @@ func TestConcurrentTracedGo(t *testing.T) {
 		}
 		traces[s.Trace] = true
 	}
-	if h := trace.GlobalHistogram("schooner.client.call{proc=add}"); h == nil || h.Count() != int64(total) {
+	if h, ok := trace.Export().Hists["schooner.client.call{proc=add}"]; !ok || h.Count != int64(total) {
 		t.Error("per-procedure histogram did not count every concurrent call")
 	}
 }

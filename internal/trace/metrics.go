@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -26,8 +27,11 @@ type HistSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Quantile reports the approximate q-th quantile from the bucket
-// counts, clamped into [Min, Max] — the same estimator Histogram uses.
+// Quantile reports an approximate quantile (0..1) from the bucket
+// counts: the upper bound 2^i µs of the bucket containing the q-th
+// observation, clamped into [Min, Max] so a bucket bound can never
+// exceed the largest (or undercut the smallest) observation recorded.
+// The boundaries are exact: q<=0 returns Min and q>=1 returns Max.
 func (h HistSnapshot) Quantile(q float64) time.Duration {
 	if h.Count == 0 {
 		return 0
@@ -166,16 +170,34 @@ func (m MetricsSnapshot) EncodeJSON() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// DecodeMetrics parses a snapshot previously encoded by EncodeJSON.
-func DecodeMetrics(data []byte) (MetricsSnapshot, error) {
-	var m MetricsSnapshot
-	err := json.Unmarshal(data, &m)
-	return m, err
+// WriteProm renders the snapshot in the Prometheus text exposition
+// format. Counters become counter families; histograms become
+// summaries (quantile series plus _sum and _count). Metric keys in the
+// runtime's schooner.client.call{proc=add} style split into a
+// sanitized family name and labels. The leading `npss_metrics_keys`
+// gauge (how many counter and histogram keys the snapshot holds) keeps
+// a scrape of an idle component a conforming exposition.
+func (m MetricsSnapshot) WriteProm(w io.Writer) error {
+	e := Exposition{}
+	e.Gauge("npss_metrics_keys", fmt.Sprintf("%d", len(m.Counters)+len(m.Hists)))
+	for key, v := range m.Counters {
+		name, labels := PromKey(key)
+		e.Add(name, "counter", name, labels, fmt.Sprintf("%d", v))
+	}
+	for key, h := range m.Hists {
+		name, labels := PromKey(key)
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			e.Add(name, "summary", name, PromLabel(labels, fmt.Sprintf(`quantile="%g"`, q)), PromSeconds(h.Quantile(q)))
+		}
+		e.Add(name, "summary", name+"_sum", labels, PromSeconds(time.Duration(h.Sum)))
+		e.Add(name, "summary", name+"_count", labels, fmt.Sprintf("%d", h.Count))
+	}
+	return e.Write(w, "npss_metrics_keys")
 }
 
-// Format renders the snapshot in the same stable text form as
-// Set.Snapshot: sorted "name=value" counter lines, then sorted
-// histogram summary lines with count, sum, extremes, and quantiles.
+// Format renders the snapshot as stable text: sorted "name=value"
+// counter lines, then sorted histogram summary lines with count, sum,
+// extremes, and quantiles.
 func (m MetricsSnapshot) Format() string {
 	names := make([]string, 0, len(m.Counters))
 	for n := range m.Counters {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,8 @@ func TestExportRoundTripJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeMetrics(data)
-	if err != nil {
+	var got MetricsSnapshot
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Counters["a.calls"] != 7 {

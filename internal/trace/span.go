@@ -393,19 +393,3 @@ func LKey(name string, labels ...Label) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// CountL increments a labeled counter when detailed tracing is
-// enabled; otherwise it is a no-op costing one atomic load.
-func CountL(name string, labels ...Label) {
-	if Enabled() {
-		Count(LKey(name, labels...))
-	}
-}
-
-// ObserveL records a labeled histogram observation when detailed
-// tracing is enabled; otherwise it is a no-op.
-func ObserveL(name string, d time.Duration, labels ...Label) {
-	if Enabled() {
-		Observe(LKey(name, labels...), d)
-	}
-}

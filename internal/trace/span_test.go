@@ -122,13 +122,25 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTrace records on a hand-stepped clock, so every
+// exported timestamp and duration is exact: ts is microseconds since
+// the recorder was created, dur the span's length in microseconds.
 func TestWriteChromeTrace(t *testing.T) {
-	rec := withRecorder(t)
+	now := time.Unix(500, 0).UTC()
+	rec := NewRecorderClock(func() time.Time { return now })
+	SetRecorder(rec)
+	t.Cleanup(func() { SetRecorder(nil) })
+	step := func(d time.Duration) { now = now.Add(d) }
+
+	step(2 * time.Millisecond)
 	root := StartSpan("call add", "avs-sparc")
+	step(3 * time.Millisecond)
 	remote := StartChild(root.Context(), "dispatch add", "cray-lerc")
+	step(5 * time.Millisecond)
 	remote.End()
 	lane := StartSpan("node fan", "dataflow")
 	lane.SetTrack(7)
+	step(1500 * time.Microsecond)
 	lane.End()
 	root.End()
 
@@ -140,6 +152,8 @@ func TestWriteChromeTrace(t *testing.T) {
 		TraceEvents []struct {
 			Name string            `json:"name"`
 			Ph   string            `json:"ph"`
+			Ts   float64           `json:"ts"`
+			Dur  float64           `json:"dur"`
 			Pid  int               `json:"pid"`
 			Tid  int64             `json:"tid"`
 			Args map[string]string `json:"args"`
@@ -153,6 +167,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Errorf("displayTimeUnit = %q", out.DisplayTimeUnit)
 	}
 	procs := map[int]string{}
+	times := map[string][2]float64{}
 	var xEvents int
 	var callEv, dispEv, laneEv map[string]string
 	var callPid, dispPid int
@@ -163,6 +178,7 @@ func TestWriteChromeTrace(t *testing.T) {
 			procs[e.Pid] = e.Args["name"]
 		case "X":
 			xEvents++
+			times[e.Name] = [2]float64{e.Ts, e.Dur}
 			switch e.Name {
 			case "call add":
 				callEv, callPid = e.Args, e.Pid
@@ -188,7 +204,18 @@ func TestWriteChromeTrace(t *testing.T) {
 	if laneTid != 7 {
 		t.Errorf("tracked span tid = %d, want 7", laneTid)
 	}
-	_ = laneEv
+	if laneEv["parent"] != "" {
+		t.Errorf("root span exported a parent %q", laneEv["parent"])
+	}
+	for name, want := range map[string][2]float64{
+		"call add":     {2000, 9500},
+		"dispatch add": {5000, 5000},
+		"node fan":     {10000, 1500},
+	} {
+		if got := times[name]; got != want {
+			t.Errorf("%s: ts/dur = %v µs, want %v", name, got, want)
+		}
+	}
 }
 
 func TestConcurrentSpans(t *testing.T) {
@@ -225,26 +252,6 @@ func TestLKey(t *testing.T) {
 	got := LKey("schooner.client.call", Label{Key: "proc", Value: "add"}, Label{Key: "host", Value: "cray"})
 	if got != "schooner.client.call{proc=add,host=cray}" {
 		t.Errorf("LKey = %q", got)
-	}
-}
-
-func TestLabeledMetricsGated(t *testing.T) {
-	prev := Swap(NewSet())
-	defer Swap(prev)
-	SetRecorder(nil)
-	CountL("m", Label{Key: "k", Value: "v"})
-	ObserveL("h", time.Millisecond, Label{Key: "k", Value: "v"})
-	if Get("m{k=v}") != 0 || GlobalHistogram("h{k=v}") != nil {
-		t.Fatal("labeled metrics recorded while disabled")
-	}
-	withRecorder(t)
-	CountL("m", Label{Key: "k", Value: "v"})
-	ObserveL("h", time.Millisecond, Label{Key: "k", Value: "v"})
-	if Get("m{k=v}") != 1 {
-		t.Errorf("labeled counter = %d, want 1", Get("m{k=v}"))
-	}
-	if h := GlobalHistogram("h{k=v}"); h == nil || h.Count() != 1 {
-		t.Error("labeled histogram missing")
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package trace provides lightweight instrumentation used by the
 // experiment harness: named counters and log-bucketed latency
-// histograms, all safe for concurrent use.
+// histograms, all safe for concurrent use, the spans of a run, and the
+// Prometheus exposition writer every observability plane renders
+// through.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,54 +74,12 @@ func (s *Set) Observe(name string, d time.Duration) {
 	h.Observe(d)
 }
 
-// Histogram returns the named histogram, or nil.
-func (s *Set) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hists[name]
-}
-
 // Reset clears all counters and histograms.
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counters = make(map[string]int64)
 	s.hists = make(map[string]*Histogram)
-}
-
-// Snapshot returns the counters and histograms as a sorted, stable
-// report: one "name=value" line per counter, then one
-// "name: n=... min=... mean=... p95=... max=..." line per histogram.
-func (s *Set) Snapshot() string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	hnames := make([]string, 0, len(s.hists))
-	for n := range s.hists {
-		hnames = append(hnames, n)
-	}
-	sort.Strings(hnames)
-	hists := make([]*Histogram, len(hnames))
-	counts := make([]int64, len(names))
-	for i, n := range names {
-		counts[i] = s.counters[n]
-	}
-	for i, n := range hnames {
-		hists[i] = s.hists[n]
-	}
-	s.mu.Unlock()
-
-	var b strings.Builder
-	for i, n := range names {
-		fmt.Fprintf(&b, "%s=%d\n", n, counts[i])
-	}
-	for i, n := range hnames {
-		fmt.Fprintf(&b, "%s: %s\n", n, hists[i].String())
-	}
-	return b.String()
 }
 
 // Count increments a global counter.
@@ -136,9 +94,6 @@ func Get(name string) int64 { return cur().Get(name) }
 // Observe records into a global histogram.
 func Observe(name string, d time.Duration) { cur().Observe(name, d) }
 
-// GlobalHistogram returns a global histogram by name, or nil.
-func GlobalHistogram(name string) *Histogram { return cur().Histogram(name) }
-
 // Reset clears the global set.
 func Reset() { cur().Reset() }
 
@@ -147,7 +102,7 @@ func Reset() { cur().Reset() }
 // "trace.spans.dropped" line surfaces the truncation so a short
 // timeline is visibly short.
 func Snapshot() string {
-	s := cur().Snapshot()
+	s := Export().Format()
 	if r := ActiveRecorder(); r != nil {
 		if d := r.Dropped(); d > 0 {
 			s += fmt.Sprintf("trace.spans.dropped=%d\n", d)
@@ -185,7 +140,8 @@ func bucketOf(d time.Duration) int {
 }
 
 // Observe records one duration. Negative durations are clamped to
-// zero so Min/Max/Quantile stay within physically meaningful bounds.
+// zero so the exported extremes and quantiles stay within physically
+// meaningful bounds.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -201,96 +157,4 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean reports the mean observation, or zero when empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min reports the smallest observation, or zero when empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max reports the largest observation.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile reports an approximate quantile (0..1) from the buckets:
-// the upper bound of the bucket containing the q-th observation,
-// clamped into [Min, Max] so a bucket bound can never exceed the
-// largest (or undercut the smallest) observation actually recorded.
-// The boundaries are exact: q<=0 returns Min and q>=1 returns Max,
-// even for a single-observation histogram.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var seen int64
-	for i, n := range h.buckets {
-		seen += n
-		if seen > target {
-			return h.clamp(time.Duration(1<<uint(i)) * time.Microsecond)
-		}
-	}
-	return h.max
-}
-
-// clamp bounds a bucket-derived value by the observed extremes; the
-// caller holds h.mu.
-func (h *Histogram) clamp(d time.Duration) time.Duration {
-	if d > h.max {
-		return h.max
-	}
-	if d < h.min {
-		return h.min
-	}
-	return d
-}
-
-// Sum reports the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// String renders a one-line summary. Count and sum sit alongside the
-// quantiles so identical-seed runs diff cleanly in CI.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d min=%v mean=%v sum=%v p95=%v max=%v",
-		h.Count(), h.Min(), h.Mean(), h.Sum(), h.Quantile(0.95), h.Max())
 }

@@ -16,7 +16,7 @@ func TestCounters(t *testing.T) {
 	if s.Get("a") != 2 || s.Get("b") != 5 || s.Get("missing") != 0 {
 		t.Errorf("counters: a=%d b=%d", s.Get("a"), s.Get("b"))
 	}
-	snap := s.Snapshot()
+	snap := s.Export().Format()
 	if !strings.Contains(snap, "a=2") || !strings.Contains(snap, "b=5") {
 		t.Errorf("snapshot = %q", snap)
 	}
@@ -38,21 +38,23 @@ func TestGlobalSet(t *testing.T) {
 		t.Errorf("global x = %d", Get("x"))
 	}
 	Observe("lat", time.Millisecond)
-	if GlobalHistogram("lat") == nil || GlobalHistogram("lat").Count() != 1 {
+	if h, ok := Export().Hists["lat"]; !ok || h.Count != 1 {
 		t.Error("global histogram missing")
 	}
 	if !strings.Contains(Snapshot(), "x=3") {
 		t.Error("global snapshot missing x")
 	}
 	Reset()
-	if GlobalHistogram("lat") != nil {
+	if _, ok := Export().Hists["lat"]; ok {
 		t.Error("reset kept histogram")
 	}
 }
 
+// TestHistogram observes into a live Histogram and reads it back
+// through its export, the only read path.
 func TestHistogram(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
+	if e := h.export(); e.Mean() != 0 || e.Min != 0 || e.Quantile(0.5) != 0 {
 		t.Error("empty histogram not zero")
 	}
 	durations := []time.Duration{
@@ -62,26 +64,27 @@ func TestHistogram(t *testing.T) {
 	for _, d := range durations {
 		h.Observe(d)
 	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
+	e := h.export()
+	if e.Count != 5 {
+		t.Errorf("count = %d", e.Count)
 	}
-	if h.Min() != 100*time.Microsecond || h.Max() != 10*time.Millisecond {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
+	if time.Duration(e.Min) != 100*time.Microsecond || time.Duration(e.Max) != 10*time.Millisecond {
+		t.Errorf("min/max = %v/%v", time.Duration(e.Min), time.Duration(e.Max))
 	}
 	wantMean := (100 + 200 + 400 + 1000 + 10000) * time.Microsecond / 5
-	if h.Mean() != wantMean {
-		t.Errorf("mean = %v, want %v", h.Mean(), wantMean)
+	if e.Mean() != wantMean {
+		t.Errorf("mean = %v, want %v", e.Mean(), wantMean)
 	}
 	// Median bucket upper bound should be near 400us (within 2x).
-	med := h.Quantile(0.5)
+	med := e.Quantile(0.5)
 	if med < 200*time.Microsecond || med > 800*time.Microsecond {
 		t.Errorf("median = %v", med)
 	}
-	if h.Quantile(1.0) < h.Quantile(0.0) {
+	if e.Quantile(1.0) < e.Quantile(0.0) {
 		t.Error("quantiles not monotone")
 	}
-	if !strings.Contains(h.String(), "n=5") {
-		t.Errorf("String = %q", h.String())
+	if line := (MetricsSnapshot{Hists: map[string]HistSnapshot{"h": e}}).Format(); !strings.Contains(line, "h: n=5") {
+		t.Errorf("Format = %q", line)
 	}
 }
 
@@ -102,8 +105,8 @@ func TestConcurrentUse(t *testing.T) {
 	if s.Get("n") != 8000 {
 		t.Errorf("n = %d", s.Get("n"))
 	}
-	if s.Histogram("h").Count() != 8000 {
-		t.Errorf("h count = %d", s.Histogram("h").Count())
+	if n := s.Export().Hists["h"].Count; n != 8000 {
+		t.Errorf("h count = %d", n)
 	}
 }
 
@@ -111,17 +114,19 @@ func TestConcurrentUse(t *testing.T) {
 // upper bound for a single 3µs observation is 4µs, but no quantile of
 // a histogram whose largest observation is 3µs may exceed 3µs.
 func TestQuantileClampedToObservedRange(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(3 * time.Microsecond)
+	live := NewHistogram()
+	live.Observe(3 * time.Microsecond)
+	h := live.export()
 	if got := h.Quantile(1.0); got != 3*time.Microsecond {
 		t.Errorf("Quantile(1.0) = %v, want Max 3µs", got)
 	}
 	if got := h.Quantile(0.0); got != 3*time.Microsecond {
 		t.Errorf("Quantile(0.0) = %v, want 3µs", got)
 	}
+	min, max := time.Duration(h.Min), time.Duration(h.Max)
 	for _, q := range []float64{0, 0.25, 0.5, 0.95, 1} {
-		if v := h.Quantile(q); v < h.Min() || v > h.Max() {
-			t.Errorf("Quantile(%g) = %v outside [%v, %v]", q, v, h.Min(), h.Max())
+		if v := h.Quantile(q); v < min || v > max {
+			t.Errorf("Quantile(%g) = %v outside [%v, %v]", q, v, min, max)
 		}
 	}
 }
@@ -130,14 +135,15 @@ func TestQuantileClampedToObservedRange(t *testing.T) {
 // observations land in bucket 0 and report zero throughout, instead
 // of a fictitious 1µs.
 func TestObserveZeroAndNegative(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(0)
-	h.Observe(-5 * time.Millisecond)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
+	live := NewHistogram()
+	live.Observe(0)
+	live.Observe(-5 * time.Millisecond)
+	h := live.export()
+	if h.Count != 2 {
+		t.Fatalf("count = %d", h.Count)
 	}
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("min/max = %v/%v, want 0/0", h.Min(), h.Max())
+	if h.Min != 0 || h.Max != 0 {
+		t.Errorf("min/max = %v/%v, want 0/0", time.Duration(h.Min), time.Duration(h.Max))
 	}
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("Quantile(0.5) = %v, want 0", got)
@@ -151,11 +157,12 @@ func TestObserveZeroAndNegative(t *testing.T) {
 // the recorded minimum and q>=1 the recorded maximum — not a bucket
 // bound near them.
 func TestQuantileBoundaries(t *testing.T) {
-	h := NewHistogram()
+	live := NewHistogram()
 	// 3µs and 100µs sit strictly inside their buckets (4µs and 128µs
 	// upper bounds), so a bucket-walk answer would differ.
-	h.Observe(3 * time.Microsecond)
-	h.Observe(100 * time.Microsecond)
+	live.Observe(3 * time.Microsecond)
+	live.Observe(100 * time.Microsecond)
+	h := live.export()
 	if got := h.Quantile(0); got != 3*time.Microsecond {
 		t.Errorf("Quantile(0) = %v, want Min 3µs exactly", got)
 	}
@@ -171,8 +178,9 @@ func TestQuantileBoundaries(t *testing.T) {
 }
 
 func TestQuantileSingleObservation(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(7 * time.Microsecond)
+	live := NewHistogram()
+	live.Observe(7 * time.Microsecond)
+	h := live.export()
 	for _, q := range []float64{0, 0.5, 0.95, 1} {
 		if got := h.Quantile(q); got != 7*time.Microsecond {
 			t.Errorf("Quantile(%g) = %v, want the only observation 7µs", q, got)
@@ -181,7 +189,7 @@ func TestQuantileSingleObservation(t *testing.T) {
 }
 
 // TestSnapshotHistograms pins the one-line histogram summaries in the
-// set snapshot: counters first, then "name: n=... min=... mean=...
+// snapshot's text form: counters first, then "name: n=... min=... mean=...
 // p95=... max=..." lines, all sorted.
 func TestSnapshotHistograms(t *testing.T) {
 	s := NewSet()
@@ -189,7 +197,7 @@ func TestSnapshotHistograms(t *testing.T) {
 	s.Observe("a.lat", 2*time.Microsecond)
 	s.Observe("a.lat", 4*time.Microsecond)
 	s.Observe("b.lat", time.Millisecond)
-	snap := s.Snapshot()
+	snap := s.Export().Format()
 	if !strings.Contains(snap, "z.counter=1") {
 		t.Errorf("snapshot missing counter: %q", snap)
 	}

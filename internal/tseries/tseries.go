@@ -22,6 +22,7 @@ package tseries
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -105,36 +106,6 @@ type Series struct {
 // keys, so same-content series encode to identical bytes — the
 // property the DST replay-identity check rides on.
 func (s Series) EncodeJSON() ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSeries parses a series previously encoded by EncodeJSON.
-func DecodeSeries(data []byte) (Series, error) {
-	var s Series
-	err := json.Unmarshal(data, &s)
-	return s, err
-}
-
-// Keys returns the sorted union of counter (hist=false) or histogram
-// (hist=true) keys across all windows.
-func (s Series) Keys(hist bool) []string {
-	set := map[string]bool{}
-	for i := range s.Windows {
-		if hist {
-			for k := range s.Windows[i].Hists {
-				set[k] = true
-			}
-		} else {
-			for k := range s.Windows[i].Counters {
-				set[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Merge folds other into s, aligning windows by start time: counters
 // add, histogram counts/sums/buckets add with quantiles re-estimated,
@@ -227,15 +198,11 @@ func mergeWindow(w *Window, o Window) {
 	}
 }
 
-// bucketQuantiles estimates p50/p95/p99 from log-2 bucket deltas: the
-// upper bound 2^i µs of the bucket holding the target observation,
-// clamped into the bounds of the occupied buckets (the per-window
-// analogue of HistSnapshot.Quantile's [Min, Max] clamp — a window
-// carries no exact extremes, so its bucket bounds stand in).
+// bucketQuantiles estimates p50/p95/p99 from log-2 bucket deltas with
+// trace.HistSnapshot's estimator. A window carries no exact extremes,
+// so the bounds of its first and last occupied buckets stand in for
+// the [Min, Max] clamp.
 func bucketQuantiles(count int64, buckets []int64) (p50, p95, p99 int64) {
-	if count <= 0 {
-		return 0, 0, 0
-	}
 	first, last := -1, -1
 	for i, n := range buckets {
 		if n != 0 {
@@ -245,36 +212,12 @@ func bucketQuantiles(count int64, buckets []int64) (p50, p95, p99 int64) {
 			last = i
 		}
 	}
-	if first < 0 {
-		return 0, 0, 0
-	}
-	lo, hi := bucketBound(first-1), bucketBound(last)
-	one := func(q float64) int64 {
-		target := int64(q * float64(count))
-		if target >= count {
-			target = count - 1
-		}
-		var seen int64
-		for i, n := range buckets {
-			seen += n
-			if seen > target {
-				d := bucketBound(i)
-				if d > hi {
-					d = hi
-				}
-				if d < lo {
-					d = lo
-				}
-				return d
-			}
-		}
-		return hi
-	}
-	return one(0.50), one(0.95), one(0.99)
+	h := trace.HistSnapshot{Count: count, Min: bucketBound(first - 1), Max: bucketBound(last), Buckets: buckets}
+	return int64(h.Quantile(0.50)), int64(h.Quantile(0.95)), int64(h.Quantile(0.99))
 }
 
 // bucketBound is the upper bound of bucket i in nanoseconds — the same
-// 2^i µs scale trace.Histogram uses. Bound(-1) is 0.
+// 2^i µs scale trace.Histogram uses. Bound(-1) and below are 0.
 func bucketBound(i int) int64 {
 	if i < 0 {
 		return 0
@@ -295,6 +238,38 @@ func (s Series) Format() string {
 		formatWindow(&b, &s.Windows[i])
 	}
 	return b.String()
+}
+
+// WriteProm renders the latest window in the Prometheus text
+// exposition format: per-window counter rates as `<family>_rate`
+// gauges (events per second), per-window histogram quantiles as
+// `<family>_window{quantile=...}` gauges in seconds with a
+// `<family>_window_count` companion. The leading meta gauges
+// (`npss_series_windows`, `npss_series_interval_seconds`) keep a
+// scrape of an idle sampler a conforming exposition.
+func (s Series) WriteProm(w io.Writer) error {
+	e := trace.Exposition{}
+	e.Gauge("npss_series_windows", fmt.Sprintf("%d", len(s.Windows)))
+	e.Gauge("npss_series_interval_seconds", trace.PromSeconds(time.Duration(s.Interval)))
+	if n := len(s.Windows); n > 0 {
+		win := s.Windows[n-1]
+		for key := range win.Counters {
+			name, labels := trace.PromKey(key)
+			e.Add(name+"_rate", "gauge", name+"_rate", labels, fmt.Sprintf("%g", win.Rate(key)))
+		}
+		for key, h := range win.Hists {
+			name, labels := trace.PromKey(key)
+			name += "_window"
+			for _, q := range []struct {
+				v     int64
+				label string
+			}{{h.P50, "0.5"}, {h.P95, "0.95"}, {h.P99, "0.99"}} {
+				e.Add(name, "gauge", name, trace.PromLabel(labels, `quantile="`+q.label+`"`), trace.PromSeconds(time.Duration(q.v)))
+			}
+			e.Add(name+"_count", "gauge", name+"_count", labels, fmt.Sprintf("%d", h.Count))
+		}
+	}
+	return e.Write(w, "npss_series_windows", "npss_series_interval_seconds")
 }
 
 func formatWindow(b *strings.Builder, w *Window) {

@@ -2,6 +2,7 @@ package tseries
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -291,8 +292,8 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSeries(b1)
-	if err != nil {
+	var got Series
+	if err := json.Unmarshal(b1, &got); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := got.EncodeJSON()
@@ -390,18 +391,5 @@ func TestFormatStable(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("Format missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestKeys(t *testing.T) {
-	s := Series{Windows: []Window{
-		{Counters: map[string]int64{"b": 1}, Hists: map[string]WindowHist{"h2": {}}},
-		{Counters: map[string]int64{"a": 1}, Hists: map[string]WindowHist{"h1": {}}},
-	}}
-	if got := s.Keys(false); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("counter keys = %v", got)
-	}
-	if got := s.Keys(true); len(got) != 2 || got[0] != "h1" || got[1] != "h2" {
-		t.Fatalf("hist keys = %v", got)
 	}
 }
