@@ -141,11 +141,15 @@ func (c *simConn) Recv() (*wire.Message, error) {
 }
 
 // Close closes both directions; peers see closed-connection errors
-// after draining queued messages.
+// after draining queued messages. Across a down path the peer never
+// hears of it, as a dead host sends nothing: it stops reading only when
+// it closes its own end, after its deadline or a failed send.
 func (c *simConn) Close() error {
 	c.closedOnce.Do(func() {
 		c.in.close()
-		c.out.close()
+		if !c.net.pathDown(c.local, c.remote) {
+			c.out.close()
+		}
 		c.net.openConns.Add(-1)
 	})
 	return nil

@@ -343,6 +343,42 @@ func TestCloseUnblocksReceiver(t *testing.T) {
 	}
 }
 
+// TestCloseAcrossDownPathIsNotHeard: a host that is down hangs up
+// without its peer hearing, as a dead host sends nothing. The peer's
+// receive stays blocked until it closes its own end, and once the path
+// is back its sends fail.
+func TestCloseAcrossDownPathIsNotHeard(t *testing.T) {
+	n, a, b := twoHosts(t)
+	l, _ := b.Listen("rpc")
+	c, _ := a.Dial(l.Addr())
+	srv, _ := l.Accept()
+	n.SetHostDown("cray-lerc", true)
+	srv.Close()
+	n.SetHostDown("cray-lerc", false)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		t.Fatalf("Recv returned %v: the close crossed a down path", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := c.Send(&wire.Message{Kind: wire.KPing}); err == nil {
+		t.Error("send to a hung-up peer succeeded")
+	}
+	c.Close()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Error("Recv returned nil after its own close")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Recv did not unblock on its own close")
+	}
+}
+
 func TestLoopbackAndDefaultLinks(t *testing.T) {
 	n := New()
 	a := n.MustAddHost("solo", machine.SPARC)

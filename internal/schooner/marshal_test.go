@@ -399,6 +399,12 @@ func mallocsPerRun(runs int, fn func()) (objects, bytes float64) {
 	return float64(b.Mallocs-a.Mallocs) / float64(runs), float64(b.TotalAlloc-a.TotalAlloc) / float64(runs)
 }
 
+// objectSlack is how far an averaged per-call object count may sit
+// above its ceiling: the average includes what other goroutines
+// allocate meanwhile, a few hundredths of an object per call. A race
+// build raises it (race_test.go).
+var objectSlack = 0.5
+
 // TestCallAllocationCeilings keeps the boxing from creeping back. An
 // echo of array[4096] of double through a Cray needs two 256 KiB value
 // slices, the one the procedure receives and the one the caller gets,
@@ -448,14 +454,14 @@ func TestCallAllocationCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("bulk echo: %.0f objects, %.0f bytes per call", objects, bytes)
+	t.Logf("bulk echo: %.2f objects, %.0f bytes per call", objects, bytes)
 	// The slack is for the race detector's build, where sync.Pool drops
 	// pooled frames at random; a third value slice is past it.
 	if limit := 2*valueSlice + 4*byteSlice + valueSlice*3/4; bytes > float64(limit) {
 		t.Errorf("bulk echo allocates %.0f bytes per call, over the %d of two value slices and four payloads plus slack", bytes, limit)
 	}
-	if objects > 40 {
-		t.Errorf("bulk echo allocates %.0f objects per call, want at most 40", objects)
+	if objects > 23+objectSlack {
+		t.Errorf("bulk echo allocates %.2f objects per call, want at most 23", objects)
 	}
 
 	ecom, etur := uts.DoubleArray(10, 10, 10, 10), uts.DoubleArray(11, 11, 11, 11)
@@ -465,8 +471,8 @@ func TestCallAllocationCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("shaft call: %.0f objects, %.0f bytes per call", objects, bytes)
-	if objects > 36 {
-		t.Errorf("shaft call allocates %.0f objects per call, want at most 36", objects)
+	t.Logf("shaft call: %.2f objects, %.0f bytes per call", objects, bytes)
+	if objects > 25+objectSlack {
+		t.Errorf("shaft call allocates %.2f objects per call, want at most 25", objects)
 	}
 }

@@ -119,38 +119,35 @@ func (p *process) acceptLoop() {
 	}
 }
 
-// serve reads requests off one connection and dispatches each in its
-// own goroutine, so a pipelined caller's in-flight requests overlap and
-// replies return in completion order (the caller matches them by Seq).
-// Procedure bodies still serialize on p.mu; the concurrency covers the
-// marshaling halves and the reply ordering. KShutdown stays in the read
-// loop because it ends the conversation.
+// serve reads requests off one connection and answers each on this
+// goroutine before it reads the next, as a Server does: replies leave
+// in request order and the connection has one writer. Procedure bodies
+// serialize on the instance's turn anyway, so a goroutine per request
+// would overlap only the marshaling halves. A body that sleeps holds
+// up its own connection alone; other lines, pings and observe requests
+// reach the process on theirs. serve returns when a reply cannot be
+// sent, and after KShutdown, which ends the conversation.
 func (p *process) serve(conn wire.Conn) {
 	defer conn.Close()
-	var sendMu sync.Mutex
-	reply := func(req, resp *wire.Message) {
-		resp.Seq = req.Seq
-		// A failed reply means the connection died; the caller's
-		// receive will fail and recovery happens on its side.
-		sendMu.Lock()
-		_ = conn.Send(resp)
-		sendMu.Unlock()
-	}
 	for {
 		m, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		if p.stopped() {
-			reply(m, &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated})
+		switch {
+		case p.stopped():
+			_ = conn.Send(&wire.Message{Kind: wire.KError, Err: ErrProcessTerminated, Seq: m.Seq})
 			return
-		}
-		if m.Kind == wire.KShutdown {
-			reply(m, &wire.Message{Kind: wire.KShutdownOK})
+		case m.Kind == wire.KShutdown:
+			_ = conn.Send(&wire.Message{Kind: wire.KShutdownOK, Seq: m.Seq})
 			p.stop()
 			return
 		}
-		p.clock.Go("schooner.process.dispatch", func() { reply(m, p.dispatch(m)) })
+		resp := p.dispatch(m)
+		resp.Seq = m.Seq
+		if err := conn.Send(resp); err != nil {
+			return
+		}
 	}
 }
 

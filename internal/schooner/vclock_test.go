@@ -465,3 +465,138 @@ func TestStartRemoteSurvivesLostSpawn(t *testing.T) {
 		t.Fatalf("add after the respawn = %v, %v", out, err)
 	}
 }
+
+// TestVirtualOneConnectionAnswersInRequestOrder pins the procedure
+// process's discipline: it answers the requests on one connection one
+// at a time, on the goroutine that read them. Four goroutines of one
+// line call a procedure that sleeps ten virtual seconds, sending a
+// millisecond apart; each gets its own answer, the k-th after k+1 naps,
+// in the order they sent. Meanwhile a second line's call to another
+// process completes in one round trip, without waiting for any nap.
+func TestVirtualOneConnectionAnswersInRequestOrder(t *testing.T) {
+	t.Parallel()
+	const nap, callers = 10 * time.Second, 4
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(napProgram(v, "/npss/nap", nap))
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	policy := CallPolicy{
+		Timeout:    time.Duration(callers+2) * nap,
+		MaxRetries: -1,
+		Backoff:    time.Millisecond,
+		MaxBackoff: time.Millisecond,
+	}
+	slow, err := d.client("avs-sparc").ContactSchx("slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.IQuit()
+	fast, err := d.client("avs-sparc").ContactSchx("fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.IQuit()
+	if err := slow.StartRemote("/npss/nap", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.StartRemote("/npss/adder", "rs6000"); err != nil {
+		t.Fatal(err)
+	}
+	slow.Import(uts.MustParseProc(`import nap prog("x" val double, "y" res double)`))
+	fast.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	slow.SetCallPolicy(policy)
+	fast.SetCallPolicy(policy)
+	// Bind both lines, so that what follows is calls alone.
+	if _, err := slow.Call("nap", uts.DoubleVal(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.Call("add", uts.DoubleVal(0), uts.DoubleVal(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		k   int
+		y   float64
+		at  time.Duration
+		err error
+	}
+	answers := vclock.NewQueue[answer](v)
+	start := v.Elapsed()
+	for k := 0; k < callers; k++ {
+		v.Go("test.caller", func() {
+			out, err := slow.Call("nap", uts.DoubleVal(float64(k)))
+			a := answer{k: k, at: v.Elapsed() - start, err: err}
+			if err == nil {
+				a.y = out[0].F
+			}
+			answers.Push(a)
+		})
+		v.Sleep(time.Millisecond)
+	}
+
+	before := v.Elapsed()
+	if out, err := fast.Call("add", uts.DoubleVal(1), uts.DoubleVal(2)); err != nil || out[0].F != 3 {
+		t.Fatalf("add(1, 2) beside the naps = %v, %v", out, err)
+	}
+	if took := v.Elapsed() - before; took >= nap {
+		t.Errorf("a call to another process took %v, waiting behind a %v nap", took, nap)
+	}
+
+	for i := 0; i < callers; i++ {
+		a, ok := answers.Pop()
+		if !ok {
+			t.Fatal("answer queue closed")
+		}
+		if a.err != nil {
+			t.Fatalf("caller %d: %v", a.k, a.err)
+		}
+		if a.k != i {
+			t.Errorf("answer %d went to caller %d: not request order", i, a.k)
+		}
+		if a.y != 2*float64(a.k) {
+			t.Errorf("caller %d got nap(%d) = %g, want %d", a.k, a.k, a.y, 2*a.k)
+		}
+		if lo, hi := time.Duration(a.k+1)*nap, time.Duration(a.k+2)*nap; a.at < lo || a.at >= hi {
+			t.Errorf("caller %d answered after %v, want within [%v, %v): behind %d naps", a.k, a.at, lo, hi, a.k)
+		}
+	}
+}
+
+// brokenConn delivers a ping per Recv, up to three, then fails; every
+// Send fails.
+type brokenConn struct {
+	recvs, sends int
+	closed       bool
+}
+
+func (c *brokenConn) Recv() (*wire.Message, error) {
+	if c.recvs == 3 {
+		return nil, errors.New("connection reset")
+	}
+	c.recvs++
+	return &wire.Message{Kind: wire.KPing, Seq: uint32(c.recvs)}, nil
+}
+
+func (c *brokenConn) Send(*wire.Message) error {
+	c.sends++
+	return errors.New("broken pipe")
+}
+
+func (c *brokenConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+func (c *brokenConn) RemoteLabel() string { return "broken" }
+
+// TestServeReturnsWhenReplyFails: a procedure process stops serving a
+// connection whose reply cannot be sent, as a Server does, instead of
+// reading the requests behind it.
+func TestServeReturnsWhenReplyFails(t *testing.T) {
+	c := &brokenConn{}
+	p := &process{done: make(chan struct{})}
+	p.serve(c)
+	if c.recvs != 1 || c.sends != 1 || !c.closed {
+		t.Errorf("serve read %d requests and sent %d replies (closed %v), want 1 and 1 and the connection closed",
+			c.recvs, c.sends, c.closed)
+	}
+}
