@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"npss/internal/vclock"
@@ -59,12 +62,14 @@ func (q *queue) pushShaped(msg *wire.Message, now time.Time, serial, prop time.D
 	return nil
 }
 
-func (q *queue) pop() (delivery, error) {
-	d, ok := q.q.Pop()
-	if !ok {
+// pop takes the next delivery, waiting no later than deadline (none if
+// zero): past it, the error is os.ErrDeadlineExceeded.
+func (q *queue) pop(deadline time.Time) (delivery, error) {
+	d, err := q.q.PopUntil(deadline)
+	if errors.Is(err, vclock.ErrClosed) {
 		return delivery{}, fmt.Errorf("netsim: connection closed")
 	}
-	return d, nil
+	return d, err
 }
 
 func (q *queue) close() { q.q.Close() }
@@ -77,6 +82,9 @@ type simConn struct {
 	remote     string
 	in, out    *queue
 	closedOnce sync.Once
+	// deadline bounds Recv, in Unix nanoseconds on the network's clock;
+	// 0 is none. Atomic, so it can be set while a Recv waits.
+	deadline atomic.Int64
 }
 
 // newConnPair builds the two endpoints of a connection traversing the
@@ -127,17 +135,38 @@ func (c *simConn) Send(m *wire.Message) error {
 	return c.out.pushShaped(copyMsg, c.net.Clock().Now(), serial, prop)
 }
 
-// Recv blocks for the next message, honoring its shaped arrival time.
+// Recv blocks for the next message, honoring its shaped arrival time
+// and the read deadline. A message that would arrive at or after the
+// deadline is a timeout at the deadline, as a reply racing its
+// caller's timer loses the tie.
 func (c *simConn) Recv() (*wire.Message, error) {
-	d, err := c.in.pop()
+	var deadline time.Time
+	if ns := c.deadline.Load(); ns != 0 {
+		deadline = time.Unix(0, ns)
+	}
+	d, err := c.in.pop(deadline)
 	if err != nil {
 		return nil, err
+	}
+	if !deadline.IsZero() && !d.arrival.Before(deadline) {
+		c.net.Clock().SleepUntil(deadline)
+		return nil, os.ErrDeadlineExceeded
 	}
 	c.net.Clock().SleepUntil(d.arrival)
 	if c.net.pathDown(c.local, c.remote) {
 		return nil, fmt.Errorf("netsim: link %s-%s down", c.local, c.remote)
 	}
 	return d.msg, nil
+}
+
+// SetReadDeadline bounds every later Recv; a zero t removes the bound.
+func (c *simConn) SetReadDeadline(t time.Time) error {
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.deadline.Store(ns)
+	return nil
 }
 
 // Close closes both directions; peers see closed-connection errors

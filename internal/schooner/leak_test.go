@@ -1,11 +1,16 @@
 package schooner
 
 import (
+	"errors"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"npss/internal/uts"
+	"npss/internal/vclock"
+	"npss/internal/wire"
 )
 
 // settleConns polls the simulated network until the open-endpoint
@@ -98,5 +103,30 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 
 	if got := settleConns(t, d, base, 2*time.Second); got != base {
 		t.Errorf("%d connection endpoints still open after quit (baseline %d)", got, base)
+	}
+}
+
+// TestBoundedAskStartsNoGoroutine: a bounded ask receives on the
+// caller's goroutine, under the connection's read deadline. A mute peer
+// takes the request and, while the ask waits, counts the goroutines:
+// no more than before the ask began.
+func TestBoundedAskStartsNoGoroutine(t *testing.T) {
+	a, b := net.Pipe()
+	during := make(chan int, 1)
+	go func() {
+		peer := wire.NewStreamConn(b, "asker")
+		defer peer.Close()
+		peer.Recv() // the request, never answered
+		time.Sleep(50 * time.Millisecond)
+		during <- runtime.NumGoroutine()
+		peer.Recv() // returns once the asker hangs up
+	}()
+	before := runtime.NumGoroutine()
+	_, err := ask(vclock.Real(), wire.NewStreamConn(a, "mute"), &wire.Message{Kind: wire.KPing}, 200*time.Millisecond)
+	if !errors.As(err, new(*timeoutError)) {
+		t.Fatalf("ask of a mute peer returned %v, want a timeout", err)
+	}
+	if n := <-during; n > before {
+		t.Errorf("%d goroutines while the ask waited, %d before it", n, before)
 	}
 }

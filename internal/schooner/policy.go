@@ -1,7 +1,9 @@
 package schooner
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"npss/internal/vclock"
@@ -84,32 +86,31 @@ func (e *timeoutError) Error() string {
 	return fmt.Sprintf("schooner: receive from %s timed out after %v", e.peer, e.d)
 }
 
-// recvTimeout receives one message with a deadline on clock c. On
-// timeout the connection is closed (unblocking the pending receive)
-// and a *timeoutError is returned; the caller must treat the
-// connection as dead. A non-positive timeout blocks indefinitely.
+// recvTimeout receives one message with a deadline on clock c, on the
+// caller's goroutine: it bounds the connection's Recv by a read
+// deadline and clears it again on success, so the connection can be
+// handed on. On timeout the connection is closed and a *timeoutError
+// is returned; the caller must treat the connection as dead. A
+// non-positive timeout blocks indefinitely.
 func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 	if timeout <= 0 {
 		return conn.Recv()
 	}
-	// The receive runs on its own goroutine; its outcome — the message
-	// or the error — is what fills the slot.
-	got := c.NewSlot()
-	c.Go("schooner.recvTimeout", func() {
-		if m, err := conn.Recv(); err != nil {
-			got.Fill(err)
-		} else {
-			got.Fill(m)
-		}
-	})
-	switch r, _ := got.Wait(timeout); r := r.(type) {
-	case *wire.Message:
-		return r, nil
-	case error:
-		return nil, r
+	if err := conn.SetReadDeadline(c.Now().Add(timeout)); err != nil {
+		return nil, err
 	}
-	conn.Close()
-	return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
+	m, err := conn.Recv()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		conn.Close()
+		return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
+	}
+	if err == nil {
+		err = conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // ask is the request/response step on a connection nobody else is

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -408,6 +409,14 @@ func TestContactSchxDeadline(t *testing.T) {
 		ManagerHost: "avs-sparc", Managers: []string{"sgi-lerc"},
 		Policy: CallPolicy{Timeout: 5 * time.Second}}
 	before := v.Elapsed()
+	// Halfway through the first deadline, the ledger shows who waits:
+	// the registering driver on its own connection, no receiver
+	// goroutine beside it.
+	ledger := v.NewSlot()
+	v.Go("ledger-reader", func() {
+		v.Sleep(2500 * time.Millisecond)
+		ledger.Fill(v.Ledger())
+	})
 	_, err = c.ContactSchx("lost")
 	if !errors.As(err, new(*timeoutError)) {
 		t.Fatalf("ContactSchx against mute managers returned %v, want a timeout", err)
@@ -417,6 +426,9 @@ func TestContactSchxDeadline(t *testing.T) {
 	}
 	if got := trace.Get("schooner.manager.lines") - registered; got != 2 {
 		t.Errorf("%d managers saw the registration, want both", got)
+	}
+	if l, _ := ledger.Wait(0); strings.Contains(l.(string), "recvTimeout") {
+		t.Errorf("a bounded receive started a goroutine of its own: %s", l)
 	}
 	// The Managers notice the hang-up on their next receive.
 	v.Sleep(time.Second)
@@ -585,6 +597,8 @@ func (c *brokenConn) Close() error {
 	c.closed = true
 	return nil
 }
+
+func (c *brokenConn) SetReadDeadline(time.Time) error { return nil }
 
 func (c *brokenConn) RemoteLabel() string { return "broken" }
 

@@ -1,6 +1,15 @@
 package vclock
 
-import "sync"
+import (
+	"errors"
+	"os"
+	"sync"
+	"time"
+)
+
+// ErrClosed is what a Queue's PopUntil reports once the queue is closed
+// and drained, or its clock has stopped.
+var ErrClosed = errors.New("vclock: queue closed")
 
 // Queue is an unbounded FIFO whose Pop parks on a clock's Slot, so on
 // a virtual clock an item nobody has taken yet keeps its consumer
@@ -41,6 +50,16 @@ func (q *Queue[T]) Push(x T) bool {
 // reports false once the queue is closed and drained, or when the
 // clock it parks on has stopped.
 func (q *Queue[T]) Pop() (x T, ok bool) {
+	x, err := q.PopUntil(time.Time{})
+	return x, err == nil
+}
+
+// PopUntil is Pop bounded by a deadline on the queue's clock; a zero
+// deadline is none. An item already queued is taken even at or past
+// the deadline. It fails with os.ErrDeadlineExceeded once the deadline
+// passes with the queue empty and open, and with ErrClosed where Pop
+// reports false.
+func (q *Queue[T]) PopUntil(deadline time.Time) (x T, err error) {
 	for {
 		q.mu.Lock()
 		if q.head < len(q.items) {
@@ -53,16 +72,19 @@ func (q *Queue[T]) Pop() (x T, ok bool) {
 			if more {
 				q.ready.Fill(nil) // another consumer may be parked
 			}
-			return x, true
+			return x, nil
 		}
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
 			q.ready.Fill(nil)
-			return x, false
+			return x, ErrClosed
 		}
-		if _, ok := q.ready.Wait(0); !ok {
-			return x, false
+		if _, ok := q.ready.WaitUntil(deadline); !ok {
+			if !deadline.IsZero() && !q.ready.now().Before(deadline) {
+				return x, os.ErrDeadlineExceeded
+			}
+			return x, ErrClosed // the clock has stopped
 		}
 	}
 }

@@ -114,10 +114,13 @@ func (s *Slot) Wait(timeout time.Duration) (x any, ok bool) {
 }
 
 // WaitUntil is Wait with an absolute deadline; a deadline already
-// reached takes the value only if it is there.
+// reached takes the value only if it is there, and a zero one is none.
 func (s *Slot) WaitUntil(t time.Time) (x any, ok bool) {
 	if s.v != nil {
 		return s.v.wait(s, 0, t)
+	}
+	if t.IsZero() {
+		return <-s.ch, true
 	}
 	if d := time.Until(t); d > 0 {
 		return s.Wait(d)
@@ -128,6 +131,14 @@ func (s *Slot) WaitUntil(t time.Time) (x any, ok bool) {
 	default:
 		return nil, false
 	}
+}
+
+// now reads the clock the slot's waits run on.
+func (s *Slot) now() time.Time {
+	if s.v != nil {
+		return s.v.Now()
+	}
+	return time.Now()
 }
 
 // Every calls fn once per interval of c's time, on a fixed grid from
@@ -463,8 +474,10 @@ func (v *Virtual) next() {
 	}
 	w := v.ready[0]
 	v.ready[0] = nil
-	if v.ready = v.ready[1:]; len(v.ready) == 0 {
-		v.ready = nil
+	if len(v.ready) == 1 {
+		v.ready = v.ready[:0] // drained: the next wake reuses the array
+	} else {
+		v.ready = v.ready[1:]
 	}
 	v.cur = w.site
 	w.ch <- struct{}{}
@@ -530,8 +543,10 @@ func (v *Virtual) fill(s *Slot, x any) bool {
 	}
 	w := s.waiters[0]
 	s.waiters[0] = nil
-	if s.waiters = s.waiters[1:]; len(s.waiters) == 0 {
-		s.waiters = nil
+	if len(s.waiters) == 1 {
+		s.waiters = s.waiters[:0] // drained: the next wait reuses the array
+	} else {
+		s.waiters = s.waiters[1:]
 	}
 	if w.timed {
 		heap.Remove(&v.timers, w.idx)

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -292,6 +294,59 @@ func TestQueueOrderAndClose(t *testing.T) {
 	}
 }
 
+// TestQueuePopUntil checks the deadline-bounded pop on both clocks: an
+// empty queue times out at the deadline, an item already queued is
+// taken past it, and a closed queue reports closed, not a timeout.
+func TestQueuePopUntil(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	for _, c := range []Clock{Real(), v} {
+		q := NewQueue[int](c)
+		deadline := c.Now().Add(5 * time.Millisecond)
+		if _, err := q.PopUntil(deadline); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("PopUntil on an empty queue = %v, want os.ErrDeadlineExceeded", err)
+		}
+		if now := c.Now(); now.Before(deadline) || (c == v && !now.Equal(deadline)) {
+			t.Fatalf("timed out %v after the deadline", now.Sub(deadline))
+		}
+		q.Push(1)
+		if x, err := q.PopUntil(deadline); err != nil || x != 1 {
+			t.Fatalf("PopUntil past the deadline with an item queued = %v, %v", x, err)
+		}
+		q.Close()
+		if _, err := q.PopUntil(c.Now().Add(time.Hour)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("PopUntil on a closed queue = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestVirtualTurnAllocatesNothing pins the cost of a turn: a Fill/Wait
+// round trip between the driver and one echo participant reuses the
+// clock's ready list and the slots' waiter lists, so it allocates
+// nothing once warm.
+func TestVirtualTurnAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	ping, pong := v.NewSlot(), v.NewSlot()
+	v.Go("echo", func() {
+		for x, ok := ping.Wait(0); ok; x, ok = ping.Wait(0) {
+			pong.Fill(x)
+		}
+	})
+	ball := new(int)
+	allocs := testing.AllocsPerRun(1000, func() {
+		ping.Fill(ball)
+		pong.Wait(0)
+	})
+	if allocs > poolSlack {
+		t.Errorf("a Fill/Wait round trip allocates %v objects, want 0 (slack %v)", allocs, poolSlack)
+	}
+}
+
+// poolSlack is how many objects a warm turn may allocate because
+// sync.Pool lost a pooled waiter: none in a plain build.
+var poolSlack = 0.0
+
 // TestRealClock smoke-tests the wall-clock implementation.
 func TestRealClock(t *testing.T) {
 	c := Real()
@@ -313,6 +368,10 @@ func TestRealClock(t *testing.T) {
 	}
 	if x, ok := s.WaitUntil(c.Now()); !ok || x != 1 {
 		t.Fatalf("WaitUntil(now) on a full slot = %v, %v", x, ok)
+	}
+	c.Go("filler", func() { c.Sleep(time.Millisecond); s.Fill(3) })
+	if x, ok := s.WaitUntil(time.Time{}); !ok || x != 3 {
+		t.Fatalf("WaitUntil(zero) = %v, %v, want to wait without a deadline", x, ok)
 	}
 	ticks := 0
 	Every(c, time.Millisecond, c.NewSlot(), func() bool { ticks++; return ticks < 3 })

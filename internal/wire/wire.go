@@ -12,8 +12,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"sync"
+	"time"
 )
 
 // Kind identifies a protocol message.
@@ -298,16 +300,24 @@ func DecodeMessage(buf []byte) (*Message, error) {
 type Conn interface {
 	Send(m *Message) error
 	Recv() (*Message, error)
+	// SetReadDeadline bounds every later Recv as net.Conn's does: a
+	// Recv still waiting at t fails with an error err for which
+	// errors.Is(err, os.ErrDeadlineExceeded), and a zero t removes the
+	// bound. It may be called from any goroutine. A timed-out Recv may
+	// have consumed part of what the peer sent, so after one the
+	// connection is good only for closing.
+	SetReadDeadline(t time.Time) error
 	Close() error
 	// RemoteLabel describes the peer for diagnostics ("hostname" or
 	// network address).
 	RemoteLabel() string
 }
 
-// StreamConn adapts a byte stream (e.g. a TCP connection) to the Conn
-// interface using a 4-byte big-endian length frame per message.
+// StreamConn adapts a byte stream (a TCP connection or a net.Pipe) to
+// the Conn interface using a 4-byte big-endian length frame per
+// message.
 type StreamConn struct {
-	rw    io.ReadWriteCloser
+	rw    net.Conn
 	label string
 	rbuf  []byte
 	// High-water tracking for rbuf: one large message must not pin a
@@ -324,7 +334,7 @@ const (
 )
 
 // NewStreamConn wraps a stream; label describes the peer.
-func NewStreamConn(rw io.ReadWriteCloser, label string) *StreamConn {
+func NewStreamConn(rw net.Conn, label string) *StreamConn {
 	return &StreamConn{rw: rw, label: label}
 }
 
@@ -381,6 +391,9 @@ func (c *StreamConn) maybeShrink() {
 	}
 	c.rcount, c.rhigh = 0, 0
 }
+
+// SetReadDeadline sets the stream's read deadline.
+func (c *StreamConn) SetReadDeadline(t time.Time) error { return c.rw.SetReadDeadline(t) }
 
 // Close closes the underlying stream.
 func (c *StreamConn) Close() error { return c.rw.Close() }

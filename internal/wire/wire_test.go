@@ -2,13 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -198,4 +201,33 @@ func TestStreamConn(t *testing.T) {
 		t.Logf("Recv after close: %v (acceptable)", err)
 	}
 	cb.Close()
+}
+
+// TestStreamConnReadDeadline: the read deadline reaches the stream. A
+// cleared deadline lets a receive wait for a late frame; a set one
+// fails a receive from a silent peer with os.ErrDeadlineExceeded.
+func TestStreamConnReadDeadline(t *testing.T) {
+	a, b := net.Pipe()
+	ca, cb := NewStreamConn(a, "peer-b"), NewStreamConn(b, "peer-a")
+	defer ca.Close()
+	defer cb.Close()
+	if err := cb.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		ca.Send(&Message{Kind: KPing, Seq: 9})
+	}()
+	if m, err := cb.Recv(); err != nil || m.Seq != 9 {
+		t.Fatalf("Recv with the deadline cleared = %v, %v, want ping 9", m, err)
+	}
+	if err := cb.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := cb.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Recv from a silent peer = %v, %v, want os.ErrDeadlineExceeded", m, err)
+	}
 }
