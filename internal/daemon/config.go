@@ -54,23 +54,23 @@ func ParseHosts(s string) ([]HostSpec, error) {
 	return out, nil
 }
 
-// BuildTransport assembles a StaticTCPTransport for a deployment:
-// managerHost/managerAddr locate the Manager; the host table locates
-// every Server. The returned transport is usable by any role; bindSelf
-// adds bind entries so this process can listen on its own well-known
-// endpoints.
-func BuildTransport(hosts []HostSpec, managerHost, managerAddr string, bindSelf map[string]string) *schooner.StaticTCPTransport {
+// BuildTransport assembles the transport every daemon role uses:
+// managerHost/managerAddr locate the Manager and the host table locates
+// every Server, whose IP is also where that machine's procedure
+// processes listen. bindSelf adds bind entries so this process can
+// listen on its own well-known endpoints.
+func BuildTransport(hosts []HostSpec, managerHost, managerAddr string, bindSelf map[string]string) *schooner.TCPTransport {
 	archs := make(map[string]*machine.Arch, len(hosts)+1)
-	wellKnown := make(map[string]string, len(hosts)+1)
+	addrs := make(map[string]string, len(hosts)+1)
 	for _, h := range hosts {
 		archs[h.Name] = h.Arch
-		wellKnown[h.Name+":"+schooner.ServerPort] = h.ServerAddr
+		addrs[h.Name+":"+schooner.ServerPort] = h.ServerAddr
 	}
 	if managerHost != "" {
 		if _, ok := archs[managerHost]; !ok {
 			archs[managerHost] = machine.SPARC
 		}
-		wellKnown[managerHost+":"+schooner.ManagerPort] = managerAddr
+		addrs[managerHost+":"+schooner.ManagerPort] = managerAddr
 	}
-	return schooner.NewStaticTCPTransport(archs, wellKnown, bindSelf)
+	return schooner.NewConfiguredTCPTransport(archs, addrs, bindSelf)
 }

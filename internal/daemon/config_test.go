@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"npss/internal/machine"
-	"npss/internal/schooner"
 	"npss/internal/uts"
 )
 
@@ -42,70 +41,11 @@ func TestParseHostsErrors(t *testing.T) {
 }
 
 // TestDaemonDeploymentEndToEnd wires a Manager and a Server through
-// StaticTCPTransport instances with separate rendezvous tables, the
-// way the real daemons do across processes, and runs an RPC through
-// the whole stack.
+// transports of their own, the way the real daemons do across
+// processes, and runs an RPC through the whole stack.
 func TestDaemonDeploymentEndToEnd(t *testing.T) {
-	hosts, err := ParseHosts("cray=cray-ymp@127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The server binds an ephemeral port first (simulating its flag).
-	srvTr := BuildTransport(hosts, "", "", map[string]string{
-		"cray:" + schooner.ServerPort: "127.0.0.1:0",
-	})
-	reg := schooner.NewRegistry()
-	reg.MustRegister(&schooner.Program{
-		Path:     "/npss/echo",
-		Language: schooner.LangC,
-		Build: func() (*schooner.Instance, error) {
-			p := &schooner.BoundProc{
-				Spec: uts.MustParseProc(`export echo prog("x" val double, "y" res double)`),
-				Fn: func(in []uts.Value) ([]uts.Value, error) {
-					return []uts.Value{uts.DoubleVal(in[0].F)}, nil
-				},
-			}
-			return schooner.NewInstance(p)
-		},
-	})
-	srv, err := schooner.StartServer(srvTr, "cray", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	// The server's real address would be exchanged via the -hosts
-	// flags; here we read it back from the listener. The Addr() of a
-	// static well-known listener is logical, so re-parse the bind; in
-	// the daemons the operator supplies concrete ports. Use a second
-	// deployment with concrete ports instead.
-	_ = srv
-
-	// Concrete-port deployment (what the daemons actually do).
-	const srvAddr = "127.0.0.1:17571"
-	const mgrAddr = "127.0.0.1:17570"
-	hosts2, _ := ParseHosts("cray2=cray-ymp@" + srvAddr)
-	srvTr2 := BuildTransport(hosts2, "avs", mgrAddr, map[string]string{
-		"cray2:" + schooner.ServerPort: srvAddr,
-	})
-	srv2, err := schooner.StartServer(srvTr2, "cray2", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Stop()
-
-	mgrTr := BuildTransport(hosts2, "avs", mgrAddr, map[string]string{
-		"avs:" + schooner.ManagerPort: mgrAddr,
-	})
-	mgr, err := schooner.StartManager(mgrTr, "avs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Stop()
-
-	cliTr := BuildTransport(hosts2, "avs", mgrAddr, nil)
-	client := &schooner.Client{Transport: cliTr, Host: "avs", ManagerHost: "avs"}
-	ln, err := client.ContactSchx("daemon-test")
+	d := deploy(t, "cray2=cray-ymp@"+freePort(t))
+	ln, err := d.client().ContactSchx("daemon-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +53,7 @@ func TestDaemonDeploymentEndToEnd(t *testing.T) {
 	if err := ln.StartRemote("/npss/echo", "cray2"); err != nil {
 		t.Fatal(err)
 	}
-	ln.Import(uts.MustParseProc(`import echo prog("x" val double, "y" res double)`))
+	ln.Import(uts.MustParseProc(echoImport))
 	out, err := ln.Call("echo", uts.DoubleVal(2.5))
 	if err != nil {
 		t.Fatal(err)

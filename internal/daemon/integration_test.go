@@ -14,9 +14,12 @@ import (
 )
 
 // freePort reserves a loopback TCP port and returns its address.
-func freePort(t *testing.T) string {
+func freePort(t *testing.T) string { return freePortOn(t, "127.0.0.1") }
+
+// freePortOn reserves a TCP port on ip and returns its address.
+func freePortOn(t *testing.T, ip string) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := net.Listen("tcp", ip+":0")
 	if err != nil {
 		t.Fatal(err)
 	}

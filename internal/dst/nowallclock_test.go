@@ -66,7 +66,6 @@ var exemptions = []exemption{
 	{"dst", "watchdog.go", "Watchdog", "time.AfterFunc", "the watchdog must fire when the virtual clock is stuck"},
 	{"flight", "flight.go", "var clock", "time.Now", "flight events carry wall-clock stamps for operators"},
 	{"schooner", "transport.go", "TCPTransport.Jitter", "rand.Float64", "a transport over real sockets spreads retries with unseeded jitter"},
-	{"schooner", "transport.go", "StaticTCPTransport.Jitter", "rand.Float64", "a transport over real sockets spreads retries with unseeded jitter"},
 
 	// The observability planes are still process globals, which a
 	// cluster swaps its own into and restores.

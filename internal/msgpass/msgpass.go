@@ -147,8 +147,10 @@ func (b *Buffer) UnpackFloats() ([]float64, error) {
 	return out, nil
 }
 
-// Dialer abstracts the transport a task uses to reach peers; the
-// schooner transports (SimTransport, TCPTransport) satisfy it.
+// Dialer abstracts the transport a task uses to reach peers; both
+// schooner transports (SimTransport, TCPTransport) satisfy it. A task's
+// named port resolves in the process that listened on it: a
+// TCPTransport fills its address table as it listens.
 type Dialer interface {
 	Listen(host, port string) (schooner.Listener, error)
 	Dial(fromHost, addr string) (wire.Conn, error)

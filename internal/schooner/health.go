@@ -1,7 +1,6 @@
 package schooner
 
 import (
-	"sort"
 	"time"
 
 	"npss/internal/flight"
@@ -95,7 +94,7 @@ func (m *Manager) HostHealth() map[string]bool {
 // healthSweep probes every candidate machine once and reacts to
 // liveness transitions.
 func (m *Manager) healthSweep(p HealthPolicy) {
-	for _, host := range m.candidateHosts() {
+	for _, host := range m.transport.Hosts() {
 		ok := ping(m.transport, m.host, host+":"+ServerPort, p.PingTimeout)
 		trace.Count("schooner.manager.heartbeats")
 		m.mu.Lock()
@@ -135,32 +134,6 @@ func (m *Manager) healthSweep(p HealthPolicy) {
 	}
 }
 
-// candidateHosts is the machine universe to monitor: every host the
-// transport knows about, or — for transports without a host list —
-// every host currently running a procedure process.
-func (m *Manager) candidateHosts() []string {
-	if hl, ok := m.transport.(HostLister); ok {
-		return hl.Hosts()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, ln := range m.lines {
-		for _, pr := range ln.processes {
-			seen[pr.host] = true
-		}
-	}
-	for _, pr := range m.shared.processes {
-		seen[pr.host] = true
-	}
-	hosts := make([]string, 0, len(seen))
-	for h := range seen {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	return hosts
-}
-
 // aliveHosts lists machines currently believed up, excluding one,
 // sorted for deterministic failover placement.
 func (m *Manager) aliveHosts(exclude string) []string {
@@ -173,12 +146,11 @@ func (m *Manager) aliveHosts(exclude string) []string {
 	}
 	m.mu.Unlock()
 	var out []string
-	for _, h := range m.candidateHosts() {
+	for _, h := range m.transport.Hosts() {
 		if h != exclude && !dead[h] {
 			out = append(out, h)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

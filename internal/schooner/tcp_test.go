@@ -77,8 +77,4 @@ func TestTCPTransportErrors(t *testing.T) {
 	if _, err := tr.Listen("h", "p"); err != nil {
 		t.Errorf("relisten after close: %v", err)
 	}
-	tr.AddHost("h2", machine.SGI)
-	if _, err := tr.HostArch("h2"); err != nil {
-		t.Errorf("AddHost not effective: %v", err)
-	}
 }

@@ -30,9 +30,11 @@ package schooner
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"npss/internal/machine"
@@ -80,6 +82,9 @@ type Transport interface {
 	Dial(fromHost, addr string) (wire.Conn, error)
 	// HostArch reports the simulated architecture of a host.
 	HostArch(host string) (*machine.Arch, error)
+	// Hosts lists every machine, sorted: the universe the Manager's
+	// health monitor heartbeats and fails processes over onto.
+	Hosts() []string
 	// Clock is the clock every component on the transport keeps time
 	// by: deadlines, backoff, periodic loops and the goroutines they
 	// start.
@@ -94,15 +99,6 @@ type Listener interface {
 	Accept() (wire.Conn, error)
 	Close() error
 	Addr() string
-}
-
-// HostLister is optionally implemented by transports that know the
-// full machine universe; the Manager's health monitor uses it to
-// decide which machines to heartbeat and where failover may place
-// restarted processes. Both SimTransport and TCPTransport implement
-// it.
-type HostLister interface {
-	Hosts() []string
 }
 
 // SimTransport runs Schooner over a netsim.Network.
@@ -132,9 +128,7 @@ func (t *SimTransport) Dial(fromHost, addr string) (wire.Conn, error) {
 	return h.Dial(addr)
 }
 
-// Hosts lists the simulated hosts, sorted. It satisfies the optional
-// HostLister interface the Manager's health monitor uses to learn the
-// machine universe.
+// Hosts lists the simulated hosts, sorted.
 func (t *SimTransport) Hosts() []string { return t.Net.Hosts() }
 
 // Clock is the simulated network's clock.
@@ -152,21 +146,49 @@ func (t *SimTransport) HostArch(host string) (*machine.Arch, error) {
 	return h.Arch(), nil
 }
 
-// TCPTransport runs Schooner over real TCP sockets on the local
-// machine: every logical host maps to 127.0.0.1 with kernel-assigned
-// ports, and a shared rendezvous table maps "host:port" names to real
-// socket addresses. This is the transport the cmd/schooner-* daemons
-// use to emulate a multi-machine deployment with real processes.
+// TCPTransport runs Schooner over real TCP sockets. Every address is
+// logical "machine:port", as on the simulated network, so a procedure
+// process's address names its machine from any operating system
+// process: host batching, per-host metric labels and off-host callers
+// all see the machine. A well-known port resolves through the address
+// table. An ephemeral listener on machine h binds port 0 on h's IP
+// (its Server's configured address, or loopback when it has none) and
+// is addressed "h:<port number>", which Dial resolves the same way.
+// Every dial is bounded by rpcTimeout. The transport keeps wall-clock
+// time and spreads retries with the runtime's randomly seeded global
+// source.
 type TCPTransport struct {
-	mu    sync.Mutex
+	// archs maps logical host names to architectures; it is fixed at
+	// construction and read without the lock.
 	archs map[string]*machine.Arch
-	// names maps logical "host:port" to "127.0.0.1:nnnn".
-	names map[string]string
+	mu    sync.Mutex
+	// addrs maps logical "host:port" names to dialable socket
+	// addresses: configured for other processes' well-known endpoints,
+	// filled by Listen for this process's named ports.
+	addrs map[string]string
+	// bind maps logical "host:port" names to the local socket address
+	// Listen binds for them.
+	bind map[string]string
 }
 
-// The two transports over real sockets, TCPTransport and
-// StaticTCPTransport, keep wall-clock time and spread retries with the
-// runtime's randomly seeded global source.
+// NewTCPTransport creates a transport for a deployment inside one
+// operating system process: Listen fills the address table, so no
+// configuration is needed.
+func NewTCPTransport(archs map[string]*machine.Arch) *TCPTransport {
+	return NewConfiguredTCPTransport(archs, nil, nil)
+}
+
+// NewConfiguredTCPTransport creates a transport for a deployment
+// across operating system processes, the cmd/schooner-* daemons'.
+//
+//	archs: logical host -> simulated architecture
+//	addrs: logical "host:port" -> dialable "ip:port"
+//	bind:  logical "host:port" -> local "ip:port" to bind
+func NewConfiguredTCPTransport(archs map[string]*machine.Arch, addrs, bind map[string]string) *TCPTransport {
+	t := &TCPTransport{archs: maps.Clone(archs), addrs: make(map[string]string, len(addrs)), bind: maps.Clone(bind)}
+	maps.Copy(t.addrs, addrs)
+	return t
+}
 
 // Clock is the wall clock.
 func (*TCPTransport) Clock() vclock.Clock { return vclock.Real() }
@@ -174,39 +196,22 @@ func (*TCPTransport) Clock() vclock.Clock { return vclock.Real() }
 // Jitter draws from the runtime's randomly seeded global source.
 func (*TCPTransport) Jitter() float64 { return rand.Float64() }
 
-// Clock is the wall clock.
-func (*StaticTCPTransport) Clock() vclock.Clock { return vclock.Real() }
-
-// Jitter draws from the runtime's randomly seeded global source.
-func (*StaticTCPTransport) Jitter() float64 { return rand.Float64() }
-
-// NewTCPTransport creates a TCP transport with the given host
-// architecture table.
-func NewTCPTransport(archs map[string]*machine.Arch) *TCPTransport {
-	cp := make(map[string]*machine.Arch, len(archs))
-	for k, v := range archs {
-		cp[k] = v
-	}
-	return &TCPTransport{archs: cp, names: make(map[string]string)}
-}
-
-// AddHost registers a logical host after construction.
-func (t *TCPTransport) AddHost(name string, arch *machine.Arch) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.archs[name] = arch
-}
-
-// Hosts lists the registered logical hosts, sorted.
+// Hosts lists the logical hosts, sorted.
 func (t *TCPTransport) Hosts() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]string, 0, len(t.archs))
 	for h := range t.archs {
 		out = append(out, h)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
+}
+
+// HostArch reports a logical host's architecture.
+func (t *TCPTransport) HostArch(host string) (*machine.Arch, error) {
+	if a, ok := t.archs[host]; ok {
+		return a, nil
+	}
+	return nil, fmt.Errorf("schooner: unknown host %q", host)
 }
 
 type tcpListener struct {
@@ -225,63 +230,83 @@ func (l *tcpListener) Accept() (wire.Conn, error) {
 
 func (l *tcpListener) Close() error {
 	l.t.mu.Lock()
-	delete(l.t.names, l.logical)
+	if _, configured := l.t.bind[l.logical]; !configured {
+		delete(l.t.addrs, l.logical)
+	}
 	l.t.mu.Unlock()
 	return l.inner.Close()
 }
 
 func (l *tcpListener) Addr() string { return l.logical }
 
-// Listen opens a TCP listener bound to 127.0.0.1 and registers its
-// logical name.
+// hostIP is the IP a machine's sockets are bound and dialed on: its
+// Server's, or loopback when it has none. The caller holds t.mu.
+func (t *TCPTransport) hostIP(host string) string {
+	if ip, _, err := net.SplitHostPort(t.addrs[netsim.JoinAddr(host, ServerPort)]); err == nil {
+		return ip
+	}
+	return "127.0.0.1"
+}
+
+// Listen binds a named port at its bind entry, or else at port 0 on
+// the machine's IP, and records its socket address; an empty port
+// binds an ephemeral port on the machine's IP.
 func (t *TCPTransport) Listen(host, port string) (Listener, error) {
-	t.mu.Lock()
 	if _, ok := t.archs[host]; !ok {
-		t.mu.Unlock()
 		return nil, fmt.Errorf("schooner: unknown host %q", host)
 	}
-	t.mu.Unlock()
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	logical := netsim.JoinAddr(host, port)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	local, configured := t.bind[logical]
+	if !configured {
+		if _, taken := t.addrs[logical]; taken {
+			return nil, fmt.Errorf("schooner: port %q already in use on %s", port, host)
+		}
+		local = net.JoinHostPort(t.hostIP(host), "0")
+	}
+	inner, err := net.Listen("tcp", local)
 	if err != nil {
 		return nil, err
 	}
 	if port == "" {
-		port = fmt.Sprintf("eph-%d", inner.Addr().(*net.TCPAddr).Port)
+		logical = netsim.JoinAddr(host, strconv.Itoa(inner.Addr().(*net.TCPAddr).Port))
+	} else {
+		t.addrs[logical] = inner.Addr().String()
 	}
-	logical := netsim.JoinAddr(host, port)
-	t.mu.Lock()
-	if _, dup := t.names[logical]; dup {
-		t.mu.Unlock()
-		inner.Close()
-		return nil, fmt.Errorf("schooner: port %q already in use on %s", port, host)
-	}
-	t.names[logical] = inner.Addr().String()
-	t.mu.Unlock()
 	return &tcpListener{t: t, inner: inner, logical: logical}, nil
 }
 
-// Dial resolves a logical address and connects over TCP.
+// resolve maps a logical address to the socket address it names: its
+// table entry, or for "machine:<port number>" that port on the
+// machine's IP. The caller holds t.mu.
+func (t *TCPTransport) resolve(addr string) (string, bool) {
+	if real, ok := t.addrs[addr]; ok {
+		return real, true
+	}
+	host, port, err := netsim.SplitAddr(addr)
+	if _, known := t.archs[host]; err != nil || !known {
+		return "", false
+	}
+	if _, err := strconv.ParseUint(port, 10, 16); err != nil {
+		return "", false
+	}
+	return net.JoinHostPort(t.hostIP(host), port), true
+}
+
+// Dial resolves a logical address and connects to it, waiting at most
+// rpcTimeout for the connection.
 func (t *TCPTransport) Dial(fromHost, addr string) (wire.Conn, error) {
 	t.mu.Lock()
-	real, ok := t.names[addr]
+	real, ok := t.resolve(addr)
 	t.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("schooner: connection refused: no listener at %q", addr)
 	}
 	countDial(addr)
-	c, err := net.Dial("tcp", real)
+	c, err := net.DialTimeout("tcp", real, rpcTimeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("schooner: dialing %s (%s): %w", addr, real, err)
 	}
 	return wire.NewStreamConn(c, addr), nil
-}
-
-// HostArch reports a logical host's architecture.
-func (t *TCPTransport) HostArch(host string) (*machine.Arch, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a, ok := t.archs[host]; ok {
-		return a, nil
-	}
-	return nil, fmt.Errorf("schooner: unknown host %q", host)
 }
