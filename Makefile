@@ -9,7 +9,7 @@ GO ?= go
 # BENCH_BASE=BENCH_<m>.jsonl` applies BENCHMARK.json's bounds and the
 # measured run-to-run spread to two points; it exits 1 when a metric
 # is worse.
-BENCH_NEW ?= BENCH_41.jsonl
+BENCH_NEW ?= BENCH_43.jsonl
 
 .PHONY: all test race bench bench-compare
 

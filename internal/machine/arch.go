@@ -49,17 +49,21 @@ func (a *Arch) CheckInteger(v int64) error {
 	return &RangeError{Value: float64(v), Format: a.Name + " integer->uts integer"}
 }
 
-// NativeFloat and NativeDouble push a float64 through the
-// architecture's native single- or double-precision representation,
-// returning the value as the architecture would actually hold it. This
+// NativeFloat pushes a float64 through the architecture's native
+// single-precision representation, returning the value as the
+// architecture would actually hold it; NativeDoubles does the same to a
+// run of doubles through the double-precision representation, and
+// NativeDoubleBytes to a run of them in interchange form, in place. This
 // is how heterogeneity enters the simulation: a procedure hosted on a
 // Cray computes IEEE doubles (it is Go underneath) but its parameters
 // and results pass through the Cray word, acquiring that format's
 // precision and range. With CheckInteger and CheckLong they make *Arch
-// a uts.Native, the per-scalar kernel every conversion runs.
+// a uts.Native: one call per scalar, and one per array of doubles.
 func (a *Arch) NativeFloat(f float64) (float64, error) { return a.Single.RoundTrip(f) }
 
-func (a *Arch) NativeDouble(f float64) (float64, error) { return a.Double.RoundTrip(f) }
+func (a *Arch) NativeDoubles(vs []uts.Value) error { return a.Double.RoundTripValues(vs) }
+
+func (a *Arch) NativeDoubleBytes(b []byte) error { return a.Double.RoundTripBytes(b) }
 
 // CheckLong verifies that a UTS long fits this architecture's native
 // word. A 4-byte-word machine truncates longs; that is an error rather
@@ -75,7 +79,8 @@ func (a *Arch) CheckLong(v int64) error {
 // representation: every float and double acquires the native format's
 // precision and range, and integers are checked against the native
 // word. Strings, bytes, and booleans are unaffected. The returned
-// value shares no storage with the input.
+// value shares no storage with the input. (A value fresh from the
+// decoder is converted where it lies, by uts.DecodeParamsNative.)
 func (a *Arch) NativeRoundTrip(v uts.Value) (uts.Value, error) {
 	var out uts.Value
 	if err := a.convert(&out, &v); err != nil {
@@ -84,22 +89,13 @@ func (a *Arch) NativeRoundTrip(v uts.Value) (uts.Value, error) {
 	return out, nil
 }
 
-// NativeInPlace is NativeRoundTrip overwriting the numbers in *v and in
-// every element under it, for a value the caller owns outright, such as
-// one just decoded. It allocates nothing. On error *v is left partly
-// converted.
-func (a *Arch) NativeInPlace(v *uts.Value) error { return a.convert(v, v) }
-
-// convert stores the native round trip of *src in *dst, which is either
-// src itself or a zero Value; in the latter case every aggregate under
-// *dst gets its own Elems, allocated once. It assigns the fields that
-// change and no others: storing a whole Value, pointers and all, costs
-// a write barrier per element while the collector runs.
+// convert stores the native round trip of *src in *dst, a zero Value;
+// every aggregate under *dst gets its own Elems, allocated once. It
+// assigns the fields that change and no others: storing a whole Value,
+// pointers and all, costs a write barrier per element while the
+// collector runs.
 func (a *Arch) convert(dst, src *uts.Value) error {
-	fresh := dst != src
-	if fresh {
-		dst.Type = src.Type
-	}
+	dst.Type = src.Type
 	switch src.Type.Kind() {
 	case uts.Float:
 		f, err := a.NativeFloat(src.F)
@@ -109,15 +105,13 @@ func (a *Arch) convert(dst, src *uts.Value) error {
 		// Keep the UTS-side single-precision invariant.
 		dst.F = uts.FloatVal(f).F
 	case uts.Double:
-		f, err := a.NativeDouble(src.F)
+		f, err := a.Double.RoundTrip(src.F)
 		if err != nil {
 			return err
 		}
 		dst.F = f
 	case uts.Array, uts.Record:
-		if fresh {
-			dst.Elems = make([]uts.Value, len(src.Elems))
-		}
+		dst.Elems = make([]uts.Value, len(src.Elems))
 		for i := range src.Elems {
 			if err := a.convert(&dst.Elems[i], &src.Elems[i]); err != nil {
 				return err

@@ -15,9 +15,12 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+
+	"npss/internal/uts"
 )
 
 // RangeError reports a value that cannot be represented in the target
@@ -61,6 +64,13 @@ type FloatCodec interface {
 	FromWord(w uint64) (float64, error)
 	// RoundTrip is FromWord(ToWord(f)): f as the format holds it.
 	RoundTrip(f float64) (float64, error)
+	// RoundTripValues and RoundTripBytes are RoundTrip over a run of
+	// doubles, in place: the F of every value in vs, or every
+	// big-endian IEEE double in b. Each stops at the first double the
+	// format cannot hold and returns RoundTrip's error for it, leaving
+	// the run partly converted.
+	RoundTripValues(vs []uts.Value) error
+	RoundTripBytes(b []byte) error
 }
 
 // format is the one FloatCodec implementation: a pair of word kernels
@@ -69,9 +79,59 @@ type format struct {
 	name         string
 	size         int
 	littleEndian bool
-	exact        bool // every double survives: the round trip is the identity
+	shortcut     shortcut
 	toWord       func(f float64) (uint64, error)
 	fromWord     func(w uint64) (float64, error)
+}
+
+// A shortcut is a format's round trip done on a double's IEEE bits, for
+// the doubles where that is a few integer operations. Every other
+// double takes the word path, which stays the specification:
+// TestShortcutMatchesWordPath proves the two equal, bit for bit and
+// error for error.
+type shortcut uint8
+
+const (
+	noShortcut shortcut = iota // every double takes the word path
+	identity                   // every double survives (IEEE double)
+	crayRound                  // normal doubles: the mantissa rounded to 48 bits
+	vaxdRange                  // doubles within VAX D's exponent range survive
+)
+
+// quick is the shortcut's round trip of the double with bits b; ok false
+// sends the double to the word path.
+func (c *format) quick(b uint64) (r uint64, ok bool) {
+	const sign = 1 << 63
+	e := b >> 52 & 0x7ff // biased exponent
+	switch c.shortcut {
+	case identity:
+		return b, true
+	case crayRound:
+		// Round the magnitude's 53-bit mantissa to 48, halves away
+		// from zero, as crayToWord does. A carry out of the mantissa
+		// moves into the exponent, which is the Cray word's
+		// renormalization; one that reaches 0x7ff is past the IEEE
+		// range, and the word path names the RangeError. Zeros and
+		// subnormals take the word path too.
+		m := (b&^sign + 1<<4) &^ (1<<5 - 1)
+		return m | b&sign, e != 0 && m>>52 < 0x7ff
+	case vaxdRange:
+		// vaxDToWord's exponent is exp+128 with exp = e-1022, and holds
+		// the whole mantissa while that is in [1, 255].
+		return b, e >= 895 && e <= 1149
+	}
+	return 0, false
+}
+
+// viaWord is the word path's round trip of the double with bits b: the
+// one quick leaves out.
+func (c *format) viaWord(b uint64) (uint64, error) {
+	w, err := c.toWord(math.Float64frombits(b))
+	if err != nil {
+		return 0, err
+	}
+	f, err := c.fromWord(w)
+	return math.Float64bits(f), err
 }
 
 func (c *format) Name() string { return c.name }
@@ -80,15 +140,52 @@ func (c *format) Size() int    { return c.size }
 func (c *format) ToWord(f float64) (uint64, error)   { return c.toWord(f) }
 func (c *format) FromWord(w uint64) (float64, error) { return c.fromWord(w) }
 
+// RoundTrip and its runs take the shortcut where it applies, inlined,
+// and the word path for the rest.
 func (c *format) RoundTrip(f float64) (float64, error) {
-	if c.exact {
-		return f, nil
+	b, ok := c.quick(math.Float64bits(f))
+	if !ok {
+		var err error
+		if b, err = c.viaWord(math.Float64bits(f)); err != nil {
+			return 0, err
+		}
 	}
-	w, err := c.toWord(f)
-	if err != nil {
-		return 0, err
+	return math.Float64frombits(b), nil
+}
+
+func (c *format) RoundTripValues(vs []uts.Value) error {
+	if c.shortcut == identity {
+		return nil
 	}
-	return c.fromWord(w)
+	for i := range vs {
+		b, ok := c.quick(math.Float64bits(vs[i].F))
+		if !ok {
+			var err error
+			if b, err = c.viaWord(math.Float64bits(vs[i].F)); err != nil {
+				return err
+			}
+		}
+		vs[i].F = math.Float64frombits(b)
+	}
+	return nil
+}
+
+func (c *format) RoundTripBytes(b []byte) error {
+	if c.shortcut == identity {
+		return nil
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.BigEndian.Uint64(b)
+		r, ok := c.quick(w)
+		if !ok {
+			var err error
+			if r, err = c.viaWord(w); err != nil {
+				return err
+			}
+		}
+		binary.BigEndian.PutUint64(b, r)
+	}
+	return nil
 }
 
 // shift is how far right of byte i the native word's low byte sits.
@@ -304,10 +401,10 @@ func vaxDFromWord(w uint64) (float64, error) {
 // which is exactly the classic cross-machine bug UTS exists to prevent.
 var (
 	IEEE32BE FloatCodec = &format{name: "ieee32be", size: 4, toWord: ieee32ToWord, fromWord: ieee32FromWord}
-	IEEE64BE FloatCodec = &format{name: "ieee64be", size: 8, exact: true, toWord: ieee64ToWord, fromWord: ieee64FromWord}
+	IEEE64BE FloatCodec = &format{name: "ieee64be", size: 8, shortcut: identity, toWord: ieee64ToWord, fromWord: ieee64FromWord}
 	IEEE32LE FloatCodec = &format{name: "ieee32le", size: 4, littleEndian: true, toWord: ieee32ToWord, fromWord: ieee32FromWord}
-	IEEE64LE FloatCodec = &format{name: "ieee64le", size: 8, littleEndian: true, exact: true, toWord: ieee64ToWord, fromWord: ieee64FromWord}
-	Cray64   FloatCodec = &format{name: "cray64", size: 8, toWord: crayToWord, fromWord: crayFromWord}
+	IEEE64LE FloatCodec = &format{name: "ieee64le", size: 8, littleEndian: true, shortcut: identity, toWord: ieee64ToWord, fromWord: ieee64FromWord}
+	Cray64   FloatCodec = &format{name: "cray64", size: 8, shortcut: crayRound, toWord: crayToWord, fromWord: crayFromWord}
 	IBMHex64 FloatCodec = &format{name: "ibmhex64", size: 8, toWord: ibmHexToWord, fromWord: ibmHexFromWord}
-	VAXD64   FloatCodec = &format{name: "vaxd64", size: 8, toWord: vaxDToWord, fromWord: vaxDFromWord}
+	VAXD64   FloatCodec = &format{name: "vaxd64", size: 8, shortcut: vaxdRange, toWord: vaxDToWord, fromWord: vaxDFromWord}
 )

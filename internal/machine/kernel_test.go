@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,6 +130,78 @@ func TestKernelMatchesReference(t *testing.T) {
 			if !sameError(err, wantErr) || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s.Decode(%x) = %x, %v; reference %x, %v", c.Name(), b, math.Float64bits(got), err, math.Float64bits(want), wantErr)
 			}
+		}
+	}
+}
+
+// wordRoundTrip is the specification of a round trip: the word path,
+// FromWord(ToWord(f)).
+func wordRoundTrip(c FloatCodec, f float64) (float64, error) {
+	w, err := c.ToWord(f)
+	if err != nil {
+		return 0, err
+	}
+	return c.FromWord(w)
+}
+
+// TestShortcutMatchesWordPath: for the formats whose round trip has a
+// shortcut on the IEEE bits, RoundTrip and both runs equal the word
+// path bit for bit and error for error — on every exponent, with each
+// sign and the mantissas where rounding to 48 bits turns, and on a
+// million seeded bit patterns.
+func TestShortcutMatchesWordPath(t *testing.T) {
+	var patterns []uint64
+	for e := uint64(0); e < 2048; e++ {
+		for _, m := range []uint64{0, 1, 15, 16, 17, 31, 32, 1<<52 - 17, 1<<52 - 16, 1<<52 - 15, 1<<52 - 1} {
+			patterns = append(patterns, e<<52|m, 1<<63|e<<52|m)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 1<<20; i++ {
+		patterns = append(patterns, rng.Uint64())
+	}
+	const run = 256
+	vs := make([]uts.Value, run)
+	wire := make([]byte, 8*run)
+	for _, c := range []FloatCodec{Cray64, VAXD64} {
+		shortcuts := 0
+		for at := 0; at < len(patterns); at += run {
+			chunk := patterns[at:min(at+run, len(patterns))]
+			firstErr, failed := error(nil), len(chunk)
+			want := make([]uint64, len(chunk))
+			for i, b := range chunk {
+				f := math.Float64frombits(b)
+				w, wantErr := wordRoundTrip(c, f)
+				want[i] = math.Float64bits(w)
+				if _, ok := c.(*format).quick(b); ok {
+					shortcuts++
+				}
+				got, err := c.RoundTrip(f)
+				if !sameError(err, wantErr) || (err == nil && math.Float64bits(got) != want[i]) {
+					t.Fatalf("%s.RoundTrip(%#016x) = %#016x, %v; word path %#016x, %v", c.Name(), b, math.Float64bits(got), err, want[i], wantErr)
+				}
+				if wantErr != nil && failed == len(chunk) {
+					firstErr, failed = wantErr, i
+				}
+				vs[i] = uts.DoubleVal(f)
+				binary.BigEndian.PutUint64(wire[8*i:], b)
+			}
+			// A run converts up to its first failure and reports it.
+			errV := c.RoundTripValues(vs[:len(chunk)])
+			errB := c.RoundTripBytes(wire[:8*len(chunk)])
+			if !sameError(errV, firstErr) || !sameError(errB, firstErr) {
+				t.Fatalf("%s: runs at %d: errors %v and %v; word path %v at %d", c.Name(), at, errV, errB, firstErr, failed)
+			}
+			for i := 0; i < failed; i++ {
+				if v, b := math.Float64bits(vs[i].F), binary.BigEndian.Uint64(wire[8*i:]); v != want[i] || b != want[i] {
+					t.Fatalf("%s: runs at %d, element %d (%#016x): values %#016x, bytes %#016x; word path %#016x", c.Name(), at, i, chunk[i], v, b, want[i])
+				}
+			}
+		}
+		// Most random patterns are Cray-normal; one exponent in eight
+		// is VAX D's range.
+		if shortcuts < len(patterns)/10 {
+			t.Errorf("%s: the shortcut decided %d of %d patterns; the test proves little", c.Name(), shortcuts, len(patterns))
 		}
 	}
 }
@@ -284,8 +357,21 @@ func TestNativeRoundTripMatchesReference(t *testing.T) {
 			if !sameBits(got, want) {
 				t.Fatalf("%s: NativeRoundTrip(%v) = %v, reference %v", name, v, got, want)
 			}
-			if err := a.NativeInPlace(&v); err != nil || !sameBits(v, want) {
-				t.Fatalf("%s: NativeInPlace(%v) = %v, %v; reference %v", name, before, v, err, want)
+			// The same value as it arrives off the wire, converted as
+			// it is decoded.
+			p := []uts.Param{{Name: "v", Type: v.Type}}
+			buf, err := uts.EncodeParams(nil, p, []uts.Value{v})
+			if err != nil {
+				continue // a float beyond single precision, held by a Cray
+			}
+			arrived, err := uts.DecodeParams(buf, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr = refRoundTrip(a, arrived[0])
+			fused, bad, err := uts.DecodeParamsNative(buf, p, a)
+			if !sameError(err, wantErr) || (err != nil) != (bad == 0) || (err == nil && !sameBits(fused[0], want)) {
+				t.Fatalf("%s: DecodeParamsNative(%v) = %v, %d, %v; reference %v, %v", name, arrived[0], fused, bad, err, want, wantErr)
 			}
 		}
 		if failures == 0 || failures == 3000 {
@@ -323,22 +409,31 @@ func TestNativeRoundTripSharesNoStorage(t *testing.T) {
 }
 
 // TestConversionDoesNotAllocate pins the point of the kernels: a scalar
-// round trip and an in-place aggregate conversion allocate nothing, a
-// copying aggregate conversion allocates its Elems and nothing else.
+// round trip and an in-place run of doubles allocate nothing, a copying
+// aggregate conversion allocates its Elems and nothing else, and a
+// decode fused with the conversion allocates what decoding does: the
+// parameter list and one Elems per array.
 func TestConversionDoesNotAllocate(t *testing.T) {
 	fs := make([]float64, 4096)
 	for i := range fs {
 		fs[i] = float64(i) + 0.25
 	}
+	params := []uts.Param{{Name: "xs", Type: uts.ArrayOf(len(fs), uts.TDouble)}}
 	for _, a := range []*Arch{SPARC, CrayYMP, Convex, IBM370} {
 		arr, one := uts.DoubleArray(fs...), uts.DoubleVal(math.Pi)
+		buf, err := uts.EncodeParams(nil, params, []uts.Value{arr})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for what, c := range map[string]struct {
 			max float64
 			fn  func() error
 		}{
 			"scalar round trip": {0, func() error { _, err := a.NativeRoundTrip(one); return err }},
 			"array round trip":  {1, func() error { _, err := a.NativeRoundTrip(arr); return err }},
-			"array in place":    {0, func() error { return a.NativeInPlace(&arr) }},
+			"doubles in place":  {0, func() error { return a.NativeDoubles(arr.Elems) }},
+			"bytes in place":    {0, func() error { return a.NativeDoubleBytes(buf) }},
+			"fused decode":      {2, func() error { _, _, err := uts.DecodeParamsNative(buf, params, a); return err }},
 		} {
 			var err error
 			if n := testing.AllocsPerRun(10, func() { err = c.fn() }); n > c.max || err != nil {

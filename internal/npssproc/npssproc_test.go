@@ -92,7 +92,8 @@ func TestShaftRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(dxspl-200) > 1e-9 {
+	// !(d <= tol), not d > tol: a NaN answer must fail.
+	if !(math.Abs(dxspl-200) <= 1e-9) {
 		t.Errorf("dxspl = %g, want 200", dxspl)
 	}
 	// Matches the engine's local shaft computation (torque form).
@@ -100,7 +101,7 @@ func TestShaftRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(dxspl-local) > 1e-9 {
+	if !(math.Abs(dxspl-local) <= 1e-9) {
 		t.Errorf("remote %g != local %g", dxspl, local)
 	}
 	// Error propagation.

@@ -838,17 +838,14 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 	if err != nil {
 		return nil, err
 	}
+	// Inbound conversion: UTS -> native, fused with the decoding.
 	outs := imp.OutParams()
-	results, err := uts.DecodeParams(reply, outs)
+	results, bad, err := uts.DecodeParamsNative(reply, outs, arch)
+	if bad >= 0 {
+		return nil, fmt.Errorf("schooner: result %q: %w", outs[bad].Name, err)
+	}
 	if err != nil {
 		return nil, err
-	}
-	// The values are fresh from the decoder and nobody else's yet, so
-	// the inbound conversion overwrites them.
-	for i := range results {
-		if err := arch.NativeInPlace(&results[i]); err != nil {
-			return nil, fmt.Errorf("schooner: result %q: %w", outs[i].Name, err)
-		}
 	}
 	return results, nil
 }

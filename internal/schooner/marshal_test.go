@@ -251,7 +251,7 @@ func TestCallLeavesArgumentsAlone(t *testing.T) {
 		}
 		rounded := 0
 		for j, e := range out[0].Elems {
-			if want, _ := machine.CrayYMP.NativeDouble(args[0].Elems[j].F); e.F != want {
+			if want, _ := machine.CrayYMP.Double.RoundTrip(args[0].Elems[j].F); e.F != want {
 				t.Fatalf("result %d = %v, want %v as a Cray holds it, %v", j, e.F, args[0].Elems[j].F, want)
 			}
 			if e.F != args[0].Elems[j].F {
@@ -287,7 +287,8 @@ func TestProcedureValuesLeftAlone(t *testing.T) {
 		if !reflect.DeepEqual(shared, want) {
 			t.Fatalf("call %d: the procedure's own value changed: %v", i, shared)
 		}
-		if out[0].Elems[0].F == math.Pi || math.Abs(out[0].Elems[0].F-math.Pi) > 1e-13 {
+		// Written so that NaN fails: a comparison with NaN is false.
+		if pi := out[0].Elems[0].F; pi == math.Pi || !(math.Abs(pi-math.Pi) <= 1e-13) {
 			t.Errorf("call %d: pi came back as %v, not as a Cray holds it", i, out[0].Elems[0].F)
 		}
 		if out[1].F != 0 {

@@ -285,13 +285,22 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	in, err := uts.DecodeParams(m.Data, pl.imp.InParams())
+	// Convert incoming values into this machine's native formats as
+	// they are decoded: the UTS-to-native half of the conversion, with
+	// its range errors. The values are this call's own, so they are
+	// converted where they lie.
+	in, bad, err := uts.DecodeParamsNative(m.Data, pl.imp.InParams(), p.arch)
+	if bad >= 0 {
+		return &wire.Message{Kind: wire.KError,
+			Err: fmt.Sprintf("schooner: converting parameter to %s native format: %v", p.arch.Name, err)}
+	}
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
 	if pl.inFrom != nil {
 		// Assemble the full in-parameter list of the export: parameters
-		// omitted by a subset import take their zero values.
+		// omitted by a subset import take their zero values, which
+		// every machine holds as they are.
 		sent := in
 		in = make([]uts.Value, len(pl.inFrom))
 		for i, from := range pl.inFrom {
@@ -300,15 +309,6 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 			} else {
 				in[i] = pl.zero[i].Clone()
 			}
-		}
-	}
-	// Convert incoming values into this machine's native formats: the
-	// UTS-to-native half of the conversion, with its range errors. The
-	// values are this call's own, so they are converted where they lie.
-	for i := range in {
-		if err := p.arch.NativeInPlace(&in[i]); err != nil {
-			return &wire.Message{Kind: wire.KError,
-				Err: fmt.Sprintf("schooner: converting parameter to %s native format: %v", p.arch.Name, err)}
 		}
 	}
 	decode.End()

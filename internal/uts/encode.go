@@ -15,13 +15,18 @@ import (
 // converts between its native format and this interchange format; the
 // native side of the conversion lives in package machine.
 
-// Native is one machine's native data representation as the encoder
-// needs it: what a float or double becomes when the machine holds it,
-// and whether an integer or long fits its word. *machine.Arch is the
+// Native is one machine's native data representation as the codec
+// needs it: what a float or a run of doubles becomes when the machine
+// holds it, and whether an integer or long fits its word. Doubles come
+// a run at a time, so an array of them costs one call: NativeDoubles
+// converts the F of every value in vs, NativeDoubleBytes every
+// big-endian IEEE double in b, in place; each stops at the first double
+// the machine cannot hold and returns its error. *machine.Arch is the
 // implementation; the interface exists because machine imports uts.
 type Native interface {
 	NativeFloat(f float64) (float64, error)
-	NativeDouble(f float64) (float64, error)
+	NativeDoubles(vs []Value) error
+	NativeDoubleBytes(b []byte) error
 	CheckInteger(i int64) error
 	CheckLong(i int64) error
 }
@@ -40,8 +45,9 @@ func (e *NativeError) Unwrap() error { return e.Err }
 func Encode(buf []byte, v Value) ([]byte, error) { return encode(buf, v, nil) }
 
 // encode is Encode with every scalar passed through n on its way into
-// the buffer, when n is not nil: the native-to-interchange conversion
-// in one traversal, with no converted copy of v in between.
+// the buffer, when n is not nil (an array of doubles once it is in): the
+// native-to-interchange conversion in one traversal, with no converted
+// copy of v in between.
 func encode(buf []byte, v Value, n Native) ([]byte, error) {
 	switch v.Type.Kind() {
 	case Integer, Long, Byte, Boolean, Float, Double:
@@ -58,25 +64,46 @@ func encode(buf []byte, v Value, n Native) ([]byte, error) {
 		}
 		et := v.Type.Elem()
 		// An array of fixed-size scalars grows the buffer once and runs
-		// the scalar kernel over its elements without recursing.
+		// the scalar kernel over its elements without recursing. An
+		// array of doubles goes into the buffer as it is and through n
+		// afterwards, in one call over the bytes just appended.
 		size, bulk := et.scalarSize()
 		if bulk {
 			buf = slices.Grow(buf, size*len(v.Elems))
 		}
+		start := len(buf)
 		var err error
 		for i := range v.Elems {
 			e := &v.Elems[i]
 			if e.Type != et && !e.Type.Equal(et) {
-				return nil, fmt.Errorf("uts: array element type %v does not match %v", e.Type, et)
+				err = fmt.Errorf("uts: array element type %v does not match %v", e.Type, et)
+				break
 			}
+			if et.kind == Double {
+				buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.F))
+				continue
+			}
+			var next []byte
 			if bulk {
-				buf, err = appendScalar(buf, e, n)
+				next, err = appendScalar(buf, e, n)
 			} else {
-				buf, err = encode(buf, *e, n)
+				next, err = encode(buf, *e, n)
 			}
 			if err != nil {
-				return nil, err
+				break
 			}
+			buf = next
+		}
+		// The doubles ahead of a malformed element pass through n before
+		// it is reported: the machine's error comes first, as it would
+		// element by element.
+		if et.kind == Double && n != nil {
+			if nerr := n.NativeDoubleBytes(buf[start:]); nerr != nil {
+				return nil, &NativeError{nerr}
+			}
+		}
+		if err != nil {
+			return nil, err
 		}
 		return buf, nil
 	case Record:
@@ -144,14 +171,13 @@ func appendScalar(buf []byte, v *Value, n Native) ([]byte, error) {
 		}
 		return binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(f))), nil
 	default: // Double
-		f := v.F
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.F))
 		if n != nil {
-			var err error
-			if f, err = n.NativeDouble(f); err != nil {
+			if err := n.NativeDoubleBytes(buf[len(buf)-8:]); err != nil {
 				return nil, &NativeError{err}
 			}
 		}
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(f)), nil
+		return buf, nil
 	}
 }
 
@@ -319,15 +345,71 @@ func EncodeParam(buf []byte, p Param, v Value, n Native) ([]byte, error) {
 // DecodeParams unmarshals values for the given parameters from buf.
 // All bytes must be consumed.
 func DecodeParams(buf []byte, params []Param) ([]Value, error) {
-	values := make([]Value, len(params))
-	var err error
+	values, _, err := DecodeParamsNative(buf, params, nil)
+	return values, err
+}
+
+// DecodeParamsNative is DecodeParams with every value passed through n,
+// when n is not nil, as soon as it is decoded: the interchange-to-native
+// conversion, in place, over values nobody else owns yet. An array of
+// doubles costs n one call. A value the machine cannot hold comes back
+// as (nil, i, err), i the index of its parameter and err n's error; a
+// malformed message as (nil, -1, err) with DecodeParams' error, even
+// when an earlier value is one the machine cannot hold, so after the
+// first refusal the rest of the message is only decoded.
+func DecodeParamsNative(buf []byte, params []Param, n Native) (values []Value, bad int, err error) {
+	values = make([]Value, len(params))
+	var nerr error
 	for i, p := range params {
 		if values[i], buf, err = Decode(buf, p.Type); err != nil {
-			return nil, fmt.Errorf("uts: parameter %q: %w", p.Name, err)
+			return nil, -1, fmt.Errorf("uts: parameter %q: %w", p.Name, err)
+		}
+		if n != nil && nerr == nil {
+			if nerr = toNative(values[i:i+1], n); nerr != nil {
+				bad = i
+			}
 		}
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("uts: %d trailing bytes after parameters", len(buf))
+		return nil, -1, fmt.Errorf("uts: %d trailing bytes after parameters", len(buf))
 	}
-	return values, nil
+	if nerr != nil {
+		return nil, bad, nerr
+	}
+	return values, -1, nil
+}
+
+// toNative passes every value in vs, and every element under it,
+// through n in place, in order, and returns n's first error.
+func toNative(vs []Value, n Native) error {
+	for i := range vs {
+		v := &vs[i]
+		var err error
+		switch v.Type.Kind() {
+		case Float:
+			var f float64
+			if f, err = n.NativeFloat(v.F); err == nil {
+				// Keep the single-precision invariant.
+				v.F = FloatVal(f).F
+			}
+		case Double:
+			err = n.NativeDoubles(vs[i : i+1])
+		case Integer:
+			err = n.CheckInteger(v.I)
+		case Long:
+			err = n.CheckLong(v.I)
+		case Array:
+			if v.Type.Elem().Kind() == Double {
+				err = n.NativeDoubles(v.Elems)
+			} else {
+				err = toNative(v.Elems, n)
+			}
+		case Record:
+			err = toNative(v.Elems, n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

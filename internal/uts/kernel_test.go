@@ -1,6 +1,7 @@
 package uts
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -136,12 +137,31 @@ type halver struct{}
 
 var errNegative = errors.New("negative")
 
-func (halver) NativeFloat(f float64) (float64, error) { return halver{}.NativeDouble(f) }
-func (halver) NativeDouble(f float64) (float64, error) {
+func (halver) NativeFloat(f float64) (float64, error) {
 	if f < 0 {
 		return 0, errNegative
 	}
 	return f / 2, nil
+}
+func (halver) NativeDoubles(vs []Value) error {
+	for i := range vs {
+		f, err := halver{}.NativeFloat(vs[i].F)
+		if err != nil {
+			return err
+		}
+		vs[i].F = f
+	}
+	return nil
+}
+func (halver) NativeDoubleBytes(b []byte) error {
+	for ; len(b) >= 8; b = b[8:] {
+		f, err := halver{}.NativeFloat(math.Float64frombits(binary.BigEndian.Uint64(b)))
+		if err != nil {
+			return err
+		}
+		binary.BigEndian.PutUint64(b, math.Float64bits(f))
+	}
+	return nil
 }
 func (halver) CheckInteger(i int64) error { return halver{}.CheckLong(i) }
 func (halver) CheckLong(i int64) error {
@@ -173,35 +193,42 @@ func halve(v Value) Value {
 // TestEncodeParamNative: marshaling through a Native gives the bytes of
 // marshaling a converted copy, leaves the value alone, and reports the
 // Native's own error, unwrapped by parameter context, as a NativeError.
+// halverValue draws a value of type typ that halver mostly holds, and
+// reports whether it holds a negative number somewhere, which halver
+// refuses.
+func halverValue(r *rand.Rand, typ *Type) (v Value, negative bool) {
+	var walk func(v *Value)
+	walk = func(v *Value) {
+		switch v.Type.Kind() {
+		case Integer, Long:
+			if r.Intn(8) != 0 && v.I < 0 {
+				v.I = -(v.I + 1)
+			}
+			negative = negative || v.I < 0
+		case Float, Double:
+			v.F = float64(float32(math.Abs(v.F)))
+			if math.IsInf(v.F, 0) {
+				v.F = 1
+			}
+			if r.Intn(30) == 0 {
+				v.F = -3
+			}
+			negative = negative || v.F < 0
+		}
+		for i := range v.Elems {
+			walk(&v.Elems[i])
+		}
+	}
+	v = coerceTo(r, typ)
+	walk(&v)
+	return v, negative
+}
+
 func TestEncodeParamNative(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 500; i++ {
 		typ := randomType(r, 3)
-		v := coerceTo(r, typ)
-		negative := false
-		var walk func(v *Value)
-		walk = func(v *Value) {
-			switch v.Type.Kind() {
-			case Integer, Long:
-				if r.Intn(8) != 0 && v.I < 0 {
-					v.I = -(v.I + 1)
-				}
-				negative = negative || v.I < 0
-			case Float, Double:
-				v.F = float64(float32(math.Abs(v.F)))
-				if math.IsInf(v.F, 0) {
-					v.F = 1
-				}
-				if r.Intn(30) == 0 {
-					v.F = -3
-				}
-				negative = negative || v.F < 0
-			}
-			for i := range v.Elems {
-				walk(&v.Elems[i])
-			}
-		}
-		walk(&v)
+		v, negative := halverValue(r, typ)
 		before := v.Clone()
 		p := Param{Name: "p", Mode: Val, Type: typ}
 		got, err := EncodeParam(nil, p, v, halver{})
@@ -224,6 +251,58 @@ func TestEncodeParamNative(t *testing.T) {
 	_, err := EncodeParam(nil, Param{Name: "b", Type: TByte}, Value{Type: TByte, I: 300}, halver{})
 	if err == nil || err.Error() != `uts: parameter "b": uts: byte value 300 out of range` {
 		t.Errorf("byte range error through a Native: %v", err)
+	}
+}
+
+// TestDecodeParamsNative: decoding through a Native gives the converted
+// copy of what plain decoding gives. A value the Native refuses comes
+// back as its parameter's index and the Native's own error, unless the
+// message is malformed further on: then the decode error wins.
+func TestDecodeParamsNative(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	refused := 0
+	for i := 0; i < 500; i++ {
+		params := make([]Param, 1+r.Intn(4))
+		vals := make([]Value, len(params))
+		firstNegative := -1
+		for j := range params {
+			params[j] = Param{Name: fmt.Sprint("p", j), Mode: Val, Type: randomType(r, 3)}
+			var negative bool
+			vals[j], negative = halverValue(r, params[j].Type)
+			if negative && firstNegative < 0 {
+				firstNegative = j
+			}
+		}
+		buf, err := EncodeParams(nil, params, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := DecodeParams(buf, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, bad, err := DecodeParamsNative(buf, params, halver{})
+		if firstNegative >= 0 {
+			refused++
+			if bad != firstNegative || err != errNegative || got != nil {
+				t.Fatalf("DecodeParamsNative(%v) = %v, %d, %v; want parameter %d refused", vals, got, bad, err, firstNegative)
+			}
+		} else {
+			for j := range plain {
+				if bad != -1 || err != nil || !sameValue(got[j], halve(plain[j])) {
+					t.Fatalf("DecodeParamsNative(%v) = %v, %d, %v; want %v halved", vals, got, bad, err, plain)
+				}
+			}
+		}
+		for _, malformed := range [][]byte{buf[:len(buf)-1], append(buf[:len(buf):len(buf)], 0)} {
+			_, wantErr := DecodeParams(malformed, params)
+			if _, bad, err := DecodeParamsNative(malformed, params, halver{}); bad != -1 || err == nil || !sameErr(err, wantErr) {
+				t.Fatalf("malformed %v: DecodeParamsNative error %d, %v; DecodeParams %v", vals, bad, err, wantErr)
+			}
+		}
+	}
+	if refused < 50 || refused > 450 {
+		t.Errorf("halver refused %d of 500 lists; the corpus should mix both", refused)
 	}
 }
 
