@@ -217,8 +217,9 @@ type Cluster struct {
 	hosts   []string // h1..hN
 	led     *ledger
 
-	workLine *schooner.Line
-	lines    [maxLines]*schooner.Line
+	workClient *schooner.Client // workLine's; OpBatch dispatches through it
+	workLine   *schooner.Line
+	lines      [maxLines]*schooner.Line
 
 	downs map[string]bool
 	parts map[string]bool // "a|b" keys
@@ -597,9 +598,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// The shared work line exists for the whole run, its procedure
 	// initially on the first worker; the stateful accumulator starts on
 	// the second.
-	client := &schooner.Client{Transport: c.tr, Host: "mgr", ManagerHost: "mgr",
+	c.workClient = &schooner.Client{Transport: c.tr, Host: "mgr", ManagerHost: "mgr",
 		Managers: c.standbyHosts(), Policy: workPolicy}
-	c.workLine, err = client.ContactSchx("dst-work-driver")
+	c.workLine, err = c.workClient.ContactSchx("dst-work-driver")
 	if err == nil {
 		err = c.workLine.Import(workImport)
 	}
@@ -933,14 +934,14 @@ func (c *Cluster) apply(idx int, op Op) string {
 		return fmt.Sprintf("ok=%d/%d", ok, op.N)
 
 	case OpBatch:
-		calls := make([]schooner.BatchCall, op.N)
+		calls := make([]schooner.CrossCall, op.N)
 		for i := range calls {
 			id := op.ID + int64(i)
-			calls[i] = schooner.BatchCall{Name: "work",
+			calls[i] = schooner.CrossCall{Line: c.workLine, Name: "work",
 				Args: []uts.Value{uts.LongVal(id), uts.DoubleVal(xFor(id))}}
 		}
 		ok := 0
-		for i, p := range c.workLine.GoBatch(calls) {
+		for i, p := range c.workClient.GoBatchHosts(calls) {
 			id := op.ID + int64(i)
 			res, err := p.Wait()
 			if err != nil {

@@ -3,6 +3,7 @@ package dst
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -303,4 +304,24 @@ func TestProfileOffByDefault(t *testing.T) {
 	if res.Profile != nil {
 		t.Fatalf("profile captured without Config.Profile: %d spans", res.Profile.Spans)
 	}
+}
+
+// TestBatchOpsReachServers checks DST drives the batch path production
+// takes: a clean run whose schedule includes batch ops has envelopes
+// served by the machines' Servers, not just sent.
+func TestBatchOpsReachServers(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		res, err := Run(Config{Seed: seed, Ops: 30})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Violation != nil || !slices.ContainsFunc(res.Ops, func(op Op) bool { return op.Kind == OpBatch }) {
+			continue
+		}
+		if got := res.Metrics.Counters["schooner.server.batches"]; got == 0 {
+			t.Fatalf("seed %d ran batch ops, but no Server served an envelope", seed)
+		}
+		return
+	}
+	t.Fatal("no clean run with a batch op in seeds 1-20")
 }

@@ -76,10 +76,11 @@ const (
 	// the recovered name database matches the pre-crash snapshot.
 	OpManagerRecover
 	// OpBatch launches N work calls on the shared work line as one
-	// batched dispatch (Line.GoBatch): calls binding to one process ride
-	// a single wire envelope, and any batch-level failure falls back to
-	// the per-call retry path. Stays on the menu while the Manager is
-	// down — cached bindings keep batches working.
+	// batched dispatch (Client.GoBatchHosts): calls binding to processes
+	// on one machine ride a single wire envelope to its Server, and any
+	// batch-level failure falls back to the per-call retry path. Stays
+	// on the menu while the Manager is down — cached bindings keep
+	// batches working.
 	OpBatch
 )
 

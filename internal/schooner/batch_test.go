@@ -3,6 +3,7 @@ package schooner
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"npss/internal/trace"
 	"npss/internal/uts"
@@ -10,12 +11,14 @@ import (
 )
 
 // TestGoBatchSameProcess coalesces a wavefront of calls to one
-// procedure process into a single wire round trip and checks every
-// result.
+// procedure process into a single wire round trip through its
+// machine's Server and checks every result.
 func TestGoBatchSameProcess(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("batcher")
+	c := d.client("avs-sparc")
+	defer c.Close()
+	ln, err := c.ContactSchx("batcher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +34,16 @@ func TestGoBatchSameProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batchesBefore := trace.Get("schooner.client.batches")
+	batchesBefore := trace.Get("schooner.client.host_batches")
+	servedBefore := trace.Get("schooner.server.batches")
 	rpcsBefore := trace.Get("schooner.client.rpcs")
 
 	const n = 8
-	calls := make([]BatchCall, n)
+	calls := make([]CrossCall, n)
 	for i := range calls {
-		calls[i] = BatchCall{Name: "add", Args: []uts.Value{uts.DoubleVal(float64(i)), uts.DoubleVal(100)}}
+		calls[i] = CrossCall{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(float64(i)), uts.DoubleVal(100)}}
 	}
-	pends := ln.GoBatch(calls)
+	pends := c.GoBatchHosts(calls)
 	for i, p := range pends {
 		out, err := p.Wait()
 		if err != nil {
@@ -49,17 +53,20 @@ func TestGoBatchSameProcess(t *testing.T) {
 			t.Errorf("batch call %d = %g, want %g", i, out[0].F, want)
 		}
 	}
-	if got := trace.Get("schooner.client.batches") - batchesBefore; got != 1 {
-		t.Errorf("batches counter advanced by %d, want 1", got)
+	if got := trace.Get("schooner.client.host_batches") - batchesBefore; got != 1 {
+		t.Errorf("host_batches counter advanced by %d, want 1", got)
+	}
+	if got := trace.Get("schooner.server.batches") - servedBefore; got != 1 {
+		t.Errorf("server.batches counter advanced by %d, want 1", got)
 	}
 	if got := trace.Get("schooner.client.rpcs") - rpcsBefore; got != 1 {
 		t.Errorf("%d wire round trips for a coalesced batch of %d, want 1", got, n)
 	}
 
 	// Mixed procedures in the same process still coalesce.
-	mixed := ln.GoBatch([]BatchCall{
-		{Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(3)}},
-		{Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
+	mixed := c.GoBatchHosts([]CrossCall{
+		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(3)}},
+		{Line: ln, Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
 	})
 	out0, err := mixed[0].Wait()
 	if err != nil || out0[0].F != 5 {
@@ -74,12 +81,24 @@ func TestGoBatchSameProcess(t *testing.T) {
 	}
 }
 
+// waitOK waits for every pending and fails the test on any error.
+func waitOK(t *testing.T, pends []*Pending) {
+	t.Helper()
+	for i, p := range pends {
+		if _, err := p.Wait(); err != nil {
+			t.Fatalf("batch member %d: %v", i, err)
+		}
+	}
+}
+
 // TestGoBatchUnknownProcedure checks a bad member fails alone without
 // sinking the rest of the batch.
 func TestGoBatchUnknownProcedure(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("batcher")
+	c := d.client("avs-sparc")
+	defer c.Close()
+	ln, err := c.ContactSchx("batcher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +108,10 @@ func TestGoBatchUnknownProcedure(t *testing.T) {
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
 
-	pends := ln.GoBatch([]BatchCall{
-		{Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(1)}},
-		{Name: "nosuch", Args: nil},
-		{Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(2)}},
+	pends := c.GoBatchHosts([]CrossCall{
+		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(1)}},
+		{Line: ln, Name: "nosuch", Args: nil},
+		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(2)}},
 	})
 	if out, err := pends[0].Wait(); err != nil || out[0].F != 2 {
 		t.Errorf("member 0 = %v, %v", out, err)
@@ -178,13 +197,18 @@ func TestGoBatchHostsAcrossProcesses(t *testing.T) {
 }
 
 // TestGoBatchFallbackAfterMove invalidates the cached binding under a
-// batch by moving the procedure first: the batch envelope lands on the
-// dead process and every member must recover through the per-call
-// retry machinery.
+// batch by moving the procedure first: the envelope reaches the old
+// machine's Server, which answers each sub-call as a stopped process
+// would, and every member must recover through the per-call retry
+// machinery. It does so twice: while the Server still holds the
+// stopped process, and after a later spawn has made it forget it.
 func TestGoBatchFallbackAfterMove(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("batcher")
+	d.reg.MustRegister(counterProgram("/npss/counter"))
+	c := d.client("avs-sparc")
+	defer c.Close()
+	ln, err := c.ContactSchx("batcher")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +217,26 @@ func TestGoBatchFallbackAfterMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	batch := func(when string) {
+		t.Helper()
+		staleBefore := trace.Get("schooner.client.stale")
+		pends := c.GoBatchHosts([]CrossCall{
+			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
+			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
+		})
+		for i, p := range pends {
+			out, err := p.Wait()
+			if err != nil {
+				t.Fatalf("batch member %d %s: %v", i, when, err)
+			}
+			if want := []float64{3, 7}[i]; out[0].F != want {
+				t.Errorf("batch member %d %s = %g, want %g", i, when, out[0].F, want)
+			}
+		}
+		if got := trace.Get("schooner.client.stale") - staleBefore; got != 2 {
+			t.Errorf("%s: %d stale sub-replies, want 2", when, got)
+		}
+	}
 	if _, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +244,79 @@ func TestGoBatchFallbackAfterMove(t *testing.T) {
 	if err := ln.Move("add", "rs6000", false); err != nil {
 		t.Fatal(err)
 	}
-	pends := ln.GoBatch([]BatchCall{
-		{Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
-		{Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
+	batch("after move")
+
+	// Back to sgi-lerc, bind there, move away again, and start another
+	// program on sgi-lerc: that spawn drops the stopped adder from the
+	// Server's table, so the envelope's tag now names no process at all.
+	if err := ln.Move("add", "sgi-lerc", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.Move("add", "rs6000", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.StartRemote("/npss/counter", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	batch("after the Server forgot the process")
+}
+
+// TestGoBatchAfterServerStop stops the Server a warm host batch went
+// to. The Manager's health monitor fails the procedure over to another
+// machine, and the same batch must then recover: the client's
+// connection to the stopped Server still reaches it, and its answer
+// for a process it no longer hosts is the stale one that rebinds.
+func TestGoBatchAfterServerStop(t *testing.T) {
+	d := newDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	c := d.client("avs-sparc")
+	defer c.Close()
+	ln, err := c.ContactSchx("batcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.IQuit()
+	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	ln.SetCallPolicy(CallPolicy{
+		Timeout:    100 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    2 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
 	})
-	for i, p := range pends {
+	calls := []CrossCall{
+		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
+		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
+	}
+	hostBatchesBefore := trace.Get("schooner.client.host_batches")
+	waitOK(t, c.GoBatchHosts(calls))
+	if trace.Get("schooner.client.host_batches") == hostBatchesBefore {
+		t.Fatal("warm-up batch did not go to the Server")
+	}
+
+	d.mgr.StartHealth(HealthPolicy{
+		Interval:    5 * time.Millisecond,
+		Threshold:   2,
+		PingTimeout: 50 * time.Millisecond,
+	})
+	d.servers["sgi-lerc"].Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.mgr.NameBindings(ln.ID())["add"] == "sgi-lerc" {
+		if time.Now().After(deadline) {
+			t.Fatal("add was not failed over off the stopped Server's machine")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	for i, p := range c.GoBatchHosts(calls) {
 		out, err := p.Wait()
 		if err != nil {
-			t.Fatalf("batch member %d after move: %v", i, err)
+			t.Fatalf("batch member %d after the Server stopped: %v", i, err)
 		}
 		if want := []float64{3, 7}[i]; out[0].F != want {
 			t.Errorf("batch member %d = %g, want %g", i, out[0].F, want)

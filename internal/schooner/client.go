@@ -43,8 +43,8 @@ type Client struct {
 	// value applies the package defaults (see CallPolicy).
 	Policy CallPolicy
 
-	// mu guards the per-host Server connections GoBatchHosts coalesces
-	// onto, shared by all of the client's lines.
+	// mu guards the per-host Server connections GoBatchHosts sends its
+	// envelopes on, shared by all of the client's lines.
 	mu       sync.Mutex
 	srvConns map[string]*sharedConn
 }
@@ -65,8 +65,8 @@ func (c *Client) serverConn(host string, clock vclock.Clock) (*demuxConn, error)
 	return sc.get(c.Transport, clock, c.Host)
 }
 
-// Close releases the client's cached Server connections (the cross-
-// line batch path). Lines opened through the client are unaffected;
+// Close releases the client's cached Server connections (the batch
+// path). Lines opened through the client are unaffected;
 // quit them individually with IQuit.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -796,7 +796,7 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 	return nil, fmt.Errorf("schooner: call to %q failed after %d attempts: %w", name, pol.MaxRetries+1, lastErr)
 }
 
-// prepare is the marshaling front half shared by Call and GoBatch: it
+// prepare is the marshaling front half shared by Call and a batch: it
 // resolves the import specification, converts the arguments through
 // this machine's native representation into the UTS interchange
 // format, and returns the line's effective policy alongside.
@@ -831,8 +831,8 @@ func (l *Line) prepare(name string, args []uts.Value) (*uts.ProcSpec, CallPolicy
 	return imp, pol, data, nil
 }
 
-// decodeResults is the unmarshaling back half shared by Call and
-// GoBatch: UTS interchange bytes -> this machine's native values.
+// decodeResults is the unmarshaling back half shared by Call and a
+// batch: UTS interchange bytes -> this machine's native values.
 func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, error) {
 	arch, err := l.client.arch()
 	if err != nil {

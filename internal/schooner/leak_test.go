@@ -2,6 +2,7 @@ package schooner
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -30,7 +31,7 @@ func settleConns(t *testing.T, d *deployment, want int, timeout time.Duration) i
 }
 
 // TestNoConnLeakAfterQuit churns a line with 64-way concurrent call
-// traffic — pipelined calls and both kinds of batch all at once — then
+// traffic — pipelined calls, host batches and batches of one — then
 // quits the line and closes the client, and proves via the netsim
 // endpoint accounting that every connection the churn opened is closed
 // again: the pipelined conn, the batch server conns, and the manager
@@ -75,15 +76,12 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 						}
 					}
 				case g%8 == 1:
-					pends := ln.GoBatch([]BatchCall{
-						{Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
-						{Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
+					// A batch of one goes per-call, so batches share the
+					// line's pipelined connection too.
+					pends := c.GoBatchHosts([]CrossCall{
+						{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 					})
-					for _, p := range pends {
-						if _, werr := p.Wait(); werr != nil {
-							err = werr
-						}
-					}
+					_, err = pends[0].Wait()
 				default:
 					_, err = ln.Call("add", uts.DoubleVal(float64(g)), uts.DoubleVal(float64(i)))
 				}
@@ -128,5 +126,51 @@ func TestBoundedAskStartsNoGoroutine(t *testing.T) {
 	}
 	if n := <-during; n > before {
 		t.Errorf("%d goroutines while the ask waited, %d before it", n, before)
+	}
+}
+
+// TestServerForgetsStoppedProcesses runs 50 start/quit cycles against
+// one machine. A quit stops its processes without telling their Server,
+// so the Server drops stopped entries when it next spawns: right after
+// every start, and after one more start at the end, its table holds no
+// more entries than processes still running.
+func TestServerForgetsStoppedProcesses(t *testing.T) {
+	d := newDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	srv := d.servers["sgi-lerc"]
+	table := func() (entries, live int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, p := range srv.processes {
+			if !p.stopped() {
+				live++
+			}
+		}
+		return len(srv.processes), live
+	}
+	c := d.client("avs-sparc")
+	start := func(module string) *Line {
+		t.Helper()
+		ln, err := c.ContactSchx(module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+			t.Fatal(err)
+		}
+		if entries, live := table(); entries > live {
+			t.Fatalf("%s: the Server's table holds %d entries for %d live processes", module, entries, live)
+		}
+		return ln
+	}
+	for i := range 50 {
+		if err := start(fmt.Sprintf("cycle-%d", i)).IQuit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln := start("last")
+	defer ln.IQuit()
+	if entries, live := table(); entries != 1 || live != 1 {
+		t.Errorf("after 50 cycles and a start: %d entries, %d live, want 1 and 1", entries, live)
 	}
 }

@@ -139,8 +139,10 @@ func (p *process) serve(conn wire.Conn) {
 			_ = conn.Send(&wire.Message{Kind: wire.KError, Err: ErrProcessTerminated, Seq: m.Seq})
 			return
 		case m.Kind == wire.KShutdown:
-			_ = conn.Send(&wire.Message{Kind: wire.KShutdownOK, Seq: m.Seq})
+			// Stop before acknowledging: whoever sees the reply sees the
+			// process stopped, its Server included.
 			p.stop()
+			_ = conn.Send(&wire.Message{Kind: wire.KShutdownOK, Seq: m.Seq})
 			return
 		}
 		resp := p.dispatch(m)
@@ -165,10 +167,6 @@ func (p *process) dispatch(m *wire.Message) *wire.Message {
 		return p.handleStateGet(m)
 	case wire.KStatePut:
 		return p.handleStatePut(m)
-	case wire.KBatch:
-		// Address tags are ignored: a batch sent directly to a process
-		// is already at its destination.
-		return runBatch(m, "schooner.proc.batches", func(sub wire.Sub) *wire.Message { return p.dispatch(sub.Msg) })
 	case wire.KPing:
 		return &wire.Message{Kind: wire.KPong}
 	case wire.KObserve:

@@ -129,21 +129,42 @@ func (s *Server) serve(conn wire.Conn) {
 	}
 }
 
-// handleBatch fans a host-level batch out to this machine's processes:
-// each sub-request is tagged with the address of a process the server
-// spawned, and is dispatched to it in-memory — one wire round trip
-// covers calls to any number of processes on the host.
-func (s *Server) handleBatch(m *wire.Message) *wire.Message {
-	return runBatch(m, "schooner.server.batches", func(sub wire.Sub) *wire.Message {
+// handleBatch is the serving side of a KBatch: each sub-request is
+// tagged with the address of a process this Server spawned and is
+// dispatched to it in-memory, so one wire round trip covers calls to
+// any number of processes on the host. It walks the envelope's
+// sub-frames in place and returns one KBatchOK with a reply sub-frame
+// per sub-request. Sub-requests run in envelope order — a batch may
+// carry calls to stateful procedures, so envelope order is execution
+// order. A tag naming no process here — it stopped, or this Server
+// did — is answered as a stopped process answers, so the caller
+// rebinds.
+func (s *Server) handleBatch(env *wire.Message) *wire.Message {
+	// Replies are roughly request-sized; start at the envelope's size
+	// to avoid growth reallocations.
+	data := make([]byte, 0, len(env.Data))
+	for rest := env.Data; len(rest) > 0; {
+		sub, r, err := wire.SplitSub(rest)
+		if err != nil {
+			return &wire.Message{Kind: wire.KError, Err: err.Error()}
+		}
+		rest = r
 		s.mu.Lock()
 		p := s.processes[sub.Addr]
 		s.mu.Unlock()
+		var resp *wire.Message
 		if p == nil {
-			return &wire.Message{Kind: wire.KError,
-				Err: fmt.Sprintf("schooner: no process at %q on %s", sub.Addr, s.host)}
+			resp = &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
+		} else {
+			resp = p.dispatch(sub.Msg)
 		}
-		return p.dispatch(sub.Msg)
-	})
+		resp.Seq = sub.Msg.Seq
+		if data, err = wire.AppendSub(data, "", resp); err != nil {
+			return &wire.Message{Kind: wire.KError, Err: err.Error()}
+		}
+	}
+	trace.Count("schooner.server.batches")
+	return &wire.Message{Kind: wire.KBatchOK, Data: data}
 }
 
 func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
@@ -170,6 +191,14 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
 	s.mu.Lock()
+	// Forget the processes that have stopped since the last spawn (a
+	// line quit or a move shuts them down directly), so the table holds
+	// no more than this spawn and the processes still running.
+	for addr, q := range s.processes {
+		if q.stopped() {
+			delete(s.processes, addr)
+		}
+	}
 	s.processes[p.addr()] = p
 	s.mu.Unlock()
 	flight.Record(flight.Event{Kind: flight.KindSpawn, Component: "server",

@@ -157,8 +157,9 @@ func newShapeCluster(t *testing.T, programs ...*Program) *shapeTransport {
 
 // TestWireShape replays one scripted session that walks every client
 // call path — registration, spawns, a call, 64 calls in flight at
-// once, process batches, a host batch across lines, stale rebinds after
-// moves, a batch that falls back, quits — on a virtual clock, and
+// once, batches to one and to two processes, a host batch across
+// lines, stale rebinds after moves, a batch that falls back, quits —
+// on a virtual clock, and
 // compares the frames every connection carried, sequence numbers
 // masked, against the trace recorded before the call paths were folded
 // into one. What goes on the wire for an operation is the contract;
@@ -205,15 +206,15 @@ func TestWireShape(t *testing.T) {
 	}
 	waitAll("64 in flight", inflight)
 
-	waitAll("batch, one process", ln.GoBatch([]BatchCall{
-		{Name: "add", Args: add(1, 2)},
-		{Name: "add", Args: add(3, 4)},
-		{Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
+	waitAll("batch, one process", c.GoBatchHosts([]CrossCall{
+		{Line: ln, Name: "add", Args: add(1, 2)},
+		{Line: ln, Name: "add", Args: add(3, 4)},
+		{Line: ln, Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
 	}))
-	waitAll("batch, two processes", ln.GoBatch([]BatchCall{
-		{Name: "add", Args: add(1, 2)},
-		{Name: "setshaft", Args: setshaft},
-		{Name: "add", Args: add(3, 4)},
+	waitAll("batch, two processes", c.GoBatchHosts([]CrossCall{
+		{Line: ln, Name: "add", Args: add(1, 2)},
+		{Line: ln, Name: "setshaft", Args: setshaft},
+		{Line: ln, Name: "add", Args: add(3, 4)},
 	}))
 
 	ln2, err := c.ContactSchx("shape2")
@@ -230,9 +231,9 @@ func TestWireShape(t *testing.T) {
 	_, err = ln.Call("add", add(1, 2)...)
 	must("call after move", err)
 	must("move back", ln.Move("add", "sgi-lerc", false))
-	waitAll("batch after move", ln.GoBatch([]BatchCall{
-		{Name: "add", Args: add(1, 2)},
-		{Name: "add", Args: add(3, 4)},
+	waitAll("batch after move", c.GoBatchHosts([]CrossCall{
+		{Line: ln, Name: "add", Args: add(1, 2)},
+		{Line: ln, Name: "add", Args: add(3, 4)},
 	}))
 	must("move with state", ln2.Move("next", "rs6000", true))
 	_, err = ln2.Call("next")

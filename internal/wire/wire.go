@@ -117,12 +117,12 @@ const (
 	// KJournalEntry carries one journal record: Data is an 8-byte
 	// big-endian sequence number followed by the record payload.
 	KJournalEntry
-	// KBatch carries several requests in one wire message: Data is a
-	// sequence of addressed sub-frames (AppendSub/SplitSub), each a
-	// complete encoded request, optionally tagged with the address of
-	// the local process it is destined for (a Server fans sub-requests
-	// out to its processes; a process ignores the tags). The envelope's
-	// own Seq correlates the KBatchOK reply.
+	// KBatch carries several requests in one wire message to a
+	// machine's Server: Data is a sequence of addressed sub-frames
+	// (AppendSub/SplitSub), each a complete encoded request tagged with
+	// the address of the local process it is destined for, which the
+	// Server fans it out to. The envelope's own Seq correlates the
+	// KBatchOK reply.
 	KBatch
 	// KBatchOK answers KBatch: Data carries one unaddressed sub-frame
 	// per sub-request, in request order, each a complete encoded reply
