@@ -49,8 +49,7 @@ func (m *Manager) StopCheckpoints() {
 // error). Safe to call at any time; DST's checkpoint_now op calls it
 // directly.
 func (m *Manager) CheckpointNow() (snapshots, failures int) {
-	targets := m.statefulVictims()
-	for _, v := range targets {
+	for _, v := range m.victims(func(p *remoteProc) bool { return !statelessProc(p) }) {
 		state, err := m.captureState(v.proc)
 		if err != nil {
 			failures++
@@ -60,37 +59,16 @@ func (m *Manager) CheckpointNow() (snapshots, failures int) {
 			continue
 		}
 		m.mu.Lock()
-		lineLive := v.ln == m.shared || m.lines[v.ln.id] == v.ln
-		if m.stopped || !lineLive || v.ln.processes[v.proc.addr] != v.proc {
+		if !m.installed(v.ln, v.proc) {
 			// The process moved, failed over, or quit while its state
 			// was in flight; the snapshot describes an instance that no
 			// longer exists.
 			m.mu.Unlock()
 			continue
 		}
-		ck := m.checkpoints[v.proc.addr]
-		if ck == nil {
-			ck = make(map[string][]byte)
-			m.checkpoints[v.proc.addr] = ck
-		}
-		acked := true
-		// Journal in export order, so replay order is deterministic.
-		for _, spec := range v.proc.exports {
-			data, ok := state[spec.Name]
-			if !ok {
-				continue
-			}
-			if err := m.journalAppend(&journalRecord{
-				Op: jopCheckpoint, Line: v.ln.id, Addr: v.proc.addr,
-				Proc: spec.Name, State: data,
-			}); err != nil {
-				acked = false
-				break
-			}
-			ck[spec.Name] = data
-		}
+		err = m.commitState(v.ln, v.proc, state)
 		m.mu.Unlock()
-		if !acked {
+		if err != nil {
 			failures++
 			trace.Count("schooner.manager.checkpoint_failures")
 			continue
@@ -103,25 +81,19 @@ func (m *Manager) CheckpointNow() (snapshots, failures int) {
 	return snapshots, failures
 }
 
-// statefulVictims lists every installed process with at least one
-// stateful export, ordered by line id then address so checkpoint and
-// recovery sweeps are deterministic.
-func (m *Manager) statefulVictims() []victim {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []victim
-	collect := func(ln *line) {
-		for _, pr := range sortedProcs(ln) {
-			if !statelessProc(pr) {
-				out = append(out, victim{ln, pr})
+// commitState commits state as proc's acked checkpoint: one record per
+// export it covers, in export order so replay order is deterministic.
+// Callers hold m.mu.
+func (m *Manager) commitState(ln *line, proc *remoteProc, state map[string][]byte) error {
+	for _, spec := range proc.exports {
+		if data, ok := stateFor(state, spec.Name); ok {
+			if err := m.commit(&journalRecord{Op: jopCheckpoint, Line: ln.id,
+				Addr: proc.addr, Proc: spec.Name, State: data}); err != nil {
+				return err
 			}
 		}
 	}
-	collect(m.shared)
-	for _, id := range sortedLineIDs(m.lines) {
-		collect(m.lines[id])
-	}
-	return out
+	return nil
 }
 
 // checkpointFor returns the last acked checkpoint covering every

@@ -15,15 +15,21 @@ import (
 	"npss/internal/wire"
 )
 
-// durableDeployment is a deployment whose Manager journals to an
-// in-memory WAL backend. The backend outlives Manager crashes, so a
-// recovered incarnation replays what its predecessor wrote.
+// durableDeployment is a deployment whose Manager journals to a WAL
+// backend (in memory unless the test supplies one). The backend
+// outlives Manager crashes, so a recovered incarnation replays what
+// its predecessor wrote.
 type durableDeployment struct {
 	*deployment
-	backend *wal.MemBackend
+	backend wal.Backend
 }
 
 func newDurableDeployment(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *durableDeployment {
+	t.Helper()
+	return newDurableDeploymentOn(t, wal.NewMemBackend(), mgrHost, hosts)
+}
+
+func newDurableDeploymentOn(t *testing.T, backend wal.Backend, mgrHost string, hosts map[string]*machine.Arch) *durableDeployment {
 	t.Helper()
 	n := netsim.New()
 	for name, arch := range hosts {
@@ -31,7 +37,6 @@ func newDurableDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 	}
 	tr := NewSimTransport(n)
 	reg := NewRegistry()
-	backend := wal.NewMemBackend()
 	log, err := wal.Open(backend, wal.Options{})
 	if err != nil {
 		t.Fatal(err)

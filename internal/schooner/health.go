@@ -1,6 +1,7 @@
 package schooner
 
 import (
+	"errors"
 	"time"
 
 	"npss/internal/flight"
@@ -42,14 +43,15 @@ type hostHealth struct {
 
 // StartHealth begins heartbeating every machine's Server and, when a
 // machine is declared dead, automatically re-homes its procedure
-// processes on an alternate up machine and repoints the name database
-// — the same migration machinery as Move, so clients' lazy
-// stale-cache recovery finds the new home transparently. Stateless
-// procedures restart from their initial state; stateful ones (those
-// with a state clause) are restored from their last acked checkpoint
-// when the Manager runs a checkpoint sweep, and are skipped — loudly —
-// when no complete checkpoint exists. Health monitoring is off by
-// default; call StartHealth to opt in, StopHealth (or Stop) to end it.
+// processes on an alternate up machine through rehome, the same step
+// Move takes, so the name database is repointed by the same journal
+// records and clients' lazy stale-cache recovery finds the new home
+// transparently. Stateless procedures restart from their initial
+// state; stateful ones (those with a state clause) are restored from
+// their last acked checkpoint when the Manager runs a checkpoint
+// sweep, and are skipped — loudly — when no complete checkpoint
+// exists. Health monitoring is off by default; call StartHealth to opt
+// in, StopHealth (or Stop) to end it.
 func (m *Manager) StartHealth(p HealthPolicy) {
 	p = p.withDefaults()
 	m.mu.Lock()
@@ -188,24 +190,7 @@ func (m *Manager) failoverHost(deadHost string) {
 		sp = trace.StartSpan("failover "+deadHost, m.host)
 		defer sp.End()
 	}
-	// Victims go in line and address order, so a run on a virtual
-	// clock re-homes them in the same order every time.
-	var victims []victim
-	m.mu.Lock()
-	collect := func(ln *line) {
-		for _, pr := range sortedProcs(ln) {
-			if pr.host == deadHost {
-				victims = append(victims, victim{ln, pr})
-			}
-		}
-	}
-	for _, id := range sortedLineIDs(m.lines) {
-		collect(m.lines[id])
-	}
-	collect(m.shared)
-	m.mu.Unlock()
-
-	for _, v := range victims {
+	for _, v := range m.victims(func(p *remoteProc) bool { return p.host == deadHost }) {
 		m.failoverVictim(v, deadHost, sp)
 	}
 }
@@ -231,64 +216,22 @@ func (m *Manager) failoverVictim(v victim, exclude string, sp *trace.Span) bool 
 		}
 	}
 	for _, target := range m.aliveHosts(exclude) {
-		fresh, specs, err := m.spawn(target, v.proc.path, sp.Context())
-		if err != nil {
-			continue // try the next machine
+		_, err := m.rehome(v.ln, v.proc, target, state, sp.Context())
+		if errors.Is(err, errSuperseded) {
+			return false
 		}
-		if err := sameExports(v.proc.exports, specs, v.proc.language); err != nil {
-			m.shutdownProcess(fresh)
+		if err != nil {
+			// The target died (or mangled the transfer) between spawn
+			// and swap; the next machine gets a fresh spawn.
+			logx.For("manager", m.host).Warn("re-home failed, trying next machine",
+				"proc", v.proc.path, "target", target, "err", err)
 			continue
 		}
 		if state != nil {
-			if err := m.installState(fresh, state); err != nil {
-				// The target died (or mangled the transfer) between
-				// spawn and state install; the next machine gets a
-				// fresh spawn and a fresh install.
-				m.shutdownProcess(fresh)
-				trace.Count("schooner.manager.restore_failures")
-				logx.For("manager", m.host).Warn("state restore failed, trying next machine",
-					"proc", v.proc.path, "target", target, "err", err)
-				continue
-			}
-		}
-		// Swap under lock, verifying the line and process are
-		// still installed (a concurrent Move or quit wins).
-		m.mu.Lock()
-		lineLive := v.ln == m.shared || m.lines[v.ln.id] == v.ln
-		if m.stopped || !lineLive || v.ln.processes[v.proc.addr] != v.proc {
-			m.mu.Unlock()
-			m.shutdownProcess(fresh)
-			return false
-		}
-		for name, r := range v.ln.names {
-			if r.proc == v.proc {
-				v.ln.names[name] = &procRef{proc: fresh, spec: r.spec}
-			}
-		}
-		delete(v.ln.processes, v.proc.addr)
-		v.ln.processes[fresh.addr] = fresh
-		m.journalAppend(&journalRecord{Op: jopUninstall, Line: v.ln.id, Addr: v.proc.addr})
-		m.journalAppend(&journalRecord{Op: jopInstall, Line: v.ln.id, Path: fresh.path,
-			Host: fresh.host, Addr: fresh.addr, Specs: fresh.specText})
-		delete(m.checkpoints, v.proc.addr)
-		if state != nil {
-			// The restored state is the fresh copy's first acked
-			// checkpoint, so an immediate second crash restores from
-			// here rather than finding nothing.
-			ck := make(map[string][]byte, len(state))
-			for _, spec := range fresh.exports {
-				data, ok := stateFor(state, spec.Name)
-				if !ok {
-					continue
-				}
-				ck[spec.Name] = data
-				m.journalAppend(&journalRecord{Op: jopCheckpoint, Line: v.ln.id,
-					Addr: fresh.addr, Proc: spec.Name, State: data})
-			}
-			m.checkpoints[fresh.addr] = ck
+			m.mu.Lock()
 			m.restored[v.proc.addr]++
+			m.mu.Unlock()
 		}
-		m.mu.Unlock()
 		// Best-effort shutdown of the original (usually
 		// unreachable — the machine is dead).
 		m.shutdownProcess(v.proc)

@@ -1,16 +1,18 @@
 package schooner
 
-// The Manager's control-plane journal: every mutation of the name
-// database — line registration, process install, uninstall, line quit
-// — plus every acked state checkpoint is appended to a write-ahead
-// log (package wal) as one JSON record. Replaying the journal
-// rebuilds the exact name database a crashed Manager held, so
+// The Manager's control-plane journal: every change to the Manager's
+// tables — line registration, process install, uninstall, line quit,
+// acked state checkpoint — is one JSON record in a write-ahead log
+// (package wal). commit appends a record and then applies it with
+// applyJournal, the same function replay uses, so applyJournal is the
+// only code that writes the tables and the live database is always
+// the one a recovered Manager rebuilds from the log. That is what lets
 // `schooner-manager -recover` (or a warm standby promoting itself)
-// can re-adopt the procedure processes that survived the crash.
+// re-adopt the procedure processes that survived a crash.
 //
-// Records are appended while m.mu is held, so journal order equals
-// name-database mutation order and a replayed database can never see
-// an install for a line that has not been registered yet.
+// Records are committed while m.mu is held, so journal order equals
+// table mutation order and a replayed database can never see an
+// install for a line that has not been registered yet.
 
 import (
 	"encoding/binary"
@@ -18,7 +20,6 @@ import (
 	"fmt"
 
 	"npss/internal/trace"
-	"npss/internal/uts"
 	"npss/internal/vclock"
 	"npss/internal/wire"
 )
@@ -44,6 +45,10 @@ type journalRecord struct {
 	Specs  string `json:"specs,omitempty"`  // install: raw spawn payload (language header + UTS text)
 	Proc   string `json:"proc,omitempty"`   // checkpoint: export name
 	State  []byte `json:"state,omitempty"`  // checkpoint: marshaled state
+
+	// proc is a live install's already-parsed process, so only replay
+	// parses Specs.
+	proc *remoteProc
 }
 
 // journalEntry is one appended record as delivered to a KJournalTail
@@ -64,10 +69,20 @@ type journalSub struct {
 // hold before it counts as not keeping up.
 const maxTailBacklog = 256
 
+// commit makes one change to the Manager's tables: it appends rec to
+// the journal and then applies it with applyJournal, exactly as replay
+// will. A record the journal refuses is not applied; without a journal
+// the append is a no-op and the record is simply applied. Callers hold
+// m.mu.
+func (m *Manager) commit(rec *journalRecord) error {
+	if err := m.journalAppend(rec); err != nil {
+		return fmt.Errorf("schooner: journal refused %s record: %w", rec.Op, err)
+	}
+	return m.applyJournal(rec)
+}
+
 // journalAppend writes one record to the journal and fans it out to
-// tail subscribers. Callers hold m.mu, which is what makes the journal
-// a faithful serialization of the name database. A Manager without a
-// journal configured is a no-op.
+// tail subscribers. A Manager without a journal configured is a no-op.
 func (m *Manager) journalAppend(rec *journalRecord) error {
 	if m.journal == nil {
 		return nil
@@ -107,7 +122,8 @@ func (m *Manager) recoverFromJournal() error {
 	})
 }
 
-// applyJournal applies one replayed record to the in-memory database.
+// applyJournal applies one record to the in-memory tables, live (from
+// commit) and on replay alike.
 func (m *Manager) applyJournal(rec *journalRecord) error {
 	switch rec.Op {
 	case jopLine:
@@ -129,18 +145,16 @@ func (m *Manager) applyJournal(rec *journalRecord) error {
 		if ln == nil {
 			return fmt.Errorf("schooner: journal installs into unknown line %d", rec.Line)
 		}
-		lang, specText := splitSpawnPayload(rec.Specs)
-		specFile, err := uts.Parse(specText)
-		if err != nil {
-			return fmt.Errorf("schooner: journal install of %s: %w", rec.Path, err)
-		}
-		proc := &remoteProc{
-			path: rec.Path, host: rec.Host, addr: rec.Addr,
-			language: lang, exports: specFile.Exports(), specText: rec.Specs,
+		proc := rec.proc
+		if proc == nil {
+			var err error
+			if proc, err = parseProc(rec.Path, rec.Host, rec.Addr, rec.Specs); err != nil {
+				return fmt.Errorf("schooner: journal install: %w", err)
+			}
 		}
 		for _, spec := range proc.exports {
 			ref := &procRef{proc: proc, spec: spec}
-			for _, n := range lookupNames(spec, lang) {
+			for _, n := range lookupNames(spec, proc.language) {
 				ln.names[n] = ref
 			}
 		}

@@ -1,6 +1,7 @@
 package schooner
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -176,19 +177,7 @@ func (m *Manager) recover() error {
 // live ones; dead ones go through the failover path. Runs before the
 // listener opens, ordered deterministically for DST.
 func (m *Manager) readoptProcesses() {
-	m.mu.Lock()
-	var victims []victim
-	collect := func(ln *line) {
-		for _, pr := range sortedProcs(ln) {
-			victims = append(victims, victim{ln, pr})
-		}
-	}
-	collect(m.shared)
-	for _, id := range sortedLineIDs(m.lines) {
-		collect(m.lines[id])
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
+	for _, v := range m.victims(nil) {
 		if ping(m.transport, m.host, v.proc.addr, rpcTimeout) {
 			trace.Count("schooner.manager.readopted")
 			flight.Record(flight.Event{Kind: flight.KindReadopt, Component: "manager",
@@ -204,28 +193,42 @@ func (m *Manager) readoptProcesses() {
 	}
 }
 
-// sortedLineIDs returns the line ids in ascending order.
-func sortedLineIDs(lines map[uint32]*line) []uint32 {
-	ids := make([]uint32, 0, len(lines))
-	for id := range lines {
-		ids = append(ids, id)
+// victims lists the installed processes keep accepts (every one when
+// keep is nil) in one fixed order: the shared database first, then the
+// lines by id, each by address. Recovery, failover and the checkpoint
+// sweep all walk it, so a run on a virtual clock visits processes in
+// the same order every time.
+func (m *Manager) victims(keep func(*remoteProc) bool) []victim {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lines := []*line{m.shared}
+	for _, ln := range m.lines {
+		lines = append(lines, ln)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedProcs returns a line's processes ordered by address.
-func sortedProcs(ln *line) []*remoteProc {
-	addrs := make([]string, 0, len(ln.processes))
-	for a := range ln.processes {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	out := make([]*remoteProc, len(addrs))
-	for i, a := range addrs {
-		out[i] = ln.processes[a]
+	sort.Slice(lines, func(i, j int) bool { return lines[i].id < lines[j].id }) // shared is id 0
+	var out []victim
+	for _, ln := range lines {
+		start := len(out)
+		for _, pr := range ln.processes {
+			if keep == nil || keep(pr) {
+				out = append(out, victim{ln, pr})
+			}
+		}
+		sort.Slice(out[start:], func(i, j int) bool { return out[start+i].proc.addr < out[start+j].proc.addr })
 	}
 	return out
+}
+
+// live reports whether ln is still one of the Manager's databases and
+// the Manager is running; installed adds that proc is still installed
+// in it. They guard every commit made after an unlocked round trip (a
+// concurrent Move, failover or quit wins). Callers hold m.mu.
+func (m *Manager) live(ln *line) bool {
+	return !m.stopped && (ln == m.shared || m.lines[ln.id] == ln)
+}
+
+func (m *Manager) installed(ln *line, proc *remoteProc) bool {
+	return m.live(ln) && ln.processes[proc.addr] == proc
 }
 
 func newLine(id uint32, module string) *line {
@@ -420,9 +423,9 @@ func (m *Manager) serve(conn wire.Conn) {
 				resp = errMsg("schooner: connection already registered line %d", registered)
 				break
 			}
-			id := m.registerLine(req.Name)
-			if id == 0 {
-				resp = errMsg("schooner: manager stopped")
+			id, err := m.registerLine(req.Name)
+			if err != nil {
+				resp = errMsg("%v", err)
 				break
 			}
 			registered = id
@@ -465,7 +468,10 @@ func (m *Manager) serve(conn wire.Conn) {
 				resp = errMsg("schooner: no line registered on this connection")
 				break
 			}
-			m.quitLine(registered)
+			if err := m.quitLine(registered); err != nil {
+				resp = errMsg("%v", err)
+				break
+			}
 			quit = true
 			resp = &wire.Message{Kind: wire.KQuitOK}
 		case wire.KShutdown:
@@ -500,18 +506,20 @@ func errMsg(format string, args ...any) *wire.Message {
 	return &wire.Message{Kind: wire.KError, Err: fmt.Sprintf(format, args...)}
 }
 
-func (m *Manager) registerLine(module string) uint32 {
+var errStopped = errors.New("schooner: manager stopped")
+
+func (m *Manager) registerLine(module string) (uint32, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
-		return 0
+		return 0, errStopped
 	}
-	m.nextLine++
-	id := m.nextLine
-	m.lines[id] = newLine(id, module)
-	m.journalAppend(&journalRecord{Op: jopLine, Line: id, Module: module})
+	id := m.nextLine + 1
+	if err := m.commit(&journalRecord{Op: jopLine, Line: id, Module: module}); err != nil {
+		return 0, err
+	}
 	trace.Count("schooner.manager.lines")
-	return id
+	return id, nil
 }
 
 // attachLine re-binds an existing line to a fresh connection: the
@@ -571,11 +579,11 @@ func (m *Manager) handleStartProc(registered uint32, req *wire.Message, sp *trac
 	if path == "" || host == "" {
 		return errMsg("schooner: start request needs a path and a machine")
 	}
-	proc, specs, err := m.spawn(host, path, sp.Context())
+	proc, err := m.spawn(host, path, sp.Context())
 	if err != nil {
 		return errMsg("schooner: starting %s on %s: %v", path, host, err)
 	}
-	if err := m.install(ln, proc, specs); err != nil {
+	if err := m.install(ln, proc); err != nil {
 		m.shutdownProcess(proc)
 		return errMsg("%v", err)
 	}
@@ -591,56 +599,55 @@ func (m *Manager) handleStartProc(registered uint32, req *wire.Message, sp *trac
 // bounded number of times; a Server-reported error is final. ctx is
 // the span context the KSpawn request carries to the Server (zero when
 // untraced).
-func (m *Manager) spawn(host, path string, ctx trace.SpanContext) (*remoteProc, []*uts.ProcSpec, error) {
+func (m *Manager) spawn(host, path string, ctx trace.SpanContext) (*remoteProc, error) {
 	var lastErr error
 	for attempt := 0; attempt < spawnAttempts; attempt++ {
-		proc, specs, err, final := m.spawnOnce(host, path, ctx)
+		proc, err, final := m.spawnOnce(host, path, ctx)
 		if err == nil || final {
-			return proc, specs, err
+			return proc, err
 		}
 		lastErr = err
 		trace.Count("schooner.manager.spawn_retries")
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
 // spawnOnce performs one spawn round trip; final reports whether the
 // error (if any) is not worth retrying.
-func (m *Manager) spawnOnce(host, path string, ctx trace.SpanContext) (_ *remoteProc, _ []*uts.ProcSpec, err error, final bool) {
+func (m *Manager) spawnOnce(host, path string, ctx trace.SpanContext) (_ *remoteProc, err error, final bool) {
 	resp, err := roundTrip(m.transport, m.host, host+":"+ServerPort,
 		&wire.Message{Kind: wire.KSpawn, Name: path, Trace: ctx.Trace, Span: ctx.Span}, rpcTimeout)
 	if err != nil {
-		return nil, nil, err, false
+		return nil, err, false
 	}
 	if resp.Kind == wire.KError {
-		return nil, nil, fmt.Errorf("%s", resp.Err), true
+		return nil, fmt.Errorf("%s", resp.Err), true
 	}
 	if resp.Kind != wire.KSpawnOK {
-		return nil, nil, fmt.Errorf("unexpected %v from server", resp.Kind), true
+		return nil, fmt.Errorf("unexpected %v from server", resp.Kind), true
 	}
-	lang, specText := splitSpawnPayload(string(resp.Data))
-	specFile, err := uts.Parse(specText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad export specification from %s: %w", path, err), true
-	}
-	exports := specFile.Exports()
-	if len(exports) == 0 {
-		return nil, nil, fmt.Errorf("%s exports no procedures", path), true
-	}
-	proc := &remoteProc{path: path, host: host, addr: resp.Str, language: lang,
-		exports: exports, specText: string(resp.Data)}
-	return proc, exports, nil, false
+	proc, err := parseProc(path, host, resp.Str, string(resp.Data))
+	return proc, err, true
 }
 
-// splitSpawnPayload separates the optional "#language ..." header from
-// the specification text. The header is a UTS comment, so a Manager
-// that did not know about it would still parse the specs.
-func splitSpawnPayload(data string) (Language, string) {
-	lang := LangC
-	if strings.HasPrefix(data, "#language fortran\n") {
-		lang = LangFortran
+// parseProc builds the Manager's record of a process from its spawn
+// payload: the UTS export text, after an optional "#language fortran"
+// header (a UTS comment, so a Manager that did not know about it would
+// still parse the specs).
+func parseProc(path, host, addr, payload string) (*remoteProc, error) {
+	specFile, err := uts.Parse(payload)
+	if err != nil {
+		return nil, fmt.Errorf("bad export specification from %s: %w", path, err)
 	}
-	return lang, data
+	proc := &remoteProc{path: path, host: host, addr: addr, language: LangC,
+		exports: specFile.Exports(), specText: payload}
+	if strings.HasPrefix(payload, "#language fortran\n") {
+		proc.language = LangFortran
+	}
+	if len(proc.exports) == 0 {
+		return nil, fmt.Errorf("%s exports no procedures", path)
+	}
+	return proc, nil
 }
 
 // lookupNames returns all names a procedure is reachable under: the
@@ -661,16 +668,18 @@ func lookupNames(spec *uts.ProcSpec, lang Language) []string {
 	return names
 }
 
-// install records a process's exports in a line database, enforcing
+// install commits a process's exports to a line database, enforcing
 // the no-duplicate-names-within-a-line rule.
-func (m *Manager) install(ln *line, proc *remoteProc, specs []*uts.ProcSpec) error {
+func (m *Manager) install(ln *line, proc *remoteProc) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.stopped {
-		return fmt.Errorf("schooner: manager stopped")
+		return errStopped
 	}
-	// Validate before mutating.
-	for _, spec := range specs {
+	if !m.live(ln) {
+		return fmt.Errorf("schooner: line %d no longer exists", ln.id)
+	}
+	for _, spec := range proc.exports {
 		for _, n := range lookupNames(spec, proc.language) {
 			if existing, dup := ln.names[n]; dup {
 				return fmt.Errorf("schooner: procedure name %q already bound in line %d (to %s on %s); duplicate names are only permitted across lines",
@@ -678,16 +687,13 @@ func (m *Manager) install(ln *line, proc *remoteProc, specs []*uts.ProcSpec) err
 			}
 		}
 	}
-	for _, spec := range specs {
-		ref := &procRef{proc: proc, spec: spec}
-		for _, n := range lookupNames(spec, proc.language) {
-			ln.names[n] = ref
-		}
-	}
-	ln.processes[proc.addr] = proc
-	m.journalAppend(&journalRecord{Op: jopInstall, Line: ln.id, Path: proc.path,
-		Host: proc.host, Addr: proc.addr, Specs: proc.specText})
-	return nil
+	return m.commit(installRecord(ln, proc))
+}
+
+// installRecord is the journal record that installs proc into ln.
+func installRecord(ln *line, proc *remoteProc) *journalRecord {
+	return &journalRecord{Op: jopInstall, Line: ln.id, Path: proc.path,
+		Host: proc.host, Addr: proc.addr, Specs: proc.specText, proc: proc}
 }
 
 // findRef resolves a lookup name: the line's own database first, then
@@ -738,12 +744,12 @@ func (m *Manager) handleLookup(registered uint32, req *wire.Message) *wire.Messa
 }
 
 // handleMove relocates the process exporting the named procedure to a
-// new machine: shut down the original, start a fresh copy, update the
-// mapping tables. Clients discover the move lazily — their next call
-// to the old address fails, and the automatic re-ask of the Manager
-// finds the new location. When req.Data is "state", migration state is
-// captured before shutdown and installed into the new process (the
-// planned state-transfer extension).
+// new machine: shut down the original, then re-home it (rehome). Clients
+// discover the move lazily — their next call to the old address fails,
+// and the automatic re-ask of the Manager finds the new location. When
+// req.Data is "state", migration state is captured before shutdown and
+// installed into the new process (the planned state-transfer
+// extension). A Move that loses a race with failover fails.
 func (m *Manager) handleMove(registered uint32, req *wire.Message, sp *trace.Span) *wire.Message {
 	ln, errResp := m.lineFor(registered, req.Line)
 	if errResp != nil {
@@ -758,19 +764,11 @@ func (m *Manager) handleMove(registered uint32, req *wire.Message, sp *trace.Spa
 		return errMsg("schooner: no procedure %q to move", req.Name)
 	}
 	old := ref.proc
-	withState := string(req.Data) == "state"
 
 	// Capture migration state before the original is shut down.
 	var state map[string][]byte
-	if withState {
-		stateful := false
-		for _, spec := range old.exports {
-			if len(spec.State) > 0 {
-				stateful = true
-				break
-			}
-		}
-		if !stateful {
+	if string(req.Data) == "state" {
+		if statelessProc(old) {
 			return errMsg("schooner: %s declares no state clause; use a stateless move", old.path)
 		}
 		var err error
@@ -780,62 +778,62 @@ func (m *Manager) handleMove(registered uint32, req *wire.Message, sp *trace.Spa
 		}
 	}
 
-	// Paper ordering: shut down the original, then start the copy.
+	// Paper ordering: shut down the original, then start the copy. For
+	// a shared procedure the one re-home serves all lines, since every
+	// line resolves shared names through the one shared database.
 	m.shutdownProcess(old)
-	fresh, specs, err := m.spawn(newHost, old.path, sp.Context())
+	fresh, err := m.rehome(ln, old, newHost, state, sp.Context())
 	if err != nil {
-		return errMsg("schooner: restarting %s on %s: %v", old.path, newHost, err)
+		return errMsg("%v", err)
 	}
-	// The fresh copy must export the same procedures (same file).
-	if err := sameExports(old.exports, specs, old.language); err != nil {
-		m.shutdownProcess(fresh)
-		return errMsg("schooner: %s on %s: %v", old.path, newHost, err)
-	}
-	if withState {
-		if err := m.installState(fresh, state); err != nil {
-			m.shutdownProcess(fresh)
-			return errMsg("schooner: installing state on %s: %v", newHost, err)
-		}
-	}
-
-	// Update the mapping tables: every name that referred to the old
-	// process now refers to the fresh one. For a shared procedure this
-	// single update serves all lines, since every line resolves shared
-	// names through the one shared database.
-	m.mu.Lock()
-	for name, r := range ln.names {
-		if r.proc == old {
-			ln.names[name] = &procRef{proc: fresh, spec: r.spec}
-		}
-	}
-	delete(ln.processes, old.addr)
-	ln.processes[fresh.addr] = fresh
-	m.journalAppend(&journalRecord{Op: jopUninstall, Line: ln.id, Addr: old.addr})
-	m.journalAppend(&journalRecord{Op: jopInstall, Line: ln.id, Path: fresh.path,
-		Host: fresh.host, Addr: fresh.addr, Specs: fresh.specText})
-	delete(m.checkpoints, old.addr)
-	if withState {
-		// The transferred state doubles as the fresh copy's first acked
-		// checkpoint: if its host dies before the next sweep, restore
-		// starts from what was just installed rather than from nothing.
-		ck := make(map[string][]byte, len(state))
-		for _, spec := range fresh.exports {
-			data, ok := stateFor(state, spec.Name)
-			if !ok {
-				continue
-			}
-			ck[spec.Name] = data
-			m.journalAppend(&journalRecord{Op: jopCheckpoint, Line: ln.id,
-				Addr: fresh.addr, Proc: spec.Name, State: data})
-		}
-		m.checkpoints[fresh.addr] = ck
-	}
-	m.mu.Unlock()
 	trace.Count("schooner.manager.moves")
 	ctx := sp.Context()
 	flight.Record(flight.Event{Kind: flight.KindMigration, Component: "manager",
 		Host: m.host, Line: ln.id, Trace: ctx.Trace, Span: ctx.Span, Name: req.Name, Detail: newHost})
 	return &wire.Message{Kind: wire.KMoveOK, Str: fresh.addr}
+}
+
+// errSuperseded is rehome's refusal to replace a process that is no
+// longer installed: a concurrent Move, failover or quit got there first.
+var errSuperseded = errors.New("superseded by a concurrent move, failover or quit")
+
+// rehome replaces old with a copy on target — the one migration step
+// Move and failover share. It spawns the copy, checks that it exports
+// what old did, installs state into it (none for a stateless re-home)
+// and, while old is still installed in ln, commits the swap: old's
+// uninstall, the copy's install (its names come from its own exports,
+// as on replay) and, with state, the copy's first acked checkpoint, so
+// a crash right after restores from what was just installed. On any
+// failure the copy is shut down. Dealing with old is the caller's job.
+func (m *Manager) rehome(ln *line, old *remoteProc, target string, state map[string][]byte, ctx trace.SpanContext) (*remoteProc, error) {
+	fresh, err := m.spawn(target, old.path, ctx)
+	if err != nil {
+		return nil, fmt.Errorf("schooner: restarting %s on %s: %w", old.path, target, err)
+	}
+	if err = sameExports(old.exports, fresh.exports, old.language); err != nil {
+		err = fmt.Errorf("schooner: %s on %s: %w", old.path, target, err)
+	} else if err = m.installState(fresh, state); err != nil {
+		trace.Count("schooner.manager.restore_failures")
+		err = fmt.Errorf("schooner: installing state on %s: %w", target, err)
+	} else {
+		m.mu.Lock()
+		err = fmt.Errorf("schooner: %s: %w", old.path, errSuperseded)
+		if m.installed(ln, old) {
+			err = m.commit(&journalRecord{Op: jopUninstall, Line: ln.id, Addr: old.addr})
+		}
+		if err == nil {
+			err = m.commit(installRecord(ln, fresh))
+		}
+		if err == nil {
+			err = m.commitState(ln, fresh, state)
+		}
+		m.mu.Unlock()
+	}
+	if err != nil {
+		m.shutdownProcess(fresh)
+		return nil, err
+	}
+	return fresh, nil
 }
 
 // sameExports verifies that a respawned program exports the same
@@ -929,24 +927,19 @@ func stateFor(state map[string][]byte, name string) ([]byte, bool) {
 // quitLine shuts down every procedure process in a line and removes
 // the line. Shared procedures are unaffected. After a Crash the quit
 // is a no-op: the dying Manager's connection-drop handlers must not
-// shut down processes a recovered incarnation will re-adopt.
-func (m *Manager) quitLine(id uint32) {
+// shut down processes a recovered incarnation will re-adopt. A quit
+// the journal refuses leaves the line as it was.
+func (m *Manager) quitLine(id uint32) error {
 	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
-	}
 	ln, ok := m.lines[id]
-	if ok {
-		delete(m.lines, id)
-		for addr := range ln.processes {
-			delete(m.checkpoints, addr)
-		}
-		m.journalAppend(&journalRecord{Op: jopQuitLine, Line: id})
+	if m.stopped || !ok {
+		m.mu.Unlock()
+		return nil
 	}
+	err := m.commit(&journalRecord{Op: jopQuitLine, Line: id})
 	m.mu.Unlock()
-	if !ok {
-		return
+	if err != nil {
+		return err
 	}
 	for _, p := range ln.processes {
 		m.shutdownProcess(p)
@@ -954,6 +947,7 @@ func (m *Manager) quitLine(id uint32) {
 	trace.Count("schooner.manager.quits")
 	flight.Record(flight.Event{Kind: flight.KindLineQuit, Component: "manager",
 		Host: m.host, Line: id, Name: ln.module})
+	return nil
 }
 
 // RestoreLedger reports how many times each pre-failover process
