@@ -126,7 +126,7 @@ func main() {
 		interval = time.Second
 	}
 
-	spec := exper.RunSpec{Transient: *transient, Step: *step, Throttle: true, Parallel: *parallel, Batch: *batch, NetScale: *netScale}
+	spec := exper.RunSpec{Transient: *transient, Step: *step, Parallel: *parallel, Batch: *batch, NetScale: *netScale}
 
 	// profileLinks accumulates the runs' per-link traffic so the
 	// -profile attribution carries link cost profiles alongside the

@@ -68,30 +68,21 @@ func main() {
 	if *fuel > 0 {
 		eng.Fuel = engine.Constant(*fuel)
 	}
-	if *fuelSched != "" {
-		sched, err := parseSchedule(*fuelSched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng.Fuel = sched
-	}
-
 	if *augFuel > 0 {
 		eng.AugFuel = engine.Constant(*augFuel)
 	}
-	if *augSched != "" {
-		sched, err := parseSchedule(*augSched)
+	// A schedule flag overrides the constant it schedules.
+	for _, f := range []struct {
+		text string
+		dst  **engine.Schedule
+	}{{*fuelSched, &eng.Fuel}, {*augSched, &eng.AugFuel}, {*nozSched, &eng.NozzleArea}} {
+		sched, err := engine.ParseSchedule(f.text)
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng.AugFuel = sched
-	}
-	if *nozSched != "" {
-		sched, err := parseSchedule(*nozSched)
-		if err != nil {
-			log.Fatal(err)
+		if sched != nil {
+			*f.dst = sched
 		}
-		eng.NozzleArea = sched
 	}
 
 	x := append([]float64(nil), eng.DesignState...)
@@ -154,34 +145,6 @@ func main() {
 func report(t float64, o engine.Outputs) {
 	fmt.Printf("  t=%5.2fs thrust=%7.1f kN=%6.2f fuel=%.3f kg/s W2=%6.2f kg/s NL=%.4f NH=%.4f T4=%6.1f K beta=%.3f\n",
 		t, o.Thrust, o.Thrust/1000, o.Fuel, o.W2, o.NL, o.NH, o.T4, o.FanBeta)
-}
-
-func parseSchedule(s string) (*engine.Schedule, error) {
-	// Reuse the widget syntax: "t:v,t:v".
-	var times, values []float64
-	var tt, v float64
-	for _, part := range splitComma(s) {
-		if _, err := fmt.Sscanf(part, "%g:%g", &tt, &v); err != nil {
-			return nil, fmt.Errorf("bad schedule entry %q", part)
-		}
-		times = append(times, tt)
-		values = append(values, v)
-	}
-	return engine.NewSchedule(times, values)
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // writeMapLibrary generates the map files the executive's browser

@@ -95,6 +95,12 @@ func TestTessCLI(t *testing.T) {
 	if err := cmd.Run(); err == nil {
 		t.Error("unknown method exited zero")
 	}
+	// A schedule entry with trailing junk is refused by the schedule
+	// parser the executive's widgets use, not truncated to its number.
+	junk, err := exec.Command(bin, "-fuel-schedule", "0:1.48x,0.005:1.2junk", "-transient", "0.01").CombinedOutput()
+	if err == nil || !strings.Contains(string(junk), `bad schedule value "1.48x"`) {
+		t.Errorf("junk schedule entry: err = %v, output:\n%s", err, junk)
+	}
 }
 
 func TestNpssExpCLI(t *testing.T) {

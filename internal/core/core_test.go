@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,6 +275,35 @@ func TestDestroyShutsDownLines(t *testing.T) {
 	}
 }
 
+// TestLineLostMidRunFailsTheRun checks that a run routes each module
+// once: when a remote module's line quits mid-transient, the run fails
+// naming the quit line instead of finishing the steps in-process.
+func TestLineLostMidRunFailsTheRun(t *testing.T) {
+	tb := newTestbed(t)
+	if err := tb.exec.Network.SetParam(InstSystem, "transient seconds", 0.01); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.exec.SetRemote(InstComb, "sgi-lerc", ""); err != nil {
+		t.Fatal(err)
+	}
+	node, err := tb.exec.Network.Node(InstComb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	_, err = tb.exec.Run(RunOptions{Observe: func(float64, engine.Outputs) {
+		if steps++; steps == 5 {
+			node.Module().Destroy()
+		}
+	}})
+	if err == nil || !strings.Contains(err.Error(), "already quit") {
+		t.Fatalf("run after losing the combustor's line: err = %v, want the quit line named", err)
+	}
+	if steps != 5 {
+		t.Errorf("run observed %d steps, want it to stop after the 5th", steps)
+	}
+}
+
 func TestRePlacementMovesComputation(t *testing.T) {
 	// Selecting a different machine in the radio widget moves the
 	// computation: the old line is shut down and a new one started.
@@ -388,27 +418,6 @@ func TestSolverMethodWidgets(t *testing.T) {
 	// Unknown methods are rejected by the widget itself.
 	if err := tb.exec.Network.SetParam(InstSystem, "transient method", "leapfrog"); err == nil {
 		t.Error("unknown method accepted by widget")
-	}
-}
-
-func TestParseSchedule(t *testing.T) {
-	s, err := ParseSchedule(" 0:1.0, 0.5 : 0.9 ,1:0.8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(0) != 1.0 || s.At(1) != 0.8 {
-		t.Errorf("schedule endpoints wrong")
-	}
-	if v := s.At(0.25); math.Abs(v-0.95) > 1e-12 {
-		t.Errorf("At(0.25) = %g", v)
-	}
-	if s, err := ParseSchedule(""); err != nil || s != nil {
-		t.Error("empty schedule not nil")
-	}
-	for _, bad := range []string{"1", "a:1", "1:b", "1:2,0:1"} {
-		if _, err := ParseSchedule(bad); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted", bad)
-		}
 	}
 }
 

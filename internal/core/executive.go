@@ -463,7 +463,7 @@ func (x *Executive) scheduleWidget(instance, widget string) (*engine.Schedule, e
 	if err != nil {
 		return nil, err
 	}
-	sched, err := ParseSchedule(text)
+	sched, err := engine.ParseSchedule(text)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s %q: %w", instance, widget, err)
 	}
@@ -509,7 +509,8 @@ func (x *Executive) applyStator(instance string, dst **engine.Schedule) error {
 }
 
 // installHooks routes the engine's component computations through the
-// network's adapted modules: remote where a machine is selected, local
+// network's adapted modules, choosing each route once per run: remote
+// where a module's line is up, the engine.LocalHooks computation
 // otherwise. With batch set, the two shaft modules' calls additionally
 // dispatch as one coalesced operation when both compute remotely.
 func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
@@ -527,11 +528,13 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: instance %q is not a shaft module", inst)
 		}
-		shaftHooks[sm.Spool] = sm.Hook()
+		if h := sm.Hook(); h != nil {
+			shaftHooks[sm.Spool] = h
+		}
 		shaftMods[sm.Spool] = sm
 	}
 	if len(shaftHooks) > 0 {
-		local := engine.LocalHooks().Shaft
+		local := hooks.Shaft
 		hooks.Shaft = func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
 			if h, ok := shaftHooks[spool]; ok {
 				return h(qTur, qCom, inertia, omega)
@@ -539,12 +542,8 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 			return local(spool, qTur, qCom, inertia, omega)
 		}
 	}
-	if batch {
-		if low, ok := shaftMods["low"]; ok {
-			if high, ok := shaftMods["high"]; ok {
-				hooks.ShaftPair = x.shaftPairHook(low, high)
-			}
-		}
+	if low, high := shaftMods["low"], shaftMods["high"]; batch && low != nil && high != nil {
+		hooks.ShaftPair = x.shaftPairHook(low, high)
 	}
 
 	// Ducts by station id.
@@ -562,10 +561,12 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: engine has no duct station %q", dm.Station)
 		}
-		ductHooks[dm.Station] = dm.Hook(des)
+		if h := dm.Hook(des); h != nil {
+			ductHooks[dm.Station] = h
+		}
 	}
 	if len(ductHooks) > 0 {
-		local := engine.LocalHooks().Duct
+		local := hooks.Duct
 		hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
 			if h, ok := ductHooks[id]; ok {
 				return h(k, pUp, tUp, far, pDown)
@@ -580,7 +581,9 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: instance %q is not a combustor module", InstComb)
 		}
-		hooks.Combustor = cm.Hook(eng.DesignComb)
+		if h := cm.Hook(eng.DesignComb); h != nil {
+			hooks.Combustor = h
+		}
 	}
 
 	// Nozzle.
@@ -589,7 +592,9 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: instance %q is not a nozzle module", InstNozzle)
 		}
-		hooks.Nozzle = nm.Hook(eng.DesignNozzle)
+		if h := nm.Hook(eng.DesignNozzle); h != nil {
+			hooks.Nozzle = h
+		}
 	}
 
 	eng.Hooks = hooks
@@ -602,14 +607,7 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 func (x *Executive) RemotePlacements() map[string]string {
 	out := make(map[string]string)
 	for _, node := range x.Network.Nodes() {
-		switch m := node.Module().(type) {
-		case *ShaftModule:
-			out[node.Name] = m.Remote()
-		case *DuctModule:
-			out[node.Name] = m.Remote()
-		case *CombustorModule:
-			out[node.Name] = m.Remote()
-		case *NozzleModule:
+		if m, ok := node.Module().(interface{ Remote() string }); ok {
 			out[node.Name] = m.Remote()
 		}
 	}

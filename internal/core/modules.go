@@ -12,15 +12,12 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"npss/internal/dataflow"
 	"npss/internal/engine"
 	"npss/internal/npssproc"
 	"npss/internal/schooner"
-	"npss/internal/uts"
 )
 
 // Local is the machine widget option meaning "compute in-process".
@@ -30,17 +27,19 @@ const Local = "local"
 const stationType = "station"
 
 // remoteModule is the common adaptation machinery: the Schooner line
-// management the paper describes adding to each converted AVS module.
+// management the paper describes adding to each converted AVS module,
+// and the setup constant of its remote set* call.
 type remoteModule struct {
 	exec     *Executive
 	instance string
 	path     string // default executable pathname
 
 	mu          sync.Mutex
-	line        *schooner.Line
-	started     bool
+	line        *schooner.Line // nil when computing in-process
 	machine     string
 	startedPath string // the pathname the running line was started with
+
+	setup setupConst
 }
 
 // addRemoteWidgets declares the two widgets of the adaptation: the
@@ -69,26 +68,15 @@ func (r *remoteModule) ensureStarted(c *dataflow.Context) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.line != nil && r.machine == machineSel && r.startedPath == path {
+		return nil
+	}
+	// Back to in-process computation, or the machine or executable
+	// changed (re-placement or code substitution through the widgets):
+	// the old line, if any, shuts down.
+	r.quit()
 	if machineSel == Local {
-		// Back to in-process computation: the remote line, if any,
-		// shuts down (the module was, in effect, removed from the
-		// remote machine).
-		if r.started {
-			r.line.IQuit()
-			r.line, r.started = nil, false
-		}
-		r.machine = Local
 		return nil
-	}
-	if r.started && r.machine == machineSel && r.startedPath == path {
-		return nil
-	}
-	if r.started {
-		// Machine or executable changed: shut down the old line and
-		// start anew — re-placement or code substitution through the
-		// widgets.
-		r.line.IQuit()
-		r.line, r.started = nil, false
 	}
 	ln, err := r.exec.Client.ContactSchx(r.instance)
 	if err != nil {
@@ -102,8 +90,27 @@ func (r *remoteModule) ensureStarted(c *dataflow.Context) error {
 		ln.IQuit()
 		return fmt.Errorf("core: %s: %w", r.instance, err)
 	}
-	r.line, r.started, r.machine, r.startedPath = ln, true, machineSel, path
+	r.line, r.machine, r.startedPath = ln, machineSel, path
 	return nil
+}
+
+// adapt is the code the paper adds to an adapted module's compute
+// function: the Schooner registration, then invalidating the setup
+// constant, which re-placement may change.
+func (r *remoteModule) adapt(c *dataflow.Context) error {
+	if err := r.ensureStarted(c); err != nil {
+		return err
+	}
+	r.setup.reset()
+	return nil
+}
+
+// quit shuts down the module's line, if any; r.mu is held.
+func (r *remoteModule) quit() {
+	if r.line != nil {
+		r.line.IQuit()
+		r.line = nil
+	}
 }
 
 // Line returns the module's Schooner line, or nil when computing
@@ -111,9 +118,6 @@ func (r *remoteModule) ensureStarted(c *dataflow.Context) error {
 func (r *remoteModule) Line() *schooner.Line {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.started {
-		return nil
-	}
 	return r.line
 }
 
@@ -121,20 +125,17 @@ func (r *remoteModule) Line() *schooner.Line {
 func (r *remoteModule) Remote() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.started {
+	if r.line == nil {
 		return Local
 	}
 	return r.machine
 }
 
-// destroy is sch_i_quit: called from the module's Destroy.
-func (r *remoteModule) destroy() {
+// Destroy shuts down the module's line (sch_i_quit).
+func (r *remoteModule) Destroy() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.started {
-		r.line.IQuit()
-		r.line, r.started = nil, false
-	}
+	r.quit()
 }
 
 // setupConst is an adapted module's once-per-placement setup constant:
@@ -291,8 +292,6 @@ func (m *MixingVolumeModule) Destroy() {}
 type ShaftModule struct {
 	remoteModule
 	Spool string // "low" or "high"
-
-	ecorr setupConst
 }
 
 // NewShaftModule builds a shaft module bound to an executive.
@@ -315,100 +314,76 @@ func (m *ShaftModule) Spec(s *dataflow.Spec) {
 }
 
 // Compute performs the Schooner registration when a remote machine is
-// selected (the code the paper adds to each adapted module's compute
-// function) and forwards station data.
+// selected and forwards station data.
 func (m *ShaftModule) Compute(c *dataflow.Context) error {
-	if err := m.ensureStarted(c); err != nil {
+	if err := m.adapt(c); err != nil {
 		return err
 	}
-	m.ecorr.reset()
 	return c.Out("out", c.In("in"))
 }
 
-// Destroy shuts down the module's line (sch_i_quit).
-func (m *ShaftModule) Destroy() { m.destroy() }
-
-// setup performs the once-per-placement setshaft call (the start of a
-// steady-state computation) and returns the setup constant.
-func (m *ShaftModule) setup(ln *schooner.Line) (float64, error) {
-	return m.ecorr.get(func() (float64, error) {
+// shaftCall builds one remote shaft invocation, making the
+// once-per-placement setshaft call (the start of a steady-state
+// computation) on first use. The paper's shaft signature carries
+// energy (power) terms: each torque times the spool speed.
+func (m *ShaftModule) shaftCall(ln *schooner.Line, qTur, qCom, inertia, omega float64) (schooner.CrossCall, error) {
+	ecorr, err := m.setup.get(func() (float64, error) {
 		return npssproc.Setshaft(ln, []float64{0, 0, 0, 0}, 1, []float64{0, 0, 0, 0}, 1)
 	})
+	if err != nil {
+		return schooner.CrossCall{}, err
+	}
+	return npssproc.ShaftCall(ln,
+		[]float64{qCom * omega, 0, 0, 0}, 1,
+		[]float64{qTur * omega, 0, 0, 0}, 1,
+		ecorr, omega, inertia)
 }
 
-// Hook returns the engine shaft hook routed through this module: the
-// remote setshaft/shaft pair when a machine is selected, the local
-// computation otherwise.
+// Hook returns the engine shaft hook routed through this module's
+// line, or nil when the module computes in-process. The placement is
+// read once: a line that quits during the run fails the calls after.
 func (m *ShaftModule) Hook() func(qTur, qCom, inertia, omega float64) (float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		return nil
+	}
 	return func(qTur, qCom, inertia, omega float64) (float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.ShaftAccel(qTur, qCom, inertia, omega)
-		}
-		ecorr, err := m.setup(ln)
+		cc, err := m.shaftCall(ln, qTur, qCom, inertia, omega)
 		if err != nil {
 			return 0, err
 		}
-		// The paper's shaft signature carries energy (power) terms.
-		return npssproc.Shaft(ln,
-			[]float64{qCom * omega, 0, 0, 0}, 1,
-			[]float64{qTur * omega, 0, 0, 0}, 1,
-			ecorr, omega, inertia)
+		return npssproc.ShaftResults(ln.Call(cc.Name, cc.Args...))
 	}
 }
 
-// shaftCallArgs marshals one shaft invocation exactly as npssproc.Shaft
-// would, for the batched dispatch path.
-func shaftCallArgs(qTur, qCom, inertia, omega, ecorr float64) []uts.Value {
-	return []uts.Value{
-		uts.DoubleArray(qCom*omega, 0, 0, 0), uts.MustInt(1),
-		uts.DoubleArray(qTur*omega, 0, 0, 0), uts.MustInt(1),
-		uts.DoubleVal(ecorr), uts.DoubleVal(omega), uts.DoubleVal(inertia),
-	}
-}
-
-// shaftPairHook coalesces the two spools' shaft computations: when
-// both modules compute remotely, their shaft calls dispatch together
-// through Client.GoBatchHosts, so two calls whose processes share a
-// machine (the paper's combined test puts both shafts on the RS/6000)
-// cost one wire round trip. The sub-calls carry exactly the messages
-// the separate Shaft calls would, so results are bit-identical.
+// shaftPairHook coalesces the two spools' shaft computations, or is nil
+// unless both modules compute remotely: their shaft calls dispatch
+// together through Client.GoBatchHosts, so two calls whose processes
+// share a machine (the paper's combined test puts both shafts on the
+// RS/6000) cost one wire round trip. The sub-calls carry exactly the
+// messages the separate Shaft calls would, so results are
+// bit-identical.
 func (x *Executive) shaftPairHook(low, high *ShaftModule) func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (float64, float64, error) {
+	lnL, lnH := low.Line(), high.Line()
+	if lnL == nil || lnH == nil {
+		return nil
+	}
 	return func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (float64, float64, error) {
-		lnL, lnH := low.Line(), high.Line()
-		if lnL == nil || lnH == nil {
-			// At least one side computes in-process: nothing to coalesce.
-			dL, err := low.Hook()(qTurL, qComL, inertiaL, omegaL)
-			if err != nil {
-				return 0, 0, err
-			}
-			dH, err := high.Hook()(qTurH, qComH, inertiaH, omegaH)
-			return dL, dH, err
-		}
-		eL, err := low.setup(lnL)
+		ccL, err := low.shaftCall(lnL, qTurL, qComL, inertiaL, omegaL)
 		if err != nil {
 			return 0, 0, err
 		}
-		eH, err := high.setup(lnH)
+		ccH, err := high.shaftCall(lnH, qTurH, qComH, inertiaH, omegaH)
 		if err != nil {
 			return 0, 0, err
 		}
-		pends := x.Client.GoBatchHosts([]schooner.CrossCall{
-			{Line: lnL, Name: "shaft", Args: shaftCallArgs(qTurL, qComL, inertiaL, omegaL, eL)},
-			{Line: lnH, Name: "shaft", Args: shaftCallArgs(qTurH, qComH, inertiaH, omegaH, eH)},
-		})
-		outL, err := pends[0].Wait()
+		pends := x.Client.GoBatchHosts([]schooner.CrossCall{ccL, ccH})
+		dL, err := npssproc.ShaftResults(pends[0].Wait())
 		if err != nil {
 			return 0, 0, err
 		}
-		outH, err := pends[1].Wait()
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(outL) != 1 || len(outH) != 1 {
-			return 0, 0, fmt.Errorf("core: batched shaft returned %d/%d results, want 1/1", len(outL), len(outH))
-		}
-		return outL[0].F, outH[0].F, nil
+		dH, err := npssproc.ShaftResults(pends[1].Wait())
+		return dL, dH, err
 	}
 }
 
@@ -417,8 +392,6 @@ func (x *Executive) shaftPairHook(low, high *ShaftModule) func(qTurL, qComL, ine
 type DuctModule struct {
 	remoteModule
 	Station string // engine duct id: "bypass", "mixer-core", ...
-
-	xkd setupConst
 }
 
 // NewDuctModule builds a duct module bound to an executive.
@@ -444,26 +417,23 @@ func (m *DuctModule) Spec(s *dataflow.Spec) {
 
 // Compute performs Schooner registration and forwards station data.
 func (m *DuctModule) Compute(c *dataflow.Context) error {
-	if err := m.ensureStarted(c); err != nil {
+	if err := m.adapt(c); err != nil {
 		return err
 	}
-	m.xkd.reset()
 	return c.Out("out", c.In("in"))
 }
 
-// Destroy shuts down the module's line.
-func (m *DuctModule) Destroy() { m.destroy() }
-
-// Hook returns the duct flow computation routed through this module.
-// The design conditions are used by the remote setduct call that sizes
-// the orifice constant on first use.
+// Hook returns the duct flow computation routed through this module's
+// line, or nil when the module computes in-process. The design
+// conditions are used by the remote setduct call that sizes the
+// orifice constant on first use.
 func (m *DuctModule) Hook(des engine.DuctDesign) func(k, pUp, tUp, far, pDown float64) (float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		return nil
+	}
 	return func(k, pUp, tUp, far, pDown float64) (float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.DuctFlow(k, pUp, tUp, far, pDown)
-		}
-		xkd, err := m.xkd.get(func() (float64, error) {
+		xkd, err := m.setup.get(func() (float64, error) {
 			return npssproc.Setduct(ln, des.W, des.P, des.T, des.FAR, des.DP)
 		})
 		if err != nil {
@@ -478,8 +448,6 @@ func (m *DuctModule) Hook(des engine.DuctDesign) func(k, pUp, tUp, far, pDown fl
 // transient control schedules TESS provides for the combustor.
 type CombustorModule struct {
 	remoteModule
-
-	xkc setupConst
 }
 
 // NewCombustorModule builds the combustor module.
@@ -504,24 +472,21 @@ func (m *CombustorModule) Spec(s *dataflow.Spec) {
 
 // Compute performs Schooner registration and forwards station data.
 func (m *CombustorModule) Compute(c *dataflow.Context) error {
-	if err := m.ensureStarted(c); err != nil {
+	if err := m.adapt(c); err != nil {
 		return err
 	}
-	m.xkc.reset()
 	return c.Out("out", c.In("in"))
 }
 
-// Destroy shuts down the module's line.
-func (m *CombustorModule) Destroy() { m.destroy() }
-
-// Hook returns the combustor computation routed through this module.
+// Hook returns the combustor computation routed through this module's
+// line, or nil when the module computes in-process.
 func (m *CombustorModule) Hook(des engine.CombDesign) func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		return nil
+	}
 	return func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.CombustorCompute(k, pUp, tUp, farUp, pDown, wf, eta, stator)
-		}
-		xkc, err := m.xkc.get(func() (float64, error) {
+		xkc, err := m.setup.get(func() (float64, error) {
 			return npssproc.Setcomb(ln, des.W, des.P, des.T, des.DP)
 		})
 		if err != nil {
@@ -536,8 +501,6 @@ func (m *CombustorModule) Hook(des engine.CombDesign) func(k, pUp, tUp, farUp, p
 // transient control schedule TESS provides for the nozzle).
 type NozzleModule struct {
 	remoteModule
-
-	a8 setupConst
 }
 
 // NewNozzleModule builds the nozzle module.
@@ -556,28 +519,20 @@ func (m *NozzleModule) Spec(s *dataflow.Spec) {
 }
 
 // Compute performs Schooner registration.
-func (m *NozzleModule) Compute(c *dataflow.Context) error {
-	if err := m.ensureStarted(c); err != nil {
-		return err
-	}
-	m.a8.reset()
-	return nil
-}
+func (m *NozzleModule) Compute(c *dataflow.Context) error { return m.adapt(c) }
 
-// Destroy shuts down the module's line.
-func (m *NozzleModule) Destroy() { m.destroy() }
-
-// Hook returns the nozzle computation routed through this module. The
-// remote setnozl sizes the throat area once from design conditions; a
-// mismatch between the engine's area and the remote sizing would
-// indicate a marshaling defect, so the remote value is used.
+// Hook returns the nozzle computation routed through this module's
+// line, or nil when the module computes in-process. The remote setnozl
+// sizes the throat area once from design conditions; a mismatch
+// between the engine's area and the remote sizing would indicate a
+// marshaling defect, so the remote value is used.
 func (m *NozzleModule) Hook(des engine.NozzleDesign) func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		return nil
+	}
 	return func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.NozzleCompute(a8, pt, tt, far, pamb, stator)
-		}
-		a, err := m.a8.get(func() (float64, error) {
+		a, err := m.setup.get(func() (float64, error) {
 			return npssproc.Setnozl(ln, des.W, des.P, des.T, des.FAR, des.Pamb)
 		})
 		if err != nil {
@@ -610,32 +565,3 @@ func (m *SystemModule) Compute(c *dataflow.Context) error { return nil }
 
 // Destroy is a no-op.
 func (m *SystemModule) Destroy() {}
-
-// ParseSchedule parses a transient control schedule written in a
-// type-in widget as "time:value, time:value, ..." (the widget
-// equivalent of TESS's specify-angles-at-certain-times interface). An
-// empty string yields nil.
-func ParseSchedule(text string) (*engine.Schedule, error) {
-	text = strings.TrimSpace(text)
-	if text == "" {
-		return nil, nil
-	}
-	var times, values []float64
-	for _, part := range strings.Split(text, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("core: schedule entry %q not of form time:value", part)
-		}
-		tt, err := strconv.ParseFloat(strings.TrimSpace(kv[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad schedule time %q", kv[0])
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad schedule value %q", kv[1])
-		}
-		times = append(times, tt)
-		values = append(values, v)
-	}
-	return engine.NewSchedule(times, values)
-}

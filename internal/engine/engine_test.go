@@ -47,6 +47,27 @@ func TestScheduleInterpolation(t *testing.T) {
 	}
 }
 
+func TestParseSchedule(t *testing.T) {
+	s, err := ParseSchedule(" 0:1.0, 0.5 : 0.9 ,1:0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.At(0) != 1.0 || s.At(1) != 0.8 {
+		t.Errorf("schedule endpoints wrong")
+	}
+	if v := s.At(0.25); math.Abs(v-0.95) > 1e-12 {
+		t.Errorf("At(0.25) = %g", v)
+	}
+	if s, err := ParseSchedule(""); err != nil || s != nil {
+		t.Error("empty schedule not nil")
+	}
+	for _, bad := range []string{"1", "a:1", "1:b", "1:2,0:1", "0:1.48x", "0.005:1.2junk"} {
+		if _, err := ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted", bad)
+		}
+	}
+}
+
 func TestVolumeEquilibrium(t *testing.T) {
 	// Equal in/out flow at the volume's own temperature: no change.
 	v := &Volume{Name: "test", Vol: 0.5, P: 2e5, T: 500}

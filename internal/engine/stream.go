@@ -23,6 +23,8 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"npss/internal/gasdyn"
 )
@@ -76,6 +78,35 @@ func Constant(v float64) *Schedule {
 // Step builds a schedule that ramps from v0 to v1 between t0 and t1.
 func Step(v0, v1, t0, t1 float64) (*Schedule, error) {
 	return NewSchedule([]float64{t0, t1}, []float64{v0, v1})
+}
+
+// ParseSchedule parses a transient control schedule written as
+// "time:value, time:value, ..." (the type-in widget equivalent of
+// TESS's specify-angles-at-certain-times interface, and the tess
+// command's schedule flags). An empty string yields nil.
+func ParseSchedule(text string) (*Schedule, error) {
+	text = strings.TrimSpace(text)
+	if text == "" {
+		return nil, nil
+	}
+	var times, values []float64
+	for _, part := range strings.Split(text, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("engine: schedule entry %q not of form time:value", part)
+		}
+		tt, err := strconv.ParseFloat(strings.TrimSpace(kv[0]), 64)
+		if err != nil {
+			return nil, fmt.Errorf("engine: bad schedule time %q", kv[0])
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
+		if err != nil {
+			return nil, fmt.Errorf("engine: bad schedule value %q", kv[1])
+		}
+		times = append(times, tt)
+		values = append(values, v)
+	}
+	return NewSchedule(times, values)
 }
 
 // At evaluates the schedule, clamping outside the breakpoint range.

@@ -203,7 +203,7 @@ func chaos(spec *scenario.Spec, crash *scenario.EventSpec) (*chaosRun, error) {
 	}
 	defer exec.Destroy()
 	exec.Client.Policy = spec.Policy
-	run := RunSpec{Transient: spec.Duration.Seconds(), Step: table2Step.Seconds(), Throttle: true}
+	run := RunSpec{Transient: spec.Duration.Seconds(), Step: table2Step.Seconds()}
 	if err := configure(exec, run); err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func TestTopology(t *testing.T) {
 	}
 }
 
-var quickSpec = RunSpec{Transient: 0.1, Step: 5e-4, Throttle: true}
+var quickSpec = RunSpec{Transient: 0.1, Step: 5e-4}
 
 func TestTable1Row(t *testing.T) {
 	// One representative row end-to-end (the full table runs in
@@ -105,7 +105,7 @@ func TestTable2Quick(t *testing.T) {
 // solver tolerance (runConfigured's local run always stays
 // sequential, so MaxRelErr compares the two schedulers end to end).
 func TestTable2Parallel(t *testing.T) {
-	spec := RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Parallel: true}
+	spec := RunSpec{Transient: 0.02, Step: 5e-4, Parallel: true}
 	row := Table2(spec)
 	if row.Err != nil {
 		t.Fatal(row.Err)
@@ -158,7 +158,7 @@ func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
 		t.Fatal(err)
 	}
 	defer exec.Destroy()
-	if err := configure(exec, RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true}); err != nil {
+	if err := configure(exec, RunSpec{Transient: 0.02, Step: 5e-4}); err != nil {
 		t.Fatal(err)
 	}
 	for inst, m := range Table2Placements() {
@@ -338,7 +338,7 @@ func batchedAttribution(t *testing.T, netScale float64) (*ModuleRun, *critpath.P
 	rec := trace.NewRecorder()
 	trace.SetRecorder(rec)
 	defer trace.SetRecorder(nil)
-	row := Table2(RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Batch: true, NetScale: netScale})
+	row := Table2(RunSpec{Transient: 0.02, Step: 5e-4, Batch: true, NetScale: netScale})
 	if row.Err != nil {
 		t.Fatal(row.Err)
 	}
@@ -420,7 +420,7 @@ func TestTable2BatchedAttribution(t *testing.T) {
 // latency must grow the run's simulated network time by roughly the
 // latency share.
 func TestNetScaleDoublesSimNet(t *testing.T) {
-	spec := RunSpec{Transient: 0.02, Step: 5e-4, Throttle: true, Batch: true}
+	spec := RunSpec{Transient: 0.02, Step: 5e-4, Batch: true}
 	base := Table2(spec)
 	if base.Err != nil {
 		t.Fatal(base.Err)

@@ -22,9 +22,6 @@ type RunSpec struct {
 	Transient float64
 	// Step is the integrator step (default 0.5 ms).
 	Step float64
-	// Throttle applies a fuel deceleration schedule so the transient
-	// exercises real dynamics (default true).
-	Throttle bool
 	// Parallel runs the placed (remote) simulation with overlapped
 	// module calls — wavefront network execution plus concurrent
 	// adapted-hook RPCs. The local baseline stays sequential, so the
@@ -225,7 +222,8 @@ func recordSpansOn(v *vclock.Virtual) (restore func()) {
 	}
 }
 
-// configure sets the system-module widgets for a run.
+// configure sets the system-module widgets and the combustor's fuel
+// schedule for a run.
 func configure(exec *core.Executive, spec RunSpec) error {
 	if err := exec.Network.SetParam(core.InstSystem, "transient seconds", spec.Transient); err != nil {
 		return err
@@ -233,14 +231,10 @@ func configure(exec *core.Executive, spec RunSpec) error {
 	if err := exec.Network.SetParam(core.InstSystem, "time step", spec.Step); err != nil {
 		return err
 	}
-	if spec.Throttle {
-		// Decelerate to ~90% fuel over the first tenth of the run.
-		sched := fmt.Sprintf("0:1.48, %g:1.33", spec.Transient/10)
-		if err := exec.Network.SetParam(core.InstComb, "fuel schedule", sched); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Decelerate to ~90% fuel over the first tenth of the run, so the
+	// transient exercises real dynamics.
+	sched := fmt.Sprintf("0:1.48, %g:1.33", spec.Transient/10)
+	return exec.Network.SetParam(core.InstComb, "fuel schedule", sched)
 }
 
 func maxRelErr(local, remote *core.RunResult) float64 {
