@@ -280,6 +280,34 @@ func TestDestroyShutsDownLines(t *testing.T) {
 // naming the quit line instead of finishing the steps in-process.
 func TestLineLostMidRunFailsTheRun(t *testing.T) {
 	tb := newTestbed(t)
+	steps, err := loseCombustorMidRun(t, tb)
+	if err == nil || !strings.Contains(err.Error(), "already quit") {
+		t.Fatalf("run after losing the combustor's line: err = %v, want the quit line named", err)
+	}
+	if steps != 5 {
+		t.Errorf("run observed %d steps, want it to stop after the 5th", steps)
+	}
+}
+
+// TestRunRestartsALostLine: the machine widget still selects sgi-lerc
+// after the combustor's line was shut down mid-run, so the next run
+// starts the line again there instead of computing in-process.
+func TestRunRestartsALostLine(t *testing.T) {
+	tb := newTestbed(t)
+	loseCombustorMidRun(t, tb)
+	if _, err := tb.exec.Run(RunOptions{SkipTransient: true}); err != nil {
+		t.Fatalf("run after the combustor's line was lost: %v", err)
+	}
+	if got := tb.exec.RemotePlacements()[InstComb]; got != "sgi-lerc" {
+		t.Errorf("combustor on %q in the run after its line was lost, want sgi-lerc", got)
+	}
+}
+
+// loseCombustorMidRun places the combustor on sgi-lerc and destroys it
+// (shutting its line down) at the fifth transient step, returning
+// how many steps the run observed and its error.
+func loseCombustorMidRun(t *testing.T, tb *testbed) (int, error) {
+	t.Helper()
 	if err := tb.exec.Network.SetParam(InstSystem, "transient seconds", 0.01); err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +324,7 @@ func TestLineLostMidRunFailsTheRun(t *testing.T) {
 			node.Module().Destroy()
 		}
 	}})
-	if err == nil || !strings.Contains(err.Error(), "already quit") {
-		t.Fatalf("run after losing the combustor's line: err = %v, want the quit line named", err)
-	}
-	if steps != 5 {
-		t.Errorf("run observed %d steps, want it to stop after the 5th", steps)
-	}
+	return steps, err
 }
 
 func TestRePlacementMovesComputation(t *testing.T) {

@@ -131,11 +131,17 @@ func (r *remoteModule) Remote() string {
 	return r.machine
 }
 
-// Destroy shuts down the module's line (sch_i_quit).
+// Destroy shuts down the module's line (sch_i_quit) and marks the
+// module for re-execution, so a module still in the network starts its
+// line again on the next run, as at first (section 4.1). A module
+// removed from the network has no node left to mark.
 func (r *remoteModule) Destroy() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.quit()
+	r.mu.Unlock()
+	if r.instance != "" && r.exec.Network != nil {
+		_ = r.exec.Network.MarkDirty(r.instance)
+	}
 }
 
 // setupConst is an adapted module's once-per-placement setup constant:

@@ -62,10 +62,11 @@ func (q *queue) pushShaped(msg *wire.Message, now time.Time, serial, prop time.D
 	return nil
 }
 
-// pop takes the next delivery, waiting no later than deadline (none if
-// zero): past it, the error is os.ErrDeadlineExceeded.
-func (q *queue) pop(deadline time.Time) (delivery, error) {
-	d, err := q.q.PopUntil(deadline)
+// peek returns the next delivery, leaving it queued, waiting no later
+// than deadline (none if zero): past it, the error is
+// os.ErrDeadlineExceeded.
+func (q *queue) peek(deadline time.Time) (delivery, error) {
+	d, err := q.q.PeekUntil(deadline)
 	if errors.Is(err, vclock.ErrClosed) {
 		return delivery{}, fmt.Errorf("netsim: connection closed")
 	}
@@ -106,19 +107,17 @@ func (c *simConn) Send(m *wire.Message) error {
 	if c.net.pathDown(c.local, c.remote) {
 		return fmt.Errorf("netsim: link %s-%s down", c.local, c.remote)
 	}
-	// Encode into a pooled frame and decode a copy out of it, so the
-	// receiver cannot share mutable state with the sender — the same
-	// isolation a real network provides. Only the frame's length
-	// outlives the copy.
-	frame, err := m.Encode(wire.GetBuf())
+	// The receiver gets its own copy of the payload — the isolation a
+	// real network provides; strings are immutable and shared. The link
+	// charges the length of the message's encoding.
+	size, err := m.Size()
 	if err != nil {
 		return err
 	}
-	copyMsg, err := wire.DecodeMessage(frame)
-	size := len(frame)
-	wire.PutBuf(frame)
-	if err != nil {
-		return err
+	copyMsg := *m
+	copyMsg.Data = nil
+	if len(m.Data) > 0 {
+		copyMsg.Data = append([]byte(nil), m.Data...)
 	}
 	// Fault injection: a dropped message consumes the wire but never
 	// arrives — the sender cannot tell, exactly as on a real network.
@@ -132,19 +131,19 @@ func (c *simConn) Send(m *wire.Message) error {
 	scale := c.net.scale()
 	serial := time.Duration(float64(delay-c.link.Latency-jitter) * scale) // transmission time
 	prop := time.Duration(float64(c.link.Latency+jitter) * scale)
-	return c.out.pushShaped(copyMsg, c.net.Clock().Now(), serial, prop)
+	return c.out.pushShaped(&copyMsg, c.net.Clock().Now(), serial, prop)
 }
 
 // Recv blocks for the next message, honoring its shaped arrival time
 // and the read deadline. A message that would arrive at or after the
 // deadline is a timeout at the deadline, as a reply racing its
-// caller's timer loses the tie.
+// caller's timer loses the tie; it stays queued for the next Recv.
 func (c *simConn) Recv() (*wire.Message, error) {
 	var deadline time.Time
 	if ns := c.deadline.Load(); ns != 0 {
 		deadline = time.Unix(0, ns)
 	}
-	d, err := c.in.pop(deadline)
+	d, err := c.in.peek(deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +152,7 @@ func (c *simConn) Recv() (*wire.Message, error) {
 		return nil, os.ErrDeadlineExceeded
 	}
 	c.net.Clock().SleepUntil(d.arrival)
+	c.in.q.Pop() // d, which only this receiver takes
 	if c.net.pathDown(c.local, c.remote) {
 		return nil, fmt.Errorf("netsim: link %s-%s down", c.local, c.remote)
 	}

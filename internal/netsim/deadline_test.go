@@ -66,6 +66,23 @@ func TestRecvDeadline(t *testing.T) {
 		}
 	})
 
+	t.Run("TimedOutRecvLeavesTheMessage", func(t *testing.T) {
+		v, c, srv := deadlinePair(t)
+		t0 := v.Now()
+		c.SetReadDeadline(t0.Add(latency / 2))
+		srv.Send(ping)
+		if m, err := c.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Recv before the arrival = %v, %v, want a timeout", m, err)
+		}
+		c.SetReadDeadline(t0.Add(time.Hour))
+		if m, err := c.Recv(); err != nil || m.Kind != wire.KPing {
+			t.Fatalf("Recv after a timeout = %v, %v, want the ping it left queued", m, err)
+		}
+		if got := v.Since(t0); got != latency {
+			t.Errorf("delivered after %v, want the link's %v", got, latency)
+		}
+	})
+
 	t.Run("EmptyQueueTimesOutAtDeadline", func(t *testing.T) {
 		v, c, _ := deadlinePair(t)
 		t0 := v.Now()

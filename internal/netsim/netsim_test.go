@@ -127,6 +127,29 @@ func TestMessageIsolation(t *testing.T) {
 	}
 }
 
+func TestReceiverOwnsItsCopy(t *testing.T) {
+	// Mutating a received message must not reach back to the sender.
+	_, a, b := twoHosts(t)
+	l, _ := b.Listen("rpc")
+	done := make(chan *wire.Message, 1)
+	go func() {
+		srv, _ := l.Accept()
+		m, _ := srv.Recv()
+		m.Data[0] = 99
+		done <- m
+	}()
+	c, _ := a.Dial(l.Addr())
+	m := &wire.Message{Kind: wire.KCall, Name: "add", Data: []byte{1, 2, 3}}
+	c.Send(m)
+	got := <-done
+	if m.Data[0] != 1 {
+		t.Error("the receiver's write reached the sender's payload")
+	}
+	if got.Name != "add" || got.Data[1] != 2 {
+		t.Errorf("received %v, want the sent message", got)
+	}
+}
+
 func TestDialErrors(t *testing.T) {
 	n, a, b := twoHosts(t)
 	if _, err := a.Dial("bogus"); err == nil {

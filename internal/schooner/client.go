@@ -3,7 +3,7 @@ package schooner
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -197,14 +197,17 @@ func (l *Line) mgrc() (*demuxConn, int) {
 }
 
 // demuxConn multiplexes one shared connection across concurrently
-// calling goroutines: it numbers each request, the peer echoes the
-// number in its reply, and a reader goroutine routes each reply to the
-// goroutine whose request carried that number. It is the line's Manager
-// connection, the client's Server connection and the pipelined
-// procedure-call path: any number of requests may be in flight on the
-// same connection at once. On a deadline, the waiter abandons its
-// pending entry but the connection stays open — a late reply to an
-// abandoned seq is simply discarded.
+// calling goroutines: it numbers each request, and the peer echoes the
+// number in its reply. No goroutine reads the connection for them:
+// whichever caller holds the receive side reads it, keeps its own
+// reply and hands every other reply to the caller that waits for it.
+// When it returns, on its reply or at its deadline, it passes the
+// receive side to the oldest caller still waiting, or puts it down. It
+// is the line's Manager connection, the client's Server connection and
+// the pipelined procedure-call path: any number of requests may be in
+// flight on the same connection at once. A deadline ends one caller's
+// wait, not the connection: a Recv cut short consumes nothing, and a
+// late reply to an abandoned seq is simply discarded.
 type demuxConn struct {
 	conn  wire.Conn
 	clock vclock.Clock
@@ -213,57 +216,27 @@ type demuxConn struct {
 	sendMu sync.Mutex
 
 	mu      sync.Mutex
-	seq     uint32                  // the last request number handed out
-	pending map[uint32]*vclock.Slot // filled with the reply, or nil when the connection dies
-	err     error                   // terminal receive failure: the connection is dead
+	seq     uint32         // the last request number handed out
+	reading bool           // a caller holds the receive side
+	pending []waiting      // callers without it, in request order
+	spare   []*vclock.Slot // empty slots of callers that have returned
+	err     error          // terminal failure: the connection is dead
 }
+
+// waiting is a caller parked for its reply. Its slot is filled with the
+// reply, with recvTurn to hand it the receive side, or with nil when
+// the connection dies; whoever fills it takes it off the pending list
+// first, under the lock.
+type waiting struct {
+	seq  uint32
+	slot *vclock.Slot
+}
+
+// recvTurn hands a waiting caller the receive side.
+type recvTurn struct{}
 
 func newDemuxConn(conn wire.Conn, clock vclock.Clock) *demuxConn {
-	g := &demuxConn{conn: conn, clock: clock, pending: make(map[uint32]*vclock.Slot)}
-	clock.Go("schooner.demuxConn.readLoop", g.readLoop)
-	return g
-}
-
-// readLoop dispatches replies by echoed sequence number. Replies whose
-// waiter already gave up are discarded. A receive error is terminal:
-// every pending and future waiter fails.
-func (g *demuxConn) readLoop() {
-	for {
-		m, err := g.conn.Recv()
-		if err != nil {
-			g.mu.Lock()
-			g.err = err
-			lost := g.pending
-			g.pending = nil
-			g.mu.Unlock()
-			// Waiters fail in request order, so what they do next does
-			// not depend on map iteration.
-			seqs := make([]uint32, 0, len(lost))
-			for seq := range lost {
-				seqs = append(seqs, seq)
-			}
-			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-			for _, seq := range seqs {
-				lost[seq].Fill(nil)
-			}
-			return
-		}
-		g.mu.Lock()
-		slot, ok := g.pending[m.Seq]
-		if ok {
-			delete(g.pending, m.Seq)
-		}
-		g.mu.Unlock()
-		if ok {
-			slot.Fill(m)
-		}
-	}
-}
-
-func (g *demuxConn) forget(seq uint32) {
-	g.mu.Lock()
-	delete(g.pending, seq)
-	g.mu.Unlock()
+	return &demuxConn{conn: conn, clock: clock}
 }
 
 // exchange performs one request/response round trip, bounded by
@@ -271,8 +244,13 @@ func (g *demuxConn) forget(seq uint32) {
 // here and nowhere else. Transport failures and timeouts are transient
 // (wrapped stale); the reply — including KError — is returned
 // uninterpreted, because Manager and procedure callers attach different
-// meanings to an error reply.
+// meanings to an error reply. A caller that finds the receive side free
+// takes it before it sends, and waits in no slot.
 func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = g.clock.Now().Add(timeout)
+	}
 	g.mu.Lock()
 	if g.err != nil {
 		err := g.err
@@ -281,28 +259,147 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 	}
 	g.seq++
 	req.Seq = g.seq
-	slot := g.clock.NewSlot()
-	g.pending[req.Seq] = slot
+	var slot *vclock.Slot
+	if g.reading {
+		if n := len(g.spare); n > 0 {
+			slot, g.spare = g.spare[n-1], g.spare[:n-1]
+		} else {
+			slot = g.clock.NewSlot()
+		}
+		g.pending = append(g.pending, waiting{req.Seq, slot})
+	}
+	g.reading = true
 	g.mu.Unlock()
 
 	g.sendMu.Lock()
 	err := g.conn.Send(req)
 	g.sendMu.Unlock()
 	if err != nil {
-		g.forget(req.Seq)
+		// With nobody else reading, a dead peer shows only here.
+		g.fail(err)
 		return nil, &staleError{err}
 	}
 	trace.Count("schooner.client.rpcs")
 
-	resp, ok := slot.Wait(timeout)
-	if !ok {
-		g.forget(req.Seq)
-		return nil, &staleError{&timeoutError{peer: g.conn.RemoteLabel(), d: timeout}}
+	if slot != nil {
+		x, ok := slot.WaitUntil(deadline)
+		if !ok {
+			g.abandon(req.Seq, slot)
+		}
+		g.mu.Lock()
+		g.spare = append(g.spare, slot) // empty now, and on no list
+		g.mu.Unlock()
+		if !ok {
+			return nil, g.timeout(timeout)
+		}
+		switch x := x.(type) {
+		case *wire.Message:
+			return x, nil
+		case nil:
+			return nil, &staleError{errConnLost}
+		}
 	}
-	if resp == nil {
-		return nil, &staleError{errors.New("schooner: shared connection lost")}
+	return g.read(req.Seq, deadline, timeout)
+}
+
+var errConnLost = errors.New("schooner: shared connection lost")
+
+func (g *demuxConn) timeout(d time.Duration) error {
+	return &staleError{&timeoutError{peer: g.conn.RemoteLabel(), d: d}}
+}
+
+// read holds the receive side until seq's reply arrives or the
+// deadline passes, handing every other reply to its caller, and then
+// passes the receive side on. A receive error other than the deadline
+// kills the connection.
+func (g *demuxConn) read(seq uint32, deadline time.Time, timeout time.Duration) (*wire.Message, error) {
+	if err := g.conn.SetReadDeadline(deadline); err != nil {
+		g.fail(err)
+		return nil, &staleError{err}
 	}
-	return resp.(*wire.Message), nil
+	for {
+		m, err := g.conn.Recv()
+		switch {
+		case err == nil && m.Seq == seq:
+			g.release()
+			return m, nil
+		case err == nil:
+			g.mu.Lock()
+			if i := g.find(m.Seq); i >= 0 {
+				g.take(i).Fill(m)
+			}
+			g.mu.Unlock()
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			g.release()
+			return nil, g.timeout(timeout)
+		default:
+			g.fail(err)
+			return nil, &staleError{errConnLost}
+		}
+	}
+}
+
+// find returns the index of seq's waiting caller, or -1 if it has none.
+// The caller holds g.mu.
+func (g *demuxConn) find(seq uint32) int {
+	for i, w := range g.pending {
+		if w.seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// take removes the i'th waiting caller and returns its slot. The
+// caller holds g.mu.
+func (g *demuxConn) take(i int) *vclock.Slot {
+	slot := g.pending[i].slot
+	g.pending = append(g.pending[:i], g.pending[i+1:]...)
+	return slot
+}
+
+// release passes the receive side to the oldest waiting caller (the
+// lowest seq, so a virtual run stays a function of its seed), or puts
+// it down.
+func (g *demuxConn) release() {
+	g.mu.Lock()
+	if len(g.pending) > 0 {
+		g.take(0).Fill(recvTurn{})
+	} else {
+		g.reading = false
+	}
+	g.mu.Unlock()
+}
+
+// abandon withdraws a caller whose wait timed out. A slot filled in the
+// meantime loses the race as a late reply does, except that a receive
+// side handed to it is passed on.
+func (g *demuxConn) abandon(seq uint32, slot *vclock.Slot) {
+	g.mu.Lock()
+	i := g.find(seq)
+	if i >= 0 {
+		g.take(i)
+	}
+	g.mu.Unlock()
+	if i < 0 {
+		if x, _ := slot.Wait(0); x == (recvTurn{}) {
+			g.release()
+		}
+	}
+}
+
+// fail marks the connection dead and fails every waiting caller, in
+// request order.
+func (g *demuxConn) fail(err error) {
+	g.mu.Lock()
+	if g.err == nil {
+		g.err = err
+	}
+	for _, w := range g.pending {
+		w.slot.Fill(nil)
+	}
+	g.pending = nil
+	g.mu.Unlock()
 }
 
 // call is exchange with the Manager's error convention applied: a
@@ -318,11 +415,11 @@ func (g *demuxConn) call(req *wire.Message, timeout time.Duration) (*wire.Messag
 	return resp, nil
 }
 
-// Close tears down the underlying connection; the reader goroutine
-// exits and pending waiters fail.
+// Close tears down the underlying connection; the caller holding the
+// receive side fails, and with it every waiting caller.
 func (g *demuxConn) Close() { g.conn.Close() }
 
-// dead reports whether the connection hit a terminal receive failure.
+// dead reports whether the connection hit a terminal failure.
 // Timeouts are not terminal — a slow reply still arrives on a live
 // connection — so dead distinguishes "the peer (or its connection) is
 // gone" from "retry here".

@@ -120,7 +120,9 @@ func TestBoundedAskStartsNoGoroutine(t *testing.T) {
 		peer.Recv() // returns once the asker hangs up
 	}()
 	before := runtime.NumGoroutine()
-	_, err := ask(vclock.Real(), wire.NewStreamConn(a, "mute"), &wire.Message{Kind: wire.KPing}, 200*time.Millisecond)
+	conn := wire.NewStreamConn(a, "mute")
+	defer conn.Close()
+	_, err := ask(vclock.Real(), conn, &wire.Message{Kind: wire.KPing}, 200*time.Millisecond)
 	if !errors.As(err, new(*timeoutError)) {
 		t.Fatalf("ask of a mute peer returned %v, want a timeout", err)
 	}

@@ -461,8 +461,8 @@ func TestCallAllocationCeilings(t *testing.T) {
 	if limit := 2*valueSlice + 4*byteSlice + valueSlice*3/4; bytes > float64(limit) {
 		t.Errorf("bulk echo allocates %.0f bytes per call, over the %d of two value slices and four payloads plus slack", bytes, limit)
 	}
-	if objects > 23+objectSlack {
-		t.Errorf("bulk echo allocates %.2f objects per call, want at most 23", objects)
+	if objects > 12+objectSlack {
+		t.Errorf("bulk echo allocates %.2f objects per call, want at most 12", objects)
 	}
 
 	ecom, etur := uts.DoubleArray(10, 10, 10, 10), uts.DoubleArray(11, 11, 11, 11)
@@ -473,7 +473,7 @@ func TestCallAllocationCeilings(t *testing.T) {
 		}
 	})
 	t.Logf("shaft call: %.2f objects, %.0f bytes per call", objects, bytes)
-	if objects > 25+objectSlack {
-		t.Errorf("shaft call allocates %.2f objects per call, want at most 25", objects)
+	if objects > 15+objectSlack {
+		t.Errorf("shaft call allocates %.2f objects per call, want at most 15", objects)
 	}
 }

@@ -89,8 +89,7 @@ func (e *timeoutError) Error() string {
 // recvTimeout receives one message with a deadline on clock c, on the
 // caller's goroutine: it bounds the connection's Recv by a read
 // deadline and clears it again on success, so the connection can be
-// handed on. On timeout the connection is closed and a *timeoutError
-// is returned; the caller must treat the connection as dead. A
+// handed on. A receive the deadline cuts short is a *timeoutError. A
 // non-positive timeout blocks indefinitely.
 func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
 	if timeout <= 0 {
@@ -101,7 +100,6 @@ func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.M
 	}
 	m, err := conn.Recv()
 	if errors.Is(err, os.ErrDeadlineExceeded) {
-		conn.Close()
 		return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
 	}
 	if err == nil {
@@ -116,8 +114,7 @@ func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.M
 // ask is the request/response step on a connection nobody else is
 // using: send req, then wait up to timeout on clock c for the next
 // message. Transport failures and timeouts are stale, as on a shared
-// connection; after a timeout the connection is closed. The reply is
-// returned uninterpreted.
+// connection. The reply is returned uninterpreted.
 func ask(c vclock.Clock, conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	if err := conn.Send(req); err != nil {
 		return nil, &staleError{err}

@@ -614,3 +614,193 @@ func TestServeReturnsWhenReplyFails(t *testing.T) {
 			c.recvs, c.sends, c.closed)
 	}
 }
+
+// TestVirtualCallHandoffs pins what a call costs in hand-offs on the
+// virtual clock, by equality: the turns each site takes (one per
+// wake-up) and the goroutines it starts. The caller reads its own
+// reply, so a warm call is two turns of the caller's and two of the
+// process's: each parks once for its message to be queued and once
+// for it to arrive. Go adds a goroutine, whose first turn is one more,
+// and the driver's wake-up when it completes.
+func TestVirtualCallHandoffs(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	ln, err := d.client("avs-sparc").ContactSchx("ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.IQuit()
+	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	call := func() {
+		if out, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(2)); err != nil || out[0].F != 3 {
+			t.Fatalf("add(1, 2) = %v, %v", out, err)
+		}
+	}
+	call() // bind
+	const n = 1000
+	for _, c := range []struct {
+		name          string
+		op            func()
+		turns, starts map[string]int
+	}{
+		{"warm call", call,
+			map[string]int{"driver": 2 * n, "schooner.process.serve": 2 * n},
+			map[string]int{}},
+		{"Go().Wait()", func() {
+			if out, err := ln.Go("add", uts.DoubleVal(1), uts.DoubleVal(2)).Wait(); err != nil || out[0].F != 3 {
+				t.Fatalf("add(1, 2) = %v, %v", out, err)
+			}
+		},
+			map[string]int{"driver": n, "schooner.Line.Go": 3 * n, "schooner.process.serve": 2 * n},
+			map[string]int{"schooner.Line.Go": n}},
+		{"flushed call", func() { ln.FlushCache(); call() },
+			map[string]int{"driver": 4 * n, "schooner.Manager.serve": 2 * n,
+				"schooner.process.acceptLoop": n, "schooner.process.serve": 3 * n},
+			map[string]int{"schooner.process.serve": n}},
+	} {
+		turns0, starts0 := v.Handoffs()
+		for i := 0; i < n; i++ {
+			c.op()
+		}
+		turns1, starts1 := v.Handoffs()
+		if got := handoffDelta(turns0, turns1); !reflect.DeepEqual(got, c.turns) {
+			t.Errorf("%s ×%d: turns %v, want %v", c.name, n, got, c.turns)
+		}
+		if got := handoffDelta(starts0, starts1); !reflect.DeepEqual(got, c.starts) {
+			t.Errorf("%s ×%d: goroutine starts %v, want %v", c.name, n, got, c.starts)
+		}
+	}
+}
+
+// handoffDelta is after minus before, by site, without the zeros.
+func handoffDelta(before, after map[string]int) map[string]int {
+	d := make(map[string]int)
+	for site, k := range after {
+		if k -= before[site]; k != 0 {
+			d[site] = k
+		}
+	}
+	return d
+}
+
+// TestDemuxHandoffOnTimeout: the caller holding a shared connection's
+// receive side times out while another caller waits. The receive side
+// passes to the waiting caller, which reads past the first caller's
+// late reply to its own, and the connection stays alive for the next
+// request.
+func TestDemuxHandoffOnTimeout(t *testing.T) {
+	v, g := scriptedDemux(t, func(v *vclock.Virtual, srv wire.Conn) {
+		first, _ := srv.Recv()
+		second, _ := srv.Recv()
+		v.Sleep(time.Second) // past the first caller's deadline
+		pong(srv, first)
+		pong(srv, second)
+	})
+	first := askAsync(v, g, 100*time.Millisecond) // takes the receive side
+	second := askAsync(v, g, 10*time.Second)      // waits behind it
+	if r := outcomeOf(first); !errors.As(r.err, new(*timeoutError)) {
+		t.Fatalf("first caller = %v, %v; want a timeout", r.m, r.err)
+	}
+	if r := outcomeOf(second); r.err != nil || r.m.Kind != wire.KPong || r.m.Seq != 2 {
+		t.Fatalf("second caller = %v, %v; want its pong, seq 2", r.m, r.err)
+	}
+	if g.dead() {
+		t.Fatal("a timeout killed the shared connection")
+	}
+	if m, err := g.exchange(&wire.Message{Kind: wire.KPing}, time.Second); err != nil || m.Seq != 3 {
+		t.Fatalf("the next request = %v, %v; want its pong, seq 3", m, err)
+	}
+}
+
+// TestDemuxHandoffAtCommonDeadline: two callers time out at the same
+// instant. The holder of the receive side hands it to the other, whose
+// wait has already ended; that caller must pass it on, or the next
+// request would wait for a reader that never comes.
+func TestDemuxHandoffAtCommonDeadline(t *testing.T) {
+	v, g := scriptedDemux(t, func(v *vclock.Virtual, srv wire.Conn) {
+		srv.Recv() // neither is answered
+		srv.Recv()
+	})
+	first := askAsync(v, g, 100*time.Millisecond)
+	second := askAsync(v, g, 100*time.Millisecond)
+	for i, s := range []*vclock.Slot{first, second} {
+		if r := outcomeOf(s); !errors.As(r.err, new(*timeoutError)) {
+			t.Fatalf("caller %d = %v, %v; want a timeout", i+1, r.m, r.err)
+		}
+	}
+	if m, err := g.exchange(&wire.Message{Kind: wire.KPing}, time.Second); err != nil || m.Seq != 3 {
+		t.Fatalf("the next request = %v, %v; want its pong, seq 3", m, err)
+	}
+}
+
+// scriptedDemux connects a demuxConn on a fresh virtual clock to a peer
+// that runs script on its end of the connection and then answers every
+// further request at once.
+func scriptedDemux(t *testing.T, script func(v *vclock.Virtual, srv wire.Conn)) (*vclock.Virtual, *demuxConn) {
+	t.Helper()
+	v := vclock.NewVirtual()
+	n := netsim.New()
+	n.SetClock(v)
+	n.SetTimeScale(1)
+	a := n.MustAddHost("avs-sparc", machine.SPARC)
+	b := n.MustAddHost("sgi-lerc", machine.SGI)
+	l, err := b.Listen("rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := a.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Go("test.peer", func() {
+		script(v, srv)
+		for {
+			req, err := srv.Recv()
+			if err != nil {
+				return
+			}
+			pong(srv, req)
+		}
+	})
+	t.Cleanup(func() {
+		srv.Close()
+		if err := v.Stop(); err != nil {
+			t.Error(err)
+		}
+	})
+	return v, newDemuxConn(conn, v)
+}
+
+func pong(srv wire.Conn, req *wire.Message) {
+	srv.Send(&wire.Message{Kind: wire.KPong, Seq: req.Seq})
+}
+
+// outcome is what one exchange returned.
+type outcome struct {
+	m   *wire.Message
+	err error
+}
+
+// askAsync pings through g on a participant of its own; the slot it
+// returns is filled with the outcome.
+func askAsync(v *vclock.Virtual, g *demuxConn, timeout time.Duration) *vclock.Slot {
+	done := v.NewSlot()
+	v.Go("test.caller", func() {
+		m, err := g.exchange(&wire.Message{Kind: wire.KPing}, timeout)
+		done.Fill(outcome{m, err})
+	})
+	return done
+}
+
+// outcomeOf waits for what askAsync reports.
+func outcomeOf(done *vclock.Slot) outcome {
+	x, _ := done.Wait(0)
+	return x.(outcome)
+}

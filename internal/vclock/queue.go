@@ -60,9 +60,24 @@ func (q *Queue[T]) Pop() (x T, ok bool) {
 // passes with the queue empty and open, and with ErrClosed where Pop
 // reports false.
 func (q *Queue[T]) PopUntil(deadline time.Time) (x T, err error) {
+	return q.next(deadline, true)
+}
+
+// PeekUntil is PopUntil that leaves the item it returns at the head of
+// the queue, for the next Pop to take.
+func (q *Queue[T]) PeekUntil(deadline time.Time) (x T, err error) {
+	return q.next(deadline, false)
+}
+
+func (q *Queue[T]) next(deadline time.Time, take bool) (x T, err error) {
 	for {
 		q.mu.Lock()
 		if q.head < len(q.items) {
+			if !take {
+				x = q.items[q.head]
+				q.mu.Unlock()
+				return x, nil
+			}
 			x, q.items[q.head] = q.items[q.head], x
 			if q.head++; q.head == len(q.items) {
 				q.items, q.head = q.items[:0], 0

@@ -22,15 +22,17 @@
 // freezes time; Ledger names it.
 //
 // On the real clock Go is a go statement and a Slot is a one-place
-// channel with a time.Timer beside it.
+// channel with a time.Timer beside it, re-armed by each bounded wait.
 package vclock
 
 import (
 	"container/heap"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -65,6 +67,10 @@ type Clock interface {
 // oldest first.
 type Slot struct {
 	ch chan any // real clock
+	// timer bounds a real-clock wait. The waiter that claims it re-arms
+	// it; one that finds it claimed builds its own.
+	timer   *time.Timer
+	claimed atomic.Bool
 
 	v       *Virtual // virtual clock; the rest is guarded by v.mu
 	full    bool
@@ -103,10 +109,28 @@ func (s *Slot) Wait(timeout time.Duration) (x any, ok bool) {
 		return x, true
 	default:
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	var t *time.Timer
+	if s.claimed.CompareAndSwap(false, true) {
+		defer s.claimed.Store(false)
+		if t = s.timer; t == nil {
+			t = time.NewTimer(timeout)
+			s.timer = t
+		} else {
+			t.Reset(timeout)
+		}
+	} else {
+		t = time.NewTimer(timeout)
+	}
 	select {
 	case x = <-s.ch:
+		if !t.Stop() {
+			// go.mod says go 1.22, so a timer that fired keeps its tick
+			// in the channel, where the next Reset would find it.
+			select {
+			case <-t.C:
+			default:
+			}
+		}
 		return x, true
 	case <-t.C:
 		return nil, false
@@ -243,6 +267,9 @@ type Virtual struct {
 	timers timerHeap            // parked with a deadline
 	parked map[*waiter]struct{} // every parked participant, for Stop and Ledger
 
+	turns  map[string]int // turns passed, by the site that took them
+	starts map[string]int // goroutines started with Go, by site
+
 	halted bool
 	live   map[string]int // goroutines started with Go and not yet returned, by site
 	nlive  int
@@ -259,6 +286,8 @@ func NewVirtual() *Virtual {
 		cur:    driver,
 		busy:   map[string]int{driver: 1},
 		parked: make(map[*waiter]struct{}),
+		turns:  make(map[string]int),
+		starts: make(map[string]int),
 		live:   make(map[string]int),
 		idle:   make(chan struct{}),
 	}
@@ -362,6 +391,17 @@ func writeCounts(b *strings.Builder, m map[string]int) {
 	}
 }
 
+// Handoffs reports, by site, how many turns the clock has passed and
+// how many goroutines Go has started since it was created. A turn is
+// one wake-up: a participant's first run, or its return from a park.
+// Both counts are a function of the run's inputs, so a test can pin
+// what a code path costs in hand-offs by equality.
+func (v *Virtual) Handoffs() (turns, starts map[string]int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return maps.Clone(v.turns), maps.Clone(v.starts)
+}
+
 // Now reports the current virtual time.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
@@ -386,6 +426,7 @@ func (v *Virtual) NewSlot() *Slot { return &Slot{v: v} }
 // whoever was woken before it.
 func (v *Virtual) Go(site string, fn func()) {
 	v.mu.Lock()
+	v.starts[site]++
 	v.live[site]++
 	v.nlive++
 	var w *waiter // its first turn; none on a stopped clock
@@ -480,6 +521,7 @@ func (v *Virtual) next() {
 		v.ready = v.ready[1:]
 	}
 	v.cur = w.site
+	v.turns[w.site]++
 	w.ch <- struct{}{}
 }
 

@@ -347,6 +347,79 @@ func TestVirtualTurnAllocatesNothing(t *testing.T) {
 // sync.Pool lost a pooled waiter: none in a plain build.
 var poolSlack = 0.0
 
+// TestVirtualHandoffs: the clock counts a turn per wake-up and a start
+// per Go, by site. The driver's first turn is its creation, not a
+// wake-up.
+func TestVirtualHandoffs(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	done := v.NewSlot()
+	v.Go("sleeper", func() {
+		v.Sleep(time.Second)
+		v.Sleep(time.Second)
+		done.Fill(nil)
+	})
+	done.Wait(0)
+	turns, starts := v.Handoffs()
+	if want := map[string]int{"sleeper": 3, "driver": 1}; !reflect.DeepEqual(turns, want) {
+		t.Errorf("turns = %v, want %v", turns, want)
+	}
+	if want := map[string]int{"sleeper": 1}; !reflect.DeepEqual(starts, want) {
+		t.Errorf("starts = %v, want %v", starts, want)
+	}
+}
+
+// TestRealSlotReusesItsTimer: a bounded wait on a real-clock slot
+// re-arms the slot's one timer instead of building a new one, and a
+// second waiter at the same time still gets a deadline of its own.
+func TestRealSlotReusesItsTimer(t *testing.T) {
+	s := Real().NewSlot()
+	go func() { time.Sleep(time.Millisecond); s.Fill(1) }()
+	if x, ok := s.Wait(time.Hour); !ok || x != 1 {
+		t.Fatalf("Wait = %v, %v, want the value filled before the deadline", x, ok)
+	}
+	t0 := time.Now()
+	if _, ok := s.Wait(5 * time.Millisecond); ok {
+		t.Fatal("empty slot yielded a value")
+	}
+	if d := time.Since(t0); d < 5*time.Millisecond {
+		t.Fatalf("a re-armed wait timed out after %v, want at least 5ms", d)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Wait(time.Microsecond) }); allocs != 0 {
+		t.Errorf("a bounded wait allocates %v objects, want 0", allocs)
+	}
+	errs := make(chan bool, 2)
+	for i := 0; i < 2; i++ {
+		go func() { _, ok := s.Wait(time.Millisecond); errs <- ok }()
+	}
+	for i := 0; i < 2; i++ {
+		if <-errs {
+			t.Fatal("empty slot yielded a value to a concurrent waiter")
+		}
+	}
+}
+
+// TestQueuePeekUntil: a peek leaves the item for the next pop, and
+// times out like PopUntil on an empty queue.
+func TestQueuePeekUntil(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	q := NewQueue[int](v)
+	if _, err := q.PeekUntil(v.Now().Add(time.Second)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("PeekUntil on an empty queue = %v, want os.ErrDeadlineExceeded", err)
+	}
+	q.Push(1)
+	q.Push(2)
+	if x, err := q.PeekUntil(time.Time{}); err != nil || x != 1 {
+		t.Fatalf("PeekUntil = %v, %v, want 1", x, err)
+	}
+	for want := 1; want <= 2; want++ {
+		if x, ok := q.Pop(); !ok || x != want {
+			t.Fatalf("Pop after a peek = %v, %v, want %d", x, ok, want)
+		}
+	}
+}
+
 // TestRealClock smoke-tests the wall-clock implementation.
 func TestRealClock(t *testing.T) {
 	c := Real()

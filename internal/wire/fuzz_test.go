@@ -8,7 +8,7 @@ import (
 // FuzzDecodeMessage hammers the frame decoder with arbitrary bytes.
 // Anything that decodes must re-encode and decode again to the same
 // message — the decoder defines the canonical form, so the round trip
-// is the oracle.
+// is the oracle — and its Size must be its encoding's length.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := []*Message{
 		{Kind: KRegisterLine, Name: "npss-inlet"},
@@ -49,6 +49,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		b, err := m.Encode(nil)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v (%v)", err, m)
+		}
+		if n, err := m.Size(); err != nil || n != len(b) {
+			t.Fatalf("Size = %d, %v; the encoding has %d bytes", n, err, len(b))
 		}
 		m2, err := DecodeMessage(b)
 		if err != nil {

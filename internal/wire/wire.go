@@ -11,7 +11,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sync"
@@ -191,24 +190,19 @@ const (
 	maxData   = 1 << 26 // 64 MiB payload cap
 )
 
+// fixedSize is the length of an encoding with empty strings and payload.
+const fixedSize = 1 + 4 + 4 + 8 + 8 + 2 + 2 + 2 + 4
+
 // Encode appends the serialized message to buf. The layout is:
 // kind(1) seq(4) line(4) trace(8) span(8) name(2+n) str(2+n) err(2+n)
 // data(4+n), all big-endian.
 func (m *Message) Encode(buf []byte) ([]byte, error) {
-	if m.Kind == KInvalid {
-		return nil, fmt.Errorf("wire: cannot encode invalid message")
-	}
-	for _, s := range []string{m.Name, m.Str, m.Err} {
-		if len(s) >= maxString {
-			return nil, fmt.Errorf("wire: string field of %d bytes too long", len(s))
-		}
-	}
-	if len(m.Data) > maxData {
-		return nil, fmt.Errorf("wire: payload of %d bytes too long", len(m.Data))
+	if err := m.check(); err != nil {
+		return nil, err
 	}
 	// At most one allocation, not append's growth steps, whether buf is
 	// nil or a pooled buffer too small for this message.
-	buf = slices.Grow(buf, 1+4+4+8+8+2+len(m.Name)+2+len(m.Str)+2+len(m.Err)+4+len(m.Data))
+	buf = slices.Grow(buf, fixedSize+len(m.Name)+len(m.Str)+len(m.Err)+len(m.Data))
 	buf = append(buf, byte(m.Kind))
 	buf = binary.BigEndian.AppendUint32(buf, m.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, m.Line)
@@ -220,6 +214,34 @@ func (m *Message) Encode(buf []byte) ([]byte, error) {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Data)))
 	return append(buf, m.Data...), nil
+}
+
+// check is what Encode refuses.
+func (m *Message) check() error {
+	if m.Kind == KInvalid {
+		return fmt.Errorf("wire: cannot encode invalid message")
+	}
+	for _, s := range []string{m.Name, m.Str, m.Err} {
+		if len(s) >= maxString {
+			return fmt.Errorf("wire: string field of %d bytes too long", len(s))
+		}
+	}
+	if len(m.Data) > maxData {
+		return fmt.Errorf("wire: payload of %d bytes too long", len(m.Data))
+	}
+	return nil
+}
+
+// Size is len(Encode(nil)) without the encoding. Its error is the one
+// Encode gives, or else the one DecodeMessage would give the encoding.
+func (m *Message) Size() (int, error) {
+	if err := m.check(); err != nil {
+		return 0, err
+	}
+	if m.Kind >= kindMax {
+		return 0, fmt.Errorf("wire: unknown message kind %d", m.Kind)
+	}
+	return fixedSize + len(m.Name) + len(m.Str) + len(m.Err) + len(m.Data), nil
 }
 
 // encBufPool recycles encode/frame scratch buffers so the steady-state
@@ -303,9 +325,9 @@ type Conn interface {
 	// SetReadDeadline bounds every later Recv as net.Conn's does: a
 	// Recv still waiting at t fails with an error err for which
 	// errors.Is(err, os.ErrDeadlineExceeded), and a zero t removes the
-	// bound. It may be called from any goroutine. A timed-out Recv may
-	// have consumed part of what the peer sent, so after one the
-	// connection is good only for closing.
+	// bound. It may be called from any goroutine. A Recv cut short by
+	// the deadline consumes nothing: the next Recv resumes where it
+	// stopped, so a timeout leaves the connection usable.
 	SetReadDeadline(t time.Time) error
 	Close() error
 	// RemoteLabel describes the peer for diagnostics ("hostname" or
@@ -319,7 +341,10 @@ type Conn interface {
 type StreamConn struct {
 	rw    net.Conn
 	label string
-	rbuf  []byte
+	// rbuf[rpos:rend] has been read from the stream and not yet
+	// returned: part of a frame, or several frames.
+	rbuf       []byte
+	rpos, rend int
 	// High-water tracking for rbuf: one large message must not pin a
 	// large buffer for the connection's lifetime, so every
 	// rbufShrinkEvery receives the buffer shrinks back toward the
@@ -352,42 +377,62 @@ func (c *StreamConn) Send(m *Message) error {
 	return err
 }
 
-// Recv reads one framed message, blocking until available.
+// Recv returns the next framed message. It reads the stream only when
+// the buffer holds no whole frame, and then as much as the stream has;
+// a read cut short by the deadline keeps what it got for the next Recv.
 func (c *StreamConn) Recv() (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
-		return nil, err
+	for {
+		need := 4
+		if buf := c.rbuf[c.rpos:c.rend]; len(buf) >= 4 {
+			n := int(binary.BigEndian.Uint32(buf))
+			if n > maxData+maxString*4 {
+				return nil, fmt.Errorf("wire: frame of %d bytes too large", n)
+			}
+			if len(buf) >= 4+n {
+				if c.rpos += 4 + n; c.rpos == c.rend {
+					c.rpos, c.rend = 0, 0
+				}
+				c.rhigh = max(c.rhigh, n)
+				m, err := DecodeMessage(buf[4 : 4+n])
+				c.maybeShrink()
+				return m, err
+			}
+			need += n
+		}
+		c.reserve(need)
+		k, err := c.rw.Read(c.rbuf[c.rend:])
+		c.rend += k
+		if err != nil && k == 0 {
+			return nil, err
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxData+maxString*4 {
-		return nil, fmt.Errorf("wire: frame of %d bytes too large", n)
+}
+
+// reserve makes room for need bytes from rpos: it moves the unread
+// bytes to the front, and grows the buffer when that is not enough.
+func (c *StreamConn) reserve(need int) {
+	if c.rpos+need <= len(c.rbuf) {
+		return
 	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
+	buf := c.rbuf
+	if need > len(buf) {
+		buf = make([]byte, max(need, rbufMinCap))
 	}
-	if int(n) > c.rhigh {
-		c.rhigh = int(n)
-	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.rw, buf); err != nil {
-		return nil, err
-	}
-	m, err := DecodeMessage(buf)
-	c.maybeShrink()
-	return m, err
+	c.rend = copy(buf, c.rbuf[c.rpos:c.rend])
+	c.rbuf, c.rpos = buf, 0
 }
 
 // maybeShrink releases rbuf when its capacity exceeds 4x the largest
-// frame of the recent window, so a single outsized message (a state
-// transfer, a flight dump) stops pinning memory once traffic returns
-// to normal.
+// frame of the recent window and it holds nothing unread, so a single
+// outsized message (a state transfer, a flight dump) stops pinning
+// memory once traffic returns to normal.
 func (c *StreamConn) maybeShrink() {
 	c.rcount++
 	if c.rcount < rbufShrinkEvery {
 		return
 	}
-	if want := max(c.rhigh, rbufMinCap); cap(c.rbuf) > 4*want {
-		c.rbuf = make([]byte, 0, want)
+	if want := max(c.rhigh+4, rbufMinCap); len(c.rbuf) > 4*want && c.rend == 0 {
+		c.rbuf = make([]byte, want)
 	}
 	c.rcount, c.rhigh = 0, 0
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -229,5 +230,60 @@ func TestStreamConnReadDeadline(t *testing.T) {
 	}
 	if m, err := cb.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("Recv from a silent peer = %v, %v, want os.ErrDeadlineExceeded", m, err)
+	}
+}
+
+// TestStreamConnResumesAfterTimeout: a frame that arrives in two parts
+// around a read-deadline timeout is received whole by the next Recv,
+// and a frame behind it in the same write by the one after.
+func TestStreamConnResumesAfterTimeout(t *testing.T) {
+	a, b := net.Pipe()
+	cb := NewStreamConn(b, "peer-a")
+	defer a.Close()
+	defer cb.Close()
+	want := &Message{Kind: KCall, Seq: 7, Name: "shaft", Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	frame, _ := want.Encode(make([]byte, 4))
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	next := append([]byte(nil), frame...)
+	next[4+1+3] = 8 // the second frame's Seq
+	half := len(frame) / 2
+	resume := make(chan struct{})
+	go func() {
+		a.Write(frame[:half])
+		<-resume
+		a.Write(append(frame[half:], next...))
+	}()
+	cb.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if m, err := cb.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Recv of half a frame = %v, %v, want os.ErrDeadlineExceeded", m, err)
+	}
+	close(resume)
+	cb.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, seq := range []uint32{7, 8} {
+		m, err := cb.Recv()
+		if err != nil || m.Seq != seq || m.Name != want.Name || !bytes.Equal(m.Data, want.Data) {
+			t.Fatalf("Recv after the timeout = %v, %v, want %v with seq %d", m, err, want, seq)
+		}
+	}
+}
+
+// TestSizeErrors: Size refuses what Encode refuses, and what
+// DecodeMessage would refuse of the encoding, with the same error.
+func TestSizeErrors(t *testing.T) {
+	long := strings.Repeat("x", maxString)
+	for _, m := range []*Message{{}, {Kind: KPing, Err: long}, {Kind: KPing, Data: make([]byte, maxData+1)}} {
+		_, want := m.Encode(nil)
+		if _, err := m.Size(); err == nil || err.Error() != want.Error() {
+			t.Errorf("Size of %v: %v, want Encode's %v", m, err, want)
+		}
+	}
+	m := &Message{Kind: kindMax}
+	b, err := m.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := DecodeMessage(b)
+	if _, err := m.Size(); err == nil || err.Error() != want.Error() {
+		t.Errorf("Size of kind %d: %v, want DecodeMessage's %v", kindMax, err, want)
 	}
 }
