@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"npss/internal/uts"
@@ -17,6 +18,59 @@ var fuzzLists = [][]uts.Param{
 		"k" val integer, "ok" val boolean, "fs" val array[5] of float, "ls" val array[2] of long,
 		"m" val array[2] of array[2] of double)`).InParams(),
 	uts.MustParseProc(`import named prog("s" val string, "xs" val array[4] of double, "b" val byte, "z" val double)`).InParams(),
+}
+
+// dirtyLists, parallel to fuzzLists, are what the storage a fuzzed
+// message is decoded into last held: arrays of other element kinds at
+// the lengths the list declares, some of them aggregates, so every
+// reused element holds fields its new kind does not set, and values of
+// other lengths and kinds, which the decoder must not reuse.
+var dirtyLists = [][]uts.Param{
+	uts.MustParseProc(`import d0 prog("xs" val array[4096] of long, "y" val array[3] of boolean)`).InParams(),
+	uts.MustParseProc(`import d1 prog("a" val array[3] of integer, "r" val array[3] of double, "k" val array[5] of byte,
+		"ok" val double, "fs" val array[5] of array[1] of double, "ls" val array[2] of double, "m" val array[2] of integer)`).InParams(),
+	uts.MustParseProc(`import d2 prog("s" val array[4] of long, "xs" val array[4] of record("n" string, "x" array[2] of integer),
+		"b" val array[8] of boolean, "z" val array[1] of double)`).InParams(),
+}
+
+// dirty returns values of the given list with every field at every
+// depth set, I, F and S alike: storage an earlier call left holds
+// nothing a decode may count on.
+func dirty(params []uts.Param) []uts.Value {
+	var scribble func(v *uts.Value)
+	scribble = func(v *uts.Value) {
+		for i := range v.Elems {
+			scribble(&v.Elems[i])
+		}
+		v.I, v.F, v.S = -1, -1, "dirty"
+	}
+	vals := make([]uts.Value, len(params))
+	for i, p := range params {
+		vals[i] = uts.Zero(p.Type)
+		scribble(&vals[i])
+	}
+	return vals
+}
+
+// bitsValue mirrors a uts.Value with its double as bits, so that
+// reflect.DeepEqual compares NaNs by payload.
+type bitsValue struct {
+	Type  *uts.Type
+	I     int64
+	F     uint64
+	S     string
+	Elems []bitsValue
+}
+
+func asBits(vs []uts.Value) []bitsValue {
+	if vs == nil {
+		return nil
+	}
+	out := make([]bitsValue, len(vs))
+	for i, v := range vs {
+		out[i] = bitsValue{v.Type, v.I, math.Float64bits(v.F), v.S, asBits(v.Elems)}
+	}
+	return out
 }
 
 // bulkMessage is the message FuzzDecodeParamsNative decodes as the
@@ -40,7 +94,9 @@ func double(f float64) []byte { return binary.BigEndian.AppendUint64(nil, math.F
 // converting gives — the values bit for bit, the index of the parameter
 // a machine cannot hold, and the error text — on every registered
 // architecture. A malformed message reports its decode error even when
-// an earlier value is out of range.
+// an earlier value is out of range. Decoding into storage an earlier
+// decode of another list left gives what decoding afresh gives, down to
+// every field of every element.
 func FuzzDecodeParamsNative(f *testing.F) {
 	names := Names()
 	arch := func(name string) uint8 {
@@ -96,9 +152,18 @@ func FuzzDecodeParamsNative(f *testing.F) {
 				wantBad = i
 			}
 		}
-		got, bad, err := uts.DecodeParamsNative(data, params, a)
+		got, bad, err := uts.DecodeParamsNative(data, params, a, nil)
 		if bad != wantBad || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: DecodeParamsNative(%x) = bad %d, %v; decode then convert: bad %d, %v", a.Name, data, bad, err, wantBad, wantErr)
+		}
+		reused, rbad, rerr := uts.DecodeParamsNative(data, params, a, dirty(dirtyLists[list]))
+		if rbad != bad || (rerr == nil) != (err == nil) || (rerr != nil && rerr.Error() != err.Error()) {
+			t.Fatalf("%s: DecodeParamsNative(%x) into storage = bad %d, %v; afresh: bad %d, %v", a.Name, data, rbad, rerr, bad, err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(asBits(reused[i:i+1]), asBits(got[i:i+1])) {
+				t.Fatalf("%s: list %d, parameter %d: DecodeParamsNative into storage gives %v; afresh %v", a.Name, list, i, reused[i], got[i])
+			}
 		}
 		if err != nil {
 			return

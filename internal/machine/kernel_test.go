@@ -369,7 +369,7 @@ func TestNativeRoundTripMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, wantErr = refRoundTrip(a, arrived[0])
-			fused, bad, err := uts.DecodeParamsNative(buf, p, a)
+			fused, bad, err := uts.DecodeParamsNative(buf, p, a, nil)
 			if !sameError(err, wantErr) || (err != nil) != (bad == 0) || (err == nil && !sameBits(fused[0], want)) {
 				t.Fatalf("%s: DecodeParamsNative(%v) = %v, %d, %v; reference %v, %v", name, arrived[0], fused, bad, err, want, wantErr)
 			}
@@ -412,7 +412,8 @@ func TestNativeRoundTripSharesNoStorage(t *testing.T) {
 // round trip and an in-place run of doubles allocate nothing, a copying
 // aggregate conversion allocates its Elems and nothing else, and a
 // decode fused with the conversion allocates what decoding does: the
-// parameter list and one Elems per array.
+// parameter list and one Elems per array, or nothing when it decodes
+// into the storage of an earlier decode.
 func TestConversionDoesNotAllocate(t *testing.T) {
 	fs := make([]float64, 4096)
 	for i := range fs {
@@ -425,6 +426,10 @@ func TestConversionDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		kept, _, err := uts.DecodeParamsNative(buf, params, a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for what, c := range map[string]struct {
 			max float64
 			fn  func() error
@@ -433,7 +438,8 @@ func TestConversionDoesNotAllocate(t *testing.T) {
 			"array round trip":  {1, func() error { _, err := a.NativeRoundTrip(arr); return err }},
 			"doubles in place":  {0, func() error { return a.NativeDoubles(arr.Elems) }},
 			"bytes in place":    {0, func() error { return a.NativeDoubleBytes(buf) }},
-			"fused decode":      {2, func() error { _, _, err := uts.DecodeParamsNative(buf, params, a); return err }},
+			"fused decode":      {2, func() error { _, _, err := uts.DecodeParamsNative(buf, params, a, nil); return err }},
+			"into storage":      {0, func() error { _, _, err := uts.DecodeParamsNative(buf, params, a, kept); return err }},
 		} {
 			var err error
 			if n := testing.AllocsPerRun(10, func() { err = c.fn() }); n > c.max || err != nil {

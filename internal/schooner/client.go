@@ -937,7 +937,7 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 	}
 	// Inbound conversion: UTS -> native, fused with the decoding.
 	outs := imp.OutParams()
-	results, bad, err := uts.DecodeParamsNative(reply, outs, arch)
+	results, bad, err := uts.DecodeParamsNative(reply, outs, arch, nil)
 	if bad >= 0 {
 		return nil, fmt.Errorf("schooner: result %q: %w", outs[bad].Name, err)
 	}

@@ -45,6 +45,16 @@ type process struct {
 	planMu sync.RWMutex
 	plans  map[planKey]*callPlan
 
+	// args is the free list of argument sets: the storage a call
+	// decodes its arguments into, taken before the decode and put back
+	// once the reply is encoded (Handler's ownership rule). A set is
+	// made only by a call that finds the list empty, so the list never
+	// holds more sets than calls were ever in the process at once. It
+	// is not a sync.Pool: a collection would drain the pool, and the
+	// next bulk call would allocate what it was meant to reuse.
+	argsMu sync.Mutex
+	args   [][]uts.Value
+
 	stopOnce sync.Once
 	done     chan struct{}
 }
@@ -284,10 +294,11 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
 	// Convert incoming values into this machine's native formats as
-	// they are decoded: the UTS-to-native half of the conversion, with
-	// its range errors. The values are this call's own, so they are
-	// converted where they lie.
-	in, bad, err := uts.DecodeParamsNative(m.Data, pl.imp.InParams(), p.arch)
+	// they are decoded, into an argument set of the free list: the
+	// UTS-to-native half of the conversion, with its range errors. The
+	// values are this call's own, so they are converted where they lie.
+	// A call that fails here drops its set.
+	in, bad, err := uts.DecodeParamsNative(m.Data, pl.imp.InParams(), p.arch, p.takeArgs())
 	if bad >= 0 {
 		return &wire.Message{Kind: wire.KError,
 			Err: fmt.Sprintf("schooner: converting parameter to %s native format: %v", p.arch.Name, err)}
@@ -295,6 +306,9 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
+	// Every return below comes after the reply is encoded, or with no
+	// reply to encode.
+	defer p.putArgs(in)
 	if pl.inFrom != nil {
 		// Assemble the full in-parameter list of the export: parameters
 		// omitted by a subset import take their zero values, which
@@ -368,6 +382,28 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 	}
 	encode.End()
 	return &wire.Message{Kind: wire.KReply, Data: data}
+}
+
+// takeArgs takes an argument set off the free list, or nil when it is
+// empty.
+func (p *process) takeArgs() []uts.Value {
+	p.argsMu.Lock()
+	defer p.argsMu.Unlock()
+	n := len(p.args)
+	if n == 0 {
+		return nil
+	}
+	in := p.args[n-1]
+	p.args[n-1] = nil
+	p.args = p.args[:n-1]
+	return in
+}
+
+// putArgs puts an argument set back on the free list.
+func (p *process) putArgs(in []uts.Value) {
+	p.argsMu.Lock()
+	p.args = append(p.args, in)
+	p.argsMu.Unlock()
 }
 
 // stateFor finds the bound procedure by name and checks it supports

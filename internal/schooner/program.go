@@ -37,6 +37,13 @@ func (l Language) String() string {
 // Handler is the implementation of one exported procedure: it receives
 // the in-parameters (val and var, in declaration order) and returns
 // the out-parameters (res and var, in declaration order).
+//
+// A procedure's arguments are its own until it returns: it may read
+// them, change them in place and return any of them as a result. Then
+// in and every array under it go back to the procedure process, which
+// decodes a later call's arguments into the same storage. A procedure
+// that keeps an argument past its return keeps a copy (Value.Clone),
+// and one that stores a value of its own into in gives that value up.
 type Handler func(in []uts.Value) (out []uts.Value, err error)
 
 // BoundProc is one exported procedure inside a running instance: its

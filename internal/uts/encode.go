@@ -197,18 +197,23 @@ func truncated(t *Type, need, have int) error {
 
 // Decode reads one value of type t from buf, returning the value and
 // the remaining bytes.
-func Decode(buf []byte, t *Type) (Value, []byte, error) {
+func Decode(buf []byte, t *Type) (Value, []byte, error) { return decode(buf, t, nil) }
+
+// decode is Decode into storage the caller keeps: when t is an array of
+// fixed-size scalars and elems has its declared length, the elements
+// are decoded into elems rather than into a new slice.
+func decode(buf []byte, t *Type, elems []Value) (Value, []byte, error) {
 	switch t.Kind() {
 	case Integer, Long, Byte, Boolean, Float, Double:
 		size, _ := t.scalarSize()
 		if len(buf) < size {
 			return Value{}, nil, truncated(t, size, len(buf))
 		}
-		var v Value
-		if err := decodeScalar(&v, t.kind, buf); err != nil {
+		var v [1]Value
+		if err := decodeScalars(v[:], t.kind, buf); err != nil {
 			return Value{}, nil, err
 		}
-		return v, buf[size:], nil
+		return v[0], buf[size:], nil
 	case String:
 		if len(buf) < 4 {
 			return Value{}, nil, truncated(t, 4, len(buf))
@@ -229,18 +234,18 @@ func Decode(buf []byte, t *Type) (Value, []byte, error) {
 		if t.Len() > len(buf) {
 			return Value{}, nil, fmt.Errorf("uts: truncated array: %d elements declared, %d bytes remain", t.Len(), len(buf))
 		}
-		elems := make([]Value, t.Len())
 		et := t.Elem()
 		if size, scalar := et.scalarSize(); scalar {
+			if len(elems) != t.Len() {
+				elems = make([]Value, t.Len())
+			}
 			// Fixed-size scalars: the length is checked once, here, and
-			// the scalar kernel fills the elements in place. A short
-			// buffer still decodes the elements it holds first, so an
-			// invalid one among them is reported before the truncation.
+			// the kernel fills the elements. A short buffer still
+			// decodes the elements it holds first, so an invalid one
+			// among them is reported before the truncation.
 			whole := min(len(elems), len(buf)/size)
-			for i := 0; i < whole; i++ {
-				if err := decodeScalar(&elems[i], et.kind, buf[i*size:]); err != nil {
-					return Value{}, nil, err
-				}
+			if err := decodeScalars(elems[:whole], et.kind, buf); err != nil {
+				return Value{}, nil, err
 			}
 			buf = buf[whole*size:]
 			if whole < len(elems) {
@@ -248,6 +253,7 @@ func Decode(buf []byte, t *Type) (Value, []byte, error) {
 			}
 			return Value{Type: t, Elems: elems}, buf, nil
 		}
+		elems = make([]Value, t.Len())
 		var err error
 		for i := range elems {
 			if elems[i], buf, err = Decode(buf, et); err != nil {
@@ -269,30 +275,57 @@ func Decode(buf []byte, t *Type) (Value, []byte, error) {
 	return Value{}, nil, fmt.Errorf("uts: cannot decode type %v", t)
 }
 
-// decodeScalar is the per-element kernel of Decode: it stores in *v,
-// which must be a zero Value, the scalar of kind k at the front of b,
-// which the caller has checked is long enough. Only the fields the kind
-// uses are written: storing a whole Value costs a bulk write barrier
-// per element while the collector runs.
-func decodeScalar(v *Value, k Kind, b []byte) error {
+// decodeScalars is the scalar kernel of decode: it fills vs with the
+// consecutive scalars of kind k at the front of b, which the caller has
+// checked holds len(vs) of them, in one loop per kind.
+func decodeScalars(vs []Value, k Kind, b []byte) error {
 	switch k {
 	case Integer:
-		v.Type, v.I = TInteger, int64(int32(binary.BigEndian.Uint32(b)))
-	case Long:
-		v.Type, v.I = TLong, int64(binary.BigEndian.Uint64(b))
-	case Byte:
-		v.Type, v.I = TByte, int64(b[0])
-	case Boolean:
-		if b[0] > 1 {
-			return fmt.Errorf("uts: invalid boolean byte %#x", b[0])
+		for i := range vs {
+			setScalar(&vs[i], TInteger, int64(int32(binary.BigEndian.Uint32(b[4*i:]))), 0)
 		}
-		v.Type, v.I = TBoolean, int64(b[0])
+	case Long:
+		for i := range vs {
+			setScalar(&vs[i], TLong, int64(binary.BigEndian.Uint64(b[8*i:])), 0)
+		}
+	case Byte:
+		for i := range vs {
+			setScalar(&vs[i], TByte, int64(b[i]), 0)
+		}
+	case Boolean:
+		for i := range vs {
+			if b[i] > 1 {
+				return fmt.Errorf("uts: invalid boolean byte %#x", b[i])
+			}
+			setScalar(&vs[i], TBoolean, int64(b[i]), 0)
+		}
 	case Float:
-		v.Type, v.F = TFloat, float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
+		for i := range vs {
+			setScalar(&vs[i], TFloat, 0, float64(math.Float32frombits(binary.BigEndian.Uint32(b[4*i:]))))
+		}
 	default: // Double
-		v.Type, v.F = TDouble, math.Float64frombits(binary.BigEndian.Uint64(b))
+		for i := range vs {
+			setScalar(&vs[i], TDouble, 0, math.Float64frombits(binary.BigEndian.Uint64(b[8*i:])))
+		}
 	}
 	return nil
+}
+
+// setScalar makes *v the scalar of type t holding i or f, whatever v
+// held before, so storage that last held another kind keeps no stale
+// field. It writes a pointer field only where v's differs: while the
+// collector runs, a pointer store costs a write barrier, and storing a
+// whole Value costs a bulk one, several times the decode itself. In
+// storage a decode of the same types filled last time, that is no
+// pointer store at all.
+func setScalar(v *Value, t *Type, i int64, f float64) {
+	if v.S != "" || v.Elems != nil {
+		v.S, v.Elems = "", nil
+	}
+	if v.Type != t {
+		v.Type = t
+	}
+	v.I, v.F = i, f
 }
 
 // ParamsSize reports how many bytes the fixed-size parameters among
@@ -345,7 +378,7 @@ func EncodeParam(buf []byte, p Param, v Value, n Native) ([]byte, error) {
 // DecodeParams unmarshals values for the given parameters from buf.
 // All bytes must be consumed.
 func DecodeParams(buf []byte, params []Param) ([]Value, error) {
-	values, _, err := DecodeParamsNative(buf, params, nil)
+	values, _, err := DecodeParamsNative(buf, params, nil, nil)
 	return values, err
 }
 
@@ -357,11 +390,22 @@ func DecodeParams(buf []byte, params []Param) ([]Value, error) {
 // malformed message as (nil, -1, err) with DecodeParams' error, even
 // when an earlier value is one the machine cannot hold, so after the
 // first refusal the rest of the message is only decoded.
-func DecodeParamsNative(buf []byte, params []Param, n Native) (values []Value, bad int, err error) {
-	values = make([]Value, len(params))
+//
+// dst is storage to decode into, nil for none: a set of values an
+// earlier call returned, which the caller no longer needs. The values
+// come back in dst when it has room for them, and each parameter that
+// is an array of fixed-size scalars is decoded into the elements dst
+// holds for it when they are as many as the array declares; anything
+// else is allocated. After an error, dst holds no meaningful values.
+func DecodeParamsNative(buf []byte, params []Param, n Native, dst []Value) (values []Value, bad int, err error) {
+	if cap(dst) >= len(params) {
+		values = dst[:len(params)]
+	} else {
+		values = make([]Value, len(params))
+	}
 	var nerr error
 	for i, p := range params {
-		if values[i], buf, err = Decode(buf, p.Type); err != nil {
+		if values[i], buf, err = decode(buf, p.Type, values[i].Elems); err != nil {
 			return nil, -1, fmt.Errorf("uts: parameter %q: %w", p.Name, err)
 		}
 		if n != nil && nerr == nil {

@@ -281,7 +281,7 @@ func TestDecodeParamsNative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, bad, err := DecodeParamsNative(buf, params, halver{})
+		got, bad, err := DecodeParamsNative(buf, params, halver{}, nil)
 		if firstNegative >= 0 {
 			refused++
 			if bad != firstNegative || err != errNegative || got != nil {
@@ -296,7 +296,7 @@ func TestDecodeParamsNative(t *testing.T) {
 		}
 		for _, malformed := range [][]byte{buf[:len(buf)-1], append(buf[:len(buf):len(buf)], 0)} {
 			_, wantErr := DecodeParams(malformed, params)
-			if _, bad, err := DecodeParamsNative(malformed, params, halver{}); bad != -1 || err == nil || !sameErr(err, wantErr) {
+			if _, bad, err := DecodeParamsNative(malformed, params, halver{}, nil); bad != -1 || err == nil || !sameErr(err, wantErr) {
 				t.Fatalf("malformed %v: DecodeParamsNative error %d, %v; DecodeParams %v", vals, bad, err, wantErr)
 			}
 		}

@@ -101,15 +101,19 @@ type Field struct {
 	Type *Type
 }
 
-// Predefined singleton types for the simple kinds.
+// Predefined singleton types for the simple kinds. They are literals,
+// with the size sized would cache written out (TestSingletonSizes
+// checks it), so the linker places them in the data segment: every
+// decoded element points at one, and a pointer the collector finds
+// outside the heap costs it no lookup.
 var (
-	TInteger = sized(&Type{kind: Integer})
-	TLong    = sized(&Type{kind: Long})
-	TByte    = sized(&Type{kind: Byte})
-	TBoolean = sized(&Type{kind: Boolean})
-	TFloat   = sized(&Type{kind: Float})
-	TDouble  = sized(&Type{kind: Double})
-	TString  = sized(&Type{kind: String})
+	TInteger = &Type{kind: Integer, size: 4}
+	TLong    = &Type{kind: Long, size: 8}
+	TByte    = &Type{kind: Byte, size: 1}
+	TBoolean = &Type{kind: Boolean, size: 1}
+	TFloat   = &Type{kind: Float, size: 4}
+	TDouble  = &Type{kind: Double, size: 8}
+	TString  = &Type{kind: String, size: -1}
 )
 
 // sized fills in a new type's cached size.

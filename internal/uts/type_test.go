@@ -137,3 +137,18 @@ func TestFixedSize(t *testing.T) {
 		}
 	}
 }
+
+// TestSingletonSizes: each scalar singleton's literal size is the one
+// sized would have cached, so FixedSize answers from the cache with the
+// size the type has.
+func TestSingletonSizes(t *testing.T) {
+	for _, typ := range []*Type{TInteger, TLong, TByte, TBoolean, TFloat, TDouble, TString} {
+		n, ok := typ.fixedSize()
+		if !ok {
+			n = -1
+		}
+		if typ.size != n {
+			t.Errorf("%v: literal size %d, fixedSize gives %d", typ, typ.size, n)
+		}
+	}
+}
