@@ -169,7 +169,14 @@ func TestHostBatchOverDaemonTransport(t *testing.T) {
 // call finds it there.
 func TestFailoverOntoIdleConfiguredHost(t *testing.T) {
 	d := deploy(t, "a=sparc@"+freePort(t)+",b=sparc@"+freePort(t))
-	ln, err := d.client().ContactSchx("failover")
+	c := d.client()
+	c.Policy = schooner.CallPolicy{
+		Timeout:    200 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    5 * time.Millisecond,
+		MaxBackoff: 100 * time.Millisecond,
+	}
+	ln, err := c.ContactSchx("failover")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +191,6 @@ func TestFailoverOntoIdleConfiguredHost(t *testing.T) {
 
 	d.mgr.StartHealth(schooner.HealthPolicy{Interval: 20 * time.Millisecond, Threshold: 2, PingTimeout: 200 * time.Millisecond})
 	d.servers["a"].Stop()
-	ln.SetCallPolicy(schooner.CallPolicy{
-		Timeout:    200 * time.Millisecond,
-		MaxRetries: 30,
-		Backoff:    5 * time.Millisecond,
-		MaxBackoff: 100 * time.Millisecond,
-	})
 	out, err := ln.Call("echo", uts.DoubleVal(42))
 	if err != nil {
 		t.Fatalf("call did not recover through failover: %v", err)

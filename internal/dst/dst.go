@@ -1124,19 +1124,36 @@ func (c *Cluster) skip() string {
 // committed twice under one (id, attempt).
 func (c *Cluster) bumpCall(idx int, ln *schooner.Line, id int64) bool {
 	x := xFor(id)
-	for attempt := int64(0); attempt < 4; attempt++ {
+	right := false
+	answered := c.retry(4, 2*time.Millisecond, func(attempt int64) bool {
 		res, err := ln.Call("bump", uts.LongVal(id), uts.LongVal(attempt), uts.DoubleVal(x))
-		if err == nil {
-			if !near(res[0].F, bumpExpect(x)) {
-				c.violate(idx, "wrong-answer", fmt.Sprintf("bump id=%d: got %v want %v", id, res[0].F, bumpExpect(x)))
-				return false
-			}
-			trace.Count("dst.calls.ok")
+		if err != nil {
+			return false
+		}
+		if right = near(res[0].F, bumpExpect(x)); !right {
+			c.violate(idx, "wrong-answer", fmt.Sprintf("bump id=%d: got %v want %v", id, res[0].F, bumpExpect(x)))
+		}
+		return true
+	})
+	switch {
+	case !answered:
+		trace.Count("dst.calls.fail")
+	case right:
+		trace.Count("dst.calls.ok")
+	}
+	return right
+}
+
+// retry makes up to tries attempts, numbered from 0, sleeping pause on
+// the cluster's clock after each one that fails, the last included. It
+// reports whether an attempt succeeded.
+func (c *Cluster) retry(tries int, pause time.Duration, try func(attempt int64) bool) bool {
+	for attempt := int64(0); attempt < int64(tries); attempt++ {
+		if try(attempt) {
 			return true
 		}
-		c.v.Sleep(2 * time.Millisecond)
+		c.v.Sleep(pause)
 	}
-	trace.Count("dst.calls.fail")
 	return false
 }
 
@@ -1147,14 +1164,16 @@ func (c *Cluster) verifiedBumpCall(ln *schooner.Line) bool {
 	c.verifySeq++
 	id := verifyIDBase + c.verifySeq
 	x := xFor(id)
-	for attempt := int64(0); attempt < 4; attempt++ {
+	right := false
+	c.retry(4, 2*time.Millisecond, func(attempt int64) bool {
 		res, err := ln.Call("bump", uts.LongVal(id), uts.LongVal(attempt), uts.DoubleVal(x))
-		if err == nil {
-			return near(res[0].F, bumpExpect(x))
+		if err != nil {
+			return false
 		}
-		c.v.Sleep(2 * time.Millisecond)
-	}
-	return false
+		right = near(res[0].F, bumpExpect(x))
+		return true
+	})
+	return right
 }
 
 // workCallOnce performs one work call (the line's own retry policy
@@ -1172,14 +1191,12 @@ func (c *Cluster) workCallOnce(id int64) (float64, bool) {
 func (c *Cluster) verifiedWorkCall() (float64, bool) {
 	c.verifySeq++
 	id := verifyIDBase + c.verifySeq
-	for attempt := 0; attempt < 4; attempt++ {
-		res, err := c.workLine.Call("work", uts.LongVal(id), uts.DoubleVal(xFor(id)))
-		if err == nil {
-			return res[0].F, true
-		}
-		c.v.Sleep(5 * time.Millisecond)
-	}
-	return 0, false
+	var got float64
+	ok := c.retry(4, 5*time.Millisecond, func(int64) (ok bool) {
+		got, ok = c.workCallOnce(id)
+		return ok
+	})
+	return got, ok
 }
 
 // standbyHosts lists the standby Manager machines clients may reattach
@@ -1206,14 +1223,12 @@ func (c *Cluster) accCall(id int64) (float64, bool) {
 // the probe consults the name database's copy, not a cached — possibly
 // superseded — address.
 func (c *Cluster) accProbe() (float64, bool) {
-	for attempt := 0; attempt < 4; attempt++ {
-		res, err := c.workLine.Call("acc", uts.DoubleVal(0))
-		if err == nil {
-			return res[0].F, true
-		}
-		c.v.Sleep(5 * time.Millisecond)
-	}
-	return 0, false
+	var got float64
+	ok := c.retry(4, 5*time.Millisecond, func(int64) (ok bool) {
+		got, ok = c.accCall(0)
+		return ok
+	})
+	return got, ok
 }
 
 // nameKeySets snapshots the name database's key sets: which names are
@@ -1377,21 +1392,16 @@ func (c *Cluster) converge(idx int) {
 	c.verifySeq++
 	id := verifyIDBase + c.verifySeq
 	want := workExpect(xFor(id))
-	converged := false
-	for attempt := 0; attempt < 6; attempt++ {
-		res, err := c.workLine.Call("work", uts.LongVal(id), uts.DoubleVal(xFor(id)))
-		if err == nil {
-			if !near(res[0].F, want) {
-				c.violate(idx, "no-convergence", fmt.Sprintf("after faults quiesced, work returned %v, local answer %v", res[0].F, want))
-				return
-			}
-			converged = true
-			break
-		}
-		c.v.Sleep(20 * time.Millisecond)
-	}
-	if !converged {
+	var got float64
+	if !c.retry(6, 20*time.Millisecond, func(int64) (ok bool) {
+		got, ok = c.workCallOnce(id)
+		return ok
+	}) {
 		c.violate(idx, "no-convergence", "work procedure unreachable after all faults quiesced")
+		return
+	}
+	if !near(got, want) {
+		c.violate(idx, "no-convergence", fmt.Sprintf("after faults quiesced, work returned %v, local answer %v", got, want))
 		return
 	}
 

@@ -3,6 +3,8 @@ package exper
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,6 +44,40 @@ func TestTable2ScenarioSameBytesAtAnyGOMAXPROCS(t *testing.T) {
 		} else if !bytes.Equal(want, b.Bytes()) {
 			t.Fatalf("GOMAXPROCS=1 and GOMAXPROCS=%d disagree:\n--- 1\n%s\n--- %d\n%s", procs, want, procs, b.Bytes())
 		}
+	}
+}
+
+// TestScenarioGoldens runs every file of the scenario corpus and diffs
+// its fingerprint against scenarios/expect/<name>.yaml, as
+// `npss-exp -exp scenario -f <file> -expect <golden>` does.
+func TestScenarioGoldens(t *testing.T) {
+	dir := filepath.Join("..", "..", "scenarios")
+	files, err := filepath.Glob(filepath.Join(dir, "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scenario files in %s: %v", dir, err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".yaml")
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := scenario.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := res.DST.Violation; v != nil {
+				t.Errorf("invariant violated: %v", v)
+			}
+			golden, err := os.ReadFile(filepath.Join(dir, "expect", name+".yaml"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := scenario.DiffExpectation(string(golden), scenario.Expectation(spec, res)); diff != "" {
+				t.Errorf("run diverged from its golden:\n%s", diff)
+			}
+		})
 	}
 }
 

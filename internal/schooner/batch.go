@@ -36,7 +36,6 @@ type preparedCall struct {
 	rawArgs []uts.Value
 	pend    Pending // the member's Pending lives inline; &pc.pend is returned
 	imp     *uts.ProcSpec
-	pol     CallPolicy
 	data    []byte
 	b       *binding
 }
@@ -89,12 +88,12 @@ func (c *Client) GoBatchHosts(calls []CrossCall) []*Pending {
 func bindMembers(members []*preparedCall) []*preparedCall {
 	ready := members[:0] // filter in place; callers only use the result
 	for _, m := range members {
-		imp, pol, data, err := m.line.prepare(m.name, m.rawArgs)
+		imp, data, err := m.line.prepare(m.name, m.rawArgs)
 		if err != nil {
 			m.finish(nil, err)
 			continue
 		}
-		m.imp, m.pol, m.data = imp, pol, data
+		m.imp, m.data = imp, data
 		m.line.mu.Lock()
 		b := m.line.bindings[m.name]
 		m.line.mu.Unlock()
@@ -191,7 +190,7 @@ func (c *Client) sendBatch(host string, group []*preparedCall) {
 			return
 		}
 	}
-	resp, err := g.exchange(&wire.Message{Kind: wire.KBatch, Data: subs}, owner.pol.Timeout)
+	resp, err := g.exchange(&wire.Message{Kind: wire.KBatch, Data: subs}, owner.line.policy.Timeout)
 	if att != nil && err != nil {
 		att.Annotate("error", err.Error())
 	}

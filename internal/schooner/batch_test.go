@@ -272,7 +272,12 @@ func TestGoBatchFallbackAfterMove(t *testing.T) {
 func TestGoBatchAfterServerStop(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	c := d.client("avs-sparc")
+	c := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    100 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    2 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+	})
 	defer c.Close()
 	ln, err := c.ContactSchx("batcher")
 	if err != nil {
@@ -283,12 +288,6 @@ func TestGoBatchAfterServerStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    100 * time.Millisecond,
-		MaxRetries: 30,
-		Backoff:    2 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-	})
 	calls := []CrossCall{
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},

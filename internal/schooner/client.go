@@ -58,11 +58,22 @@ func (c *Client) serverConn(host string, clock vclock.Clock) (*demuxConn, error)
 		if c.srvConns == nil {
 			c.srvConns = make(map[string]*sharedConn)
 		}
-		sc = &sharedConn{addr: host + ":" + ServerPort}
+		sc = &sharedConn{addr: host + ":" + ServerPort, clock: clock}
 		c.srvConns[host] = sc
 	}
 	c.mu.Unlock()
-	return sc.get(c.Transport, clock, c.Host)
+	return sc.get(func() (*demuxConn, error) { return c.dial(sc.clock, sc.addr) })
+}
+
+// dial opens a demultiplexed connection to addr, keeping time on clock.
+// A refused dial is transient: the host may be mid-crash, with the
+// Manager's failover about to repoint the names mapped to it; retry.
+func (c *Client) dial(clock vclock.Clock, addr string) (*demuxConn, error) {
+	conn, err := c.Transport.Dial(c.Host, addr)
+	if err != nil {
+		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", addr, err)}
+	}
+	return newDemuxConn(conn, clock), nil
 }
 
 // Close releases the client's cached Server connections (the batch
@@ -97,46 +108,47 @@ func (c *Client) arch() (*machine.Arch, error) {
 // given up on, and the next configured one tried.
 func (c *Client) ContactSchx(module string) (*Line, error) {
 	clock := c.Transport.Clock()
-	var lastErr error
-	for _, mh := range c.managerHosts() {
-		mgr, id, err := c.openLine(clock, mh, &wire.Message{Kind: wire.KRegisterLine, Name: module},
-			c.Policy.withDefaults().Timeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return &Line{
-			client:   c,
-			clock:    clock,
-			id:       id,
-			module:   module,
-			mgr:      mgr,
-			policy:   c.Policy,
-			imports:  make(map[string]*uts.ProcSpec),
-			bindings: make(map[string]*binding),
-		}, nil
+	pol := c.Policy.withDefaults()
+	g, id, _, err := c.openLine(clock, &wire.Message{Kind: wire.KRegisterLine, Name: module}, pol.Timeout)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return &Line{
+		client:   c,
+		clock:    clock,
+		id:       id,
+		module:   module,
+		policy:   pol,
+		mgr:      sharedConn{addr: fmt.Sprintf("the manager of line %d", id), clock: clock, conn: g},
+		imports:  make(map[string]*uts.ProcSpec),
+		bindings: make(map[string]*binding),
+	}, nil
 }
 
-// openLine dials the Manager on one host and asks it for a line — a
-// new one (KRegisterLine) or one it already knows (KAttachLine), on
-// the line's clock. The connection that carried the answer becomes the
-// line's Manager connection.
-func (c *Client) openLine(clock vclock.Clock, managerHost string, req *wire.Message, timeout time.Duration) (*demuxConn, uint32, error) {
-	conn, err := c.Transport.Dial(c.Host, managerHost+":"+ManagerPort)
-	if err != nil {
-		return nil, 0, fmt.Errorf("schooner: cannot reach manager on %s: %w", managerHost, err)
-	}
-	resp, err := ask(clock, conn, req, timeout)
-	if err == nil && resp.Kind != wire.KLineOK {
-		err = fmt.Errorf("schooner: manager on %s refused %v: %s", managerHost, req.Kind, resp.Err)
-	}
-	if err != nil {
+// openLine asks each configured Manager host in turn for a line — a new
+// one (KRegisterLine) or one it already knows (KAttachLine), on the
+// line's clock — and returns the connection that carried the first
+// answer, which becomes the line's Manager connection, with the line's
+// id and the host that answered.
+func (c *Client) openLine(clock vclock.Clock, req *wire.Message, timeout time.Duration) (*demuxConn, uint32, string, error) {
+	var err error
+	for _, mh := range c.managerHosts() {
+		var conn wire.Conn
+		if conn, err = c.Transport.Dial(c.Host, mh+":"+ManagerPort); err != nil {
+			err = fmt.Errorf("schooner: cannot reach manager on %s: %w", mh, err)
+			continue
+		}
+		var resp *wire.Message
+		resp, err = ask(clock, conn, req, timeout)
+		if err == nil && resp.Kind != wire.KLineOK {
+			err = fmt.Errorf("schooner: manager on %s refused %v: %s", mh, req.Kind, resp.Err)
+		}
+		if err == nil {
+			return newDemuxConn(conn, clock), resp.Line, mh, nil
+		}
 		conn.Close()
-		return nil, 0, err
 	}
-	return newDemuxConn(conn, clock), resp.Line, nil
+	return nil, 0, "", err
 }
 
 // Line is one thread of control in a Schooner program: a sequential
@@ -149,37 +161,20 @@ func (c *Client) openLine(clock vclock.Clock, managerHost string, req *wire.Mess
 // issue Call and Go through it, and the in-flight calls overlap on the
 // wire: calls to one procedure process share its binding's pipelined
 // connection, matched to their replies by sequence number. The mutex
-// guards only the binding cache, the import table and the Manager
-// connection — it is never held across a network round trip or a
-// backoff sleep.
+// guards only the binding cache, the import table and the quit flag —
+// it is never held across a network round trip or a backoff sleep.
 type Line struct {
 	client *Client
 	clock  vclock.Clock // the client transport's, read at ContactSchx
 	id     uint32
 	module string
+	policy CallPolicy // the client's, with defaults, fixed at ContactSchx
+	mgr    sharedConn // to the Manager; its dial is attach
 
 	mu       sync.Mutex
-	mgr      *demuxConn
-	mgrGen   int // bumped on every reattach; guards the swap race
-	policy   CallPolicy
 	imports  map[string]*uts.ProcSpec
 	bindings map[string]*binding
 	quit     bool
-}
-
-// SetCallPolicy overrides the line's call policy (inherited from the
-// client at ContactSchx time).
-func (l *Line) SetCallPolicy(p CallPolicy) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.policy = p
-}
-
-// currentPolicy reads the line's policy with defaults applied.
-func (l *Line) currentPolicy() CallPolicy {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.policy.withDefaults()
 }
 
 // isQuit reports whether the line has been shut down.
@@ -187,13 +182,6 @@ func (l *Line) isQuit() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.quit
-}
-
-// mgrc reads the current Manager connection and its generation.
-func (l *Line) mgrc() (*demuxConn, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mgr, l.mgrGen
 }
 
 // demuxConn multiplexes one shared connection across concurrently
@@ -429,45 +417,71 @@ func (g *demuxConn) dead() bool {
 	return g.err != nil
 }
 
-// sharedConn is a demultiplexed connection to one address that its
-// users dial on first use and again after it died. Dialing happens
-// outside the lock; when several goroutines race to establish it, the
-// first to install wins and the others' dials are closed.
+// sharedConn is a demultiplexed connection that its users dial on
+// first use and again after it died. One caller at a time dials: the
+// others park on the clock until that dial ends and take its
+// connection or its error. No connection is opened only to be thrown
+// away — to the Manager, a line's connection closing is the module
+// failing — and no lock is held across the dial, so a virtual clock
+// sees the waiters.
 type sharedConn struct {
-	addr string
+	addr  string // the peer, or a label naming it
+	clock vclock.Clock
 
 	mu     sync.Mutex
 	conn   *demuxConn
 	closed bool
+	dialed *vclock.Slot // while a dial is in flight: filled with its dialResult
 }
 
-func (s *sharedConn) get(t Transport, clock vclock.Clock, from string) (*demuxConn, error) {
-	s.mu.Lock()
-	g, err := s.live()
-	s.mu.Unlock()
-	if g != nil || err != nil {
-		return g, err
-	}
-	conn, err := t.Dial(from, s.addr)
-	if err != nil {
-		// Transient: the host may be mid-crash, with the Manager's
-		// failover about to repoint the names mapped to it; retry.
-		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", s.addr, err)}
-	}
-	fresh := newDemuxConn(conn, clock)
+// dialResult is the outcome of a dial, handed to the callers that
+// waited for it.
+type dialResult struct {
+	g   *demuxConn
+	err error
+}
+
+// get returns the live connection, dialing it with dial when there is
+// none and nobody else is.
+func (s *sharedConn) get(dial func() (*demuxConn, error)) (*demuxConn, error) {
 	s.mu.Lock()
 	if g, err := s.live(); g != nil || err != nil {
 		s.mu.Unlock()
-		fresh.Close()
 		return g, err
 	}
-	old := s.conn
-	s.conn = fresh
-	s.mu.Unlock()
-	if old != nil {
-		old.Close()
+	if slot := s.dialed; slot != nil {
+		s.mu.Unlock()
+		return s.await(slot)
 	}
-	return fresh, nil
+	slot := s.clock.NewSlot()
+	s.dialed = slot
+	s.mu.Unlock()
+
+	g, err := dial()
+	s.mu.Lock()
+	s.dialed = nil
+	old := s.conn
+	if err == nil {
+		s.conn = g
+	}
+	s.mu.Unlock()
+	if err == nil && old != nil {
+		old.Close() // dead already
+	}
+	slot.Fill(dialResult{g, err})
+	return g, err
+}
+
+// await parks until the dial in flight ends, takes its outcome and
+// passes it on to the next caller waiting.
+func (s *sharedConn) await(slot *vclock.Slot) (*demuxConn, error) {
+	x, ok := slot.Wait(0)
+	if !ok {
+		return nil, &staleError{fmt.Errorf("schooner: clock stopped while dialing %s", s.addr)}
+	}
+	slot.Fill(x)
+	r := x.(dialResult)
+	return r.g, r.err
 }
 
 // live returns the connection if there is a usable one, an error once
@@ -483,10 +497,17 @@ func (s *sharedConn) live() (*demuxConn, error) {
 }
 
 // close ends the connection for good; requests in flight on it fail
-// stale.
+// stale. A dial in flight is waited for, and the connection it opened
+// closed with the rest.
 func (s *sharedConn) close() {
 	s.mu.Lock()
 	s.closed = true
+	slot := s.dialed
+	s.mu.Unlock()
+	if slot != nil {
+		s.await(slot)
+	}
+	s.mu.Lock()
 	g := s.conn
 	s.conn = nil
 	s.mu.Unlock()
@@ -512,82 +533,56 @@ func (l *Line) ID() uint32 { return l.id }
 func (l *Line) Module() string { return l.module }
 
 // managerCall performs one request/response with the Manager, bounded
-// by the line's call deadline, on the demultiplexed Manager connection
-// with no lock held. A KStartProc is bounded by the deadline plus the
-// Manager's whole spawn budget, so the Manager's own retry of a lost
-// spawn message can still answer it. A terminally dead connection
-// — the Manager crashed, or a standby took over on another host — is
-// cured by re-attaching the line and retrying the request once.
+// by the line's call deadline. A KStartProc is bounded by the deadline
+// plus the Manager's whole spawn budget, so the Manager's own retry of
+// a lost spawn message can still answer it.
 func (l *Line) managerCall(req *wire.Message) (*wire.Message, error) {
 	if l.isQuit() {
 		return nil, fmt.Errorf("schooner: line %d already quit", l.id)
 	}
-	g, gen := l.mgrc()
-	timeout := l.currentPolicy().Timeout
+	timeout := l.policy.Timeout
 	if req.Kind == wire.KStartProc && timeout > 0 {
 		timeout += spawnAttempts * rpcTimeout
+	}
+	return l.askManager(req, timeout)
+}
+
+// askManager is one round trip on the line's Manager connection, with
+// no lock held. A connection that turns out dead — the Manager crashed,
+// or a standby took over on another host — is got again, which
+// re-attaches the line, and the request sent once more; when no Manager
+// takes the line back, the first failure stands.
+func (l *Line) askManager(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+	g, err := l.mgr.get(l.attach)
+	if err != nil {
+		// Nothing was sent: as transient as the dead connection it
+		// stands for.
+		return nil, &staleError{err}
 	}
 	resp, err := g.call(req, timeout)
 	if err == nil || !g.dead() {
 		return resp, err
 	}
-	fresh, _, aerr := l.reattach(gen, false)
-	if aerr != nil {
-		return resp, err // surface the original (stale) failure
+	if g, aerr := l.mgr.get(l.attach); aerr == nil {
+		return g.call(req, timeout)
 	}
-	return fresh.call(req, timeout)
+	return nil, err
 }
 
-// reattach re-binds the line to a live Manager, trying every
-// configured host in order with KAttachLine. gen is the connection
-// generation the caller observed dead; when another goroutine already
-// swapped in a newer connection, that one is returned without dialing.
-// forQuit lets IQuit reattach after it has marked the line quit.
-func (l *Line) reattach(gen int, forQuit bool) (*demuxConn, int, error) {
-	l.mu.Lock()
-	if l.quit && !forQuit {
-		l.mu.Unlock()
-		return nil, 0, fmt.Errorf("schooner: line %d already quit", l.id)
+// attach dials the line's Manager connection anew: it asks each
+// configured Manager host in turn to take the line back (KAttachLine).
+func (l *Line) attach() (*demuxConn, error) {
+	g, _, mh, err := l.client.openLine(l.clock,
+		&wire.Message{Kind: wire.KAttachLine, Line: l.id, Name: l.module}, l.policy.Timeout)
+	if err != nil {
+		return nil, err
 	}
-	if l.mgrGen != gen {
-		g, n := l.mgr, l.mgrGen
-		l.mu.Unlock()
-		return g, n, nil
-	}
-	l.mu.Unlock()
-	var lastErr error
-	for _, mh := range l.client.managerHosts() {
-		fresh, _, err := l.client.openLine(l.clock, mh,
-			&wire.Message{Kind: wire.KAttachLine, Line: l.id, Name: l.module}, l.currentPolicy().Timeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		l.mu.Lock()
-		if l.mgrGen != gen {
-			// Lost the race: another goroutine reattached first.
-			g, n := l.mgr, l.mgrGen
-			l.mu.Unlock()
-			fresh.Close()
-			return g, n, nil
-		}
-		old := l.mgr
-		l.mgr = fresh
-		l.mgrGen = gen + 1
-		n := l.mgrGen
-		l.mu.Unlock()
-		old.Close()
-		trace.Count("schooner.client.reattaches")
-		flight.Record(flight.Event{Kind: flight.KindRebind, Component: "client",
-			Host: l.client.Host, Line: l.id, Name: l.module, Detail: "manager " + mh})
-		logx.For("client", l.client.Host).Info("line reattached to manager",
-			"line", l.id, "manager", mh)
-		return fresh, n, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("schooner: no manager hosts configured")
-	}
-	return nil, 0, lastErr
+	trace.Count("schooner.client.reattaches")
+	flight.Record(flight.Event{Kind: flight.KindRebind, Component: "client",
+		Host: l.client.Host, Line: l.id, Name: l.module, Detail: "manager " + mh})
+	logx.For("client", l.client.Host).Info("line reattached to manager",
+		"line", l.id, "manager", mh)
+	return g, nil
 }
 
 // StartRemote asks the Manager to instantiate the procedure file at
@@ -679,7 +674,7 @@ func (l *Line) lookup(name string, imp *uts.ProcSpec, sp *trace.Span) (*binding,
 	flight.Record(flight.Event{Kind: flight.KindBind, Component: "client",
 		Host: l.client.Host, Line: l.id, Trace: ctx.Trace, Span: ctx.Span,
 		Name: name, Detail: resp.Str})
-	nb := &binding{exportName: resp.Name, sharedConn: sharedConn{addr: resp.Str}}
+	nb := &binding{exportName: resp.Name, sharedConn: sharedConn{addr: resp.Str, clock: l.clock}}
 	l.mu.Lock()
 	if cur, ok := l.bindings[name]; ok {
 		l.mu.Unlock()
@@ -819,10 +814,11 @@ func (l *Line) Go(name string, args ...uts.Value) *Pending {
 // child of it, so a retried call keeps one trace id across attempts
 // and a failover-rebound attempt stays linked to the original parent.
 func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value, error) {
-	imp, pol, data, err := l.prepare(name, args)
+	imp, data, err := l.prepare(name, args)
 	if err != nil {
 		return nil, err
 	}
+	pol := l.policy
 
 	var lastErr error
 	rebinding := false
@@ -894,38 +890,37 @@ func (l *Line) call(name string, args []uts.Value, sp *trace.Span) ([]uts.Value,
 }
 
 // prepare is the marshaling front half shared by Call and a batch: it
-// resolves the import specification, converts the arguments through
+// resolves the import specification and converts the arguments through
 // this machine's native representation into the UTS interchange
-// format, and returns the line's effective policy alongside.
-func (l *Line) prepare(name string, args []uts.Value) (*uts.ProcSpec, CallPolicy, []byte, error) {
+// format.
+func (l *Line) prepare(name string, args []uts.Value) (*uts.ProcSpec, []byte, error) {
 	l.mu.Lock()
 	if l.quit {
 		l.mu.Unlock()
-		return nil, CallPolicy{}, nil, fmt.Errorf("schooner: line %d already quit", l.id)
+		return nil, nil, fmt.Errorf("schooner: line %d already quit", l.id)
 	}
 	imp, ok := l.imports[name]
-	pol := l.policy.withDefaults()
 	l.mu.Unlock()
 	if !ok {
-		return nil, pol, nil, fmt.Errorf("schooner: no import specification registered for %q", name)
+		return nil, nil, fmt.Errorf("schooner: no import specification registered for %q", name)
 	}
 	arch, err := l.client.arch()
 	if err != nil {
-		return nil, pol, nil, err
+		return nil, nil, err
 	}
 	ins := imp.InParams()
 	if len(args) != len(ins) {
-		return nil, pol, nil, fmt.Errorf("schooner: %s takes %d in-parameters, got %d", name, len(ins), len(args))
+		return nil, nil, fmt.Errorf("schooner: %s takes %d in-parameters, got %d", name, len(ins), len(args))
 	}
 	// Outbound conversion: native -> UTS, fused with the encoding.
 	data, bad, err := marshalNative(arch, ins, args, nil, uts.ParamsSize(ins))
 	if bad >= 0 {
-		return nil, pol, nil, fmt.Errorf("schooner: parameter %q: %w", ins[bad].Name, err)
+		return nil, nil, fmt.Errorf("schooner: parameter %q: %w", ins[bad].Name, err)
 	}
 	if err != nil {
-		return nil, pol, nil, err
+		return nil, nil, err
 	}
-	return imp, pol, data, nil
+	return imp, data, nil
 }
 
 // decodeResults is the unmarshaling back half shared by Call and a
@@ -955,7 +950,7 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 // re-binds). An attempt that gets as far as the wire is a child span of
 // sp, whose context rides in the request envelope.
 func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	pc, err := b.get(l.client.Transport, l.clock, l.client.Host)
+	pc, err := b.get(func() (*demuxConn, error) { return l.client.dial(l.clock, b.addr) })
 	if err != nil {
 		return nil, err
 	}
@@ -1086,7 +1081,9 @@ func (l *Line) MoveShared(name, newMachine string, withState bool) error {
 // IQuit is sch_i_quit: the module is being destroyed. The Manager
 // shuts down the remote procedures of this line only; other lines and
 // shared procedures are unaffected. Calls still in flight when IQuit
-// runs fail with a quit or connection error.
+// runs fail with a quit or connection error. A Manager connection found
+// dead is re-attached, so that the line is quit at whichever Manager now
+// owns it.
 func (l *Line) IQuit() error {
 	l.mu.Lock()
 	if l.quit {
@@ -1094,25 +1091,13 @@ func (l *Line) IQuit() error {
 		return nil
 	}
 	l.quit = true
-	timeout := l.policy.withDefaults().Timeout
 	old := l.bindings
 	l.bindings = make(map[string]*binding)
-	g, gen := l.mgr, l.mgrGen
 	l.mu.Unlock()
 	for _, b := range old {
 		b.close()
 	}
-	req := &wire.Message{Kind: wire.KQuitLine, Line: l.id}
-	_, err := g.call(req, timeout)
-	if err != nil && g.dead() {
-		// The connection died under the quit (Manager crash or standby
-		// takeover); reattach and quit the line at whichever Manager
-		// now owns it.
-		if fresh, _, aerr := l.reattach(gen, true); aerr == nil {
-			_, err = fresh.call(req, timeout)
-		}
-	}
-	cur, _ := l.mgrc()
-	cur.Close()
+	_, err := l.askManager(&wire.Message{Kind: wire.KQuitLine, Line: l.id}, l.policy.Timeout)
+	l.mgr.close()
 	return err
 }

@@ -31,7 +31,7 @@ func stressPolicy() CallPolicy {
 func TestConcurrentCallsOneLine(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("stress")
+	ln, err := d.clientWith("avs-sparc", stressPolicy()).ContactSchx("stress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,6 @@ func TestConcurrentCallsOneLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	ln.SetCallPolicy(stressPolicy())
 
 	const goroutines = 8
 	const iters = 25
@@ -87,7 +86,7 @@ func TestConcurrentCallsOneLine(t *testing.T) {
 func TestConcurrentCallsAcrossMoves(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("stress")
+	ln, err := d.clientWith("avs-sparc", stressPolicy()).ContactSchx("stress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,6 @@ func TestConcurrentCallsAcrossMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	ln.SetCallPolicy(stressPolicy())
 
 	stalesBefore := trace.Get("schooner.client.stale")
 	var stop atomic.Bool
@@ -155,7 +153,7 @@ func TestConcurrentCallsAcrossMoves(t *testing.T) {
 func TestConcurrentLinesOneClient(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	c := d.client("avs-sparc")
+	c := d.clientWith("avs-sparc", stressPolicy())
 
 	const lines = 4
 	var wg sync.WaitGroup
@@ -174,7 +172,6 @@ func TestConcurrentLinesOneClient(t *testing.T) {
 				return
 			}
 			ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-			ln.SetCallPolicy(stressPolicy())
 			for i := 0; i < 20; i++ {
 				out, err := ln.Call("add", uts.DoubleVal(float64(n)), uts.DoubleVal(float64(i)))
 				if err != nil {

@@ -2,7 +2,9 @@ package schooner
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,7 +206,8 @@ func TestRecoveryFailsOverDeadProcesses(t *testing.T) {
 func TestCheckpointRestoreFailover(t *testing.T) {
 	dd := newDurableDeployment(t, "avs-sparc", ieeeHosts())
 	dd.reg.MustRegister(counterProgram("/npss/counter"))
-	ln, err := dd.client("avs-sparc").ContactSchx("m")
+	ln, err := dd.clientWith("avs-sparc", CallPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 30,
+		Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +247,6 @@ func TestCheckpointRestoreFailover(t *testing.T) {
 	if got := trace.Get("schooner.manager.failover_skipped_stateful"); got != skippedBefore {
 		t.Errorf("failover_skipped_stateful moved %d -> %d during a restorable failover", skippedBefore, got)
 	}
-	ln.SetCallPolicy(CallPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 30,
-		Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 	out, err := ln.Call("next")
 	if err != nil {
 		t.Fatalf("call after restore: %v", err)
@@ -379,7 +380,8 @@ func TestStandbyTakeover(t *testing.T) {
 		}
 	})
 
-	c := dd.client("sgi-lerc")
+	c := dd.clientWith("sgi-lerc", CallPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 30,
+		Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 	c.Managers = []string{"rs6000"}
 	ln, err := c.ContactSchx("m")
 	if err != nil {
@@ -418,8 +420,6 @@ func TestStandbyTakeover(t *testing.T) {
 	// A manager-bound operation reattaches the line to the standby; the
 	// counter process survived, so its state carries over.
 	ln.FlushCache()
-	ln.SetCallPolicy(CallPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 30,
-		Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 	out, err := ln.Call("next")
 	if err != nil {
 		t.Fatalf("call after takeover: %v", err)
@@ -551,5 +551,148 @@ func TestCheckpointLoopRunsOnPackageClock(t *testing.T) {
 			t.Fatal("checkpoint loop never swept twice")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// startJournaled starts a Manager on a deployment's Manager host that
+// journals to backend, recovering from what is there when recover is
+// set. The caller has stopped or crashed the Manager before it.
+func startJournaled(t *testing.T, d *deployment, backend wal.Backend, recover bool) *Manager {
+	t.Helper()
+	log, err := wal.Open(backend, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := StartManagerConfig(d.tr, d.mgrHost, ManagerConfig{Journal: log, Recover: recover})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// addLine opens a line on c, starts the adder on sgi-lerc and binds it
+// with one call.
+func addLine(t *testing.T, c *Client) *Line {
+	t.Helper()
+	ln, err := c.ContactSchx("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+		t.Fatal(err)
+	}
+	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+	if _, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(1)); err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// twoAdds issues two calls of ln at once, with no binding cached, so
+// that both find the line's Manager connection dead together, and
+// requires both to succeed.
+func twoAdds(t *testing.T, ln *Line) {
+	t.Helper()
+	ln.FlushCache()
+	pends := []*Pending{ln.Go("add", uts.DoubleVal(1), uts.DoubleVal(2)), ln.Go("add", uts.DoubleVal(3), uts.DoubleVal(4))}
+	for i, p := range pends {
+		out, err := p.Wait()
+		if err != nil {
+			t.Errorf("call %d after the Manager came back: %v", i, err)
+		} else if want := float64(4*i + 3); out[0].F != want {
+			t.Errorf("call %d = %g, want %g", i, out[0].F, want)
+		}
+	}
+}
+
+// TestVirtualConcurrentReattachKeepsLine: two calls that find the
+// line's Manager connection dead at once, after a Manager crash and
+// recovery, re-attach the line over one connection. A second
+// connection dialed and thrown away reads, to the recovered Manager,
+// as the module failing: it would quit the line under both calls.
+func TestVirtualConcurrentReattachKeepsLine(t *testing.T) {
+	t.Parallel()
+	d, _ := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	backend := wal.NewMemBackend()
+	d.mgr.Stop()
+	d.mgr = startJournaled(t, d, backend, false)
+	ln := addLine(t, d.client("rs6000"))
+	defer ln.IQuit()
+
+	d.mgr.Crash()
+	d.mgr = startJournaled(t, d, backend, true)
+	twoAdds(t, ln)
+	if n := d.mgr.LineCount(); n != 1 {
+		t.Errorf("recovered Manager holds %d lines, want 1", n)
+	}
+}
+
+// TestVirtualConcurrentReattachAfterTakeover is the same race against a
+// standby that took over from a crashed leader on another host.
+func TestVirtualConcurrentReattachAfterTakeover(t *testing.T) {
+	t.Parallel()
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	d.mgr.Stop()
+	d.mgr = startJournaled(t, d, wal.NewMemBackend(), false)
+	standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := StartStandby(d.tr, "rs6000", "avs-sparc", standbyLog, StandbyPolicy{
+		HeartbeatInterval: 5 * time.Millisecond,
+		Threshold:         2,
+		PingTimeout:       50 * time.Millisecond,
+	})
+	t.Cleanup(func() {
+		sb.Stop()
+		if m := sb.Manager(); m != nil {
+			m.Stop()
+		}
+	})
+	c := d.client("sgi-lerc")
+	c.Managers = []string{"rs6000"}
+	ln := addLine(t, c)
+	defer ln.IQuit()
+	for i := 0; standbyLog.LastSeq() < d.mgr.JournalSeq(); i++ {
+		if i == 1000 {
+			t.Fatalf("standby mirror at %d, leader at %d", standbyLog.LastSeq(), d.mgr.JournalSeq())
+		}
+		v.Sleep(5 * time.Millisecond)
+	}
+
+	d.mgr.Crash()
+	for i := 0; !sb.TookOver() || sb.Manager() == nil; i++ {
+		if i == 1000 {
+			t.Fatal("standby never took over")
+		}
+		v.Sleep(5 * time.Millisecond)
+	}
+	twoAdds(t, ln)
+	if n := sb.Manager().LineCount(); n != 1 {
+		t.Errorf("promoted Manager holds %d lines, want 1", n)
+	}
+}
+
+// TestVirtualUnreachableManagerIsStale: a lookup that cannot re-attach
+// the line — its Manager crashed and nobody took over — is retried like
+// any stale failure, until the call's retry budget runs out.
+func TestVirtualUnreachableManagerIsStale(t *testing.T) {
+	d, _ := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	pol := CallPolicy{Timeout: time.Second, MaxRetries: 3, Backoff: 10 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+	ln := addLine(t, d.clientWith("rs6000", pol))
+	defer ln.IQuit()
+
+	d.mgr.Crash()
+	ln.FlushCache()
+	before := trace.Get("schooner.client.retries")
+	_, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(2))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("failed after %d attempts", pol.MaxRetries+1)) {
+		t.Fatalf("call with no Manager = %v, want the retries-exhausted error", err)
+	}
+	if got := trace.Get("schooner.client.retries") - before; got != int64(pol.MaxRetries) {
+		t.Errorf("retries rose by %d, want %d", got, pol.MaxRetries)
 	}
 }

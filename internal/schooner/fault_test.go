@@ -64,7 +64,12 @@ func TestCallDeadlineHostDownAfterSend(t *testing.T) {
 	d.reg.MustRegister(trapProgram("/npss/trap", func() {
 		d.net.SetHostDown("sgi-lerc", true)
 	}))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    150 * time.Millisecond,
+		MaxRetries: 2,
+		Backoff:    time.Millisecond,
+		MaxBackoff: 5 * time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +78,6 @@ func TestCallDeadlineHostDownAfterSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import trap prog("x" val double, "y" res double)`))
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    150 * time.Millisecond,
-		MaxRetries: 2,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 5 * time.Millisecond,
-	})
 
 	timeoutsBefore := trace.Get("schooner.client.timeouts")
 	start := time.Now()
@@ -103,7 +102,12 @@ func TestCallDeadlineHostDownAfterSend(t *testing.T) {
 func TestCallRetriesThroughLoss(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    50 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    time.Millisecond,
+		MaxBackoff: 5 * time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +122,6 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 	}
 	d.net.SetFaultSeed(17)
 	d.net.SetLinkFlaky("avs-sparc", "sgi-lerc", netsim.FaultSpec{LossProb: 0.3})
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    50 * time.Millisecond,
-		MaxRetries: 30,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 5 * time.Millisecond,
-	})
 
 	retriesBefore := trace.Get("schooner.client.retries")
 	for i := 0; i < 10; i++ {
@@ -153,19 +151,39 @@ func TestHealthFailoverStateless(t *testing.T) {
 	d.reg.MustRegister(adderProgram("/npss/adder"))
 	d.reg.MustRegister(counterProgram("/npss/counter"))
 
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	// A generous retry budget for the stateless adder's line: the first
+	// attempts fail fast against the dead machine while the monitor
+	// detects it (2 sweeps of 5ms) and respawns; a later attempt's
+	// re-ask finds the new home. The stateful counter's line gives up
+	// after one retry.
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    100 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    2 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.IQuit()
+	counter, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    100 * time.Millisecond,
+		MaxRetries: 1,
+		Backoff:    time.Millisecond,
+		MaxBackoff: 2 * time.Millisecond,
+	}).ContactSchx("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer counter.IQuit()
 	if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ln.StartRemote("/npss/counter", "sgi-lerc"); err != nil {
+	if err := counter.StartRemote("/npss/counter", "sgi-lerc"); err != nil {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	ln.Import(uts.MustParseProc(`import next prog("n" res integer)`))
+	counter.Import(uts.MustParseProc(`import next prog("n" res integer)`))
 	if _, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,15 +198,6 @@ func TestHealthFailoverStateless(t *testing.T) {
 
 	d.net.SetHostDown("sgi-lerc", true)
 
-	// A generous retry budget: the first attempts fail fast against the
-	// dead machine while the monitor detects it (2 sweeps of 5ms) and
-	// respawns; a later attempt's re-ask finds the new home.
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    100 * time.Millisecond,
-		MaxRetries: 30,
-		Backoff:    2 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-	})
 	out, err := ln.Call("add", uts.DoubleVal(20), uts.DoubleVal(22))
 	if err != nil {
 		t.Fatalf("call did not recover through failover: %v", err)
@@ -208,13 +217,7 @@ func TestHealthFailoverStateless(t *testing.T) {
 	}
 	// The stateful counter must NOT have been failed over: its calls
 	// keep failing while the machine is down.
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    100 * time.Millisecond,
-		MaxRetries: 1,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 2 * time.Millisecond,
-	})
-	if _, err := ln.Call("next"); err == nil {
+	if _, err := counter.Call("next"); err == nil {
 		t.Error("stateful procedure answered from beyond the grave")
 	}
 }

@@ -71,6 +71,12 @@ func (d *deployment) client(host string) *Client {
 	return c
 }
 
+// clientWith returns a client of its own on host, outside the per-host
+// cache, whose lines run under policy p.
+func (d *deployment) clientWith(host string, p CallPolicy) *Client {
+	return &Client{Transport: d.tr, Host: host, ManagerHost: d.mgrHost, Policy: p}
+}
+
 // adderProgram is a C-language program exporting add and scale.
 func adderProgram(path string) *Program {
 	return &Program{
@@ -447,7 +453,7 @@ func TestConnectionDropShutsLine(t *testing.T) {
 		t.Fatalf("LineCount = %d", d.mgr.LineCount())
 	}
 	// Simulate module crash: close the manager connection directly.
-	ln.mgr.Close()
+	ln.mgr.conn.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if d.mgr.LineCount() == 0 && d.servers["sgi-lerc"].ProcessCount() == 0 {

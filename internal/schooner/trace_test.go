@@ -170,7 +170,12 @@ func TestRetryKeepsOneTraceID(t *testing.T) {
 func TestFailoverSpanLinkage(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    100 * time.Millisecond,
+		MaxRetries: 30,
+		Backoff:    2 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +195,6 @@ func TestFailoverSpanLinkage(t *testing.T) {
 		PingTimeout: 50 * time.Millisecond,
 	})
 	d.net.SetHostDown("sgi-lerc", true)
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    100 * time.Millisecond,
-		MaxRetries: 30,
-		Backoff:    2 * time.Millisecond,
-		MaxBackoff: 50 * time.Millisecond,
-	})
 	out, err := ln.Call("add", uts.DoubleVal(20), uts.DoubleVal(22))
 	if err != nil || out[0].F != 42 {
 		t.Fatalf("call did not recover through failover: %v, %v", out, err)

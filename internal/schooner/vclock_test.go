@@ -89,7 +89,12 @@ func napProgram(c vclock.Clock, path string, d time.Duration) *Program {
 func deadlineScript(t *testing.T) (virtualElapsed, realElapsed time.Duration, err error) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(napProgram(v, "/npss/nap", 2*time.Minute))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    30 * time.Second,
+		MaxRetries: -1, // single attempt: the timeout itself is under test
+		Backoff:    time.Millisecond,
+		MaxBackoff: time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +103,6 @@ func deadlineScript(t *testing.T) (virtualElapsed, realElapsed time.Duration, er
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import nap prog("x" val double, "y" res double)`))
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    30 * time.Second,
-		MaxRetries: -1, // single attempt: the timeout itself is under test
-		Backoff:    time.Millisecond,
-		MaxBackoff: time.Millisecond,
-	})
 	virtualBefore := v.Elapsed()
 	realStart := time.Now()
 	_, err = ln.Call("nap", uts.DoubleVal(1))
@@ -206,7 +205,12 @@ func TestVirtualHealthFailover(t *testing.T) {
 	t.Parallel()
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    5 * time.Second,
+		MaxRetries: 10,
+		Backoff:    100 * time.Millisecond,
+		MaxBackoff: 2 * time.Second,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +246,6 @@ func TestVirtualHealthFailover(t *testing.T) {
 		t.Fatal("sgi-lerc never declared dead under the virtual clock")
 	}
 
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    5 * time.Second,
-		MaxRetries: 10,
-		Backoff:    100 * time.Millisecond,
-		MaxBackoff: 2 * time.Second,
-	})
 	out, err := ln.Call("add", uts.DoubleVal(20), uts.DoubleVal(22))
 	if err != nil {
 		t.Fatalf("call did not recover through virtual-time failover: %v", err)
@@ -275,7 +273,12 @@ func TestVirtualPendingWait(t *testing.T) {
 	t.Parallel()
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(napProgram(v, "/npss/nap", 5*time.Second))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
+		Timeout:    time.Minute,
+		MaxRetries: -1,
+		Backoff:    time.Millisecond,
+		MaxBackoff: time.Millisecond,
+	}).ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +287,6 @@ func TestVirtualPendingWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Import(uts.MustParseProc(`import nap prog("x" val double, "y" res double)`))
-	ln.SetCallPolicy(CallPolicy{
-		Timeout:    time.Minute,
-		MaxRetries: -1,
-		Backoff:    time.Millisecond,
-		MaxBackoff: time.Millisecond,
-	})
 
 	virtualBefore := v.Elapsed()
 	realStart := time.Now()
@@ -446,17 +443,16 @@ func TestContactSchxDeadline(t *testing.T) {
 func TestStartRemoteSurvivesLostSpawn(t *testing.T) {
 	d, _ := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.IQuit()
-	ln.SetCallPolicy(CallPolicy{
+	ln, err := d.clientWith("avs-sparc", CallPolicy{
 		Timeout:    250 * time.Millisecond,
 		MaxRetries: 2,
 		Backoff:    10 * time.Millisecond,
 		MaxBackoff: time.Second,
-	})
+	}).ContactSchx("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.IQuit()
 	d.net.SetFaultSeed(1)
 	d.net.SetLinkFlaky("avs-sparc", "sgi-lerc", netsim.FaultSpec{LossProb: 0.5})
 	retriesBefore := trace.Get("schooner.manager.spawn_retries")
@@ -497,12 +493,13 @@ func TestVirtualOneConnectionAnswersInRequestOrder(t *testing.T) {
 		Backoff:    time.Millisecond,
 		MaxBackoff: time.Millisecond,
 	}
-	slow, err := d.client("avs-sparc").ContactSchx("slow")
+	c := d.clientWith("avs-sparc", policy)
+	slow, err := c.ContactSchx("slow")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.IQuit()
-	fast, err := d.client("avs-sparc").ContactSchx("fast")
+	fast, err := c.ContactSchx("fast")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +512,6 @@ func TestVirtualOneConnectionAnswersInRequestOrder(t *testing.T) {
 	}
 	slow.Import(uts.MustParseProc(`import nap prog("x" val double, "y" res double)`))
 	fast.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
-	slow.SetCallPolicy(policy)
-	fast.SetCallPolicy(policy)
 	// Bind both lines, so that what follows is calls alone.
 	if _, err := slow.Call("nap", uts.DoubleVal(0)); err != nil {
 		t.Fatal(err)
@@ -621,11 +616,17 @@ func TestServeReturnsWhenReplyFails(t *testing.T) {
 // reply, so a warm call is two turns of the caller's and two of the
 // process's: each parks once for its message to be queued and once
 // for it to arrive. Go adds a goroutine, whose first turn is one more,
-// and the driver's wake-up when it completes.
+// and the driver's wake-up when it completes. A warm two-call
+// GoBatchHosts to one host starts the goroutine that dispatches it,
+// which takes three turns (its first, and one park each for the
+// envelope to be queued and for the reply to arrive); the Server takes
+// two, and the driver one, as both members complete together.
 func TestVirtualCallHandoffs(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	ln, err := d.client("avs-sparc").ContactSchx("ledger")
+	cl := d.client("avs-sparc")
+	defer cl.Close()
+	ln, err := cl.ContactSchx("ledger")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +640,19 @@ func TestVirtualCallHandoffs(t *testing.T) {
 			t.Fatalf("add(1, 2) = %v, %v", out, err)
 		}
 	}
-	call() // bind
+	batch := func() {
+		pends := cl.GoBatchHosts([]CrossCall{
+			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
+			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
+		})
+		for i, p := range pends {
+			if out, err := p.Wait(); err != nil || out[0].F != float64(4*i+3) {
+				t.Fatalf("batched add %d = %v, %v", i, out, err)
+			}
+		}
+	}
+	call()  // bind
+	batch() // dial the Server connection
 	const n = 1000
 	for _, c := range []struct {
 		name          string
@@ -660,6 +673,9 @@ func TestVirtualCallHandoffs(t *testing.T) {
 			map[string]int{"driver": 4 * n, "schooner.Manager.serve": 2 * n,
 				"schooner.process.acceptLoop": n, "schooner.process.serve": 3 * n},
 			map[string]int{"schooner.process.serve": n}},
+		{"warm two-call GoBatchHosts", batch,
+			map[string]int{"driver": n, "schooner.dispatchBatch": 3 * n, "schooner.Server.serve": 2 * n},
+			map[string]int{"schooner.dispatchBatch": n}},
 	} {
 		turns0, starts0 := v.Handoffs()
 		for i := 0; i < n; i++ {
