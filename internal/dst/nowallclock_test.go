@@ -16,7 +16,7 @@ import (
 // relative to this one. Everything they do must be timed by the clock
 // and randomised by the seed the cluster was built with.
 var simulatedPackages = []string{
-	"schooner", "netsim", "dst", "dataflow", "engine", "core", "exper", "tseries", "flight",
+	"schooner", "netsim", "dst", "dataflow", "engine", "core", "exper", "scenario", "tseries", "flight",
 }
 
 // forbidden names, by import path, the package-level functions and
@@ -62,7 +62,7 @@ var exemptions = []exemption{
 	// Wall time by design.
 	{"dst", "dst.go", "NewCluster", "time.Now", "Result.RealElapsed is what simulating the run cost"},
 	{"dst", "dst.go", "Cluster.Finish", "time.Since", "Result.RealElapsed is what simulating the run cost"},
-	{"exper", "chaos.go", "runTable2", "time.Now time.Since", "Result.RealElapsed is what simulating the run cost"},
+	{"scenario", "table2.go", "runTable2", "time.Now time.Since", "Result.RealElapsed is what simulating the run cost"},
 	{"dst", "watchdog.go", "Watchdog", "time.AfterFunc", "the watchdog must fire when the virtual clock is stuck"},
 	{"flight", "flight.go", "var clock", "time.Now", "flight events carry wall-clock stamps for operators"},
 	{"schooner", "transport.go", "TCPTransport.Jitter", "rand.Float64", "a transport over real sockets spreads retries with unseeded jitter"},

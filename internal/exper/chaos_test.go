@@ -1,4 +1,4 @@
-package exper
+package exper_test
 
 import (
 	"path/filepath"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"npss/internal/dst"
+	"npss/internal/exper"
 	"npss/internal/scenario"
 )
 
@@ -60,7 +61,7 @@ func TestChaos(t *testing.T) {
 			relErr = m[1]
 		}
 	}
-	if e, err := strconv.ParseFloat(relErr, 64); err != nil || e > 1e-4 {
+	if e, err := strconv.ParseFloat(relErr, 64); err != nil || !(e <= 1e-4) {
 		t.Errorf("maxRelErr = %q under faults, want <= 1e-4 (notes %q)", relErr, res.Notes)
 	}
 	if !res.Asserts[0].OK || res.Asserts[0].Desc != "converged" {
@@ -113,8 +114,8 @@ func TestEveryChaosKnobIsLive(t *testing.T) {
 		fails bool
 	}{
 		{"seed", func(s *scenario.Spec) { s.Seed = 1994 }, false},
-		{"faults.from", func(s *scenario.Spec) { s.Faults[2].From = SGI480Lerc }, false},
-		{"faults.to", func(s *scenario.Spec) { s.Faults[2].To = ConvexLerc }, false},
+		{"faults.from", func(s *scenario.Spec) { s.Faults[2].From = exper.SGI480Lerc }, false},
+		{"faults.to", func(s *scenario.Spec) { s.Faults[2].To = exper.ConvexLerc }, false},
 		// At 1 % loss on every link one spawn message is lost, which
 		// used to fail the run before the Manager could retry it.
 		{"faults.loss", func(s *scenario.Spec) {
@@ -134,7 +135,7 @@ func TestEveryChaosKnobIsLive(t *testing.T) {
 		{"health.interval", func(s *scenario.Spec) { s.Health.Interval = 50 * time.Millisecond }, false},
 		{"health.threshold", func(s *scenario.Spec) { s.Health.Threshold = 2 }, false},
 		{"health.ping_timeout", func(s *scenario.Spec) { s.Health.PingTimeout = 100 * time.Millisecond }, false},
-		{"crash host", func(s *scenario.Spec) { s.Events[0].Host = SGI420Lerc }, false},
+		{"crash host", func(s *scenario.Spec) { s.Events[0].Host = exper.SGI420Lerc }, false},
 		{"crash at", func(s *scenario.Spec) { s.Events[0].At = 10 * time.Millisecond }, false},
 	} {
 		t.Run(tc.key, func(t *testing.T) {

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,32 @@ func TestTable2Parallel(t *testing.T) {
 	}
 	if row.RPCs == 0 {
 		t.Error("no RPCs counted")
+	}
+}
+
+// TestMaxRelErrNeverPassesABrokenAnswer: a remote answer with a NaN in
+// it, or a state vector of another length, is an infinite deviation,
+// so a row or a chaos run that computed it never reads as converged.
+func TestMaxRelErrNeverPassesABrokenAnswer(t *testing.T) {
+	local := &core.RunResult{State: []float64{1, 2, 3}}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name  string
+		state []float64
+	}{
+		{"all-NaN remote", []float64{nan, nan, nan}},
+		{"NaN then a finite deviation", []float64{nan, 2.5, 3}},
+		{"shorter remote", []float64{1, 2}},
+		{"longer remote", []float64{1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := maxRelErr(local, &core.RunResult{State: tc.state}); !math.IsInf(got, 1) {
+				t.Errorf("maxRelErr = %g, want +Inf", got)
+			}
+		})
+	}
+	if got := maxRelErr(local, &core.RunResult{State: []float64{1, 2, 3.3}}); math.Abs(got-0.1) > 1e-12 {
+		t.Errorf("maxRelErr of a 10%% deviation = %g, want 0.1", got)
 	}
 }
 

@@ -1,4 +1,4 @@
-package exper
+package exper_test
 
 import (
 	"bytes"
@@ -178,6 +178,41 @@ func TestTable2ScenarioRejects(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "line ") {
 				t.Fatalf("err = %q, want %q with a line number", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCompileRejectsWhatRunRejects: `npss-exp -exp scenario -validate`
+// runs Compile, so Compile holds a table2 file to the testbed and
+// rejects an unknown workload, each error at its line.
+func TestCompileRejectsWhatRunRejects(t *testing.T) {
+	head := "name: t\nseed: 1\nduration: 1s\nworkload: table2\n"
+	twoCrashes := "events:\n  - at: 100ms\n    action: crash_host\n    host: rs6000-lerc\n  - at: 200ms\n    action: crash_host\n    host: cray-lerc\n"
+	for _, tc := range []struct{ name, file, want string }{
+		{
+			"host off the testbed",
+			head + strings.Replace(testbedFleet, "sgi4d340-ua", "vax-somewhere", 1) + twoCrashes,
+			`line 9: fleet host "vax-somewhere" is not a testbed machine`,
+		},
+		{
+			"second crash",
+			head + testbedFleet + twoCrashes,
+			"line 27: table2 workload supports exactly one crash_host event",
+		},
+		{
+			"unknown workload",
+			strings.Replace(head, "table2", "warp", 1) + testbedFleet,
+			`line 4: unknown workload "warp"`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := scenario.Decode([]byte(tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := scenario.Compile(spec); err == nil || err.Error() != tc.want {
+				t.Fatalf("Compile err = %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 
 	"npss/internal/core"
 	"npss/internal/critpath"
-	"npss/internal/engine"
 	"npss/internal/netsim"
 	"npss/internal/trace"
 	"npss/internal/vclock"
@@ -119,70 +118,105 @@ func MergeLinks(into map[string]critpath.LinkIO, from map[string]critpath.LinkIO
 	return into
 }
 
-// runConfigured executes the local baseline and the placed run on a
-// fresh testbed on a virtual clock of its own, and fills in the
-// comparison.
+// runConfigured stands the F100 up on avs and runs it with placements
+// remote, sequential or overlapped as spec says.
 func runConfigured(avs string, placements map[string]string, spec RunSpec) *ModuleRun {
-	spec.defaults()
-	row := &ModuleRun{AVSMachine: avs, Placements: placements}
+	f, err := StandUp(avs, spec)
+	if err != nil {
+		row := newRow(avs, placements)
+		row.Err = err
+		return row
+	}
+	row := f.Run(placements, core.RunOptions{Parallel: spec.Parallel || spec.Batch, Batch: spec.Batch})
+	f.Close(&row.Err)
+	return row
+}
+
+// newRow is a row of placements on avs, before any run.
+func newRow(avs string, placements map[string]string) *ModuleRun {
 	nets := make([]string, 0, len(placements))
 	for _, m := range placements {
 		nets = append(nets, LinkName(avs, m))
 	}
-	row.Network = strings.Join(dedupe(nets), " + ")
+	return &ModuleRun{AVSMachine: avs, Placements: placements, Network: strings.Join(dedupe(nets), " + ")}
+}
 
+// F100 is the paper's F100 simulation stood up on a fresh testbed on a
+// virtual clock of its own, with its local-compute-only baseline run.
+// Between StandUp and Run a caller may degrade the testbed's links,
+// start the Manager's health monitor or set the client's call policy;
+// Close tears it all down.
+type F100 struct {
+	Clock   *vclock.Virtual
+	Testbed *Testbed
+	Exec    *core.Executive
+
+	local        *core.RunResult
+	restoreSpans func()
+}
+
+// StandUp builds the testbed with the executive on avs, configures the
+// run and runs the local baseline: the correctness reference.
+func StandUp(avs string, spec RunSpec) (_ *F100, err error) {
+	spec.defaults()
 	v := vclock.NewVirtual()
-	defer recordSpansOn(v)()
-	defer stopClock(v, &row.Err)
-	tb, err := newTestbed(avs, v)
-	if err != nil {
-		row.Err = err
-		return row
+	f := &F100{Clock: v, restoreSpans: recordSpansOn(v)}
+	defer func() {
+		if err != nil {
+			f.Close(&err)
+		}
+	}()
+	if f.Testbed, err = newTestbed(avs, v); err != nil {
+		return nil, err
 	}
-	defer tb.Stop()
-	tb.Net.ScaleLatency(spec.NetScale)
-	exec, err := tb.NewExecutive()
-	if err != nil {
-		row.Err = err
-		return row
+	f.Testbed.Net.ScaleLatency(spec.NetScale)
+	if f.Exec, err = f.Testbed.NewExecutive(); err != nil {
+		return nil, err
 	}
-	defer exec.Destroy()
-	if err := configure(exec, spec); err != nil {
-		row.Err = err
-		return row
+	if err := configure(f.Exec, spec); err != nil {
+		return nil, err
 	}
-
 	// Phase spans bracket the two runs so a timeline shows the local
 	// baseline and the placed run as top-level lanes.
 	localSp := trace.StartSpan("local run", avs)
-	local, err := exec.Run(core.RunOptions{})
+	f.local, err = f.Exec.Run(core.RunOptions{})
 	localSp.End()
 	if err != nil {
-		row.Err = fmt.Errorf("local run: %w", err)
-		return row
+		return nil, fmt.Errorf("local run: %w", err)
 	}
+	return f, nil
+}
+
+// Run places the adapted modules on their machines, runs the
+// simulation under opts and compares it with the local baseline. The
+// row's Calls and RPCs are what the run adds to the current metric
+// set; its Links and SimNet are the run's own traffic.
+func (f *F100) Run(placements map[string]string, opts core.RunOptions) *ModuleRun {
+	avs := f.Testbed.AVSHost
+	row := newRow(avs, placements)
 	for inst, m := range placements {
-		if err := exec.SetRemote(inst, m, ""); err != nil {
+		if err := f.Exec.SetRemote(inst, m, ""); err != nil {
 			row.Err = err
 			return row
 		}
 	}
-	tb.Net.ResetStats()
+	net := f.Testbed.Net
+	net.ResetStats()
 	callsBefore := trace.Get("schooner.client.calls")
 	rpcsBefore := trace.Get("schooner.client.rpcs")
 	remoteSp := trace.StartSpan("remote run", avs)
-	if remoteSp != nil && (spec.Parallel || spec.Batch) {
+	if remoteSp != nil && opts.Parallel {
 		mode := "parallel"
-		if spec.Batch {
+		if opts.Batch {
 			mode = "batch"
 		}
 		remoteSp.Annotate("mode", mode)
 	}
-	start := v.Now()
-	remote, err := exec.Run(core.RunOptions{Parallel: spec.Parallel || spec.Batch, Batch: spec.Batch})
-	row.Wall = v.Since(start)
+	start := f.Clock.Now()
+	remote, err := f.Exec.Run(opts)
+	row.Wall = f.Clock.Since(start)
 	remoteSp.End()
-	row.Links = linkIO(tb.Net.Stats())
+	row.Links = linkIO(net.Stats())
 	if err != nil {
 		row.Err = fmt.Errorf("remote run: %w", err)
 		return row
@@ -191,18 +225,25 @@ func runConfigured(avs string, placements map[string]string, spec RunSpec) *Modu
 	row.SteadyIters = remote.SteadyIters
 	row.RPCs = trace.Get("schooner.client.rpcs") - rpcsBefore
 	row.Calls = trace.Get("schooner.client.calls") - callsBefore
-	row.SimNet = tb.Net.TotalSimDelay()
-	row.MaxRelErr = maxRelErr(local, remote)
+	row.SimNet = net.TotalSimDelay()
+	row.MaxRelErr = maxRelErr(f.local, remote)
 	return row
 }
 
-// stopClock stops a run's virtual clock once its testbed is down,
-// reporting into *errp, unless it already holds an error, a goroutine
-// of the run that outlived it.
-func stopClock(v *vclock.Virtual, errp *error) {
-	if err := v.Stop(); err != nil && *errp == nil {
+// Close destroys the executive, stops the testbed and then its clock,
+// and puts the process span recorder back. A goroutine of the run that
+// outlived it lands in *errp, unless that already holds an error.
+func (f *F100) Close(errp *error) {
+	if f.Exec != nil {
+		f.Exec.Destroy()
+	}
+	if f.Testbed != nil {
+		f.Testbed.Stop()
+	}
+	if err := f.Clock.Stop(); err != nil && *errp == nil {
 		*errp = err
 	}
+	f.restoreSpans()
 }
 
 // recordSpansOn stamps the spans of a run on v when span recording is
@@ -237,16 +278,24 @@ func configure(exec *core.Executive, spec RunSpec) error {
 	return exec.Network.SetParam(core.InstComb, "fuel schedule", sched)
 }
 
+// maxRelErr is the largest relative deviation of the remote run from
+// the local one over the final state vector and the steady and final
+// thrust and T4. A non-finite deviation or a state vector of another
+// length is +Inf: a NaN answer never reads as converged.
 func maxRelErr(local, remote *core.RunResult) float64 {
+	if len(local.State) != len(remote.State) {
+		return math.Inf(1)
+	}
 	max := 0.0
 	obs := func(a, b float64) {
-		if a == b {
+		if a == b && !math.IsInf(a, 0) {
 			return
 		}
 		d := math.Abs(a-b) / math.Max(math.Abs(a), 1e-12)
-		if d > max {
-			max = d
+		if math.IsNaN(d) {
+			d = math.Inf(1)
 		}
+		max = math.Max(max, d)
 	}
 	for i := range local.State {
 		obs(local.State[i], remote.State[i])
@@ -357,6 +406,3 @@ func FormatTable2(r *ModuleRun) string {
 		r.Converged, r.SteadyIters, r.MaxRelErr, r.Calls, r.RPCs, r.SimNet.Round(time.Millisecond), r.Wall.Round(time.Millisecond))
 	return b.String()
 }
-
-// engineSanity is referenced by the harness to pin the workload shape.
-var _ = engine.NumStates

@@ -186,9 +186,6 @@ func AllMachines() []string {
 	return append(append([]string{}, lercHosts...), uaHosts...)
 }
 
-func describeArch(h string) string {
-	if a, ok := archOf[h]; ok {
-		return a.Name
-	}
-	return "unknown"
-}
+// ArchOf reports a testbed machine's architecture, nil for a machine
+// the testbed does not have.
+func ArchOf(h string) *machine.Arch { return archOf[h] }

@@ -46,6 +46,8 @@ type Plan struct {
 	HostCount int
 	// OpCount is how many dst ops the timeline will apply.
 	OpCount int
+	// crash is the table2 workload's crash_host event, nil when none.
+	crash *EventSpec
 }
 
 // joinAt records when a ramped host comes up (boot hosts are at 0).
@@ -60,17 +62,27 @@ type joinAt struct {
 // stress blocks onto the dst op vocabulary, and semantic-checks the
 // result: every referenced host must exist and be up by the time an
 // event targets it, and nothing may be scheduled past the scenario
-// duration. This is exactly what `npss-exp -exp scenario -validate`
-// runs.
+// duration. A table2 scenario must also be the paper's testbed with at
+// most one crash (checkTable2). This is exactly what `npss-exp -exp
+// scenario -validate` runs.
 func Compile(spec *Spec) (*Plan, error) {
 	p := &Plan{Spec: spec}
-	if spec.Workload == "" || spec.Workload == "dst" {
+	switch spec.Workload {
+	case "", "dst":
 		if len(spec.Faults) > 0 {
 			return nil, errAt(spec.Faults[0].Line, "faults: only the table2 workload degrades links; the dst workload scripts its faults as events")
 		}
 		if spec.PolicyLine > 0 {
 			return nil, errAt(spec.PolicyLine, "policy: only the table2 workload reads a call policy")
 		}
+	case "table2":
+		crash, err := checkTable2(spec)
+		if err != nil {
+			return nil, err
+		}
+		p.crash = crash
+	default:
+		return nil, errAt(spec.WorkloadLine, "unknown workload %q", spec.Workload)
 	}
 	joins, err := compileFleet(spec, p)
 	if err != nil {

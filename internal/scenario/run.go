@@ -37,10 +37,10 @@ type AssertResult struct {
 	Line   int
 }
 
-// Probe is the read-only cluster view an assertion evaluates against.
-// The DST cluster implements it directly; alternative workloads (the
-// Table 2 chaos adapter in internal/exper) provide their own.
-type Probe interface {
+// probe is the read-only cluster view an assertion evaluates against.
+// The DST cluster implements it through clusterProbe; the table2
+// workload's chaosRun provides its own.
+type probe interface {
 	// Counter reads one metric counter of the run.
 	Counter(key string) int64
 	// BoundHost reports which machine a shared procedure is bound to,
@@ -51,17 +51,6 @@ type Probe interface {
 	ViolationText() string
 }
 
-// WorkloadFunc executes a scenario under an alternative workload.
-type WorkloadFunc func(*Spec) (*Result, error)
-
-// workloads maps Spec.Workload names to their runners. "dst" (the
-// default) is built in; internal/exper registers "table2" at init.
-var workloads = map[string]WorkloadFunc{}
-
-// RegisterWorkload installs an alternative workload runner. Called
-// from init functions; not safe for concurrent use.
-func RegisterWorkload(name string, fn WorkloadFunc) { workloads[name] = fn }
-
 // Run compiles and executes a scenario. The error return is for
 // harness failures (bad spec, cluster bring-up); assertion failures
 // and invariant violations land in Result.DST.Violation instead.
@@ -70,14 +59,12 @@ func Run(spec *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Workload != "" && spec.Workload != "dst" {
-		fn, ok := workloads[spec.Workload]
-		if !ok {
-			return nil, errAt(spec.WorkloadLine, "unknown workload %q", spec.Workload)
-		}
-		return fn(spec)
+	switch spec.Workload {
+	case "table2":
+		return runTable2(plan)
+	default:
+		return runPlan(plan)
 	}
-	return runPlan(plan)
 }
 
 func runPlan(plan *Plan) (*Result, error) {
@@ -130,7 +117,7 @@ func runPlan(plan *Plan) (*Result, error) {
 	return res, nil
 }
 
-// clusterProbe adapts the DST cluster to the Probe interface.
+// clusterProbe adapts the DST cluster to the probe interface.
 type clusterProbe struct{ c *dst.Cluster }
 
 func (p clusterProbe) Counter(key string) int64     { return p.c.Counter(key) }
@@ -147,16 +134,16 @@ func (p clusterProbe) ViolationText() string {
 // flight-recorder event, as a built-in invariant — which also stops
 // the timeline.
 func fileAssert(c *dst.Cluster, a AssertSpec, at time.Duration, res *Result) {
-	r := EvalAssert(clusterProbe{c}, a, at)
+	r := evalAssert(clusterProbe{c}, a, at)
 	res.Asserts = append(res.Asserts, r)
 	if !r.OK && c.Violation() == nil {
 		c.Violate("assert-"+a.Check, fmt.Sprintf("line %d: %s: got %s", a.Line, r.Desc, r.Detail))
 	}
 }
 
-// EvalAssert runs one assertion against a probe. Shared between the
-// DST runner and alternative workload adapters.
-func EvalAssert(p Probe, a AssertSpec, at time.Duration) AssertResult {
+// evalAssert runs one assertion against a probe. Shared between the
+// DST runner and the table2 workload.
+func evalAssert(p probe, a AssertSpec, at time.Duration) AssertResult {
 	r := AssertResult{At: at, Desc: describeAssert(a), Line: a.Line}
 	switch a.Check {
 	case "no_violation", "converged":

@@ -153,8 +153,8 @@ func TestBrokenAssertFails(t *testing.T) {
 	}
 }
 
-// TestUnknownWorkload pins the error for a workload no adapter
-// registered.
+// TestUnknownWorkload pins the error for a workload the harness does
+// not have.
 func TestUnknownWorkload(t *testing.T) {
 	spec, err := Decode([]byte(minimal + "workload: warp\n"))
 	if err != nil {

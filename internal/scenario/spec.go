@@ -36,9 +36,8 @@ type Spec struct {
 	Health  *schooner.HealthPolicy
 	Standby bool
 	// Workload selects what the cluster runs: "dst" (default, the
-	// counter/work/accumulator workload of internal/dst) or a
-	// registered alternative such as "table2" (the paper's combined
-	// F100 test, adapted in internal/exper).
+	// counter/work/accumulator workload of internal/dst) or "table2"
+	// (the paper's combined F100 test under faults, table2.go).
 	Workload     string
 	WorkloadLine int
 	Fleet        FleetSpec
