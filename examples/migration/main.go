@@ -75,11 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	local := engine.LocalHooks()
-	eng.Hooks.Shaft = func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-		if spool != "low" {
-			return local.Shaft(spool, qTur, qCom, inertia, omega)
-		}
+	eng.Hooks.LowShaft = func(qTur, qCom, inertia, omega float64) (float64, error) {
 		return npssproc.Shaft(line,
 			[]float64{qCom * omega, 0, 0, 0}, 1,
 			[]float64{qTur * omega, 0, 0, 0}, 1,

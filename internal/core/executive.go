@@ -516,9 +516,8 @@ func (x *Executive) applyStator(instance string, dst **engine.Schedule) error {
 func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 	hooks := engine.LocalHooks()
 
-	// Shafts by spool.
-	shaftHooks := make(map[string]func(qTur, qCom, inertia, omega float64) (float64, error))
-	shaftMods := make(map[string]*ShaftModule)
+	// Shafts, each to its spool's site.
+	shafts := make(map[string]*ShaftModule)
 	for _, inst := range []string{InstLowShaft, InstHighShaft} {
 		node, err := x.Network.Node(inst)
 		if err != nil {
@@ -528,26 +527,20 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: instance %q is not a shaft module", inst)
 		}
-		if h := sm.Hook(); h != nil {
-			shaftHooks[sm.Spool] = h
-		}
-		shaftMods[sm.Spool] = sm
-	}
-	if len(shaftHooks) > 0 {
-		local := hooks.Shaft
-		hooks.Shaft = func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-			if h, ok := shaftHooks[spool]; ok {
-				return h(qTur, qCom, inertia, omega)
-			}
-			return local(spool, qTur, qCom, inertia, omega)
+		shafts[sm.Spool] = sm
+		switch h := sm.Hook(); {
+		case h == nil: // computes in-process
+		case sm.Spool == "low":
+			hooks.LowShaft = h
+		case sm.Spool == "high":
+			hooks.HighShaft = h
 		}
 	}
-	if low, high := shaftMods["low"], shaftMods["high"]; batch && low != nil && high != nil {
+	if low, high := shafts["low"], shafts["high"]; batch && low != nil && high != nil {
 		hooks.ShaftPair = x.shaftPairHook(low, high)
 	}
 
-	// Ducts by station id.
-	ductHooks := make(map[string]func(k, pUp, tUp, far, pDown float64) (float64, error))
+	// Ducts, each to its station's site.
 	for _, inst := range []string{InstBypDuct, InstAugDuct} {
 		node, err := x.Network.Node(inst)
 		if err != nil {
@@ -561,17 +554,12 @@ func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
 		if !ok {
 			return fmt.Errorf("core: engine has no duct station %q", dm.Station)
 		}
-		if h := dm.Hook(des); h != nil {
-			ductHooks[dm.Station] = h
-		}
-	}
-	if len(ductHooks) > 0 {
-		local := hooks.Duct
-		hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-			if h, ok := ductHooks[id]; ok {
-				return h(k, pUp, tUp, far, pDown)
-			}
-			return local(id, k, pUp, tUp, far, pDown)
+		switch h := dm.Hook(des); {
+		case h == nil: // computes in-process
+		case dm.Station == "bypass":
+			hooks.BypassDuct = h
+		case dm.Station == "mixer-core":
+			hooks.MixerCoreDuct = h
 		}
 	}
 

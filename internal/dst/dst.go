@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"npss/internal/critpath"
@@ -104,7 +103,7 @@ type Result struct {
 	Events []flight.Event
 	// FlightDump is the scoped flight recorder's dump, captured only
 	// when the run ended in a violation — the post-mortem's starting
-	// point.
+	// point. With SeriesInterval set it ends with the series tail.
 	FlightDump string
 	// Profile is the critical-path attribution of the whole run, when
 	// Config.Profile was set.
@@ -202,10 +201,9 @@ func (l *ledger) doubleCommit() (key [2]int64, n int, found bool) {
 // Replay drives it with a generated schedule; the declarative
 // scenario harness (package scenario) steps it explicitly: NewCluster,
 // any interleaving of Apply / Sleep / AddHost / assertion probes
-// (Counter, BoundHost), then Converge and Finish. A Cluster owns the
-// process-global clock and metric set between NewCluster and Finish,
-// so at most one exists at a time (NewCluster serializes on an
-// internal lock).
+// (Counter, BoundHost), then Converge and Finish. A Cluster holds a
+// Scope of the process-global observability planes between NewCluster
+// and Finish, so at most one exists at a time.
 type Cluster struct {
 	cfg     Config
 	v       *vclock.Virtual
@@ -233,7 +231,6 @@ type Cluster struct {
 	// checkpoints.
 	backend       *wal.MemBackend
 	standby       *schooner.Standby
-	sampler       *tseries.Sampler
 	mgrDown       bool
 	preCrash      map[uint32][]string
 	restoredTotal map[string]int
@@ -245,17 +242,13 @@ type Cluster struct {
 
 	// Driver-stepping state: ops and step mirror what Replay's loop
 	// tracked, so explicit Apply calls produce the same outcome log and
-	// violation indices; the prev* fields restore the process globals
-	// (metric set, flight recorder) the run scoped, exactly once, at
-	// Finish.
-	ops       []Op
-	step      int
-	set       *trace.Set
-	rec       *flight.Recorder
-	prevSet   *trace.Set
-	prevRec   *flight.Recorder
-	realStart time.Time
-	finished  bool
+	// violation indices. scope holds the process globals the run
+	// scoped, and set is its metric set.
+	ops      []Op
+	step     int
+	scope    *Scope
+	set      *trace.Set
+	finished bool
 
 	// Profiling state (Config.Profile): a span recorder reading the
 	// virtual clock, and the recorder it displaced.
@@ -421,29 +414,6 @@ var healthPolicy = schooner.HealthPolicy{
 	PingTimeout: 40 * time.Millisecond,
 }
 
-// runMu serializes scenario runs: each swaps the process-global metric
-// set and flight recorder. active is the clock of the run in progress,
-// for StuckReport.
-var (
-	runMu  sync.Mutex
-	active atomic.Pointer[vclock.Virtual]
-)
-
-// StuckReport describes the run in progress when it appears hung: the
-// virtual clock's ledger — which participants hold time still, who is
-// parked — followed by the flight recorder's dump, through which it is
-// also recorded. Tests call it from a watchdog; "" when no run is
-// active.
-func StuckReport() string {
-	v := active.Load()
-	if v == nil {
-		return ""
-	}
-	ledger := v.Ledger()
-	flight.Record(flight.Event{Kind: flight.KindNote, Component: "dst", Name: "stuck", Detail: ledger})
-	return "virtual clock " + ledger + "\n" + flight.DumpString()
-}
-
 // Run generates a schedule from cfg.Seed and executes it.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Hosts <= 0 {
@@ -489,11 +459,11 @@ func (cfg *Config) fleet() []HostSpec {
 
 // NewCluster stands a cluster up on its own virtual clock, which every
 // component reads from the simulated network it is built on, and
-// scopes the observability globals — metric set, flight recorder — to
-// it. The caller must Finish the cluster (even after a violation) to
-// restore them; until then no other DST run can start.
+// scopes the observability globals to it. The caller must Finish the
+// cluster (even after a violation) to restore them; until then no
+// other simulated run can start.
 func NewCluster(cfg Config) (*Cluster, error) {
-	runMu.Lock()
+	scope := OpenScope()
 	fleet := cfg.fleet()
 
 	c := &Cluster{
@@ -505,17 +475,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		parts:         make(map[string]bool),
 		backend:       wal.NewMemBackend(),
 		restoredTotal: make(map[string]int),
-		realStart:     time.Now(),
+		scope:         scope,
 	}
-	active.Store(c.v)
-
-	// Scope metrics to this run. The flight recorder is scoped too,
-	// sized so tens of thousands of per-call events cannot evict the
-	// transition events a report overlays.
-	c.set = trace.NewSet()
-	c.prevSet = trace.Swap(c.set)
-	c.rec = flight.NewRecorderClock(1<<16, c.v.Now)
-	c.prevRec = flight.Swap(c.rec)
+	c.set = scope.Start(c.v, cfg.SeriesInterval)
 	if cfg.Profile {
 		// Span timestamps read the virtual clock, so the profile is a
 		// pure function of the schedule. The aux section puts the top critical-path edges into any
@@ -524,14 +486,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.prevSpanRec = trace.ActiveRecorder()
 		trace.SetRecorder(c.spanRec)
 		flight.SetAuxDump("critical path", critpath.FlightSection)
-	}
-	if cfg.SeriesInterval > 0 {
-		c.sampler = tseries.Start(tseries.Config{
-			Interval: cfg.SeriesInterval,
-			Clock:    c.v,
-			Source:   c.set.Export,
-		})
-		tseries.SetActive(c.sampler)
 	}
 
 	// The network carries the virtual clock to every component built on
@@ -723,8 +677,8 @@ func (c *Cluster) captureProfile() *critpath.Profile {
 }
 
 // Finish collects the run's Result and dismantles the cluster,
-// restoring the process-global metric set and flight recorder. It must
-// be called exactly once; the Cluster is dead afterwards.
+// restoring the process-global observability planes. It must be called
+// exactly once; the Cluster is dead afterwards.
 func (c *Cluster) Finish() *Result {
 	res := &Result{
 		Seed:           c.cfg.Seed,
@@ -738,26 +692,9 @@ func (c *Cluster) Finish() *Result {
 	for _, k := range signatureKeys {
 		res.Signature[k] = c.set.Get(k)
 	}
-	res.Metrics = c.set.Export()
-	if c.sampler != nil {
-		// Stop the sampler while the virtual clock still runs, so the
-		// final partial window flushes at this virtual instant.
-		tseries.SetActive(nil)
-		c.sampler.Stop()
-		res.Series = c.sampler.Snapshot()
-	}
-	// The scoped recorder's transition events overlay the series in a
-	// report; on a violation the full dump is the post-mortem.
-	if c.violation != nil {
-		res.FlightDump = flight.DumpString()
-	}
-	for _, e := range c.rec.Events() {
-		if e.Kind.IsTransition() {
-			res.Events = append(res.Events, e)
-		}
-	}
-	c.teardown()
-	res.RealElapsed = time.Since(c.realStart)
+	// On a violation the flight dump is the post-mortem.
+	c.scope.Collect(res, c.violation != nil)
+	res.RealElapsed = c.teardown()
 	return res
 }
 
@@ -765,21 +702,17 @@ func (c *Cluster) Finish() *Result {
 // prober first (it sleeps on the virtual clock, which must still be
 // running), then the Manager and Servers, then the clock itself —
 // stopping it releases whoever is still parked and waits until every
-// goroutine of the cluster has returned — and finally the global
-// metric set and flight recorder are restored and the run lock
-// released. Idempotent via c.finished.
-func (c *Cluster) teardown() {
+// goroutine of the cluster has returned — and finally the scope is
+// closed, which reports the run's wall-clock cost. Idempotent via
+// c.finished.
+func (c *Cluster) teardown() time.Duration {
 	if c.finished {
-		return
+		return 0
 	}
 	c.finished = true
-	if c.sampler != nil {
-		// Normally already stopped by Finish; on an error path this
-		// releases the sampler's virtual-clock timer before the clock
-		// halts. Stop is idempotent.
-		tseries.SetActive(nil)
-		c.sampler.Stop()
-	}
+	// Normally already stopped by Finish; on an error path this
+	// releases the sampler's virtual-clock timer before the clock halts.
+	c.scope.stopSampler()
 	if c.standby != nil {
 		c.standby.Stop()
 		if pm := c.standby.Manager(); pm != nil && pm != c.mgr {
@@ -801,14 +734,11 @@ func (c *Cluster) teardown() {
 			Name: "teardown", Detail: err.Error()})
 		logx.For("dst", "").Error("cluster goroutines outlived teardown", "err", err)
 	}
-	active.Store(nil)
 	if c.spanRec != nil {
 		flight.SetAuxDump("critical path", nil)
 		trace.SetRecorder(c.prevSpanRec)
 	}
-	trace.Swap(c.prevSet)
-	flight.Swap(c.prevRec)
-	runMu.Unlock()
+	return c.scope.Close()
 }
 
 func workerHosts(n int) []string {

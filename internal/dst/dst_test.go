@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -324,4 +325,20 @@ func TestBatchOpsReachServers(t *testing.T) {
 		return
 	}
 	t.Fatal("no clean run with a batch op in seeds 1-20")
+}
+
+// TestViolationDumpCarriesSeriesTail: a violation's flight dump is
+// taken while the run's sampler is still installed, so the post-mortem
+// shows the windows before the failure, exactly once.
+func TestViolationDumpCarriesSeriesTail(t *testing.T) {
+	res, err := Run(Config{Seed: 1, Ops: 60, Inject: "double-commit", SeriesInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation == nil {
+		t.Fatal("injected double-commit not detected")
+	}
+	if n := strings.Count(res.FlightDump, "-- series tail --"); n != 1 {
+		t.Errorf("flight dump has %d series tail sections, want 1:\n%s", n, res.FlightDump)
+	}
 }

@@ -60,19 +60,22 @@ var exemptions = []exemption{
 	{"exper", "scenarios.go", "Lines", "go time.Now time.Since", "concurrent lines run on real goroutines; the migration scenario reports its wall time"},
 
 	// Wall time by design.
-	{"dst", "dst.go", "NewCluster", "time.Now", "Result.RealElapsed is what simulating the run cost"},
-	{"dst", "dst.go", "Cluster.Finish", "time.Since", "Result.RealElapsed is what simulating the run cost"},
-	{"scenario", "table2.go", "runTable2", "time.Now time.Since", "Result.RealElapsed is what simulating the run cost"},
+	{"dst", "scope.go", "OpenScope", "time.Now", "Result.RealElapsed is what simulating the run cost"},
+	{"dst", "scope.go", "Scope.Close", "time.Since", "Result.RealElapsed is what simulating the run cost"},
 	{"dst", "watchdog.go", "Watchdog", "time.AfterFunc", "the watchdog must fire when the virtual clock is stuck"},
 	{"flight", "flight.go", "var clock", "time.Now", "flight events carry wall-clock stamps for operators"},
 	{"schooner", "transport.go", "TCPTransport.Jitter", "rand.Float64", "a transport over real sockets spreads retries with unseeded jitter"},
 
-	// The observability planes are still process globals, which a
-	// cluster swaps its own into and restores.
-	{names: "trace.Swap", reason: "the metric set is process-global"},
-	{names: "trace.SetRecorder", reason: "the span recorder is process-global"},
-	{names: "tseries.SetActive", reason: "the series sampler is process-global"},
-	{names: "flight.Swap", reason: "the flight recorder is process-global"},
+	// The observability planes are still process globals. A Scope
+	// swaps a run's own into them and restores them; span recording
+	// swaps the recorder where a run's spans start and end.
+	{"dst", "scope.go", "OpenScope", "trace.Swap", "the metric set is process-global"},
+	{"dst", "scope.go", "Scope.Start", "trace.Swap flight.Swap tseries.SetActive", "the observability planes are process-global"},
+	{"dst", "scope.go", "Scope.stopSampler", "tseries.SetActive", "the series sampler is process-global"},
+	{"dst", "scope.go", "Scope.Close", "trace.Swap flight.Swap", "the observability planes are process-global"},
+	{"dst", "dst.go", "NewCluster", "trace.SetRecorder", "the span recorder is process-global"},
+	{"dst", "dst.go", "Cluster.teardown", "trace.SetRecorder", "the span recorder is process-global"},
+	{"exper", "table.go", "recordSpansOn", "trace.SetRecorder", "the span recorder is process-global"},
 }
 
 // violation is one forbidden reference found in the source.

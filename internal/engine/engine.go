@@ -12,30 +12,31 @@ import (
 )
 
 // Hooks are the component computations the engine calls through
-// indirection. The defaults run locally; the prototype executive
-// (package core) replaces the four the paper adapted — shaft, duct,
-// combustor, and nozzle — with versions that invoke the computation on
-// a remote machine through Schooner. Every hook is a pure function of
-// its arguments, which is what made the adaptation possible.
+// indirection, one field per call site. The defaults run locally; the
+// prototype executive (package core) replaces the sites of the four
+// components the paper adapted — shaft, duct, combustor, and nozzle —
+// with versions that invoke the computation on a remote machine
+// through Schooner. Every hook is a pure function of its arguments,
+// which is what made the adaptation possible.
 type Hooks struct {
-	// Shaft receives the spool id ("low" or "high") so each shaft
-	// instance can be routed to its own remote computation, as in the
-	// paper's combined test where the two shaft modules ran on an
-	// RS/6000 while two duct instances ran on a Cray.
-	Shaft func(spool string, qTur, qCom, inertia, omega float64) (float64, error)
-	// Duct receives the duct site id ("bypass", "bleed", "mixer-core",
-	// "mixer-bypass").
-	Duct      func(id string, k, pUp, tUp, far, pDown float64) (float64, error)
-	Combustor func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error)
-	Nozzle    func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error)
+	// Each spool's shaft is a site of its own, as in the paper's
+	// combined test where the two shaft modules ran on an RS/6000
+	// while two duct instances ran on a Cray.
+	LowShaft, HighShaft func(qTur, qCom, inertia, omega float64) (float64, error)
+	// The bypass duct and the mixer's core side are the adapted duct
+	// sites. The cooling bleed and the mixer's bypass side always
+	// compute locally, through DuctFlow.
+	BypassDuct, MixerCoreDuct func(k, pUp, tUp, far, pDown float64) (float64, error)
+	Combustor                 func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error)
+	Nozzle                    func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error)
 	// ShaftPair, when non-nil, computes both spools' shaft dynamics in
 	// one operation. Every evaluation pass uses it in place of the two
-	// Shaft calls when it is installed: both torque balances become
+	// shaft sites when it is installed: both torque balances become
 	// known at the same instant (right after the LPT), so a transport
 	// that can batch — the executive coalesces the two remote shaft
 	// calls into one wire message when they share a host — halves the
 	// shaft round trips without changing any argument or result. Each
-	// sub-result must be exactly what the corresponding Shaft call
+	// sub-result must be exactly what the corresponding shaft site
 	// would return.
 	ShaftPair func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (dOmegaL, dOmegaH float64, err error)
 }
@@ -43,14 +44,9 @@ type Hooks struct {
 // LocalHooks returns hooks that execute every computation in-process.
 func LocalHooks() Hooks {
 	return Hooks{
-		Shaft: func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-			return ShaftAccel(qTur, qCom, inertia, omega)
-		},
-		Duct: func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-			return DuctFlow(k, pUp, tUp, far, pDown)
-		},
-		Combustor: CombustorCompute,
-		Nozzle:    NozzleCompute,
+		LowShaft: ShaftAccel, HighShaft: ShaftAccel,
+		BypassDuct: DuctFlow, MixerCoreDuct: DuctFlow,
+		Combustor: CombustorCompute, Nozzle: NozzleCompute,
 	}
 }
 
@@ -297,7 +293,7 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	var wByp float64
 	bypP, bypT, bypFAR, bypDown := v1.P, v1.T, v1.FAR, v6.P
 	waitByp := start(func() (err error) {
-		wByp, err = e.Hooks.Duct("bypass", e.KByp, bypP, bypT, bypFAR, bypDown)
+		wByp, err = e.Hooks.BypassDuct(e.KByp, bypP, bypT, bypFAR, bypDown)
 		return err
 	})
 
@@ -321,7 +317,7 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	})
 
 	// Cooling bleed V2 -> V4 (always a local computation).
-	wBleed, err := e.Hooks.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
+	wBleed, err := DuctFlow(e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
 	if err != nil {
 		return fail(err)
 	}
@@ -374,11 +370,11 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 		waitShaftL, waitShaftH = w, w
 	} else {
 		waitShaftL = start(func() (err error) {
-			dOmegaL, err = e.Hooks.Shaft("low", lptQ, fanQ, e.InertiaL, omegaL)
+			dOmegaL, err = e.Hooks.LowShaft(lptQ, fanQ, e.InertiaL, omegaL)
 			return err
 		})
 		waitShaftH = start(func() (err error) {
-			dOmegaH, err = e.Hooks.Shaft("high", hptQ, hpcQ, e.InertiaH, omegaH)
+			dOmegaH, err = e.Hooks.HighShaft(hptQ, hpcQ, e.InertiaH, omegaH)
 			return err
 		})
 	}
@@ -387,7 +383,7 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	var wMixCore float64
 	mcP, mcT, mcFAR, mcDown := v5.P, v5.T, v5.FAR, v7.P
 	waitMixCore := start(func() (err error) {
-		wMixCore, err = e.Hooks.Duct("mixer-core", e.KMixCore, mcP, mcT, mcFAR, mcDown)
+		wMixCore, err = e.Hooks.MixerCoreDuct(e.KMixCore, mcP, mcT, mcFAR, mcDown)
 		return err
 	})
 
@@ -400,7 +396,7 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	v6.UpdateFAR()
 
 	// Mixer bypass side V6 -> V7 (always a local computation).
-	wMixByp, err := e.Hooks.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
+	wMixByp, err := DuctFlow(e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
 	if err != nil {
 		return fail(err)
 	}
@@ -681,7 +677,9 @@ type TransientOptions struct {
 	Duration float64
 	// Step is the integration step, s (default 0.5 ms).
 	Step float64
-	// Observe, when non-nil, is called after every step.
+	// Observe, when non-nil, is called after every step with the
+	// outputs at that step. Evaluating them is one more pass; when it
+	// fails, Transient fails.
 	Observe func(t float64, out Outputs)
 }
 
@@ -701,13 +699,15 @@ func (e *Engine) Transient(x []float64, opt TransientOptions) (Outputs, error) {
 	if err != nil {
 		return Outputs{}, err
 	}
-	var obs func(t float64, x []float64)
+	var obs func(t float64, x []float64) error
 	if opt.Observe != nil {
-		obs = func(t float64, x []float64) {
+		obs = func(t float64, x []float64) error {
 			out, err := e.Eval(t, x, nil)
-			if err == nil {
-				opt.Observe(t, out)
+			if err != nil {
+				return fmt.Errorf("engine: observing t=%g: %w", t, err)
 			}
+			opt.Observe(t, out)
+			return nil
 		}
 	}
 	if err := solver.Integrate(integ, e.System(), x, 0, opt.Duration, opt.Step, obs); err != nil {

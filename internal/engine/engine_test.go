@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -423,8 +424,9 @@ func TestTransientMethodsAgree(t *testing.T) {
 
 func TestHooksAreUsed(t *testing.T) {
 	// Replacing a hook changes where the computation happens; the
-	// engine must route every duct/combustor/nozzle/shaft call through
-	// them (this is what the executive relies on), in either start mode.
+	// engine must route every adapted duct/combustor/nozzle/shaft call
+	// through its site (this is what the executive relies on), in
+	// either start mode.
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			e := newTestEngine(t)
@@ -436,31 +438,17 @@ func TestHooksAreUsed(t *testing.T) {
 				counts[site]++
 				mu.Unlock()
 			}
-			local := LocalHooks()
-			e.Hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-				count("duct:" + id)
-				return local.Duct(id, k, pUp, tUp, far, pDown)
-			}
-			e.Hooks.Shaft = func(spool string, qT, qC, i, o float64) (float64, error) {
-				count("shaft:" + spool)
-				return local.Shaft(spool, qT, qC, i, o)
-			}
-			e.Hooks.Combustor = func(k, p, tt, f, pd, wf, eta, st float64) (float64, float64, float64, error) {
-				count("combustor")
-				return local.Combustor(k, p, tt, f, pd, wf, eta, st)
-			}
-			e.Hooks.Nozzle = func(a, p, tt, f, pa, st float64) (float64, float64, error) {
-				count("nozzle")
-				return local.Nozzle(a, p, tt, f, pa, st)
-			}
+			e.Hooks = wrapHooks(LocalHooks(), func(site string, body func() error) error {
+				count(site)
+				return body()
+			})
 			x := append([]float64(nil), e.DesignState...)
 			if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
 				t.Fatal(err)
 			}
 			want := map[string]int{
-				"duct:bypass": 1, "duct:bleed": 1, "duct:mixer-core": 1,
-				"duct:mixer-bypass": 1, "combustor": 1, "nozzle": 1,
-				"shaft:low": 1, "shaft:high": 1,
+				"duct:bypass": 1, "duct:mixer-core": 1, "combustor": 1,
+				"nozzle": 1, "shaft:low": 1, "shaft:high": 1,
 			}
 			for k, n := range want {
 				if counts[k] != n {
@@ -820,5 +808,39 @@ func TestVolumeAddFuel(t *testing.T) {
 	}
 	if dT <= 0 {
 		t.Errorf("fuel injection did not heat the volume: dT = %g", dT)
+	}
+}
+
+// TestTransientObserveFailureEndsRun: when the pass that evaluates an
+// observed step's outputs fails, Transient returns that error rather
+// than skipping the observation.
+func TestTransientObserveFailureEndsRun(t *testing.T) {
+	sentinel := errors.New("hook failed")
+	// run fails the failAt'th nozzle call (the nozzle runs once per
+	// pass) and reports how many calls preceded the first observation.
+	run := func(failAt int) (firstObserved int, err error) {
+		e := newTestEngine(t)
+		calls, nozzle := 0, e.Hooks.Nozzle
+		e.Hooks.Nozzle = func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
+			if calls++; calls == failAt {
+				return 0, 0, sentinel
+			}
+			return nozzle(a8, pt, tt, far, pamb, stator)
+		}
+		x := append([]float64(nil), e.DesignState...)
+		_, err = e.Transient(x, TransientOptions{Duration: 2e-3, Step: 5e-4, Observe: func(float64, Outputs) {
+			if firstObserved == 0 {
+				firstObserved = calls
+			}
+		}})
+		return firstObserved, err
+	}
+	n, err := run(0)
+	if err != nil || n == 0 {
+		t.Fatalf("clean run: first observation after %d passes, err %v", n, err)
+	}
+	// Fail only the first step's observing pass.
+	if _, err := run(n); !errors.Is(err, sentinel) {
+		t.Fatalf("Transient returned %v, want the failed observation's error", err)
 	}
 }

@@ -147,36 +147,21 @@ func TestEvalParallelOverlapsHooks(t *testing.T) {
 	e := newTestEngine(t)
 	e.Parallel = vclock.Real()
 	const delay = 10 * time.Millisecond
-	base := LocalHooks()
-	e.Hooks = Hooks{
-		Shaft: func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-			time.Sleep(delay)
-			return base.Shaft(spool, qTur, qCom, inertia, omega)
-		},
-		Duct: func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-			time.Sleep(delay)
-			return base.Duct(id, k, pUp, tUp, far, pDown)
-		},
-		Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
-			time.Sleep(delay)
-			return base.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
-		},
-		Nozzle: func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
-			time.Sleep(delay)
-			return base.Nozzle(a8, pt, tt, far, pamb, stator)
-		},
-	}
+	e.Hooks = wrapHooks(LocalHooks(), func(_ string, body func() error) error {
+		time.Sleep(delay)
+		return body()
+	})
 	x := append([]float64(nil), e.DesignState...)
 	start := time.Now()
 	if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	// Eight hook invocations per pass; sequential would pay >= 8x the
+	// Six hook invocations per pass; sequential would pay >= 6x the
 	// delay. The dependency chain bounds the parallel pass near
-	// bleed + combustor + bypass-or-mixer + mixer-bypass + nozzle.
-	if elapsed >= 8*delay {
-		t.Errorf("parallel pass took %v, no overlap (8 hooks x %v)", elapsed, delay)
+	// combustor + mixer core + nozzle.
+	if elapsed >= 6*delay {
+		t.Errorf("parallel pass took %v, no overlap (6 hooks x %v)", elapsed, delay)
 	}
 	if math.IsNaN(x[0]) {
 		t.Error("state corrupted")
@@ -186,34 +171,18 @@ func TestEvalParallelOverlapsHooks(t *testing.T) {
 // TestEvalParallelOnVirtualClock runs a parallel pass on a virtual
 // clock with every hook taking 10ms of it. The started calls are
 // participants of the clock, so the pass takes exactly its dependency
-// chain: bleed, then mixer-bypass (both inline, each waiting on calls
-// started with it), then the nozzle — 30ms, where eight hooks in turn
-// would take 80ms.
+// chain: the combustor, then the mixer's core side, then the nozzle —
+// 30ms, where six hooks in turn would take 60ms.
 func TestEvalParallelOnVirtualClock(t *testing.T) {
 	v := vclock.NewVirtual()
 	defer v.Stop()
 	e := newTestEngine(t)
 	e.Parallel = v
 	const delay = 10 * time.Millisecond
-	base := LocalHooks()
-	e.Hooks = Hooks{
-		Shaft: func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-			v.Sleep(delay)
-			return base.Shaft(spool, qTur, qCom, inertia, omega)
-		},
-		Duct: func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-			v.Sleep(delay)
-			return base.Duct(id, k, pUp, tUp, far, pDown)
-		},
-		Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
-			v.Sleep(delay)
-			return base.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
-		},
-		Nozzle: func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
-			v.Sleep(delay)
-			return base.Nozzle(a8, pt, tt, far, pamb, stator)
-		},
-	}
+	e.Hooks = wrapHooks(LocalHooks(), func(_ string, body func() error) error {
+		v.Sleep(delay)
+		return body()
+	})
 	x := append([]float64(nil), e.DesignState...)
 	if _, err := e.Eval(0, x, make([]float64, NumStates)); err != nil {
 		t.Fatal(err)
@@ -255,37 +224,7 @@ func TestEvalHookErrors(t *testing.T) {
 					time.Sleep(time.Millisecond)
 					return body()
 				}
-				base := LocalHooks()
-				e.Hooks = Hooks{
-					Shaft: func(spool string, qTur, qCom, inertia, omega float64) (w float64, err error) {
-						err = call("shaft:"+spool, func() (err error) {
-							w, err = base.Shaft(spool, qTur, qCom, inertia, omega)
-							return err
-						})
-						return w, err
-					},
-					Duct: func(id string, k, pUp, tUp, far, pDown float64) (w float64, err error) {
-						err = call("duct:"+id, func() (err error) {
-							w, err = base.Duct(id, k, pUp, tUp, far, pDown)
-							return err
-						})
-						return w, err
-					},
-					Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error) {
-						err = call("combustor", func() (err error) {
-							w, tOut, farOut, err = base.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
-							return err
-						})
-						return w, tOut, farOut, err
-					},
-					Nozzle: func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error) {
-						err = call("nozzle", func() (err error) {
-							w, thrust, err = base.Nozzle(a8, pt, tt, far, pamb, stator)
-							return err
-						})
-						return w, thrust, err
-					},
-				}
+				e.Hooks = wrapHooks(LocalHooks(), call)
 				if failing == "shaftpair" {
 					e.Hooks.ShaftPair = func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (dL, dH float64, err error) {
 						err = call("shaftpair", func() error { return nil })
@@ -338,4 +277,49 @@ func parallelClock(parallel bool) vclock.Clock {
 		return vclock.Real()
 	}
 	return nil
+}
+
+// wrapHooks routes every site of h through wrap, which runs body — the
+// site's own computation — or not. Sites are named "shaft:low",
+// "shaft:high", "duct:bypass", "duct:mixer-core", "combustor" and
+// "nozzle"; ShaftPair stays unset.
+func wrapHooks(h Hooks, wrap func(site string, body func() error) error) Hooks {
+	shaft := func(site string, f func(qTur, qCom, inertia, omega float64) (float64, error)) func(qTur, qCom, inertia, omega float64) (float64, error) {
+		return func(qTur, qCom, inertia, omega float64) (w float64, err error) {
+			err = wrap(site, func() (err error) {
+				w, err = f(qTur, qCom, inertia, omega)
+				return err
+			})
+			return w, err
+		}
+	}
+	duct := func(site string, f func(k, pUp, tUp, far, pDown float64) (float64, error)) func(k, pUp, tUp, far, pDown float64) (float64, error) {
+		return func(k, pUp, tUp, far, pDown float64) (w float64, err error) {
+			err = wrap(site, func() (err error) {
+				w, err = f(k, pUp, tUp, far, pDown)
+				return err
+			})
+			return w, err
+		}
+	}
+	return Hooks{
+		LowShaft:      shaft("shaft:low", h.LowShaft),
+		HighShaft:     shaft("shaft:high", h.HighShaft),
+		BypassDuct:    duct("duct:bypass", h.BypassDuct),
+		MixerCoreDuct: duct("duct:mixer-core", h.MixerCoreDuct),
+		Combustor: func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (w, tOut, farOut float64, err error) {
+			err = wrap("combustor", func() (err error) {
+				w, tOut, farOut, err = h.Combustor(k, pUp, tUp, farUp, pDown, wf, eta, stator)
+				return err
+			})
+			return w, tOut, farOut, err
+		},
+		Nozzle: func(a8, pt, tt, far, pamb, stator float64) (w, thrust float64, err error) {
+			err = wrap("nozzle", func() (err error) {
+				w, thrust, err = h.Nozzle(a8, pt, tt, far, pamb, stator)
+				return err
+			})
+			return w, thrust, err
+		},
+	}
 }

@@ -23,7 +23,11 @@ import (
 // violated; the report then carries the seed and the shrunk trace
 // needed to reproduce the failure.
 func DSTReport(seed int64, ops int, seriesInterval time.Duration, profile bool) (string, tseries.Series, *critpath.Profile, bool) {
-	cfg := dst.Config{Seed: seed, Ops: ops, SeriesInterval: seriesInterval, Profile: profile}
+	return dstReport(dst.Config{Seed: seed, Ops: ops, SeriesInterval: seriesInterval, Profile: profile})
+}
+
+// dstReport is DSTReport for any configuration.
+func dstReport(cfg dst.Config) (string, tseries.Series, *critpath.Profile, bool) {
 	res, err := dst.Run(cfg)
 	if err != nil {
 		return fmt.Sprintf("dst: harness error: %v\n", err), tseries.Series{}, nil, false
@@ -54,26 +58,17 @@ func DSTReport(seed int64, ops int, seriesInterval time.Duration, profile bool) 
 	}
 
 	fmt.Fprintf(&b, "INVARIANT VIOLATED: %s\n", res.Violation)
-	// The run-scoped flight recorder's last events are the post-mortem's
+	// The run-scoped flight recorder's last events, and with a sampler
+	// the last windows before the violation, are the post-mortem's
 	// starting point; the Result captured the dump at teardown, before
 	// shrinking replays bury the original history.
 	b.WriteString(res.FlightDump)
-	if n := len(res.Series.Windows); n > 0 {
-		// The last windows before the violation ride along, the same
-		// section a live sampler appends to an in-flight dump.
-		tail := res.Series
-		if n > 8 {
-			tail.Windows = tail.Windows[n-8:]
-		}
-		b.WriteString("-- series tail --\n")
-		b.WriteString(tail.Format())
-	}
 	shrunk, serr := dst.Shrink(cfg, res.Ops, res.Violation.Name)
 	if serr != nil {
-		fmt.Fprintf(&b, "shrink failed (%v); full trace:\n%s", serr, dst.FormatTrace(seed, res.Ops))
+		fmt.Fprintf(&b, "shrink failed (%v); full trace:\n%s", serr, dst.FormatTrace(cfg.Seed, res.Ops))
 		return b.String(), res.Series, res.Profile, false
 	}
-	fmt.Fprintf(&b, "minimized to %d of %d ops:\n%s", len(shrunk), len(res.Ops), dst.FormatTrace(seed, shrunk))
-	fmt.Fprintf(&b, "reproduce with: npss-exp -exp dst -seed %d -ops %d\n", seed, ops)
+	fmt.Fprintf(&b, "minimized to %d of %d ops:\n%s", len(shrunk), len(res.Ops), dst.FormatTrace(cfg.Seed, shrunk))
+	fmt.Fprintf(&b, "reproduce with: npss-exp -exp dst -seed %d -ops %d\n", cfg.Seed, cfg.Ops)
 	return b.String(), res.Series, res.Profile, false
 }

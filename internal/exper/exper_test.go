@@ -9,6 +9,7 @@ import (
 
 	"npss/internal/core"
 	"npss/internal/critpath"
+	"npss/internal/dst"
 	"npss/internal/trace"
 	"npss/internal/vclock"
 )
@@ -464,5 +465,17 @@ func TestNetScaleDoublesSimNet(t *testing.T) {
 	}
 	if scaled.MaxRelErr > 1e-12 {
 		t.Errorf("netscale changed the answer: MaxRelErr = %g", scaled.MaxRelErr)
+	}
+}
+
+// TestDSTReportSeriesTailOnce: a violating dst run's report carries
+// the series tail of the flight dump, and only that one.
+func TestDSTReportSeriesTailOnce(t *testing.T) {
+	out, _, _, ok := dstReport(dst.Config{Seed: 1, Ops: 60, Inject: "double-commit", SeriesInterval: 50 * time.Millisecond})
+	if ok {
+		t.Fatal("injected double-commit not reported")
+	}
+	if n := strings.Count(out, "-- series tail --"); n != 1 {
+		t.Errorf("report has %d series tail sections, want 1:\n%s", n, out)
 	}
 }

@@ -18,11 +18,9 @@ import (
 	"npss/internal/dst"
 	"npss/internal/engine"
 	"npss/internal/exper"
-	"npss/internal/flight"
 	"npss/internal/machine"
 	"npss/internal/schooner"
 	"npss/internal/trace"
-	"npss/internal/tseries"
 )
 
 // table2Step is the integration step of a table2 run. The scenario's
@@ -82,12 +80,10 @@ func (r *chaosRun) ViolationText() string {
 // its own, so one file replays one run.
 func runTable2(plan *Plan) (*Result, error) {
 	spec, crash := plan.Spec, plan.crash
-	realStart := time.Now()
 	r, err := chaos(spec, crash)
 	if err != nil {
 		return nil, err
 	}
-	r.RealElapsed = time.Since(realStart)
 
 	res := &Result{Name: spec.Name, Seed: spec.Seed, Hosts: len(exper.AllMachines()), DST: &r.Result}
 	if crash != nil {
@@ -165,20 +161,17 @@ func checkTable2(spec *Spec) (*EventSpec, error) {
 }
 
 // chaos stands the F100 up with its clean local baseline, arms the
-// file's faults, and runs the Table 2 placement with the crash. The
-// error return is a harness failure; a run that fails under the faults
-// lands in the row's Err.
+// file's faults, and runs the Table 2 placement with the crash, all
+// inside one dst.Scope: the stand-up counts into the scope's first
+// metric set, the faulty run into the one Start installs once the
+// faults are armed, so the crash-recovery phase reports its own counts
+// and series. The error return is a harness failure; a run that fails
+// under the faults lands in the row's Err.
 func chaos(spec *Spec, crash *EventSpec) (*chaosRun, error) {
-	// Scope the experiment to its own trace sets: the clean baseline
-	// records into one, and the faulty run into a fresh one installed
-	// once the faults are armed, so the crash-recovery phase reports
-	// its own counts. The original global set is restored
-	// after the testbed's shutdown, whose last heartbeats land in the
-	// scoped set.
-	baseSet := trace.NewSet()
-	defer trace.Swap(trace.Swap(baseSet))
+	scope := dst.OpenScope()
 	f, err := exper.StandUp(exper.SparcUA, exper.RunSpec{Transient: spec.Duration.Seconds(), Step: table2Step.Seconds()})
 	if err != nil {
+		scope.Close()
 		return nil, err
 	}
 
@@ -198,26 +191,7 @@ func chaos(spec *Spec, crash *EventSpec) (*chaosRun, error) {
 	if health.Interval >= 0 {
 		f.Testbed.Mgr.StartHealth(health)
 	}
-	chaosSet := trace.NewSet()
-	trace.Swap(chaosSet)
-	// Scope the flight recorder to the faulty run, big enough that
-	// tens of thousands of per-call events cannot evict the handful of
-	// transition events (crash, failovers) the report overlays.
-	chaosRec := flight.NewRecorderClock(1<<16, v.Now)
-	prevRec := flight.Swap(chaosRec)
-	var sampler *tseries.Sampler
-	if spec.SeriesInterval > 0 {
-		// Sample the faulty run only: the sampler reads the scoped
-		// chaos set on the run's clock, and installing it as the active
-		// sampler routes the runtime's per-call exemplars (trace/span
-		// IDs of the slowest calls) into the windows.
-		sampler = tseries.Start(tseries.Config{
-			Interval: spec.SeriesInterval,
-			Clock:    v,
-			Source:   chaosSet.Export,
-		})
-		tseries.SetActive(sampler)
-	}
+	chaosSet := scope.Start(v, spec.SeriesInterval)
 
 	// The crash: at its transient step the machine goes silent and
 	// stays down. Every connection to it is dead from that instant,
@@ -242,32 +216,12 @@ func chaos(spec *Spec, crash *EventSpec) (*chaosRun, error) {
 	if rec := trace.ActiveRecorder(); rec != nil {
 		r.Profile = critpath.Analyze(rec.Spans(), r.row.Links, rec.Dropped())
 	}
-	if r.row.Err != nil {
-		// Capture the dump before deactivating the sampler so it ships
-		// with the "-- series tail --" section: the last windows before
-		// the failure, alongside the last events.
-		r.FlightDump = flight.DumpString()
-	}
-	if sampler != nil {
-		tseries.SetActive(nil)
-		sampler.Stop()
-		r.Series = sampler.Snapshot()
-	}
-	// Keep the faulty run's transition events: they share the series'
-	// clock, so the crash and the failovers overlay its timeline. The
-	// per-call kinds stay out: the series already aggregates them.
-	for _, e := range chaosRec.Events() {
-		if e.Kind.IsTransition() {
-			r.Events = append(r.Events, e)
-		}
-	}
+	scope.Collect(&r.Result, r.row.Err != nil)
 	r.Signature = make(map[string]int64, len(chaosCounters))
 	for _, k := range chaosCounters {
 		r.Signature[k] = chaosSet.Get(k)
 	}
-	r.Metrics = baseSet.Export()
-	r.Metrics.Merge(chaosSet.Export())
-	flight.Swap(prevRec)
 	f.Close(&r.row.Err)
+	r.RealElapsed = scope.Close()
 	return r, nil
 }

@@ -298,9 +298,9 @@ func grow(s []float64, n int) []float64 {
 // Integrate advances the system from t0 to t1 in fixed steps of h
 // (the final step is shortened to land exactly on t1), calling
 // observe (when non-nil) after every step with the current time and
-// state.
+// state. An error from observe ends the integration and is returned.
 func Integrate(g Integrator, f System, x []float64, t0, t1, h float64,
-	observe func(t float64, x []float64)) error {
+	observe func(t float64, x []float64) error) error {
 	if h <= 0 {
 		return fmt.Errorf("solver: step size %g must be positive", h)
 	}
@@ -315,7 +315,9 @@ func Integrate(g Integrator, f System, x []float64, t0, t1, h float64,
 		}
 		t += step
 		if observe != nil {
-			observe(t, x)
+			if err := observe(t, x); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -280,8 +280,9 @@ func TestIntegrateObserverAndFinalStep(t *testing.T) {
 	g, _ := New(RK4)
 	x := []float64{1}
 	var times []float64
-	err := Integrate(g, decay, x, 0, 0.05, 0.02, func(tt float64, x []float64) {
+	err := Integrate(g, decay, x, 0, 0.05, 0.02, func(tt float64, x []float64) error {
 		times = append(times, tt)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
