@@ -200,17 +200,19 @@ func main() {
 		},
 		"dst": func() {
 			fmt.Println("== DST: deterministic cluster simulation in virtual time ==")
-			out, series, prof, ok := exper.DSTReport(*seed, *ops, interval, *profileOut != "" || reporting)
+			out, res, ok := exper.DSTReport(*seed, *ops, interval, *profileOut != "" || reporting)
 			fmt.Print(out)
-			if prof != nil && *profileOut != "" {
-				writeProfile(prof, *profileOut)
+			// The run scoped its metric set, as a scenario run does.
+			agg.Merge(res.Metrics)
+			if res.Profile != nil && *profileOut != "" {
+				writeProfile(res.Profile, *profileOut)
 				profileWritten = true
 			}
 			if reporting {
 				writeReports(&report.Data{
 					Title:   fmt.Sprintf("dst seed=%d ops=%d", *seed, *ops),
-					Series:  series,
-					Profile: prof,
+					Series:  res.Series,
+					Profile: res.Profile,
 					Notes: []string{
 						"virtual-time series: windows advance with the scenario's simulated clock",
 						fmt.Sprintf("invariants held: %v", ok),

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"npss/internal/critpath"
 	"npss/internal/dst"
-	"npss/internal/tseries"
 )
 
 // DSTReport runs one deterministic-simulation scenario — a whole
@@ -19,18 +17,20 @@ import (
 // is a pure function of the seed). With profile set the run records
 // spans on its virtual clock and returns the critical-path
 // attribution of the whole run — byte-identical across same-seed
-// runs. The boolean is false when an invariant was
-// violated; the report then carries the seed and the shrunk trace
+// runs. The run's result is returned with the report, so its series,
+// profile and scoped metric snapshot reach the caller; it is the zero
+// Result after a harness error. The boolean is false when an invariant
+// was violated; the report then carries the seed and the shrunk trace
 // needed to reproduce the failure.
-func DSTReport(seed int64, ops int, seriesInterval time.Duration, profile bool) (string, tseries.Series, *critpath.Profile, bool) {
+func DSTReport(seed int64, ops int, seriesInterval time.Duration, profile bool) (string, dst.Result, bool) {
 	return dstReport(dst.Config{Seed: seed, Ops: ops, SeriesInterval: seriesInterval, Profile: profile})
 }
 
 // dstReport is DSTReport for any configuration.
-func dstReport(cfg dst.Config) (string, tseries.Series, *critpath.Profile, bool) {
+func dstReport(cfg dst.Config) (string, dst.Result, bool) {
 	res, err := dst.Run(cfg)
 	if err != nil {
-		return fmt.Sprintf("dst: harness error: %v\n", err), tseries.Series{}, nil, false
+		return fmt.Sprintf("dst: harness error: %v\n", err), dst.Result{}, false
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d: %d ops, %v virtual in %v real\n",
@@ -54,7 +54,7 @@ func dstReport(cfg dst.Config) (string, tseries.Series, *critpath.Profile, bool)
 
 	if res.Violation == nil {
 		b.WriteString("all invariants held\n")
-		return b.String(), res.Series, res.Profile, true
+		return b.String(), *res, true
 	}
 
 	fmt.Fprintf(&b, "INVARIANT VIOLATED: %s\n", res.Violation)
@@ -66,9 +66,9 @@ func dstReport(cfg dst.Config) (string, tseries.Series, *critpath.Profile, bool)
 	shrunk, serr := dst.Shrink(cfg, res.Ops, res.Violation.Name)
 	if serr != nil {
 		fmt.Fprintf(&b, "shrink failed (%v); full trace:\n%s", serr, dst.FormatTrace(cfg.Seed, res.Ops))
-		return b.String(), res.Series, res.Profile, false
+		return b.String(), *res, false
 	}
 	fmt.Fprintf(&b, "minimized to %d of %d ops:\n%s", len(shrunk), len(res.Ops), dst.FormatTrace(cfg.Seed, shrunk))
 	fmt.Fprintf(&b, "reproduce with: npss-exp -exp dst -seed %d -ops %d\n", cfg.Seed, cfg.Ops)
-	return b.String(), res.Series, res.Profile, false
+	return b.String(), *res, false
 }

@@ -471,7 +471,7 @@ func TestNetScaleDoublesSimNet(t *testing.T) {
 // TestDSTReportSeriesTailOnce: a violating dst run's report carries
 // the series tail of the flight dump, and only that one.
 func TestDSTReportSeriesTailOnce(t *testing.T) {
-	out, _, _, ok := dstReport(dst.Config{Seed: 1, Ops: 60, Inject: "double-commit", SeriesInterval: 50 * time.Millisecond})
+	out, _, ok := dstReport(dst.Config{Seed: 1, Ops: 60, Inject: "double-commit", SeriesInterval: 50 * time.Millisecond})
 	if ok {
 		t.Fatal("injected double-commit not reported")
 	}

@@ -10,7 +10,6 @@ import (
 
 	"npss/internal/flight"
 	"npss/internal/machine"
-	"npss/internal/netsim"
 	"npss/internal/trace"
 	"npss/internal/uts"
 	"npss/internal/wal"
@@ -33,42 +32,18 @@ func newDurableDeployment(t *testing.T, mgrHost string, hosts map[string]*machin
 
 func newDurableDeploymentOn(t *testing.T, backend wal.Backend, mgrHost string, hosts map[string]*machine.Arch) *durableDeployment {
 	t.Helper()
-	n := netsim.New()
-	for name, arch := range hosts {
-		n.MustAddHost(name, arch)
-	}
-	tr := NewSimTransport(n)
-	reg := NewRegistry()
+	d := newWallRig(t, mgrHost, hosts)
 	log, err := wal.Open(backend, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := StartManagerConfig(tr, mgrHost, ManagerConfig{Journal: log})
+	mgr, err := StartManagerConfig(d.tr, mgrHost, ManagerConfig{Journal: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &deployment{
-		net: n, tr: tr, reg: reg, mgr: mgr, mgrHost: mgrHost,
-		servers: make(map[string]*Server), clientBy: make(map[string]*Client),
-	}
-	for name := range hosts {
-		srv, err := StartServer(tr, name, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.servers[name] = srv
-	}
-	dd := &durableDeployment{deployment: d, backend: backend}
-	t.Cleanup(func() {
-		d.mgr.Stop()
-		if m2 := dd.mgr; m2 != d.mgr {
-			m2.Stop()
-		}
-		for _, s := range d.servers {
-			s.Stop()
-		}
-	})
-	return dd
+	d.mgr = mgr
+	d.startServers(t, hosts)
+	return &durableDeployment{deployment: d, backend: backend}
 }
 
 // recoverManager crashes nothing: it opens a fresh log over the shared

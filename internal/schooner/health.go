@@ -7,6 +7,7 @@ import (
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/trace"
+	"npss/internal/wire"
 )
 
 // HealthPolicy configures the Manager's health monitor: how often
@@ -59,21 +60,23 @@ func (m *Manager) StartHealth(p HealthPolicy) {
 		m.mu.Unlock()
 		return
 	}
-	m.hbPol = p
+	pr := newProbes(m.transport, m.host)
 	m.health = make(map[string]*hostHealth)
-	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p) })
+	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p, pr) })
+	m.hbProbes = pr
 	m.mu.Unlock()
 }
 
 // StopHealth halts the health monitor, waiting for an in-flight sweep
-// to finish.
+// to finish, then closes the connections its probes kept.
 func (m *Manager) StopHealth() {
 	m.mu.Lock()
-	hb := m.hb
-	m.hb = nil
+	hb, pr := m.hb, m.hbProbes
+	m.hb, m.hbProbes = nil, nil
 	m.mu.Unlock()
 	if hb != nil {
 		hb.halt()
+		pr.close()
 	}
 }
 
@@ -93,11 +96,11 @@ func (m *Manager) HostHealth() map[string]bool {
 	return out
 }
 
-// healthSweep probes every candidate machine once and reacts to
-// liveness transitions.
-func (m *Manager) healthSweep(p HealthPolicy) {
+// healthSweep probes every candidate machine's Server once and reacts
+// to liveness transitions.
+func (m *Manager) healthSweep(p HealthPolicy, pr *probes) {
 	for _, host := range m.transport.Hosts() {
-		ok := ping(m.transport, m.host, host+":"+ServerPort, p.PingTimeout)
+		ok := pr.ping(host+":"+ServerPort, p.PingTimeout)
 		trace.Count("schooner.manager.heartbeats")
 		m.mu.Lock()
 		if m.health == nil {
@@ -133,6 +136,50 @@ func (m *Manager) healthSweep(p HealthPolicy) {
 			logx.For("manager", m.host).Warn("host declared down", "machine", host, "missedProbes", p.Threshold)
 			m.failoverHost(host)
 		}
+	}
+}
+
+// probes heartbeats its targets over one kept connection each. A probe
+// dials only when it holds no connection to its target; any failure —
+// a send error, a timeout, a closed connection or a reply other than
+// KPong — closes and forgets the connection, so the next probe dials
+// afresh, as a one-shot ping would. A probes belongs to the goroutine
+// of the loop that probes, so it needs no lock; its owner closes it
+// once that loop has halted.
+type probes struct {
+	t     Transport
+	from  string
+	conns map[string]wire.Conn // by target address
+}
+
+func newProbes(t Transport, from string) *probes {
+	return &probes{t: t, from: from, conns: make(map[string]wire.Conn)}
+}
+
+// ping probes addr with one KPing bounded by timeout and reports
+// whether it answered KPong.
+func (pr *probes) ping(addr string, timeout time.Duration) bool {
+	conn, kept := pr.conns[addr]
+	var err error
+	if !kept {
+		if conn, err = pr.t.Dial(pr.from, addr); err != nil {
+			return false
+		}
+	}
+	resp, err := ask(pr.t.Clock(), conn, &wire.Message{Kind: wire.KPing}, timeout)
+	if err != nil || resp.Kind != wire.KPong {
+		conn.Close()
+		delete(pr.conns, addr)
+		return false
+	}
+	pr.conns[addr] = conn
+	return true
+}
+
+// close closes every kept connection; the probes is not used again.
+func (pr *probes) close() {
+	for _, conn := range pr.conns {
+		conn.Close()
 	}
 }
 

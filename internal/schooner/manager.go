@@ -53,11 +53,12 @@ type Manager struct {
 	conns       map[wire.Conn]struct{}
 	ck          *loop // the checkpoint sweep; nil when not running
 
-	// Health monitoring (see health.go); nil maps/channels when the
-	// monitor is not running.
-	hbPol  HealthPolicy
-	health map[string]*hostHealth
-	hb     *loop
+	// Health monitoring (see health.go); nil when the monitor is not
+	// running. hbProbes is the health loop's: only StopHealth touches
+	// it, after halting the loop.
+	health   map[string]*hostHealth
+	hb       *loop
+	hbProbes *probes
 }
 
 // rpcTimeout bounds the Manager's own request/response round trips
@@ -482,6 +483,14 @@ func (m *Manager) serve(conn wire.Conn) {
 			m.Stop()
 			return
 		case wire.KPing:
+			// A stopped Manager answers no ping, as a stopped Server
+			// does: a standby's kept heartbeat connection sees the close.
+			m.mu.Lock()
+			stopped := m.stopped
+			m.mu.Unlock()
+			if stopped {
+				return
+			}
 			resp = &wire.Message{Kind: wire.KPong}
 		default:
 			resp = errMsg("schooner: manager cannot handle %v", req.Kind)

@@ -1,0 +1,180 @@
+package schooner
+
+import (
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"npss/internal/vclock"
+	"npss/internal/wal"
+	"npss/internal/wire"
+)
+
+// dialCounter counts the dials made through it.
+type dialCounter struct {
+	Transport
+	dials atomic.Int64
+}
+
+func (t *dialCounter) Dial(from, addr string) (wire.Conn, error) {
+	t.dials.Add(1)
+	return t.Transport.Dial(from, addr)
+}
+
+// healthProbed replaces the deployment's Manager with one that dials
+// through a counter and starts its health monitor at interval, then
+// sleeps to halfway between its first and second sweeps: every
+// machine probed once and, with nothing down, holding a kept
+// connection.
+func healthProbed(t *testing.T, d *deployment, v *vclock.Virtual, interval time.Duration) *dialCounter {
+	t.Helper()
+	d.mgr.Stop()
+	dc := &dialCounter{Transport: d.tr}
+	mgr, err := StartManager(dc, d.mgrHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mgr = mgr
+	mgr.StartHealth(HealthPolicy{Interval: interval, Threshold: 2})
+	v.Sleep(interval + interval/2)
+	return dc
+}
+
+// sweepsUntil sleeps one health interval at a time, each wake halfway
+// between two sweeps, until ok holds, and reports how many sweeps that
+// took; -1 if it did not hold within limit sweeps.
+func sweepsUntil(v *vclock.Virtual, interval time.Duration, limit int, ok func() bool) int {
+	for n := 1; n <= limit; n++ {
+		v.Sleep(interval)
+		if ok() {
+			return n
+		}
+	}
+	return -1
+}
+
+// TestVirtualHealthSweepHandoffs pins what a health sweep of a quiet
+// cluster costs in hand-offs, by equality. The first sweep dials each
+// Server once and starts its serve goroutine; every later sweep pings
+// over those kept connections, so it dials nothing and starts nothing.
+// A sweep is one turn of the loop's ticker plus, per probe, two turns
+// of the loop (woken by the pong, then slept to its arrival) and two of
+// the Server's serve goroutine (the same for the ping): 1+2k loop turns
+// and 2k serve turns for k machines.
+func TestVirtualHealthSweepHandoffs(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	const interval = 10 * time.Millisecond
+	k := len(d.servers)
+	dc := healthProbed(t, d, v, interval)
+	if got := dc.dials.Load(); got != int64(k) {
+		t.Errorf("first sweep dialed %d times, want %d", got, k)
+	}
+	const n = 100
+	turns0, starts0 := v.Handoffs()
+	v.Sleep(n * interval)
+	turns1, starts1 := v.Handoffs()
+	want := map[string]int{
+		"driver":                      1,
+		"schooner.Manager.healthLoop": n * (1 + 2*k),
+		"schooner.Server.serve":       n * 2 * k,
+	}
+	if got := handoffDelta(turns0, turns1); !reflect.DeepEqual(got, want) {
+		t.Errorf("%d sweeps of %d machines: turns %v, want %v", n, k, got, want)
+	}
+	if got := handoffDelta(starts0, starts1); len(got) != 0 {
+		t.Errorf("%d sweeps of %d machines: goroutine starts %v, want none", n, k, got)
+	}
+	if got := dc.dials.Load(); got != int64(k) {
+		t.Errorf("%d sweeps dialed %d times, want only the first sweep's %d", n+1, got, k)
+	}
+	for host, up := range d.mgr.HostHealth() {
+		if !up {
+			t.Errorf("%s reported down on a quiet cluster", host)
+		}
+	}
+}
+
+// TestStoppedServerAnswersNoPing: a Server stopped under a kept probe
+// connection is declared down within Threshold sweeps. Its listener no
+// longer refuses the probe — the probe does not dial — so the Server
+// itself must refuse to answer.
+func TestStoppedServerAnswersNoPing(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	const interval = 10 * time.Millisecond
+	healthProbed(t, d, v, interval)
+	if up := d.mgr.HostHealth()["rs6000"]; !up {
+		t.Fatal("rs6000 not up after the first sweep")
+	}
+	d.servers["rs6000"].Stop()
+	if n := sweepsUntil(v, interval, 10, func() bool { return !d.mgr.HostHealth()["rs6000"] }); n != 2 {
+		t.Errorf("stopped Server declared down after %d sweeps, want Threshold = 2", n)
+	}
+}
+
+// TestHealthHealsAfterFault: a machine cut off — down, or behind a
+// down link — is declared down after Threshold sweeps and back up on
+// the first sweep after the fault heals: the failure closed the kept
+// connection, so that sweep dials afresh.
+func TestHealthHealsAfterFault(t *testing.T) {
+	for _, fault := range []struct {
+		name string
+		set  func(d *deployment, down bool)
+	}{
+		{"host", func(d *deployment, down bool) { d.net.SetHostDown("rs6000", down) }},
+		{"link", func(d *deployment, down bool) { d.net.SetLinkDown("avs-sparc", "rs6000", down) }},
+	} {
+		t.Run(fault.name, func(t *testing.T) {
+			d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+			const interval = 10 * time.Millisecond
+			dc := healthProbed(t, d, v, interval)
+			dials := dc.dials.Load()
+			fault.set(d, true)
+			if n := sweepsUntil(v, interval, 10, func() bool { return !d.mgr.HostHealth()["rs6000"] }); n != 2 {
+				t.Errorf("rs6000 declared down after %d sweeps, want 2", n)
+			}
+			fault.set(d, false)
+			if n := sweepsUntil(v, interval, 10, func() bool { return d.mgr.HostHealth()["rs6000"] }); n != 1 {
+				t.Errorf("rs6000 back up after %d sweeps, want 1", n)
+			}
+			// The first failure closed the kept connection; the failed
+			// sweep after it dialed into the fault and the healed one
+			// dialed afresh.
+			if got := dc.dials.Load() - dials; got != 2 {
+				t.Errorf("%d dials across the fault, want 2", got)
+			}
+		})
+	}
+}
+
+// TestVirtualStandbyTakesOverStoppedLeader: a leader Manager stopped —
+// not crashed, so the connections it serves stay open — answers no
+// ping on the standby's kept heartbeat connection, and the standby
+// takes over after Threshold missed heartbeats.
+func TestVirtualStandbyTakesOverStoppedLeader(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.mgr.Stop()
+	d.mgr = startJournaled(t, d, wal.NewMemBackend(), false)
+	standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 10 * time.Millisecond
+	sb := StartStandby(d.tr, "rs6000", "avs-sparc", standbyLog, StandbyPolicy{
+		HeartbeatInterval: interval, Threshold: 2,
+	})
+	t.Cleanup(func() {
+		sb.Stop()
+		if m := sb.Manager(); m != nil {
+			m.Stop()
+		}
+	})
+	v.Sleep(interval + interval/2)
+	if sb.TookOver() {
+		t.Fatal("standby took over from a live leader")
+	}
+	d.mgr.Stop()
+	if n := sweepsUntil(v, interval, 10, sb.TookOver); n != 2 {
+		t.Errorf("standby took over after %d heartbeats of a stopped leader, want Threshold = 2", n)
+	}
+}

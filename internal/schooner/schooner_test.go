@@ -2,6 +2,7 @@ package schooner
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -10,13 +11,15 @@ import (
 	"npss/internal/machine"
 	"npss/internal/netsim"
 	"npss/internal/uts"
+	"npss/internal/vclock"
+	"npss/internal/wire"
 )
 
 // deployment is a complete test rig: a simulated network, a registry
 // of programs, a Manager, and a Server on every host.
 type deployment struct {
 	net      *netsim.Network
-	tr       *SimTransport
+	tr       Transport
 	reg      *Registry
 	mgr      *Manager
 	servers  map[string]*Server
@@ -29,34 +32,105 @@ type deployment struct {
 // first listed host of mgrHost, and a Server everywhere.
 func newDeployment(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *deployment {
 	t.Helper()
-	n := netsim.New()
-	for name, arch := range hosts {
-		n.MustAddHost(name, arch)
-	}
-	tr := NewSimTransport(n)
-	reg := NewRegistry()
-	mgr, err := StartManager(tr, mgrHost)
+	d := newWallRig(t, mgrHost, hosts)
+	mgr, err := StartManager(d.tr, mgrHost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &deployment{
-		net: n, tr: tr, reg: reg, mgr: mgr, mgrHost: mgrHost,
-		servers: make(map[string]*Server), clientBy: make(map[string]*Client),
+	d.mgr = mgr
+	d.startServers(t, hosts)
+	return d
+}
+
+// newWallRig builds the network of a wall-clock deployment, whose
+// teardown stops the Manager and the Servers, closes every connection
+// the deployment made, then waits until every goroutine it started has
+// returned, so no test leaves work running into the next.
+func newWallRig(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *deployment {
+	t.Helper()
+	clock := newTrackedClock()
+	n := netsim.New()
+	n.SetClock(clock)
+	for name, arch := range hosts {
+		n.MustAddHost(name, arch)
 	}
-	for name := range hosts {
-		srv, err := StartServer(tr, name, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.servers[name] = srv
+	tr := &keptTransport{SimTransport: NewSimTransport(n)}
+	d := &deployment{
+		net: n, tr: tr, reg: NewRegistry(), mgrHost: mgrHost,
+		servers: make(map[string]*Server), clientBy: make(map[string]*Client),
 	}
 	t.Cleanup(func() {
 		d.mgr.Stop()
 		for _, s := range d.servers {
 			s.Stop()
 		}
+		tr.closeAll()
+		if live := clock.wait(10 * time.Second); len(live) > 0 {
+			t.Errorf("goroutines outlived the deployment's teardown: %v", live)
+		}
 	})
 	return d
+}
+
+// keptTransport is a SimTransport that keeps every connection it dials
+// or accepts, so a teardown can close those a fault stranded: a close
+// does not cross a down path, so the goroutine serving the far end
+// would wait on its receive for good.
+type keptTransport struct {
+	*SimTransport
+	mu    sync.Mutex
+	conns []wire.Conn
+}
+
+type keptListener struct {
+	Listener
+	t *keptTransport
+}
+
+func (t *keptTransport) keep(c wire.Conn, err error) (wire.Conn, error) {
+	if err == nil {
+		t.mu.Lock()
+		t.conns = append(t.conns, c)
+		t.mu.Unlock()
+	}
+	return c, err
+}
+
+func (t *keptTransport) Dial(from, addr string) (wire.Conn, error) {
+	return t.keep(t.SimTransport.Dial(from, addr))
+}
+
+func (t *keptTransport) Listen(host, port string) (Listener, error) {
+	l, err := t.SimTransport.Listen(host, port)
+	if err != nil {
+		return nil, err
+	}
+	return keptListener{l, t}, nil
+}
+
+func (l keptListener) Accept() (wire.Conn, error) { return l.t.keep(l.Listener.Accept()) }
+
+// closeAll closes every connection kept.
+func (t *keptTransport) closeAll() {
+	t.mu.Lock()
+	conns := t.conns
+	t.conns = nil
+	t.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// startServers starts a Server on every host.
+func (d *deployment) startServers(t *testing.T, hosts map[string]*machine.Arch) {
+	t.Helper()
+	for name := range hosts {
+		srv, err := StartServer(d.tr, name, d.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.servers[name] = srv
+	}
 }
 
 // client returns a Client situated on the given host.
@@ -75,6 +149,61 @@ func (d *deployment) client(host string) *Client {
 // cache, whose lines run under policy p.
 func (d *deployment) clientWith(host string, p CallPolicy) *Client {
 	return &Client{Transport: d.tr, Host: host, ManagerHost: d.mgrHost, Policy: p}
+}
+
+// trackedClock is the wall clock, counting by site the goroutines
+// started on it, so a teardown can wait for them.
+type trackedClock struct {
+	vclock.Clock
+	mu   sync.Mutex
+	live map[string]int
+	idle chan struct{} // closed and replaced whenever live empties
+}
+
+func newTrackedClock() *trackedClock {
+	return &trackedClock{Clock: vclock.Real(), live: make(map[string]int), idle: make(chan struct{})}
+}
+
+func (c *trackedClock) Go(site string, fn func()) {
+	c.mu.Lock()
+	c.live[site]++
+	c.mu.Unlock()
+	go func() {
+		defer func() {
+			c.mu.Lock()
+			if c.live[site]--; c.live[site] == 0 {
+				delete(c.live, site)
+			}
+			if len(c.live) == 0 {
+				close(c.idle)
+				c.idle = make(chan struct{})
+			}
+			c.mu.Unlock()
+		}()
+		fn()
+	}()
+}
+
+// wait waits up to d for every goroutine started on the clock to
+// return and reports, by site, those still running.
+func (c *trackedClock) wait(d time.Duration) map[string]int {
+	deadline := time.After(d)
+	for {
+		c.mu.Lock()
+		if len(c.live) == 0 {
+			c.mu.Unlock()
+			return nil
+		}
+		idle := c.idle
+		c.mu.Unlock()
+		select {
+		case <-idle:
+		case <-deadline:
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return maps.Clone(c.live)
+		}
+	}
 }
 
 // adderProgram is a C-language program exporting add and scale.

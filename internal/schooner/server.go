@@ -72,6 +72,12 @@ func (s *Server) Stop() {
 	}
 }
 
+func (s *Server) isStopped() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stopped
+}
+
 // ProcessCount reports how many processes the server currently hosts.
 func (s *Server) ProcessCount() int {
 	s.mu.Lock()
@@ -117,6 +123,11 @@ func (s *Server) serve(conn wire.Conn) {
 			s.Stop()
 			return
 		case wire.KPing:
+			// A stopped Server answers no ping: a health probe that
+			// kept its connection learns of the stop from the close.
+			if s.isStopped() {
+				return
+			}
 			resp = &wire.Message{Kind: wire.KPong}
 		default:
 			resp = &wire.Message{Kind: wire.KError,
@@ -176,10 +187,7 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 			"server.spawn "+m.Name, s.host)
 		defer sp.End()
 	}
-	s.mu.Lock()
-	stopped := s.stopped
-	s.mu.Unlock()
-	if stopped {
+	if s.isStopped() {
 		return &wire.Message{Kind: wire.KError, Err: "schooner: server stopped"}
 	}
 	prog, err := s.registry.Lookup(m.Name)

@@ -195,14 +195,17 @@ func (s *Standby) drainTail(conn wire.Conn) {
 	}
 }
 
-// heartbeatLoop probes the leader Manager and promotes the standby
-// after Threshold consecutive misses.
+// heartbeatLoop probes the leader Manager over one kept connection and
+// promotes the standby after Threshold consecutive misses. The loop
+// closes that connection as it returns, before Stop's wait ends.
 func (s *Standby) heartbeatLoop() {
 	defer s.hbDone.Fill(nil)
+	leader := newProbes(s.transport, s.host)
+	defer leader.close()
 	fails := 0
 	vclock.Every(s.clock, s.pol.HeartbeatInterval, s.stop, func() bool {
 		trace.Count("schooner.standby.heartbeats")
-		if ping(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
+		if leader.ping(s.leader+":"+ManagerPort, s.pol.PingTimeout) {
 			fails = 0
 			return true
 		}
