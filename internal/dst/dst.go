@@ -532,9 +532,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.servers[h] = srv
 	}
 	hp := c.healthPolicy()
-	if hp.Interval >= 0 {
-		c.mgr.StartHealth(hp)
-	}
+	c.mgr.StartHealth(hp)
 	if cfg.Standby {
 		slog, serr := wal.Open(wal.NewMemBackend(), wal.Options{})
 		if serr != nil {
@@ -846,22 +844,7 @@ func (c *Cluster) apply(idx int, op Op) string {
 			id := op.ID + int64(i)
 			pend[i] = c.workLine.Go("work", uts.LongVal(id), uts.DoubleVal(xFor(id)))
 		}
-		ok := 0
-		for i, p := range pend {
-			id := op.ID + int64(i)
-			res, err := p.Wait()
-			if err != nil {
-				trace.Count("dst.calls.fail")
-				continue
-			}
-			if !near(res[0].F, workExpect(xFor(id))) {
-				c.violate(idx, "wrong-answer", fmt.Sprintf("work id=%d: got %v want %v", id, res[0].F, workExpect(xFor(id))))
-				continue
-			}
-			trace.Count("dst.calls.ok")
-			ok++
-		}
-		return fmt.Sprintf("ok=%d/%d", ok, op.N)
+		return c.checkWork(idx, op, pend, "work")
 
 	case OpBatch:
 		calls := make([]schooner.CrossCall, op.N)
@@ -870,22 +853,7 @@ func (c *Cluster) apply(idx int, op Op) string {
 			calls[i] = schooner.CrossCall{Line: c.workLine, Name: "work",
 				Args: []uts.Value{uts.LongVal(id), uts.DoubleVal(xFor(id))}}
 		}
-		ok := 0
-		for i, p := range c.workClient.GoBatchHosts(calls) {
-			id := op.ID + int64(i)
-			res, err := p.Wait()
-			if err != nil {
-				trace.Count("dst.calls.fail")
-				continue
-			}
-			if !near(res[0].F, workExpect(xFor(id))) {
-				c.violate(idx, "wrong-answer", fmt.Sprintf("batched work id=%d: got %v want %v", id, res[0].F, workExpect(xFor(id))))
-				continue
-			}
-			trace.Count("dst.calls.ok")
-			ok++
-		}
-		return fmt.Sprintf("ok=%d/%d", ok, op.N)
+		return c.checkWork(idx, op, c.workClient.GoBatchHosts(calls), "batched work")
 
 	case OpWork:
 		got, ok := c.workCallOnce(op.ID)
@@ -1046,6 +1014,28 @@ func (c *Cluster) apply(idx int, op Op) string {
 func (c *Cluster) skip() string {
 	trace.Count("dst.ops.skipped")
 	return "skipped"
+}
+
+// checkWork waits for the work calls of op, which pend holds in id
+// order from op.ID, and verifies each answer; what names the calls in
+// a violation.
+func (c *Cluster) checkWork(idx int, op Op, pend []*schooner.Pending, what string) string {
+	ok := 0
+	for i, p := range pend {
+		id := op.ID + int64(i)
+		res, err := p.Wait()
+		if err != nil {
+			trace.Count("dst.calls.fail")
+			continue
+		}
+		if !near(res[0].F, workExpect(xFor(id))) {
+			c.violate(idx, "wrong-answer", fmt.Sprintf("%s id=%d: got %v want %v", what, id, res[0].F, workExpect(xFor(id))))
+			continue
+		}
+		trace.Count("dst.calls.ok")
+		ok++
+	}
+	return fmt.Sprintf("ok=%d/%d", ok, op.N)
 }
 
 // bumpCall performs one scenario call with driver-level retries: the
@@ -1260,9 +1250,7 @@ func (c *Cluster) recoverManager() error {
 	if err != nil {
 		return err
 	}
-	if hp := c.healthPolicy(); hp.Interval >= 0 {
-		mgr.StartHealth(hp)
-	}
+	mgr.StartHealth(c.healthPolicy())
 	c.mgr = mgr
 	c.mgrDown = false
 	return nil

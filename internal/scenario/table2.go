@@ -188,9 +188,7 @@ func chaos(spec *Spec, crash *EventSpec) (*chaosRun, error) {
 	if spec.Health != nil {
 		health = *spec.Health
 	}
-	if health.Interval >= 0 {
-		f.Testbed.Mgr.StartHealth(health)
-	}
+	f.Testbed.Mgr.StartHealth(health)
 	chaosSet := scope.Start(v, spec.SeriesInterval)
 
 	// The crash: at its transient step the machine goes silent and

@@ -590,27 +590,26 @@ func (l *Line) attach() (*demuxConn, error) {
 // machine and path are exactly what the user selects with the module's
 // radio-button and type-in widgets.
 func (l *Line) StartRemote(path, machineName string) error {
-	var sp *trace.Span
-	if trace.Enabled() {
-		sp = trace.StartSpan("start "+path+" on "+machineName, l.client.Host)
-		defer sp.End()
-	}
-	req := &wire.Message{Kind: wire.KStartProc, Line: l.id, Name: path, Str: machineName}
-	inject(req, sp)
-	_, err := l.managerCall(req)
-	return err
+	return l.start(l.id, "start ", path, machineName)
 }
 
 // StartShared asks the Manager to instantiate the procedure file as a
 // shared procedure, available to every line. The process is not part
 // of this line and survives this line's shutdown.
 func (l *Line) StartShared(path, machineName string) error {
+	return l.start(0, "start shared ", path, machineName)
+}
+
+// start asks the Manager to instantiate path on machineName into line
+// id's database (0: the shared one); a traced start is the span named
+// span+path+" on "+machineName.
+func (l *Line) start(id uint32, span, path, machineName string) error {
 	var sp *trace.Span
 	if trace.Enabled() {
-		sp = trace.StartSpan("start shared "+path+" on "+machineName, l.client.Host)
+		sp = trace.StartSpan(span+path+" on "+machineName, l.client.Host)
 		defer sp.End()
 	}
-	req := &wire.Message{Kind: wire.KStartProc, Line: 0, Name: path, Str: machineName}
+	req := &wire.Message{Kind: wire.KStartProc, Line: id, Name: path, Str: machineName}
 	inject(req, sp)
 	_, err := l.managerCall(req)
 	return err

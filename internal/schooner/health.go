@@ -14,7 +14,8 @@ import (
 // every machine's Server is heartbeated, how many consecutive missed
 // heartbeats declare the machine dead, and the deadline on each probe.
 type HealthPolicy struct {
-	// Interval between heartbeat sweeps (default 50ms).
+	// Interval between heartbeat sweeps (default 50ms); a negative
+	// Interval turns health monitoring off.
 	Interval time.Duration
 	// Threshold is the number of consecutive probe failures that mark
 	// a machine dead and trigger failover (default 2).
@@ -52,11 +53,12 @@ type hostHealth struct {
 // their last acked checkpoint when the Manager runs a checkpoint
 // sweep, and are skipped — loudly — when no complete checkpoint
 // exists. Health monitoring is off by default; call StartHealth to opt
-// in, StopHealth (or Stop) to end it.
+// in, StopHealth (or Stop) to end it. A negative Interval starts
+// nothing.
 func (m *Manager) StartHealth(p HealthPolicy) {
 	p = p.withDefaults()
 	m.mu.Lock()
-	if m.stopped || m.hb != nil {
+	if m.stopped || m.hb != nil || p.Interval < 0 {
 		m.mu.Unlock()
 		return
 	}

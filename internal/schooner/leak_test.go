@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -175,4 +176,49 @@ func TestServerForgetsStoppedProcesses(t *testing.T) {
 	if entries, live := table(); entries != 1 || live != 1 {
 		t.Errorf("after 50 cycles and a start: %d entries, %d live, want 1 and 1", entries, live)
 	}
+}
+
+// TestStopClosesServedConnections: a stopped Manager or Server closes
+// every connection it serves, and a Server those of the processes it
+// spawned: a raw connection to each, answered once before the stop,
+// sees its next receive fail with nothing sent instead of waiting on a
+// component that is gone.
+func TestStopClosesServedConnections(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	ask := func(addr string, req *wire.Message) (wire.Conn, *wire.Message) {
+		t.Helper()
+		conn, err := d.tr.Dial("avs-sparc", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := conn.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, resp
+	}
+	closed := func(name string, conn wire.Conn) {
+		t.Helper()
+		conn.SetReadDeadline(v.Now().Add(time.Second))
+		if m, err := conn.Recv(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s connection after the stop: Recv = %v, %v; want it closed", name, m, err)
+		}
+	}
+	srv := d.servers["sgi-lerc"]
+	srvConn, spawned := ask(srv.Addr(), &wire.Message{Kind: wire.KSpawn, Name: "/npss/adder"})
+	if spawned.Kind != wire.KSpawnOK {
+		t.Fatalf("spawn answered %v: %s", spawned.Kind, spawned.Err)
+	}
+	procConn, _ := ask(spawned.Str, &wire.Message{Kind: wire.KPing})
+	mgrConn, _ := ask(d.mgr.Addr(), &wire.Message{Kind: wire.KPing})
+	srv.Stop()
+	closed("Server", srvConn)
+	closed("process", procConn)
+	d.mgr.Stop()
+	closed("Manager", mgrConn)
 }

@@ -32,6 +32,7 @@ type Manager struct {
 	clock     vclock.Clock // the transport's, read once at start
 	host      string
 	listener  Listener
+	served    connSet
 
 	mu       sync.Mutex
 	nextLine uint32
@@ -44,13 +45,11 @@ type Manager struct {
 	// last acked state snapshot per process address; restored counts
 	// checkpoint restores per pre-failover address (the no-double-
 	// restore ledger DST verifies); subs are live KJournalTail
-	// subscriptions; conns tracks serving connections so Crash can
-	// sever them.
+	// subscriptions.
 	journal     *wal.Log
 	checkpoints map[string]map[string][]byte
 	restored    map[string]int
 	subs        map[*journalSub]struct{}
-	conns       map[wire.Conn]struct{}
 	ck          *loop // the checkpoint sweep; nil when not running
 
 	// Health monitoring (see health.go); nil when the monitor is not
@@ -138,7 +137,6 @@ func StartManagerConfig(t Transport, host string, cfg ManagerConfig) (*Manager, 
 		checkpoints: make(map[string]map[string][]byte),
 		restored:    make(map[string]int),
 		subs:        make(map[*journalSub]struct{}),
-		conns:       make(map[wire.Conn]struct{}),
 	}
 	if cfg.Recover && cfg.Journal != nil {
 		if err := m.recover(); err != nil {
@@ -150,7 +148,10 @@ func StartManagerConfig(t Transport, host string, cfg ManagerConfig) (*Manager, 
 		return nil, err
 	}
 	m.listener = l
-	m.clock.Go("schooner.Manager.acceptLoop", m.acceptLoop)
+	m.served.accept(m.clock, "schooner.Manager", l, func() (handler, func()) {
+		s := &session{m: m}
+		return s.handle, s.drop
+	})
 	if cfg.CheckpointInterval > 0 {
 		m.StartCheckpoints(cfg.CheckpointInterval)
 	}
@@ -247,8 +248,8 @@ func (m *Manager) Host() string { return m.host }
 // Addr returns the Manager's dialable address.
 func (m *Manager) Addr() string { return m.listener.Addr() }
 
-// Stop shuts down the Manager and every procedure process in every
-// line, including shared procedures.
+// Stop shuts down the Manager, every connection it serves and every
+// procedure process in every line, including shared procedures.
 func (m *Manager) Stop() {
 	m.StopHealth()
 	m.StopCheckpoints()
@@ -276,6 +277,7 @@ func (m *Manager) Stop() {
 	journal := m.journal
 	m.mu.Unlock()
 	m.listener.Close()
+	m.served.close()
 	for _, p := range procs {
 		m.shutdownProcess(p)
 	}
@@ -299,8 +301,6 @@ func (m *Manager) Crash() {
 		return
 	}
 	m.stopped = true
-	conns := m.conns
-	m.conns = make(map[wire.Conn]struct{})
 	for sub := range m.subs {
 		sub.q.Close()
 	}
@@ -308,9 +308,7 @@ func (m *Manager) Crash() {
 	journal := m.journal
 	m.mu.Unlock()
 	m.listener.Close()
-	for conn := range conns {
-		conn.Close()
-	}
+	m.served.close()
 	if journal != nil {
 		journal.Close()
 	}
@@ -366,149 +364,112 @@ func (m *Manager) NameBindings(lineID uint32) map[string]string {
 	return out
 }
 
-func (m *Manager) acceptLoop() {
-	for {
-		conn, err := m.listener.Accept()
-		if err != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.stopped {
-			m.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		m.conns[conn] = struct{}{}
-		m.mu.Unlock()
-		m.clock.Go("schooner.Manager.serve", func() {
-			m.serve(conn)
-			m.mu.Lock()
-			delete(m.conns, conn)
-			m.mu.Unlock()
-		})
+// session is the Manager's side of one module connection. A connection
+// registers at most one line; if the connection drops while its line
+// is still live, the Manager treats it as a module failure and shuts
+// the line down — "when an AVS module is removed from the network or
+// an error occurs, the Manager terminates only the remote procedures
+// within the affected line."
+type session struct {
+	m          *Manager
+	registered uint32 // the line this connection registered, or 0
+	quit       bool   // the line quit, or the Manager shut down, on request
+}
+
+func (s *session) drop() {
+	if s.registered != 0 && !s.quit {
+		s.m.quitLine(s.registered)
 	}
 }
 
-// serve handles one module connection. A connection registers at most
-// one line; if the connection drops while its line is still live, the
-// Manager treats it as a module failure and shuts the line down —
-// "when an AVS module is removed from the network or an error occurs,
-// the Manager terminates only the remote procedures within the
-// affected line."
-func (m *Manager) serve(conn wire.Conn) {
-	defer conn.Close()
-	var registered uint32
-	var quit bool
-	defer func() {
-		if registered != 0 && !quit {
-			m.quitLine(registered)
+func (s *session) handle(conn wire.Conn, req *wire.Message) *wire.Message {
+	m := s.m
+	// A traced request parents a Manager-side span: the client's span
+	// context arrives in the envelope and the span tree continues here
+	// (and, for spawns, on into the Server).
+	var sp *trace.Span
+	if req.Trace != 0 {
+		sp = trace.StartChild(trace.SpanContext{Trace: req.Trace, Span: req.Span},
+			"manager."+req.Kind.String(), m.host)
+	}
+	var resp *wire.Message
+	switch req.Kind {
+	case wire.KRegisterLine:
+		if s.registered != 0 {
+			resp = errMsg("schooner: connection already registered line %d", s.registered)
+			break
 		}
-	}()
-	for {
-		req, err := conn.Recv()
+		id, err := m.registerLine(req.Name)
 		if err != nil {
-			return
+			resp = errMsg("%v", err)
+			break
 		}
-		// A traced request parents a Manager-side span: the client's
-		// span context arrives in the envelope and the span tree
-		// continues here (and, for spawns, on into the Server).
-		var sp *trace.Span
-		if req.Trace != 0 {
-			sp = trace.StartChild(trace.SpanContext{Trace: req.Trace, Span: req.Span},
-				"manager."+req.Kind.String(), m.host)
+		s.registered = id
+		ctx := sp.Context()
+		flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
+			Host: m.host, Line: id, Trace: ctx.Trace, Span: ctx.Span, Name: req.Name})
+		resp = &wire.Message{Kind: wire.KLineOK, Line: id}
+	case wire.KAttachLine:
+		if s.registered != 0 {
+			resp = errMsg("schooner: connection already registered line %d", s.registered)
+			break
 		}
-		var resp *wire.Message
-		switch req.Kind {
-		case wire.KRegisterLine:
-			if registered != 0 {
-				resp = errMsg("schooner: connection already registered line %d", registered)
-				break
-			}
-			id, err := m.registerLine(req.Name)
-			if err != nil {
-				resp = errMsg("%v", err)
-				break
-			}
-			registered = id
-			ctx := sp.Context()
-			flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
-				Host: m.host, Line: id, Trace: ctx.Trace, Span: ctx.Span, Name: req.Name})
-			resp = &wire.Message{Kind: wire.KLineOK, Line: id}
-		case wire.KAttachLine:
-			if registered != 0 {
-				resp = errMsg("schooner: connection already registered line %d", registered)
-				break
-			}
-			id, errResp := m.attachLine(req.Line, req.Name)
-			if errResp != nil {
-				resp = errResp
-				break
-			}
-			registered = id
-			flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
-				Host: m.host, Line: id, Name: req.Name, Detail: "reattach"})
-			resp = &wire.Message{Kind: wire.KLineOK, Line: id}
-		case wire.KJournalTail:
-			// The tail handler owns the connection and streams until the
-			// subscriber hangs up or the Manager stops.
-			if sp != nil {
-				sp.End()
-			}
-			m.serveJournalTail(conn, req)
-			return
-		case wire.KStartProc:
-			resp = m.handleStartProc(registered, req, sp)
-		case wire.KLookup:
-			resp = m.handleLookup(registered, req)
-		case wire.KMove:
-			resp = m.handleMove(registered, req, sp)
-		case wire.KObserve:
-			resp = observe(req.Name, m.StatusReport)
-		case wire.KQuitLine:
-			if registered == 0 {
-				resp = errMsg("schooner: no line registered on this connection")
-				break
-			}
-			if err := m.quitLine(registered); err != nil {
-				resp = errMsg("%v", err)
-				break
-			}
-			quit = true
-			resp = &wire.Message{Kind: wire.KQuitOK}
-		case wire.KShutdown:
-			resp = &wire.Message{Kind: wire.KShutdownOK}
-			resp.Seq = req.Seq
-			_ = conn.Send(resp)
-			quit = true
-			m.Stop()
-			return
-		case wire.KPing:
-			// A stopped Manager answers no ping, as a stopped Server
-			// does: a standby's kept heartbeat connection sees the close.
-			m.mu.Lock()
-			stopped := m.stopped
-			m.mu.Unlock()
-			if stopped {
-				return
-			}
-			resp = &wire.Message{Kind: wire.KPong}
-		default:
-			resp = errMsg("schooner: manager cannot handle %v", req.Kind)
+		id, errResp := m.attachLine(req.Line, req.Name)
+		if errResp != nil {
+			resp = errResp
+			break
 		}
+		s.registered = id
+		flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
+			Host: m.host, Line: id, Name: req.Name, Detail: "reattach"})
+		resp = &wire.Message{Kind: wire.KLineOK, Line: id}
+	case wire.KJournalTail:
+		// The tail handler owns the connection and streams until the
+		// subscriber hangs up or the Manager stops.
 		if sp != nil {
-			if resp.Kind == wire.KError {
-				sp.Annotate("error", resp.Err)
-			}
 			sp.End()
 		}
-		resp.Seq = req.Seq
-		if err := conn.Send(resp); err != nil {
-			return
+		m.serveJournalTail(conn, req)
+		return nil
+	case wire.KStartProc:
+		resp = m.handleStartProc(s.registered, req, sp)
+	case wire.KLookup:
+		resp = m.handleLookup(s.registered, req)
+	case wire.KMove:
+		resp = m.handleMove(s.registered, req, sp)
+	case wire.KObserve:
+		resp = observe(req.Name, m.StatusReport)
+	case wire.KQuitLine:
+		if s.registered == 0 {
+			resp = errMsg("schooner: no line registered on this connection")
+			break
 		}
-		if quit {
-			return
+		if err := m.quitLine(s.registered); err != nil {
+			resp = errMsg("%v", err)
+			break
 		}
+		s.quit = true
+		resp = &wire.Message{Kind: wire.KQuitOK}
+	case wire.KShutdown:
+		s.quit = true
+		lastReply(conn, req, &wire.Message{Kind: wire.KShutdownOK})
+		m.Stop()
+		return nil
+	case wire.KPing:
+		resp = &wire.Message{Kind: wire.KPong}
+	default:
+		resp = errMsg("schooner: manager cannot handle %v", req.Kind)
 	}
+	if sp != nil {
+		if resp.Kind == wire.KError {
+			sp.Annotate("error", resp.Err)
+		}
+		sp.End()
+	}
+	if s.quit {
+		return lastReply(conn, req, resp)
+	}
+	return resp
 }
 
 func errMsg(format string, args ...any) *wire.Message {

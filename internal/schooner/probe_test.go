@@ -96,9 +96,9 @@ func TestVirtualHealthSweepHandoffs(t *testing.T) {
 }
 
 // TestStoppedServerAnswersNoPing: a Server stopped under a kept probe
-// connection is declared down within Threshold sweeps. Its listener no
-// longer refuses the probe — the probe does not dial — so the Server
-// itself must refuse to answer.
+// connection is declared down within Threshold sweeps. The probe does
+// not dial, so no closed listener refuses it: the Server closes the
+// connection itself when it stops.
 func TestStoppedServerAnswersNoPing(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	const interval = 10 * time.Millisecond
@@ -148,33 +148,52 @@ func TestHealthHealsAfterFault(t *testing.T) {
 }
 
 // TestVirtualStandbyTakesOverStoppedLeader: a leader Manager stopped —
-// not crashed, so the connections it serves stay open — answers no
-// ping on the standby's kept heartbeat connection, and the standby
-// takes over after Threshold missed heartbeats.
+// not crashed — closes the standby's kept heartbeat connection with
+// every other it serves, and the standby takes over after Threshold
+// missed heartbeats. It does so with health monitoring on or off (a
+// negative Interval), and only with it on does the promoted Manager
+// run a health monitor.
 func TestVirtualStandbyTakesOverStoppedLeader(t *testing.T) {
-	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
-	d.mgr.Stop()
-	d.mgr = startJournaled(t, d, wal.NewMemBackend(), false)
-	standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const interval = 10 * time.Millisecond
-	sb := StartStandby(d.tr, "rs6000", "avs-sparc", standbyLog, StandbyPolicy{
-		HeartbeatInterval: interval, Threshold: 2,
-	})
-	t.Cleanup(func() {
-		sb.Stop()
-		if m := sb.Manager(); m != nil {
-			m.Stop()
-		}
-	})
-	v.Sleep(interval + interval/2)
-	if sb.TookOver() {
-		t.Fatal("standby took over from a live leader")
-	}
-	d.mgr.Stop()
-	if n := sweepsUntil(v, interval, 10, sb.TookOver); n != 2 {
-		t.Errorf("standby took over after %d heartbeats of a stopped leader, want Threshold = 2", n)
+	// A health loop whose ticks never move forward holds the virtual
+	// clock still: the watchdog turns that hang into a failure.
+	hang := time.AfterFunc(time.Minute, func() { panic("standby takeover did not finish") })
+	defer hang.Stop()
+	for _, tc := range []struct {
+		name   string
+		health HealthPolicy
+	}{{"health-on", HealthPolicy{}}, {"health-off", HealthPolicy{Interval: -1}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+			d.mgr.Stop()
+			d.mgr = startJournaled(t, d, wal.NewMemBackend(), false)
+			standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const interval = 10 * time.Millisecond
+			sb := StartStandby(d.tr, "rs6000", "avs-sparc", standbyLog, StandbyPolicy{
+				HeartbeatInterval: interval, Threshold: 2, Health: tc.health,
+			})
+			t.Cleanup(func() {
+				sb.Stop()
+				if m := sb.Manager(); m != nil {
+					m.Stop()
+				}
+			})
+			v.Sleep(interval + interval/2)
+			if sb.TookOver() {
+				t.Fatal("standby took over from a live leader")
+			}
+			d.mgr.Stop()
+			if n := sweepsUntil(v, interval, 10, sb.TookOver); n != 2 {
+				t.Fatalf("standby took over after %d heartbeats of a stopped leader, want Threshold = 2", n)
+			}
+			if sweepsUntil(v, interval, 10, func() bool { return sb.Manager() != nil }) < 0 {
+				t.Fatal("standby promoted itself but started no Manager")
+			}
+			if on := sb.Manager().HostHealth() != nil; on != (tc.health.Interval >= 0) {
+				t.Errorf("promoted Manager runs a health monitor: %v, want %v", on, !on)
+			}
+		})
 	}
 }

@@ -60,8 +60,8 @@ type process struct {
 }
 
 // startProcess instantiates a program on a host and begins serving on
-// clock c.
-func startProcess(t Transport, c vclock.Clock, host string, prog *Program) (*process, error) {
+// clock c, its connections kept in served.
+func startProcess(t Transport, c vclock.Clock, served *connSet, host string, prog *Program) (*process, error) {
 	arch, err := t.HostArch(host)
 	if err != nil {
 		return nil, err
@@ -86,7 +86,7 @@ func startProcess(t Transport, c vclock.Clock, host string, prog *Program) (*pro
 		turn:     c.NewSlot(),
 	}
 	p.unlock()
-	c.Go("schooner.process.acceptLoop", p.acceptLoop)
+	served.accept(c, "schooner.process", l, func() (handler, func()) { return p.handle, nil })
 	return p, nil
 }
 
@@ -102,7 +102,9 @@ func (p *process) unlock() { p.turn.Fill(nil) }
 // addr returns the process's dialable address.
 func (p *process) addr() string { return p.listener.Addr() }
 
-// stop terminates the process.
+// stop terminates the process. The connections it serves stay open and
+// answer ErrProcessTerminated, so a caller learns to rebind; its Server
+// closes them when it stops.
 func (p *process) stop() {
 	p.stopOnce.Do(func() {
 		close(p.done)
@@ -119,48 +121,24 @@ func (p *process) stopped() bool {
 	}
 }
 
-func (p *process) acceptLoop() {
-	for {
-		conn, err := p.listener.Accept()
-		if err != nil {
-			return
-		}
-		p.clock.Go("schooner.process.serve", func() { p.serve(conn) })
+// handle answers one request of a connection on the goroutine that
+// read it, as a Server does. Procedure bodies serialize on the
+// instance's turn anyway, so a goroutine per request would overlap only
+// the marshaling halves. A body that sleeps holds up its own connection
+// alone; other lines, pings and observe requests reach the process on
+// theirs. KShutdown, and any request once the process has stopped,
+// ends the conversation.
+func (p *process) handle(conn wire.Conn, m *wire.Message) *wire.Message {
+	switch {
+	case p.stopped():
+		return lastReply(conn, m, &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated})
+	case m.Kind == wire.KShutdown:
+		// Stop before acknowledging: whoever sees the reply sees the
+		// process stopped, its Server included.
+		p.stop()
+		return lastReply(conn, m, &wire.Message{Kind: wire.KShutdownOK})
 	}
-}
-
-// serve reads requests off one connection and answers each on this
-// goroutine before it reads the next, as a Server does: replies leave
-// in request order and the connection has one writer. Procedure bodies
-// serialize on the instance's turn anyway, so a goroutine per request
-// would overlap only the marshaling halves. A body that sleeps holds
-// up its own connection alone; other lines, pings and observe requests
-// reach the process on theirs. serve returns when a reply cannot be
-// sent, and after KShutdown, which ends the conversation.
-func (p *process) serve(conn wire.Conn) {
-	defer conn.Close()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch {
-		case p.stopped():
-			_ = conn.Send(&wire.Message{Kind: wire.KError, Err: ErrProcessTerminated, Seq: m.Seq})
-			return
-		case m.Kind == wire.KShutdown:
-			// Stop before acknowledging: whoever sees the reply sees the
-			// process stopped, its Server included.
-			p.stop()
-			_ = conn.Send(&wire.Message{Kind: wire.KShutdownOK, Seq: m.Seq})
-			return
-		}
-		resp := p.dispatch(m)
-		resp.Seq = m.Seq
-		if err := conn.Send(resp); err != nil {
-			return
-		}
-	}
+	return p.dispatch(m)
 }
 
 // dispatch computes the reply for one request. It is the entry point

@@ -12,7 +12,6 @@ import (
 	"npss/internal/netsim"
 	"npss/internal/uts"
 	"npss/internal/vclock"
-	"npss/internal/wire"
 )
 
 // deployment is a complete test rig: a simulated network, a registry
@@ -43,9 +42,9 @@ func newDeployment(t *testing.T, mgrHost string, hosts map[string]*machine.Arch)
 }
 
 // newWallRig builds the network of a wall-clock deployment, whose
-// teardown stops the Manager and the Servers, closes every connection
-// the deployment made, then waits until every goroutine it started has
-// returned, so no test leaves work running into the next.
+// teardown stops the Manager and the Servers, then waits until every
+// goroutine it started has returned, so no test leaves work running
+// into the next.
 func newWallRig(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *deployment {
 	t.Helper()
 	clock := newTrackedClock()
@@ -54,9 +53,8 @@ func newWallRig(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *d
 	for name, arch := range hosts {
 		n.MustAddHost(name, arch)
 	}
-	tr := &keptTransport{SimTransport: NewSimTransport(n)}
 	d := &deployment{
-		net: n, tr: tr, reg: NewRegistry(), mgrHost: mgrHost,
+		net: n, tr: NewSimTransport(n), reg: NewRegistry(), mgrHost: mgrHost,
 		servers: make(map[string]*Server), clientBy: make(map[string]*Client),
 	}
 	t.Cleanup(func() {
@@ -64,61 +62,11 @@ func newWallRig(t *testing.T, mgrHost string, hosts map[string]*machine.Arch) *d
 		for _, s := range d.servers {
 			s.Stop()
 		}
-		tr.closeAll()
 		if live := clock.wait(10 * time.Second); len(live) > 0 {
 			t.Errorf("goroutines outlived the deployment's teardown: %v", live)
 		}
 	})
 	return d
-}
-
-// keptTransport is a SimTransport that keeps every connection it dials
-// or accepts, so a teardown can close those a fault stranded: a close
-// does not cross a down path, so the goroutine serving the far end
-// would wait on its receive for good.
-type keptTransport struct {
-	*SimTransport
-	mu    sync.Mutex
-	conns []wire.Conn
-}
-
-type keptListener struct {
-	Listener
-	t *keptTransport
-}
-
-func (t *keptTransport) keep(c wire.Conn, err error) (wire.Conn, error) {
-	if err == nil {
-		t.mu.Lock()
-		t.conns = append(t.conns, c)
-		t.mu.Unlock()
-	}
-	return c, err
-}
-
-func (t *keptTransport) Dial(from, addr string) (wire.Conn, error) {
-	return t.keep(t.SimTransport.Dial(from, addr))
-}
-
-func (t *keptTransport) Listen(host, port string) (Listener, error) {
-	l, err := t.SimTransport.Listen(host, port)
-	if err != nil {
-		return nil, err
-	}
-	return keptListener{l, t}, nil
-}
-
-func (l keptListener) Accept() (wire.Conn, error) { return l.t.keep(l.Listener.Accept()) }
-
-// closeAll closes every connection kept.
-func (t *keptTransport) closeAll() {
-	t.mu.Lock()
-	conns := t.conns
-	t.conns = nil
-	t.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 // startServers starts a Server on every host.

@@ -21,6 +21,9 @@ type Server struct {
 	host      string
 	registry  *Registry
 	listener  Listener
+	// served holds the connections this Server and the processes it
+	// spawned serve, those stopped since included.
+	served connSet
 
 	mu        sync.Mutex
 	processes map[string]*process // keyed by process address
@@ -42,7 +45,7 @@ func StartServer(t Transport, host string, reg *Registry) (*Server, error) {
 		listener:  l,
 		processes: make(map[string]*process),
 	}
-	s.clock.Go("schooner.Server.acceptLoop", s.acceptLoop)
+	s.served.accept(s.clock, "schooner.Server", l, func() (handler, func()) { return s.handle, nil })
 	return s, nil
 }
 
@@ -52,7 +55,8 @@ func (s *Server) Host() string { return s.host }
 // Addr returns the server's dialable address.
 func (s *Server) Addr() string { return s.listener.Addr() }
 
-// Stop shuts the server down along with every process it spawned.
+// Stop shuts the server down along with every process it spawned, and
+// closes every connection they and it serve.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -70,12 +74,7 @@ func (s *Server) Stop() {
 	for _, p := range procs {
 		p.stop()
 	}
-}
-
-func (s *Server) isStopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
+	s.served.close()
 }
 
 // ProcessCount reports how many processes the server currently hosts.
@@ -91,53 +90,23 @@ func (s *Server) ProcessCount() int {
 	return n
 }
 
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("schooner.Server.serve", func() { s.serve(conn) })
+func (s *Server) handle(conn wire.Conn, m *wire.Message) *wire.Message {
+	switch m.Kind {
+	case wire.KSpawn:
+		return s.handleSpawn(m)
+	case wire.KBatch:
+		return s.handleBatch(m)
+	case wire.KObserve:
+		return observe(m.Name, s.StatusReport)
+	case wire.KShutdown:
+		lastReply(conn, m, &wire.Message{Kind: wire.KShutdownOK})
+		s.Stop()
+		return nil
+	case wire.KPing:
+		return &wire.Message{Kind: wire.KPong}
 	}
-}
-
-func (s *Server) serve(conn wire.Conn) {
-	defer conn.Close()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		var resp *wire.Message
-		switch m.Kind {
-		case wire.KSpawn:
-			resp = s.handleSpawn(m)
-		case wire.KBatch:
-			resp = s.handleBatch(m)
-		case wire.KObserve:
-			resp = observe(m.Name, s.StatusReport)
-		case wire.KShutdown:
-			resp = &wire.Message{Kind: wire.KShutdownOK}
-			resp.Seq = m.Seq
-			_ = conn.Send(resp)
-			s.Stop()
-			return
-		case wire.KPing:
-			// A stopped Server answers no ping: a health probe that
-			// kept its connection learns of the stop from the close.
-			if s.isStopped() {
-				return
-			}
-			resp = &wire.Message{Kind: wire.KPong}
-		default:
-			resp = &wire.Message{Kind: wire.KError,
-				Err: fmt.Sprintf("schooner: server cannot handle %v", m.Kind)}
-		}
-		resp.Seq = m.Seq
-		if err := conn.Send(resp); err != nil {
-			return
-		}
-	}
+	return &wire.Message{Kind: wire.KError,
+		Err: fmt.Sprintf("schooner: server cannot handle %v", m.Kind)}
 }
 
 // handleBatch is the serving side of a KBatch: each sub-request is
@@ -187,14 +156,17 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 			"server.spawn "+m.Name, s.host)
 		defer sp.End()
 	}
-	if s.isStopped() {
+	s.mu.Lock()
+	stopped := s.stopped
+	s.mu.Unlock()
+	if stopped {
 		return &wire.Message{Kind: wire.KError, Err: "schooner: server stopped"}
 	}
 	prog, err := s.registry.Lookup(m.Name)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	p, err := startProcess(s.transport, s.clock, s.host, prog)
+	p, err := startProcess(s.transport, s.clock, &s.served, s.host, prog)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}

@@ -603,7 +603,7 @@ func (c *brokenConn) RemoteLabel() string { return "broken" }
 func TestServeReturnsWhenReplyFails(t *testing.T) {
 	c := &brokenConn{}
 	p := &process{done: make(chan struct{})}
-	p.serve(c)
+	(&connSet{}).serve(c, p.handle, nil)
 	if c.recvs != 1 || c.sends != 1 || !c.closed {
 		t.Errorf("serve read %d requests and sent %d replies (closed %v), want 1 and 1 and the connection closed",
 			c.recvs, c.sends, c.closed)

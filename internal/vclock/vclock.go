@@ -168,8 +168,12 @@ func (s *Slot) now() time.Time {
 // Every calls fn once per interval of c's time, on a fixed grid from
 // now (a tick that falls due while fn runs is skipped, not queued),
 // until stop is filled or fn returns false. It also returns when a
-// wait comes back early, which only a stopped virtual clock does.
+// wait comes back early, which only a stopped virtual clock does, and
+// at once for an interval that is not positive.
 func Every(c Clock, interval time.Duration, stop *Slot, fn func() bool) {
+	if interval <= 0 {
+		return
+	}
 	next := c.Now().Add(interval)
 	for {
 		if _, stopped := stop.WaitUntil(next); stopped || c.Now().Before(next) {

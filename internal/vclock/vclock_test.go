@@ -137,6 +137,23 @@ func TestVirtualTicker(t *testing.T) {
 	}
 }
 
+// TestEveryNonPositiveInterval: Every returns at once, without a tick,
+// for an interval that is not positive, on either clock; its grid
+// would otherwise never move forward.
+func TestEveryNonPositiveInterval(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	for _, c := range []Clock{v, Real()} {
+		for _, interval := range []time.Duration{0, -1} {
+			ticks := 0
+			Every(c, interval, c.NewSlot(), func() bool { ticks++; return false })
+			if ticks != 0 {
+				t.Errorf("Every(%v) on %T ticked %d times, want none", interval, c, ticks)
+			}
+		}
+	}
+}
+
 // TestVirtualStopReleasesWaiters checks that Stop releases sleepers,
 // tickers and slot waiters of every kind and waits for them: when it
 // returns the goroutine count is back where it started.
