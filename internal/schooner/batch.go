@@ -156,7 +156,7 @@ func (c *Client) dispatchBatch(members []*preparedCall) {
 // it, so none is invalidated.
 func (c *Client) sendBatch(host string, group []*preparedCall) {
 	owner := group[0]
-	g, err := c.serverConn(host, owner.line.clock)
+	g, err := c.servers.get(c.Transport, c.Host, host+":"+ServerPort)
 	if err != nil {
 		fallbackAll(group)
 		return
@@ -190,7 +190,7 @@ func (c *Client) sendBatch(host string, group []*preparedCall) {
 			return
 		}
 	}
-	resp, err := g.exchange(&wire.Message{Kind: wire.KBatch, Data: subs}, owner.line.policy.Timeout)
+	resp, err := g.rpc(&wire.Message{Kind: wire.KBatch, Data: subs}, owner.line.policy.Timeout)
 	if att != nil && err != nil {
 		att.Annotate("error", err.Error())
 	}

@@ -43,51 +43,15 @@ type Client struct {
 	// value applies the package defaults (see CallPolicy).
 	Policy CallPolicy
 
-	// mu guards the per-host Server connections GoBatchHosts sends its
-	// envelopes on, shared by all of the client's lines.
-	mu       sync.Mutex
-	srvConns map[string]*sharedConn
-}
-
-// serverConn returns the client's shared demultiplexed connection to a
-// machine's Server, keeping time on clock once it is dialed.
-func (c *Client) serverConn(host string, clock vclock.Clock) (*demuxConn, error) {
-	c.mu.Lock()
-	sc := c.srvConns[host]
-	if sc == nil {
-		if c.srvConns == nil {
-			c.srvConns = make(map[string]*sharedConn)
-		}
-		sc = &sharedConn{addr: host + ":" + ServerPort, clock: clock}
-		c.srvConns[host] = sc
-	}
-	c.mu.Unlock()
-	return sc.get(func() (*demuxConn, error) { return c.dial(sc.clock, sc.addr) })
-}
-
-// dial opens a demultiplexed connection to addr, keeping time on clock.
-// A refused dial is transient: the host may be mid-crash, with the
-// Manager's failover about to repoint the names mapped to it; retry.
-func (c *Client) dial(clock vclock.Clock, addr string) (*demuxConn, error) {
-	conn, err := c.Transport.Dial(c.Host, addr)
-	if err != nil {
-		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", addr, err)}
-	}
-	return newDemuxConn(conn, clock), nil
+	// servers holds the per-machine Server connections GoBatchHosts
+	// sends its envelopes on, shared by all of the client's lines.
+	servers connTable
 }
 
 // Close releases the client's cached Server connections (the batch
 // path). Lines opened through the client are unaffected;
 // quit them individually with IQuit.
-func (c *Client) Close() {
-	c.mu.Lock()
-	conns := c.srvConns
-	c.srvConns = nil
-	c.mu.Unlock()
-	for _, sc := range conns {
-		sc.close()
-	}
-}
+func (c *Client) Close() { c.servers.close() }
 
 // managerHosts is the ordered list of Manager hosts to try: the
 // primary first, then the standbys.
@@ -138,15 +102,16 @@ func (c *Client) openLine(clock vclock.Clock, req *wire.Message, timeout time.Du
 			err = fmt.Errorf("schooner: cannot reach manager on %s: %w", mh, err)
 			continue
 		}
+		g := newDemuxConn(conn, clock)
 		var resp *wire.Message
-		resp, err = ask(clock, conn, req, timeout)
+		resp, err = g.exchange(req, timeout)
 		if err == nil && resp.Kind != wire.KLineOK {
 			err = fmt.Errorf("schooner: manager on %s refused %v: %s", mh, req.Kind, resp.Err)
 		}
 		if err == nil {
-			return newDemuxConn(conn, clock), resp.Line, mh, nil
+			return g, resp.Line, mh, nil
 		}
-		conn.Close()
+		g.Close()
 	}
 	return nil, 0, "", err
 }
@@ -212,9 +177,9 @@ type demuxConn struct {
 }
 
 // waiting is a caller parked for its reply. Its slot is filled with the
-// reply, with recvTurn to hand it the receive side, or with nil when
-// the connection dies; whoever fills it takes it off the pending list
-// first, under the lock.
+// reply, with recvTurn to hand it the receive side, or with the error
+// that killed the connection; whoever fills it takes it off the pending
+// list first, under the lock.
 type waiting struct {
 	seq  uint32
 	slot *vclock.Slot
@@ -228,14 +193,38 @@ func newDemuxConn(conn wire.Conn, clock vclock.Clock) *demuxConn {
 }
 
 // exchange performs one request/response round trip, bounded by
-// timeout. It owns req.Seq: the number is the connection's, assigned
-// here and nowhere else. Transport failures and timeouts are transient
-// (wrapped stale); the reply — including KError — is returned
-// uninterpreted, because Manager and procedure callers attach different
-// meanings to an error reply. A caller that finds the receive side free
-// takes it before it sends, and waits in no slot.
+// timeout: every request this package sends goes through it, or
+// through rpc, its twin that counts the request. It owns
+// req.Seq: the number is the connection's, assigned here and nowhere
+// else. Transport failures and timeouts are transient (wrapped stale);
+// the reply — including KError — is returned uninterpreted, because
+// each caller attaches its own meaning to an error reply. A caller that
+// finds the receive side free takes it before it sends, and waits in
+// no slot.
 func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	var deadline time.Time
+	slot, deadline, err := g.send(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return g.wait(req.Seq, slot, deadline, timeout)
+}
+
+// rpc is exchange for the requests of a Line or a Client: one that
+// reaches the wire counts in schooner.client.rpcs, in the clock turn
+// that sent it, so a metric window sees it where it left.
+func (g *demuxConn) rpc(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+	slot, deadline, err := g.send(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	trace.Count("schooner.client.rpcs")
+	return g.wait(req.Seq, slot, deadline, timeout)
+}
+
+// send is exchange's first half: it numbers req, takes the receive
+// side or, when another caller holds it, a slot to wait in, and puts
+// req on the wire.
+func (g *demuxConn) send(req *wire.Message, timeout time.Duration) (slot *vclock.Slot, deadline time.Time, err error) {
 	if timeout > 0 {
 		deadline = g.clock.Now().Add(timeout)
 	}
@@ -243,11 +232,10 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 	if g.err != nil {
 		err := g.err
 		g.mu.Unlock()
-		return nil, &staleError{fmt.Errorf("schooner: shared connection lost: %w", err)}
+		return nil, deadline, lost(err)
 	}
 	g.seq++
 	req.Seq = g.seq
-	var slot *vclock.Slot
 	if g.reading {
 		if n := len(g.spare); n > 0 {
 			slot, g.spare = g.spare[n-1], g.spare[:n-1]
@@ -260,19 +248,23 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 	g.mu.Unlock()
 
 	g.sendMu.Lock()
-	err := g.conn.Send(req)
+	err = g.conn.Send(req)
 	g.sendMu.Unlock()
 	if err != nil {
 		// With nobody else reading, a dead peer shows only here.
 		g.fail(err)
-		return nil, &staleError{err}
+		return nil, deadline, &staleError{err}
 	}
-	trace.Count("schooner.client.rpcs")
+	return slot, deadline, nil
+}
 
+// wait is exchange's second half: seq's reply, from the caller's slot
+// or read off the connection.
+func (g *demuxConn) wait(seq uint32, slot *vclock.Slot, deadline time.Time, timeout time.Duration) (*wire.Message, error) {
 	if slot != nil {
 		x, ok := slot.WaitUntil(deadline)
 		if !ok {
-			g.abandon(req.Seq, slot)
+			g.abandon(seq, slot)
 		}
 		g.mu.Lock()
 		g.spare = append(g.spare, slot) // empty now, and on no list
@@ -283,14 +275,16 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 		switch x := x.(type) {
 		case *wire.Message:
 			return x, nil
-		case nil:
-			return nil, &staleError{errConnLost}
+		case error:
+			return nil, lost(x)
 		}
 	}
-	return g.read(req.Seq, deadline, timeout)
+	return g.read(seq, deadline, timeout)
 }
 
-var errConnLost = errors.New("schooner: shared connection lost")
+// lost is the stale error of a request whose connection died, in the
+// transport's own words.
+func lost(err error) error { return &staleError{fmt.Errorf("schooner: connection lost: %w", err)} }
 
 func (g *demuxConn) timeout(d time.Duration) error {
 	return &staleError{&timeoutError{peer: g.conn.RemoteLabel(), d: d}}
@@ -322,7 +316,7 @@ func (g *demuxConn) read(seq uint32, deadline time.Time, timeout time.Duration) 
 			return nil, g.timeout(timeout)
 		default:
 			g.fail(err)
-			return nil, &staleError{errConnLost}
+			return nil, lost(err)
 		}
 	}
 }
@@ -384,24 +378,27 @@ func (g *demuxConn) fail(err error) {
 		g.err = err
 	}
 	for _, w := range g.pending {
-		w.slot.Fill(nil)
+		w.slot.Fill(g.err)
 	}
 	g.pending = nil
 	g.mu.Unlock()
 }
 
-// call is exchange with the Manager's error convention applied: a
+// call is a line's rpc with the Manager's error convention applied: a
 // KError reply is an application error and final.
 func (g *demuxConn) call(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	resp, err := g.exchange(req, timeout)
+	resp, err := g.rpc(req, timeout)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Kind == wire.KError {
-		return nil, fmt.Errorf("%s", resp.Err)
+		return nil, replyError(resp)
 	}
 	return resp, nil
 }
+
+// replyError is the error a KError reply carries, in its peer's words.
+func replyError(resp *wire.Message) error { return errors.New(resp.Err) }
 
 // Close tears down the underlying connection; the caller holding the
 // receive side fails, and with it every waiting caller.
@@ -513,6 +510,55 @@ func (s *sharedConn) close() {
 	s.mu.Unlock()
 	if g != nil {
 		g.Close()
+	}
+}
+
+// connTable keeps one sharedConn per address, dialed on first use:
+// the Manager's health probes, a standby's leader heartbeat and a
+// Client's per-machine Server connections. The zero value is empty and
+// ready; close empties it.
+type connTable struct {
+	mu    sync.Mutex
+	conns map[string]*sharedConn
+}
+
+// get returns the live connection to addr, dialing it from one host
+// when there is none. A new entry keeps time on the transport's clock,
+// read once.
+func (t *connTable) get(tr Transport, from, addr string) (*demuxConn, error) {
+	t.mu.Lock()
+	s := t.conns[addr]
+	if s == nil {
+		if t.conns == nil {
+			t.conns = make(map[string]*sharedConn)
+		}
+		s = &sharedConn{addr: addr, clock: tr.Clock()}
+		t.conns[addr] = s
+	}
+	t.mu.Unlock()
+	return s.get(func() (*demuxConn, error) { return dial(tr, s.clock, from, addr) })
+}
+
+// drop closes addr's connection and forgets it, so the next get dials
+// afresh.
+func (t *connTable) drop(addr string) {
+	t.mu.Lock()
+	s := t.conns[addr]
+	delete(t.conns, addr)
+	t.mu.Unlock()
+	if s != nil {
+		s.close()
+	}
+}
+
+// close closes every connection in the table and empties it.
+func (t *connTable) close() {
+	t.mu.Lock()
+	conns := t.conns
+	t.conns = nil
+	t.mu.Unlock()
+	for _, s := range conns {
+		s.close()
 	}
 }
 
@@ -949,7 +995,7 @@ func (l *Line) decodeResults(imp *uts.ProcSpec, reply []byte) ([]uts.Value, erro
 // re-binds). An attempt that gets as far as the wire is a child span of
 // sp, whose context rides in the request envelope.
 func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []byte, timeout time.Duration, sp *trace.Span) ([]byte, error) {
-	pc, err := b.get(func() (*demuxConn, error) { return l.client.dial(l.clock, b.addr) })
+	pc, err := b.get(func() (*demuxConn, error) { return dial(l.client.Transport, l.clock, l.client.Host, b.addr) })
 	if err != nil {
 		return nil, err
 	}
@@ -972,7 +1018,7 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 		Name: b.exportName, Str: imp.Signature(), Data: data,
 	}
 	inject(req, att)
-	resp, err := pc.exchange(req, timeout)
+	resp, err := pc.rpc(req, timeout)
 	if err != nil && errors.As(err, new(*timeoutError)) {
 		trace.Count("schooner.client.timeouts")
 		att.Annotate("timeout", timeout.String())
@@ -1005,9 +1051,9 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 func callReplyData(resp *wire.Message) ([]byte, error) {
 	if resp.Kind == wire.KError {
 		if resp.Err == ErrProcessTerminated {
-			return nil, &staleError{fmt.Errorf("%s", resp.Err)}
+			return nil, &staleError{replyError(resp)}
 		}
-		return nil, fmt.Errorf("%s", resp.Err)
+		return nil, replyError(resp)
 	}
 	if resp.Kind != wire.KReply {
 		return nil, fmt.Errorf("schooner: unexpected %v reply", resp.Kind)

@@ -188,16 +188,16 @@ func TestConcurrentLinesOneClient(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGoOverlapsCalls pins the point of the async API: two calls to a
-// procedure that sleeps on the (simulated, time-scaled) wire overlap
-// instead of paying two sequential round trips.
+// TestGoOverlapsCalls pins the point of the async API on the virtual
+// clock, by equality: four Line.Go calls to a procedure overlap on the
+// wire instead of paying four sequential round trips. On the 1 ms,
+// 1.25 MB/s local Ethernet a warm call costs 2.1208 ms: both latencies
+// plus its 108-byte request and 43-byte reply on the wire. Four in a
+// row cost four of those, 8.4832 ms; four overlapped cost one plus the
+// three later requests' 86.4 µs each behind the first, 2.38 ms.
 func TestGoOverlapsCalls(t *testing.T) {
-	d := newDeployment(t, "avs-sparc", ieeeHosts())
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
-	// Sleep 30% of the simulated per-message delay so wall clock
-	// reflects the wire.
-	d.net.SetTimeScale(0.3)
-	defer d.net.SetTimeScale(0)
 	ln, err := d.client("avs-sparc").ContactSchx("m")
 	if err != nil {
 		t.Fatal(err)
@@ -212,15 +212,15 @@ func TestGoOverlapsCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqStart := time.Now()
+	seqStart := v.Elapsed()
 	for i := 0; i < 4; i++ {
 		if _, err := ln.Call("add", uts.DoubleVal(1), uts.DoubleVal(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seq := time.Since(seqStart)
+	seq := v.Elapsed() - seqStart
 
-	parStart := time.Now()
+	parStart := v.Elapsed()
 	var ps []*Pending
 	for i := 0; i < 4; i++ {
 		ps = append(ps, ln.Go("add", uts.DoubleVal(1), uts.DoubleVal(2)))
@@ -234,11 +234,13 @@ func TestGoOverlapsCalls(t *testing.T) {
 			t.Fatalf("async result = %g", out[0].F)
 		}
 	}
-	par := time.Since(parStart)
+	par := v.Elapsed() - parStart
 
-	// Four overlapped calls should take well under four sequential
-	// ones; allow slack for scheduler noise.
-	if par > seq*3/4 {
+	const call, behind = 2120800 * time.Nanosecond, 86400 * time.Nanosecond
+	if wantSeq, wantPar := 4*call, call+3*behind; seq != wantSeq || par != wantPar {
+		t.Errorf("sequential %v, concurrent %v; want %v and %v", seq, par, wantSeq, wantPar)
+	}
+	if par >= seq {
 		t.Errorf("async calls did not overlap: sequential %v, concurrent %v", seq, par)
 	}
 }

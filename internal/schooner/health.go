@@ -62,10 +62,10 @@ func (m *Manager) StartHealth(p HealthPolicy) {
 		m.mu.Unlock()
 		return
 	}
-	pr := newProbes(m.transport, m.host)
+	conns := new(connTable)
 	m.health = make(map[string]*hostHealth)
-	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p, pr) })
-	m.hbProbes = pr
+	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p, conns) })
+	m.hbConns = conns
 	m.mu.Unlock()
 }
 
@@ -73,12 +73,12 @@ func (m *Manager) StartHealth(p HealthPolicy) {
 // to finish, then closes the connections its probes kept.
 func (m *Manager) StopHealth() {
 	m.mu.Lock()
-	hb, pr := m.hb, m.hbProbes
-	m.hb, m.hbProbes = nil, nil
+	hb, conns := m.hb, m.hbConns
+	m.hb, m.hbConns = nil, nil
 	m.mu.Unlock()
 	if hb != nil {
 		hb.halt()
-		pr.close()
+		conns.close()
 	}
 }
 
@@ -100,9 +100,9 @@ func (m *Manager) HostHealth() map[string]bool {
 
 // healthSweep probes every candidate machine's Server once and reacts
 // to liveness transitions.
-func (m *Manager) healthSweep(p HealthPolicy, pr *probes) {
+func (m *Manager) healthSweep(p HealthPolicy, conns *connTable) {
 	for _, host := range m.transport.Hosts() {
-		ok := pr.ping(host+":"+ServerPort, p.PingTimeout)
+		ok := conns.probe(m.transport, m.host, host+":"+ServerPort, p.PingTimeout)
 		trace.Count("schooner.manager.heartbeats")
 		m.mu.Lock()
 		if m.health == nil {
@@ -141,48 +141,22 @@ func (m *Manager) healthSweep(p HealthPolicy, pr *probes) {
 	}
 }
 
-// probes heartbeats its targets over one kept connection each. A probe
-// dials only when it holds no connection to its target; any failure —
-// a send error, a timeout, a closed connection or a reply other than
-// KPong — closes and forgets the connection, so the next probe dials
-// afresh, as a one-shot ping would. A probes belongs to the goroutine
-// of the loop that probes, so it needs no lock; its owner closes it
-// once that loop has halted.
-type probes struct {
-	t     Transport
-	from  string
-	conns map[string]wire.Conn // by target address
-}
-
-func newProbes(t Transport, from string) *probes {
-	return &probes{t: t, from: from, conns: make(map[string]wire.Conn)}
-}
-
-// ping probes addr with one KPing bounded by timeout and reports
-// whether it answered KPong.
-func (pr *probes) ping(addr string, timeout time.Duration) bool {
-	conn, kept := pr.conns[addr]
-	var err error
-	if !kept {
-		if conn, err = pr.t.Dial(pr.from, addr); err != nil {
-			return false
-		}
-	}
-	resp, err := ask(pr.t.Clock(), conn, &wire.Message{Kind: wire.KPing}, timeout)
-	if err != nil || resp.Kind != wire.KPong {
-		conn.Close()
-		delete(pr.conns, addr)
+// probe pings addr from one host with one KPing bounded by timeout,
+// over the table's kept connection, dialed only when there is none,
+// and reports whether it answered KPong. Any failure — a send error, a
+// timeout, a closed connection or another reply — drops the
+// connection, so the next probe dials afresh, as a one-shot ping
+// would.
+func (t *connTable) probe(tr Transport, from, addr string, timeout time.Duration) bool {
+	g, err := t.get(tr, from, addr)
+	if err != nil {
 		return false
 	}
-	pr.conns[addr] = conn
-	return true
-}
-
-// close closes every kept connection; the probes is not used again.
-func (pr *probes) close() {
-	for _, conn := range pr.conns {
-		conn.Close()
+	if resp, err := g.exchange(&wire.Message{Kind: wire.KPing}, timeout); err != nil || resp.Kind != wire.KPong {
+		t.drop(addr)
+		return false
 	}
+	return true
 }
 
 // aliveHosts lists machines currently believed up, excluding one,

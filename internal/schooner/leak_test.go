@@ -105,10 +105,10 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 	}
 }
 
-// TestBoundedAskStartsNoGoroutine: a bounded ask receives on the
-// caller's goroutine, under the connection's read deadline. A mute peer
-// takes the request and, while the ask waits, counts the goroutines:
-// no more than before the ask began.
+// TestBoundedAskStartsNoGoroutine: a bounded one-shot exchange
+// receives on the caller's goroutine, under the connection's read
+// deadline. A mute peer takes the request and, while the exchange
+// waits, counts the goroutines: no more than before the exchange began.
 func TestBoundedAskStartsNoGoroutine(t *testing.T) {
 	a, b := net.Pipe()
 	during := make(chan int, 1)
@@ -121,14 +121,14 @@ func TestBoundedAskStartsNoGoroutine(t *testing.T) {
 		peer.Recv() // returns once the asker hangs up
 	}()
 	before := runtime.NumGoroutine()
-	conn := wire.NewStreamConn(a, "mute")
-	defer conn.Close()
-	_, err := ask(vclock.Real(), conn, &wire.Message{Kind: wire.KPing}, 200*time.Millisecond)
+	g := newDemuxConn(wire.NewStreamConn(a, "mute"), vclock.Real())
+	defer g.Close()
+	_, err := g.exchange(&wire.Message{Kind: wire.KPing}, 200*time.Millisecond)
 	if !errors.As(err, new(*timeoutError)) {
-		t.Fatalf("ask of a mute peer returned %v, want a timeout", err)
+		t.Fatalf("exchange with a mute peer returned %v, want a timeout", err)
 	}
 	if n := <-during; n > before {
-		t.Errorf("%d goroutines while the ask waited, %d before it", n, before)
+		t.Errorf("%d goroutines while the exchange waited, %d before it", n, before)
 	}
 }
 

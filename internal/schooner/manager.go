@@ -53,11 +53,11 @@ type Manager struct {
 	ck          *loop // the checkpoint sweep; nil when not running
 
 	// Health monitoring (see health.go); nil when the monitor is not
-	// running. hbProbes is the health loop's: only StopHealth touches
-	// it, after halting the loop.
-	health   map[string]*hostHealth
-	hb       *loop
-	hbProbes *probes
+	// running. hbConns are the health loop's probe connections: only
+	// StopHealth touches them, after halting the loop.
+	health  map[string]*hostHealth
+	hb      *loop
+	hbConns *connTable
 }
 
 // rpcTimeout bounds the Manager's own request/response round trips
@@ -180,7 +180,7 @@ func (m *Manager) recover() error {
 // listener opens, ordered deterministically for DST.
 func (m *Manager) readoptProcesses() {
 	for _, v := range m.victims(nil) {
-		if ping(m.transport, m.host, v.proc.addr, rpcTimeout) {
+		if resp, err := roundTrip(m.transport, m.host, v.proc.addr, &wire.Message{Kind: wire.KPing}); err == nil && resp.Kind == wire.KPong {
 			trace.Count("schooner.manager.readopted")
 			flight.Record(flight.Event{Kind: flight.KindReadopt, Component: "manager",
 				Host: m.host, Line: v.ln.id, Name: v.proc.path, Detail: v.proc.addr})
@@ -586,12 +586,12 @@ func (m *Manager) spawn(host, path string, ctx trace.SpanContext) (*remoteProc, 
 // error (if any) is not worth retrying.
 func (m *Manager) spawnOnce(host, path string, ctx trace.SpanContext) (_ *remoteProc, err error, final bool) {
 	resp, err := roundTrip(m.transport, m.host, host+":"+ServerPort,
-		&wire.Message{Kind: wire.KSpawn, Name: path, Trace: ctx.Trace, Span: ctx.Span}, rpcTimeout)
+		&wire.Message{Kind: wire.KSpawn, Name: path, Trace: ctx.Trace, Span: ctx.Span})
 	if err != nil {
 		return nil, err, false
 	}
 	if resp.Kind == wire.KError {
-		return nil, fmt.Errorf("%s", resp.Err), true
+		return nil, replyError(resp), true
 	}
 	if resp.Kind != wire.KSpawnOK {
 		return nil, fmt.Errorf("unexpected %v from server", resp.Kind), true
@@ -829,22 +829,22 @@ func sameExports(old, fresh []*uts.ProcSpec, lang Language) error {
 
 // captureState fetches the migration state of every stateful export.
 func (m *Manager) captureState(proc *remoteProc) (map[string][]byte, error) {
-	conn, err := m.transport.Dial(m.host, proc.addr)
+	g, err := dial(m.transport, m.clock, m.host, proc.addr)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
+	defer g.Close()
 	state := make(map[string][]byte)
 	for _, spec := range proc.exports {
 		if len(spec.State) == 0 {
 			continue
 		}
-		resp, err := ask(m.clock, conn, &wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
+		resp, err := g.exchange(&wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
 		if err != nil {
 			return nil, err
 		}
 		if resp.Kind != wire.KStateOK {
-			return nil, fmt.Errorf("%s", resp.Err)
+			return nil, replyError(resp)
 		}
 		state[spec.Name] = resp.Data
 	}
@@ -856,11 +856,11 @@ func (m *Manager) installState(proc *remoteProc, state map[string][]byte) error 
 	if len(state) == 0 {
 		return nil
 	}
-	conn, err := m.transport.Dial(m.host, proc.addr)
+	g, err := dial(m.transport, m.clock, m.host, proc.addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	defer g.Close()
 	// Sorted, so the same move puts the same frames on the wire every
 	// run: map order would leak into the byte stream.
 	names := make([]string, 0, len(state))
@@ -869,12 +869,12 @@ func (m *Manager) installState(proc *remoteProc, state map[string][]byte) error 
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		resp, err := ask(m.clock, conn, &wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
+		resp, err := g.exchange(&wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
 		if err != nil {
 			return err
 		}
 		if resp.Kind != wire.KStatePutOK {
-			return fmt.Errorf("%s", resp.Err)
+			return replyError(resp)
 		}
 	}
 	return nil
@@ -949,5 +949,5 @@ func (m *Manager) JournalSeq() uint64 {
 // shutdownProcess sends a best-effort shutdown to a procedure process.
 func (m *Manager) shutdownProcess(p *remoteProc) {
 	// An error means the host or process is already gone.
-	_, _ = roundTrip(m.transport, m.host, p.addr, &wire.Message{Kind: wire.KShutdown}, rpcTimeout)
+	_, _ = roundTrip(m.transport, m.host, p.addr, &wire.Message{Kind: wire.KShutdown})
 }

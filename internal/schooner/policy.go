@@ -1,9 +1,7 @@
 package schooner
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"npss/internal/vclock"
@@ -86,60 +84,26 @@ func (e *timeoutError) Error() string {
 	return fmt.Sprintf("schooner: receive from %s timed out after %v", e.peer, e.d)
 }
 
-// recvTimeout receives one message with a deadline on clock c, on the
-// caller's goroutine: it bounds the connection's Recv by a read
-// deadline and clears it again on success, so the connection can be
-// handed on. A receive the deadline cuts short is a *timeoutError. A
-// non-positive timeout blocks indefinitely.
-func recvTimeout(c vclock.Clock, conn wire.Conn, timeout time.Duration) (*wire.Message, error) {
-	if timeout <= 0 {
-		return conn.Recv()
-	}
-	if err := conn.SetReadDeadline(c.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	m, err := conn.Recv()
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return nil, &timeoutError{peer: conn.RemoteLabel(), d: timeout}
-	}
-	if err == nil {
-		err = conn.SetReadDeadline(time.Time{})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ask is the request/response step on a connection nobody else is
-// using: send req, then wait up to timeout on clock c for the next
-// message. Transport failures and timeouts are stale, as on a shared
-// connection. The reply is returned uninterpreted.
-func ask(c vclock.Clock, conn wire.Conn, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	if err := conn.Send(req); err != nil {
-		return nil, &staleError{err}
-	}
-	resp, err := recvTimeout(c, conn, timeout)
-	if err != nil {
-		return nil, &staleError{err}
-	}
-	return resp, nil
-}
-
-// roundTrip is the one-shot exchange every administrative query is
-// made of: dial addr from one host, ask on the transport's clock,
-// close.
-func roundTrip(t Transport, from, addr string, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
+// dial opens a demultiplexed connection from one host to addr, keeping
+// time on clock. A refused dial is transient: the host may be
+// mid-crash, with the Manager's failover about to repoint the names
+// mapped to it; retry.
+func dial(t Transport, clock vclock.Clock, from, addr string) (*demuxConn, error) {
 	conn, err := t.Dial(from, addr)
 	if err != nil {
 		return nil, &staleError{fmt.Errorf("schooner: cannot reach %s: %w", addr, err)}
 	}
-	defer conn.Close()
-	return ask(t.Clock(), conn, req, timeout)
+	return newDemuxConn(conn, clock), nil
 }
 
-// ping probes whatever listens at addr with one bounded KPing.
-func ping(t Transport, from, addr string, timeout time.Duration) bool {
-	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KPing}, timeout)
-	return err == nil && resp.Kind == wire.KPong
+// roundTrip is the one-shot exchange every administrative query is
+// made of: dial addr from one host, exchange on that connection alone,
+// on the transport's clock and bounded by rpcTimeout, and close it.
+func roundTrip(t Transport, from, addr string, req *wire.Message) (*wire.Message, error) {
+	g, err := dial(t, t.Clock(), from, addr)
+	if err != nil {
+		return nil, err
+	}
+	defer g.Close()
+	return g.exchange(req, rpcTimeout)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"npss/internal/netsim"
 	"npss/internal/vclock"
 	"npss/internal/wal"
 	"npss/internal/wire"
@@ -23,11 +24,11 @@ func (t *dialCounter) Dial(from, addr string) (wire.Conn, error) {
 }
 
 // healthProbed replaces the deployment's Manager with one that dials
-// through a counter and starts its health monitor at interval, then
-// sleeps to halfway between its first and second sweeps: every
-// machine probed once and, with nothing down, holding a kept
-// connection.
-func healthProbed(t *testing.T, d *deployment, v *vclock.Virtual, interval time.Duration) *dialCounter {
+// through a counter and starts its health monitor at interval, each
+// probe bounded by pingTimeout (zero: the policy default), then sleeps
+// to halfway between its first and second sweeps: every machine probed
+// once and, with nothing down, holding a kept connection.
+func healthProbed(t *testing.T, d *deployment, v *vclock.Virtual, interval, pingTimeout time.Duration) *dialCounter {
 	t.Helper()
 	d.mgr.Stop()
 	dc := &dialCounter{Transport: d.tr}
@@ -36,7 +37,7 @@ func healthProbed(t *testing.T, d *deployment, v *vclock.Virtual, interval time.
 		t.Fatal(err)
 	}
 	d.mgr = mgr
-	mgr.StartHealth(HealthPolicy{Interval: interval, Threshold: 2})
+	mgr.StartHealth(HealthPolicy{Interval: interval, Threshold: 2, PingTimeout: pingTimeout})
 	v.Sleep(interval + interval/2)
 	return dc
 }
@@ -66,7 +67,7 @@ func TestVirtualHealthSweepHandoffs(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	const interval = 10 * time.Millisecond
 	k := len(d.servers)
-	dc := healthProbed(t, d, v, interval)
+	dc := healthProbed(t, d, v, interval, 0)
 	if got := dc.dials.Load(); got != int64(k) {
 		t.Errorf("first sweep dialed %d times, want %d", got, k)
 	}
@@ -102,7 +103,7 @@ func TestVirtualHealthSweepHandoffs(t *testing.T) {
 func TestStoppedServerAnswersNoPing(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	const interval = 10 * time.Millisecond
-	healthProbed(t, d, v, interval)
+	healthProbed(t, d, v, interval, 0)
 	if up := d.mgr.HostHealth()["rs6000"]; !up {
 		t.Fatal("rs6000 not up after the first sweep")
 	}
@@ -112,22 +113,35 @@ func TestStoppedServerAnswersNoPing(t *testing.T) {
 	}
 }
 
-// TestHealthHealsAfterFault: a machine cut off — down, or behind a
-// down link — is declared down after Threshold sweeps and back up on
-// the first sweep after the fault heals: the failure closed the kept
-// connection, so that sweep dials afresh.
+// TestHealthHealsAfterFault: a machine cut off — down, behind a down
+// link, or behind a link that loses every message — is declared down
+// after Threshold sweeps and back up on the first sweep after the fault
+// heals: the failure closed the kept connection, so that sweep dials
+// afresh. Across a down path a probe's send fails at once, so those
+// rows keep the default PingTimeout, which no sweep could wait out;
+// across the lossy link a probe times out, bounded by a quarter of the
+// interval so that its verdict lands within the sweep, and must drop
+// its connection all the same.
 func TestHealthHealsAfterFault(t *testing.T) {
+	const interval = 10 * time.Millisecond
 	for _, fault := range []struct {
-		name string
-		set  func(d *deployment, down bool)
+		name        string
+		pingTimeout time.Duration
+		set         func(d *deployment, down bool)
 	}{
-		{"host", func(d *deployment, down bool) { d.net.SetHostDown("rs6000", down) }},
-		{"link", func(d *deployment, down bool) { d.net.SetLinkDown("avs-sparc", "rs6000", down) }},
+		{"host", 0, func(d *deployment, down bool) { d.net.SetHostDown("rs6000", down) }},
+		{"link", 0, func(d *deployment, down bool) { d.net.SetLinkDown("avs-sparc", "rs6000", down) }},
+		{"loss", interval / 4, func(d *deployment, down bool) {
+			spec := netsim.FaultSpec{}
+			if down {
+				spec.LossProb = 1
+			}
+			d.net.SetLinkFlaky("avs-sparc", "rs6000", spec)
+		}},
 	} {
 		t.Run(fault.name, func(t *testing.T) {
 			d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
-			const interval = 10 * time.Millisecond
-			dc := healthProbed(t, d, v, interval)
+			dc := healthProbed(t, d, v, interval, fault.pingTimeout)
 			dials := dc.dials.Load()
 			fault.set(d, true)
 			if n := sweepsUntil(v, interval, 10, func() bool { return !d.mgr.HostHealth()["rs6000"] }); n != 2 {

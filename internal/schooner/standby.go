@@ -200,12 +200,12 @@ func (s *Standby) drainTail(conn wire.Conn) {
 // closes that connection as it returns, before Stop's wait ends.
 func (s *Standby) heartbeatLoop() {
 	defer s.hbDone.Fill(nil)
-	leader := newProbes(s.transport, s.host)
+	var leader connTable
 	defer leader.close()
 	fails := 0
 	vclock.Every(s.clock, s.pol.HeartbeatInterval, s.stop, func() bool {
 		trace.Count("schooner.standby.heartbeats")
-		if leader.ping(s.leader+":"+ManagerPort, s.pol.PingTimeout) {
+		if leader.probe(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
 			fails = 0
 			return true
 		}

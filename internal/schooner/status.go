@@ -88,7 +88,7 @@ func Observe(t Transport, from, addr, name string) ([]byte, error) {
 	if !strings.Contains(addr, ":") {
 		addr += ":" + ManagerPort
 	}
-	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KObserve, Name: name}, rpcTimeout)
+	resp, err := roundTrip(t, from, addr, &wire.Message{Kind: wire.KObserve, Name: name})
 	if err != nil {
 		return nil, err
 	}

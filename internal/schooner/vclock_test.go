@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -424,13 +423,103 @@ func TestContactSchxDeadline(t *testing.T) {
 	if got := trace.Get("schooner.manager.lines") - registered; got != 2 {
 		t.Errorf("%d managers saw the registration, want both", got)
 	}
-	if l, _ := ledger.Wait(0); strings.Contains(l.(string), "recvTimeout") {
-		t.Errorf("a bounded receive started a goroutine of its own: %s", l)
+	// The registering test goroutine, the clock's first participant, is
+	// the one participant with a deadline. Beside it park only the two
+	// Managers' and three Servers' accept loops and the first Manager's
+	// serve goroutine for the registration: a bounded receive that started
+	// a goroutine would add a site.
+	const want = "at +2.5s; busy holders: ledger-reader × 1; parked: driver × 1 " +
+		"schooner.Manager.acceptLoop × 2 schooner.Manager.serve × 1 " +
+		"schooner.Server.acceptLoop × 3 (1 with deadlines, next in 2.5s)"
+	if l, _ := ledger.Wait(0); l != want {
+		t.Errorf("halfway through the first deadline the ledger reads\n\t%s\nwant\n\t%s", l, want)
 	}
 	// The Managers notice the hang-up on their next receive.
 	v.Sleep(time.Second)
 	if got := d.net.OpenConns(); got != base {
 		t.Errorf("%d connection endpoints open after the failed registration, baseline %d", got, base)
+	}
+}
+
+// TestOneShotDeadlines: every request the Manager makes on a
+// connection of its own — a spawn, a state get and put, a readopt ping,
+// a shutdown — and an Observe query give up on a peer that takes the
+// request and never answers after exactly rpcTimeout, with a stale
+// timeout, and leave no connection open behind them. The peer listens
+// as the Server of a machine of its own, so a spawn reaches it too.
+// readoptProcesses and shutdownProcess drop their error: the readopt
+// row instead sees its victim — stateful, with no checkpoint — skipped
+// by the failover path, and both rows are held to the deadline's time.
+func TestOneShotDeadlines(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.net.MustAddHost("mute", machine.SGI)
+	l, err := d.tr.Listen("mute", ServerPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	v.Go("mute.acceptLoop", func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			v.Go("mute.serve", func() {
+				defer conn.Close()
+				for {
+					if _, err := conn.Recv(); err != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+	m, peer := d.mgr, l.Addr()
+	proc := &remoteProc{addr: peer, exports: []*uts.ProcSpec{
+		uts.MustParseProc(`export next prog("n" res integer) state("count" integer)`)}}
+	for _, tc := range []struct {
+		site  string
+		quiet bool // the site drops its error
+		ask   func() error
+	}{
+		{"spawn", false, func() error { _, err, _ := m.spawnOnce("mute", "/npss/adder", trace.SpanContext{}); return err }},
+		{"state get", false, func() error { _, err := m.captureState(proc); return err }},
+		{"state put", false, func() error { return m.installState(proc, map[string][]byte{"next": {0}}) }},
+		{"readopt ping", true, func() error {
+			m.mu.Lock()
+			m.shared.processes[peer] = proc
+			m.mu.Unlock()
+			defer func() {
+				m.mu.Lock()
+				delete(m.shared.processes, peer)
+				m.mu.Unlock()
+			}()
+			skipped := trace.Get("schooner.manager.failover_skipped_stateful")
+			m.readoptProcesses()
+			if trace.Get("schooner.manager.failover_skipped_stateful")-skipped != 1 {
+				return errors.New("the mute process was not failed over")
+			}
+			return nil
+		}},
+		{"shutdown", true, func() error { m.shutdownProcess(proc); return nil }},
+		{"Observe", false, func() error { _, err := Observe(d.tr, "avs-sparc", peer, "status"); return err }},
+	} {
+		base := d.net.OpenConns()
+		before := v.Elapsed()
+		err := tc.ask()
+		if got := v.Elapsed() - before; got != rpcTimeout {
+			t.Errorf("%s gave up after %v, want rpcTimeout = %v", tc.site, got, rpcTimeout)
+		}
+		if tc.quiet && err != nil {
+			t.Errorf("%s of a mute peer: %v", tc.site, err)
+		} else if !tc.quiet && (!isStale(err) || !errors.As(err, new(*timeoutError))) {
+			t.Errorf("%s of a mute peer returned %v, want a stale timeout", tc.site, err)
+		}
+		// The peer notices the hang-up on its next receive.
+		v.Sleep(time.Second)
+		if got := d.net.OpenConns(); got != base {
+			t.Errorf("%s: %d connection endpoints open afterwards, baseline %d", tc.site, got, base)
+		}
 	}
 }
 
