@@ -99,6 +99,46 @@ type remoteProc struct {
 type procRef struct {
 	proc *remoteProc
 	spec *uts.ProcSpec
+
+	// checked holds the import texts that have passed uts.CheckImport
+	// against spec, so a repeat lookup parses nothing. It is derived
+	// state: never journaled, and empty on every fresh record (a move,
+	// failover, re-adoption or replay builds one). checkedMu guards it
+	// against concurrent lookups.
+	checkedMu sync.RWMutex
+	checked   map[string]struct{}
+}
+
+// checkImport type-checks an import text against the export the way a
+// lookup does. A text remembered in checked passes at once; any other
+// is parsed and checked, and remembered only if it passes, names the
+// procedure looked up, declares no state and is its parse's canonical
+// rendering (what Line.lookup sends). So the memo holds at most one
+// text per subset of the export's parameters per lookup name, and a
+// text that fails, or differs only in spacing, is checked every time.
+func (r *procRef) checkImport(name string, text []byte) error {
+	r.checkedMu.RLock()
+	_, ok := r.checked[string(text)]
+	r.checkedMu.RUnlock()
+	if ok {
+		return nil
+	}
+	imp, err := uts.ParseProc(string(text))
+	if err != nil {
+		return fmt.Errorf("schooner: bad import specification for %q: %v", name, err)
+	}
+	if err := uts.CheckImport(imp, r.spec); err != nil {
+		return fmt.Errorf("schooner: type check failed for %q: %v", name, err)
+	}
+	if imp.Name == name && len(imp.State) == 0 && imp.String() == string(text) {
+		r.checkedMu.Lock()
+		if r.checked == nil {
+			r.checked = make(map[string]struct{})
+		}
+		r.checked[imp.String()] = struct{}{}
+		r.checkedMu.Unlock()
+	}
+	return nil
 }
 
 // ManagerConfig selects the Manager's durability behavior.
@@ -696,12 +736,8 @@ func (m *Manager) handleLookup(registered uint32, req *wire.Message) *wire.Messa
 		return errMsg("schooner: no procedure %q in line %d or shared database", req.Name, ln.id)
 	}
 	if len(req.Data) > 0 {
-		imp, err := uts.ParseProc(string(req.Data))
-		if err != nil {
-			return errMsg("schooner: bad import specification for %q: %v", req.Name, err)
-		}
-		if err := uts.CheckImport(imp, ref.spec); err != nil {
-			return errMsg("schooner: type check failed for %q: %v", req.Name, err)
+		if err := ref.checkImport(req.Name, req.Data); err != nil {
+			return errMsg("%v", err)
 		}
 	}
 	trace.Count("schooner.manager.lookups")

@@ -202,21 +202,25 @@ const maxArrayLen = 1 << 20
 // error rather than a recoverable panic.
 const maxTypeDepth = 32
 
+// parser reads declarations one token ahead. The token peeked at is
+// held by value with a flag, not behind a pointer, so reading a token
+// allocates nothing.
 type parser struct {
 	lex    *lexer
-	queued *token
+	queued token
+	ahead  bool // queued holds the next token
 	depth  int
 }
 
 func (p *parser) peek() (token, error) {
-	if p.queued == nil {
+	if !p.ahead {
 		tok, err := p.lex.next()
 		if err != nil {
 			return token{}, err
 		}
-		p.queued = &tok
+		p.queued, p.ahead = tok, true
 	}
-	return *p.queued, nil
+	return p.queued, nil
 }
 
 func (p *parser) next() (token, error) {
@@ -224,7 +228,7 @@ func (p *parser) next() (token, error) {
 	if err != nil {
 		return token{}, err
 	}
-	p.queued = nil
+	p.ahead = false
 	return tok, nil
 }
 
@@ -303,7 +307,7 @@ func (p *parser) parseDecl() (*ProcSpec, error) {
 			}
 		}
 	} else {
-		p.queued = nil // consume ')'
+		p.ahead = false // consume ')'
 	}
 	// Optional state clause.
 	tok, err = p.peek()
@@ -311,7 +315,7 @@ func (p *parser) parseDecl() (*ProcSpec, error) {
 		return nil, err
 	}
 	if tok.kind == tokIdent && strings.EqualFold(tok.text, "state") {
-		p.queued = nil
+		p.ahead = false
 		fields, err := p.parseFieldList()
 		if err != nil {
 			return nil, err

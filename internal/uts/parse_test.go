@@ -219,3 +219,39 @@ func TestSignatureStable(t *testing.T) {
 		t.Errorf("String = %q", p.String())
 	}
 }
+
+// TestParseAllocations pins what parsing the shaft import allocates:
+// the parser, its lexer, the file, the declaration, the growth of its
+// parameter list and the two array types. A token must cost nothing:
+// one allocation per token would make it 56.
+func TestParseAllocations(t *testing.T) {
+	const src = `import shaft prog("ecom" val array[4] of double, "incom" val integer,
+		"etur" val array[4] of double, "intur" val integer, "ecorr" val double,
+		"xspool" val double, "xmyi" val double, "dxspl" res double)`
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseProc(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("ParseProc of the shaft import: %v allocations, want at most 10", allocs)
+	}
+}
+
+// TestRenderingCached: a declaration renders once. String and
+// Signature allocate nothing after the first call, and the signature is
+// the parameter list within the declaration's text.
+func TestRenderingCached(t *testing.T) {
+	p := MustParseProc(`export next prog("n" res integer, "xs" val array[3] of record ("a" float, "b" string)) state("count" integer)`)
+	text := p.String()
+	const want = `export next prog("n" res integer, "xs" val array[3] of record ("a" float, "b" string)) state("count" integer)`
+	if text != want {
+		t.Fatalf("String = %q, want %q", text, want)
+	}
+	if sig := p.Signature(); !strings.Contains(text, " "+sig+" state(") {
+		t.Errorf("Signature %q is not the parameter list of %q", sig, text)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { text, _ = p.String(), p.Signature() }); allocs != 0 {
+		t.Errorf("cached String and Signature: %v allocations, want 0", allocs)
+	}
+}

@@ -59,25 +59,43 @@ type ProcSpec struct {
 
 	// derived guards the cached forms below. A specification is
 	// immutable once handed to the runtime (Clone to modify), and its
-	// signature and parameter views sit on the per-call marshal path, so
-	// they are computed once instead of per call.
+	// rendering and parameter views sit on the per-call marshal and
+	// per-lookup paths, so they are computed once instead of per use.
 	derived sync.Once
-	sig     string
+	str     string // the whole declaration; see String
+	sig     string // the parameter list, a slice of str; see Signature
 	ins     []Param
 	outs    []Param
 }
 
-// derive fills the cached derived forms.
+// derive fills the cached derived forms. It renders the declaration
+// once, into one string, and takes the signature as the slice of it
+// that the parameter list occupies. It must not call Signature or
+// String: they wait on the sync.Once this runs under.
 func (s *ProcSpec) derive() {
 	s.derived.Do(func() {
 		var b strings.Builder
+		// Room for a typical declaration, so its text is one allocation.
+		b.Grow(32 + 40*len(s.Params) + 24*len(s.State))
+		if s.Export {
+			b.WriteString("export ")
+		} else {
+			b.WriteString("import ")
+		}
+		b.WriteString(s.Name)
+		b.WriteByte(' ')
+		start := b.Len()
 		b.WriteString("prog(")
 		nIn, nOut := 0, 0
 		for i, p := range s.Params {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s %s %s", quoteName(p.Name), p.Mode, p.Type)
+			writeName(&b, p.Name)
+			b.WriteByte(' ')
+			b.WriteString(p.Mode.String())
+			b.WriteByte(' ')
+			p.Type.write(&b)
 			if p.In() {
 				nIn++
 			}
@@ -85,8 +103,22 @@ func (s *ProcSpec) derive() {
 				nOut++
 			}
 		}
-		b.WriteString(")")
-		s.sig = b.String()
+		b.WriteByte(')')
+		end := b.Len()
+		if len(s.State) > 0 {
+			b.WriteString(" state(")
+			for i, f := range s.State {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				writeName(&b, f.Name)
+				b.WriteByte(' ')
+				f.Type.write(&b)
+			}
+			b.WriteByte(')')
+		}
+		s.str = b.String()
+		s.sig = s.str[start:end]
 		// Exact-size views: a caller appending to one is forced to copy.
 		s.ins = make([]Param, 0, nIn)
 		s.outs = make([]Param, 0, nOut)
@@ -101,13 +133,17 @@ func (s *ProcSpec) derive() {
 	})
 }
 
-// quoteName renders a parameter or field name in specification
+// writeName renders a parameter or field name in specification
 // syntax. Names are quoted verbatim, not escaped: the lexer reads raw
 // bytes between quotes with no escape processing, so %q-style escaping
 // would print a form that re-parses to a different name. Any name the
 // parser can produce is free of '"' and newline, making the verbatim
 // form unambiguous.
-func quoteName(name string) string { return `"` + name + `"` }
+func writeName(b *strings.Builder, name string) {
+	b.WriteByte('"')
+	b.WriteString(name)
+	b.WriteByte('"')
+}
 
 // Signature renders the parameter list canonically, for runtime type
 // checking: two specs are call-compatible only if the importing
@@ -118,25 +154,10 @@ func (s *ProcSpec) Signature() string {
 }
 
 // String renders the complete declaration in specification syntax.
+// It is the canonical form: it re-parses to an equal spec.
 func (s *ProcSpec) String() string {
-	kw := "import"
-	if s.Export {
-		kw = "export"
-	}
-	out := fmt.Sprintf("%s %s %s", kw, s.Name, s.Signature())
-	if len(s.State) > 0 {
-		var b strings.Builder
-		b.WriteString(" state(")
-		for i, f := range s.State {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s %s", quoteName(f.Name), f.Type)
-		}
-		b.WriteString(")")
-		out += b.String()
-	}
-	return out
+	s.derive()
+	return s.str
 }
 
 // Param returns the parameter with the given name, or nil.

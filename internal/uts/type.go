@@ -26,6 +26,7 @@ package uts
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -195,7 +196,10 @@ func (t *Type) String() string {
 func (t *Type) write(b *strings.Builder) {
 	switch t.kind {
 	case Array:
-		fmt.Fprintf(b, "array[%d] of ", t.length)
+		var n [20]byte
+		b.WriteString("array[")
+		b.Write(strconv.AppendInt(n[:0], int64(t.length), 10))
+		b.WriteString("] of ")
 		t.elem.write(b)
 	case Record:
 		b.WriteString("record (")
@@ -204,8 +208,9 @@ func (t *Type) write(b *strings.Builder) {
 				b.WriteString(", ")
 			}
 			// Verbatim quoting, matching the lexer's raw (escape-free)
-			// string syntax; see quoteName in spec.go.
-			fmt.Fprintf(b, "%s ", quoteName(f.Name))
+			// string syntax; see writeName in spec.go.
+			writeName(b, f.Name)
+			b.WriteByte(' ')
 			f.Type.write(b)
 		}
 		b.WriteString(")")
