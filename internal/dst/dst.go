@@ -1228,9 +1228,9 @@ func (c *Cluster) mergeRestores(idx int) {
 }
 
 // adoptPromoted swaps the cluster's Manager handle to the standby's
-// promoted incarnation once takeover has happened.
+// promoted incarnation once takeover has started it.
 func (c *Cluster) adoptPromoted() {
-	if !c.mgrDown || c.standby == nil || !c.standby.TookOver() {
+	if !c.mgrDown || c.standby == nil {
 		return
 	}
 	if mgr := c.standby.Manager(); mgr != nil {
@@ -1283,10 +1283,12 @@ func (c *Cluster) converge(idx int) {
 
 	// The control plane converges first: a crashed leader either hands
 	// off to the standby (takeover needs virtual time to pass for the
-	// missed heartbeats) or restarts from its journal.
+	// missed heartbeats) or restarts from its journal. The wait is for
+	// the promoted Manager, not the promotion: TookOver is set before
+	// the journal replay and the re-adoption pings that start it.
 	if c.mgrDown {
 		if c.standby != nil {
-			for i := 0; i < 200 && !c.standby.TookOver(); i++ {
+			for i := 0; i < 200 && c.standby.Manager() == nil; i++ {
 				c.v.Sleep(10 * time.Millisecond)
 			}
 			c.adoptPromoted()

@@ -118,3 +118,21 @@ func TestStandbyTakeoverUnderDST(t *testing.T) {
 		t.Errorf("signature diverged across identical runs:\nfirst:  %v\nsecond: %v", res.Signature, again.Signature)
 	}
 }
+
+// TestStandbyConvergeWaitsForPromotedManager is the regression for a
+// harness race: seed 194 crashes the leader late enough that the final
+// convergence check found the standby promoted (TookOver) while its
+// Manager was still replaying the journal and pinging processes, and
+// reported a false "no-takeover". The check waits for the Manager.
+func TestStandbyConvergeWaitsForPromotedManager(t *testing.T) {
+	res, err := Run(Config{Seed: 194, Ops: 200, Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("seed 194: %s\n%s", res.Violation, FormatTrace(194, res.Ops))
+	}
+	if n := res.Signature["schooner.manager.standby_takeovers"]; n != 1 {
+		t.Errorf("got %d takeovers, want 1", n)
+	}
+}

@@ -85,7 +85,7 @@ func TestDialAndMessage(t *testing.T) {
 			t.Errorf("server Recv: %v", err)
 			return
 		}
-		srv.Send(&wire.Message{Kind: wire.KReply, Seq: m.Seq, Data: []byte("pong")})
+		srv.Send(&wire.Message{Kind: wire.KOK, Seq: m.Seq, Data: []byte("pong")})
 	}()
 	c, err := a.Dial(l.Addr())
 	if err != nil {
@@ -101,7 +101,7 @@ func TestDialAndMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Kind != wire.KReply || string(reply.Data) != "pong" {
+	if reply.Kind != wire.KOK || string(reply.Data) != "pong" {
 		t.Errorf("reply = %v", reply)
 	}
 	wg.Wait()

@@ -203,16 +203,12 @@ func (c *Client) sendBatch(host string, group []*preparedCall) {
 	completeBatch(group, resp)
 }
 
-// completeBatch distributes a KBatchOK's reply sub-frames to the
-// group, in request order. Sub-replies carrying the stale sentinel
-// (the process died or moved mid-batch) fall back per-call; other
-// errors are the call's final outcome.
+// completeBatch distributes a batch reply's sub-frames to the group,
+// in request order. Sub-replies carrying the stale sentinel (the
+// process died or moved mid-batch) fall back per-call; other errors
+// are the call's final outcome.
 func completeBatch(group []*preparedCall, resp *wire.Message) {
-	if resp.Kind != wire.KBatchOK {
-		_, err := callReplyData(resp)
-		if err == nil {
-			err = fmt.Errorf("schooner: unexpected %v reply to batch", resp.Kind)
-		}
+	if err := replyError(resp); err != nil {
 		failAll(group, err)
 		return
 	}
@@ -229,8 +225,7 @@ func completeBatch(group []*preparedCall, resp *wire.Message) {
 			return
 		}
 		rest = r
-		reply, err := callReplyData(sub.Msg)
-		if err != nil {
+		if err := replyError(sub.Msg); err != nil {
 			if isStale(err) {
 				m.line.invalidate(m.name, m.b)
 				trace.Count("schooner.client.stale")
@@ -240,7 +235,7 @@ func completeBatch(group []*preparedCall, resp *wire.Message) {
 			m.finish(nil, err)
 			continue
 		}
-		res, err := m.line.decodeResults(m.imp, reply)
+		res, err := m.line.decodeResults(m.imp, sub.Msg.Data)
 		m.finish(res, err)
 	}
 }

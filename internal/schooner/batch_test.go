@@ -404,7 +404,7 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 			}
 			for i := len(reqs) - 1; i >= 0; i-- {
 				// Echo the request payload back under its own seq.
-				if err := conn.Send(&wire.Message{Kind: wire.KReply, Seq: reqs[i].Seq, Data: reqs[i].Data}); err != nil {
+				if err := conn.Send(&wire.Message{Kind: wire.KOK, Seq: reqs[i].Seq, Data: reqs[i].Data}); err != nil {
 					return
 				}
 			}

@@ -104,9 +104,10 @@ func (c *Client) openLine(clock vclock.Clock, req *wire.Message, timeout time.Du
 		}
 		g := newDemuxConn(conn, clock)
 		var resp *wire.Message
-		resp, err = g.exchange(req, timeout)
-		if err == nil && resp.Kind != wire.KLineOK {
-			err = fmt.Errorf("schooner: manager on %s refused %v: %s", mh, req.Kind, resp.Err)
+		if resp, err = g.exchange(req, timeout); err == nil {
+			if err = replyError(resp); err != nil {
+				err = fmt.Errorf("schooner: manager on %s refused %v: %v", mh, req.Kind, err)
+			}
 		}
 		if err == nil {
 			return g, resp.Line, mh, nil
@@ -197,8 +198,8 @@ func newDemuxConn(conn wire.Conn, clock vclock.Clock) *demuxConn {
 // through rpc, its twin that counts the request. It owns
 // req.Seq: the number is the connection's, assigned here and nowhere
 // else. Transport failures and timeouts are transient (wrapped stale);
-// the reply — including KError — is returned uninterpreted, because
-// each caller attaches its own meaning to an error reply. A caller that
+// the reply — including KError — is returned unread: replyError reads
+// it, and each caller attaches its own context to a fault. A caller that
 // finds the receive side free takes it before it sends, and waits in
 // no slot.
 func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
@@ -384,21 +385,34 @@ func (g *demuxConn) fail(err error) {
 	g.mu.Unlock()
 }
 
-// call is a line's rpc with the Manager's error convention applied: a
-// KError reply is an application error and final.
+// call is a line's rpc with its reply read by replyError.
 func (g *demuxConn) call(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	resp, err := g.rpc(req, timeout)
+	if err == nil {
+		err = replyError(resp)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if resp.Kind == wire.KError {
-		return nil, replyError(resp)
 	}
 	return resp, nil
 }
 
-// replyError is the error a KError reply carries, in its peer's words.
-func replyError(resp *wire.Message) error { return errors.New(resp.Err) }
+// replyError reads a reply, and is the one place in this package that
+// does: a KOK is nil, a KError is its text in its peer's words — stale
+// when it is ErrProcessTerminated (the process died under a move or
+// crash: rebind), final otherwise — and any other kind is a protocol
+// error.
+func replyError(resp *wire.Message) error {
+	switch {
+	case resp.Kind == wire.KOK:
+		return nil
+	case resp.Kind != wire.KError:
+		return fmt.Errorf("schooner: unexpected %v reply", resp.Kind)
+	case resp.Err == ErrProcessTerminated:
+		return &staleError{errors.New(resp.Err)}
+	}
+	return errors.New(resp.Err)
+}
 
 // Close tears down the underlying connection; the caller holding the
 // receive side fails, and with it every waiting caller.
@@ -1025,7 +1039,9 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 	}
 	var reply []byte
 	if err == nil {
-		reply, err = callReplyData(resp)
+		if err = replyError(resp); err == nil {
+			reply = resp.Data
+		}
 	}
 	if att != nil {
 		if err != nil {
@@ -1043,22 +1059,6 @@ func (l *Line) callPipelined(name string, b *binding, imp *uts.ProcSpec, data []
 		att.End()
 	}
 	return reply, err
-}
-
-// callReplyData interprets a procedure call's reply message: a KError
-// carrying the terminated sentinel is stale (the process died under a
-// move or crash — rebind), any other KError is an application error.
-func callReplyData(resp *wire.Message) ([]byte, error) {
-	if resp.Kind == wire.KError {
-		if resp.Err == ErrProcessTerminated {
-			return nil, &staleError{replyError(resp)}
-		}
-		return nil, replyError(resp)
-	}
-	if resp.Kind != wire.KReply {
-		return nil, fmt.Errorf("schooner: unexpected %v reply", resp.Kind)
-	}
-	return resp.Data, nil
 }
 
 // staleError marks failures that may be cured by re-binding.

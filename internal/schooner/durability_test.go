@@ -307,7 +307,7 @@ func TestJournalTailStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Kind != wire.KJournalEntry || len(m.Data) < 8 {
+		if m.Kind != wire.KOK || len(m.Data) < 8 {
 			t.Fatalf("entry %d = %v", i, m)
 		}
 		seq := binary.BigEndian.Uint64(m.Data)
@@ -326,7 +326,7 @@ func TestJournalTailStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != wire.KJournalEntry {
+	if m.Kind != wire.KOK {
 		t.Fatalf("live entry = %v", m)
 	}
 }
@@ -451,7 +451,7 @@ func TestStateTransferFaultPaths(t *testing.T) {
 
 	// Baseline: a real state capture succeeds.
 	ok := roundTrip(counterAddr, &wire.Message{Kind: wire.KStateGet, Name: "next"})
-	if ok.Kind != wire.KStateOK {
+	if ok.Kind != wire.KOK {
 		t.Fatalf("StateGet = %v", ok)
 	}
 	// Truncated state payload: the install must fail loudly, not

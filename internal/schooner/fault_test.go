@@ -9,6 +9,7 @@ import (
 	"npss/internal/netsim"
 	"npss/internal/trace"
 	"npss/internal/uts"
+	"npss/internal/wire"
 )
 
 // TestIsStaleWrapped is the regression for the errors.As fix: a stale
@@ -32,6 +33,32 @@ func TestIsStaleWrapped(t *testing.T) {
 	}
 	if isStale(nil) {
 		t.Error("nil misclassified as stale")
+	}
+}
+
+// TestReplyError pins the one answering rule: KOK is nil, a KError is
+// its text — stale only for the terminated sentinel — and any other
+// kind is a protocol error, never a success.
+func TestReplyError(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		resp    *wire.Message
+		want    string // "" for nil
+		isStale bool
+	}{
+		{"ok", &wire.Message{Kind: wire.KOK, Data: []byte{1}}, "", false},
+		{"error", &wire.Message{Kind: wire.KError, Err: "schooner: no procedure"}, "schooner: no procedure", false},
+		{"sentinel", &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}, ErrProcessTerminated, true},
+		{"unexpected kind", &wire.Message{Kind: wire.KCall, Err: "ignored"}, "schooner: unexpected Call reply", false},
+	} {
+		err := replyError(tc.resp)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want || isStale(err) != tc.isStale {
+			t.Errorf("%s: replyError = %q (stale %v), want %q (stale %v)", tc.name, got, isStale(err), tc.want, tc.isStale)
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ func (m *Manager) healthSweep(p HealthPolicy, conns *connTable) {
 
 // probe pings addr from one host with one KPing bounded by timeout,
 // over the table's kept connection, dialed only when there is none,
-// and reports whether it answered KPong. Any failure — a send error, a
+// and reports whether it answered KOK. Any failure — a send error, a
 // timeout, a closed connection or another reply — drops the
 // connection, so the next probe dials afresh, as a one-shot ping
 // would.
@@ -152,7 +152,7 @@ func (t *connTable) probe(tr Transport, from, addr string, timeout time.Duration
 	if err != nil {
 		return false
 	}
-	if resp, err := g.exchange(&wire.Message{Kind: wire.KPing}, timeout); err != nil || resp.Kind != wire.KPong {
+	if resp, err := g.exchange(&wire.Message{Kind: wire.KPing}, timeout); err != nil || replyError(resp) != nil {
 		t.drop(addr)
 		return false
 	}

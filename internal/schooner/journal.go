@@ -263,5 +263,5 @@ func sendJournalEntry(conn wire.Conn, reqSeq uint32, seq uint64, payload []byte)
 	data := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint64(data, seq)
 	copy(data[8:], payload)
-	return conn.Send(&wire.Message{Kind: wire.KJournalEntry, Seq: reqSeq, Data: data})
+	return conn.Send(&wire.Message{Kind: wire.KOK, Seq: reqSeq, Data: data})
 }

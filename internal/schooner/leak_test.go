@@ -211,7 +211,7 @@ func TestStopClosesServedConnections(t *testing.T) {
 	}
 	srv := d.servers["sgi-lerc"]
 	srvConn, spawned := ask(srv.Addr(), &wire.Message{Kind: wire.KSpawn, Name: "/npss/adder"})
-	if spawned.Kind != wire.KSpawnOK {
+	if spawned.Kind != wire.KOK {
 		t.Fatalf("spawn answered %v: %s", spawned.Kind, spawned.Err)
 	}
 	procConn, _ := ask(spawned.Str, &wire.Message{Kind: wire.KPing})

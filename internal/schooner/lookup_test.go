@@ -2,6 +2,7 @@ package schooner
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestLookupMemoRepeatParsesNothing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp := d.lookup(ln, "add", text); resp.Kind != wire.KLookupOK {
+			if resp := d.lookup(ln, "add", text); resp.Kind != wire.KOK {
 				t.Errorf("repeat lookup: %v", resp.Err)
 			}
 		}()
@@ -112,7 +113,7 @@ func TestLookupMemoRepeatParsesNothing(t *testing.T) {
 // it the second time.
 func TestLookupMemoRefusesBadImport(t *testing.T) {
 	d, ln := memoRig(t)
-	if resp := d.lookup(ln, "add", addImport); resp.Kind != wire.KLookupOK {
+	if resp := d.lookup(ln, "add", addImport); resp.Kind != wire.KOK {
 		t.Fatalf("good import: %v", resp.Err)
 	}
 	ref := d.ref(t, ln, "add")
@@ -150,7 +151,7 @@ func TestLookupMemoSkipsNonCanonical(t *testing.T) {
 		`import add prog("a" val double) state("s" double)`,
 	} {
 		for i := range 2 {
-			if resp := d.lookup(ln, "add", text); resp.Kind != wire.KLookupOK {
+			if resp := d.lookup(ln, "add", text); resp.Kind != wire.KOK {
 				t.Fatalf("lookup %d of %q: %v", i, text, resp.Err)
 			}
 		}
@@ -163,7 +164,7 @@ func TestLookupMemoSkipsNonCanonical(t *testing.T) {
 		`import add prog("b" val double)`,
 		`import add prog("a" val double, "sum" res double)`,
 	} {
-		if resp := d.lookup(ln, "add", text); resp.Kind != wire.KLookupOK {
+		if resp := d.lookup(ln, "add", text); resp.Kind != wire.KOK {
 			t.Fatalf("lookup of %q: %v", text, resp.Err)
 		}
 	}
@@ -176,7 +177,7 @@ func TestLookupMemoSkipsNonCanonical(t *testing.T) {
 // record, and its memo starts empty.
 func TestLookupMemoStartsEmptyAfterMove(t *testing.T) {
 	d, ln := memoRig(t)
-	if resp := d.lookup(ln, "add", addImport); resp.Kind != wire.KLookupOK {
+	if resp := d.lookup(ln, "add", addImport); resp.Kind != wire.KOK {
 		t.Fatalf("lookup: %v", resp.Err)
 	}
 	old := d.ref(t, ln, "add")
@@ -195,5 +196,34 @@ func TestLookupMemoStartsEmptyAfterMove(t *testing.T) {
 	}
 	if resp := d.lookup(ln, "add", addImportWrong); resp.Kind != wire.KError {
 		t.Errorf("after the move a wrong-typed import was accepted")
+	}
+}
+
+// TestPlanKeepsCanonicalOnly: a procedure process keeps a call plan
+// under the canonical signature text alone (the one a Line sends), as
+// the Manager's memo keeps canonical import texts, so callers that vary
+// only the spacing of one signature cannot grow it. Every variant is
+// still parsed, checked and accepted.
+func TestPlanKeepsCanonicalOnly(t *testing.T) {
+	bp := &BoundProc{Spec: uts.MustParseProc(`export add prog("a" val double, "b" val double, "sum" res double)`)}
+	canonical := uts.MustParseProc(addImport).Signature()
+	p := &process{plans: make(map[planKey]*callPlan)}
+	const variants = 1000
+	for i := range variants {
+		// Variant 0 is the canonical text; the others pad a comma.
+		sig := strings.Replace(canonical, ", ", ","+strings.Repeat(" ", i+1), 1)
+		if i == 0 {
+			sig = canonical
+		}
+		pl, err := p.plan(bp, "add", sig)
+		if err != nil {
+			t.Fatalf("variant %d %q: %v", i, sig, err)
+		}
+		if got := pl.imp.Signature(); got != canonical {
+			t.Fatalf("variant %d planned %q, want %q", i, got, canonical)
+		}
+	}
+	if len(p.plans) != 1 || p.plans[planKey{"add", canonical}] == nil {
+		t.Errorf("%d spacing variants left %d plans, want just the canonical one", variants, len(p.plans))
 	}
 }

@@ -220,7 +220,7 @@ func (m *Manager) recover() error {
 // listener opens, ordered deterministically for DST.
 func (m *Manager) readoptProcesses() {
 	for _, v := range m.victims(nil) {
-		if resp, err := roundTrip(m.transport, m.host, v.proc.addr, &wire.Message{Kind: wire.KPing}); err == nil && resp.Kind == wire.KPong {
+		if resp, err := roundTrip(m.transport, m.host, v.proc.addr, &wire.Message{Kind: wire.KPing}); err == nil && replyError(resp) == nil {
 			trace.Count("schooner.manager.readopted")
 			flight.Record(flight.Event{Kind: flight.KindReadopt, Component: "manager",
 				Host: m.host, Line: v.ln.id, Name: v.proc.path, Detail: v.proc.addr})
@@ -448,7 +448,7 @@ func (s *session) handle(conn wire.Conn, req *wire.Message) *wire.Message {
 		ctx := sp.Context()
 		flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
 			Host: m.host, Line: id, Trace: ctx.Trace, Span: ctx.Span, Name: req.Name})
-		resp = &wire.Message{Kind: wire.KLineOK, Line: id}
+		resp = &wire.Message{Kind: wire.KOK, Line: id}
 	case wire.KAttachLine:
 		if s.registered != 0 {
 			resp = errMsg("schooner: connection already registered line %d", s.registered)
@@ -462,7 +462,7 @@ func (s *session) handle(conn wire.Conn, req *wire.Message) *wire.Message {
 		s.registered = id
 		flight.Record(flight.Event{Kind: flight.KindLineRegister, Component: "manager",
 			Host: m.host, Line: id, Name: req.Name, Detail: "reattach"})
-		resp = &wire.Message{Kind: wire.KLineOK, Line: id}
+		resp = &wire.Message{Kind: wire.KOK, Line: id}
 	case wire.KJournalTail:
 		// The tail handler owns the connection and streams until the
 		// subscriber hangs up or the Manager stops.
@@ -489,20 +489,20 @@ func (s *session) handle(conn wire.Conn, req *wire.Message) *wire.Message {
 			break
 		}
 		s.quit = true
-		resp = &wire.Message{Kind: wire.KQuitOK}
+		resp = &wire.Message{Kind: wire.KOK}
 	case wire.KShutdown:
 		s.quit = true
-		lastReply(conn, req, &wire.Message{Kind: wire.KShutdownOK})
+		lastReply(conn, req, &wire.Message{Kind: wire.KOK})
 		m.Stop()
 		return nil
 	case wire.KPing:
-		resp = &wire.Message{Kind: wire.KPong}
+		resp = &wire.Message{Kind: wire.KOK}
 	default:
 		resp = errMsg("schooner: manager cannot handle %v", req.Kind)
 	}
 	if sp != nil {
-		if resp.Kind == wire.KError {
-			sp.Annotate("error", resp.Err)
+		if err := replyError(resp); err != nil {
+			sp.Annotate("error", err.Error())
 		}
 		sp.End()
 	}
@@ -601,7 +601,7 @@ func (m *Manager) handleStartProc(registered uint32, req *wire.Message, sp *trac
 	ctx := sp.Context()
 	flight.Record(flight.Event{Kind: flight.KindSpawn, Component: "manager",
 		Host: m.host, Line: ln.id, Trace: ctx.Trace, Span: ctx.Span, Name: path, Detail: host})
-	return &wire.Message{Kind: wire.KStartOK, Str: proc.addr}
+	return &wire.Message{Kind: wire.KOK, Str: proc.addr}
 }
 
 // spawn contacts a machine's Server and instantiates a program there.
@@ -630,11 +630,8 @@ func (m *Manager) spawnOnce(host, path string, ctx trace.SpanContext) (_ *remote
 	if err != nil {
 		return nil, err, false
 	}
-	if resp.Kind == wire.KError {
-		return nil, replyError(resp), true
-	}
-	if resp.Kind != wire.KSpawnOK {
-		return nil, fmt.Errorf("unexpected %v from server", resp.Kind), true
+	if err := replyError(resp); err != nil {
+		return nil, err, true
 	}
 	proc, err := parseProc(path, host, resp.Str, string(resp.Data))
 	return proc, err, true
@@ -746,7 +743,7 @@ func (m *Manager) handleLookup(registered uint32, req *wire.Message) *wire.Messa
 			trace.Label{Key: "proc", Value: req.Name},
 			trace.Label{Key: "host", Value: ref.proc.host}))
 	}
-	return &wire.Message{Kind: wire.KLookupOK, Str: ref.proc.addr, Name: ref.spec.Name}
+	return &wire.Message{Kind: wire.KOK, Str: ref.proc.addr, Name: ref.spec.Name}
 }
 
 // handleMove relocates the process exporting the named procedure to a
@@ -796,7 +793,7 @@ func (m *Manager) handleMove(registered uint32, req *wire.Message, sp *trace.Spa
 	ctx := sp.Context()
 	flight.Record(flight.Event{Kind: flight.KindMigration, Component: "manager",
 		Host: m.host, Line: ln.id, Trace: ctx.Trace, Span: ctx.Span, Name: req.Name, Detail: newHost})
-	return &wire.Message{Kind: wire.KMoveOK, Str: fresh.addr}
+	return &wire.Message{Kind: wire.KOK, Str: fresh.addr}
 }
 
 // errSuperseded is rehome's refusal to replace a process that is no
@@ -876,11 +873,11 @@ func (m *Manager) captureState(proc *remoteProc) (map[string][]byte, error) {
 			continue
 		}
 		resp, err := g.exchange(&wire.Message{Kind: wire.KStateGet, Name: spec.Name}, rpcTimeout)
+		if err == nil {
+			err = replyError(resp)
+		}
 		if err != nil {
 			return nil, err
-		}
-		if resp.Kind != wire.KStateOK {
-			return nil, replyError(resp)
 		}
 		state[spec.Name] = resp.Data
 	}
@@ -906,11 +903,11 @@ func (m *Manager) installState(proc *remoteProc, state map[string][]byte) error 
 	sort.Strings(names)
 	for _, name := range names {
 		resp, err := g.exchange(&wire.Message{Kind: wire.KStatePut, Name: name, Data: state[name]}, rpcTimeout)
+		if err == nil {
+			err = replyError(resp)
+		}
 		if err != nil {
 			return err
-		}
-		if resp.Kind != wire.KStatePutOK {
-			return replyError(resp)
 		}
 	}
 	return nil

@@ -136,7 +136,7 @@ func (p *process) handle(conn wire.Conn, m *wire.Message) *wire.Message {
 		// Stop before acknowledging: whoever sees the reply sees the
 		// process stopped, its Server included.
 		p.stop()
-		return lastReply(conn, m, &wire.Message{Kind: wire.KShutdownOK})
+		return lastReply(conn, m, &wire.Message{Kind: wire.KOK})
 	}
 	return p.dispatch(m)
 }
@@ -156,7 +156,7 @@ func (p *process) dispatch(m *wire.Message) *wire.Message {
 	case wire.KStatePut:
 		return p.handleStatePut(m)
 	case wire.KPing:
-		return &wire.Message{Kind: wire.KPong}
+		return &wire.Message{Kind: wire.KOK}
 	case wire.KObserve:
 		return observe(m.Name, nil)
 	default:
@@ -240,9 +240,14 @@ func (p *process) plan(bp *BoundProc, name, sig string) (*callPlan, error) {
 			pl.keepOut[i] = from >= 0
 		}
 	}
-	p.planMu.Lock()
-	p.plans[key] = pl
-	p.planMu.Unlock()
+	// Only the canonical text (what Line sends) is kept, so the plans
+	// stay bounded by the export's parameter subsets; another spelling
+	// of a signature is parsed and checked on every call.
+	if imp.Signature() == sig {
+		p.planMu.Lock()
+		p.plans[key] = pl
+		p.planMu.Unlock()
+	}
 	return pl, nil
 }
 
@@ -359,7 +364,7 @@ func (p *process) handleCall(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
 	encode.End()
-	return &wire.Message{Kind: wire.KReply, Data: data}
+	return &wire.Message{Kind: wire.KOK, Data: data}
 }
 
 // takeArgs takes an argument set off the free list, or nil when it is
@@ -416,7 +421,7 @@ func (p *process) handleStateGet(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KError,
 			Err: fmt.Sprintf("schooner: state of %q does not match its state clause: %v", m.Name, err)}
 	}
-	return &wire.Message{Kind: wire.KStateOK, Data: data}
+	return &wire.Message{Kind: wire.KOK, Data: data}
 }
 
 func (p *process) handleStatePut(m *wire.Message) *wire.Message {
@@ -436,7 +441,7 @@ func (p *process) handleStatePut(m *wire.Message) *wire.Message {
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	return &wire.Message{Kind: wire.KStatePutOK}
+	return &wire.Message{Kind: wire.KOK}
 }
 
 // stateParams views a spec's state clause as a parameter list for

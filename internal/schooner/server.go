@@ -99,11 +99,11 @@ func (s *Server) handle(conn wire.Conn, m *wire.Message) *wire.Message {
 	case wire.KObserve:
 		return observe(m.Name, s.StatusReport)
 	case wire.KShutdown:
-		lastReply(conn, m, &wire.Message{Kind: wire.KShutdownOK})
+		lastReply(conn, m, &wire.Message{Kind: wire.KOK})
 		s.Stop()
 		return nil
 	case wire.KPing:
-		return &wire.Message{Kind: wire.KPong}
+		return &wire.Message{Kind: wire.KOK}
 	}
 	return &wire.Message{Kind: wire.KError,
 		Err: fmt.Sprintf("schooner: server cannot handle %v", m.Kind)}
@@ -113,7 +113,7 @@ func (s *Server) handle(conn wire.Conn, m *wire.Message) *wire.Message {
 // tagged with the address of a process this Server spawned and is
 // dispatched to it in-memory, so one wire round trip covers calls to
 // any number of processes on the host. It walks the envelope's
-// sub-frames in place and returns one KBatchOK with a reply sub-frame
+// sub-frames in place and returns one KOK with a reply sub-frame
 // per sub-request. Sub-requests run in envelope order — a batch may
 // carry calls to stateful procedures, so envelope order is execution
 // order. A tag naming no process here — it stopped, or this Server
@@ -144,7 +144,7 @@ func (s *Server) handleBatch(env *wire.Message) *wire.Message {
 		}
 	}
 	trace.Count("schooner.server.batches")
-	return &wire.Message{Kind: wire.KBatchOK, Data: data}
+	return &wire.Message{Kind: wire.KOK, Data: data}
 }
 
 func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
@@ -187,7 +187,7 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 	// specification file (adjusted for the host compiler's case
 	// convention) so the Manager can populate its mapping tables.
 	specText := s.exportSpecText(p)
-	return &wire.Message{Kind: wire.KSpawnOK, Str: p.addr(), Data: []byte(specText)}
+	return &wire.Message{Kind: wire.KOK, Str: p.addr(), Data: []byte(specText)}
 }
 
 // exportSpecText renders the process's export specs as the Manager

@@ -181,7 +181,7 @@ func (s *Standby) drainTail(conn wire.Conn) {
 		if err != nil {
 			return
 		}
-		if m.Kind != wire.KJournalEntry || len(m.Data) < 8 {
+		if replyError(m) != nil || len(m.Data) < 8 {
 			continue
 		}
 		seq := binary.BigEndian.Uint64(m.Data)

@@ -77,7 +77,7 @@ func observe(name string, status func() string) *wire.Message {
 	if err != nil {
 		return errMsg("schooner: %v", err)
 	}
-	return &wire.Message{Kind: wire.KObserveOK, Data: data}
+	return &wire.Message{Kind: wire.KOK, Data: data}
 }
 
 // Observe asks the component listening on addr (a "host:port", or a
@@ -92,8 +92,8 @@ func Observe(t Transport, from, addr, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != wire.KObserveOK {
-		return nil, fmt.Errorf("schooner: %s query failed: %s", name, resp.Err)
+	if err := replyError(resp); err != nil {
+		return nil, fmt.Errorf("schooner: %s query failed: %v", name, err)
 	}
 	return resp.Data, nil
 }

@@ -809,7 +809,7 @@ func TestDemuxHandoffOnTimeout(t *testing.T) {
 	if r := outcomeOf(first); !errors.As(r.err, new(*timeoutError)) {
 		t.Fatalf("first caller = %v, %v; want a timeout", r.m, r.err)
 	}
-	if r := outcomeOf(second); r.err != nil || r.m.Kind != wire.KPong || r.m.Seq != 2 {
+	if r := outcomeOf(second); r.err != nil || r.m.Kind != wire.KOK || r.m.Seq != 2 {
 		t.Fatalf("second caller = %v, %v; want its pong, seq 2", r.m, r.err)
 	}
 	if g.dead() {
@@ -884,7 +884,7 @@ func scriptedDemux(t *testing.T, script func(v *vclock.Virtual, srv wire.Conn)) 
 }
 
 func pong(srv wire.Conn, req *wire.Message) {
-	srv.Send(&wire.Message{Kind: wire.KPong, Seq: req.Seq})
+	srv.Send(&wire.Message{Kind: wire.KOK, Seq: req.Seq})
 }
 
 // outcome is what one exchange returned.

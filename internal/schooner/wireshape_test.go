@@ -34,6 +34,10 @@ type shapeConn struct {
 	wire.Conn
 	mu     sync.Mutex
 	frames []string
+	// asked is the kind of each request sent, by Seq: a reply is KOK
+	// or KError whatever it answers, so whether it carries sub-frames
+	// is read off the request it answers.
+	asked map[uint32]wire.Kind
 }
 
 func (t *shapeTransport) Dial(from, addr string) (wire.Conn, error) {
@@ -45,19 +49,20 @@ func (t *shapeTransport) Dial(from, addr string) (wire.Conn, error) {
 	defer t.mu.Unlock()
 	pair := from + " -> " + addr
 	t.dials[pair]++
-	sc := &shapeConn{Conn: conn}
+	sc := &shapeConn{Conn: conn, asked: make(map[uint32]wire.Kind)}
 	t.conns[fmt.Sprintf("%s #%d", pair, t.dials[pair])] = sc
 	return sc, nil
 }
 
 // shape renders what a frame is without what numbers it: Seq is left
-// out on purpose, everything that decides routing and size is in.
-func shape(m *wire.Message) string {
+// out on purpose, everything that decides routing and size is in. A
+// batch frame — a KBatch or the reply to one — lists its sub-frames.
+func shape(m *wire.Message, batch bool) string {
 	s := fmt.Sprintf("%v line=%d name=%q str=%d data=%d", m.Kind, m.Line, m.Name, len(m.Str), len(m.Data))
 	if m.Err != "" {
 		s += fmt.Sprintf(" err=%q", m.Err)
 	}
-	if m.Kind != wire.KBatch && m.Kind != wire.KBatchOK {
+	if !batch || m.Kind == wire.KError {
 		return s
 	}
 	subs, err := wire.SplitBatch(m.Data)
@@ -66,26 +71,27 @@ func shape(m *wire.Message) string {
 	}
 	s += fmt.Sprintf(" subs=%d", len(subs))
 	for _, sub := range subs {
-		s += fmt.Sprintf("\n      [%q] %s", sub.Addr, shape(sub.Msg))
+		s += fmt.Sprintf("\n      [%q] %s", sub.Addr, shape(sub.Msg, false))
 	}
 	return s
 }
 
-func (c *shapeConn) note(dir string, m *wire.Message) {
-	c.mu.Lock()
-	c.frames = append(c.frames, dir+" "+shape(m))
-	c.mu.Unlock()
-}
-
+// Send notes a request: every frame sent on a dialed connection is one.
 func (c *shapeConn) Send(m *wire.Message) error {
-	c.note("->", m)
+	c.mu.Lock()
+	c.asked[m.Seq] = m.Kind
+	c.frames = append(c.frames, "-> "+shape(m, m.Kind == wire.KBatch))
+	c.mu.Unlock()
 	return c.Conn.Send(m)
 }
 
+// Recv notes a reply, matched to its request by Seq.
 func (c *shapeConn) Recv() (*wire.Message, error) {
 	m, err := c.Conn.Recv()
 	if err == nil {
-		c.note("<-", m)
+		c.mu.Lock()
+		c.frames = append(c.frames, "<- "+shape(m, c.asked[m.Seq] == wire.KBatch))
+		c.mu.Unlock()
 	}
 	return m, err
 }

@@ -13,7 +13,7 @@ import (
 // where msg is a complete Message encoding (Message.Encode). The addr
 // tags the sub-request with the local process it is destined for so a
 // Server can fan a host-level batch out to its processes; every
-// KBatchOK reply sub-frame leaves it empty.
+// sub-frame of the reply leaves it empty.
 
 // Sub is one decoded sub-frame of a batch envelope.
 type Sub struct {

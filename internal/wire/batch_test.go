@@ -12,7 +12,7 @@ func TestBatchSubRoundTrip(t *testing.T) {
 	}{
 		{"h1/proc-1", &Message{Kind: KCall, Seq: 7, Name: "shaft", Str: "sig", Data: []byte{1, 2, 3}}},
 		{"", &Message{Kind: KCall, Seq: 8, Name: "duct"}},
-		{"h1/proc-2", &Message{Kind: KReply, Seq: 9, Data: make([]byte, 100)}},
+		{"h1/proc-2", &Message{Kind: KOK, Seq: 9, Data: make([]byte, 100)}},
 	}
 	var buf []byte
 	var err error

@@ -12,15 +12,15 @@ import (
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := []*Message{
 		{Kind: KRegisterLine, Name: "npss-inlet"},
-		{Kind: KLineOK, Line: 7, Seq: 3},
+		{Kind: KOK, Line: 7, Seq: 3},
 		{Kind: KCall, Seq: 9, Line: 2, Trace: 0xdeadbeef, Span: 0x1234,
 			Name: "add", Str: "prog(val double, val double, res double)",
 			Data: []byte{0, 0, 0, 1, 0, 0, 0, 2}},
 		{Kind: KError, Err: "no such procedure"},
-		{Kind: KSpawnOK, Str: "cray/61234", Data: []byte("#language fortran\nexport SHAFT prog()")},
+		{Kind: KOK, Str: "cray/61234", Data: []byte("#language fortran\nexport SHAFT prog()")},
 		{Kind: KObserve, Seq: 4, Name: "metrics"},
-		{Kind: KObserveOK, Seq: 4, Data: []byte(`{"counters":{"schooner.client.calls":7}}`)},
-		{Kind: KObserveOK, Data: bytes.Repeat([]byte{0xff}, 300)},
+		{Kind: KOK, Seq: 4, Data: []byte(`{"counters":{"schooner.client.calls":7}}`)},
+		{Kind: KOK, Data: bytes.Repeat([]byte{0xff}, 300)},
 	}
 	for _, m := range seeds {
 		b, err := m.Encode(nil)

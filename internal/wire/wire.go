@@ -24,109 +24,101 @@ const (
 	// KInvalid is the zero Kind; it never appears on the wire.
 	KInvalid Kind = iota
 
+	// Replies. Every request is answered with exactly one of these,
+	// matched to it by Seq (a KJournalTail with a stream of KOK): a
+	// result or a fault. Each request's constant says what its KOK
+	// carries; fields it does not name stay zero.
+
+	// KOK is the positive reply to any request.
+	KOK
+	// KError is the negative reply to any request; Err carries text.
+	KError
+
 	// Client/module <-> Manager.
 
 	// KRegisterLine is sent by sch_contact_schx when a module first
 	// contacts the Manager: it opens a new line (thread of control) in
-	// the executing program. Name carries the module's name.
+	// the executing program. Name carries the module's name. Its KOK
+	// carries the new line id in Line.
 	KRegisterLine
-	// KLineOK acknowledges KRegisterLine; Line carries the new line id.
-	KLineOK
 	// KStartProc asks the Manager to instantiate a remote procedure
 	// file: Name is the executable path, Str is the target machine,
 	// Line selects the requesting line (0 requests a shared procedure).
+	// Its KOK carries in Str the address the procedure process listens
+	// on.
 	KStartProc
-	// KStartOK acknowledges KStartProc; Str carries the address the
-	// procedure process listens on.
-	KStartOK
 	// KLookup asks the Manager to map a procedure name to an address
 	// within the requesting line; Name is the procedure name, Data
-	// carries the import specification for runtime type checking.
+	// carries the import specification for runtime type checking. Its
+	// KOK carries "machine/address" in Str and the export's name in
+	// Name.
 	KLookup
-	// KLookupOK answers KLookup; Str carries "machine/address".
-	KLookupOK
 	// KQuitLine is sch_i_quit: the module is being destroyed; the
-	// Manager shuts down all remote procedures in the line.
+	// Manager shuts down all remote procedures in the line. Its KOK
+	// carries nothing.
 	KQuitLine
-	// KQuitOK acknowledges KQuitLine.
-	KQuitOK
 	// KMove asks the Manager to move procedure Name within Line to the
-	// machine in Str.
+	// machine in Str. Its KOK carries the new address in Str.
 	KMove
-	// KMoveOK acknowledges KMove; Str carries the new address.
-	KMoveOK
 
 	// Manager <-> Server.
 
 	// KSpawn asks a Server to create a process for executable path
-	// Name; Str carries the line tag used in diagnostics.
+	// Name; Str carries the line tag used in diagnostics. Its KOK
+	// carries the new process address in Str and the export
+	// specification file text in Data.
 	KSpawn
-	// KSpawnOK answers KSpawn; Str carries the new process address,
-	// Data the export specification file text.
-	KSpawnOK
 	// KShutdown tells a procedure process (or Server) to terminate.
+	// Its KOK carries nothing.
 	KShutdown
-	// KShutdownOK acknowledges KShutdown.
-	KShutdownOK
 
 	// Caller <-> procedure process.
 
 	// KCall invokes exported procedure Name; Data carries the
 	// marshaled in-parameters, Str the caller's declared signature.
+	// Its KOK carries the marshaled out-parameters in Data.
 	KCall
-	// KReply answers KCall with marshaled out-parameters in Data.
-	KReply
 	// KStateGet asks a procedure process for its migration state
-	// (marshaled per the state clause of its export spec).
+	// (marshaled per the state clause of its export spec). Its KOK
+	// carries the marshaled state in Data.
 	KStateGet
-	// KStateOK answers KStateGet with the marshaled state in Data.
-	KStateOK
-	// KStatePut installs migration state into a fresh process.
+	// KStatePut installs migration state into a fresh process. Its KOK
+	// carries nothing.
 	KStatePut
-	// KStatePutOK acknowledges KStatePut.
-	KStatePutOK
 
-	// KError is a negative reply to any request; Err carries text.
-	KError
-	// KPing/KPong are liveness probes.
+	// KPing is a liveness probe; its KOK carries nothing.
 	KPing
-	KPong
 	// KObserve asks any component (Manager, Server or procedure
 	// process) for its view of the introspection plane named in Name;
-	// KObserveOK answers with the plane's payload in Data. The planes
-	// are "status" (plain-text report), "metrics" (trace.MetricsSnapshot
+	// its KOK carries the plane's payload in Data. The planes are
+	// "status" (plain-text report), "metrics" (trace.MetricsSnapshot
 	// JSON), "series" (tseries.Series JSON), "profile" (critpath.Profile
 	// JSON) and "flight" (plain-text flight-recorder dump). An unknown
 	// plane is answered with KError.
 	KObserve
-	KObserveOK
 	// KAttachLine re-binds an existing line to a new Manager
 	// connection after the original connection (or the Manager itself)
 	// died: Line carries the line id, Name the module it registered
-	// under. KLineOK acknowledges, exactly as for KRegisterLine. The
-	// attached connection inherits the register semantics — dropping
-	// it while the line is live quits the line.
+	// under. Its KOK carries the line id in Line, exactly as for
+	// KRegisterLine. The attached connection inherits the register
+	// semantics — dropping it while the line is live quits the line.
 	KAttachLine
 	// KJournalTail subscribes the connection to the Manager's
 	// control-plane journal: the Manager first streams every existing
-	// record, then every new one as it is appended, each as a
-	// KJournalEntry. The warm-standby Manager mirrors the leader's
+	// record, then every new one as it is appended, each as a KOK whose
+	// Data is an 8-byte big-endian sequence number followed by the
+	// record payload. The warm-standby Manager mirrors the leader's
 	// write-ahead log through this.
 	KJournalTail
-	// KJournalEntry carries one journal record: Data is an 8-byte
-	// big-endian sequence number followed by the record payload.
-	KJournalEntry
 	// KBatch carries several requests in one wire message to a
 	// machine's Server: Data is a sequence of addressed sub-frames
 	// (AppendSub/SplitSub), each a complete encoded request tagged with
 	// the address of the local process it is destined for, which the
 	// Server fans it out to. The envelope's own Seq correlates the
-	// KBatchOK reply.
+	// reply, whose KOK carries in Data one unaddressed sub-frame per
+	// sub-request, in request order, each a complete encoded reply (KOK
+	// or KError).
 	KBatch
-	// KBatchOK answers KBatch: Data carries one unaddressed sub-frame
-	// per sub-request, in request order, each a complete encoded reply
-	// (KReply or KError).
-	KBatchOK
 
 	// kindMax is the decode bound sentinel; every valid Kind is below
 	// it. Keep it last.
@@ -134,21 +126,13 @@ const (
 )
 
 var kindNames = map[Kind]string{
-	KRegisterLine: "RegisterLine", KLineOK: "LineOK",
-	KStartProc: "StartProc", KStartOK: "StartOK",
-	KLookup: "Lookup", KLookupOK: "LookupOK",
-	KQuitLine: "QuitLine", KQuitOK: "QuitOK",
-	KMove: "Move", KMoveOK: "MoveOK",
-	KSpawn: "Spawn", KSpawnOK: "SpawnOK",
-	KShutdown: "Shutdown", KShutdownOK: "ShutdownOK",
-	KCall: "Call", KReply: "Reply",
-	KStateGet: "StateGet", KStateOK: "StateOK",
-	KStatePut: "StatePut", KStatePutOK: "StatePutOK",
-	KError: "Error", KPing: "Ping", KPong: "Pong",
-	KObserve: "Observe", KObserveOK: "ObserveOK",
-	KAttachLine: "AttachLine", KJournalTail: "JournalTail",
-	KJournalEntry: "JournalEntry",
-	KBatch:        "Batch", KBatchOK: "BatchOK",
+	KOK: "OK", KError: "Error",
+	KRegisterLine: "RegisterLine", KStartProc: "StartProc",
+	KLookup: "Lookup", KQuitLine: "QuitLine", KMove: "Move",
+	KSpawn: "Spawn", KShutdown: "Shutdown",
+	KCall: "Call", KStateGet: "StateGet", KStatePut: "StatePut",
+	KPing: "Ping", KObserve: "Observe", KAttachLine: "AttachLine",
+	KJournalTail: "JournalTail", KBatch: "Batch",
 }
 
 // String names the message kind for diagnostics.

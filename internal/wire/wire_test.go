@@ -16,7 +16,7 @@ import (
 )
 
 func TestKindString(t *testing.T) {
-	if KCall.String() != "Call" || KReply.String() != "Reply" {
+	if KCall.String() != "Call" || KOK.String() != "OK" {
 		t.Error("kind names wrong")
 	}
 	if !strings.HasPrefix(Kind(200).String(), "Kind(") {
