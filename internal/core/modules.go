@@ -364,7 +364,7 @@ func (m *ShaftModule) Hook() func(qTur, qCom, inertia, omega float64) (float64, 
 
 // shaftPairHook coalesces the two spools' shaft computations, or is nil
 // unless both modules compute remotely: their shaft calls dispatch
-// together through Client.GoBatchHosts, so two calls whose processes
+// together through Client.CallBatch, so two calls whose processes
 // share a machine (the paper's combined test puts both shafts on the
 // RS/6000) cost one wire round trip. The sub-calls carry exactly the
 // messages the separate Shaft calls would, so results are
@@ -383,7 +383,7 @@ func (x *Executive) shaftPairHook(low, high *ShaftModule) func(qTurL, qComL, ine
 		if err != nil {
 			return 0, 0, err
 		}
-		pends := x.Client.GoBatchHosts([]schooner.CrossCall{ccL, ccH})
+		pends := x.Client.CallBatch([]schooner.CrossCall{ccL, ccH})
 		dL, err := npssproc.ShaftResults(pends[0].Wait())
 		if err != nil {
 			return 0, 0, err

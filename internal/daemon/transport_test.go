@@ -118,7 +118,7 @@ func TestHostBatchOverDaemonTransport(t *testing.T) {
 
 	batchesBefore := trace.Get("schooner.client.host_batches")
 	rpcsBefore := trace.Get("schooner.client.rpcs")
-	pends := c.GoBatchHosts([]schooner.CrossCall{
+	pends := c.CallBatch([]schooner.CrossCall{
 		{Line: lines[0], Name: "echo", Args: []uts.Value{uts.DoubleVal(1)}},
 		{Line: lines[1], Name: "echo", Args: []uts.Value{uts.DoubleVal(2)}},
 	})

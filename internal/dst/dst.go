@@ -853,7 +853,7 @@ func (c *Cluster) apply(idx int, op Op) string {
 			calls[i] = schooner.CrossCall{Line: c.workLine, Name: "work",
 				Args: []uts.Value{uts.LongVal(id), uts.DoubleVal(xFor(id))}}
 		}
-		return c.checkWork(idx, op, c.workClient.GoBatchHosts(calls), "batched work")
+		return c.checkWork(idx, op, c.workClient.CallBatch(calls), "batched work")
 
 	case OpWork:
 		got, ok := c.workCallOnce(op.ID)

@@ -76,7 +76,7 @@ const (
 	// the recovered name database matches the pre-crash snapshot.
 	OpManagerRecover
 	// OpBatch launches N work calls on the shared work line as one
-	// batched dispatch (Client.GoBatchHosts): calls binding to processes
+	// batched dispatch (Client.CallBatch): calls binding to processes
 	// on one machine ride a single wire envelope to its Server, and any
 	// batch-level failure falls back to the per-call retry path. Stays
 	// on the menu while the Manager is down — cached bindings keep

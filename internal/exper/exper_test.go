@@ -156,10 +156,23 @@ type table2Counts struct {
 	calls, rpcs int64
 	simNet      time.Duration
 	elapsed     time.Duration
+	// starts and turns are the goroutines the run starts and the
+	// clock turns it takes, over every site (vclock.Virtual.Handoffs).
+	starts, turns int
 }
 
 func (c table2Counts) String() string {
-	return fmt.Sprintf("%d calls / %d rpcs / %s on the network / %s elapsed", c.calls, c.rpcs, c.simNet, c.elapsed)
+	return fmt.Sprintf("%d calls / %d rpcs / %s on the network / %s elapsed / %d goroutine starts / %d turns",
+		c.calls, c.rpcs, c.simNet, c.elapsed, c.starts, c.turns)
+}
+
+// handoffTotal sums a Handoffs map over its sites.
+func handoffTotal(m map[string]int) int {
+	n := 0
+	for _, k := range m {
+		n += k
+	}
+	return n
 }
 
 // warmTable2 stands up the Table 2 placement on a fresh testbed on a
@@ -201,14 +214,18 @@ func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
 	calls0 := trace.Get("schooner.client.calls")
 	rpcs0 := trace.Get("schooner.client.rpcs")
 	start := v.Now()
+	turns0, starts0 := v.Handoffs()
 	if _, err := exec.Run(opts); err != nil {
 		t.Fatal(err)
 	}
+	turns1, starts1 := v.Handoffs()
 	return table2Counts{
 		calls:   trace.Get("schooner.client.calls") - calls0,
 		rpcs:    trace.Get("schooner.client.rpcs") - rpcs0,
 		simNet:  tb.Net.TotalSimDelay(),
 		elapsed: v.Since(start),
+		starts:  handoffTotal(starts1) - handoffTotal(starts0),
+		turns:   handoffTotal(turns1) - handoffTotal(turns0),
 	}
 }
 
@@ -224,17 +241,24 @@ func warmTable2(t *testing.T, opts core.RunOptions) table2Counts {
 // travel at once either way, on connections that do not queue behind
 // each other. The sequential run makes the same calls one at a time,
 // so its elapsed time is exactly the sum of its message delays.
+//
+// Each run's hand-offs are pinned the same way: the goroutines it
+// starts and the virtual-clock turns it takes, summed over every site.
+// The overlapped runs start goroutines only in the engine's parallel
+// scheduler (engine.launch). In the batched run the shaft pair is one
+// launch, not two, and its CallBatch starts none, so it starts 236
+// fewer than the unbatched run; the sequential run starts none.
 func TestTable2ExactCounts(t *testing.T) {
 	batched := warmTable2(t, core.RunOptions{Parallel: true, Batch: true})
-	if want := (table2Counts{1416, 1180, 88086967904, 18986389642}); batched != want {
+	if want := (table2Counts{1416, 1180, 88086967904, 18986389642, 1324, 6457}); batched != want {
 		t.Errorf("batched: %s, want %s", batched, want)
 	}
 	unbatched := warmTable2(t, core.RunOptions{Parallel: true})
-	if want := (table2Counts{1416, 1416, 109106701080, 18986389642}); unbatched != want {
+	if want := (table2Counts{1416, 1416, 109106701080, 18986389642, 1560, 7502}); unbatched != want {
 		t.Errorf("unbatched: %s, want %s", unbatched, want)
 	}
 	sequential := warmTable2(t, core.RunOptions{})
-	if want := (table2Counts{1416, 1416, 109106701080, 109106701080}); sequential != want {
+	if want := (table2Counts{1416, 1416, 109106701080, 109106701080, 0, 5664}); sequential != want {
 		t.Errorf("sequential: %s, want %s", sequential, want)
 	}
 	if unbatched.rpcs != unbatched.calls || unbatched.calls != batched.calls {

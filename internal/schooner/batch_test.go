@@ -43,7 +43,7 @@ func TestGoBatchSameProcess(t *testing.T) {
 	for i := range calls {
 		calls[i] = CrossCall{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(float64(i)), uts.DoubleVal(100)}}
 	}
-	pends := c.GoBatchHosts(calls)
+	pends := c.CallBatch(calls)
 	for i, p := range pends {
 		out, err := p.Wait()
 		if err != nil {
@@ -64,7 +64,7 @@ func TestGoBatchSameProcess(t *testing.T) {
 	}
 
 	// Mixed procedures in the same process still coalesce.
-	mixed := c.GoBatchHosts([]CrossCall{
+	mixed := c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(3)}},
 		{Line: ln, Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
 	})
@@ -108,7 +108,7 @@ func TestGoBatchUnknownProcedure(t *testing.T) {
 	}
 	ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
 
-	pends := c.GoBatchHosts([]CrossCall{
+	pends := c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(1)}},
 		{Line: ln, Name: "nosuch", Args: nil},
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(2), uts.DoubleVal(2)}},
@@ -124,10 +124,10 @@ func TestGoBatchUnknownProcedure(t *testing.T) {
 	}
 }
 
-// TestGoBatchHostsAcrossProcesses places two programs in separate
+// TestCallBatchAcrossProcesses places two programs in separate
 // processes on one machine and checks a cross-line batch reaches both
 // through the machine's Server in one round trip.
-func TestGoBatchHostsAcrossProcesses(t *testing.T) {
+func TestCallBatchAcrossProcesses(t *testing.T) {
 	d := newDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
 	d.reg.MustRegister(shaftProgram("/npss/shaft"))
@@ -173,7 +173,7 @@ func TestGoBatchHostsAcrossProcesses(t *testing.T) {
 
 	hostBatchesBefore := trace.Get("schooner.client.host_batches")
 	rpcsBefore := trace.Get("schooner.client.rpcs")
-	pends := c.GoBatchHosts([]CrossCall{
+	pends := c.CallBatch([]CrossCall{
 		{Line: lnA, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
 		{Line: lnB, Name: "shaft", Args: shaftArgs},
 	})
@@ -220,7 +220,7 @@ func TestGoBatchFallbackAfterMove(t *testing.T) {
 	batch := func(when string) {
 		t.Helper()
 		staleBefore := trace.Get("schooner.client.stale")
-		pends := c.GoBatchHosts([]CrossCall{
+		pends := c.CallBatch([]CrossCall{
 			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
 		})
@@ -293,7 +293,7 @@ func TestGoBatchAfterServerStop(t *testing.T) {
 		{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
 	}
 	hostBatchesBefore := trace.Get("schooner.client.host_batches")
-	waitOK(t, c.GoBatchHosts(calls))
+	waitOK(t, c.CallBatch(calls))
 	if trace.Get("schooner.client.host_batches") == hostBatchesBefore {
 		t.Fatal("warm-up batch did not go to the Server")
 	}
@@ -312,7 +312,7 @@ func TestGoBatchAfterServerStop(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	for i, p := range c.GoBatchHosts(calls) {
+	for i, p := range c.CallBatch(calls) {
 		out, err := p.Wait()
 		if err != nil {
 			t.Fatalf("batch member %d after the Server stopped: %v", i, err)

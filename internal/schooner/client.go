@@ -43,7 +43,7 @@ type Client struct {
 	// value applies the package defaults (see CallPolicy).
 	Policy CallPolicy
 
-	// servers holds the per-machine Server connections GoBatchHosts
+	// servers holds the per-machine Server connections CallBatch
 	// sends its envelopes on, shared by all of the client's lines.
 	servers connTable
 }
@@ -212,7 +212,9 @@ func (g *demuxConn) exchange(req *wire.Message, timeout time.Duration) (*wire.Me
 
 // rpc is exchange for the requests of a Line or a Client: one that
 // reaches the wire counts in schooner.client.rpcs, in the clock turn
-// that sent it, so a metric window sees it where it left.
+// that sent it, so a metric window sees it where it left. A batch
+// envelope, whose send and wait are apart (Client.CallBatch), counts
+// the same way.
 func (g *demuxConn) rpc(req *wire.Message, timeout time.Duration) (*wire.Message, error) {
 	slot, deadline, err := g.send(req, timeout)
 	if err != nil {
@@ -835,9 +837,12 @@ func tally(err error) {
 	}
 }
 
-// Pending is an in-flight asynchronous call started with Go.
+// Pending is an in-flight asynchronous call started with Go, or a call
+// of a batch (Client.CallBatch).
 type Pending struct {
-	done *vclock.Slot // signalled once res and err are set
+	// done is signalled once res and err are set; it is nil for a call
+	// that was complete before its Pending was returned.
+	done *vclock.Slot
 	res  []uts.Value
 	err  error
 }
@@ -852,7 +857,7 @@ func (p *Pending) complete(res []uts.Value, err error) {
 // the same semantics as a synchronous Call. It may be called more than
 // once, from any goroutine.
 func (p *Pending) Wait() ([]uts.Value, error) {
-	if !await(p.done) {
+	if p.done != nil && !await(p.done) {
 		return nil, errors.New("schooner: clock stopped under a pending call")
 	}
 	return p.res, p.err

@@ -67,7 +67,7 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 				case g%8 == 0:
 					// A slice of the churn goes through host batches so
 					// the client's shared server conns participate too.
-					pends := c.GoBatchHosts([]CrossCall{
+					pends := c.CallBatch([]CrossCall{
 						{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 						{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
 					})
@@ -79,7 +79,7 @@ func TestNoConnLeakAfterQuit(t *testing.T) {
 				case g%8 == 1:
 					// A batch of one goes per-call, so batches share the
 					// line's pipelined connection too.
-					pends := c.GoBatchHosts([]CrossCall{
+					pends := c.CallBatch([]CrossCall{
 						{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 					})
 					_, err = pends[0].Wait()

@@ -706,10 +706,10 @@ func TestServeReturnsWhenReplyFails(t *testing.T) {
 // process's: each parks once for its message to be queued and once
 // for it to arrive. Go adds a goroutine, whose first turn is one more,
 // and the driver's wake-up when it completes. A warm two-call
-// GoBatchHosts to one host starts the goroutine that dispatches it,
-// which takes three turns (its first, and one park each for the
-// envelope to be queued and for the reply to arrive); the Server takes
-// two, and the driver one, as both members complete together.
+// CallBatch to one host costs what a warm call does: its caller sends
+// the envelope and reads the reply itself, so the driver parks once
+// for the envelope to be queued and once for the reply, the Server
+// takes two turns, and no goroutine starts.
 func TestVirtualCallHandoffs(t *testing.T) {
 	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
 	d.reg.MustRegister(adderProgram("/npss/adder"))
@@ -730,7 +730,7 @@ func TestVirtualCallHandoffs(t *testing.T) {
 		}
 	}
 	batch := func() {
-		pends := cl.GoBatchHosts([]CrossCall{
+		pends := cl.CallBatch([]CrossCall{
 			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(1), uts.DoubleVal(2)}},
 			{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(3), uts.DoubleVal(4)}},
 		})
@@ -762,9 +762,9 @@ func TestVirtualCallHandoffs(t *testing.T) {
 			map[string]int{"driver": 4 * n, "schooner.Manager.serve": 2 * n,
 				"schooner.process.acceptLoop": n, "schooner.process.serve": 3 * n},
 			map[string]int{"schooner.process.serve": n}},
-		{"warm two-call GoBatchHosts", batch,
-			map[string]int{"driver": n, "schooner.dispatchBatch": 3 * n, "schooner.Server.serve": 2 * n},
-			map[string]int{"schooner.dispatchBatch": n}},
+		{"warm two-call CallBatch", batch,
+			map[string]int{"driver": 2 * n, "schooner.Server.serve": 2 * n},
+			map[string]int{}},
 	} {
 		turns0, starts0 := v.Handoffs()
 		for i := 0; i < n; i++ {
@@ -776,6 +776,72 @@ func TestVirtualCallHandoffs(t *testing.T) {
 		}
 		if got := handoffDelta(starts0, starts1); !reflect.DeepEqual(got, c.starts) {
 			t.Errorf("%s ×%d: goroutine starts %v, want %v", c.name, n, got, c.starts)
+		}
+	}
+}
+
+// TestVirtualBatchOverlapsEnvelopes: a CallBatch to two machines puts
+// both envelopes on the wire before it reads either reply, so on
+// links with different delays it takes the slower machine's round
+// trip, not the sum of the two, whichever machine's envelope comes
+// first, and it starts no goroutine to do so.
+func TestVirtualBatchOverlapsEnvelopes(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	d.net.SetLink("avs-sparc", "sgi-lerc", netsim.LinkSpec{Name: "near", Latency: 10 * time.Millisecond})
+	d.net.SetLink("avs-sparc", "rs6000", netsim.LinkSpec{Name: "far", Latency: 35 * time.Millisecond})
+	cl := d.client("avs-sparc")
+	defer cl.Close()
+	line := func(module, machine string) *Line {
+		ln, err := cl.ContactSchx(module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.IQuit() })
+		if err := ln.StartRemote("/npss/adder", machine); err != nil {
+			t.Fatal(err)
+		}
+		ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+		return ln
+	}
+	near, far := line("near", "sgi-lerc"), line("far", "rs6000")
+	add := func(ln *Line, a float64) CrossCall {
+		return CrossCall{Line: ln, Name: "add", Args: []uts.Value{uts.DoubleVal(a), uts.DoubleVal(1)}}
+	}
+	// batch runs the calls as one CallBatch and returns the virtual
+	// time it took and the goroutines it started.
+	batch := func(calls ...CrossCall) (time.Duration, map[string]int) {
+		_, starts0 := v.Handoffs()
+		start := v.Now()
+		pends := cl.CallBatch(calls)
+		took := v.Since(start)
+		_, starts1 := v.Handoffs()
+		for i, p := range pends {
+			if out, err := p.Wait(); err != nil || out[0].F != calls[i].Args[0].F+1 {
+				t.Fatalf("batch member %d = %v, %v", i, out, err)
+			}
+		}
+		return took, handoffDelta(starts0, starts1)
+	}
+	// Bind both lines and dial both Servers.
+	batch(add(near, 0), add(near, 1), add(far, 2), add(far, 3))
+
+	tNear, _ := batch(add(near, 0), add(near, 1))
+	tFar, _ := batch(add(far, 2), add(far, 3))
+	if tNear >= tFar {
+		t.Fatalf("one envelope: near %v, far %v; want the far link slower", tNear, tFar)
+	}
+	for _, order := range [][]CrossCall{
+		{add(near, 0), add(far, 2), add(near, 1), add(far, 3)},
+		{add(far, 2), add(near, 0), add(far, 3), add(near, 1)},
+	} {
+		took, starts := batch(order...)
+		if took != tFar {
+			t.Errorf("envelopes to both machines, %s first: %v, want the far round trip %v (the sum would be %v)",
+				order[0].Line.Module(), took, tFar, tNear+tFar)
+		}
+		if len(starts) != 0 {
+			t.Errorf("envelopes to both machines, %s first: started goroutines %v, want none", order[0].Line.Module(), starts)
 		}
 	}
 }

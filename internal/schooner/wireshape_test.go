@@ -212,12 +212,12 @@ func TestWireShape(t *testing.T) {
 	}
 	waitAll("64 in flight", inflight)
 
-	waitAll("batch, one process", c.GoBatchHosts([]CrossCall{
+	waitAll("batch, one process", c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: add(1, 2)},
 		{Line: ln, Name: "add", Args: add(3, 4)},
 		{Line: ln, Name: "scale", Args: []uts.Value{uts.DoubleArray(1, 2, 3), uts.DoubleVal(2)}},
 	}))
-	waitAll("batch, two processes", c.GoBatchHosts([]CrossCall{
+	waitAll("batch, two processes", c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: add(1, 2)},
 		{Line: ln, Name: "setshaft", Args: setshaft},
 		{Line: ln, Name: "add", Args: add(3, 4)},
@@ -227,7 +227,7 @@ func TestWireShape(t *testing.T) {
 	must("ContactSchx 2", err)
 	must("start counter", ln2.StartRemote("/npss/counter", "sgi-lerc"))
 	must("import", ln2.Import(uts.MustParseProc(`import next prog("n" res integer)`)))
-	waitAll("host batch", c.GoBatchHosts([]CrossCall{
+	waitAll("host batch", c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: add(1, 2)},
 		{Line: ln, Name: "setshaft", Args: setshaft},
 		{Line: ln2, Name: "next"},
@@ -237,7 +237,7 @@ func TestWireShape(t *testing.T) {
 	_, err = ln.Call("add", add(1, 2)...)
 	must("call after move", err)
 	must("move back", ln.Move("add", "sgi-lerc", false))
-	waitAll("batch after move", c.GoBatchHosts([]CrossCall{
+	waitAll("batch after move", c.CallBatch([]CrossCall{
 		{Line: ln, Name: "add", Args: add(1, 2)},
 		{Line: ln, Name: "add", Args: add(3, 4)},
 	}))
