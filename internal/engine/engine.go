@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"npss/internal/gasdyn"
 	"npss/internal/solver"
@@ -489,23 +488,18 @@ func (e *Engine) begin(fn func() error) func() error {
 
 // launch runs fn as a new participant of c and returns an idempotent
 // wait function delivering its error, parked on a Slot so a virtual
-// clock sees the waiter. A parallel engine's pass starts its hook
+// clock sees every waiter. A parallel engine's pass starts its hook
 // calls with it, and Balance overlaps Jacobian columns with it.
 func launch(c vclock.Clock, fn func() error) func() error {
 	done := c.NewSlot()
 	c.Go("engine.launch", func() { done.Fill(fn()) })
-	var once sync.Once
-	var res error
 	return func() error {
-		once.Do(func() {
-			v, ok := done.Wait(0)
-			if !ok {
-				res = errStopped
-				return
-			}
-			res, _ = v.(error)
-		})
-		return res
+		v, ok := done.Await()
+		if !ok {
+			return errStopped
+		}
+		err, _ := v.(error)
+		return err
 	}
 }
 
@@ -572,7 +566,7 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 		opt.Method = "newton-raphson"
 	}
 	scales := e.scales()
-	switch normalizeMethod(opt.Method) {
+	switch solver.Normalize(opt.Method) {
 	case "newtonraphson", "newton":
 		res := e.residual(scales)
 		cols := solver.Sequential(res)
@@ -651,20 +645,6 @@ func (e *Engine) fork() *Engine {
 		f.Volumes[i] = &nv
 	}
 	return &f
-}
-
-func normalizeMethod(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'A' && c <= 'Z':
-			out = append(out, c-'A'+'a')
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
-			out = append(out, c)
-		}
-	}
-	return string(out)
 }
 
 // TransientOptions configures a transient run.

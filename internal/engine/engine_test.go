@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -344,6 +345,55 @@ func TestBalanceUnknownMethod(t *testing.T) {
 	x := append([]float64(nil), e.DesignState...)
 	if _, _, err := e.Balance(x, SteadyOptions{Method: "voodoo"}); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestSteadyMethodLabels: Balance folds its method label with
+// solver.Normalize, so the System module's steady-method labels and
+// other spellings resolve to the method their canonical name
+// ("newton-raphson" or "rk4") does: the same outputs and iteration
+// count from the same start. The
+// module's "Fourth-order Runge-Kutta" is not one of them; only "rk4"
+// names the pseudo-transient march, and Balance rejects it.
+func TestSteadyMethodLabels(t *testing.T) {
+	type balanced struct {
+		out   Outputs
+		iters int
+	}
+	balance := func(method string) (balanced, error) {
+		e := newTestEngine(t)
+		e.Fuel = Constant(0.999 * e.DesignFuel)
+		x := append([]float64(nil), e.DesignState...)
+		out, iters, err := e.Balance(x, SteadyOptions{Method: method})
+		return balanced{out, iters}, err
+	}
+	canonical := make(map[string]balanced)
+	for _, m := range []string{"newton-raphson", "rk4"} {
+		b, err := balance(m)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		canonical[m] = b
+	}
+	if canonical["newton-raphson"].iters == canonical["rk4"].iters {
+		t.Fatal("Newton-Raphson and the march took as many iterations: the table cannot tell them apart")
+	}
+	for _, tc := range []struct{ label, as string }{
+		{"Newton-Raphson", "newton-raphson"},
+		{"NEWTON", "newton-raphson"},
+		{"RK-4", "rk4"},
+		{"Fourth-order Runge-Kutta", ""},
+	} {
+		got, err := balance(tc.label)
+		if tc.as == "" {
+			if err == nil || !strings.Contains(err.Error(), "unknown steady-state method") {
+				t.Errorf("%q: err %v, want an unknown steady-state method", tc.label, err)
+			}
+			continue
+		}
+		if err != nil || got != canonical[tc.as] {
+			t.Errorf("%q: %+v, %v; want %s's %+v", tc.label, got, err, tc.as, canonical[tc.as])
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package schooner
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"npss/internal/machine"
+	"npss/internal/netsim"
 	"npss/internal/trace"
 	"npss/internal/uts"
 	"npss/internal/wire"
@@ -444,5 +447,147 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 				t.Errorf("round %d waiter %d got payload %v, want [%d]", round, i, results[i], i)
 			}
 		}
+	}
+}
+
+// batchFaultHosts are the machines of TestVirtualBatchUnderFaults: the
+// client and Manager on avs-sparc, one envelope's two processes on
+// sgi-lerc, the other's on rs6000 and a lone member's on convex, each
+// worker behind a link of its own delay.
+var batchFaultHosts = []struct {
+	name    string
+	arch    *machine.Arch
+	latency time.Duration
+}{
+	{"avs-sparc", machine.SPARC, 0},
+	{"sgi-lerc", machine.SGI, 10 * time.Millisecond},
+	{"rs6000", machine.RS6000, 20 * time.Millisecond},
+	{"convex", machine.Convex, 35 * time.Millisecond},
+}
+
+// batchFaultRun is one run of TestVirtualBatchUnderFaults: the virtual
+// time its batch took, every member's answer and the counters it moved.
+type batchFaultRun struct {
+	took                        time.Duration
+	got                         []float64
+	hostBatches, stale, rebinds int64
+}
+
+// runBatchUnderFault stands up a fresh virtual deployment, starts the
+// adder in one process per member (members 0 and 1 on sgi-lerc, 2 and
+// 3 on rs6000, 4 on convex), binds each with a direct Call and checks
+// its answer, applies fault, and runs the members picked as one
+// CallBatch.
+func runBatchUnderFault(t *testing.T, fault func(d *deployment, lines []*Line), pick ...int) batchFaultRun {
+	t.Helper()
+	hosts := make(map[string]*machine.Arch)
+	for _, h := range batchFaultHosts {
+		hosts[h.name] = h.arch
+	}
+	d, v := newVirtualDeployment(t, "avs-sparc", hosts)
+	for _, h := range batchFaultHosts[1:] {
+		d.net.SetLink("avs-sparc", h.name, netsim.LinkSpec{Name: h.name, Latency: h.latency})
+	}
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	cl := d.clientWith("avs-sparc", CallPolicy{
+		Timeout: 100 * time.Millisecond, MaxRetries: 30,
+		Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+	})
+	t.Cleanup(cl.Close)
+	var lines []*Line
+	var calls []CrossCall
+	for i, host := range []string{"sgi-lerc", "sgi-lerc", "rs6000", "rs6000", "convex"} {
+		ln, err := cl.ContactSchx(fmt.Sprintf("member%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.IQuit() })
+		if err := ln.StartRemote("/npss/adder", host); err != nil {
+			t.Fatal(err)
+		}
+		ln.Import(uts.MustParseProc(`import add prog("a" val double, "b" val double, "sum" res double)`))
+		args := []uts.Value{uts.DoubleVal(float64(i)), uts.DoubleVal(10)}
+		if out, err := ln.Call("add", args...); err != nil || out[0].F != float64(i)+10 {
+			t.Fatalf("direct call of member %d = %v, %v", i, out, err)
+		}
+		lines = append(lines, ln)
+		calls = append(calls, CrossCall{Line: ln, Name: "add", Args: args})
+	}
+	fault(d, lines)
+	var picked []CrossCall
+	for _, i := range pick {
+		picked = append(picked, calls[i])
+	}
+	hostBatches0 := trace.Get("schooner.client.host_batches")
+	stale0, rebinds0 := trace.Get("schooner.client.stale"), trace.Get("schooner.client.rebinds")
+	var r batchFaultRun
+	start := v.Now()
+	for i, p := range cl.CallBatch(picked) {
+		out, err := p.Wait()
+		if err != nil {
+			t.Fatalf("member %d: %v", pick[i], err)
+		}
+		r.got = append(r.got, out[0].F)
+	}
+	r.took = v.Since(start)
+	r.hostBatches = trace.Get("schooner.client.host_batches") - hostBatches0
+	r.stale = trace.Get("schooner.client.stale") - stale0
+	r.rebinds = trace.Get("schooner.client.rebinds") - rebinds0
+	return r
+}
+
+// TestVirtualBatchUnderFaults drives a CallBatch of two envelopes (two
+// processes on each of two machines) beside a lone member on a third
+// machine: clean, with the lone member's process moved before the
+// batch (its call is answered stale and rebinds, as Line.Go), and with
+// one envelope's machine down under the Manager's health monitor (the
+// envelope cannot be sent, and its members run as Line.Go, answered
+// stale and rebinding until the monitor has failed their processes
+// over).
+// Every member must answer as its direct Call did, the counters move
+// by exactly the envelopes answered and the stale replies and rebinds
+// taken, and the batch takes as long as its slowest path, each path
+// run alone on a deployment of its own under the same fault, not the
+// sum of them.
+func TestVirtualBatchUnderFaults(t *testing.T) {
+	all := []int{0, 1, 2, 3, 4}
+	paths := [][]int{{0, 1}, {2, 3}, {4}}
+	for _, tc := range []struct {
+		name                        string
+		fault                       func(d *deployment, lines []*Line)
+		hostBatches, stale, rebinds int64
+	}{
+		{"clean", func(*deployment, []*Line) {}, 2, 0, 0},
+		{"lone member moved", func(d *deployment, lines []*Line) {
+			if err := lines[4].Move("add", "sgi-lerc", false); err != nil {
+				t.Fatal(err)
+			}
+		}, 2, 1, 1},
+		{"envelope machine down", func(d *deployment, lines []*Line) {
+			d.mgr.StartHealth(HealthPolicy{Interval: 10 * time.Millisecond, Threshold: 2})
+			d.net.SetHostDown("rs6000", true)
+		}, 1, 18, 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := runBatchUnderFault(t, tc.fault, all...)
+			for i, got := range r.got {
+				if want := float64(i) + 10; got != want {
+					t.Errorf("member %d = %g, want its direct answer %g", i, got, want)
+				}
+			}
+			if r.hostBatches != tc.hostBatches || r.stale != tc.stale || r.rebinds != tc.rebinds {
+				t.Errorf("host_batches %d, stale %d, rebinds %d; want %d, %d, %d",
+					r.hostBatches, r.stale, r.rebinds, tc.hostBatches, tc.stale, tc.rebinds)
+			}
+			var slowest, sum time.Duration
+			for _, p := range paths {
+				took := runBatchUnderFault(t, tc.fault, p...).took
+				slowest = max(slowest, took)
+				sum += took
+			}
+			if r.took != slowest {
+				t.Errorf("batch took %v, want its slowest path %v (the sum of the paths is %v)", r.took, slowest, sum)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 )
 
 // StartCheckpoints begins the periodic checkpoint sweep. The ticker
@@ -27,7 +28,7 @@ func (m *Manager) StartCheckpoints(interval time.Duration) {
 		m.mu.Unlock()
 		return
 	}
-	m.ck = every(m.clock, "schooner.Manager.checkpointLoop", interval, func() { m.CheckpointNow() })
+	m.ck = vclock.Every(m.clock, "schooner.Manager.checkpointLoop", interval, func(time.Time) bool { m.CheckpointNow(); return true })
 	m.mu.Unlock()
 }
 
@@ -39,7 +40,7 @@ func (m *Manager) StopCheckpoints() {
 	m.ck = nil
 	m.mu.Unlock()
 	if ck != nil {
-		ck.halt()
+		ck.Stop()
 	}
 }
 

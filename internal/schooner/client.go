@@ -463,8 +463,13 @@ func (s *sharedConn) get(dial func() (*demuxConn, error)) (*demuxConn, error) {
 		return g, err
 	}
 	if slot := s.dialed; slot != nil {
-		s.mu.Unlock()
-		return s.await(slot)
+		s.mu.Unlock() // a dial is in flight: wait for its outcome
+		x, ok := slot.Await()
+		if !ok {
+			return nil, &staleError{fmt.Errorf("schooner: clock stopped while dialing %s", s.addr)}
+		}
+		r := x.(dialResult)
+		return r.g, r.err
 	}
 	slot := s.clock.NewSlot()
 	s.dialed = slot
@@ -483,18 +488,6 @@ func (s *sharedConn) get(dial func() (*demuxConn, error)) (*demuxConn, error) {
 	}
 	slot.Fill(dialResult{g, err})
 	return g, err
-}
-
-// await parks until the dial in flight ends, takes its outcome and
-// passes it on to the next caller waiting.
-func (s *sharedConn) await(slot *vclock.Slot) (*demuxConn, error) {
-	x, ok := slot.Wait(0)
-	if !ok {
-		return nil, &staleError{fmt.Errorf("schooner: clock stopped while dialing %s", s.addr)}
-	}
-	slot.Fill(x)
-	r := x.(dialResult)
-	return r.g, r.err
 }
 
 // live returns the connection if there is a usable one, an error once
@@ -518,7 +511,7 @@ func (s *sharedConn) close() {
 	slot := s.dialed
 	s.mu.Unlock()
 	if slot != nil {
-		s.await(slot)
+		slot.Await()
 	}
 	s.mu.Lock()
 	g := s.conn
@@ -857,8 +850,10 @@ func (p *Pending) complete(res []uts.Value, err error) {
 // the same semantics as a synchronous Call. It may be called more than
 // once, from any goroutine.
 func (p *Pending) Wait() ([]uts.Value, error) {
-	if p.done != nil && !await(p.done) {
-		return nil, errors.New("schooner: clock stopped under a pending call")
+	if p.done != nil {
+		if _, ok := p.done.Await(); !ok {
+			return nil, errors.New("schooner: clock stopped under a pending call")
+		}
 	}
 	return p.res, p.err
 }

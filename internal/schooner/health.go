@@ -7,6 +7,7 @@ import (
 	"npss/internal/flight"
 	"npss/internal/logx"
 	"npss/internal/trace"
+	"npss/internal/vclock"
 	"npss/internal/wire"
 )
 
@@ -64,7 +65,7 @@ func (m *Manager) StartHealth(p HealthPolicy) {
 	}
 	conns := new(connTable)
 	m.health = make(map[string]*hostHealth)
-	m.hb = every(m.clock, "schooner.Manager.healthLoop", p.Interval, func() { m.healthSweep(p, conns) })
+	m.hb = vclock.Every(m.clock, "schooner.Manager.healthLoop", p.Interval, func(time.Time) bool { m.healthSweep(p, conns); return true })
 	m.hbConns = conns
 	m.mu.Unlock()
 }
@@ -77,7 +78,7 @@ func (m *Manager) StopHealth() {
 	m.hb, m.hbConns = nil, nil
 	m.mu.Unlock()
 	if hb != nil {
-		hb.halt()
+		hb.Stop()
 		conns.close()
 	}
 }

@@ -50,13 +50,13 @@ type Manager struct {
 	checkpoints map[string]map[string][]byte
 	restored    map[string]int
 	subs        map[*journalSub]struct{}
-	ck          *loop // the checkpoint sweep; nil when not running
+	ck          *vclock.Loop // the checkpoint sweep; nil when not running
 
 	// Health monitoring (see health.go); nil when the monitor is not
 	// running. hbConns are the health loop's probe connections: only
 	// StopHealth touches them, after halting the loop.
 	health  map[string]*hostHealth
-	hb      *loop
+	hb      *vclock.Loop
 	hbConns *connTable
 }
 

@@ -96,6 +96,44 @@ func TestVirtualHealthSweepHandoffs(t *testing.T) {
 	}
 }
 
+// TestVirtualStandbyHeartbeatHandoffs pins what a standby's heartbeat
+// of a quiet leader costs in hand-offs, by equality. The first
+// heartbeat dials the leader; every later one pings over that kept
+// connection: one turn of the loop's ticker, two of the loop for the
+// pong (woken by it, then slept to its arrival) and two of the leader
+// Manager's serve goroutine for the ping. The journal tail, with
+// nothing to mirror, stays parked, and nothing starts a goroutine.
+func TestVirtualStandbyHeartbeatHandoffs(t *testing.T) {
+	d, v := newVirtualDeployment(t, "avs-sparc", ieeeHosts())
+	d.mgr.Stop()
+	d.mgr = startJournaled(t, d, wal.NewMemBackend(), false)
+	standbyLog, err := wal.Open(wal.NewMemBackend(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval, n = 10 * time.Millisecond, 100
+	sb := StartStandby(d.tr, "rs6000", "avs-sparc", standbyLog, StandbyPolicy{HeartbeatInterval: interval})
+	t.Cleanup(sb.Stop)
+	v.Sleep(interval + interval/2)
+	turns0, starts0 := v.Handoffs()
+	v.Sleep(n * interval)
+	turns1, starts1 := v.Handoffs()
+	want := map[string]int{
+		"driver":                         1,
+		"schooner.Standby.heartbeatLoop": 3 * n,
+		"schooner.Manager.serve":         2 * n,
+	}
+	if got := handoffDelta(turns0, turns1); !reflect.DeepEqual(got, want) {
+		t.Errorf("%d heartbeats: turns %v, want %v", n, got, want)
+	}
+	if got := handoffDelta(starts0, starts1); len(got) != 0 {
+		t.Errorf("%d heartbeats: goroutine starts %v, want none", n, got)
+	}
+	if sb.TookOver() {
+		t.Error("standby took over from a live leader")
+	}
+}
+
 // TestStoppedServerAnswersNoPing: a Server stopped under a kept probe
 // connection is declared down within Threshold sweeps. The probe does
 // not dial, so no closed listener refuses it: the Server closes the

@@ -66,8 +66,13 @@ type Standby struct {
 	log       *wal.Log
 	pol       StandbyPolicy
 
-	stop     *vclock.Slot // filled by Stop: ends the heartbeat loop
-	hbDone   *vclock.Slot // signalled when the heartbeat loop has returned
+	// The heartbeat loop, its kept connection to the leader and its
+	// count of consecutive misses. The connection is closed on
+	// takeover, or by Stop once the loop has ended.
+	hb     *vclock.Loop
+	hbConn connTable
+	fails  int
+
 	tailDone *vclock.Slot // signalled when the tail loop has returned
 
 	mu       sync.Mutex
@@ -89,12 +94,10 @@ func StartStandby(t Transport, host, leaderHost string, log *wal.Log, pol Standb
 		leader:    leaderHost,
 		log:       log,
 		pol:       pol.withDefaults(),
-		stop:      c.NewSlot(),
-		hbDone:    c.NewSlot(),
 		tailDone:  c.NewSlot(),
 	}
 	c.Go("schooner.Standby.tailLoop", s.tailLoop)
-	c.Go("schooner.Standby.heartbeatLoop", s.heartbeatLoop)
+	s.hb = vclock.Every(c, "schooner.Standby.heartbeatLoop", s.pol.HeartbeatInterval, s.heartbeat)
 	return s
 }
 
@@ -123,12 +126,12 @@ func (s *Standby) Stop() {
 	s.stopped = true
 	tc := s.tailConn
 	s.mu.Unlock()
-	s.stop.Fill(nil)
 	if tc != nil {
 		tc.Close()
 	}
-	await(s.hbDone)
-	await(s.tailDone)
+	s.hb.Stop()
+	s.hbConn.close()
+	s.tailDone.Await()
 }
 
 func (s *Standby) halted() bool {
@@ -195,27 +198,21 @@ func (s *Standby) drainTail(conn wire.Conn) {
 	}
 }
 
-// heartbeatLoop probes the leader Manager over one kept connection and
-// promotes the standby after Threshold consecutive misses. The loop
-// closes that connection as it returns, before Stop's wait ends.
-func (s *Standby) heartbeatLoop() {
-	defer s.hbDone.Fill(nil)
-	var leader connTable
-	defer leader.close()
-	fails := 0
-	vclock.Every(s.clock, s.pol.HeartbeatInterval, s.stop, func() bool {
-		trace.Count("schooner.standby.heartbeats")
-		if leader.probe(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
-			fails = 0
-			return true
-		}
-		fails++
-		if fails >= s.pol.Threshold {
-			s.takeover()
-			return false
-		}
+// heartbeat is one tick of the heartbeat loop: it probes the leader
+// Manager over the kept connection and, after Threshold consecutive
+// misses, promotes the standby and ends the loop.
+func (s *Standby) heartbeat(time.Time) bool {
+	trace.Count("schooner.standby.heartbeats")
+	if s.hbConn.probe(s.transport, s.host, s.leader+":"+ManagerPort, s.pol.PingTimeout) {
+		s.fails = 0
 		return true
-	})
+	}
+	if s.fails++; s.fails < s.pol.Threshold {
+		return true
+	}
+	s.takeover()
+	s.hbConn.close()
+	return false
 }
 
 // takeover promotes the standby: the tail is severed, the mirrored
@@ -235,7 +232,7 @@ func (s *Standby) takeover() {
 	}
 	// Wait for the tailer so the promoted Manager is the log's only
 	// writer.
-	await(s.tailDone)
+	s.tailDone.Await()
 	trace.Count("schooner.manager.standby_takeovers")
 	flight.Record(flight.Event{Kind: flight.KindTakeover, Component: "standby",
 		Host: s.host, Name: s.leader})

@@ -56,7 +56,7 @@ func (m Method) String() string {
 // MethodByName resolves a widget label ("modified-euler", "rk4",
 // "adams", "gear"; case-insensitive, with a few aliases).
 func MethodByName(name string) (Method, error) {
-	switch normalize(name) {
+	switch Normalize(name) {
 	case "modifiedeuler", "improvedeuler", "euler", "heun":
 		return ModifiedEuler, nil
 	case "rk4", "rungekutta", "fourthorderrungekutta":
@@ -69,7 +69,11 @@ func MethodByName(name string) (Method, error) {
 	return 0, fmt.Errorf("solver: unknown method %q", name)
 }
 
-func normalize(s string) string {
+// Normalize folds a method label to the key its resolvers match:
+// lower case, letters and digits only, so "Newton-Raphson" reads
+// "newtonraphson" and "Fourth-order Runge-Kutta"
+// "fourthorderrungekutta".
+func Normalize(s string) string {
 	out := make([]byte, 0, len(s))
 	for i := 0; i < len(s); i++ {
 		c := s[i]

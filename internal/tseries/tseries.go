@@ -323,8 +323,7 @@ type Config struct {
 // Sampler materializes windows from a metrics source on a fixed
 // interval until stopped.
 type Sampler struct {
-	cfg   Config
-	epoch time.Time
+	cfg Config
 
 	mu       sync.Mutex
 	prev     trace.MetricsSnapshot
@@ -335,9 +334,8 @@ type Sampler struct {
 	winStart time.Time
 	pending  map[string][]Exemplar
 
-	stop    *vclock.Slot // filled by Stop
+	loop    *vclock.Loop
 	stopped sync.Once
-	done    *vclock.Slot // filled when run returns
 }
 
 // Start creates a sampler and begins sampling on its clock.
@@ -359,45 +357,24 @@ func Start(cfg Config) *Sampler {
 	}
 	s := &Sampler{
 		cfg:     cfg,
-		epoch:   cfg.Clock.Now(),
 		ring:    make([]Window, cfg.Capacity),
 		pending: make(map[string][]Exemplar),
-		stop:    cfg.Clock.NewSlot(),
-		done:    cfg.Clock.NewSlot(),
 	}
 	s.prev = cfg.Source()
-	s.winStart = s.epoch
-	cfg.Clock.Go("tseries.run", s.run)
+	s.winStart = cfg.Clock.Now()
+	// Each window closes at the grid point it fell due at. A window
+	// whose sampling overran the next boundaries simply runs on to the
+	// next grid point after it: windows get longer, and no delta is
+	// lost.
+	s.loop = vclock.Every(cfg.Clock, "tseries.run", cfg.Interval, func(at time.Time) bool { s.sample(at); return true })
 	return s
-}
-
-// run parks until each window boundary and samples. Explicit absolute
-// boundaries (rather than a fixed-grid ticker) mean no window is ever
-// silently dropped; under a clock that outpaces the sampler the
-// boundaries realign forward instead of piling up. A wait that comes
-// back before its boundary means the clock itself has stopped.
-func (s *Sampler) run() {
-	defer s.done.Fill(nil)
-	clock := s.cfg.Clock
-	next := s.epoch.Add(s.cfg.Interval)
-	for {
-		if _, stopped := s.stop.WaitUntil(next); stopped || clock.Now().Before(next) {
-			return
-		}
-		s.sample(next)
-		next = next.Add(s.cfg.Interval)
-		if now := clock.Now(); now.After(next.Add(s.cfg.Interval)) {
-			next = now.Add(s.cfg.Interval)
-		}
-	}
 }
 
 // Stop halts sampling, flushing the in-progress window (so a short
 // run still yields its tail). Safe to call more than once.
 func (s *Sampler) Stop() {
 	s.stopped.Do(func() {
-		s.stop.Fill(nil)
-		s.done.Wait(0)
+		s.loop.Stop()
 		s.sample(s.cfg.Clock.Now())
 	})
 }

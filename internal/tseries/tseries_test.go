@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -340,6 +341,78 @@ func TestSetActiveRegistersFlightAuxDump(t *testing.T) {
 	if d := flight.DumpString(); strings.Contains(d, "-- series tail --") {
 		t.Fatalf("aux dump survived SetActive(nil):\n%s", d)
 	}
+}
+
+// TestSamplerOverrunStaysOnGrid: a Source that takes 2.5 intervals of
+// virtual time to answer overruns every boundary after the first. Each
+// window still closes at a grid point of the sampler's start (the
+// next one after the overrun, as any vclock.Every loop resumes), and
+// no delta is lost: the windows' deltas sum to the source's total.
+func TestSamplerOverrunStaysOnGrid(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	v := vclock.NewVirtual()
+	defer v.Stop()
+	var total int64
+	slow := false
+	src := func() trace.MetricsSnapshot {
+		if slow {
+			v.Sleep(interval * 5 / 2)
+			total += 3
+		}
+		return trace.MetricsSnapshot{Counters: map[string]int64{"calls": total}}
+	}
+	s := Start(Config{Interval: interval, Clock: v, Source: src})
+	origin := v.Now()
+	slow = true
+	v.Sleep(20 * interval)
+	s.Stop()
+	snap := s.Snapshot()
+	var sum int64
+	for i, w := range snap.Windows {
+		sum += w.Counters["calls"]
+		end := w.Start.Add(time.Duration(w.Dur))
+		if i < len(snap.Windows)-1 && end.Sub(origin)%interval != 0 {
+			t.Errorf("window %d ends at +%v, off the %v grid", w.Seq, end.Sub(origin), interval)
+		}
+		if i > 0 && !w.Start.Equal(snap.Windows[i-1].Start.Add(time.Duration(snap.Windows[i-1].Dur))) {
+			t.Errorf("window %d does not start where window %d ended", w.Seq, w.Seq-1)
+		}
+	}
+	if len(snap.Windows) < 3 || sum != total {
+		t.Fatalf("%d windows with deltas summing to %d, want several summing to the source's %d:\n%s",
+			len(snap.Windows), sum, total, snap.Format())
+	}
+}
+
+// TestVirtualSamplerHandoffs pins what a window costs in hand-offs, by
+// equality: one turn of the sampler's loop, woken at the boundary, and
+// no goroutine start.
+func TestVirtualSamplerHandoffs(t *testing.T) {
+	const interval, n = 10 * time.Millisecond, 100
+	_, v := virtualSampler(t, Config{Interval: interval, Source: (&manualSource{}).get})
+	v.Sleep(interval / 2)
+	turns0, starts0 := v.Handoffs()
+	v.Sleep(n * interval)
+	turns1, starts1 := v.Handoffs()
+	want := map[string]int{"driver": 1, "tseries.run": n}
+	if got := delta(turns0, turns1); !reflect.DeepEqual(got, want) {
+		t.Errorf("%d windows: turns %v, want %v", n, got, want)
+	}
+	if got := delta(starts0, starts1); len(got) != 0 {
+		t.Errorf("%d windows: goroutine starts %v, want none", n, got)
+	}
+}
+
+// delta is after minus before, by site, without the sites that did
+// not move.
+func delta(before, after map[string]int) map[string]int {
+	d := make(map[string]int)
+	for site, k := range after {
+		if k -= before[site]; k != 0 {
+			d[site] = k
+		}
+	}
+	return d
 }
 
 func TestSamplerConcurrencyStress(t *testing.T) {

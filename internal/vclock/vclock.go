@@ -165,27 +165,56 @@ func (s *Slot) now() time.Time {
 	return time.Now()
 }
 
-// Every calls fn once per interval of c's time, on a fixed grid from
-// now (a tick that falls due while fn runs is skipped, not queued),
-// until stop is filled or fn returns false. It also returns when a
-// wait comes back early, which only a stopped virtual clock does, and
-// at once for an interval that is not positive.
-func Every(c Clock, interval time.Duration, stop *Slot, fn func() bool) {
+// Await waits for the slot's value and leaves it there for the next
+// waiter: a Slot filled once is an event anyone may wait for. ok is
+// false when the wait was cut short instead, which only a stopped
+// virtual clock does.
+func (s *Slot) Await() (x any, ok bool) {
+	if x, ok = s.Wait(0); ok {
+		s.Fill(x)
+	}
+	return x, ok
+}
+
+// Loop is a periodic task started by Every.
+type Loop struct {
+	stop *Slot // filled to end it
+	done *Slot // filled once it has returned
+}
+
+// Every starts a participant of c, named site, that calls fn once per
+// interval of c's time on a fixed grid from now, passing the instant
+// each tick fell due. A tick that falls due while fn runs is skipped,
+// not queued. The loop ends when fn returns false, when Stop is
+// called, or when a wait comes back early, which only a stopped
+// virtual clock does. For an interval that is not positive it starts
+// nothing: its grid would never move forward.
+func Every(c Clock, site string, interval time.Duration, fn func(at time.Time) bool) *Loop {
+	l := &Loop{stop: c.NewSlot(), done: c.NewSlot()}
 	if interval <= 0 {
-		return
+		l.done.Fill(nil)
+		return l
 	}
 	next := c.Now().Add(interval)
-	for {
-		if _, stopped := stop.WaitUntil(next); stopped || c.Now().Before(next) {
-			return
+	c.Go(site, func() {
+		defer l.done.Fill(nil)
+		for {
+			if _, stopped := l.stop.WaitUntil(next); stopped || c.Now().Before(next) || !fn(next) {
+				return
+			}
+			for now := c.Now(); !next.After(now); {
+				next = next.Add(interval)
+			}
 		}
-		if !fn() {
-			return
-		}
-		for now := c.Now(); !next.After(now); {
-			next = next.Add(interval)
-		}
-	}
+	})
+	return l
+}
+
+// Stop ends the loop, waiting for a tick in flight to finish. It may
+// be called any number of times, also after the loop has ended.
+func (l *Loop) Stop() {
+	l.stop.Fill(nil)
+	l.done.Await()
 }
 
 // realClock delegates to package time.

@@ -110,46 +110,122 @@ func TestVirtualTimerStop(t *testing.T) {
 }
 
 // TestVirtualTicker checks periodic firing in virtual time: Every
-// ticks on a fixed grid however long each tick's work takes, and skips
-// the ticks that work overran.
+// ticks on a fixed grid however long each tick's work takes, skips
+// the ticks that work overran, and passes each tick the instant it
+// fell due.
 func TestVirtualTicker(t *testing.T) {
 	v := NewVirtual()
 	defer v.Stop()
-	stop := v.NewSlot()
-	var ticks []time.Duration
-	v.Go("ticker", func() {
-		Every(v, time.Second, stop, func() bool {
-			ticks = append(ticks, v.Elapsed())
-			if len(ticks) == 2 {
-				v.Sleep(2500 * time.Millisecond) // overruns ticks 3 and 4
-			} else {
-				v.Sleep(100 * time.Millisecond)
-			}
-			return true
-		})
+	var ticks, due []time.Duration
+	l := Every(v, "ticker", time.Second, func(at time.Time) bool {
+		ticks = append(ticks, v.Elapsed())
+		due = append(due, at.Sub(Epoch1993))
+		if len(ticks) == 2 {
+			v.Sleep(2500 * time.Millisecond) // overruns ticks 3 and 4
+		} else {
+			v.Sleep(100 * time.Millisecond)
+		}
+		return true
 	})
 	v.Sleep(6500 * time.Millisecond)
-	stop.Fill(nil)
-	v.Sleep(time.Hour)
+	l.Stop()
 	want := []time.Duration{1 * time.Second, 2 * time.Second, 5 * time.Second, 6 * time.Second}
-	if !reflect.DeepEqual(ticks, want) {
-		t.Fatalf("ticks at %v, want %v", ticks, want)
+	if !reflect.DeepEqual(ticks, want) || !reflect.DeepEqual(due, want) {
+		t.Fatalf("ticks at %v, due at %v, want %v", ticks, due, want)
+	}
+	if got := v.Elapsed(); got != 6500*time.Millisecond {
+		t.Fatalf("Stop returned at %v, want at once (6.5s)", got)
 	}
 }
 
-// TestEveryNonPositiveInterval: Every returns at once, without a tick,
-// for an interval that is not positive, on either clock; its grid
-// would otherwise never move forward.
+// TestLoopStop: Stop ends a loop and may be called again, also after
+// fn ended the loop itself, on either clock.
+func TestLoopStop(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	for _, c := range []Clock{v, Real()} {
+		const interval = time.Millisecond
+		ticks, ticked := 0, c.NewSlot()
+		l := Every(c, "ticker", interval, func(time.Time) bool {
+			ticks++
+			ticked.Fill(nil)
+			return true
+		})
+		ticked.Wait(0)
+		l.Stop()
+		n := ticks
+		l.Stop()
+		c.Sleep(3 * interval)
+		if ticks != n {
+			t.Errorf("%T: %d ticks after Stop", c, ticks-n)
+		}
+
+		ticks = 0
+		ended := c.NewSlot()
+		l = Every(c, "ticker", interval, func(time.Time) bool {
+			if ticks++; ticks < 2 {
+				return true
+			}
+			ended.Fill(nil)
+			return false
+		})
+		ended.Wait(0)
+		l.Stop()
+		l.Stop()
+		c.Sleep(3 * interval)
+		if ticks != 2 {
+			t.Errorf("%T: fn returned false on its 2nd tick, then ran %d ticks in all", c, ticks)
+		}
+	}
+}
+
+// TestEveryNonPositiveInterval: for an interval that is not positive
+// Every starts nothing, since its grid would never move forward: no
+// tick, no goroutine, and Stop returns at once, on either clock.
 func TestEveryNonPositiveInterval(t *testing.T) {
 	v := NewVirtual()
 	defer v.Stop()
 	for _, c := range []Clock{v, Real()} {
 		for _, interval := range []time.Duration{0, -1} {
 			ticks := 0
-			Every(c, interval, c.NewSlot(), func() bool { ticks++; return false })
+			l := Every(c, "ticker", interval, func(time.Time) bool { ticks++; return true })
+			l.Stop()
+			l.Stop()
 			if ticks != 0 {
 				t.Errorf("Every(%v) on %T ticked %d times, want none", interval, c, ticks)
 			}
+		}
+	}
+	if _, starts := v.Handoffs(); starts["ticker"] != 0 || v.Elapsed() != 0 {
+		t.Errorf("Every with a non-positive interval started %d goroutines and took %v", starts["ticker"], v.Elapsed())
+	}
+}
+
+// TestSlotAwait: Await leaves the value it waited for in the slot, so
+// every waiter of a slot filled once gets it, on either clock.
+func TestSlotAwait(t *testing.T) {
+	v := NewVirtual()
+	defer v.Stop()
+	for _, c := range []Clock{v, Real()} {
+		s, got := c.NewSlot(), NewQueue[any](c)
+		for range 3 {
+			c.Go("awaiter", func() {
+				x, ok := s.Await()
+				if !ok {
+					x = "stopped"
+				}
+				got.Push(x)
+			})
+		}
+		c.Sleep(time.Millisecond)
+		s.Fill(7)
+		for range 3 {
+			if x, ok := got.Pop(); !ok || x != 7 {
+				t.Errorf("%T: an awaiter got %v, %v, want 7", c, x, ok)
+			}
+		}
+		if x, ok := s.Await(); !ok || x != 7 {
+			t.Errorf("%T: Await of a filled slot = %v, %v, want 7", c, x, ok)
 		}
 	}
 }
@@ -160,10 +236,10 @@ func TestEveryNonPositiveInterval(t *testing.T) {
 func TestVirtualStopReleasesWaiters(t *testing.T) {
 	before := runtime.NumGoroutine()
 	v := NewVirtual()
-	never, stop := v.NewSlot(), v.NewSlot()
+	never := v.NewSlot()
 	q := NewQueue[int](v)
 	v.Go("sleeper", func() { v.Sleep(1000 * time.Hour) })
-	v.Go("ticker", func() { Every(v, time.Hour, stop, func() bool { return true }) })
+	Every(v, "ticker", time.Hour, func(time.Time) bool { return true })
 	v.Go("waiter", func() { never.Wait(0) })
 	v.Go("deadline waiter", func() { never.Wait(1000 * time.Hour) })
 	v.Go("consumer", func() {
@@ -463,8 +539,15 @@ func TestRealClock(t *testing.T) {
 	if x, ok := s.WaitUntil(time.Time{}); !ok || x != 3 {
 		t.Fatalf("WaitUntil(zero) = %v, %v, want to wait without a deadline", x, ok)
 	}
-	ticks := 0
-	Every(c, time.Millisecond, c.NewSlot(), func() bool { ticks++; return ticks < 3 })
+	ticks, ended := 0, c.NewSlot()
+	Every(c, "ticker", time.Millisecond, func(time.Time) bool {
+		if ticks++; ticks < 3 {
+			return true
+		}
+		ended.Fill(nil)
+		return false
+	})
+	ended.Wait(0)
 	if ticks != 3 {
 		t.Fatalf("Every ran %d ticks", ticks)
 	}
